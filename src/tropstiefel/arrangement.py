@@ -4,21 +4,26 @@ Covectors of points, the full covector complex TC(A), the subcomplexes
 B(A) (all rows covered) and K(A) (dragon marriage condition), transpose
 covectors, and the tropical singularity predicate.
 
-The arrangement lives in the torus of x-coordinates; cell polyhedra are
-gauge-fixed by x_1 = 0.  TC(A) is computed exactly: the closed cells of all
-column choice functions seed the complex, every candidate covector is
-canonicalized to the covector of a relative-interior point of its cell, and
-the face set is closed under pairwise unions of covectors (intersections of
-closed cells).
+The arrangement lives in the torus of x-coordinates, and every cell of TC(A)
+is a polytrope: the points whose covector is tau satisfy, per column j,
+equalities tying the rows of I_j and strict inequalities saying that the
+other rows of supp(j) lose.  TC(A) is found by a depth-first search over the
+columns on one closed difference-bound matrix (``geom.DifferenceBounds``)
+over the integer-scaled entries of A: a partial choice (I_1, ..., I_j) is
+kept exactly when its system is feasible, and every feasible prefix extends
+to a covector, so the search never dead-ends.  A cell's dimension is the
+number of components of its row equality graph minus one, and its witness,
+gauge-fixed by x_1 = 0, comes from the potentials of the closed matrix.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .core import INF, DomainError, TropMatrix, TropVector, require_column_supports, require_row_supports, trop_sum
-from .geom import INFEASIBLE, LinearConstraintSystem, Polyhedron, strict_feasible
+from .geom import DifferenceBounds
 from .bipartite import BipartiteGraph, dragon_condition
 
 ZERO = Fraction(0)
@@ -87,7 +92,7 @@ def transpose_covector(A: TropMatrix, y: TropVector) -> BipartiteGraph:
 
 
 # ---------------------------------------------------------------------------
-# Cell systems and canonicalization
+# Cells and the covector complex
 # ---------------------------------------------------------------------------
 
 def _cell_constraints(A: TropMatrix, tau):
@@ -120,51 +125,16 @@ def _cell_constraints(A: TropMatrix, tau):
     return eqs, others
 
 
-def _canonical_covector(A: TropMatrix, tau):
-    """The covector of a relative-interior point of the closed cell of tau.
-
-    Returns (edge frozenset, witness point) or None if the cell is empty.
-    """
-    tau = frozenset(tau)
-    eqs, others = _cell_constraints(A, tau)
-    strict_all = LinearConstraintSystem(
-        A.d, eqs=eqs, gts=[(c, b) for c, b, _ in others]
-    )
-    x = strict_feasible(strict_all)
-    if x is not INFEASIBLE:
-        return tau, x
-    weak = LinearConstraintSystem(A.d, eqs=eqs, ges=[(c, b) for c, b, _ in others])
-    if strict_feasible(weak) is INFEASIBLE:
-        return None
-    forced = set()
-    for k, (c, b, edge) in enumerate(others):
-        sys = LinearConstraintSystem(
-            A.d,
-            eqs=eqs,
-            ges=[(cc, bb) for kk, (cc, bb, _) in enumerate(others) if kk != k],
-            gts=[(c, b)],
-        )
-        if strict_feasible(sys) is INFEASIBLE:
-            forced.add(edge)
-    tau2 = tau | forced
-    eqs2, others2 = _cell_constraints(A, tau2)
-    x = strict_feasible(
-        LinearConstraintSystem(A.d, eqs=eqs2, gts=[(c, b) for c, b, _ in others2])
-    )
-    assert x is not INFEASIBLE
-    return frozenset(tau2), x
-
-
 class Cell:
-    """One face of TC(A): its covector and gauge-fixed polyhedron."""
+    """One face of TC(A): its covector, its dimension in the gauge x_1 = 0,
+    and a relative-interior point with x_1 = 0."""
 
-    __slots__ = ("covector", "polyhedron", "dim", "point")
+    __slots__ = ("covector", "dim", "point")
 
-    def __init__(self, covector, polyhedron, point):
+    def __init__(self, covector, dim, point):
         self.covector = covector
-        self.polyhedron = polyhedron
-        self.dim = polyhedron.affine_dimension()
-        self.point = point  # gauge-fixed relative-interior point
+        self.dim = dim
+        self.point = point
 
     def __repr__(self):
         return "Cell(dim=%d, %s)" % (self.dim, self.covector.tuple_view())
@@ -196,62 +166,64 @@ class ArrangementComplex:
         return "ArrangementComplex(%d cells)" % len(self.cells)
 
 
-_TC_CACHE = {}
-
-
 def enumerate_covectors(A: TropMatrix, budget=5000) -> ArrangementComplex:
-    """TC(A), exactly.  Results are cached per matrix."""
-    if A in _TC_CACHE:
-        return _TC_CACHE[A]
+    """TC(A), exactly; DomainError BUDGET_EXCEEDED beyond ``budget`` cells.
+
+    One column's hyperplane alone has 2^|supp j| − 1 faces and TC(A) refines
+    it, so a column that forces more cells than the budget is refused before
+    the search starts.
+    """
     require_column_supports(A)
-    if A.d > 4 or A.n > 8:
-        raise DomainError("BUDGET_EXCEEDED", "arrangement limited to d <= 4, n <= 8")
-
-    col_rows = [sorted(A.col_support(j)) for j in range(1, A.n + 1)]
-    found = {}
-    for choice in itertools.product(*[
-        [(i, j + 1) for i in rows] for j, rows in enumerate(col_rows)
-    ]):
-        res = _canonical_covector(A, choice)
-        if res is not None and res[0] not in found:
-            found[res[0]] = res[1]
-
-    # close under pairwise unions (intersections of closed cells)
-    seen_candidates = set(found)
-    queue = [(t1, t2) for t1 in found for t2 in found if t1 != t2]
-    while queue:
-        t1, t2 = queue.pop()
-        u = t1 | t2
-        if u in seen_candidates:
-            continue
-        seen_candidates.add(u)
-        res = _canonical_covector(A, u)
-        if res is None:
-            continue
-        tau, x = res
-        seen_candidates.add(tau)
-        if tau not in found:
-            found[tau] = x
-            if len(found) > budget:
-                raise DomainError("BUDGET_EXCEEDED", "too many covectors")
-            queue.extend((tau, t) for t in found if t != tau)
-
-    cells = []
-    for tau, x in found.items():
-        eqs, others = _cell_constraints(A, tau)
-        gauge = [ZERO] * A.d
-        gauge[0] = Fraction(1)
-        poly = Polyhedron(
-            A.d,
-            eqs=[(tuple(gauge), ZERO)] + eqs,
-            ineqs=[(c, b) for c, b, _ in others],
+    d, n = A.d, A.n
+    cols = [sorted(i - 1 for i in A.col_support(j)) for j in range(1, n + 1)]
+    widest = max(len(rows) for rows in cols)
+    if 2 ** widest - 1 > budget:
+        raise DomainError(
+            "BUDGET_EXCEEDED",
+            f"a column with {widest} finite entries gives {2 ** widest - 1} cells, budget {budget}",
         )
-        shift = x[0]
-        point = tuple(v - shift for v in x)
-        cells.append(Cell(Covector(BipartiteGraph(A.d, A.n, tau)), poly, point))
-    complex_ = ArrangementComplex(A, cells)
-    _TC_CACHE[A] = complex_
-    return complex_
+    unit = math.lcm(*(v.denominator for row in A.entries for v in row if v is not INF))
+    a = [[None if v is INF else v.numerator * (unit // v.denominator) for v in row] for row in A.entries]
+    cells = []
+
+    def search(j, dbm, chosen):
+        if j == n:
+            edges = [(i + 1, k + 1) for k, I in enumerate(chosen) for i in I]
+            cells.append(Cell(Covector(BipartiteGraph(d, n, edges)), _dimension(d, chosen), dbm.point(unit)))
+            if len(cells) > budget:
+                raise DomainError("BUDGET_EXCEEDED", f"more than {budget} cells")
+            return
+        rows = cols[j]
+        for r in range(1, len(rows) + 1):
+            for I in itertools.combinations(rows, r):
+                child = dbm.copy()
+                i0 = I[0]
+                # x_i + a_ij = x_i0 + a_i0j for i in I; x_k + a_kj > x_i0 + a_i0j off I
+                if all(
+                    child.add(i0, i, a[i0][j] - a[i][j]) and child.add(i, i0, a[i][j] - a[i0][j])
+                    for i in I[1:]
+                ) and all(
+                    child.add(k, i0, a[k][j] - a[i0][j], strict=True) for k in rows if k not in I
+                ):
+                    search(j + 1, child, chosen + [I])
+
+    search(0, DifferenceBounds(d), [])
+    return ArrangementComplex(A, cells)
+
+
+def _dimension(d, chosen):
+    """Components of the graph joining the rows tied in one column, minus one."""
+    root = list(range(d))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for I in chosen:
+        for i in I[1:]:
+            root[find(i)] = find(I[0])
+    return sum(1 for i in range(d) if root[i] == i) - 1
 
 
 def in_B(A: TropMatrix, covector: Covector) -> bool:

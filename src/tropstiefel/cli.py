@@ -262,11 +262,7 @@ def _svg_arrangement(A, tc):
         if cell.dim != 1:
             continue
         mid = pts[cell.covector.key()]
-        ends = [
-            pts[v.covector.key()]
-            for v in verts
-            if cell.polyhedron.contains(v.point)
-        ]
+        ends = [pts[v.covector.key()] for v in verts if v.covector.edges > cell.covector.edges]
         if len(ends) == 2:
             (u1, v1), (u2, v2) = ends
         elif len(ends) == 1:

@@ -80,7 +80,10 @@ def scalar(x):
     if isinstance(x, str):
         if x.strip().lower() == "inf":
             return INF
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise DomainError("BAD_SCALAR", f"cannot interpret {x!r} as a scalar") from None
     if isinstance(x, float):
         raise DomainError("BAD_SCALAR", "floating point is not allowed")
     raise DomainError("BAD_SCALAR", f"cannot interpret {x!r} as a scalar")

@@ -1,23 +1,26 @@
 """Exact rational linear algebra and small-scale polyhedral computation.
 
 Feasibility of systems mixing equalities, weak and strict inequalities;
-relative-interior points; affine dimension; face enumeration; variable
-elimination.  Two engines sit underneath:
+relative-interior points; affine dimension; vertices; variable elimination.
+Two engines sit underneath:
 
-* a Bellman-Ford solver for difference-constraint systems (every constraint
-  of the form x_i - x_j >= b, x_i >= b or -x_i >= b), which covers covector
-  cells and tropical image membership systems and is fast;
-* a two-phase exact simplex with Bland's rule over Fractions for everything
-  else.
-
-Strict inequalities are handled by one auxiliary slack ε: each strict
-constraint a·x > b is relaxed to a·x >= b + ε and ε is maximized; the system
-is strictly feasible iff the optimum has ε > 0.
+* ``DifferenceBounds``, a closed integer difference-bound matrix, for
+  systems whose every constraint has the form x_i - x_j >= b, x_i >= b or
+  -x_i >= b: covector cells and tropical image membership systems.  Rational
+  constants are scaled to integers by the LCM of their denominators, and
+  strict bounds are exact through one ε = 1/(V+1) fixed by the number of
+  nodes V;
+* a two-phase exact simplex with Bland's rule over Fractions for the
+  systems that are not differences (coherence witnesses, cell existence in
+  the hypersimplex subdivision).  There each strict constraint a·x > b is
+  relaxed to a·x >= b + ε and ε is maximized; the system is strictly
+  feasible iff the optimum has ε > 0.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -245,95 +248,107 @@ def lp_solve(dim, eqs, ges, objective):
 
 
 # ---------------------------------------------------------------------------
-# Difference-constraint fast path (Bellman-Ford with symbolic ε)
+# Difference constraints: one closed integer difference-bound matrix
 # ---------------------------------------------------------------------------
 
-def _difference_edges(sys: LinearConstraintSystem):
-    """Translate the system to edges (u, v, w, k): x_v <= x_u + w + k·ε.
+class DifferenceBounds:
+    """A closed system of bounds x_v − x_u ≤ c or x_v − x_u < c on the nodes
+    0, ..., size − 1, with integer constants c.
 
-    Node 0 is a fixed origin with value 0; variable i is node i+1.
-    Returns None if some constraint is not of difference form.
+    A bound is stored as the single integer K·c, or K·c − 1 when strict,
+    with K = size + 1: the constant read as c − ε for ε = 1/K.  A simple
+    cycle has at most ``size`` edges, so for integer sum C and s strict edges
+    K·C − s < 0 exactly when C < 0, or C = 0 and s > 0: exactly when the
+    strict system has a contradiction.  So this ε always works, and the
+    shortest-path potentials of the stored integers are an exact witness.
+    ``bound[u][v]`` is the tightest implied bound (None when there is none);
+    adding a bound keeps the matrix closed in O(size²).
     """
-    edges = []
 
-    def add_le(a, b, k):
-        # a·x <= b + k·ε
-        supp = [(i, c) for i, c in enumerate(a) if c != 0]
-        if len(supp) == 0:
-            edges.append((0, 0, b, k))
+    __slots__ = ("size", "scale", "bound")
+
+    def __init__(self, size, bound=None):
+        self.size = size
+        self.scale = size + 1
+        self.bound = bound or [[0 if u == v else None for v in range(size)] for u in range(size)]
+
+    def copy(self):
+        return DifferenceBounds(self.size, [row[:] for row in self.bound])
+
+    def add(self, u, v, c, strict=False):
+        """Impose x_v − x_u ≤ c (< c when strict).  Returns False, leaving
+        the matrix unchanged, when that contradicts the bounds so far."""
+        w = self.scale * c - strict
+        m = self.bound
+        if m[u][v] is not None and m[u][v] <= w:
             return True
-        if len(supp) == 1:
-            i, c = supp[0]
-            if c == ONE:
-                edges.append((0, i + 1, b, k))
-                return True
-            if c == -ONE:
-                edges.append((i + 1, 0, b, k))
-                return True
+        if m[v][u] is not None and m[v][u] + w < 0:
             return False
-        if len(supp) == 2:
-            (i, ci), (j, cj) = supp
-            if ci == ONE and cj == -ONE:
-                edges.append((j + 1, i + 1, b, k))
-                return True
-            if ci == -ONE and cj == ONE:
-                edges.append((i + 1, j + 1, b, k))
-                return True
-        return False
+        # Row v and column u stay as they are: the new edge closes no
+        # negative cycle, so every path may route through u -> v once.
+        via = [(j, b) for j, b in enumerate(m[v]) if b is not None]
+        for row in m:
+            if row[u] is None:
+                continue
+            head = row[u] + w
+            for j, b in via:
+                if row[j] is None or head + b < row[j]:
+                    row[j] = head + b
+        return True
 
-    for a, b in sys.eqs:
-        if not add_le(a, b, 0) or not add_le(tuple(-v for v in a), -b, 0):
-            return None
-    for a, b in sys.ges:
-        if not add_le(tuple(-v for v in a), -b, 0):
-            return None
-    for a, b in sys.gts:
-        # a·x > b  ⇒  -a·x <= -b - ε
-        if not add_le(tuple(-v for v in a), -b, -1):
-            return None
-    return edges
+    def point(self, unit=1):
+        """An exact x with x_0 = 0 meeting every bound, strict ones strictly,
+        when each constant c stands for c / unit."""
+        m = self.bound
+        # distances from a virtual source joined to every node at length 0
+        p = [min(row[v] for row in m if row[v] is not None) for v in range(self.size)]
+        den = self.scale * unit
+        return tuple(Fraction(pv - p[0], den) for pv in p)
 
 
-def _difference_feasible(sys: LinearConstraintSystem, edges):
-    nv = sys.dim + 1
-    dist = [(ZERO, 0)] * nv  # (rational part, ε multiplicity), lexicographic
-    for round_ in range(nv):
-        changed = False
-        for u, v, w, k in edges:
-            du = dist[u]
-            cand = (du[0] + w, du[1] + k)
-            if cand < dist[v]:
-                dist[v] = cand
-                changed = True
-        if not changed:
-            break
-    else:
-        for u, v, w, k in edges:
-            du = dist[u]
-            if (du[0] + w, du[1] + k) < dist[v]:
-                return INFEASIBLE  # negative cycle
+def _difference_bounds(sys: LinearConstraintSystem):
+    """The system as bounds (u, v, b, strict): x_v − x_u ≤ b, or < b.
 
-    q0, k0 = dist[0]
-    parts = [(dist[i + 1][0] - q0, dist[i + 1][1] - k0) for i in range(sys.dim)]
-    if all(k == 0 for _, k in parts) and not sys.gts:
-        x = tuple(q for q, _ in parts)
-        return x if sys.satisfied_by(x) else INFEASIBLE
-    eps = ONE
-    while True:
-        x = tuple(q + k * eps for q, k in parts)
-        if sys.satisfied_by(x):
-            return x
-        eps /= 2
-        if eps.denominator > 1 << 64:  # pragma: no cover - safety valve
-            return INFEASIBLE
+    Node 0 is an origin fixed at 0; variable k is node k + 1.  Returns None
+    if some constraint is not of difference form.
+    """
+
+    def nodes(a):
+        # (u, v) with a·x = x_v − x_u, the origin standing in for a missing term
+        u = v = 0
+        for k, c in enumerate(a, start=1):
+            if c == 0:
+                continue
+            if c == 1 and not v:
+                v = k
+            elif c == -1 and not u:
+                u = k
+            else:
+                return None
+        return u, v
+
+    ties, weak, strict = ([(nodes(a), b) for a, b in rows] for rows in (sys.eqs, sys.ges, sys.gts))
+    if any(uv is None for uv, _ in ties + weak + strict):
+        return None
+    # a·x >= b is x_u − x_v <= −b, and a·x <= b is x_v − x_u <= b
+    return (
+        [(v, u, -b, False) for (u, v), b in ties + weak]
+        + [(v, u, -b, True) for (u, v), b in strict]
+        + [(u, v, b, False) for (u, v), b in ties]
+    )
 
 
 def strict_feasible(sys: LinearConstraintSystem):
     """An exact point satisfying the system (strict constraints strictly),
     or INFEASIBLE."""
-    edges = _difference_edges(sys)
-    if edges is not None:
-        return _difference_feasible(sys, edges)
+    bounds = _difference_bounds(sys)
+    if bounds is not None:
+        unit = math.lcm(*(b.denominator for _, _, b, _ in bounds))
+        dbm = DifferenceBounds(sys.dim + 1)
+        for u, v, b, strict in bounds:
+            if not dbm.add(u, v, b.numerator * (unit // b.denominator), strict):
+                return INFEASIBLE
+        return dbm.point(unit)[1:]
 
     # General path: maximize ε with strict constraints relaxed to >= b + ε.
     dim = sys.dim + 1
@@ -349,10 +364,6 @@ def strict_feasible(sys: LinearConstraintSystem):
     x = point[: sys.dim]
     assert sys.satisfied_by(x)
     return x
-
-
-def feasible_point(dim, eqs=(), ges=()):
-    return strict_feasible(LinearConstraintSystem(dim, eqs=eqs, ges=ges))
 
 
 # ---------------------------------------------------------------------------
@@ -455,60 +466,6 @@ class Polyhedron:
         return sorted(out)
 
 
-class Face:
-    """A nonempty face of a polyhedron, keyed by its full tight index set."""
-
-    __slots__ = ("polyhedron", "tight", "dim", "point")
-
-    def __init__(self, polyhedron, tight):
-        self.polyhedron = polyhedron
-        self.tight = frozenset(tight)
-        self.dim = polyhedron.affine_dimension()
-        self.point = polyhedron.relative_interior_point()
-
-    def __repr__(self):
-        return "Face(dim=%d, tight=%s)" % (self.dim, sorted(self.tight))
-
-
-def enumerate_faces(P: Polyhedron, budget=100000):
-    """All nonempty faces of P, each with an exact relative-interior point.
-
-    Faces are keyed by the set of inequality indices tight on them, so the
-    output is closed under intersection and ordered by reverse containment
-    of tight sets.
-    """
-    if P.is_empty():
-        return []
-
-    def canonical(tight):
-        # Close a tight set: indices implicitly forced to equality.
-        Q = Polyhedron(P.dim, list(P.eqs) + [P.ineqs[i] for i in tight], P.ineqs)
-        if Q.is_empty():
-            return None, None
-        return frozenset(Q.implicit_equalities()) | frozenset(tight), Q
-
-    key0, Q0 = canonical(frozenset())
-    faces = {key0: Face(Q0, key0)}
-    queue = [key0]
-    while queue:
-        key = queue.pop()
-        for i in range(len(P.ineqs)):
-            if i in key:
-                continue
-            newkey, Q = canonical(key | {i})
-            if newkey is None or newkey in faces:
-                continue
-            faces[newkey] = Face(Q, newkey)
-            if len(faces) > budget:
-                raise DomainBudgetError("face enumeration budget exceeded")
-            queue.append(newkey)
-    return sorted(faces.values(), key=lambda f: (-f.dim, sorted(f.tight)))
-
-
-class DomainBudgetError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Variable elimination (Gauss substitution + Fourier-Motzkin)
 # ---------------------------------------------------------------------------
@@ -591,20 +548,3 @@ def eliminate_vars(dim, eqs, ineqs, drop):
     out_eqs = [(tuple(a[k] for k in alive), b) for a, b in eqs if any(a[k] != 0 for k in alive) or b != 0]
     out_ineqs = [(tuple(a[k] for k in alive), b) for a, b in ineqs]
     return out_eqs, out_ineqs
-
-
-def affine_image(P: Polyhedron, M, c):
-    """The image {Mx + c : x in P} as a Polyhedron (M: k rows of length dim)."""
-    k = len(M)
-    dim = P.dim
-    total = dim + k
-    eqs = [(a + (ZERO,) * k, b) for a, b in P.eqs]
-    ineqs = [(a + (ZERO,) * k, b) for a, b in P.ineqs]
-    for t in range(k):
-        row = [-Fraction(v) for v in M[t]] + [ZERO] * k
-        row[dim + t] = ONE
-        eqs.append((tuple(row), Fraction(c[t])))
-    res = eliminate_vars(total, eqs, ineqs, range(dim))
-    if res is None:
-        return Polyhedron(k, eqs=[((ZERO,) * k, ONE)])  # empty
-    return Polyhedron(k, *res)

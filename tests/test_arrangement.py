@@ -7,6 +7,7 @@ import pytest
 from tropstiefel.arrangement import (
     ArrangementComplex,
     Covector,
+    _cell_constraints,
     complex_to_json,
     covector_of_point,
     enumerate_covectors,
@@ -17,6 +18,7 @@ from tropstiefel.arrangement import (
 )
 from tropstiefel.bipartite import BipartiteGraph, matching_multifield, Matching
 from tropstiefel.core import DomainError, INF, TropMatrix, TropVector
+from tropstiefel.geom import Polyhedron
 
 FIG = TropMatrix([[0, 3, 0, "inf", "inf"], ["inf", 0, 0, 2, "inf"], ["inf", "inf", 0, 0, 0]])
 STAIR = TropMatrix([[0, 0, "inf", "inf"], ["inf", 0, 0, "inf"], ["inf", "inf", 0, 0]])
@@ -100,10 +102,10 @@ def test_covering_and_disjointness():
             )
             c = covector_of_point(A, x)
             assert c in tc
-            cell = tc.cell_of(c)
-            # x is in the relative interior of exactly its own cell
-            assert cell.polyhedron.contains(x.entries)
             hits[c.key()] += 1
+        # every witness lies in its own cell and in no other
+        for cell in tc.cells:
+            assert covector_of_point(A, TropVector(cell.point)) == cell.covector
 
 
 def test_order_reversal():
@@ -113,8 +115,50 @@ def test_order_reversal():
             for c2 in tc.cells:
                 if c1.covector.edges > c2.covector.edges:
                     # bigger covector = smaller face, contained in the closure
-                    assert c2.polyhedron.contains(c1.point)
+                    assert covector_of_point(A, TropVector(c1.point)).edges >= c2.covector.edges
                     assert c1.dim < c2.dim
+
+
+def random_matrices(seed, count):
+    """Matrices up to 4 x 6 with integer, fractional and ∞ entries."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.randint(1, 4)
+        n = rng.randint(d, 6)
+        p_inf = rng.choice([0, 0.15, 0.3])
+        A = TropMatrix(
+            [
+                [
+                    "inf" if rng.random() < p_inf
+                    else Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
+                    for _ in range(n)
+                ]
+                for _ in range(d)
+            ]
+        )
+        if all(A.col_support(j) for j in range(1, n + 1)):
+            out.append(A)
+    return out
+
+
+def test_cell_witnesses_and_euler_characteristic():
+    for A in random_matrices(11, 60):
+        tc = enumerate_covectors(A)
+        for cell in tc.cells:
+            assert cell.point[0] == 0
+            assert covector_of_point(A, TropVector(cell.point)) == cell.covector
+        # the relatively open cells partition R^(d-1)
+        assert sum((-1) ** cell.dim for cell in tc.cells) == (-1) ** (A.d - 1)
+
+
+def test_cell_dimension_matches_closed_cell_polyhedron():
+    for A in random_matrices(12, 15):
+        gauge = ((1,) + (0,) * (A.d - 1), 0)
+        for cell in enumerate_covectors(A).cells:
+            eqs, others = _cell_constraints(A, cell.covector.edges)
+            P = Polyhedron(A.d, eqs=[gauge] + eqs, ineqs=[(c, b) for c, b, _ in others])
+            assert cell.dim == P.affine_dimension()
 
 
 def test_multifield_from_covectors():
@@ -183,9 +227,20 @@ def test_is_trop_singular():
         is_trop_singular(TWO_ROW)
 
 
-def test_budget_and_column_check():
-    with pytest.raises(DomainError):
-        enumerate_covectors(TropMatrix([[0] * 9]))
+def test_budget_and_column_check(monkeypatch):
+    cells = len(enumerate_covectors(FIG))
+    assert len(enumerate_covectors(FIG, budget=cells)) == cells
+    for k in range(cells):
+        with pytest.raises(DomainError) as exc:
+            enumerate_covectors(FIG, budget=k)
+        assert exc.value.code == "BUDGET_EXCEEDED"
+    # a dense 13 x 13 matrix has a column with 2^13 - 1 faces: refused
+    # before any search starts
+    monkeypatch.setattr("tropstiefel.arrangement.DifferenceBounds", None)
+    dense = TropMatrix([[(i * j) % 5 for j in range(13)] for i in range(13)])
+    with pytest.raises(DomainError) as exc:
+        enumerate_covectors(dense, budget=2 ** 13 - 2)
+    assert exc.value.code == "BUDGET_EXCEEDED"
     with pytest.raises(DomainError):
         covector_of_point(TropMatrix([[0, "inf"], [0, "inf"]]), TropVector([0, 0]))
 

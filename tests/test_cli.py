@@ -1,7 +1,13 @@
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tropstiefel.cli
 from tropstiefel.cli import main
 from tropstiefel.core import TropMatrix, matrix_from_json, matrix_to_json
 from tropstiefel.bipartite import BipartiteGraph, graph_to_json, is_support_set
@@ -200,3 +206,31 @@ def test_determinism_of_covectors_output(tmp_path, capsys):
     _, out1 = run(capsys, ["covectors", "--input", path])
     _, out2 = run(capsys, ["covectors", "--input", path])
     assert out1 == out2
+
+
+def test_bad_scalar_exit_code(tmp_path):
+    src = str(Path(tropstiefel.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    for bad in ("abc", "1/0"):
+        path = write_input(tmp_path, {"entries": [[bad, "1"]]})
+        proc = subprocess.run(
+            [sys.executable, "-m", "tropstiefel.cli", "covectors", "--input", path],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout) == {"error": "BAD_SCALAR"}
+        assert "Traceback" not in proc.stderr
+
+
+def test_covectors_budget_on_dense_4x8(tmp_path, capsys):
+    rng = random.Random(48)
+    dense = TropMatrix([[rng.randint(0, 9) for _ in range(8)] for _ in range(4)])
+    path = write_input(tmp_path, matrix_to_json(dense))
+    code, out = run(capsys, ["covectors", "--input", path, "--budget", "10"])
+    assert code == 1
+    assert json.loads(out) == {"error": "BUDGET_EXCEEDED"}
+    code, out = run(capsys, ["covectors", "--input", path])
+    assert code == 0
+    cells = json.loads(out)
+    # the relatively open cells partition R^3
+    assert sum((-1) ** c["dim"] for c in cells) == -1

@@ -4,11 +4,10 @@ from fractions import Fraction
 
 from tropstiefel.geom import (
     INFEASIBLE,
+    DifferenceBounds,
     LinearConstraintSystem,
     Polyhedron,
-    affine_image,
     eliminate_vars,
-    enumerate_faces,
     lp_solve,
     matrix_rank,
     solve_affine,
@@ -67,6 +66,22 @@ def test_strict_feasible_non_difference():
     assert x[0] + x[1] > 1 and x[0] + 2 * x[1] < 0
 
 
+def test_difference_bounds_strict_chain():
+    # 0 = x_0 < x_1 < ... < x_{V-1} < 1: a cycle of V strict edges summing to 0
+    for size in range(2, 8):
+        dbm = DifferenceBounds(size)
+        for k in range(size - 1):
+            assert dbm.add(k + 1, k, 0, strict=True)  # x_k - x_{k+1} < 0
+        assert dbm.add(0, size - 1, 1, strict=True)  # x_{V-1} - x_0 < 1
+        x = dbm.point()
+        assert x[0] == 0 and all(x[k] < x[k + 1] for k in range(size - 1)) and x[-1] < 1
+        # x_{V-1} >= 1 contradicts the chain, and a refused bound changes nothing
+        assert not dbm.add(size - 1, 0, -1)
+        assert dbm.point() == x
+        # x_{V-1} <= 0 contradicts it through the strict chain alone
+        assert not dbm.add(0, size - 1, 0)
+
+
 def test_strict_feasible_brute_force_agreement():
     """Completeness at desk scale against a rational grid search."""
     rng = random.Random(2024)
@@ -113,32 +128,6 @@ def test_relative_interior_point():
     assert x[0] == 0 and x[1] > 0
 
 
-def test_unit_square_faces():
-    sq = Polyhedron(2, ineqs=[((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), -1)])
-    faces = enumerate_faces(sq)
-    assert len(faces) == 9
-    dims = sorted(f.dim for f in faces)
-    assert dims == [0, 0, 0, 0, 1, 1, 1, 1, 2]
-    # closed under intersection, graded by dimension
-    keyed = {f.tight for f in faces}
-    for f1 in faces:
-        for f2 in faces:
-            both = Polyhedron(
-                2, list(sq.eqs) + [sq.ineqs[i] for i in f1.tight | f2.tight], sq.ineqs
-            )
-            if not both.is_empty():
-                assert (f1.tight | f2.tight | both.implicit_equalities()) in keyed
-
-
-def test_segment_and_halfline_faces():
-    seg = Polyhedron(1, ineqs=[((1,), 0), ((-1,), -1)])
-    assert len(enumerate_faces(seg)) == 3
-    half = Polyhedron(1, ineqs=[((1,), 0)])
-    faces = enumerate_faces(half)
-    assert len(faces) == 2
-    assert sorted(f.dim for f in faces) == [0, 1]
-
-
 def test_vertices_square():
     sq = Polyhedron(2, ineqs=[((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), -1)])
     assert sq.vertices() == [
@@ -158,17 +147,3 @@ def test_eliminate_vars_projection():
     P = Polyhedron(1, *out)
     assert P.contains((F(0),)) and P.contains((F(2),)) and P.contains((F(1),))
     assert not P.contains((F(-1, 2),)) and not P.contains((F(5, 2),))
-
-
-def test_affine_image_segment():
-    sq = Polyhedron(2, ineqs=[((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), -1)])
-    # project to the sum of coordinates, shifted by 1
-    img = affine_image(sq, [(1, 1)], (1,))
-    assert img.affine_dimension() == 1
-    assert img.contains((F(1),)) and img.contains((F(3),)) and not img.contains((F(7, 2),))
-
-
-def test_affine_image_empty():
-    empty = Polyhedron(1, ineqs=[((1,), 1), ((-1,), 0)])
-    img = affine_image(empty, [(1,)], (0,))
-    assert img.is_empty()
