@@ -53,6 +53,10 @@ class Covector:
     def key(self):
         return tuple(sorted(self.edges))
 
+    def dim(self):
+        """The dimension of its cell of TC(A) in the gauge x_1 = 0."""
+        return _dimension(self.graph.d, [[i - 1 for i in I] for I in self.tuple_view()])
+
     def __eq__(self, other):
         return isinstance(other, Covector) and self.graph == other.graph
 
@@ -125,6 +129,42 @@ def _cell_constraints(A: TropMatrix, tau):
     return eqs, others
 
 
+def _integer_scaled(A: TropMatrix, y=()):
+    """(unit, a, z): the entries of A and of y times unit, the LCM of all
+    their denominators; a[i][j] is None where A is ∞ (0-based indices)."""
+    unit = math.lcm(*(v.denominator for row in A.entries for v in row if v is not INF), *(v.denominator for v in y))
+    a = [[None if v is INF else v.numerator * (unit // v.denominator) for v in row] for row in A.entries]
+    return unit, a, [v.numerator * (unit // v.denominator) for v in y]
+
+
+def _closed_cell(dbm: DifferenceBounds, a, tau, base):
+    """Impose on ``dbm`` the closed cell of the covector edge set tau, row i
+    being node base + i: per column j, with i0 the least row of I_j,
+    x_i + a_ij = x_i0 + a_i0j for i ∈ I_j and x_k + a_kj >= x_i0 + a_i0j for
+    the other finite rows k.  Returns the list of the i0 by column, or None
+    when the cell is empty."""
+    by_col = [set() for _ in a[0]]
+    for i, j in tau:
+        if a[i - 1][j - 1] is None:
+            raise DomainError("BAD_COVECTOR", f"edge {(i, j)} is off the support")
+        by_col[j - 1].add(i)
+    reps = []
+    for j, rows in enumerate(by_col):
+        if not rows:
+            raise DomainError("BAD_COVECTOR", f"column {j + 1} uncovered")
+        i0 = min(rows)
+        a0 = a[i0 - 1][j]
+        for k, row in enumerate(a, start=1):
+            if row[j] is None or k == i0:
+                continue
+            if not dbm.add(base + k, base + i0, row[j] - a0) or (
+                k in rows and not dbm.add(base + i0, base + k, a0 - row[j])
+            ):
+                return None
+        reps.append(i0)
+    return reps
+
+
 class Cell:
     """One face of TC(A): its covector, its dimension in the gauge x_1 = 0,
     and a relative-interior point with x_1 = 0."""
@@ -182,8 +222,7 @@ def enumerate_covectors(A: TropMatrix, budget=5000) -> ArrangementComplex:
             "BUDGET_EXCEEDED",
             f"a column with {widest} finite entries gives {2 ** widest - 1} cells, budget {budget}",
         )
-    unit = math.lcm(*(v.denominator for row in A.entries for v in row if v is not INF))
-    a = [[None if v is INF else v.numerator * (unit // v.denominator) for v in row] for row in A.entries]
+    unit, a, _ = _integer_scaled(A)
     cells = []
 
     def search(j, dbm, chosen):

@@ -163,7 +163,7 @@ def cmd_decompose(args):
 def cmd_bounded(args):
     obj = _read_input(args)
     if args.format == "svg":
-        A = matrix_from_json(obj["matrix"] if "matrix" in obj else obj)
+        A = matrix_from_json(obj["matrix"] if isinstance(obj, dict) and "matrix" in obj else obj)
         return _svg_tree(A)
     A, y = _matrix_and_vector(obj)
     return {"in_bounded_part": bounded_membership(stiefel_map(A), y)}
@@ -300,14 +300,8 @@ def _svg_tree(A):
     if A.d != 2:
         raise DomainError("BAD_FORMAT", "tree rendering requires d = 2")
     cells = bounded_complex(A)
-    dims = {}
-    from .arrangement import enumerate_covectors as _tc
-
-    tc = _tc(A)
-    for cov, _ in cells:
-        dims[cov.key()] = tc.cell_of(cov).dim
-    verts = [cov for cov, _ in cells if dims[cov.key()] == 0]
-    segs = [cov for cov, _ in cells if dims[cov.key()] == 1]
+    verts = [cov for cov, _ in cells if cov.dim() == 0]
+    segs = [cov for cov, _ in cells if cov.dim() == 1]
     order = {v.key(): idx for idx, v in enumerate(verts)}
     step, y0, margin = 90, 60, 40
     body = []

@@ -275,8 +275,10 @@ def matrix_to_json(A: TropMatrix) -> dict:
 
 
 def matrix_from_json(obj) -> TropMatrix:
-    if not isinstance(obj, dict) or "entries" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
         raise DomainError("BAD_MATRIX_JSON", "expected {'d','n','entries'}")
+    if not all(isinstance(row, list) for row in obj["entries"]):
+        raise DomainError("BAD_MATRIX_JSON", "entries must be a list of rows")
     A = TropMatrix(obj["entries"])
     if "d" in obj and obj["d"] != A.d:
         raise DomainError("BAD_MATRIX_JSON", "declared d does not match entries")
@@ -290,7 +292,7 @@ def vector_to_json(x: TropVector) -> dict:
 
 
 def vector_from_json(obj) -> TropVector:
-    if not isinstance(obj, dict) or "entries" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
         raise DomainError("BAD_VECTOR_JSON", "expected {'entries': [...]}")
     return TropVector(obj["entries"])
 

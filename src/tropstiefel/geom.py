@@ -1,15 +1,16 @@
 """Exact rational linear algebra and small-scale polyhedral computation.
 
 Feasibility of systems mixing equalities, weak and strict inequalities;
-relative-interior points; affine dimension; vertices; variable elimination.
-Two engines sit underneath:
+relative-interior points; affine dimension; vertices.  Two engines sit
+underneath:
 
 * ``DifferenceBounds``, a closed integer difference-bound matrix, for
   systems whose every constraint has the form x_i - x_j >= b, x_i >= b or
-  -x_i >= b: covector cells and tropical image membership systems.  Rational
-  constants are scaled to integers by the LCM of their denominators, and
-  strict bounds are exact through one ε = 1/(V+1) fixed by the number of
-  nodes V;
+  -x_i >= b: covector cells, covector decompositions and their cones.
+  Rational constants are scaled to integers by the LCM of their
+  denominators, and strict bounds are exact through one ε = 1/(V+1) fixed
+  by the number of nodes V.  The projection of a closed matrix onto some of
+  its nodes is its restriction to them, emitted in minimal form;
 * a two-phase exact simplex with Bland's rule over Fractions for the
   systems that are not differences (coherence witnesses, cell existence in
   the hypersimplex subdivision).  There each strict constraint a·x > b is
@@ -305,6 +306,55 @@ class DifferenceBounds:
         den = self.scale * unit
         return tuple(Fraction(pv - p[0], den) for pv in p)
 
+    def minimal_form(self, nodes, unit=1):
+        """The projection onto ``nodes``, for a matrix of weak bounds only,
+        as rows over those nodes in order: equalities a·z = b and
+        inequalities a·z >= b, each constant c standing for c / unit.
+
+        The projection of a closed matrix is its restriction to the kept
+        nodes.  Nodes whose bounds sum to zero both ways are tied: each such
+        class gives one chain of equalities, and between the class
+        representatives only the bounds that no third representative
+        implies are kept (the minimal form of Larsen et al., RTSS 1997).
+        """
+        m = self.bound
+        den = self.scale * unit
+        nodes = list(nodes)
+        k = len(nodes)
+
+        def b(s, t):  # the bound on z_t − z_s
+            return m[nodes[s]][nodes[t]]
+
+        def implied(s, r, t):  # the bound on z_t − z_s through r
+            return None if b(s, r) is None or b(r, t) is None else b(s, r) + b(r, t)
+
+        def row(s, t):  # the coefficients of z_t − z_s
+            co = [0] * k
+            co[t] += 1
+            co[s] -= 1
+            return tuple(co)
+
+        rep = list(range(k))
+        last = {}
+        eqs = []
+        for t in range(k):
+            s = next((s for s in range(t) if implied(s, t, s) == 0), t)  # a zero cycle s → t → s
+            rep[t] = rep[s]
+            if s != t:
+                eqs.append((row(last[rep[t]], t), Fraction(b(last[rep[t]], t), den)))
+            last[rep[t]] = t
+        reps = [s for s in range(k) if rep[s] == s]
+        ineqs = []
+        for s in reps:
+            for t in reps:
+                w = b(s, t)
+                if s == t or w is None:
+                    continue
+                if any(r != s and r != t and implied(s, r, t) == w for r in reps):
+                    continue
+                ineqs.append((row(t, s), Fraction(-w, den)))  # z_s − z_t >= −w
+        return eqs, ineqs
+
 
 def _difference_bounds(sys: LinearConstraintSystem):
     """The system as bounds (u, v, b, strict): x_v − x_u ≤ b, or < b.
@@ -464,87 +514,3 @@ class Polyhedron:
                 seen.add(point)
                 out.append(point)
         return sorted(out)
-
-
-# ---------------------------------------------------------------------------
-# Variable elimination (Gauss substitution + Fourier-Motzkin)
-# ---------------------------------------------------------------------------
-
-def _normalize_ineq(a, b):
-    lead = next((c for c in a if c != 0), None)
-    if lead is None:
-        return a, b
-    s = ONE / abs(lead)
-    return tuple(c * s for c in a), b * s
-
-
-def eliminate_vars(dim, eqs, ineqs, drop):
-    """Project {x : eqs, ineqs} onto the coordinates not in ``drop``.
-
-    Returns (eqs', ineqs') over the remaining coordinates in their original
-    order, or None if the system is detected infeasible along the way.
-    """
-    eqs = [(list(map(Fraction, a)), Fraction(b)) for a, b in eqs]
-    ineqs = [(list(map(Fraction, a)), Fraction(b)) for a, b in ineqs]
-    alive = [k for k in range(dim) if k not in set(drop)]
-
-    for v in sorted(drop):
-        pivot = next((row for row in eqs if row[0][v] != 0), None)
-        if pivot is not None:
-            pa, pb = pivot
-            inv = ONE / pa[v]
-            pa = [c * inv for c in pa]
-            pb = pb * inv
-            new_eqs = []
-            for a, b in eqs:
-                if a is pivot[0]:
-                    continue
-                f = a[v]
-                if f != 0:
-                    a = [c - f * p for c, p in zip(a, pa)]
-                    b = b - f * pb
-                new_eqs.append((a, b))
-            eqs = new_eqs
-            new_ineqs = []
-            for a, b in ineqs:
-                f = a[v]
-                if f != 0:
-                    a = [c - f * p for c, p in zip(a, pa)]
-                    b = b - f * pb
-                new_ineqs.append((a, b))
-            ineqs = new_ineqs
-        else:
-            pos = [(a, b) for a, b in ineqs if a[v] > 0]
-            neg = [(a, b) for a, b in ineqs if a[v] < 0]
-            rest = [(a, b) for a, b in ineqs if a[v] == 0]
-            for (ap, bp) in pos:
-                for (an, bn) in neg:
-                    # scale to cancel v: (ap/ap[v]) + (an/(-an[v]))
-                    sp = ONE / ap[v]
-                    sn = ONE / (-an[v])
-                    a = [cp * sp + cn * sn for cp, cn in zip(ap, an)]
-                    b = bp * sp + bn * sn
-                    rest.append((a, b))
-            ineqs = rest
-
-        # prune trivial and duplicate inequalities
-        seen = set()
-        pruned = []
-        for a, b in ineqs:
-            if all(c == 0 for c in a):
-                if b > 0:
-                    return None
-                continue
-            na, nb = _normalize_ineq(tuple(a), b)
-            if (na, nb) in seen:
-                continue
-            seen.add((na, nb))
-            pruned.append((list(a), b))
-        ineqs = pruned
-        for a, b in eqs:
-            if all(c == 0 for c in a) and b != 0:
-                return None
-
-    out_eqs = [(tuple(a[k] for k in alive), b) for a, b in eqs if any(a[k] != 0 for k in alive) or b != 0]
-    out_ineqs = [(tuple(a[k] for k in alive), b) for a, b in ineqs]
-    return out_eqs, out_ineqs

@@ -4,6 +4,13 @@ Membership by circuit minima, by selected matroids, and by an explicit
 covector decomposition with certificates; boundedness tests; the bounded
 complex (the image of the dragon-condition subcomplex K(A)); and the rank-2
 caterpillar predicate.
+
+A covector decomposition y ∈ (F ⊙ A) + R_{>=0}{e_j : j ∈ J} and its cone
+are difference systems over x and y, so both run on the closed integer
+difference-bound matrix of ``geom.DifferenceBounds``: the certificate search
+reads its witness from the potentials, and the cone is the restriction of
+the closed matrix to the y nodes.  Image cells of the bounded complex stay
+``Polyhedron`` objects.
 """
 
 from __future__ import annotations
@@ -19,11 +26,10 @@ from .core import (
     trop_sum,
     vec_mat_mul,
 )
-from .geom import INFEASIBLE, LinearConstraintSystem, Polyhedron, eliminate_vars, strict_feasible
-from .bipartite import colwise_dragon_condition, transversal_matroid, uniform_matroid
-from .bipartite import BipartiteGraph
-from .plucker import PluckerVector, stiefel_map, underlying_matroid
-from .arrangement import Covector, enumerate_covectors, in_B, in_K
+from .geom import DifferenceBounds, Polyhedron
+from .bipartite import BipartiteGraph, _max_matching_size, colwise_dragon_condition, transversal_matroid, uniform_matroid
+from .plucker import PluckerVector, underlying_matroid
+from .arrangement import Covector, _cell_constraints, _closed_cell, _integer_scaled, enumerate_covectors, in_B, in_K
 from .subdivision import select_matroid
 
 ZERO = Fraction(0)
@@ -78,75 +84,47 @@ def decompose(A: TropMatrix, y: TropVector):
 
     Searches covectors F of TC(A) covering every row, and column subsets J
     satisfying the column-wise dragon condition, for exact feasibility of
-    y ∈ (F ⊙ A) + R_{>=0}{e_j : j ∈ J} with zero slack off J.
+    y ∈ (F ⊙ A) + R_{>=0}{e_j : j ∈ J} with zero slack off J.  Every such
+    system is a difference system over x, solved on one closed integer
+    difference-bound matrix (node 0 the origin, node i the coordinate x_i)
+    over the entries of A and y scaled by the LCM of their denominators:
+    per cell, the closed cell with x ⊙ A <= y prunes the cell when empty,
+    and each J then adds x_i0 + a_i0j = y_j off J and < y_j on J, for the
+    least row i0 of each I_j, to a copy of that matrix.
     """
     if len(y) != A.n or not y.is_finite():
         raise DomainError("BAD_POINT", "y must be finite of length n")
     tc = enumerate_covectors(A)
-    stiefel_map(A)  # raises when the support has no matching at all
-    subsets = _subsets_upto(A.n, max(A.d - 1, 0))
+    if _max_matching_size(BipartiteGraph.from_support(A), range(1, A.n + 1)) < A.d:
+        raise DomainError("NO_MATCHING_IN_SUPPORT", "support contains no matching")
+    unit, a, z = _integer_scaled(A, y.entries)
+    subsets = [frozenset(J) for J in _subsets_upto(A.n, max(A.d - 1, 0))]
     for cell in tc.cells:
         F = cell.covector
         if not in_B(A, F):
             continue
-        eqs, others = _cell_system_parts(A, F.edges)
-        reps = _reps_with_entries(A, F.edges)
+        cell_dbm = DifferenceBounds(A.d + 1)
+        reps = _closed_cell(cell_dbm, a, F.edges, 0)
         # prune: some x in the closed cell must satisfy x ⊙ A <= y at all
-        relaxed = list(others)
-        for j, (i0, a0) in reps.items():
-            co = [ZERO] * A.d
-            co[i0 - 1] = -ONE
-            relaxed.append((tuple(co), a0 - y.entry(j)))
-        if strict_feasible(LinearConstraintSystem(A.d, eqs=eqs, ges=relaxed)) is INFEASIBLE:
+        if reps is None or not all(cell_dbm.add(0, i0, z[j] - a[i0 - 1][j]) for j, i0 in enumerate(reps)):
             continue
         for J in subsets:
-            Jset = frozenset(J)
-            if not colwise_dragon_condition(F.graph, Jset):
+            if not colwise_dragon_condition(F.graph, J):
                 continue
-            ges = list(others)
-            sys_eqs = list(eqs)
-            gts = []
-            ok = True
-            for j, (i0, a0) in reps.items():
-                co = [ZERO] * A.d
-                co[i0 - 1] = -ONE
-                if j in Jset:
-                    gts.append((tuple(co), a0 - y.entry(j)))  # y_j > x_{i0} + a0
-                else:
-                    sys_eqs.append((tuple(co), a0 - y.entry(j)))
-            x = strict_feasible(
-                LinearConstraintSystem(A.d, eqs=sys_eqs, ges=ges, gts=gts)
-            )
-            if x is INFEASIBLE:
-                continue
-            xv = TropVector(x)
-            image = vec_mat_mul(xv, A)
-            slack = TropVector(
-                [y.entry(j) - image.entry(j) for j in range(1, A.n + 1)]
-            )
-            return DecompositionCertificate(F, xv, Jset, slack)
+            dbm = cell_dbm.copy()
+            if all(
+                dbm.add(0, i0, z[j] - a[i0 - 1][j], strict=True)  # y_j > x_i0 + a_i0j
+                if j + 1 in J
+                else dbm.add(i0, 0, a[i0 - 1][j] - z[j])  # y_j = x_i0 + a_i0j
+                for j, i0 in enumerate(reps)
+            ):
+                xv = TropVector(dbm.point(unit)[1:])
+                image = vec_mat_mul(xv, A)
+                slack = TropVector(
+                    [y.entry(j) - image.entry(j) for j in range(1, A.n + 1)]
+                )
+                return DecompositionCertificate(F, xv, J, slack)
     return None
-
-
-def _column_reps(tau):
-    """One representative row per column of a covector edge set."""
-    reps = {}
-    for i, j in sorted(tau):
-        if j not in reps:
-            reps[j] = i
-    return reps
-
-
-def _cell_system_parts(A: TropMatrix, tau):
-    """Cell equalities and weak inequalities over x, as coefficient rows."""
-    from .arrangement import _cell_constraints
-
-    eqs, others = _cell_constraints(A, tau)
-    return eqs, [(c, b) for c, b, _ in others]
-
-
-def _reps_with_entries(A, tau):
-    return {j: (i, A.entry(i, j)) for j, i in _column_reps(tau).items()}
 
 
 def bounded_membership(p: PluckerVector, y: TropVector) -> bool:
@@ -163,29 +141,24 @@ def bounded_membership(p: PluckerVector, y: TropVector) -> bool:
 def decomposition_cone(A: TropMatrix, tau, J) -> Polyhedron:
     """(F ⊙ A) + R_{>=0}{e_j : j ∈ J} as a polyhedron in the y-coordinates.
 
-    F is the cell with covector edge set tau.  Built by eliminating the
-    x-coordinates from the graph of the tropical map restricted to the cell.
+    F is the cell with covector edge set tau.  The graph of the tropical
+    map over the closed cell is a difference system on the nodes y_1..y_n,
+    x_1..x_d: the cell's bounds on x and y_j − x_i >= a_ij for each edge of
+    tau, an equality for j ∉ J.  Its projection is the restriction of the
+    closed matrix to the y nodes, emitted in minimal form.
     """
-    tau = frozenset(tau)
-    Jset = frozenset(J)
     d, n = A.d, A.n
-    total = d + n
-    eqs_x, others_x = _cell_system_parts(A, tau)
-    eqs = [(a + (ZERO,) * n, b) for a, b in eqs_x]
-    ineqs = [(a + (ZERO,) * n, b) for a, b in others_x]
-    for i, j in sorted(tau):
-        co = [ZERO] * total
-        co[i - 1] = -ONE
-        co[d + j - 1] = ONE
-        row = (tuple(co), A.entry(i, j))  # y_j - x_i (cmp) a_ij
-        if j in Jset:
-            ineqs.append(row)
-        else:
-            eqs.append(row)
-    res = eliminate_vars(total, eqs, ineqs, range(d))
-    if res is None:
+    Jset = frozenset(J)
+    unit, a, _ = _integer_scaled(A)
+    dbm = DifferenceBounds(n + d)  # y_j is node j − 1, x_i is node n − 1 + i
+    feasible = _closed_cell(dbm, a, tau, n - 1) is not None and all(
+        dbm.add(j - 1, n - 1 + i, -a[i - 1][j - 1])
+        and (j in Jset or dbm.add(n - 1 + i, j - 1, a[i - 1][j - 1]))
+        for i, j in sorted(tau)
+    )
+    if not feasible:
         return Polyhedron(n, eqs=[((ZERO,) * n, ONE)])
-    return Polyhedron(n, *res)
+    return Polyhedron(n, *dbm.minimal_form(range(n), unit))
 
 
 def bounded_complex(A: TropMatrix):
@@ -228,9 +201,9 @@ def _image_polyhedron(A: TropMatrix, tau) -> Polyhedron:
                 b += c * A.entry(i, j)  # x_i = y_j - a_ij
         return tuple(co), b
 
-    eqs_x, others_x = _cell_system_parts(A, tau)
+    eqs_x, others_x = _cell_constraints(A, tau)
     eqs = [to_y(a, b) for a, b in eqs_x]
-    ineqs = [to_y(a, b) for a, b in others_x]
+    ineqs = [to_y(a, b) for a, b, _ in others_x]
     # defining relations y_j = x_i + a_ij for every covector edge
     for i, j in sorted(tau):
         co = [ZERO] * n
@@ -262,10 +235,8 @@ def caterpillar_check(A: TropMatrix) -> bool:
     if A.d != 2:
         raise DomainError("BAD_SHAPE", "caterpillar check requires d = 2")
     cells = bounded_complex(A)
-    tc = enumerate_covectors(A)
-    dims = {cov.key(): tc.cell_of(cov).dim for cov, _ in cells}
-    vertices = [cov for cov, _ in cells if dims[cov.key()] == 0]
-    segments = [cov for cov, _ in cells if dims[cov.key()] == 1]
+    vertices = [cov for cov, _ in cells if cov.dim() == 0]
+    segments = [cov for cov, _ in cells if cov.dim() == 1]
     if len(vertices) == 1 and not segments:
         return True  # single projective point
     if not vertices:

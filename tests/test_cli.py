@@ -222,6 +222,26 @@ def test_bad_scalar_exit_code(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+def test_malformed_json_shapes_exit_code(tmp_path):
+    src = str(Path(tropstiefel.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    cases = [
+        (["covectors"], {"entries": 5}, "BAD_MATRIX_JSON"),
+        (["covectors"], {"entries": ["01", "10"]}, "BAD_MATRIX_JSON"),
+        (["decompose"], {"matrix": matrix_to_json(STAIR), "vector": {"entries": 5}}, "BAD_VECTOR_JSON"),
+        (["bounded", "--format", "svg"], 5, "BAD_MATRIX_JSON"),
+    ]
+    for command, obj, code in cases:
+        path = write_input(tmp_path, obj)
+        proc = subprocess.run(
+            [sys.executable, "-m", "tropstiefel.cli", *command, "--input", path],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout) == {"error": code}
+        assert "Traceback" not in proc.stderr
+
+
 def test_covectors_budget_on_dense_4x8(tmp_path, capsys):
     rng = random.Random(48)
     dense = TropMatrix([[rng.randint(0, 9) for _ in range(8)] for _ in range(4)])

@@ -7,7 +7,6 @@ from tropstiefel.geom import (
     DifferenceBounds,
     LinearConstraintSystem,
     Polyhedron,
-    eliminate_vars,
     lp_solve,
     matrix_rank,
     solve_affine,
@@ -138,12 +137,29 @@ def test_vertices_square():
     ]
 
 
-def test_eliminate_vars_projection():
-    # Project the square 0 <= x,y <= 1 onto y after rotating: z = x + y
-    eqs = [((1, 1, -1), 0)]  # z = x + y
-    ineqs = [((1, 0, 0), 0), ((-1, 0, 0), -1), ((0, 1, 0), 0), ((0, -1, 0), -1)]
-    out = eliminate_vars(3, eqs, ineqs, drop=[0, 1])
-    assert out is not None
-    P = Polyhedron(1, *out)
-    assert P.contains((F(0),)) and P.contains((F(2),)) and P.contains((F(1),))
-    assert not P.contains((F(-1, 2),)) and not P.contains((F(5, 2),))
+def test_minimal_form_of_a_restriction():
+    # x_3 = x_1 + 2 ties nodes 1 and 3; node 0 is projected out
+    dbm = DifferenceBounds(6)
+    for u, v, c in [(1, 3, 2), (3, 1, -2), (0, 1, 3), (1, 0, 1), (0, 2, 1),
+                    (2, 4, 0), (4, 0, 2), (2, 5, 1), (5, 3, 0), (4, 5, 3)]:
+        assert dbm.add(u, v, c)  # x_v − x_u <= c
+    kept = [1, 2, 3, 4, 5]
+    eqs, ineqs = dbm.minimal_form(kept, unit=2)
+    full = [
+        (tuple((k == t) - (k == s) for k in range(5)), Fraction(-dbm.bound[kept[t]][kept[s]], 2 * dbm.scale))
+        for s in range(5) for t in range(5)
+        if s != t and dbm.bound[kept[t]][kept[s]] is not None
+    ]  # x_t − x_s >= −(the bound on x_s − x_t), every pair of the restriction
+    P, Q = Polyhedron(5, eqs, ineqs), Polyhedron(5, ineqs=full)
+    assert len(eqs) == 1 and len(eqs) + len(ineqs) < len(full)
+    grid = [F(v, 2) for v in range(-2, 3)]
+    inside = 0
+    for z1, z2, z4, z5 in itertools.product(grid, repeat=4):
+        for z3 in (z1 + 1, z1 + F(3, 2)):  # on and off the tie x_3 = x_1 + 2 (halved)
+            z = (z1, z2, z3, z4, z5)
+            assert P.contains(z) == Q.contains(z)
+            inside += Q.contains(z)
+    assert inside > 0
+    # no kept inequality is the sum of two others
+    for (a, b), (a1, b1), (a2, b2) in itertools.permutations(ineqs, 3):
+        assert tuple(x + y for x, y in zip(a1, a2)) != a or b1 + b2 != b

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from tropstiefel.arrangement import covector_of_point
 from tropstiefel.bipartite import colwise_dragon_condition, transversal_matroid
 from tropstiefel.core import (
     DomainError,
     INF,
     TropMatrix,
     TropVector,
+    require_column_supports,
     vec_mat_mul,
 )
 from tropstiefel.linspace import (
@@ -99,6 +101,62 @@ def test_decompose_matches_contains():
                 image.entry(j) + cert.slack.entry(j) == y.entry(j)
                 for j in range(1, n + 1)
             )
+
+
+def test_decompose_certificates_against_cones_and_circuits():
+    """Each certificate (F, x, J) is checked by an independent route: y lies
+    in the decomposition cone of (F, J), x ⊙ A + slack = y, and x lies in
+    the closed cell of F; and no certificate means no circuit membership."""
+    rng = random.Random(53)
+    frac = lambda den: Fraction(rng.randint(-4 * den, 4 * den), rng.randint(1, den))
+    found = missed = 0
+    while found + missed < 120:
+        d = rng.randint(1, 4)
+        n = rng.randint(d, 6)
+        A = TropMatrix([[INF if rng.random() < 0.2 else frac(3) for _ in range(n)] for _ in range(d)])
+        try:
+            p = stiefel_map(A)
+            require_column_supports(A)
+        except DomainError:
+            continue
+        for _ in range(3):
+            if rng.random() < 0.5:
+                image = vec_mat_mul(TropVector([frac(5) for _ in range(d)]), A)
+                y = TropVector([v + (frac(3) ** 2 if rng.random() < 0.3 else 0) for v in image.entries])
+            else:
+                y = TropVector([frac(5) for _ in range(n)])
+            cert = decompose(A, y)
+            if cert is None:
+                missed += 1
+                assert not contains(p, y)
+                continue
+            found += 1
+            assert decomposition_cone(A, cert.covector.edges, cert.J).contains(y.entries)
+            image = vec_mat_mul(cert.x, A)
+            assert all(image.entry(j) + cert.slack.entry(j) == y.entry(j) for j in range(1, n + 1))
+            assert covector_of_point(A, cert.x).edges >= cert.covector.edges
+    assert found > 40 and missed > 20
+
+
+def test_caterpillar_and_tree_build_tc_once(monkeypatch):
+    import tropstiefel.linspace as linspace
+    from tropstiefel.cli import _svg_tree
+
+    calls = []
+    real = linspace.enumerate_covectors
+
+    def counting(A, *args, **kwargs):
+        calls.append(A)
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(linspace, "enumerate_covectors", counting)
+    for A in (TWO_ROW, TropMatrix([[0, 1, 3, 0, 2], [2, 0, 1, 4, 0]])):
+        calls.clear()
+        assert caterpillar_check(A)
+        assert calls == [A]
+        calls.clear()
+        _svg_tree(A)
+        assert calls == [A]
 
 
 def test_image_points_lie_in_L():
