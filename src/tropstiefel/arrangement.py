@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .core import INF, DomainError, TropMatrix, TropVector, require_column_supports, require_row_supports, trop_sum
 from .geom import DifferenceBounds
-from .bipartite import BipartiteGraph, dragon_condition
+from .bipartite import BipartiteGraph, components, dragon_condition
 
 ZERO = Fraction(0)
 
@@ -55,7 +55,7 @@ class Covector:
 
     def dim(self):
         """The dimension of its cell of TC(A) in the gauge x_1 = 0."""
-        return _dimension(self.graph.d, [[i - 1 for i in I] for I in self.tuple_view()])
+        return components(self.graph.d, [[i - 1 for i in I] for I in self.tuple_view()]) - 1
 
     def __eq__(self, other):
         return isinstance(other, Covector) and self.graph == other.graph
@@ -228,7 +228,7 @@ def enumerate_covectors(A: TropMatrix, budget=5000) -> ArrangementComplex:
     def search(j, dbm, chosen):
         if j == n:
             edges = [(i + 1, k + 1) for k, I in enumerate(chosen) for i in I]
-            cells.append(Cell(Covector(BipartiteGraph(d, n, edges)), _dimension(d, chosen), dbm.point(unit)))
+            cells.append(Cell(Covector(BipartiteGraph(d, n, edges)), components(d, chosen) - 1, dbm.point(unit)))
             if len(cells) > budget:
                 raise DomainError("BUDGET_EXCEEDED", f"more than {budget} cells")
             return
@@ -250,27 +250,12 @@ def enumerate_covectors(A: TropMatrix, budget=5000) -> ArrangementComplex:
     return ArrangementComplex(A, cells)
 
 
-def _dimension(d, chosen):
-    """Components of the graph joining the rows tied in one column, minus one."""
-    root = list(range(d))
-
-    def find(i):
-        while root[i] != i:
-            i = root[i]
-        return i
-
-    for I in chosen:
-        for i in I[1:]:
-            root[find(i)] = find(I[0])
-    return sum(1 for i in range(d) if root[i] == i) - 1
-
-
-def in_B(A: TropMatrix, covector: Covector) -> bool:
+def in_B(covector: Covector) -> bool:
     """Every row of the covector has degree >= 1."""
-    return all(covector.graph.J(i) for i in range(1, A.d + 1))
+    return all(covector.graph.J(i) for i in range(1, covector.graph.d + 1))
 
 
-def in_K(A: TropMatrix, covector: Covector) -> bool:
+def in_K(covector: Covector) -> bool:
     """The dragon marriage condition |J_I| >= |I| + 1 for nonempty I."""
     return dragon_condition(covector.graph)
 

@@ -2,7 +2,10 @@
 
 Graphs, matchings, optimal matchings under exact min-plus weights, matching
 multifields and their coherence, support-set predicates, transversal
-matroids, and the first-Betti-number dimension formula.
+matroids, and the first-Betti-number dimension formula.  One augmenting-path
+matcher (``_max_matching_size``) answers every maximum-matching question and
+one union-find (``components``) every component count, here and in
+``arrangement`` and ``linspace``.
 """
 
 from __future__ import annotations
@@ -54,23 +57,7 @@ class BipartiteGraph:
 
     def is_connected(self):
         """Connected over all d + n vertices (isolated vertices disconnect)."""
-        verts = [("L", i) for i in range(1, self.d + 1)] + [
-            ("R", j) for j in range(1, self.n + 1)
-        ]
-        if not verts:
-            return True
-        adj = {v: set() for v in verts}
-        for i, j in self.edges:
-            adj[("L", i)].add(("R", j))
-            adj[("R", j)].add(("L", i))
-        seen = {verts[0]}
-        stack = [verts[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(verts)
+        return components(self.d + self.n, [(i - 1, self.d + j - 1) for i, j in self.edges]) <= 1
 
     def is_tree(self):
         nonisolated = {("L", i) for i, _ in self.edges} | {("R", j) for _, j in self.edges}
@@ -140,7 +127,7 @@ class MatchingMultifield:
         self.choices = {}
         for J in itertools.combinations(range(1, n + 1), d):
             key = frozenset(J)
-            ms = frozenset(choices[key])
+            ms = frozenset(choices.get(key, ()))
             if not ms:
                 raise DomainError("EMPTY_CHOICE", f"no matching chosen on {sorted(J)}")
             for m in ms:
@@ -486,28 +473,6 @@ def colwise_dragon_condition(G: BipartiteGraph, J) -> bool:
 # Spanning trees and the Betti-number dimension formula
 # ---------------------------------------------------------------------------
 
-def _edge_in_some_matching(G: BipartiteGraph, edge):
-    i, j = edge
-    rest_rows = [r for r in range(1, G.d + 1) if r != i]
-    sub = BipartiteGraph(
-        G.d, G.n, [(a, b) for a, b in G.edges if a != i and b != j]
-    )
-    # match the remaining d-1 rows avoiding column j
-    owner = {}
-
-    def augment(row, seen):
-        for col in sorted(sub.J(row)):
-            if col in seen:
-                continue
-            seen.add(col)
-            if col not in owner or augment(owner[col], seen):
-                owner[col] = row
-                return True
-        return False
-
-    return all(augment(r, set()) for r in rest_rows)
-
-
 def spanning_tree_no_left_leaves(G: BipartiteGraph, budget=10 ** 5) -> BipartiteGraph:
     """A spanning tree of G whose left vertices all have degree >= 2.
 
@@ -518,9 +483,11 @@ def spanning_tree_no_left_leaves(G: BipartiteGraph, budget=10 ** 5) -> Bipartite
         raise DomainError("BAD_SHAPE", "requires d < n")
     if not G.is_connected():
         raise DomainError("NOT_CONNECTED", "graph must be connected")
-    for e in sorted(G.edges):
-        if not _edge_in_some_matching(G, e):
-            raise DomainError("EDGE_NOT_MATCHABLE", f"edge {e} lies in no matching")
+    for i, j in sorted(G.edges):
+        # the other rows match into the other columns
+        rest = BipartiteGraph(G.d, G.n, [(a, b) for a, b in G.edges if a != i and b != j])
+        if _max_matching_size(rest, range(1, G.n + 1)) < G.d - 1:
+            raise DomainError("EDGE_NOT_MATCHABLE", f"edge {(i, j)} lies in no matching")
     edges = sorted(G.edges)
     need = G.d + G.n - 1
     import math
@@ -538,25 +505,25 @@ def spanning_tree_no_left_leaves(G: BipartiteGraph, budget=10 ** 5) -> Bipartite
 
 def support_face_dimension(G: BipartiteGraph) -> int:
     """First Betti number h_1 = E − V + C over the non-isolated vertices."""
-    verts = {("L", i) for i, _ in G.edges} | {("R", j) for _, j in G.edges}
-    adj = {v: set() for v in verts}
-    for i, j in G.edges:
-        adj[("L", i)].add(("R", j))
-        adj[("R", j)].add(("L", i))
-    seen = set()
-    components = 0
-    for v in verts:
-        if v in seen:
-            continue
-        components += 1
-        stack = [v]
-        seen.add(v)
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return len(G.edges) - len(verts) + components
+    index = {v: k for k, v in enumerate({("L", i) for i, _ in G.edges} | {("R", j) for _, j in G.edges})}
+    edges = [(index["L", i], index["R", j]) for i, j in G.edges]
+    return len(edges) - len(index) + components(len(index), edges)
+
+
+def components(k, groups):
+    """The number of components of the graph on 0, ..., k − 1 that joins the
+    members of each group (a list-based union-find)."""
+    root = list(range(k))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for g in groups:
+        for i in g[1:]:
+            root[find(i)] = find(g[0])
+    return sum(1 for i in range(k) if root[i] == i)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +537,14 @@ def graph_to_json(G: BipartiteGraph):
 def graph_from_json(obj) -> BipartiteGraph:
     if not isinstance(obj, dict) or not {"d", "n", "edges"} <= set(obj):
         raise DomainError("BAD_GRAPH_JSON", "expected {'d','n','edges'}")
-    return BipartiteGraph(obj["d"], obj["n"], [tuple(e) for e in obj["edges"]])
+    d, n = obj["d"], obj["n"]
+    if not (isinstance(d, int) and isinstance(n, int) and d >= 0 and n >= 0):
+        raise DomainError("BAD_GRAPH_JSON", "d and n must be nonnegative integers")
+    try:
+        edges = [(int(i), int(j)) for i, j in obj["edges"]]
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("BAD_GRAPH_JSON", "edges must be pairs of integers") from None
+    return BipartiteGraph(d, n, edges)
 
 
 def matroid_to_json(M: Matroid):
@@ -589,14 +563,21 @@ def multifield_from_json(obj) -> MatchingMultifield:
     if not isinstance(obj, dict) or not {"d", "n", "choices"} <= set(obj):
         raise DomainError("BAD_MULTIFIELD_JSON", "expected {'d','n','choices'}")
     d, n = obj["d"], obj["n"]
+    if not (isinstance(d, int) and isinstance(n, int) and 0 <= d <= n and isinstance(obj["choices"], dict)):
+        raise DomainError("BAD_MULTIFIELD_JSON", "need integers 0 <= d <= n and a choices object")
     choices = {}
-    for key, matchings in obj["choices"].items():
-        J = frozenset(int(t) for t in key.split(","))
-        ms = set()
-        for edge_list in matchings:
-            cols = [0] * d
-            for i, j in edge_list:
-                cols[i - 1] = j
-            ms.add(Matching(cols))
-        choices[J] = frozenset(ms)
+    try:
+        for key, matchings in obj["choices"].items():
+            J = frozenset(int(t) for t in key.split(","))
+            ms = set()
+            for edge_list in matchings:
+                cols = [0] * d
+                for i, j in edge_list:
+                    if not 1 <= i <= d:
+                        raise DomainError("BAD_MULTIFIELD_JSON", f"row {i} outside [{d}]")
+                    cols[i - 1] = j
+                ms.add(Matching(cols))
+            choices[J] = frozenset(ms)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("BAD_MULTIFIELD_JSON", "choices must map 'j1,...,jd' to lists of edge lists") from None
     return MatchingMultifield(d, n, choices)

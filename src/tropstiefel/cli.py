@@ -44,8 +44,8 @@ from .plucker import (
 from .arrangement import complex_to_json, enumerate_covectors
 from .subdivision import facets_of_D, facets_to_json
 from .linspace import (
-    bounded_complex,
     bounded_membership,
+    bounded_skeleton,
     certificate_to_json,
     contains,
     decompose,
@@ -299,14 +299,11 @@ def _svg_arrangement(A, tc):
 def _svg_tree(A):
     if A.d != 2:
         raise DomainError("BAD_FORMAT", "tree rendering requires d = 2")
-    cells = bounded_complex(A)
-    verts = [cov for cov, _ in cells if cov.dim() == 0]
-    segs = [cov for cov, _ in cells if cov.dim() == 1]
+    verts, segs = bounded_skeleton(A)
     order = {v.key(): idx for idx, v in enumerate(verts)}
     step, y0, margin = 90, 60, 40
     body = []
-    for seg in segs:
-        ends = [v for v in verts if v.edges > seg.edges]
+    for ends in segs:
         if len(ends) == 2:
             x1 = margin + step * order[ends[0].key()]
             x2 = margin + step * order[ends[1].key()]

@@ -9,8 +9,9 @@ A covector decomposition y ∈ (F ⊙ A) + R_{>=0}{e_j : j ∈ J} and its cone
 are difference systems over x and y, so both run on the closed integer
 difference-bound matrix of ``geom.DifferenceBounds``: the certificate search
 reads its witness from the potentials, and the cone is the restriction of
-the closed matrix to the y nodes.  Image cells of the bounded complex stay
-``Polyhedron`` objects.
+the closed matrix to the y nodes.  The image of a cell of K(A) under ⊙A is
+its cone with J = ∅, so the bounded complex reads its cells from the same
+projection.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from .core import (
     vec_mat_mul,
 )
 from .geom import DifferenceBounds, Polyhedron
-from .bipartite import BipartiteGraph, _max_matching_size, colwise_dragon_condition, transversal_matroid, uniform_matroid
+from .bipartite import BipartiteGraph, _max_matching_size, colwise_dragon_condition, components, transversal_matroid, uniform_matroid
 from .plucker import PluckerVector, underlying_matroid
-from .arrangement import Covector, _cell_constraints, _closed_cell, _integer_scaled, enumerate_covectors, in_B, in_K
+from .arrangement import Covector, _closed_cell, _integer_scaled, enumerate_covectors, in_B, in_K
 from .subdivision import select_matroid
 
 ZERO = Fraction(0)
@@ -101,7 +102,7 @@ def decompose(A: TropMatrix, y: TropVector):
     subsets = [frozenset(J) for J in _subsets_upto(A.n, max(A.d - 1, 0))]
     for cell in tc.cells:
         F = cell.covector
-        if not in_B(A, F):
+        if not in_B(F):
             continue
         cell_dbm = DifferenceBounds(A.d + 1)
         reps = _closed_cell(cell_dbm, a, F.edges, 0)
@@ -164,59 +165,28 @@ def decomposition_cone(A: TropMatrix, tau, J) -> Polyhedron:
 def bounded_complex(A: TropMatrix):
     """The cells of K(A) with the exact image polyhedra of ⊙A in R^n.
 
-    Image cells are gauge-fixed consistently with the arrangement cells
-    (they are the images of cells with x_1 = 0)."""
+    The image of a cell F is its decomposition cone with J = ∅, gauge-fixed
+    consistently with the arrangement cells (the image of x_1 = 0 is
+    y_j1 = a_1j1 for the least column j1 of row 1 in F)."""
     if transversal_matroid(BipartiteGraph.from_support(A)) != uniform_matroid(A.d, A.n):
         raise DomainError("NO_SUPPORT_SET", "support must contain a support set")
-    tc = enumerate_covectors(A)
     out = []
-    for cell in tc.cells:
-        if not in_K(A, cell.covector):
-            continue
-        poly = _image_polyhedron(A, cell.covector.edges)
-        out.append((cell.covector, poly))
+    for cell in enumerate_covectors(A).cells:
+        F = cell.covector
+        if in_K(F):
+            j1 = min(F.graph.J(1))
+            gauge = Polyhedron(A.n, eqs=[((ZERO,) * (j1 - 1) + (ONE,), A.entry(1, j1))])
+            out.append((F, decomposition_cone(A, F.edges, ()).intersect(gauge)))
     return out
 
 
-def _image_polyhedron(A: TropMatrix, tau) -> Polyhedron:
-    """Image of the gauge-fixed cell of tau under ⊙A, in y-coordinates.
-
-    Every row is covered by tau (dragon condition), so each x_i substitutes
-    as y_{j(i)} − a_{i,j(i)} exactly."""
-    d, n = A.d, A.n
-    anchor = {}
-    for i, j in sorted(tau):
-        if i not in anchor:
-            anchor[i] = j
-    if len(anchor) != d:
-        raise DomainError("BAD_COVECTOR", "covector must cover every row")
-
-    def to_y(coeffs_x, rhs):
-        co = [ZERO] * n
-        b = Fraction(rhs)
-        for i, c in enumerate(coeffs_x, start=1):
-            if c:
-                j = anchor[i]
-                co[j - 1] += c
-                b += c * A.entry(i, j)  # x_i = y_j - a_ij
-        return tuple(co), b
-
-    eqs_x, others_x = _cell_constraints(A, tau)
-    eqs = [to_y(a, b) for a, b in eqs_x]
-    ineqs = [to_y(a, b) for a, b, _ in others_x]
-    # defining relations y_j = x_i + a_ij for every covector edge
-    for i, j in sorted(tau):
-        co = [ZERO] * n
-        b = A.entry(i, j) - A.entry(i, anchor[i])
-        co[j - 1] += ONE
-        co[anchor[i] - 1] -= ONE
-        if any(c != 0 for c in co) or b != 0:
-            eqs.append((tuple(co), b))
-    # gauge x_1 = 0
-    co = [ZERO] * n
-    co[anchor[1] - 1] = ONE
-    eqs.append((tuple(co), A.entry(1, anchor[1])))
-    return Polyhedron(n, eqs=eqs, ineqs=ineqs)
+def bounded_skeleton(A: TropMatrix):
+    """The vertices (0-cells) of the bounded complex, and for each of its
+    segments (1-cells) the vertices whose covector strictly contains the
+    segment's own: its ends."""
+    cells = bounded_complex(A)
+    vertices = [F for F, _ in cells if F.dim() == 0]
+    return vertices, [[v for v in vertices if v.edges > F.edges] for F, _ in cells if F.dim() == 1]
 
 
 def bounded_point_in_complex(A: TropMatrix, y: TropVector, complex_=None) -> bool:
@@ -234,41 +204,18 @@ def caterpillar_check(A: TropMatrix) -> bool:
     """For d = 2: is the bounded part of L(A) a point or a path?"""
     if A.d != 2:
         raise DomainError("BAD_SHAPE", "caterpillar check requires d = 2")
-    cells = bounded_complex(A)
-    vertices = [cov for cov, _ in cells if cov.dim() == 0]
-    segments = [cov for cov, _ in cells if cov.dim() == 1]
-    if len(vertices) == 1 and not segments:
-        return True  # single projective point
+    vertices, segments = bounded_skeleton(A)
     if not vertices:
         # n = d: the bounded part is empty, vacuously a caterpillar
         return not segments
-    degree = {v.key(): 0 for v in vertices}
-    for e in segments:
-        ends = [v for v in vertices if v.edges > e.edges]
-        if len(ends) != 2:
-            return False
-        for v in ends:
-            degree[v.key()] += 1
-    if len(segments) != len(vertices) - 1:
+    index = {v: k for k, v in enumerate(vertices)}
+    ends = [[index[v] for v in e] for e in segments]
+    if any(len(e) != 2 for e in ends) or len(ends) != len(vertices) - 1:
         return False
-    if any(deg > 2 for deg in degree.values()):
+    if any(sum(k in e for e in ends) > 2 for k in range(len(vertices))):
         return False
-    # connectivity: a cycle-free graph with |V|-1 edges and max degree 2
-    # on these counts is automatically a path if connected; check it.
-    adj = {v.key(): set() for v in vertices}
-    for e in segments:
-        ends = [v.key() for v in vertices if v.edges > e.edges]
-        adj[ends[0]].add(ends[1])
-        adj[ends[1]].add(ends[0])
-    start = vertices[0].key()
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(vertices)
+    # |V| − 1 edges and degrees <= 2: a path exactly when connected
+    return components(len(vertices), ends) == 1
 
 
 def certificate_to_json(cert: DecompositionCertificate):

@@ -213,8 +213,14 @@ def plucker_to_json(p: PluckerVector):
 def plucker_from_json(obj) -> PluckerVector:
     if not isinstance(obj, dict) or not {"d", "n", "values"} <= set(obj):
         raise DomainError("BAD_PLUCKER_JSON", "expected {'d','n','values'}")
+    d, n = obj["d"], obj["n"]
+    if not (isinstance(d, int) and isinstance(n, int) and d >= 0 and isinstance(obj["values"], dict)):
+        raise DomainError("BAD_PLUCKER_JSON", "need integers d >= 0, n and a values object")
     values = {}
     for key, v in obj["values"].items():
-        J = frozenset(int(t) for t in key.split(",")) if key else frozenset()
+        try:
+            J = frozenset(int(t) for t in key.split(",")) if key else frozenset()
+        except ValueError:
+            raise DomainError("BAD_PLUCKER_JSON", f"bad subset key {key!r}") from None
         values[J] = scalar(v)
-    return PluckerVector(obj["n"], obj["d"], values)
+    return PluckerVector(n, d, values)

@@ -207,13 +207,13 @@ def test_in_B_and_in_K():
     tc = enumerate_covectors(STAIR)
     vertex = cov(3, 4, [(1,), (1, 2), (2, 3), (3,)])
     assert vertex in tc
-    assert in_B(STAIR, vertex) and in_K(STAIR, vertex)
+    assert in_B(vertex) and in_K(vertex)
     tc2 = enumerate_covectors(TWO_ROW)
     ray = cov(2, 4, [(1,), (1,), (1,), (1,)])
     middle = cov(2, 4, [(2,), (2,), (1,), (1,)])
     assert ray in tc2 and middle in tc2
-    assert not in_B(TWO_ROW, ray) and not in_K(TWO_ROW, ray)
-    assert in_B(TWO_ROW, middle) and in_K(TWO_ROW, middle)
+    assert not in_B(ray) and not in_K(ray)
+    assert in_B(middle) and in_K(middle)
 
 
 def test_is_trop_singular():

@@ -10,7 +10,7 @@ import pytest
 import tropstiefel.cli
 from tropstiefel.cli import main
 from tropstiefel.core import TropMatrix, matrix_from_json, matrix_to_json
-from tropstiefel.bipartite import BipartiteGraph, graph_to_json, is_support_set
+from tropstiefel.bipartite import BipartiteGraph, graph_to_json, is_support_set, matching_multifield, multifield_to_json
 from tropstiefel.plucker import plucker_to_json, stiefel_map
 
 STAIR = TropMatrix([[0, 0, "inf", "inf"], ["inf", 0, 0, "inf"], ["inf", "inf", 0, 0]])
@@ -230,6 +230,17 @@ def test_malformed_json_shapes_exit_code(tmp_path):
         (["covectors"], {"entries": ["01", "10"]}, "BAD_MATRIX_JSON"),
         (["decompose"], {"matrix": matrix_to_json(STAIR), "vector": {"entries": 5}}, "BAD_VECTOR_JSON"),
         (["bounded", "--format", "svg"], 5, "BAD_MATRIX_JSON"),
+        (["support-set"], {"d": 1, "n": 1, "edges": 5}, "BAD_GRAPH_JSON"),
+        (["support-set"], {"d": 1, "n": 1, "edges": [["x", 1]]}, "BAD_GRAPH_JSON"),
+        (["support-set"], {"d": 1, "n": 1, "edges": [[1]]}, "BAD_GRAPH_JSON"),
+        (["plucker-check"], {"d": 1, "n": 2, "values": 5}, "BAD_PLUCKER_JSON"),
+        (["plucker-check"], {"d": 1, "n": 2, "values": {"x": 0}}, "BAD_PLUCKER_JSON"),
+        (["coherent"], {"d": 1, "n": 2, "choices": 5}, "BAD_MULTIFIELD_JSON"),
+        (["coherent"], {"d": 1, "n": 2, "choices": {"a": []}}, "BAD_MULTIFIELD_JSON"),
+        (["coherent"], {"d": 1, "n": 2, "choices": {"1": [[[2, 1]]], "2": [[[1, 2]]]}}, "BAD_MULTIFIELD_JSON"),
+        (["coherent"], {"d": 1, "n": 2, "choices": {"1": [[[0, 1]]], "2": [[[1, 2]]]}}, "BAD_MULTIFIELD_JSON"),
+        (["recover"], {"plucker": plucker_to_json(stiefel_map(TWO_ROW)), "support": {"d": 2, "n": 4, "edges": 5}},
+         "BAD_GRAPH_JSON"),
     ]
     for command, obj, code in cases:
         path = write_input(tmp_path, obj)
@@ -254,3 +265,45 @@ def test_covectors_budget_on_dense_4x8(tmp_path, capsys):
     cells = json.loads(out)
     # the relatively open cells partition R^3
     assert sum((-1) ** c["dim"] for c in cells) == -1
+
+
+def test_fuzzed_json_documents_exit_cleanly(capsys, monkeypatch):
+    """Each key of a small valid document per command, at any depth,
+    replaced in turn by a value of the wrong shape: the CLI exits 0, 1 or 2,
+    and every exit 1 prints a JSON error object."""
+    M = matrix_to_json(TWO_ROW)
+    on_support = TropMatrix([[0, 0, 0, "inf"], ["inf", 0, 1, 0]])
+    point = {"matrix": M, "vector": {"entries": ["0", "1", "1", "0"]}}
+    documents = [
+        (["stiefel"], M), (["multifield"], M), (["covectors"], M), (["covectors", "--format", "svg"], M),
+        (["facets"], M), (["render"], M), (["render", "--kind", "tree"], M), (["bounded", "--format", "svg"], M),
+        (["member"], point), (["decompose"], point), (["bounded"], point),
+        (["plucker-check"], plucker_to_json(stiefel_map(TWO_ROW))),
+        (["coherent"], multifield_to_json(matching_multifield(TWO_ROW))),
+        (["support-set"], graph_to_json(BipartiteGraph.from_support(TWO_ROW))),
+        (["recover"], {"plucker": plucker_to_json(stiefel_map(on_support)),
+                       "support": graph_to_json(BipartiteGraph.from_support(on_support))}),
+    ]
+
+    def paths(obj, prefix=()):
+        yield prefix
+        if isinstance(obj, dict):
+            for key, value in obj.items():
+                yield from paths(value, prefix + (key,))
+
+    def replaced(obj, path, value):
+        if not path:
+            return value
+        return {**obj, path[0]: replaced(obj[path[0]], path[1:], value)}
+
+    for argv, doc in documents:
+        code, _ = run(capsys, argv, stdin=json.dumps(doc), monkeypatch=monkeypatch)
+        assert code == 0, argv
+        for path in paths(doc):
+            for value in (5, "x", None, [], {}, [[1]]):
+                stdin = json.dumps(replaced(doc, path, value))
+                code, out = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+                assert code in (0, 1, 2), (argv, stdin)
+                if code == 1:
+                    error = json.loads(out)
+                    assert list(error) == ["error"] and isinstance(error["error"], str), (argv, stdin)

@@ -222,6 +222,35 @@ def test_bounded_complex_matches_interior_census():
     assert census <= set(matroids)
 
 
+def test_image_cells_against_their_cells():
+    """⊙A is injective on cells of B(A), so each image cell of the bounded
+    complex has the dimension of its cell of TC(A) and holds the image of
+    that cell's witness."""
+    from tropstiefel.arrangement import enumerate_covectors
+
+    rng = random.Random(59)
+    checked = 0
+    for _ in range(150):
+        d = rng.randint(1, 3)
+        n = rng.randint(d, 6)
+        A = TropMatrix([
+            ["inf" if rng.random() < 0.2 else Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(d)
+        ])
+        try:
+            cells = bounded_complex(A)
+        except DomainError as exc:
+            assert exc.code == "NO_SUPPORT_SET"
+            continue
+        tc = enumerate_covectors(A)
+        for covector, image in cells:
+            cell = tc.cell_of(covector)
+            assert image.affine_dimension() == cell.dim
+            assert image.contains(vec_mat_mul(TropVector(cell.point), A).entries)
+            checked += 1
+    assert checked > 200
+
+
 def test_bounded_point_in_complex():
     cells = bounded_complex(TWO_ROW)
     p = P_TWO
@@ -263,7 +292,7 @@ def test_injectivity_on_B_cells():
         tc = enumerate_covectors(A)
         images = {}
         for cell in tc.cells:
-            if not in_B(A, cell.covector):
+            if not in_B(cell.covector):
                 continue
             y = vec_mat_mul(TropVector(cell.point), A)
             assert y not in images.values()
