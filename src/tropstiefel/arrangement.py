@@ -2,7 +2,8 @@
 
 Covectors of points, the full covector complex TC(A), the subcomplexes
 B(A) (all rows covered) and K(A) (dragon marriage condition), transpose
-covectors, and the tropical singularity predicate.
+covectors, the 0- and 1-cells of a list of cells with the ends of each
+1-cell (``skeleton``), and the tropical singularity predicate.
 
 The arrangement lives in the torus of x-coordinates, and every cell of TC(A)
 is a polytrope: the points whose covector is tau satisfy, per column j,
@@ -22,7 +23,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .core import INF, DomainError, TropMatrix, TropVector, require_column_supports, require_row_supports, trop_sum
+from .core import INF, DomainError, TropMatrix, TropVector, require_column_supports, require_row_supports, trop_sum, trop_vanishes
 from .geom import DifferenceBounds
 from .bipartite import BipartiteGraph, components, dragon_condition
 
@@ -52,10 +53,6 @@ class Covector:
 
     def key(self):
         return tuple(sorted(self.edges))
-
-    def dim(self):
-        """The dimension of its cell of TC(A) in the gauge x_1 = 0."""
-        return components(self.graph.d, [[i - 1 for i in I] for I in self.tuple_view()]) - 1
 
     def __eq__(self, other):
         return isinstance(other, Covector) and self.graph == other.graph
@@ -183,15 +180,11 @@ class Cell:
 class ArrangementComplex:
     """TC(A): every covector of the arrangement with its exact cell."""
 
-    __slots__ = ("matrix", "cells", "_by_key")
+    __slots__ = ("cells", "_by_key")
 
-    def __init__(self, matrix, cells):
-        self.matrix = matrix
+    def __init__(self, cells):
         self.cells = sorted(cells, key=lambda c: c.covector.key())
         self._by_key = {c.covector.key(): c for c in self.cells}
-
-    def covectors(self):
-        return [c.covector for c in self.cells]
 
     def __contains__(self, covector):
         return covector.key() in self._by_key
@@ -247,7 +240,14 @@ def enumerate_covectors(A: TropMatrix, budget=5000) -> ArrangementComplex:
                     search(j + 1, child, chosen + [I])
 
     search(0, DifferenceBounds(d), [])
-    return ArrangementComplex(A, cells)
+    return ArrangementComplex(cells)
+
+
+def skeleton(cells):
+    """The 0-cells of a list of cells, and each 1-cell paired with the 0-cells
+    whose covector strictly contains its own: the ends of a segment or ray."""
+    vertices = [c for c in cells if c.dim == 0]
+    return vertices, [(c, [v for v in vertices if v.covector.edges > c.covector.edges]) for c in cells if c.dim == 1]
 
 
 def in_B(covector: Covector) -> bool:
@@ -264,18 +264,10 @@ def is_trop_singular(B: TropMatrix) -> bool:
     """Minimum of the tropical permutation expansion is ∞ or attained twice."""
     if B.d != B.n:
         raise DomainError("BAD_SHAPE", "tropical singularity requires a square matrix")
-    best, count = INF, 0
-    for perm in itertools.permutations(range(1, B.n + 1)):
-        w = ZERO
-        for i, j in enumerate(perm, start=1):
-            w = w + B.entry(i, j)
-        if w is INF:
-            continue
-        if w < best:
-            best, count = w, 1
-        elif w == best:
-            count += 1
-    return best is INF or count >= 2
+    return trop_vanishes(
+        sum((B.entry(i, j) for i, j in enumerate(perm, start=1)), ZERO)
+        for perm in itertools.permutations(range(1, B.n + 1))
+    )
 
 
 # ---------------------------------------------------------------------------

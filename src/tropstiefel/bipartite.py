@@ -97,12 +97,6 @@ class Matching:
     def columns(self):
         return frozenset(self.cols)
 
-    def weight(self, A: TropMatrix):
-        total = ZERO
-        for i, j in enumerate(self.cols):
-            total = total + A.entry(i + 1, j)
-        return total
-
     def key(self):
         return tuple(sorted(self.edges))
 
@@ -297,32 +291,19 @@ def matching_multifield(A: TropMatrix) -> MatchingMultifield:
     return MatchingMultifield(A.d, A.n, choices)
 
 
-def _all_matchings(G: BipartiteGraph, J):
-    """Every matching on column set J supported on G."""
-    Jt = tuple(sorted(J))
-    out = []
-
-    def rec(i, used, cols):
-        if i > G.d:
-            out.append(Matching(cols))
-            return
-        for j in Jt:
-            if j not in used and (i, j) in G.edges:
-                rec(i + 1, used | {j}, cols + (j,))
-
-    rec(1, frozenset(), ())
-    return out
-
-
 def is_coherent(multifield: MatchingMultifield):
     """A witness matrix A with matching_multifield(A) = Λ, or None.
 
     Feasibility over one unknown weight per support edge: chosen matchings
     on each J tie, and beat every other supported matching on J strictly.
+    The supported matchings on J are the optimal ones of the support's 0/∞
+    matrix, on which each of them weighs 0.
     """
     support = sorted(multifield.support())
     index = {e: k for k, e in enumerate(support)}
-    G = BipartiteGraph(multifield.d, multifield.n, support)
+    zero_inf = TropMatrix(
+        [[0 if (i, j) in index else INF for j in range(1, multifield.n + 1)] for i in range(1, multifield.d + 1)]
+    )
     dim = len(support)
 
     def weight_vec(m: Matching):
@@ -337,7 +318,7 @@ def is_coherent(multifield: MatchingMultifield):
         ref = weight_vec(chosen[0])
         for m in chosen[1:]:
             eqs.append((tuple(a - b for a, b in zip(weight_vec(m), ref)), ZERO))
-        for m in _all_matchings(G, J):
+        for m in sorted(min_matchings(zero_inf, J)[1], key=lambda m: m.cols):
             if m not in multifield[J]:
                 gts.append((tuple(a - b for a, b in zip(weight_vec(m), ref)), ZERO))
 
@@ -540,15 +521,17 @@ def graph_from_json(obj) -> BipartiteGraph:
     d, n = obj["d"], obj["n"]
     if not (isinstance(d, int) and isinstance(n, int) and d >= 0 and n >= 0):
         raise DomainError("BAD_GRAPH_JSON", "d and n must be nonnegative integers")
-    try:
-        edges = [(int(i), int(j)) for i, j in obj["edges"]]
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError("BAD_GRAPH_JSON", "edges must be pairs of integers") from None
-    return BipartiteGraph(d, n, edges)
+    return BipartiteGraph(d, n, _index_pairs(obj["edges"], "BAD_GRAPH_JSON"))
 
 
-def matroid_to_json(M: Matroid):
-    return {"n": M.n, "rank": M.rank_value, "bases": [list(b) for b in M.canonical()]}
+def _index_pairs(pairs, code):
+    """``pairs`` if it is a JSON list of [i, j] pairs of integers (not
+    booleans); DomainError ``code`` for any other shape."""
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p) for p in pairs
+    ):
+        raise DomainError(code, "expected a list of [i, j] integer pairs")
+    return pairs
 
 
 def multifield_to_json(mf: MatchingMultifield):
@@ -572,7 +555,7 @@ def multifield_from_json(obj) -> MatchingMultifield:
             ms = set()
             for edge_list in matchings:
                 cols = [0] * d
-                for i, j in edge_list:
+                for i, j in _index_pairs(edge_list, "BAD_MULTIFIELD_JSON"):
                     if not 1 <= i <= d:
                         raise DomainError("BAD_MULTIFIELD_JSON", f"row {i} outside [{d}]")
                     cols[i - 1] = j

@@ -14,17 +14,14 @@ import sys
 from fractions import Fraction
 
 from .core import (
-    INF,
     DomainError,
     TropMatrix,
-    TropVector,
     dumps,
     matrix_from_json,
     matrix_to_json,
     vector_from_json,
 )
 from .bipartite import (
-    BipartiteGraph,
     enumerate_support_sets,
     graph_from_json,
     is_coherent,
@@ -41,7 +38,7 @@ from .plucker import (
     recover_matrix,
     stiefel_map,
 )
-from .arrangement import complex_to_json, enumerate_covectors
+from .arrangement import complex_to_json, enumerate_covectors, skeleton
 from .subdivision import facets_of_D, facets_to_json
 from .linspace import (
     bounded_membership,
@@ -49,22 +46,6 @@ from .linspace import (
     certificate_to_json,
     contains,
     decompose,
-)
-
-COMMANDS = (
-    "stiefel",
-    "plucker-check",
-    "multifield",
-    "coherent",
-    "support-set",
-    "covectors",
-    "facets",
-    "member",
-    "decompose",
-    "bounded",
-    "recover",
-    "gen",
-    "render",
 )
 
 
@@ -257,12 +238,9 @@ def _svg_arrangement(A, tc):
     ulo, uspan = min(us), max(us) - min(us)
     vlo, vspan = min(vs), max(vs) - min(vs)
     body = []
-    verts = [c for c in tc.cells if c.dim == 0]
-    for cell in tc.cells:
-        if cell.dim != 1:
-            continue
+    for cell, ends in skeleton(tc.cells)[1]:
         mid = pts[cell.covector.key()]
-        ends = [pts[v.covector.key()] for v in verts if v.covector.edges > cell.covector.edges]
+        ends = [pts[v.covector.key()] for v in ends]
         if len(ends) == 2:
             (u1, v1), (u2, v2) = ends
         elif len(ends) == 1:
@@ -300,19 +278,19 @@ def _svg_tree(A):
     if A.d != 2:
         raise DomainError("BAD_FORMAT", "tree rendering requires d = 2")
     verts, segs = bounded_skeleton(A)
-    order = {v.key(): idx for idx, v in enumerate(verts)}
+    order = {v: idx for idx, v in enumerate(verts)}
     step, y0, margin = 90, 60, 40
     body = []
-    for ends in segs:
+    for _, ends in segs:
         if len(ends) == 2:
-            x1 = margin + step * order[ends[0].key()]
-            x2 = margin + step * order[ends[1].key()]
+            x1 = margin + step * order[ends[0]]
+            x2 = margin + step * order[ends[1]]
             body.append(
                 '<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>'
                 % (x1, y0, x2, y0)
             )
-    for v in verts:
-        x = margin + step * order[v.key()]
+    for k in range(len(verts)):
+        x = margin + step * k
         body.append('<circle cx="%d" cy="%d" r="4" fill="black"/>' % (x, y0))
     width = 2 * margin + step * max(len(verts) - 1, 0)
     return _svg_document(max(width, 2 * margin), 2 * y0, body)
@@ -345,7 +323,7 @@ def build_parser():
         description="Exact tropical Stiefel map toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in HANDLERS:
         p = sub.add_parser(name)
         if name != "gen":
             p.add_argument("--input", default="-", help="input JSON file or - for stdin")

@@ -2,6 +2,7 @@
 
 The semiring carrier is Q ∪ {∞} with ⊕ = min and ⊙ = +.  Finite values are
 `fractions.Fraction`; the absorbing element is the module singleton ``INF``.
+``trop_vanishes`` is the one test of "the minimum is ∞ or attained twice".
 Everything is immutable and exact -- no floats anywhere.
 
 Row and column indices are 1-based throughout the public API, matching the
@@ -63,10 +64,6 @@ class _Infinity:
 INF = _Infinity()
 
 
-def is_finite(v) -> bool:
-    return v is not INF
-
-
 def scalar(x):
     """Coerce ``x`` (int, Fraction, 'p/q' string, 'inf', INF) to a scalar."""
     if x is INF:
@@ -101,6 +98,19 @@ def trop_sum(values):
         if v < best:
             best = v
     return best
+
+
+def trop_vanishes(values) -> bool:
+    """Tropical vanishing: the minimum of ``values`` is ∞ or is attained at
+    least twice.  One pass; this is the condition of circuit membership, of
+    the three-term Plücker relations and of tropical singularity."""
+    best, count = INF, 0
+    for v in values:
+        if v < best:
+            best, count = v, 1
+        elif v == best:
+            count += 1
+    return best is INF or count >= 2
 
 
 class TropVector:

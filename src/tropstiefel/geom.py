@@ -88,13 +88,8 @@ def row_reduce(rows):
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = ONE / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
         pivots.append(c)
+        _pivot(mat, pivots, r, c)
         r += 1
         if r == len(mat):
             break
@@ -137,8 +132,9 @@ def solve_affine(eqs, dim):
 # ---------------------------------------------------------------------------
 
 def _pivot(tab, basis, r, c):
-    piv = tab[r][c]
-    inv = ONE / piv
+    """One Gauss–Jordan step: scale row r to 1 at column c, clear column c
+    from every other row, and record c as the basic column of row r."""
+    inv = ONE / tab[r][c]
     tab[r] = [v * inv for v in tab[r]]
     prow = tab[r]
     for i in range(len(tab)):

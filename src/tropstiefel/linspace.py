@@ -11,7 +11,8 @@ difference-bound matrix of ``geom.DifferenceBounds``: the certificate search
 reads its witness from the potentials, and the cone is the restriction of
 the closed matrix to the y nodes.  The image of a cell of K(A) under ⊙A is
 its cone with J = ∅, so the bounded complex reads its cells from the same
-projection.
+projection.  Its vertices and segments need only the K(A) cells of TC(A)
+and their dimensions, so ``bounded_skeleton`` builds no cone.
 """
 
 from __future__ import annotations
@@ -20,17 +21,16 @@ import itertools
 from fractions import Fraction
 
 from .core import (
-    INF,
     DomainError,
     TropMatrix,
     TropVector,
-    trop_sum,
+    trop_vanishes,
     vec_mat_mul,
 )
 from .geom import DifferenceBounds, Polyhedron
 from .bipartite import BipartiteGraph, _max_matching_size, colwise_dragon_condition, components, transversal_matroid, uniform_matroid
 from .plucker import PluckerVector, underlying_matroid
-from .arrangement import Covector, _closed_cell, _integer_scaled, enumerate_covectors, in_B, in_K
+from .arrangement import Covector, _closed_cell, _integer_scaled, covector_to_json, enumerate_covectors, in_B, in_K, skeleton
 from .subdivision import select_matroid
 
 ZERO = Fraction(0)
@@ -42,13 +42,10 @@ def contains(p: PluckerVector, y: TropVector) -> bool:
     p_{J−j} + y_j over j ∈ J is ∞ or attained at least twice."""
     if len(y) != p.n:
         raise DomainError("LENGTH_MISMATCH", "y must have length n")
-    for J in itertools.combinations(range(1, p.n + 1), p.d + 1):
-        Jset = frozenset(J)
-        terms = [p[Jset - {j}] + y.entry(j) for j in J]
-        best = trop_sum(terms)
-        if best is not INF and sum(1 for t in terms if t == best) < 2:
-            return False
-    return True
+    return all(
+        trop_vanishes(p[frozenset(J) - {j}] + y.entry(j) for j in J)
+        for J in itertools.combinations(range(1, p.n + 1), p.d + 1)
+    )
 
 
 def contains_via_matroid(p: PluckerVector, y: TropVector) -> bool:
@@ -162,31 +159,33 @@ def decomposition_cone(A: TropMatrix, tau, J) -> Polyhedron:
     return Polyhedron(n, *dbm.minimal_form(range(n), unit))
 
 
+def _bounded_cells(A: TropMatrix):
+    """The cells of TC(A) that lie in K(A); NO_SUPPORT_SET unless the
+    support of A contains a support set."""
+    if transversal_matroid(BipartiteGraph.from_support(A)) != uniform_matroid(A.d, A.n):
+        raise DomainError("NO_SUPPORT_SET", "support must contain a support set")
+    return [cell for cell in enumerate_covectors(A).cells if in_K(cell.covector)]
+
+
 def bounded_complex(A: TropMatrix):
     """The cells of K(A) with the exact image polyhedra of ⊙A in R^n.
 
     The image of a cell F is its decomposition cone with J = ∅, gauge-fixed
     consistently with the arrangement cells (the image of x_1 = 0 is
     y_j1 = a_1j1 for the least column j1 of row 1 in F)."""
-    if transversal_matroid(BipartiteGraph.from_support(A)) != uniform_matroid(A.d, A.n):
-        raise DomainError("NO_SUPPORT_SET", "support must contain a support set")
     out = []
-    for cell in enumerate_covectors(A).cells:
+    for cell in _bounded_cells(A):
         F = cell.covector
-        if in_K(F):
-            j1 = min(F.graph.J(1))
-            gauge = Polyhedron(A.n, eqs=[((ZERO,) * (j1 - 1) + (ONE,), A.entry(1, j1))])
-            out.append((F, decomposition_cone(A, F.edges, ()).intersect(gauge)))
+        j1 = min(F.graph.J(1))
+        gauge = Polyhedron(A.n, eqs=[((ZERO,) * (j1 - 1) + (ONE,), A.entry(1, j1))])
+        out.append((F, decomposition_cone(A, F.edges, ()).intersect(gauge)))
     return out
 
 
 def bounded_skeleton(A: TropMatrix):
-    """The vertices (0-cells) of the bounded complex, and for each of its
-    segments (1-cells) the vertices whose covector strictly contains the
-    segment's own: its ends."""
-    cells = bounded_complex(A)
-    vertices = [F for F, _ in cells if F.dim() == 0]
-    return vertices, [[v for v in vertices if v.edges > F.edges] for F, _ in cells if F.dim() == 1]
+    """The vertices (0-cells) of the bounded complex, and each of its
+    segments (1-cells) with its ends, as in ``arrangement.skeleton``."""
+    return skeleton(_bounded_cells(A))
 
 
 def bounded_point_in_complex(A: TropMatrix, y: TropVector, complex_=None) -> bool:
@@ -209,7 +208,7 @@ def caterpillar_check(A: TropMatrix) -> bool:
         # n = d: the bounded part is empty, vacuously a caterpillar
         return not segments
     index = {v: k for k, v in enumerate(vertices)}
-    ends = [[index[v] for v in e] for e in segments]
+    ends = [[index[v] for v in e] for _, e in segments]
     if any(len(e) != 2 for e in ends) or len(ends) != len(vertices) - 1:
         return False
     if any(sum(k in e for e in ends) > 2 for k in range(len(vertices))):
@@ -222,7 +221,7 @@ def certificate_to_json(cert: DecompositionCertificate):
     from .core import scalar_str
 
     return {
-        "covector": [list(I) for I in cert.covector.tuple_view()],
+        "covector": covector_to_json(cert.covector),
         "x": [scalar_str(v) for v in cert.x.entries],
         "J": sorted(cert.J),
         "slack": [scalar_str(v) for v in cert.slack.entries],

@@ -225,6 +225,17 @@ def test_is_trop_singular():
     assert is_trop_singular(TropMatrix([["inf", "inf"], [0, 0]]))
     with pytest.raises(DomainError):
         is_trop_singular(TWO_ROW)
+    # against a brute-force count of the optimal permutations, with ties and
+    # ∞ entries common
+    rng = random.Random(71)
+    values = [INF, 0, 1, 2, Fraction(1, 2)]
+    for _ in range(400):
+        d = rng.randint(1, 5)
+        rows = [[rng.choice(values) for _ in range(d)] for _ in range(d)]
+        weights = [sum((rows[i][j] for i, j in enumerate(perm)), Fraction(0)) for perm in itertools.permutations(range(d))]
+        finite = [w for w in weights if w is not INF]
+        expected = not finite or finite.count(min(finite)) >= 2
+        assert is_trop_singular(TropMatrix(rows)) == expected
 
 
 def test_budget_and_column_check(monkeypatch):

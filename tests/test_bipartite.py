@@ -79,11 +79,34 @@ def test_matching_multifield_figure_example():
 
 
 def test_is_coherent_roundtrip():
-    for A in (FIG, STAIR, A_of_t(Fraction(1, 2))):
+    rng = random.Random(83)
+    matrices = [FIG, STAIR, A_of_t(Fraction(1, 2))]
+    while len(matrices) < 60:
+        d = rng.randint(1, 3)
+        n = rng.randint(d, 6)
+        A = TropMatrix([[rng.choice([INF, 0, 1, 2, Fraction(1, 2)]) for _ in range(n)] for _ in range(d)])
+        try:
+            matching_multifield(A)
+        except DomainError:
+            continue
+        matrices.append(A)
+    dropped = 0
+    for A in matrices:
         mf = matching_multifield(A)
         witness = is_coherent(mf)
         assert witness is not None
         assert matching_multifield(witness) == mf
+        # one matching dropped from a choice with several: incoherent, or a
+        # witness that reproduces the smaller multifield
+        tied = [J for J in sorted(mf.choices, key=sorted) if len(mf[J]) > 1]
+        if tied:
+            choices = dict(mf.choices)
+            choices[tied[0]] = frozenset(sorted(mf[tied[0]], key=lambda m: m.cols)[1:])
+            variant = MatchingMultifield(mf.d, mf.n, choices)
+            witness = is_coherent(variant)
+            assert witness is None or matching_multifield(witness) == variant
+            dropped += 1
+    assert dropped >= 10
 
 
 def test_is_coherent_zero_matrix():

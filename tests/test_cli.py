@@ -206,6 +206,30 @@ def test_determinism_of_covectors_output(tmp_path, capsys):
     _, out1 = run(capsys, ["covectors", "--input", path])
     _, out2 = run(capsys, ["covectors", "--input", path])
     assert out1 == out2
+    # output must not follow hash order: the same commands in fresh
+    # interpreters under two hash seeds print the same bytes
+    src = str(Path(tropstiefel.cli.__file__).resolve().parents[1])
+    tied = TropMatrix([[0, 0, 0, 1, "inf"], [0, 1, 0, 0, 2], ["inf", 0, 1, 0, 0]])
+    matrix = write_input(tmp_path, matrix_to_json(tied), "m.json")
+    two_row = write_input(tmp_path, matrix_to_json(TWO_ROW), "t.json")
+    field = write_input(tmp_path, multifield_to_json(matching_multifield(tied)), "f.json")
+    point = write_input(tmp_path, {"matrix": matrix_to_json(tied), "vector": {"entries": ["0", "1", "0", "1", "2"]}},
+                        "p.json")
+    commands = [
+        ["covectors", "--input", matrix], ["facets", "--input", matrix], ["multifield", "--input", matrix],
+        ["coherent", "--input", field], ["decompose", "--input", point], ["render", "--input", matrix],
+        ["bounded", "--format", "svg", "--input", two_row],
+    ]
+    for command in commands:
+        outputs = []
+        for seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "tropstiefel.cli", *command],
+                capture_output=True, env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 0, command
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], command
 
 
 def test_bad_scalar_exit_code(tmp_path):
@@ -241,6 +265,15 @@ def test_malformed_json_shapes_exit_code(tmp_path):
         (["coherent"], {"d": 1, "n": 2, "choices": {"1": [[[0, 1]]], "2": [[[1, 2]]]}}, "BAD_MULTIFIELD_JSON"),
         (["recover"], {"plucker": plucker_to_json(stiefel_map(TWO_ROW)), "support": {"d": 2, "n": 4, "edges": 5}},
          "BAD_GRAPH_JSON"),
+        # edge indices are JSON integers: no splitting of strings or keys,
+        # no truncation of floats, no booleans
+        (["support-set"], {"d": 1, "n": 2, "edges": ["11", "12"]}, "BAD_GRAPH_JSON"),
+        (["support-set"], {"d": 1, "n": 2, "edges": {"11": 0, "12": 0}}, "BAD_GRAPH_JSON"),
+        (["support-set"], {"d": 2, "n": 3, "edges": [[1.9, 2.2]]}, "BAD_GRAPH_JSON"),
+        (["support-set"], {"d": 1, "n": 2, "edges": [[True, 2]]}, "BAD_GRAPH_JSON"),
+        (["coherent"], {"d": 1, "n": 2, "choices": {"1": [[[True, 1]]], "2": [[[1, 2]]]}}, "BAD_MULTIFIELD_JSON"),
+        (["coherent"], {"d": 1, "n": 2, "choices": {"1": [[[1, 1.5]]], "2": [[[1, 2]]]}}, "BAD_MULTIFIELD_JSON"),
+        (["coherent"], {"d": 1, "n": 2, "choices": {"1": [[[1, True]]], "2": [[[1, 2]]]}}, "BAD_MULTIFIELD_JSON"),
     ]
     for command, obj, code in cases:
         path = write_input(tmp_path, obj)

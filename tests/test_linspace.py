@@ -142,14 +142,19 @@ def test_caterpillar_and_tree_build_tc_once(monkeypatch):
     import tropstiefel.linspace as linspace
     from tropstiefel.cli import _svg_tree
 
-    calls = []
-    real = linspace.enumerate_covectors
+    calls, cones = [], []
+    real, real_cone = linspace.enumerate_covectors, linspace.decomposition_cone
 
     def counting(A, *args, **kwargs):
         calls.append(A)
         return real(A, *args, **kwargs)
 
+    def counting_cone(A, *args, **kwargs):
+        cones.append(A)
+        return real_cone(A, *args, **kwargs)
+
     monkeypatch.setattr(linspace, "enumerate_covectors", counting)
+    monkeypatch.setattr(linspace, "decomposition_cone", counting_cone)
     for A in (TWO_ROW, TropMatrix([[0, 1, 3, 0, 2], [2, 0, 1, 4, 0]])):
         calls.clear()
         assert caterpillar_check(A)
@@ -157,6 +162,8 @@ def test_caterpillar_and_tree_build_tc_once(monkeypatch):
         calls.clear()
         _svg_tree(A)
         assert calls == [A]
+        # the skeleton reads cell dimensions only: no image cones
+        assert cones == []
 
 
 def test_image_points_lie_in_L():
