@@ -23,9 +23,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from .core import INF, DomainError, TropMatrix, TropVector, require_column_supports, require_row_supports, trop_sum, trop_vanishes
+from .core import INF, DomainError, TropMatrix, TropVector, require_column_supports, require_row_supports, trop_sum
 from .geom import DifferenceBounds
-from .bipartite import BipartiteGraph, components, dragon_condition
+from .bipartite import BipartiteGraph, components, dragon_condition, optimal_matchings
 
 ZERO = Fraction(0)
 
@@ -261,13 +261,13 @@ def in_K(covector: Covector) -> bool:
 
 
 def is_trop_singular(B: TropMatrix) -> bool:
-    """Minimum of the tropical permutation expansion is ∞ or attained twice."""
+    """Minimum of the tropical permutation expansion is ∞ or attained twice:
+    the matching engine finds no optimal matching or a second one."""
     if B.d != B.n:
         raise DomainError("BAD_SHAPE", "tropical singularity requires a square matrix")
-    return trop_vanishes(
-        sum((B.entry(i, j) for i, j in enumerate(perm, start=1)), ZERO)
-        for perm in itertools.permutations(range(1, B.n + 1))
-    )
+    full = frozenset(range(1, B.n + 1))
+    best, argmins = optimal_matchings(B.entries, range(1, B.n + 1), limit=2)
+    return full not in best or len(argmins(full)) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,18 @@
 
 Graphs, matchings, optimal matchings under exact min-plus weights, matching
 multifields and their coherence, support-set predicates, transversal
-matroids, and the first-Betti-number dimension formula.  One augmenting-path
-matcher (``_max_matching_size``) answers every maximum-matching question and
-one union-find (``components``) every component count, here and in
-``arrangement`` and ``linspace``.
+matroids, and the first-Betti-number dimension formula.  One matching engine
+(``optimal_matchings``) answers which column sets can be matched and how
+well: the Stiefel map, multifields, coherence, transversal matroids and
+tropical singularity.  One augmenting-path matcher (``_max_matching_size``)
+answers the maximum matching over all columns, and one union-find
+(``components``) every component count, here and in ``arrangement`` and
+``linspace``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -226,68 +230,75 @@ def uniform_matroid(d, n):
 
 
 # ---------------------------------------------------------------------------
-# Optimal matchings and multifields
+# The matching engine: optimal matchings and multifields
 # ---------------------------------------------------------------------------
+
+def optimal_matchings(rows, cols, limit=None):
+    """The matching engine on the d = len(rows) rows of a weight matrix.
+
+    Returns (best, argmins).  ``best[S]`` is the least weight of a matching
+    of rows 1..|S| onto each frozenset S ⊆ ``cols`` with |S| ≤ d that the
+    finite entries can match, built one row at a time and shared by every
+    d-set: Σ_{k<d} C(n, k)·(n − k) steps, n = |cols|.  ``argmins(S)`` lists
+    the optimal matchings onto a key S of ``best`` as column tuples in row
+    order, at most ``limit`` of them, by backtracking memoised per S."""
+    best = {frozenset(): 0}
+    layer = best.copy()
+    for row in rows:
+        grown = {}
+        for S, w in layer.items():
+            for j in cols:
+                a = row[j - 1]
+                if a is not INF and j not in S:
+                    T, v = S | {j}, w + a
+                    if T not in grown or v < grown[T]:
+                        grown[T] = v
+        best.update(grown)
+        layer = grown
+    return best, functools.partial(_argmins, rows, best, {frozenset(): [()]}, limit)
+
+
+def _argmins(rows, best, memo, limit, S):
+    """``argmins(S)`` of the engine; not a recursive closure, so the table
+    is freed with its last view rather than by the cycle collector."""
+    if S not in memo:
+        row, out = rows[len(S) - 1], []
+        for j in S:
+            a, T = row[j - 1], S - {j}
+            if a is not INF and T in best and best[T] + a == best[S]:
+                out += [m + (j,) for m in _argmins(rows, best, memo, limit, T)]
+        memo[S] = out[:limit]
+    return memo[S]
+
+
+def _zero_inf_rows(d, n, edges):
+    """The 0/∞ matrix of an edge set: every supported matching weighs 0."""
+    return [[0 if (i, j) in edges else INF for j in range(1, n + 1)] for i in range(1, d + 1)]
+
 
 def min_matchings(A: TropMatrix, J):
     """Optimal-assignment value and all optimal matchings on column set J.
 
     Returns (value, argmins); value is INF and argmins empty when the
-    support of A admits no matching on J.  Subset dynamic programming over
-    the 2^d column subsets.
-    """
-    Jt = tuple(sorted(set(J)))
-    if len(Jt) != A.d:
+    support of A admits no matching on J.  The engine runs on J alone."""
+    J = frozenset(J)
+    if len(J) != A.d or not J <= frozenset(range(1, A.n + 1)):
         raise DomainError("BAD_SUBSET", "J must be a d-subset of [n]")
-    d = A.d
-    full = (1 << d) - 1
-    dp = {0: ZERO}
-    for mask in range(1, full + 1):
-        k = bin(mask).count("1")  # rows 1..k are matched
-        best = None
-        for t in range(d):
-            if mask >> t & 1:
-                a = A.entry(k, Jt[t])
-                if a is INF:
-                    continue
-                sub = dp.get(mask ^ (1 << t))
-                if sub is None:
-                    continue
-                v = sub + a
-                if best is None or v < best:
-                    best = v
-        if best is not None:
-            dp[mask] = best
-    if full not in dp:
+    best, argmins = optimal_matchings(A.entries, sorted(J))
+    if J not in best:
         return INF, frozenset()
-
-    def collect(mask, k):
-        if k == 0:
-            return [()]
-        out = []
-        for t in range(d):
-            if mask >> t & 1:
-                a = A.entry(k, Jt[t])
-                sub = mask ^ (1 << t)
-                if a is not INF and sub in dp and dp[sub] + a == dp[mask]:
-                    for tail in collect(sub, k - 1):
-                        out.append(tail + (Jt[t],))
-        return out
-
-    argmins = frozenset(Matching(cols) for cols in collect(full, d))
-    return dp[full], argmins
+    return best[J], frozenset(Matching(cols) for cols in argmins(J))
 
 
 def matching_multifield(A: TropMatrix) -> MatchingMultifield:
     """Λ(A): the optimal matchings on every column d-subset."""
+    best, argmins = optimal_matchings(A.entries, range(1, A.n + 1))
     choices = {}
     for J in itertools.combinations(range(1, A.n + 1), A.d):
-        value, argmins = min_matchings(A, J)
-        if value is INF:
-            raise DomainError(
-                "NO_MATCHING_ON_SUBSET", f"support admits no matching on {list(J)}"
-            )
-        choices[frozenset(J)] = argmins
+        J = frozenset(J)
+        if J not in best:
+            raise DomainError("NO_MATCHING_ON_SUBSET", f"support admits no matching on {sorted(J)}")
+        choices[J] = frozenset(Matching(cols) for cols in argmins(J))
     return MatchingMultifield(A.d, A.n, choices)
 
 
@@ -301,26 +312,23 @@ def is_coherent(multifield: MatchingMultifield):
     """
     support = sorted(multifield.support())
     index = {e: k for k, e in enumerate(support)}
-    zero_inf = TropMatrix(
-        [[0 if (i, j) in index else INF for j in range(1, multifield.n + 1)] for i in range(1, multifield.d + 1)]
-    )
+    rows = _zero_inf_rows(multifield.d, multifield.n, index)
+    supported = optimal_matchings(rows, range(1, multifield.n + 1))[1]
     dim = len(support)
 
-    def weight_vec(m: Matching):
+    def difference(m: Matching, ref: Matching):
         v = [ZERO] * dim
         for e in m.edges:
             v[index[e]] += 1
-        return v
+        for e in ref.edges:
+            v[index[e]] -= 1
+        return tuple(v), ZERO
 
     eqs, gts = [], []
     for J in sorted(multifield.choices, key=lambda s: tuple(sorted(s))):
-        chosen = sorted(multifield[J], key=lambda m: m.key())
-        ref = weight_vec(chosen[0])
-        for m in chosen[1:]:
-            eqs.append((tuple(a - b for a, b in zip(weight_vec(m), ref)), ZERO))
-        for m in sorted(min_matchings(zero_inf, J)[1], key=lambda m: m.cols):
-            if m not in multifield[J]:
-                gts.append((tuple(a - b for a, b in zip(weight_vec(m), ref)), ZERO))
+        ref, *tied = sorted(multifield[J], key=lambda m: m.key())
+        eqs += [difference(m, ref) for m in tied]
+        gts += [difference(m, ref) for m in map(Matching, sorted(supported(J))) if m not in multifield[J]]
 
     witness = strict_feasible(LinearConstraintSystem(dim, eqs=eqs, gts=gts))
     if witness is INFEASIBLE:
@@ -331,11 +339,8 @@ def is_coherent(multifield: MatchingMultifield):
         entries[i - 1][j - 1] = witness[k]
     # gauge: subtract row minima for a reproducible witness
     for row in entries:
-        finite = [v for v in row if v is not INF]
-        m = min(finite)
-        for j, v in enumerate(row):
-            if v is not INF:
-                row[j] = v - m
+        m = min(v for v in row if v is not INF)
+        row[:] = [v if v is INF else v - m for v in row]
     A = TropMatrix(entries)
     if matching_multifield(A) != multifield:  # pragma: no cover - sanity
         raise AssertionError("coherence witness failed to reproduce the multifield")
@@ -400,21 +405,14 @@ def _max_matching_size(G: BipartiteGraph, cols):
                 return True
         return False
 
-    size = 0
-    for i in range(1, G.d + 1):
-        if augment(i, set()):
-            size += 1
-    return size
+    return sum(1 for i in range(1, G.d + 1) if augment(i, set()))
 
 
 def transversal_matroid(G: BipartiteGraph) -> Matroid:
-    """Bases are the column d-subsets fully matchable to [d] inside G."""
-    bases = [
-        J
-        for J in itertools.combinations(range(1, G.n + 1), G.d)
-        if _max_matching_size(G, J) == G.d
-    ]
-    return Matroid(G.n, G.d, bases)
+    """Bases are the column d-subsets fully matchable to [d] inside G: the
+    d-sets that the matching engine reaches on G's 0/∞ matrix."""
+    best = optimal_matchings(_zero_inf_rows(G.d, G.n, G.edges), range(1, G.n + 1))[0]
+    return Matroid(G.n, G.d, [S for S in best if len(S) == G.d])
 
 
 def transversal_rank(G: BipartiteGraph, S) -> int:
@@ -519,7 +517,7 @@ def graph_from_json(obj) -> BipartiteGraph:
     if not isinstance(obj, dict) or not {"d", "n", "edges"} <= set(obj):
         raise DomainError("BAD_GRAPH_JSON", "expected {'d','n','edges'}")
     d, n = obj["d"], obj["n"]
-    if not (isinstance(d, int) and isinstance(n, int) and d >= 0 and n >= 0):
+    if not (type(d) is int and type(n) is int and d >= 0 and n >= 0):
         raise DomainError("BAD_GRAPH_JSON", "d and n must be nonnegative integers")
     return BipartiteGraph(d, n, _index_pairs(obj["edges"], "BAD_GRAPH_JSON"))
 
@@ -546,7 +544,7 @@ def multifield_from_json(obj) -> MatchingMultifield:
     if not isinstance(obj, dict) or not {"d", "n", "choices"} <= set(obj):
         raise DomainError("BAD_MULTIFIELD_JSON", "expected {'d','n','choices'}")
     d, n = obj["d"], obj["n"]
-    if not (isinstance(d, int) and isinstance(n, int) and 0 <= d <= n and isinstance(obj["choices"], dict)):
+    if not (type(d) is int and type(n) is int and 0 <= d <= n and isinstance(obj["choices"], dict)):
         raise DomainError("BAD_MULTIFIELD_JSON", "need integers 0 <= d <= n and a choices object")
     choices = {}
     try:

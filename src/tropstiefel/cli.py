@@ -75,9 +75,7 @@ def _matrix_and_vector(obj):
 
 
 def _budget_kwargs(args):
-    if getattr(args, "budget", None) is not None:
-        return {"budget": args.budget}
-    return {}
+    return {} if args.budget is None else {"budget": args.budget}
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +325,13 @@ def build_parser():
         p = sub.add_parser(name)
         if name != "gen":
             p.add_argument("--input", default="-", help="input JSON file or - for stdin")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=None)
         p.add_argument("--output", default=None)
-        p.add_argument("--format", choices=("json", "svg"), default="json")
+        if name in ("covectors", "render", "gen"):
+            p.add_argument("--budget", type=int, default=None)
+        if name in ("covectors", "bounded"):
+            p.add_argument("--format", choices=("json", "svg"), default="json")
         if name == "gen":
+            p.add_argument("--seed", type=int, default=0)
             p.add_argument("d", type=int)
             p.add_argument("n", type=int)
             p.add_argument(

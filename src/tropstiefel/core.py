@@ -102,8 +102,8 @@ def trop_sum(values):
 
 def trop_vanishes(values) -> bool:
     """Tropical vanishing: the minimum of ``values`` is ∞ or is attained at
-    least twice.  One pass; this is the condition of circuit membership, of
-    the three-term Plücker relations and of tropical singularity."""
+    least twice.  One pass; this is the condition of circuit membership and
+    of the Plücker relations."""
     best, count = INF, 0
     for v in values:
         if v < best:

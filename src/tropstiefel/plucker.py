@@ -1,8 +1,9 @@
 """Tropical Plücker vectors.
 
-The Stiefel map (vectors of tropical maximal minors), the three-term
-Plücker relations, duality, stable intersection and union, underlying
-matroids, cocircuits and matrix recovery from a support set.
+The Stiefel map (tropical maximal minors, from the matching engine), the
+Plücker relations of every (d−1)-set and (d+1)-set, duality, stable
+intersection and union, underlying matroids, cocircuits and matrix recovery
+from a support set.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from .bipartite import (
     BipartiteGraph,
     Matroid,
     is_support_set,
-    min_matchings,
+    optimal_matchings,
     uniform_matroid,
 )
 
@@ -82,16 +83,15 @@ class PluckerVector:
 
 def stiefel_map(A: TropMatrix) -> PluckerVector:
     """π(A): the optimal-assignment value on every column d-subset."""
-    values = {}
-    for J in _subsets(A.n, A.d):
-        values[frozenset(J)] = min_matchings(A, J)[0]
+    best = optimal_matchings(A.entries, range(1, A.n + 1))[0]
+    values = {J: best.get(J, INF) for J in map(frozenset, _subsets(A.n, A.d))}
     if all(v is INF for v in values.values()):
         raise DomainError("NO_MATCHING_IN_SUPPORT", "support contains no matching")
     return PluckerVector(A.n, A.d, values)
 
 
 def check_plucker(p: PluckerVector) -> bool:
-    """Three-term relations: for all S (size d−1) and T (size d+1) the
+    """The Plücker relations: for every (d−1)-set S and (d+1)-set T the
     minimum of p_{S∪i} + p_{T−i} over i ∈ T∖S is ∞ or attained twice."""
     if p.d == 0:
         return True  # no relations in rank 0
@@ -209,7 +209,7 @@ def plucker_from_json(obj) -> PluckerVector:
     if not isinstance(obj, dict) or not {"d", "n", "values"} <= set(obj):
         raise DomainError("BAD_PLUCKER_JSON", "expected {'d','n','values'}")
     d, n = obj["d"], obj["n"]
-    if not (isinstance(d, int) and isinstance(n, int) and d >= 0 and isinstance(obj["values"], dict)):
+    if not (type(d) is int and type(n) is int and d >= 0 and isinstance(obj["values"], dict)):
         raise DomainError("BAD_PLUCKER_JSON", "need integers d >= 0, n and a values object")
     values = {}
     for key, v in obj["values"].items():

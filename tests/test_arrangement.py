@@ -225,6 +225,10 @@ def test_is_trop_singular():
     assert is_trop_singular(TropMatrix([["inf", "inf"], [0, 0]]))
     with pytest.raises(DomainError):
         is_trop_singular(TWO_ROW)
+    # 9! permutations tie on the zero matrix; the identity alone is optimal
+    # when the off-diagonal entries are 1
+    assert is_trop_singular(TropMatrix([[0] * 9] * 9))
+    assert not is_trop_singular(TropMatrix([[int(i != j) for j in range(9)] for i in range(9)]))
     # against a brute-force count of the optimal permutations, with ties and
     # ∞ entries common
     rng = random.Random(71)

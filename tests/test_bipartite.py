@@ -8,6 +8,7 @@ from tropstiefel.bipartite import (
     BipartiteGraph,
     Matching,
     MatchingMultifield,
+    Matroid,
     colwise_dragon_condition,
     dragon_condition,
     enumerate_support_sets,
@@ -28,6 +29,7 @@ from tropstiefel.bipartite import (
     _max_matching_size,
 )
 from tropstiefel.core import INF, DomainError, TropMatrix
+from tropstiefel.plucker import stiefel_map
 
 FIG = TropMatrix([[0, 3, 0, "inf", "inf"], ["inf", 0, 0, 2, "inf"], ["inf", "inf", 0, 0, 0]])
 STAIR = TropMatrix([[0, 0, "inf", "inf"], ["inf", 0, 0, "inf"], ["inf", "inf", 0, 0]])
@@ -58,6 +60,10 @@ def test_min_matchings_no_matching():
     A = TropMatrix([[0, "inf"], [0, "inf"]])
     value, argmins = min_matchings(A, {1, 2})
     assert value is INF and argmins == frozenset()
+    # J is a d-subset of [n]: column 0 does not wrap around to column n
+    for J in ({1}, {0, 1}, {1, 3}):
+        with pytest.raises(DomainError):
+            min_matchings(A, J)
 
 
 def test_matching_multifield_zero_matrix():
@@ -76,6 +82,39 @@ def test_matching_multifield_t_independence():
 def test_matching_multifield_figure_example():
     mf = matching_multifield(FIG)
     assert mf[{1, 2, 3}] == frozenset([Matching((1, 2, 3))])
+
+
+def test_matching_engine_against_references():
+    # values and argmins against the permutation expansion on each d-set,
+    # and bases against the augmenting-path matcher, with ties and ∞ common
+    rng = random.Random(97)
+    for _ in range(320):
+        d = rng.randint(1, 4)
+        n = rng.randint(d, 7)
+        A = TropMatrix([[rng.choice([INF, 0, 1, Fraction(1, 2)]) for _ in range(n)] for _ in range(d)])
+        G = BipartiteGraph.from_support(A)
+        values, argmins, bases = {}, {}, []
+        for J in map(frozenset, itertools.combinations(range(1, n + 1), d)):
+            weights = {
+                cols: sum((A.entry(i, j) for i, j in enumerate(cols, start=1)), Fraction(0))
+                for cols in itertools.permutations(sorted(J))
+            }
+            values[J] = min(weights.values())
+            argmins[J] = frozenset(Matching(cols) for cols, w in weights.items() if values[J] is not INF and w == values[J])
+            assert min_matchings(A, J) == (values[J], argmins[J])
+            if _max_matching_size(G, J) == d:
+                bases.append(J)
+        assert transversal_matroid(G) == Matroid(n, d, bases)
+        if all(v is INF for v in values.values()):
+            with pytest.raises(DomainError):
+                stiefel_map(A)
+        else:
+            assert stiefel_map(A).values == values
+        if INF in values.values():
+            with pytest.raises(DomainError):
+                matching_multifield(A)
+        else:
+            assert matching_multifield(A).choices == argmins
 
 
 def test_is_coherent_roundtrip():

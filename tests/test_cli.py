@@ -184,6 +184,16 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert code == 2
     code, _ = run(capsys, ["no-such-command"])
     assert code == 2
+    # --seed, --budget and --format exist only on the commands that read
+    # them; the inputs are valid, so the flag alone makes these exit 2
+    matrix = matrix_to_json(STAIR)
+    for argv, obj in (
+        (["stiefel", "--budget", "10"], matrix),
+        (["member", "--seed", "1"], {"matrix": matrix, "vector": {"entries": ["0", "0", "0", "0"]}}),
+        (["facets", "--format", "svg"], matrix),
+    ):
+        code, _ = run(capsys, argv + ["--input", write_input(tmp_path, obj, "valid.json")])
+        assert code == 2, argv
 
 
 def test_render_svg(tmp_path, capsys):
@@ -274,6 +284,10 @@ def test_malformed_json_shapes_exit_code(tmp_path):
         (["coherent"], {"d": 1, "n": 2, "choices": {"1": [[[True, 1]]], "2": [[[1, 2]]]}}, "BAD_MULTIFIELD_JSON"),
         (["coherent"], {"d": 1, "n": 2, "choices": {"1": [[[1, 1.5]]], "2": [[[1, 2]]]}}, "BAD_MULTIFIELD_JSON"),
         (["coherent"], {"d": 1, "n": 2, "choices": {"1": [[[1, True]]], "2": [[[1, 2]]]}}, "BAD_MULTIFIELD_JSON"),
+        # d and n are JSON integers, not booleans
+        (["support-set"], {"d": True, "n": 2, "edges": [[1, 1], [1, 2]]}, "BAD_GRAPH_JSON"),
+        (["plucker-check"], {"d": True, "n": 2, "values": {"1": 0, "2": 1}}, "BAD_PLUCKER_JSON"),
+        (["coherent"], {"d": True, "n": 2, "choices": {"1": [[[1, 1]]], "2": [[[1, 2]]]}}, "BAD_MULTIFIELD_JSON"),
     ]
     for command, obj, code in cases:
         path = write_input(tmp_path, obj)
