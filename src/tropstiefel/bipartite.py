@@ -17,7 +17,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .core import INF, DomainError, TropMatrix
+from .core import INF, DomainError, TropMatrix, subset_from_key
 from .geom import INFEASIBLE, LinearConstraintSystem, strict_feasible
 
 ZERO = Fraction(0)
@@ -549,7 +549,7 @@ def multifield_from_json(obj) -> MatchingMultifield:
     choices = {}
     try:
         for key, matchings in obj["choices"].items():
-            J = frozenset(int(t) for t in key.split(","))
+            J = subset_from_key(key, d, n, "BAD_MULTIFIELD_JSON")
             ms = set()
             for edge_list in matchings:
                 cols = [0] * d

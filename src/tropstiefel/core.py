@@ -307,6 +307,21 @@ def vector_from_json(obj) -> TropVector:
     return TropVector(obj["entries"])
 
 
+def subset_from_key(key, d, n, code):
+    """The d-subset of [n] written as the JSON key "j1,...,jd": exactly d
+    distinct indices in [n], in ASCII decimal digits, joined by commas ("" for
+    d = 0).  DomainError ``code`` for any other key."""
+    parts = key.split(",") if key else []
+    digits = [t for t in parts if t.isascii() and t.isdigit()]
+    try:
+        J = frozenset(map(int, digits))
+    except ValueError:  # more digits than int() converts
+        J = frozenset()
+    if len(parts) != d or len(J) != d or not all(1 <= j <= n for j in J):
+        raise DomainError(code, f"bad subset key {key!r}")
+    return J
+
+
 def dumps(obj) -> str:
     """Deterministic JSON emission used by the CLI."""
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "))

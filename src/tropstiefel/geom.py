@@ -1,8 +1,7 @@
-"""Exact rational linear algebra and small-scale polyhedral computation.
+"""Exact feasibility of linear systems: the difference-constraint engine
+and the simplex.
 
-Feasibility of systems mixing equalities, weak and strict inequalities;
-relative-interior points; affine dimension; vertices.  Two engines sit
-underneath:
+Systems mix equalities, weak and strict inequalities.  Two engines:
 
 * ``DifferenceBounds``, a closed integer difference-bound matrix, for
   systems whose every constraint has the form x_i - x_j >= b, x_i >= b or
@@ -10,7 +9,10 @@ underneath:
   Rational constants are scaled to integers by the LCM of their
   denominators, and strict bounds are exact through one ε = 1/(V+1) fixed
   by the number of nodes V.  The projection of a closed matrix onto some of
-  its nodes is its restriction to them, emitted in minimal form;
+  its nodes is its restriction to them.  A ``Polytrope`` is such a
+  restriction of weak bounds to an origin and the coordinates: it answers
+  dimension, membership and a witness point by lookups, and emits its rows
+  in minimal form;
 * a two-phase exact simplex with Bland's rule over Fractions for the
   systems that are not differences (coherence witnesses, cell existence in
   the hypersimplex subdivision).  There each strict constraint a·x > b is
@@ -20,7 +22,6 @@ underneath:
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -74,60 +75,6 @@ class LinearConstraintSystem:
 
 
 # ---------------------------------------------------------------------------
-# Exact Gaussian elimination helpers
-# ---------------------------------------------------------------------------
-
-def row_reduce(rows):
-    """Reduced row echelon form.  Returns (nonzero rows, pivot column list)."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    pivots = []
-    r = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        pivots.append(c)
-        _pivot(mat, pivots, r, c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
-
-def matrix_rank(rows):
-    if not rows:
-        return 0
-    return len(row_reduce(rows)[0])
-
-
-def solve_affine(eqs, dim):
-    """Solve a·x = b exactly.
-
-    Returns None if inconsistent, else (particular point, nullspace basis).
-    """
-    if not eqs:
-        return tuple([ZERO] * dim), [tuple(ONE if i == j else ZERO for j in range(dim)) for i in range(dim)]
-    aug = [list(a) + [b] for a, b in eqs]
-    red, pivots = row_reduce(aug)
-    if dim in pivots:
-        return None
-    point = [ZERO] * dim
-    for row, c in zip(red, pivots):
-        point[c] = row[dim]
-    free = [c for c in range(dim) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [ZERO] * dim
-        v[f] = ONE
-        for row, c in zip(red, pivots):
-            v[c] = -row[f]
-        basis.append(tuple(v))
-    return tuple(point), basis
-
-
-# ---------------------------------------------------------------------------
 # Exact two-phase simplex (maximization), Bland's rule
 # ---------------------------------------------------------------------------
 
@@ -136,11 +83,12 @@ def _pivot(tab, basis, r, c):
     from every other row, and record c as the basic column of row r."""
     inv = ONE / tab[r][c]
     tab[r] = [v * inv for v in tab[r]]
-    prow = tab[r]
-    for i in range(len(tab)):
-        if i != r and tab[i][c] != 0:
-            f = tab[i][c]
-            tab[i] = [v - f * w for v, w in zip(tab[i], prow)]
+    nonzero = [(j, w) for j, w in enumerate(tab[r]) if w]
+    for i, row in enumerate(tab):
+        f = row[c]
+        if i != r and f:
+            for j, w in nonzero:  # a zero of the pivot row leaves the column as it is
+                row[j] -= f * w
     basis[r] = c
 
 
@@ -253,10 +201,11 @@ class DifferenceBounds:
     0, ..., size − 1, with integer constants c.
 
     A bound is stored as the single integer K·c, or K·c − 1 when strict,
-    with K = size + 1: the constant read as c − ε for ε = 1/K.  A simple
-    cycle has at most ``size`` edges, so for integer sum C and s strict edges
-    K·C − s < 0 exactly when C < 0, or C = 0 and s > 0: exactly when the
-    strict system has a contradiction.  So this ε always works, and the
+    with K = ``scale`` = size + 1: the constant read as c − ε for ε = 1/K.
+    A simple cycle has at most ``size`` edges, so for integer sum C and s
+    strict edges K·C − s < 0 exactly when C < 0, or C = 0 and s > 0: exactly
+    when the strict system has a contradiction.  So this ε always works, as
+    does any larger K (a restriction keeps its matrix's K), and the
     shortest-path potentials of the stored integers are an exact witness.
     ``bound[u][v]`` is the tightest implied bound (None when there is none);
     adding a bound keeps the matrix closed in O(size²).
@@ -271,6 +220,14 @@ class DifferenceBounds:
 
     def copy(self):
         return DifferenceBounds(self.size, [row[:] for row in self.bound])
+
+    def restrict(self, nodes):
+        """The closed matrix on ``nodes`` alone, in that order: the
+        projection onto them.  It keeps this matrix's scale, which stays
+        exact for the shorter cycles of fewer nodes."""
+        out = DifferenceBounds(len(nodes), [[self.bound[u][v] for v in nodes] for u in nodes])
+        out.scale = self.scale
+        return out
 
     def add(self, u, v, c, strict=False):
         """Impose x_v − x_u ≤ c (< c when strict).  Returns False, leaving
@@ -302,33 +259,28 @@ class DifferenceBounds:
         den = self.scale * unit
         return tuple(Fraction(pv - p[0], den) for pv in p)
 
-    def minimal_form(self, nodes, unit=1):
-        """The projection onto ``nodes``, for a matrix of weak bounds only,
-        as rows over those nodes in order: equalities a·z = b and
-        inequalities a·z >= b, each constant c standing for c / unit.
+    def minimal_form(self, unit=1):
+        """The rows of a matrix of weak bounds over x_1, ..., x_{size−1},
+        with x_0 = 0 as in ``point``: equalities a·x = b and inequalities
+        a·x >= b, each constant c standing for c / unit.
 
-        The projection of a closed matrix is its restriction to the kept
-        nodes.  Nodes whose bounds sum to zero both ways are tied: each such
-        class gives one chain of equalities, and between the class
-        representatives only the bounds that no third representative
-        implies are kept (the minimal form of Larsen et al., RTSS 1997).
+        Nodes whose bounds sum to zero both ways are tied: each such class
+        gives one chain of equalities, and between the class representatives
+        only the bounds that no third representative implies are kept (the
+        minimal form of Larsen et al., RTSS 1997).
         """
         m = self.bound
         den = self.scale * unit
-        nodes = list(nodes)
-        k = len(nodes)
+        k = self.size
 
-        def b(s, t):  # the bound on z_t − z_s
-            return m[nodes[s]][nodes[t]]
+        def implied(s, r, t):  # the bound on x_t − x_s through r
+            return None if m[s][r] is None or m[r][t] is None else m[s][r] + m[r][t]
 
-        def implied(s, r, t):  # the bound on z_t − z_s through r
-            return None if b(s, r) is None or b(r, t) is None else b(s, r) + b(r, t)
-
-        def row(s, t):  # the coefficients of z_t − z_s
+        def row(s, t):  # the coefficients of x_t − x_s, without x_0
             co = [0] * k
             co[t] += 1
             co[s] -= 1
-            return tuple(co)
+            return tuple(co[1:])
 
         rep = list(range(k))
         last = {}
@@ -337,19 +289,64 @@ class DifferenceBounds:
             s = next((s for s in range(t) if implied(s, t, s) == 0), t)  # a zero cycle s → t → s
             rep[t] = rep[s]
             if s != t:
-                eqs.append((row(last[rep[t]], t), Fraction(b(last[rep[t]], t), den)))
+                eqs.append((row(last[rep[t]], t), Fraction(m[last[rep[t]]][t], den)))
             last[rep[t]] = t
         reps = [s for s in range(k) if rep[s] == s]
         ineqs = []
         for s in reps:
             for t in reps:
-                w = b(s, t)
+                w = m[s][t]
                 if s == t or w is None:
                     continue
                 if any(r != s and r != t and implied(s, r, t) == w for r in reps):
                     continue
-                ineqs.append((row(t, s), Fraction(-w, den)))  # z_s − z_t >= −w
+                ineqs.append((row(t, s), Fraction(-w, den)))  # x_s − x_t >= −w
         return eqs, ineqs
+
+
+class Polytrope:
+    """The polytrope of a closed ``DifferenceBounds`` of weak bounds on an
+    origin, node 0 and fixed at 0, and the coordinates z_1, ..., z_k, nodes
+    1..k: the z with z_v − z_u ≤ w / (scale · unit) for each stored bound
+    w = ``bound[u][v]``.  ``bounds`` is None when the set is empty."""
+
+    __slots__ = ("k", "bounds", "unit")
+
+    def __init__(self, k, bounds, unit=1):
+        self.k = k
+        self.bounds = bounds
+        self.unit = unit
+
+    def dim(self):
+        """The affine dimension, −1 when empty.  Only the zero cycles of a
+        closed matrix are implicit equalities, so each class of tied nodes is
+        one free parameter, and the origin's class is pinned."""
+        if self.bounds is None:
+            return -1
+        m = self.bounds.bound
+        tied = lambda s, t: m[s][t] is not None and m[t][s] is not None and m[s][t] + m[t][s] == 0
+        return sum(not any(tied(s, t) for s in range(t)) for t in range(self.k + 1)) - 1
+
+    def contains(self, y):
+        if self.bounds is None:
+            return False
+        z = (0, *y)
+        den = self.bounds.scale * self.unit
+        return all(
+            b is None or (z[v] - z[u]) * den <= b
+            for u, row in enumerate(self.bounds.bound) for v, b in enumerate(row)
+        )
+
+    def point(self):
+        """A point of the set, or INFEASIBLE."""
+        return INFEASIBLE if self.bounds is None else self.bounds.point(self.unit)[1:]
+
+    def rows(self):
+        """(eqs, ineqs): equalities a·z = b and inequalities a·z >= b in
+        minimal form; 0 = 1 when empty."""
+        if self.bounds is None:
+            return [((ZERO,) * self.k, ONE)], []
+        return self.bounds.minimal_form(self.unit)
 
 
 def _difference_bounds(sys: LinearConstraintSystem):
@@ -408,105 +405,6 @@ def strict_feasible(sys: LinearConstraintSystem):
     if status == "infeasible" or (status == "optimal" and value <= 0):
         return INFEASIBLE
     x = point[: sys.dim]
-    assert sys.satisfied_by(x)
+    if not sys.satisfied_by(x):  # pragma: no cover - sanity
+        raise AssertionError("simplex point fails the system it solves")
     return x
-
-
-# ---------------------------------------------------------------------------
-# Polyhedra
-# ---------------------------------------------------------------------------
-
-class Polyhedron:
-    """H-representation: equalities a·x = b and weak inequalities a·x >= b."""
-
-    __slots__ = ("dim", "eqs", "ineqs", "_point", "_implicit", "_relint", "_dim")
-
-    def __init__(self, dim, eqs=(), ineqs=()):
-        self.dim = dim
-        self.eqs = tuple((_vec(a, dim), Fraction(b)) for a, b in eqs)
-        self.ineqs = tuple((_vec(a, dim), Fraction(b)) for a, b in ineqs)
-        self._point = None
-        self._implicit = None
-        self._relint = None
-        self._dim = None
-
-    def system(self, tight=(), strict=()):
-        tight = set(tight)
-        strict = set(strict)
-        eqs = list(self.eqs) + [self.ineqs[i] for i in tight]
-        ges = [c for i, c in enumerate(self.ineqs) if i not in tight and i not in strict]
-        gts = [self.ineqs[i] for i in strict]
-        return LinearConstraintSystem(self.dim, eqs=eqs, ges=ges, gts=gts)
-
-    def feasible_point(self):
-        if self._point is None:
-            self._point = strict_feasible(self.system())
-        return self._point
-
-    def is_empty(self):
-        return self.feasible_point() is INFEASIBLE
-
-    def contains(self, x):
-        return self.system().satisfied_by(x)
-
-    def implicit_equalities(self):
-        """Indices of inequalities tight on all of the polyhedron."""
-        if self._implicit is None:
-            if self.is_empty():
-                self._implicit = frozenset(range(len(self.ineqs)))
-            else:
-                out = set()
-                for i in range(len(self.ineqs)):
-                    if strict_feasible(self.system(strict=(i,))) is INFEASIBLE:
-                        out.add(i)
-                self._implicit = frozenset(out)
-        return self._implicit
-
-    def relative_interior_point(self):
-        if self._relint is None:
-            if self.is_empty():
-                self._relint = INFEASIBLE
-            else:
-                imp = self.implicit_equalities()
-                loose = [i for i in range(len(self.ineqs)) if i not in imp]
-                self._relint = strict_feasible(self.system(tight=imp, strict=loose))
-                assert self._relint is not INFEASIBLE
-        return self._relint
-
-    def affine_dimension(self):
-        if self._dim is None:
-            if self.is_empty():
-                self._dim = -1
-            else:
-                rows = [a for a, _ in self.eqs]
-                rows += [self.ineqs[i][0] for i in self.implicit_equalities()]
-                self._dim = self.dim - matrix_rank(rows)
-        return self._dim
-
-    def intersect(self, other):
-        assert self.dim == other.dim
-        return Polyhedron(self.dim, self.eqs + other.eqs, self.ineqs + other.ineqs)
-
-    def vertices(self):
-        """All vertices (0-dimensional faces), by basic-solution enumeration.
-
-        Intended for bounded desk-scale polyhedra.
-        """
-        base = [a for a, _ in self.eqs]
-        need = self.dim - matrix_rank(base) if base else self.dim
-        seen = set()
-        out = []
-        for combo in itertools.combinations(range(len(self.ineqs)), need):
-            eqs = list(self.eqs) + [self.ineqs[i] for i in combo]
-            if matrix_rank([a for a, _ in eqs]) != self.dim:
-                continue
-            sol = solve_affine(eqs, self.dim)
-            if sol is None:
-                continue
-            point, null = sol
-            if null:
-                continue
-            if point not in seen and self.contains(point):
-                seen.add(point)
-                out.append(point)
-        return sorted(out)

@@ -8,17 +8,18 @@ caterpillar predicate.
 A covector decomposition y ∈ (F ⊙ A) + R_{>=0}{e_j : j ∈ J} and its cone
 are difference systems over x and y, so both run on the closed integer
 difference-bound matrix of ``geom.DifferenceBounds``: the certificate search
-reads its witness from the potentials, and the cone is the restriction of
-the closed matrix to the y nodes.  The image of a cell of K(A) under ⊙A is
-its cone with J = ∅, so the bounded complex reads its cells from the same
-projection.  Its vertices and segments need only the K(A) cells of TC(A)
-and their dimensions, so ``bounded_skeleton`` builds no cone.
+reads its witness from the potentials, and the cone is a
+``geom.Polytrope``: the restriction of the closed matrix to an origin and
+the y nodes.  The image of a cell of K(A) under ⊙A is its cone with J = ∅,
+gauge-fixed by tying one y node to the origin, so the bounded complex reads
+its cells, their dimensions and membership from the same projection.  Its
+vertices and segments need only the K(A) cells of TC(A) and their
+dimensions, so ``bounded_skeleton`` builds no cone.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .core import (
     DomainError,
@@ -27,14 +28,11 @@ from .core import (
     trop_vanishes,
     vec_mat_mul,
 )
-from .geom import DifferenceBounds, Polyhedron
+from .geom import DifferenceBounds, Polytrope
 from .bipartite import BipartiteGraph, _max_matching_size, colwise_dragon_condition, components, transversal_matroid, uniform_matroid
 from .plucker import PluckerVector, underlying_matroid
 from .arrangement import Covector, _closed_cell, _integer_scaled, covector_to_json, enumerate_covectors, in_B, in_K, skeleton
 from .subdivision import select_matroid
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def contains(p: PluckerVector, y: TropVector) -> bool:
@@ -136,27 +134,25 @@ def bounded_membership(p: PluckerVector, y: TropVector) -> bool:
     return not M.loops() and not M.coloops()
 
 
-def decomposition_cone(A: TropMatrix, tau, J) -> Polyhedron:
-    """(F ⊙ A) + R_{>=0}{e_j : j ∈ J} as a polyhedron in the y-coordinates.
+def decomposition_cone(A: TropMatrix, tau, J) -> Polytrope:
+    """(F ⊙ A) + R_{>=0}{e_j : j ∈ J} as a polytrope in the y-coordinates.
 
     F is the cell with covector edge set tau.  The graph of the tropical
     map over the closed cell is a difference system on the nodes y_1..y_n,
     x_1..x_d: the cell's bounds on x and y_j − x_i >= a_ij for each edge of
     tau, an equality for j ∉ J.  Its projection is the restriction of the
-    closed matrix to the y nodes, emitted in minimal form.
+    closed matrix to the y nodes and an origin, which nothing bounds.
     """
     d, n = A.d, A.n
     Jset = frozenset(J)
     unit, a, _ = _integer_scaled(A)
-    dbm = DifferenceBounds(n + d)  # y_j is node j − 1, x_i is node n − 1 + i
-    feasible = _closed_cell(dbm, a, tau, n - 1) is not None and all(
-        dbm.add(j - 1, n - 1 + i, -a[i - 1][j - 1])
-        and (j in Jset or dbm.add(n - 1 + i, j - 1, a[i - 1][j - 1]))
+    dbm = DifferenceBounds(1 + n + d)  # node 0 the origin, y_j node j, x_i node n + i
+    feasible = _closed_cell(dbm, a, tau, n) is not None and all(
+        dbm.add(j, n + i, -a[i - 1][j - 1])
+        and (j in Jset or dbm.add(n + i, j, a[i - 1][j - 1]))
         for i, j in sorted(tau)
     )
-    if not feasible:
-        return Polyhedron(n, eqs=[((ZERO,) * n, ONE)])
-    return Polyhedron(n, *dbm.minimal_form(range(n), unit))
+    return Polytrope(n, dbm.restrict(range(n + 1)) if feasible else None, unit)
 
 
 def _bounded_cells(A: TropMatrix):
@@ -168,17 +164,22 @@ def _bounded_cells(A: TropMatrix):
 
 
 def bounded_complex(A: TropMatrix):
-    """The cells of K(A) with the exact image polyhedra of ⊙A in R^n.
+    """The cells of K(A) with the exact image polytropes of ⊙A in R^n.
 
     The image of a cell F is its decomposition cone with J = ∅, gauge-fixed
     consistently with the arrangement cells (the image of x_1 = 0 is
-    y_j1 = a_1j1 for the least column j1 of row 1 in F)."""
+    y_j1 = a_1j1 for the least column j1 of row 1 in F), a tie of y_j1 to
+    the origin."""
     out = []
     for cell in _bounded_cells(A):
         F = cell.covector
         j1 = min(F.graph.J(1))
-        gauge = Polyhedron(A.n, eqs=[((ZERO,) * (j1 - 1) + (ONE,), A.entry(1, j1))])
-        out.append((F, decomposition_cone(A, F.edges, ()).intersect(gauge)))
+        image = decomposition_cone(A, F.edges, ())
+        c = (A.entry(1, j1) * image.unit).numerator  # unit clears every denominator of A
+        # nothing bounds y_j1 against the origin yet, so neither bound is refused
+        image.bounds.add(0, j1, c)
+        image.bounds.add(j1, 0, -c)
+        out.append((F, image))
     return out
 
 
@@ -196,7 +197,7 @@ def bounded_point_in_complex(A: TropMatrix, y: TropVector, complex_=None) -> boo
         complex_ = bounded_complex(A)
     x = residuation(y, A)
     shifted = y.shift(-x.entry(1))
-    return any(poly.contains(shifted.entries) for _, poly in complex_)
+    return any(image.contains(shifted.entries) for _, image in complex_)
 
 
 def caterpillar_check(A: TropMatrix) -> bool:

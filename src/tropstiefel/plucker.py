@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .core import INF, DomainError, TropMatrix, TropVector, scalar, scalar_str, trop_sum, trop_vanishes
+from .core import INF, DomainError, TropMatrix, TropVector, scalar, scalar_str, subset_from_key, trop_sum, trop_vanishes
 from .bipartite import (
     BipartiteGraph,
     Matroid,
@@ -211,11 +211,5 @@ def plucker_from_json(obj) -> PluckerVector:
     d, n = obj["d"], obj["n"]
     if not (type(d) is int and type(n) is int and d >= 0 and isinstance(obj["values"], dict)):
         raise DomainError("BAD_PLUCKER_JSON", "need integers d >= 0, n and a values object")
-    values = {}
-    for key, v in obj["values"].items():
-        try:
-            J = frozenset(int(t) for t in key.split(",")) if key else frozenset()
-        except ValueError:
-            raise DomainError("BAD_PLUCKER_JSON", f"bad subset key {key!r}") from None
-        values[J] = scalar(v)
+    values = {subset_from_key(key, d, n, "BAD_PLUCKER_JSON"): scalar(v) for key, v in obj["values"].items()}
     return PluckerVector(n, d, values)

@@ -1,8 +1,8 @@
 """Regular transversal matroid subdivisions D(A).
 
 Selected matroids M_y, facet enumeration via containment-maximal covectors,
-the transversal matroid polytope inequalities, interiority tests and
-subdivision equality.
+the transversal matroid polytope inequalities (as plain rows), interiority
+tests and subdivision equality.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import itertools
 from fractions import Fraction
 
 from .core import INF, DomainError, TropMatrix, TropVector
-from .geom import INFEASIBLE, LinearConstraintSystem, Polyhedron, strict_feasible
+from .geom import INFEASIBLE, LinearConstraintSystem, strict_feasible
 from .bipartite import BipartiteGraph, Matroid, transversal_matroid
 from .plucker import PluckerVector
 from .arrangement import enumerate_covectors
@@ -75,9 +75,10 @@ def facets_of_D(A: TropMatrix) -> frozenset:
     return frozenset(facets)
 
 
-def transversal_polytope_ineqs(G: BipartiteGraph) -> Polyhedron:
-    """H-representation of the transversal matroid polytope of G:
-    Σ x_j = d, 0 <= x_j <= 1, and Σ_{j∈J_I} x_j >= |I| for every I."""
+def transversal_polytope_ineqs(G: BipartiteGraph):
+    """H-representation of the transversal matroid polytope of G as rows
+    (eqs, ineqs), a·x = b and a·x >= b: Σ x_j = d, 0 <= x_j <= 1, and
+    Σ_{j∈J_I} x_j >= |I| for every I."""
     n, d = G.n, G.d
     eqs = [((ONE,) * n, Fraction(d))]
     ineqs = []
@@ -95,7 +96,7 @@ def transversal_polytope_ineqs(G: BipartiteGraph) -> Polyhedron:
             for j in cols:
                 co[j - 1] = ONE
             ineqs.append((tuple(co), Fraction(r)))
-    return Polyhedron(n, eqs=eqs, ineqs=ineqs)
+    return eqs, ineqs
 
 
 def is_interior_cell(M: Matroid) -> bool:

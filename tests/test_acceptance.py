@@ -8,6 +8,7 @@ import time
 from fractions import Fraction
 from functools import reduce
 
+from polyhedra import Polyhedron
 from tropstiefel.arrangement import Covector, enumerate_covectors, is_trop_singular
 from tropstiefel.bipartite import (
     BipartiteGraph,
@@ -18,7 +19,7 @@ from tropstiefel.bipartite import (
     uniform_matroid,
 )
 from tropstiefel.core import INF, TropMatrix, TropVector, vec_mat_mul
-from tropstiefel.geom import Polyhedron, lp_solve
+from tropstiefel.geom import lp_solve
 from tropstiefel.linspace import (
     bounded_complex,
     caterpillar_check,
@@ -103,9 +104,10 @@ def test_standard_plane_golden():
 
         cells = bounded_complex(STAIR)
         assert len(cells) == 1
-        poly = cells[0][1]
-        assert poly.affine_dimension() == 0
-        assert norm(poly.vertices()[0]) == (0, 0, 0, 0)
+        image = cells[0][1]
+        poly = Polyhedron(4, *image.rows())
+        assert poly.affine_dimension() == 0 == image.dim()
+        assert norm(poly.vertices()[0]) == (0, 0, 0, 0) == norm(image.point())
 
         cert = decompose(STAIR, TropVector([0, 1, 1, 0]))
         assert cert is not None and cert.J == frozenset({2, 3})
@@ -204,8 +206,10 @@ def test_nonfacial_intersection_golden():
         assert colwise_dragon_condition(BipartiteGraph(d, n, tau1), J1)
         assert colwise_dragon_condition(BipartiteGraph(d, n, tau2), J2)
 
-        C1 = decomposition_cone(A, tau1, J1)
-        C2 = decomposition_cone(A, tau2, J2)
+        cone1 = decomposition_cone(A, tau1, J1)
+        cone2 = decomposition_cone(A, tau2, J2)
+        assert cone1.dim() == cone2.dim() == 8
+        C1, C2 = Polyhedron(12, *cone1.rows()), Polyhedron(12, *cone2.rows())
         assert C1.affine_dimension() == 8
         assert C2.affine_dimension() == 8
 
@@ -231,6 +235,7 @@ def test_nonfacial_intersection_golden():
 
         z = inter.relative_interior_point()
         assert in_relint(C1, z) and in_relint(C2, z)
+        assert cone1.contains(z) and cone2.contains(z)
 
 
 # -- 4 ----------------------------------------------------------------------
@@ -406,7 +411,7 @@ def test_polytope_exactness():
                 if rng.random() < 0.55
             ]
             G = BipartiteGraph(d, n, edges)
-            P = transversal_polytope_ineqs(G)
+            P = Polyhedron(n, *transversal_polytope_ineqs(G))
             M = transversal_matroid(G)
             expected = {tuple(sorted(b)) for b in M.bases}
             got = {

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from polyhedra import Polyhedron
 from tropstiefel.arrangement import (
     ArrangementComplex,
     Covector,
@@ -18,7 +19,6 @@ from tropstiefel.arrangement import (
 )
 from tropstiefel.bipartite import BipartiteGraph, matching_multifield, Matching
 from tropstiefel.core import DomainError, INF, TropMatrix, TropVector
-from tropstiefel.geom import Polyhedron
 
 FIG = TropMatrix([[0, 3, 0, "inf", "inf"], ["inf", 0, 0, 2, "inf"], ["inf", "inf", 0, 0, 0]])
 STAIR = TropMatrix([[0, 0, "inf", "inf"], ["inf", 0, 0, "inf"], ["inf", "inf", 0, 0]])

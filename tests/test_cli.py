@@ -288,6 +288,15 @@ def test_malformed_json_shapes_exit_code(tmp_path):
         (["support-set"], {"d": True, "n": 2, "edges": [[1, 1], [1, 2]]}, "BAD_GRAPH_JSON"),
         (["plucker-check"], {"d": True, "n": 2, "values": {"1": 0, "2": 1}}, "BAD_PLUCKER_JSON"),
         (["coherent"], {"d": True, "n": 2, "choices": {"1": [[[1, 1]]], "2": [[[1, 2]]]}}, "BAD_MULTIFIELD_JSON"),
+        # a subset key is d distinct ASCII decimal indices in [n], comma-separated
+        (["plucker-check"], {"d": 1, "n": 2, "values": {"1": 0, "0_2": 1}}, "BAD_PLUCKER_JSON"),
+        (["plucker-check"], {"d": 1, "n": 2, "values": {"1": 0, " 2 ": 1}}, "BAD_PLUCKER_JSON"),
+        (["plucker-check"], {"d": 1, "n": 2, "values": {"1": 0, "+2": 1}}, "BAD_PLUCKER_JSON"),
+        (["plucker-check"], {"d": 1, "n": 2, "values": {"1": 0, "2": 1, "3": 5}}, "BAD_PLUCKER_JSON"),
+        (["plucker-check"], {"d": 2, "n": 2, "values": {"1,2": 0, "1,1": 1}}, "BAD_PLUCKER_JSON"),
+        (["coherent"], {"d": 1, "n": 2, "choices": {"1": [[[1, 1]]], "0_2": [[[1, 2]]]}}, "BAD_MULTIFIELD_JSON"),
+        (["coherent"], {"d": 1, "n": 2, "choices": {"1": [[[1, 1]]], "2": [[[1, 2]]], "3": [[[1, 3]]]}},
+         "BAD_MULTIFIELD_JSON"),
     ]
     for command, obj, code in cases:
         path = write_input(tmp_path, obj)

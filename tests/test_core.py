@@ -14,6 +14,7 @@ from tropstiefel.core import (
     residuation,
     scalar,
     scalar_str,
+    subset_from_key,
     vec_mat_mul,
     vector_from_json,
     vector_to_json,
@@ -118,3 +119,16 @@ def test_json_roundtrip():
     assert matrix_from_json(obj) == STAIR
     y = TropVector([Fraction(1, 2), INF, -3])
     assert vector_from_json(vector_to_json(y)) == y
+
+
+def test_subset_keys():
+    assert subset_from_key("3,1", 2, 3, "X") == frozenset({1, 3})
+    assert subset_from_key("01", 1, 2, "X") == frozenset({1})
+    assert subset_from_key("", 0, 2, "X") == frozenset()
+    # not d distinct indices of [n] in ASCII digits joined by commas
+    for key, d in [("0_2", 1), (" 1 ", 1), ("+2", 1), ("3", 1), ("0", 1), ("1,1", 2), ("1", 2),
+                   ("1,2", 1), ("", 1), ("1,", 1), ("1,,2", 2), ("\u0661", 1), ("\u00b9", 1), ("1", 0),
+                   ("9" * 5000, 1)]:
+        with pytest.raises(DomainError) as exc:
+            subset_from_key(key, d, 2, "X")
+        assert exc.value.code == "X"

@@ -1,10 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from tropstiefel.arrangement import covector_of_point
-from tropstiefel.bipartite import colwise_dragon_condition, transversal_matroid
+from polyhedra import Polyhedron
+from tropstiefel.arrangement import covector_of_point, enumerate_covectors, in_K
+from tropstiefel.bipartite import BipartiteGraph, colwise_dragon_condition, transversal_matroid, uniform_matroid
 from tropstiefel.core import (
     DomainError,
     INF,
@@ -131,7 +134,8 @@ def test_decompose_certificates_against_cones_and_circuits():
                 assert not contains(p, y)
                 continue
             found += 1
-            assert decomposition_cone(A, cert.covector.edges, cert.J).contains(y.entries)
+            cone = decomposition_cone(A, cert.covector.edges, cert.J)
+            assert Polyhedron(n, *cone.rows()).contains(y.entries) and cone.contains(y.entries)
             image = vec_mat_mul(cert.x, A)
             assert all(image.entry(j) + cert.slack.entry(j) == y.entry(j) for j in range(1, n + 1))
             assert covector_of_point(A, cert.x).edges >= cert.covector.edges
@@ -194,8 +198,10 @@ def norm(entries):
 def test_bounded_complex_two_row():
     cells = bounded_complex(TWO_ROW)
     assert len(cells) == 3
-    points = [poly for _, poly in cells if poly.affine_dimension() == 0]
-    segments = [poly for _, poly in cells if poly.affine_dimension() == 1]
+    polys = [Polyhedron(4, *image.rows()) for _, image in cells]
+    assert [P.affine_dimension() for P in polys] == [image.dim() for _, image in cells]
+    points = [poly for poly in polys if poly.affine_dimension() == 0]
+    segments = [poly for poly in polys if poly.affine_dimension() == 1]
     assert len(points) == 2 and len(segments) == 1
     verts = {norm(P.vertices()[0]) for P in points}
     assert verts == {(0, 0, 0, 0), (0, 0, 1, 1)}
@@ -207,9 +213,10 @@ def test_bounded_complex_two_row():
 def test_bounded_complex_stair():
     cells = bounded_complex(STAIR)
     assert len(cells) == 1
-    poly = cells[0][1]
-    assert poly.affine_dimension() == 0
-    assert norm(poly.vertices()[0]) == (0, 0, 0, 0)
+    image = cells[0][1]
+    poly = Polyhedron(4, *image.rows())
+    assert poly.affine_dimension() == 0 == image.dim()
+    assert norm(poly.vertices()[0]) == (0, 0, 0, 0) == norm(image.point())
 
 
 def test_bounded_complex_matches_interior_census():
@@ -233,8 +240,6 @@ def test_image_cells_against_their_cells():
     """⊙A is injective on cells of B(A), so each image cell of the bounded
     complex has the dimension of its cell of TC(A) and holds the image of
     that cell's witness."""
-    from tropstiefel.arrangement import enumerate_covectors
-
     rng = random.Random(59)
     checked = 0
     for _ in range(150):
@@ -252,8 +257,10 @@ def test_image_cells_against_their_cells():
         tc = enumerate_covectors(A)
         for covector, image in cells:
             cell = tc.cell_of(covector)
-            assert image.affine_dimension() == cell.dim
-            assert image.contains(vec_mat_mul(TropVector(cell.point), A).entries)
+            poly = Polyhedron(n, *image.rows())
+            y = vec_mat_mul(TropVector(cell.point), A).entries
+            assert poly.affine_dimension() == cell.dim == image.dim()
+            assert poly.contains(y) and image.contains(y)
             checked += 1
     assert checked > 200
 
@@ -269,15 +276,18 @@ def test_bounded_point_in_complex():
 
 def test_decomposition_cone():
     vertex = frozenset([(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4)])
-    C = decomposition_cone(STAIR, vertex, {2, 3})
-    assert C.contains((0, 1, 1, 0))
-    assert C.contains((0, 0, 0, 0))  # closure includes zero slack
-    assert not C.contains((-1, 0, 0, 0))
-    C0 = decomposition_cone(STAIR, vertex, frozenset())
+    cone = decomposition_cone(STAIR, vertex, {2, 3})
+    for C in (cone, Polyhedron(4, *cone.rows())):
+        assert C.contains((0, 1, 1, 0))
+        assert C.contains((0, 0, 0, 0))  # closure includes zero slack
+        assert not C.contains((-1, 0, 0, 0))
+    cone0 = decomposition_cone(STAIR, vertex, frozenset())
+    P0 = Polyhedron(4, *cone0.rows())
     # the image of the vertex cell is the projective point 0
-    assert C0.affine_dimension() == 1
-    assert C0.contains((2, 2, 2, 2))
-    assert not C0.contains((0, 1, 1, 0))
+    assert cone0.dim() == P0.affine_dimension() == 1
+    for C0 in (cone0, P0):
+        assert C0.contains((2, 2, 2, 2))
+        assert not C0.contains((0, 1, 1, 0))
 
 
 def test_caterpillar_examples():
@@ -312,3 +322,57 @@ def test_certificate_json():
     assert obj["J"] == [2, 3]
     assert obj["x"] == ["0", "0", "0"]
     assert obj["slack"] == ["0", "1", "1", "0"]
+
+
+ENTRIES = st.sampled_from([INF, INF] + [Fraction(k, 2) for k in range(-6, 7)])
+
+
+@st.composite
+def cones(draw):
+    """A matrix with d <= 3, n <= 6, entries in halves and ∞, a cell of
+    TC(A) and a column set J passing the column-wise dragon condition."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d, 6))
+    A = TropMatrix(draw(st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=d, max_size=d)))
+    assume(all(A.col_support(j) for j in range(1, n + 1)))
+    cell = draw(st.sampled_from(enumerate_covectors(A).cells))
+    subsets = [J for r in range(n + 1) for J in itertools.combinations(range(1, n + 1), r)
+               if colwise_dragon_condition(cell.covector.graph, J)]
+    return A, cell, frozenset(draw(st.sampled_from(subsets)))
+
+
+def nearby(y):
+    """y, and y moved by ±1/2 in each coordinate and along (1, ..., 1)."""
+    half = Fraction(1, 2)
+    out = [y]
+    for s in (half, -half):
+        out += [y[:j] + (y[j] + s,) + y[j + 1:] for j in range(len(y))]
+        out.append(tuple(v + s for v in y))
+    return out
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(cones())
+def test_polytrope_against_the_reference_polyhedron(case):
+    """A cone's tie-class dimension and bound lookups against a general
+    H-polyhedron on its rows; an image cell's against its cell of TC(A) and
+    against the J = ∅ cone's rows with the gauge y_j1 = a_1j1 as an explicit
+    row."""
+    A, cell, J = case
+    n = A.n
+    y = vec_mat_mul(TropVector(cell.point), A).entries  # in every cone of the cell: zero slack
+    cone = decomposition_cone(A, cell.covector.edges, J)
+    P = Polyhedron(n, *cone.rows())
+    assert cone.dim() == P.affine_dimension()
+    assert cone.contains(y) and P.contains(cone.point())
+    for z in nearby(y):
+        assert cone.contains(z) == P.contains(z)
+    if not in_K(cell.covector) or transversal_matroid(BipartiteGraph.from_support(A)) != uniform_matroid(A.d, n):
+        return
+    image = dict(bounded_complex(A))[cell.covector]
+    j1 = min(cell.covector.graph.J(1))
+    gauge = Polyhedron(n, eqs=[(tuple(int(j == j1) for j in range(1, n + 1)), A.entry(1, j1))])
+    Q = Polyhedron(n, *decomposition_cone(A, cell.covector.edges, ()).rows()).intersect(gauge)
+    assert image.dim() == cell.dim == Q.affine_dimension() == Polyhedron(n, *image.rows()).affine_dimension()
+    for z in nearby(y):
+        assert image.contains(z) == Q.contains(z)

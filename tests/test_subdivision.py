@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from polyhedra import Polyhedron
 from tropstiefel.bipartite import BipartiteGraph, Matroid, transversal_matroid, uniform_matroid
 from tropstiefel.core import DomainError, INF, TropMatrix, TropVector
 from tropstiefel.plucker import stiefel_map
@@ -76,13 +77,13 @@ def test_facets_examples():
 
 def test_transversal_polytope_empty_when_hall_fails():
     G = BipartiteGraph(2, 3, [(1, 1), (2, 1)])
-    P = transversal_polytope_ineqs(G)
+    P = Polyhedron(3, *transversal_polytope_ineqs(G))
     assert P.is_empty()
 
 
 def test_transversal_polytope_01_points():
     G = BipartiteGraph(2, 4, [(1, 1), (1, 2)] + [(2, j) for j in range(1, 5)])
-    P = transversal_polytope_ineqs(G)
+    P = Polyhedron(4, *transversal_polytope_ineqs(G))
     M = transversal_matroid(G)
     pts = {
         J
@@ -93,7 +94,7 @@ def test_transversal_polytope_01_points():
 
 
 def test_transversal_polytope_hypersimplex():
-    P = transversal_polytope_ineqs(BipartiteGraph.from_support(FIG))
+    P = Polyhedron(5, *transversal_polytope_ineqs(BipartiteGraph.from_support(FIG)))
     verts = P.vertices()
     expected = sorted(
         tuple(Fraction(1) if j in J else Fraction(0) for j in range(1, 6))
