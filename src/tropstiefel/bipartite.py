@@ -5,7 +5,9 @@ multifields and their coherence, support-set predicates, transversal
 matroids, and the first-Betti-number dimension formula.  One matching engine
 (``optimal_matchings``) answers which column sets can be matched and how
 well: the Stiefel map, multifields, coherence, transversal matroids and
-tropical singularity.  One augmenting-path matcher (``_max_matching_size``)
+tropical singularity; it refuses up front a table of more than
+``MATCHING_BUDGET`` column sets.  Coherence is one ``geom.argmin_witness``
+question.  One augmenting-path matcher (``_max_matching_size``)
 answers the maximum matching over all columns, and one union-find
 (``components``) every component count, here and in ``arrangement`` and
 ``linspace``.
@@ -15,12 +17,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
+import math
 
 from .core import INF, DomainError, TropMatrix, subset_from_key
-from .geom import INFEASIBLE, LinearConstraintSystem, strict_feasible
-
-ZERO = Fraction(0)
+from .geom import argmin_witness
 
 
 class BipartiteGraph:
@@ -233,6 +233,9 @@ def uniform_matroid(d, n):
 # The matching engine: optimal matchings and multifields
 # ---------------------------------------------------------------------------
 
+MATCHING_BUDGET = 10 ** 5  # column sets the matching engine may hold
+
+
 def optimal_matchings(rows, cols, limit=None):
     """The matching engine on the d = len(rows) rows of a weight matrix.
 
@@ -241,7 +244,15 @@ def optimal_matchings(rows, cols, limit=None):
     finite entries can match, built one row at a time and shared by every
     d-set: Σ_{k<d} C(n, k)·(n − k) steps, n = |cols|.  ``argmins(S)`` lists
     the optimal matchings onto a key S of ``best`` as column tuples in row
-    order, at most ``limit`` of them, by backtracking memoised per S."""
+    order, at most ``limit`` of them, by backtracking memoised per S.
+    DomainError BUDGET_EXCEEDED, before any work, when the Σ_{k≤d} C(n, k)
+    column sets of the table exceed ``MATCHING_BUDGET``."""
+    states = sum(math.comb(len(cols), k) for k in range(len(rows) + 1))
+    if states > MATCHING_BUDGET:
+        raise DomainError(
+            "BUDGET_EXCEEDED",
+            f"{len(rows)} rows on {len(cols)} columns give {states} column sets, budget {MATCHING_BUDGET}",
+        )
     best = {frozenset(): 0}
     layer = best.copy()
     for row in rows:
@@ -305,33 +316,24 @@ def matching_multifield(A: TropMatrix) -> MatchingMultifield:
 def is_coherent(multifield: MatchingMultifield):
     """A witness matrix A with matching_multifield(A) = Λ, or None.
 
-    Feasibility over one unknown weight per support edge: chosen matchings
-    on each J tie, and beat every other supported matching on J strictly.
-    The supported matchings on J are the optimal ones of the support's 0/∞
-    matrix, on which each of them weighs 0.
+    One unknown weight per support edge and one ``argmin_witness`` group
+    per J: the chosen matchings on J are exactly the lightest of the
+    supported matchings on J, each an incidence vector over the support
+    with height 0.  The supported matchings on J are the optimal ones of the
+    support's 0/∞ matrix, on which each of them weighs 0.
     """
     support = sorted(multifield.support())
     index = {e: k for k, e in enumerate(support)}
     rows = _zero_inf_rows(multifield.d, multifield.n, index)
     supported = optimal_matchings(rows, range(1, multifield.n + 1))[1]
-    dim = len(support)
-
-    def difference(m: Matching, ref: Matching):
-        v = [ZERO] * dim
-        for e in m.edges:
-            v[index[e]] += 1
-        for e in ref.edges:
-            v[index[e]] -= 1
-        return tuple(v), ZERO
-
-    eqs, gts = [], []
+    pair = lambda m: (tuple(int(m.cols[i - 1] == j) for i, j in support), 0)
+    groups = []
     for J in sorted(multifield.choices, key=lambda s: tuple(sorted(s))):
-        ref, *tied = sorted(multifield[J], key=lambda m: m.key())
-        eqs += [difference(m, ref) for m in tied]
-        gts += [difference(m, ref) for m in map(Matching, sorted(supported(J))) if m not in multifield[J]]
-
-    witness = strict_feasible(LinearConstraintSystem(dim, eqs=eqs, gts=gts))
-    if witness is INFEASIBLE:
+        chosen = sorted(multifield[J], key=lambda m: m.key())
+        others = [m for m in map(Matching, sorted(supported(J))) if m not in multifield[J]]
+        groups.append(([pair(m) for m in chosen], [pair(m) for m in others]))
+    witness = argmin_witness(len(support), groups)
+    if witness is None:
         return None
 
     entries = [[INF] * multifield.n for _ in range(multifield.d)]
@@ -469,8 +471,6 @@ def spanning_tree_no_left_leaves(G: BipartiteGraph, budget=10 ** 5) -> Bipartite
             raise DomainError("EDGE_NOT_MATCHABLE", f"edge {(i, j)} lies in no matching")
     edges = sorted(G.edges)
     need = G.d + G.n - 1
-    import math
-
     if math.comb(len(edges), need) > budget:
         raise DomainError("BUDGET_EXCEEDED", "spanning-tree search too large")
     for subset in itertools.combinations(edges, need):
@@ -561,4 +561,6 @@ def multifield_from_json(obj) -> MatchingMultifield:
             choices[J] = frozenset(ms)
     except (TypeError, ValueError, OverflowError):
         raise DomainError("BAD_MULTIFIELD_JSON", "choices must map 'j1,...,jd' to lists of edge lists") from None
+    if len(choices) != len(obj["choices"]):
+        raise DomainError("BAD_MULTIFIELD_JSON", "two keys name one subset")
     return MatchingMultifield(d, n, choices)

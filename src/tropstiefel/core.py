@@ -290,10 +290,9 @@ def matrix_from_json(obj) -> TropMatrix:
     if not all(isinstance(row, list) for row in obj["entries"]):
         raise DomainError("BAD_MATRIX_JSON", "entries must be a list of rows")
     A = TropMatrix(obj["entries"])
-    if "d" in obj and obj["d"] != A.d:
-        raise DomainError("BAD_MATRIX_JSON", "declared d does not match entries")
-    if "n" in obj and obj["n"] != A.n:
-        raise DomainError("BAD_MATRIX_JSON", "declared n does not match entries")
+    for key, size in (("d", A.d), ("n", A.n)):
+        if key in obj and not (type(obj[key]) is int and obj[key] == size):
+            raise DomainError("BAD_MATRIX_JSON", f"declared {key} is not the integer {size} of the entries")
     return A
 
 

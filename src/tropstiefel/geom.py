@@ -13,11 +13,17 @@ Systems mix equalities, weak and strict inequalities.  Two engines:
   restriction of weak bounds to an origin and the coordinates: it answers
   dimension, membership and a witness point by lookups, and emits its rows
   in minimal form;
-* a two-phase exact simplex with Bland's rule over Fractions for the
-  systems that are not differences (coherence witnesses, cell existence in
-  the hypersimplex subdivision).  There each strict constraint a·x > b is
-  relaxed to a·x >= b + ε and ε is maximized; the system is strictly
-  feasible iff the optimum has ε > 0.
+* a two-phase exact simplex with Bland's rule over Fractions for the one
+  question that is not a difference system: ``argmin_witness``, a linear
+  height under which chosen points are exactly the argmins.  Coherence of a
+  matching multifield (a cone of the secondary fan of the product of maximal
+  minors) and a cell of the regular subdivision of Δ(d, n) are both this
+  question.  Each strict row a·x > b is relaxed to a·x >= b + ε and ε is
+  maximized; the system is strictly feasible iff the optimum has ε > 0.
+
+``strict_feasible`` answers a system of plain rows (a, b) by the first
+engine when every row is a difference and by the simplex otherwise, with
+None for no solution.
 """
 
 from __future__ import annotations
@@ -27,51 +33,6 @@ from fractions import Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-class _Infeasible:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Infeasible"
-
-    def __bool__(self):
-        return False
-
-
-INFEASIBLE = _Infeasible()
-
-
-def _vec(coeffs, dim):
-    v = [ZERO] * dim
-    for k, c in enumerate(coeffs):
-        v[k] = Fraction(c)
-    return tuple(v)
-
-
-class LinearConstraintSystem:
-    """Equalities a·x = b, weak inequalities a·x >= b, strict a·x > b."""
-
-    __slots__ = ("dim", "eqs", "ges", "gts")
-
-    def __init__(self, dim, eqs=(), ges=(), gts=()):
-        self.dim = dim
-        self.eqs = tuple((_vec(a, dim), Fraction(b)) for a, b in eqs)
-        self.ges = tuple((_vec(a, dim), Fraction(b)) for a, b in ges)
-        self.gts = tuple((_vec(a, dim), Fraction(b)) for a, b in gts)
-
-    def satisfied_by(self, x):
-        dot = lambda a: sum(c * v for c, v in zip(a, x))
-        return (
-            all(dot(a) == b for a, b in self.eqs)
-            and all(dot(a) >= b for a, b in self.ges)
-            and all(dot(a) > b for a, b in self.gts)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +299,8 @@ class Polytrope:
         )
 
     def point(self):
-        """A point of the set, or INFEASIBLE."""
-        return INFEASIBLE if self.bounds is None else self.bounds.point(self.unit)[1:]
+        """A point of the set, or None."""
+        return None if self.bounds is None else self.bounds.point(self.unit)[1:]
 
     def rows(self):
         """(eqs, ineqs): equalities a·z = b and inequalities a·z >= b in
@@ -349,11 +310,11 @@ class Polytrope:
         return self.bounds.minimal_form(self.unit)
 
 
-def _difference_bounds(sys: LinearConstraintSystem):
-    """The system as bounds (u, v, b, strict): x_v − x_u ≤ b, or < b.
+def _difference_bounds(eqs, ges, gts):
+    """The rows as bounds (u, v, b, strict): x_v − x_u ≤ b, or < b.
 
     Node 0 is an origin fixed at 0; variable k is node k + 1.  Returns None
-    if some constraint is not of difference form.
+    if some row is not of difference form.
     """
 
     def nodes(a):
@@ -370,7 +331,7 @@ def _difference_bounds(sys: LinearConstraintSystem):
                 return None
         return u, v
 
-    ties, weak, strict = ([(nodes(a), b) for a, b in rows] for rows in (sys.eqs, sys.ges, sys.gts))
+    ties, weak, strict = ([(nodes(a), b) for a, b in rows] for rows in (eqs, ges, gts))
     if any(uv is None for uv, _ in ties + weak + strict):
         return None
     # a·x >= b is x_u − x_v <= −b, and a·x <= b is x_v − x_u <= b
@@ -381,30 +342,47 @@ def _difference_bounds(sys: LinearConstraintSystem):
     )
 
 
-def strict_feasible(sys: LinearConstraintSystem):
-    """An exact point satisfying the system (strict constraints strictly),
-    or INFEASIBLE."""
-    bounds = _difference_bounds(sys)
+def strict_feasible(dim, eqs=(), ges=(), gts=()):
+    """An exact x meeting the rows (a, b), each a of length ``dim`` and b
+    rational: a·x = b for ``eqs``, a·x >= b for ``ges`` and a·x > b for
+    ``gts``; None when there is none."""
+    bounds = _difference_bounds(eqs, ges, gts)
     if bounds is not None:
         unit = math.lcm(*(b.denominator for _, _, b, _ in bounds))
-        dbm = DifferenceBounds(sys.dim + 1)
+        dbm = DifferenceBounds(dim + 1)
         for u, v, b, strict in bounds:
             if not dbm.add(u, v, b.numerator * (unit // b.denominator), strict):
-                return INFEASIBLE
+                return None
         return dbm.point(unit)[1:]
 
     # General path: maximize ε with strict constraints relaxed to >= b + ε.
-    dim = sys.dim + 1
-    eqs = [(a + (ZERO,), b) for a, b in sys.eqs]
-    ges = [(a + (ZERO,), b) for a, b in sys.ges]
-    for a, b in sys.gts:
-        ges.append((a + (-ONE,), b))
-    ges.append((tuple([ZERO] * sys.dim) + (-ONE,), -ONE))  # ε <= 1
-    obj = [ZERO] * sys.dim + [ONE]
-    status, point, value = lp_solve(dim, eqs, ges, obj)
+    status, point, value = lp_solve(
+        dim + 1,
+        [(tuple(a) + (ZERO,), b) for a, b in eqs],
+        [(tuple(a) + (ZERO,), b) for a, b in ges]
+        + [(tuple(a) + (-ONE,), b) for a, b in gts]
+        + [((ZERO,) * dim + (-ONE,), -ONE)],  # ε <= 1
+        [ZERO] * dim + [ONE],
+    )
     if status == "infeasible" or (status == "optimal" and value <= 0):
-        return INFEASIBLE
-    x = point[: sys.dim]
-    if not sys.satisfied_by(x):  # pragma: no cover - sanity
+        return None
+    x = point[:dim]
+    dot = lambda a: sum(c * v for c, v in zip(a, x))
+    if not (all(dot(a) == b for a, b in eqs) and all(dot(a) >= b for a, b in ges)
+            and all(dot(a) > b for a, b in gts)):  # pragma: no cover - sanity
         raise AssertionError("simplex point fails the system it solves")
     return x
+
+
+def argmin_witness(dim, groups):
+    """A point w at which, in every group (chosen, others) of lists of
+    (vector, height) pairs, each chosen pair attains the minimum of
+    height + vector·w and each other pair exceeds it; None when there is
+    no such w.  The rows are taken against the group's first chosen pair:
+    an equality per further chosen pair, a strict inequality per other."""
+    eqs, gts = [], []
+    for ((v0, h0), *tied), others in groups:
+        rel = lambda v: tuple(x - y for x, y in zip(v, v0))
+        eqs += [(rel(v), h0 - h) for v, h in tied]
+        gts += [(rel(v), h0 - h) for v, h in others]
+    return strict_feasible(dim, eqs=eqs, gts=gts)

@@ -1,9 +1,9 @@
 """Tropical Plücker vectors.
 
 The Stiefel map (tropical maximal minors, from the matching engine), the
-Plücker relations of every (d−1)-set and (d+1)-set, duality, stable
-intersection and union, underlying matroids, cocircuits and matrix recovery
-from a support set.
+Plücker relations of every (d−1)-set and (d+1)-set, duality, stable union
+and stable intersection (the dual of the stable union of the duals),
+underlying matroids, cocircuits and matrix recovery from a support set.
 """
 
 from __future__ import annotations
@@ -113,23 +113,9 @@ def dual(p: PluckerVector) -> PluckerVector:
 
 
 def stable_intersection(p: PluckerVector, q: PluckerVector) -> PluckerVector:
-    """r_T = min over R ∩ S = T of p_R + q_S, of rank d + e − n."""
-    if p.n != q.n or p.d + q.d < p.n:
-        raise DomainError("RANK_CONDITION", "requires d + e >= n on a common [n]")
-    n = p.n
-    rank = p.d + q.d - n
-    ground = frozenset(range(1, n + 1))
-    values = {}
-    for T in _subsets(n, rank):
-        Tset = frozenset(T)
-        rest = sorted(ground - Tset)
-        terms = []
-        for extra in itertools.combinations(rest, p.d - rank):
-            R = Tset | frozenset(extra)
-            S = Tset | (ground - R)
-            terms.append(p[R] + q[S])
-        values[Tset] = trop_sum(terms)
-    return PluckerVector(n, rank, values)
+    """r_T = min over R ∩ S = T, R ∪ S = [n] of p_R + q_S, of rank
+    d + e − n: the dual of the stable union of the duals."""
+    return dual(stable_union(dual(p), dual(q)))
 
 
 def stable_union(p: PluckerVector, q: PluckerVector) -> PluckerVector:
@@ -212,4 +198,6 @@ def plucker_from_json(obj) -> PluckerVector:
     if not (type(d) is int and type(n) is int and d >= 0 and isinstance(obj["values"], dict)):
         raise DomainError("BAD_PLUCKER_JSON", "need integers d >= 0, n and a values object")
     values = {subset_from_key(key, d, n, "BAD_PLUCKER_JSON"): scalar(v) for key, v in obj["values"].items()}
+    if len(values) != len(obj["values"]):
+        raise DomainError("BAD_PLUCKER_JSON", "two keys name one subset")
     return PluckerVector(n, d, values)

@@ -2,7 +2,8 @@
 
 Selected matroids M_y, facet enumeration via containment-maximal covectors,
 the transversal matroid polytope inequalities (as plain rows), interiority
-tests and subdivision equality.
+tests, subdivision equality, and cell existence as one
+``geom.argmin_witness`` question.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import itertools
 from fractions import Fraction
 
 from .core import INF, DomainError, TropMatrix, TropVector
-from .geom import INFEASIBLE, LinearConstraintSystem, strict_feasible
+from .geom import argmin_witness
 from .bipartite import BipartiteGraph, Matroid, transversal_matroid
 from .plucker import PluckerVector
 from .arrangement import enumerate_covectors
@@ -114,32 +115,15 @@ def subdivisions_equal(A: TropMatrix, B: TropMatrix) -> bool:
 
 
 def cell_exists(p: PluckerVector, bases) -> bool:
-    """Is there a y selecting exactly this basis set as its argmin?"""
+    """Is there a y selecting exactly this basis set as its argmin?  One
+    ``argmin_witness`` group: the bases against the other finite J, each
+    the pair (−1_J, p_J), so that height + vector·y = p_J − Σ_{j∈J} y_j."""
     bases = [frozenset(b) for b in bases]
-    if not bases:
+    if not bases or any(p[b] is INF for b in bases):
         return False
-    finite = [(J, v) for J, v in p.values.items() if v is not INF]
-    if any(p[b] is INF for b in bases):
-        return False
-
-    def row(J):
-        co = [ZERO] * p.n
-        for j in J:
-            co[j - 1] = -ONE
-        return tuple(co)
-
-    ref = bases[0]
-    refrow = row(ref)
-    refval = p[ref]
-    eqs, gts = [], []
-    for b in bases[1:]:
-        eqs.append((tuple(x - y for x, y in zip(row(b), refrow)), refval - p[b]))
-    chosen = set(bases)
-    for J, v in finite:
-        if J in chosen:
-            continue
-        gts.append((tuple(x - y for x, y in zip(row(J), refrow)), refval - v))
-    return strict_feasible(LinearConstraintSystem(p.n, eqs=eqs, gts=gts)) is not INFEASIBLE
+    pair = lambda J: (tuple(-1 if j in J else 0 for j in range(1, p.n + 1)), p[J])
+    others = [pair(J) for J, v in p.values.items() if v is not INF and J not in bases]
+    return argmin_witness(p.n, [([pair(b) for b in bases], others)]) is not None
 
 
 def facets_to_json(facets) -> list:

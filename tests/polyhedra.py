@@ -11,10 +11,29 @@ enumeration.  Meant for desk-scale inputs only.
 import itertools
 from fractions import Fraction
 
-from tropstiefel.geom import INFEASIBLE, LinearConstraintSystem, _pivot, _vec, strict_feasible
+from tropstiefel.geom import _pivot, strict_feasible
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_UNSET = object()  # a cached answer not yet computed (None is "no point")
+
+
+def _vec(coeffs, dim):
+    v = [ZERO] * dim
+    for k, c in enumerate(coeffs):
+        v[k] = Fraction(c)
+    return tuple(v)
+
+
+def satisfied_by(x, eqs=(), ges=(), gts=()):
+    """Does x meet a·x = b for ``eqs``, a·x >= b for ``ges`` and a·x > b
+    for ``gts``?"""
+    dot = lambda a: sum(c * v for c, v in zip(a, x))
+    return (
+        all(dot(a) == b for a, b in eqs)
+        and all(dot(a) >= b for a, b in ges)
+        and all(dot(a) > b for a, b in gts)
+    )
 
 
 def row_reduce(rows):
@@ -76,9 +95,9 @@ class Polyhedron:
         self.dim = dim
         self.eqs = tuple((_vec(a, dim), Fraction(b)) for a, b in eqs)
         self.ineqs = tuple((_vec(a, dim), Fraction(b)) for a, b in ineqs)
-        self._point = None
+        self._point = _UNSET
         self._implicit = None
-        self._relint = None
+        self._relint = _UNSET
         self._dim = None
 
     def system(self, tight=(), strict=()):
@@ -87,18 +106,18 @@ class Polyhedron:
         eqs = list(self.eqs) + [self.ineqs[i] for i in tight]
         ges = [c for i, c in enumerate(self.ineqs) if i not in tight and i not in strict]
         gts = [self.ineqs[i] for i in strict]
-        return LinearConstraintSystem(self.dim, eqs=eqs, ges=ges, gts=gts)
+        return {"eqs": eqs, "ges": ges, "gts": gts}
 
     def feasible_point(self):
-        if self._point is None:
-            self._point = strict_feasible(self.system())
+        if self._point is _UNSET:
+            self._point = strict_feasible(self.dim, **self.system())
         return self._point
 
     def is_empty(self):
-        return self.feasible_point() is INFEASIBLE
+        return self.feasible_point() is None
 
     def contains(self, x):
-        return self.system().satisfied_by(x)
+        return satisfied_by(x, **self.system())
 
     def implicit_equalities(self):
         """Indices of inequalities tight on all of the polyhedron."""
@@ -108,20 +127,20 @@ class Polyhedron:
             else:
                 out = set()
                 for i in range(len(self.ineqs)):
-                    if strict_feasible(self.system(strict=(i,))) is INFEASIBLE:
+                    if strict_feasible(self.dim, **self.system(strict=(i,))) is None:
                         out.add(i)
                 self._implicit = frozenset(out)
         return self._implicit
 
     def relative_interior_point(self):
-        if self._relint is None:
+        if self._relint is _UNSET:
             if self.is_empty():
-                self._relint = INFEASIBLE
+                self._relint = None
             else:
                 imp = self.implicit_equalities()
                 loose = [i for i in range(len(self.ineqs)) if i not in imp]
-                self._relint = strict_feasible(self.system(tight=imp, strict=loose))
-                assert self._relint is not INFEASIBLE
+                self._relint = strict_feasible(self.dim, **self.system(tight=imp, strict=loose))
+                assert self._relint is not None
         return self._relint
 
     def affine_dimension(self):

@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from tropstiefel.bipartite import (
+    MATCHING_BUDGET,
     BipartiteGraph,
     Matching,
     MatchingMultifield,
@@ -21,6 +23,7 @@ from tropstiefel.bipartite import (
     min_matchings,
     multifield_from_json,
     multifield_to_json,
+    optimal_matchings,
     spanning_tree_no_left_leaves,
     support_face_dimension,
     transversal_matroid,
@@ -146,6 +149,19 @@ def test_is_coherent_roundtrip():
             assert witness is None or matching_multifield(witness) == variant
             dropped += 1
     assert dropped >= 10
+
+
+def test_matching_engine_budget():
+    # the size check comes before the table: Σ_{k≤d} C(n, k) column sets,
+    # named in the error with the budget
+    assert 4096 <= MATCHING_BUDGET < 131072
+    assert len(optimal_matchings([[0] * 12] * 12, range(1, 13))[0]) == 4096
+    for d, n in ((17, 17), (14, 40), (6, 24)):
+        states = sum(math.comb(n, k) for k in range(d + 1))
+        with pytest.raises(DomainError) as exc:
+            optimal_matchings([[0] * n] * d, range(1, n + 1))
+        assert exc.value.code == "BUDGET_EXCEEDED"
+        assert str(states) in str(exc.value) and str(MATCHING_BUDGET) in str(exc.value)
 
 
 def test_is_coherent_zero_matrix():

@@ -10,7 +10,15 @@ import pytest
 import tropstiefel.cli
 from tropstiefel.cli import main
 from tropstiefel.core import TropMatrix, matrix_from_json, matrix_to_json
-from tropstiefel.bipartite import BipartiteGraph, graph_to_json, is_support_set, matching_multifield, multifield_to_json
+from tropstiefel.bipartite import (
+    BipartiteGraph,
+    Matching,
+    MatchingMultifield,
+    graph_to_json,
+    is_support_set,
+    matching_multifield,
+    multifield_to_json,
+)
 from tropstiefel.plucker import plucker_to_json, stiefel_map
 
 STAIR = TropMatrix([[0, 0, "inf", "inf"], ["inf", 0, 0, "inf"], ["inf", "inf", 0, 0]])
@@ -297,6 +305,20 @@ def test_malformed_json_shapes_exit_code(tmp_path):
         (["coherent"], {"d": 1, "n": 2, "choices": {"1": [[[1, 1]]], "0_2": [[[1, 2]]]}}, "BAD_MULTIFIELD_JSON"),
         (["coherent"], {"d": 1, "n": 2, "choices": {"1": [[[1, 1]]], "2": [[[1, 2]]], "3": [[[1, 3]]]}},
          "BAD_MULTIFIELD_JSON"),
+        # no two keys name one subset, in either order
+        (["plucker-check"], {"d": 2, "n": 4, "values": {"1,2": 0, "1,3": 0, "1,4": 0, "2,3": 0, "2,4": 0, "3,4": 0,
+                                                        "2,1": -1}}, "BAD_PLUCKER_JSON"),
+        (["plucker-check"], {"d": 2, "n": 4, "values": {"2,1": -1, "1,2": 0, "1,3": 0, "1,4": 0, "2,3": 0, "2,4": 0,
+                                                        "3,4": 0}}, "BAD_PLUCKER_JSON"),
+        (["coherent"], {"d": 2, "n": 2, "choices": {"1,2": [[[1, 1], [2, 2]]], "2,1": [[[1, 2], [2, 1]]]}},
+         "BAD_MULTIFIELD_JSON"),
+        (["coherent"], {"d": 2, "n": 2, "choices": {"2,1": [[[1, 2], [2, 1]]], "1,2": [[[1, 1], [2, 2]]]}},
+         "BAD_MULTIFIELD_JSON"),
+        # a declared d or n of a matrix is the JSON integer of its entries
+        (["stiefel"], {"d": 2.0, "n": 3, "entries": [[0, 1, 2], [1, 0, 2]]}, "BAD_MATRIX_JSON"),
+        (["stiefel"], {"d": 2, "n": 3.0, "entries": [[0, 1, 2], [1, 0, 2]]}, "BAD_MATRIX_JSON"),
+        (["stiefel"], {"d": True, "entries": [[0, 1, 2]]}, "BAD_MATRIX_JSON"),
+        (["multifield"], {"n": "3", "entries": [[0, 1, 2]]}, "BAD_MATRIX_JSON"),
     ]
     for command, obj, code in cases:
         path = write_input(tmp_path, obj)
@@ -321,6 +343,43 @@ def test_covectors_budget_on_dense_4x8(tmp_path, capsys):
     cells = json.loads(out)
     # the relatively open cells partition R^3
     assert sum((-1) ** c["dim"] for c in cells) == -1
+
+
+def test_matching_engine_budget_on_dense_14x40(tmp_path):
+    # Σ_{k≤14} C(40, k) column sets: refused before the engine starts, so
+    # the process exits at once rather than running for minutes
+    rng = random.Random(1440)
+    dense = TropMatrix([[rng.randint(0, 9) for _ in range(40)] for _ in range(14)])
+    path = write_input(tmp_path, matrix_to_json(dense))
+    src = str(Path(tropstiefel.cli.__file__).resolve().parents[1])
+    for command in ("stiefel", "multifield"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tropstiefel.cli", command, "--input", path],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout) == {"error": "BUDGET_EXCEEDED"}
+
+
+def test_coherent_golden_stdout(tmp_path, capsys):
+    # The witness is the simplex's point, so it changes with the order of the
+    # coherence rows: a dense 2x4, a 3x5 with ∞, and the 3x5 with one of its
+    # two matchings on {2, 3, 4} dropped.
+    with_inf = matching_multifield(TropMatrix([[0, 1, "inf", 2, 0], ["1/2", 0, 0, "inf", 1], [2, "inf", 0, 1, 0]]))
+    dropped = MatchingMultifield(3, 5, {**with_inf.choices, frozenset({2, 3, 4}): {Matching((4, 2, 3))}})
+    golden = [
+        (matching_multifield(TWO_ROW),
+         '{"coherent": true, "witness": {"d": 2, "entries": [["1", "1", "0", "0"], ["0", "0", "0", "0"]], "n": 4}}'),
+        (with_inf,
+         '{"coherent": true, "witness": {"d": 3, "entries": [["0", "2", "inf", "2", "1"], ["0", "0", "0", "inf", "inf"],'
+         ' ["inf", "inf", "0", "0", "0"]], "n": 5}}'),
+        (dropped,
+         '{"coherent": true, "witness": {"d": 3, "entries": [["0", "inf", "inf", "2", "1"], ["0", "0", "0", "inf", "inf"],'
+         ' ["inf", "inf", "0", "0", "0"]], "n": 5}}'),
+    ]
+    for mf, expected in golden:
+        code, out = run(capsys, ["coherent", "--input", write_input(tmp_path, multifield_to_json(mf))])
+        assert code == 0 and out == expected + "\n"
 
 
 def test_fuzzed_json_documents_exit_cleanly(capsys, monkeypatch):

@@ -2,12 +2,11 @@ import itertools
 import random
 from fractions import Fraction
 
-from polyhedra import Polyhedron, matrix_rank, solve_affine
+from polyhedra import Polyhedron, matrix_rank, satisfied_by, solve_affine
 from tropstiefel.geom import (
-    INFEASIBLE,
     DifferenceBounds,
-    LinearConstraintSystem,
     Polytrope,
+    argmin_witness,
     lp_solve,
     strict_feasible,
 )
@@ -45,23 +44,31 @@ def test_lp_equalities_and_rationals():
 
 
 def test_strict_feasible_interval():
-    sys = LinearConstraintSystem(1, gts=[((1,), 0), ((-1,), -1)])
-    x = strict_feasible(sys)
-    assert x is not INFEASIBLE and 0 < x[0] < 1
+    x = strict_feasible(1, gts=[((1,), 0), ((-1,), -1)])
+    assert x is not None and 0 < x[0] < 1
 
 
 def test_strict_feasible_empty():
-    sys = LinearConstraintSystem(1, gts=[((1,), 0), ((-1,), 0)])
-    assert strict_feasible(sys) is INFEASIBLE
+    assert strict_feasible(1, gts=[((1,), 0), ((-1,), 0)]) is None
 
 
 def test_strict_feasible_non_difference():
     # x + y > 1, x + y < 1 is infeasible; x + y > 1 with x + 2y < 0 is fine.
-    sys = LinearConstraintSystem(2, gts=[((1, 1), 1), ((-1, -1), -1)])
-    assert strict_feasible(sys) is INFEASIBLE
-    sys = LinearConstraintSystem(2, gts=[((1, 1), 1), ((-1, -2), 0)])
-    x = strict_feasible(sys)
+    assert strict_feasible(2, gts=[((1, 1), 1), ((-1, -1), -1)]) is None
+    x = strict_feasible(2, gts=[((1, 1), 1), ((-1, -2), 0)])
     assert x[0] + x[1] > 1 and x[0] + 2 * x[1] < 0
+
+
+def test_argmin_witness_collinear():
+    # of three collinear points, the middle one alone is never the argmin of
+    # a linear function: its rows w1 + w2 < 0 < w1 + w2 are not differences
+    line = [((0, 0), 0), ((1, 1), 0), ((2, 2), 0)]
+    assert argmin_witness(2, [([line[1]], [line[0], line[2]])]) is None
+    # with the last point lifted to height 1, the first two tie below it
+    lifted = line[:2] + [((2, 2), 1)]
+    w = argmin_witness(2, [(lifted[:2], lifted[2:])])
+    value = lambda v, h: h + sum(c * x for c, x in zip(v, w))
+    assert value(*lifted[0]) == value(*lifted[1]) < value(*lifted[2])
 
 
 def test_difference_bounds_strict_chain():
@@ -90,16 +97,15 @@ def test_strict_feasible_brute_force_agreement():
             a = tuple(rng.randint(-2, 2) for _ in range(3))
             b = rng.randint(-2, 2)
             (gts if rng.random() < 0.5 else ges).append((a, b))
-        sys = LinearConstraintSystem(3, ges=ges, gts=gts)
-        found = strict_feasible(sys)
+        found = strict_feasible(3, ges=ges, gts=gts)
         brute = any(
-            sys.satisfied_by(p) for p in itertools.product(grid, repeat=3)
+            satisfied_by(p, ges=ges, gts=gts) for p in itertools.product(grid, repeat=3)
         )
-        if found is not INFEASIBLE:
-            assert sys.satisfied_by(found)
+        if found is not None:
+            assert satisfied_by(found, ges=ges, gts=gts)
         if brute:
             # grid witness implies the solver must also find one
-            assert found is not INFEASIBLE
+            assert found is not None
 
 
 def test_rank_and_solve():
@@ -183,5 +189,5 @@ def test_polytrope_lookups_against_its_rows():
     assert P.dim() == 1 == Polyhedron(3, *P.rows()).affine_dimension()
     assert P.contains((0, 1, 2)) and not P.contains((0, 1, F(5, 2)))
     empty = Polytrope(3, None)
-    assert empty.dim() == -1 and not empty.contains((0, 0, 0)) and empty.point() is INFEASIBLE
+    assert empty.dim() == -1 and not empty.contains((0, 0, 0)) and empty.point() is None
     assert Polyhedron(3, *empty.rows()).is_empty()

@@ -6,7 +6,7 @@ from functools import reduce
 import pytest
 
 from tropstiefel.bipartite import BipartiteGraph, uniform_matroid
-from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, proj_eq
+from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, proj_eq, trop_sum
 from tropstiefel.plucker import (
     PluckerVector,
     check_plucker,
@@ -114,6 +114,50 @@ def test_stable_intersection():
             continue
         r = stable_intersection(p, q)
         assert check_plucker(r)
+
+
+def direct_stable_intersection(p, q):
+    """The reference: r_T = min over R ∩ S = T of p_R + q_S, summed directly."""
+    if p.n != q.n or p.d + q.d < p.n:
+        raise DomainError("RANK_CONDITION", "requires d + e >= n on a common [n]")
+    n = p.n
+    rank = p.d + q.d - n
+    ground = frozenset(range(1, n + 1))
+    values = {}
+    for T in itertools.combinations(range(1, n + 1), rank):
+        Tset = frozenset(T)
+        rest = sorted(ground - Tset)
+        terms = []
+        for extra in itertools.combinations(rest, p.d - rank):
+            R = Tset | frozenset(extra)
+            S = Tset | (ground - R)
+            terms.append(p[R] + q[S])
+        values[Tset] = trop_sum(terms)
+    return PluckerVector(n, rank, values)
+
+
+def test_stable_intersection_is_dual_of_stable_union():
+    # against the direct sum on seeded pairs with ∞: the same values, or the
+    # same error code (RANK_CONDITION, ALL_INF)
+    rng = random.Random(31)
+    codes = set()
+    for _ in range(600):
+        n = rng.randint(1, 5)
+        ps = []
+        for d in (rng.randint(0, n), rng.randint(0, n)):
+            values = {frozenset(J): rng.choice([INF, INF, 0, 1, Fraction(1, 2)])
+                      for J in itertools.combinations(range(1, n + 1), d)}
+            values[min(values, key=sorted)] = 0
+            ps.append(PluckerVector(n, d, values))
+        outcomes = []
+        for intersect in (stable_intersection, direct_stable_intersection):
+            try:
+                outcomes.append(intersect(*ps).values)
+            except DomainError as exc:
+                outcomes.append(exc.code)
+        assert outcomes[0] == outcomes[1]
+        codes.add(outcomes[0] if isinstance(outcomes[0], str) else "values")
+    assert codes == {"values", "RANK_CONDITION", "ALL_INF"}
 
 
 def test_stable_intersection_associative():
