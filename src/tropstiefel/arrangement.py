@@ -8,13 +8,15 @@ covectors, the 0- and 1-cells of a list of cells with the ends of each
 The arrangement lives in the torus of x-coordinates, and every cell of TC(A)
 is a polytrope: the points whose covector is tau satisfy, per column j,
 equalities tying the rows of I_j and strict inequalities saying that the
-other rows of supp(j) lose.  TC(A) is found by a depth-first search over the
-columns on one closed difference-bound matrix (``geom.DifferenceBounds``)
-over the integer-scaled entries of A: a partial choice (I_1, ..., I_j) is
-kept exactly when its system is feasible, and every feasible prefix extends
-to a covector, so the search never dead-ends.  A cell's dimension is the
-number of components of its row equality graph minus one, and its witness,
-gauge-fixed by x_1 = 0, comes from the potentials of the closed matrix.
+other rows of supp(j) lose.  ``_attain`` imposes that rule for one column
+on a closed difference-bound matrix (``geom.DifferenceBounds``) over the
+integer-scaled entries of A, strictly in the search and weakly in
+``_closed_cell``.  TC(A) is found by a depth-first search over the columns:
+a partial choice (I_1, ..., I_j) is kept exactly when its system is
+feasible, and every feasible prefix extends to a covector, so the search
+never dead-ends.  A cell's dimension is the number of components of its row
+equality graph minus one, and its witness, gauge-fixed by x_1 = 0, comes
+from the potentials of the closed matrix.
 """
 
 from __future__ import annotations
@@ -134,32 +136,43 @@ def _integer_scaled(A: TropMatrix, y=()):
     return unit, a, [v.numerator * (unit // v.denominator) for v in y]
 
 
+def _attain(dbm: DifferenceBounds, a, j, I, base, strict):
+    """Impose on ``dbm`` that the rows I of column j attain
+    min_k (x_k + a_kj), row k being node base + k (0-based, I sorted):
+    x_i + a_ij = x_i0 + a_i0j for i ∈ I with i0 = I[0], and
+    x_k + a_kj >= x_i0 + a_i0j (> when strict) for the other finite rows k.
+    Returns False when that contradicts the bounds so far."""
+    i0 = I[0]
+    a0 = a[i0][j]
+    u0 = base + i0
+    for k, row in enumerate(a):
+        c = row[j]
+        if c is None or k == i0:
+            continue
+        if k in I:
+            if not (dbm.add(u0, base + k, a0 - c) and dbm.add(base + k, u0, c - a0)):
+                return False
+        elif not dbm.add(base + k, u0, c - a0, strict):
+            return False
+    return True
+
+
 def _closed_cell(dbm: DifferenceBounds, a, tau, base):
     """Impose on ``dbm`` the closed cell of the covector edge set tau, row i
-    being node base + i: per column j, with i0 the least row of I_j,
-    x_i + a_ij = x_i0 + a_i0j for i ∈ I_j and x_k + a_kj >= x_i0 + a_i0j for
-    the other finite rows k.  Returns the list of the i0 by column, or None
-    when the cell is empty."""
+    being node base + i: ``_attain`` with weak bounds for each column.
+    Returns the least row i0 of each column, or None when the cell is empty.
+    BAD_COVECTOR, before any bound is imposed, for an edge outside
+    [d]×[n] or off the support, or for an uncovered column."""
     by_col = [set() for _ in a[0]]
     for i, j in tau:
-        if a[i - 1][j - 1] is None:
-            raise DomainError("BAD_COVECTOR", f"edge {(i, j)} is off the support")
-        by_col[j - 1].add(i)
-    reps = []
-    for j, rows in enumerate(by_col):
-        if not rows:
-            raise DomainError("BAD_COVECTOR", f"column {j + 1} uncovered")
-        i0 = min(rows)
-        a0 = a[i0 - 1][j]
-        for k, row in enumerate(a, start=1):
-            if row[j] is None or k == i0:
-                continue
-            if not dbm.add(base + k, base + i0, row[j] - a0) or (
-                k in rows and not dbm.add(base + i0, base + k, a0 - row[j])
-            ):
-                return None
-        reps.append(i0)
-    return reps
+        if not (1 <= i <= len(a) and 1 <= j <= len(by_col)) or a[i - 1][j - 1] is None:
+            raise DomainError("BAD_COVECTOR", f"edge {(i, j)} is not in the support")
+        by_col[j - 1].add(i - 1)
+    if not all(by_col):
+        raise DomainError("BAD_COVECTOR", f"column {by_col.index(set()) + 1} uncovered")
+    if not all(_attain(dbm, a, j, sorted(I), base + 1, False) for j, I in enumerate(by_col)):
+        return None
+    return [min(I) + 1 for I in by_col]
 
 
 class Cell:
@@ -177,30 +190,9 @@ class Cell:
         return "Cell(dim=%d, %s)" % (self.dim, self.covector.tuple_view())
 
 
-class ArrangementComplex:
-    """TC(A): every covector of the arrangement with its exact cell."""
-
-    __slots__ = ("cells", "_by_key")
-
-    def __init__(self, cells):
-        self.cells = sorted(cells, key=lambda c: c.covector.key())
-        self._by_key = {c.covector.key(): c for c in self.cells}
-
-    def __contains__(self, covector):
-        return covector.key() in self._by_key
-
-    def cell_of(self, covector):
-        return self._by_key.get(covector.key())
-
-    def __len__(self):
-        return len(self.cells)
-
-    def __repr__(self):
-        return "ArrangementComplex(%d cells)" % len(self.cells)
-
-
-def enumerate_covectors(A: TropMatrix, budget=5000) -> ArrangementComplex:
-    """TC(A), exactly; DomainError BUDGET_EXCEEDED beyond ``budget`` cells.
+def enumerate_covectors(A: TropMatrix, budget=5000) -> list:
+    """TC(A), exactly: every covector with its cell, sorted by covector key;
+    DomainError BUDGET_EXCEEDED beyond ``budget`` cells.
 
     One column's hyperplane alone has 2^|supp j| − 1 faces and TC(A) refines
     it, so a column that forces more cells than the budget is refused before
@@ -221,26 +213,18 @@ def enumerate_covectors(A: TropMatrix, budget=5000) -> ArrangementComplex:
     def search(j, dbm, chosen):
         if j == n:
             edges = [(i + 1, k + 1) for k, I in enumerate(chosen) for i in I]
-            cells.append(Cell(Covector(BipartiteGraph(d, n, edges)), components(d, chosen) - 1, dbm.point(unit)))
+            cells.append(Cell(Covector(BipartiteGraph(d, n, edges)), components(d, chosen) - 1, dbm.point()))
             if len(cells) > budget:
                 raise DomainError("BUDGET_EXCEEDED", f"more than {budget} cells")
             return
-        rows = cols[j]
-        for r in range(1, len(rows) + 1):
-            for I in itertools.combinations(rows, r):
+        for r in range(1, len(cols[j]) + 1):
+            for I in itertools.combinations(cols[j], r):
                 child = dbm.copy()
-                i0 = I[0]
-                # x_i + a_ij = x_i0 + a_i0j for i in I; x_k + a_kj > x_i0 + a_i0j off I
-                if all(
-                    child.add(i0, i, a[i0][j] - a[i][j]) and child.add(i, i0, a[i][j] - a[i0][j])
-                    for i in I[1:]
-                ) and all(
-                    child.add(k, i0, a[k][j] - a[i0][j], strict=True) for k in rows if k not in I
-                ):
+                if _attain(child, a, j, I, 0, True):
                     search(j + 1, child, chosen + [I])
 
-    search(0, DifferenceBounds(d), [])
-    return ArrangementComplex(cells)
+    search(0, DifferenceBounds(d, unit), [])
+    return sorted(cells, key=lambda c: c.covector.key())
 
 
 def skeleton(cells):
@@ -278,7 +262,5 @@ def covector_to_json(covector: Covector):
     return [list(I) for I in covector.tuple_view()]
 
 
-def complex_to_json(tc: ArrangementComplex):
-    return [
-        {"covector": covector_to_json(c.covector), "dim": c.dim} for c in tc.cells
-    ]
+def complex_to_json(cells):
+    return [{"covector": covector_to_json(c.covector), "dim": c.dim} for c in cells]

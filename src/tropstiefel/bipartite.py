@@ -6,7 +6,8 @@ matroids, and the first-Betti-number dimension formula.  One matching engine
 (``optimal_matchings``) answers which column sets can be matched and how
 well: the Stiefel map, multifields, coherence, transversal matroids and
 tropical singularity; it refuses up front a table of more than
-``MATCHING_BUDGET`` column sets.  Coherence is one ``geom.argmin_witness``
+``MATCHING_BUDGET`` column sets, as the Hall-type scans refuse more than
+``HALL_BUDGET`` row subsets.  Coherence is one ``geom.argmin_witness``
 question.  One augmenting-path matcher (``_max_matching_size``)
 answers the maximum matching over all columns, and one union-find
 (``components``) every component count, here and in ``arrangement`` and
@@ -192,25 +193,14 @@ class Matroid:
             return frozenset()
         return frozenset.intersection(*self.bases)
 
-    def rank(self, S):
-        S = frozenset(S)
-        if self.is_empty():
-            return 0
-        return max(len(b & S) for b in self.bases)
-
     def is_connected(self):
-        """No separation [n] = S ⊔ T with rank(S) + rank(T) = rank([n])."""
+        """The fundamental graph of one basis B is connected (Krogdahl):
+        e ∈ B and f ∉ B are joined when B − e + f is a basis."""
         if self.is_empty():
             return False
-        ground = list(range(1, self.n + 1))
-        full = self.rank(ground)
-        for r in range(1, self.n // 2 + 1):
-            for S in itertools.combinations(ground, r):
-                S = frozenset(S)
-                T = frozenset(ground) - S
-                if self.rank(S) + self.rank(T) == full:
-                    return False
-        return True
+        B = next(iter(self.bases))
+        pairs = [(e - 1, f - 1) for e in B for f in range(1, self.n + 1) if f not in B and (B - {e}) | {f} in self.bases]
+        return components(self.n, pairs) <= 1
 
     def canonical(self):
         return tuple(sorted(tuple(sorted(b)) for b in self.bases))
@@ -353,7 +343,14 @@ def is_coherent(multifield: MatchingMultifield):
 # Support sets
 # ---------------------------------------------------------------------------
 
+HALL_BUDGET = 10 ** 5  # nonempty row subsets a Hall-type scan may visit
+
+
 def _nonempty_left_subsets(d):
+    """The nonempty I ⊆ [d]; DomainError BUDGET_EXCEEDED, before the first,
+    when their 2^d − 1 exceed ``HALL_BUDGET``."""
+    if 2 ** d - 1 > HALL_BUDGET:
+        raise DomainError("BUDGET_EXCEEDED", f"{d} rows give {2 ** d - 1} row subsets, budget {HALL_BUDGET}")
     for r in range(1, d + 1):
         yield from itertools.combinations(range(1, d + 1), r)
 

@@ -226,7 +226,7 @@ def _svg_arrangement(A, tc):
     size, margin = 400, 40
     # gauge-fixed coordinates: use (x_2, x_3) (missing coordinates are 0)
     pts = {}
-    for cell in tc.cells:
+    for cell in tc:
         x = cell.point
         u = x[1] if A.d >= 2 else Fraction(0)
         v = x[2] if A.d >= 3 else Fraction(0)
@@ -236,7 +236,7 @@ def _svg_arrangement(A, tc):
     ulo, uspan = min(us), max(us) - min(us)
     vlo, vspan = min(vs), max(vs) - min(vs)
     body = []
-    for cell, ends in skeleton(tc.cells)[1]:
+    for cell, ends in skeleton(tc)[1]:
         mid = pts[cell.covector.key()]
         ends = [pts[v.covector.key()] for v in ends]
         if len(ends) == 2:
@@ -257,7 +257,7 @@ def _svg_arrangement(A, tc):
                 _px(v2, vlo, vspan, size, margin),
             )
         )
-    for cell in tc.cells:
+    for cell in tc:
         u, v = pts[cell.covector.key()]
         x = _px(u, ulo, uspan, size, margin)
         y = _px(v, vlo, vspan, size, margin)

@@ -9,10 +9,10 @@ Systems mix equalities, weak and strict inequalities.  Two engines:
   Rational constants are scaled to integers by the LCM of their
   denominators, and strict bounds are exact through one ε = 1/(V+1) fixed
   by the number of nodes V.  The projection of a closed matrix onto some of
-  its nodes is its restriction to them.  A ``Polytrope`` is such a
-  restriction of weak bounds to an origin and the coordinates: it answers
-  dimension, membership and a witness point by lookups, and emits its rows
-  in minimal form;
+  its nodes is its restriction to them.  With node 0 an origin pinned at 0,
+  a closed matrix of weak bounds is a polytrope: it answers dimension,
+  membership and a witness point by lookups, and emits its rows in minimal
+  form;
 * a two-phase exact simplex with Bland's rule over Fractions for the one
   question that is not a difference system: ``argmin_witness``, a linear
   height under which chosen points are exactly the argmins.  Coherence of a
@@ -159,36 +159,42 @@ def lp_solve(dim, eqs, ges, objective):
 
 class DifferenceBounds:
     """A closed system of bounds x_v − x_u ≤ c or x_v − x_u < c on the nodes
-    0, ..., size − 1, with integer constants c.
+    0, ..., size − 1, with integer constants c standing for c / ``unit``.
 
     A bound is stored as the single integer K·c, or K·c − 1 when strict,
     with K = ``scale`` = size + 1: the constant read as c − ε for ε = 1/K.
     A simple cycle has at most ``size`` edges, so for integer sum C and s
     strict edges K·C − s < 0 exactly when C < 0, or C = 0 and s > 0: exactly
     when the strict system has a contradiction.  So this ε always works, as
-    does any larger K (a restriction keeps its matrix's K), and the
-    shortest-path potentials of the stored integers are an exact witness.
-    ``bound[u][v]`` is the tightest implied bound (None when there is none);
-    adding a bound keeps the matrix closed in O(size²).
+    does any larger K (a copy or restriction keeps its matrix's K and unit),
+    and the shortest-path potentials of the stored integers are an exact
+    witness.  ``bound[u][v]`` is the tightest implied bound (None when there
+    is none); adding a bound keeps the matrix closed in O(size²).  Node 0
+    is an origin pinned at 0; ``dim``, ``contains`` and ``minimal_form``
+    read a matrix of weak bounds: a polytrope.
     """
 
-    __slots__ = ("size", "scale", "bound")
+    __slots__ = ("size", "scale", "unit", "bound")
 
-    def __init__(self, size, bound=None):
+    def __init__(self, size, unit=1, bound=None):
         self.size = size
         self.scale = size + 1
+        self.unit = unit
         self.bound = bound or [[0 if u == v else None for v in range(size)] for u in range(size)]
 
+    def _with(self, bound):
+        out = DifferenceBounds(len(bound), self.unit, bound)
+        out.scale = self.scale
+        return out
+
     def copy(self):
-        return DifferenceBounds(self.size, [row[:] for row in self.bound])
+        return self._with([row[:] for row in self.bound])
 
     def restrict(self, nodes):
         """The closed matrix on ``nodes`` alone, in that order: the
         projection onto them.  It keeps this matrix's scale, which stays
         exact for the shorter cycles of fewer nodes."""
-        out = DifferenceBounds(len(nodes), [[self.bound[u][v] for v in nodes] for u in nodes])
-        out.scale = self.scale
-        return out
+        return self._with([[self.bound[u][v] for v in nodes] for u in nodes])
 
     def add(self, u, v, c, strict=False):
         """Impose x_v − x_u ≤ c (< c when strict).  Returns False, leaving
@@ -211,19 +217,34 @@ class DifferenceBounds:
                     row[j] = head + b
         return True
 
-    def point(self, unit=1):
-        """An exact x with x_0 = 0 meeting every bound, strict ones strictly,
-        when each constant c stands for c / unit."""
+    def point(self):
+        """An exact x with x_0 = 0 meeting every bound, strict ones strictly."""
         m = self.bound
         # distances from a virtual source joined to every node at length 0
         p = [min(row[v] for row in m if row[v] is not None) for v in range(self.size)]
-        den = self.scale * unit
+        den = self.scale * self.unit
         return tuple(Fraction(pv - p[0], den) for pv in p)
 
-    def minimal_form(self, unit=1):
-        """The rows of a matrix of weak bounds over x_1, ..., x_{size−1},
-        with x_0 = 0 as in ``point``: equalities a·x = b and inequalities
-        a·x >= b, each constant c standing for c / unit.
+    def dim(self):
+        """The affine dimension.  Only the zero cycles of a closed matrix are
+        implicit equalities, so each class of tied nodes is one free
+        parameter, and the origin's class is pinned."""
+        m = self.bound
+        tied = lambda s, t: m[s][t] is not None and m[t][s] is not None and m[s][t] + m[t][s] == 0
+        return sum(not any(tied(s, t) for s in range(t)) for t in range(self.size)) - 1
+
+    def contains(self, z):
+        """Does x = (0, *z) meet every bound?"""
+        x = (0, *z)
+        den = self.scale * self.unit
+        return all(
+            b is None or (x[v] - x[u]) * den <= b
+            for u, row in enumerate(self.bound) for v, b in enumerate(row)
+        )
+
+    def minimal_form(self):
+        """The rows over x_1, ..., x_{size−1}, with x_0 = 0: equalities
+        a·x = b and inequalities a·x >= b.
 
         Nodes whose bounds sum to zero both ways are tied: each such class
         gives one chain of equalities, and between the class representatives
@@ -231,7 +252,7 @@ class DifferenceBounds:
         minimal form of Larsen et al., RTSS 1997).
         """
         m = self.bound
-        den = self.scale * unit
+        den = self.scale * self.unit
         k = self.size
 
         def implied(s, r, t):  # the bound on x_t − x_s through r
@@ -263,51 +284,6 @@ class DifferenceBounds:
                     continue
                 ineqs.append((row(t, s), Fraction(-w, den)))  # x_s − x_t >= −w
         return eqs, ineqs
-
-
-class Polytrope:
-    """The polytrope of a closed ``DifferenceBounds`` of weak bounds on an
-    origin, node 0 and fixed at 0, and the coordinates z_1, ..., z_k, nodes
-    1..k: the z with z_v − z_u ≤ w / (scale · unit) for each stored bound
-    w = ``bound[u][v]``.  ``bounds`` is None when the set is empty."""
-
-    __slots__ = ("k", "bounds", "unit")
-
-    def __init__(self, k, bounds, unit=1):
-        self.k = k
-        self.bounds = bounds
-        self.unit = unit
-
-    def dim(self):
-        """The affine dimension, −1 when empty.  Only the zero cycles of a
-        closed matrix are implicit equalities, so each class of tied nodes is
-        one free parameter, and the origin's class is pinned."""
-        if self.bounds is None:
-            return -1
-        m = self.bounds.bound
-        tied = lambda s, t: m[s][t] is not None and m[t][s] is not None and m[s][t] + m[t][s] == 0
-        return sum(not any(tied(s, t) for s in range(t)) for t in range(self.k + 1)) - 1
-
-    def contains(self, y):
-        if self.bounds is None:
-            return False
-        z = (0, *y)
-        den = self.bounds.scale * self.unit
-        return all(
-            b is None or (z[v] - z[u]) * den <= b
-            for u, row in enumerate(self.bounds.bound) for v, b in enumerate(row)
-        )
-
-    def point(self):
-        """A point of the set, or None."""
-        return None if self.bounds is None else self.bounds.point(self.unit)[1:]
-
-    def rows(self):
-        """(eqs, ineqs): equalities a·z = b and inequalities a·z >= b in
-        minimal form; 0 = 1 when empty."""
-        if self.bounds is None:
-            return [((ZERO,) * self.k, ONE)], []
-        return self.bounds.minimal_form(self.unit)
 
 
 def _difference_bounds(eqs, ges, gts):
@@ -349,11 +325,11 @@ def strict_feasible(dim, eqs=(), ges=(), gts=()):
     bounds = _difference_bounds(eqs, ges, gts)
     if bounds is not None:
         unit = math.lcm(*(b.denominator for _, _, b, _ in bounds))
-        dbm = DifferenceBounds(dim + 1)
+        dbm = DifferenceBounds(dim + 1, unit)
         for u, v, b, strict in bounds:
             if not dbm.add(u, v, b.numerator * (unit // b.denominator), strict):
                 return None
-        return dbm.point(unit)[1:]
+        return dbm.point()[1:]
 
     # General path: maximize ε with strict constraints relaxed to >= b + ε.
     status, point, value = lp_solve(

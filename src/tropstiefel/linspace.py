@@ -8,13 +8,14 @@ caterpillar predicate.
 A covector decomposition y ∈ (F ⊙ A) + R_{>=0}{e_j : j ∈ J} and its cone
 are difference systems over x and y, so both run on the closed integer
 difference-bound matrix of ``geom.DifferenceBounds``: the certificate search
-reads its witness from the potentials, and the cone is a
-``geom.Polytrope``: the restriction of the closed matrix to an origin and
-the y nodes.  The image of a cell of K(A) under ⊙A is its cone with J = ∅,
-gauge-fixed by tying one y node to the origin, so the bounded complex reads
-its cells, their dimensions and membership from the same projection.  Its
-vertices and segments need only the K(A) cells of TC(A) and their
-dimensions, so ``bounded_skeleton`` builds no cone.
+reads its witness from the potentials, and the cone is the restriction of
+the closed matrix to an origin and the y nodes, a polytrope answering its
+dimension, membership and rows itself.  The image of a cell of K(A) under
+⊙A is its cone with J = ∅, gauge-fixed by tying one y node to the origin,
+so the bounded complex reads its cells, their dimensions and membership
+from the same projection.  Its vertices and segments need only the K(A)
+cells of TC(A) and their dimensions, so ``bounded_skeleton`` builds no
+cone.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .core import (
     trop_vanishes,
     vec_mat_mul,
 )
-from .geom import DifferenceBounds, Polytrope
+from .geom import DifferenceBounds
 from .bipartite import BipartiteGraph, _max_matching_size, colwise_dragon_condition, components, transversal_matroid, uniform_matroid
 from .plucker import PluckerVector, underlying_matroid
 from .arrangement import Covector, _closed_cell, _integer_scaled, covector_to_json, enumerate_covectors, in_B, in_K, skeleton
@@ -95,11 +96,11 @@ def decompose(A: TropMatrix, y: TropVector):
         raise DomainError("NO_MATCHING_IN_SUPPORT", "support contains no matching")
     unit, a, z = _integer_scaled(A, y.entries)
     subsets = [frozenset(J) for J in _subsets_upto(A.n, max(A.d - 1, 0))]
-    for cell in tc.cells:
+    for cell in tc:
         F = cell.covector
         if not in_B(F):
             continue
-        cell_dbm = DifferenceBounds(A.d + 1)
+        cell_dbm = DifferenceBounds(A.d + 1, unit)
         reps = _closed_cell(cell_dbm, a, F.edges, 0)
         # prune: some x in the closed cell must satisfy x ⊙ A <= y at all
         if reps is None or not all(cell_dbm.add(0, i0, z[j] - a[i0 - 1][j]) for j, i0 in enumerate(reps)):
@@ -114,7 +115,7 @@ def decompose(A: TropMatrix, y: TropVector):
                 else dbm.add(i0, 0, a[i0 - 1][j] - z[j])  # y_j = x_i0 + a_i0j
                 for j, i0 in enumerate(reps)
             ):
-                xv = TropVector(dbm.point(unit)[1:])
+                xv = TropVector(dbm.point()[1:])
                 image = vec_mat_mul(xv, A)
                 slack = TropVector(
                     [y.entry(j) - image.entry(j) for j in range(1, A.n + 1)]
@@ -134,25 +135,31 @@ def bounded_membership(p: PluckerVector, y: TropVector) -> bool:
     return not M.loops() and not M.coloops()
 
 
-def decomposition_cone(A: TropMatrix, tau, J) -> Polytrope:
-    """(F ⊙ A) + R_{>=0}{e_j : j ∈ J} as a polytrope in the y-coordinates.
+def decomposition_cone(A: TropMatrix, tau, J):
+    """(F ⊙ A) + R_{>=0}{e_j : j ∈ J} as a closed ``DifferenceBounds`` of
+    weak bounds on an origin, node 0, and y_1, ..., y_n, nodes 1..n; None
+    when it is empty.
 
     F is the cell with covector edge set tau.  The graph of the tropical
     map over the closed cell is a difference system on the nodes y_1..y_n,
     x_1..x_d: the cell's bounds on x and y_j − x_i >= a_ij for each edge of
     tau, an equality for j ∉ J.  Its projection is the restriction of the
     closed matrix to the y nodes and an origin, which nothing bounds.
+    BAD_SUBSET unless J ⊆ [n], and BAD_COVECTOR for an edge of tau outside
+    [d]×[n] or off the support, both before any bound is imposed.
     """
     d, n = A.d, A.n
     Jset = frozenset(J)
+    if not Jset <= frozenset(range(1, n + 1)):
+        raise DomainError("BAD_SUBSET", "J must be a subset of [n]")
     unit, a, _ = _integer_scaled(A)
-    dbm = DifferenceBounds(1 + n + d)  # node 0 the origin, y_j node j, x_i node n + i
+    dbm = DifferenceBounds(1 + n + d, unit)  # node 0 the origin, y_j node j, x_i node n + i
     feasible = _closed_cell(dbm, a, tau, n) is not None and all(
         dbm.add(j, n + i, -a[i - 1][j - 1])
         and (j in Jset or dbm.add(n + i, j, a[i - 1][j - 1]))
         for i, j in sorted(tau)
     )
-    return Polytrope(n, dbm.restrict(range(n + 1)) if feasible else None, unit)
+    return dbm.restrict(range(n + 1)) if feasible else None
 
 
 def _bounded_cells(A: TropMatrix):
@@ -160,7 +167,7 @@ def _bounded_cells(A: TropMatrix):
     support of A contains a support set."""
     if transversal_matroid(BipartiteGraph.from_support(A)) != uniform_matroid(A.d, A.n):
         raise DomainError("NO_SUPPORT_SET", "support must contain a support set")
-    return [cell for cell in enumerate_covectors(A).cells if in_K(cell.covector)]
+    return [cell for cell in enumerate_covectors(A) if in_K(cell.covector)]
 
 
 def bounded_complex(A: TropMatrix):
@@ -177,8 +184,8 @@ def bounded_complex(A: TropMatrix):
         image = decomposition_cone(A, F.edges, ())
         c = (A.entry(1, j1) * image.unit).numerator  # unit clears every denominator of A
         # nothing bounds y_j1 against the origin yet, so neither bound is refused
-        image.bounds.add(0, j1, c)
-        image.bounds.add(j1, 0, -c)
+        image.add(0, j1, c)
+        image.add(j1, 0, -c)
         out.append((F, image))
     return out
 

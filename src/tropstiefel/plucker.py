@@ -151,8 +151,8 @@ def underlying_matroid(p: PluckerVector) -> Matroid:
 def cocircuit(p: PluckerVector, S) -> TropVector:
     """c_j = p_{S∪j} off S and ∞ on S; a minimal-support vector of L(p)."""
     S = frozenset(S)
-    if len(S) != p.d - 1:
-        raise DomainError("BAD_SUBSET", "S must have size d-1")
+    if len(S) != p.d - 1 or not S <= frozenset(range(1, p.n + 1)):
+        raise DomainError("BAD_SUBSET", "S must be a (d-1)-subset of [n]")
     entries = []
     for j in range(1, p.n + 1):
         entries.append(INF if j in S else p[S | {j}])

@@ -8,12 +8,11 @@ tests, subdivision equality, and cell existence as one
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .core import INF, DomainError, TropMatrix, TropVector
 from .geom import argmin_witness
-from .bipartite import BipartiteGraph, Matroid, transversal_matroid
+from .bipartite import BipartiteGraph, Matroid, _nonempty_left_subsets, transversal_matroid
 from .plucker import PluckerVector
 from .arrangement import enumerate_covectors
 
@@ -60,9 +59,8 @@ def facets_of_D(A: TropMatrix) -> frozenset:
     maximal covectors can induce nested matroids once their cells are
     intersected with the hypersimplex.
     """
-    tc = enumerate_covectors(A)
     matroids = set()
-    for c in tc.cells:
+    for c in enumerate_covectors(A):
         M = transversal_matroid(c.covector.graph)
         if not M.is_empty():
             matroids.add(M)
@@ -90,13 +88,11 @@ def transversal_polytope_ineqs(G: BipartiteGraph):
         hi = [ZERO] * n
         hi[j] = -ONE
         ineqs.append((tuple(hi), -ONE))
-    for r in range(1, d + 1):
-        for I in itertools.combinations(range(1, d + 1), r):
-            cols = G.J_of(I)
-            co = [ZERO] * n
-            for j in cols:
-                co[j - 1] = ONE
-            ineqs.append((tuple(co), Fraction(r)))
+    for I in _nonempty_left_subsets(d):
+        co = [ZERO] * n
+        for j in G.J_of(I):
+            co[j - 1] = ONE
+        ineqs.append((tuple(co), Fraction(len(I))))
     return eqs, ineqs
 
 
@@ -118,7 +114,7 @@ def cell_exists(p: PluckerVector, bases) -> bool:
     """Is there a y selecting exactly this basis set as its argmin?  One
     ``argmin_witness`` group: the bases against the other finite J, each
     the pair (−1_J, p_J), so that height + vector·y = p_J − Σ_{j∈J} y_j."""
-    bases = [frozenset(b) for b in bases]
+    bases = Matroid(p.n, p.d, bases).bases  # BAD_BASIS for a basis that is no d-subset of [n]
     if not bases or any(p[b] is INF for b in bases):
         return False
     pair = lambda J: (tuple(-1 if j in J else 0 for j in range(1, p.n + 1)), p[J])

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tropstiefel.bipartite import (
+    HALL_BUDGET,
     MATCHING_BUDGET,
     BipartiteGraph,
     Matching,
@@ -30,9 +31,11 @@ from tropstiefel.bipartite import (
     transversal_rank,
     uniform_matroid,
     _max_matching_size,
+    _nonempty_left_subsets,
 )
-from tropstiefel.core import INF, DomainError, TropMatrix
+from tropstiefel.core import INF, DomainError, TropMatrix, TropVector
 from tropstiefel.plucker import stiefel_map
+from tropstiefel.subdivision import select_matroid, transversal_polytope_ineqs
 
 FIG = TropMatrix([[0, 3, 0, "inf", "inf"], ["inf", 0, 0, 2, "inf"], ["inf", "inf", 0, 0, 0]])
 STAIR = TropMatrix([[0, 0, "inf", "inf"], ["inf", 0, 0, "inf"], ["inf", "inf", 0, 0]])
@@ -303,3 +306,50 @@ def test_json_roundtrips():
     assert graph_from_json(graph_to_json(G)) == G
     mf = matching_multifield(STAIR)
     assert multifield_from_json(multifield_to_json(mf)) == mf
+
+
+def test_hall_scans_budget():
+    # 2^16 − 1 row subsets fit the budget and 2^17 − 1 do not; the refusal
+    # comes before the first subset
+    assert (2 ** 16 - 1) <= HALL_BUDGET < 2 ** 17 - 1
+    assert next(_nonempty_left_subsets(16)) == (1,)
+    G = BipartiteGraph(17, 18, [(i, j) for i in range(1, 18) for j in range(1, 19)])
+    for scan in (hall_surplus_check, dragon_condition, lambda G: transversal_rank(G, {1}), transversal_polytope_ineqs):
+        with pytest.raises(DomainError) as exc:
+            scan(G)
+        assert exc.value.code == "BUDGET_EXCEEDED" and "budget 100000" in str(exc.value)
+
+
+def separable(M):
+    """The reference connectivity check: some separation [n] = S ⊔ T with
+    rank(S) + rank(T) = rank([n])."""
+    rank = lambda S: max(len(b & S) for b in M.bases)
+    ground = frozenset(range(1, M.n + 1))
+    return any(
+        rank(frozenset(S)) + rank(ground - frozenset(S)) == rank(ground)
+        for r in range(1, M.n // 2 + 1) for S in itertools.combinations(sorted(ground), r)
+    )
+
+
+def test_is_connected_against_separations():
+    """Transversal matroids of random graphs and the selected matroids of
+    random Stiefel images at random points."""
+    rng = random.Random(2585)
+    matroids = []
+    for _ in range(150):
+        d = rng.randint(1, 3)
+        n = rng.randint(d, 6)
+        G = BipartiteGraph(d, n, [(i, j) for i in range(1, d + 1) for j in range(1, n + 1) if rng.random() < 0.6])
+        matroids.append(transversal_matroid(G))
+        A = TropMatrix([["inf" if rng.random() < 0.2 else rng.randint(0, 4) for _ in range(n)] for _ in range(d)])
+        try:
+            p = stiefel_map(A)
+        except DomainError:
+            continue
+        matroids.append(select_matroid(p, TropVector([rng.randint(-3, 3) for _ in range(n)])).matroid)
+    connected = 0
+    for M in matroids:
+        expected = not M.is_empty() and not separable(M)
+        assert M.is_connected() == expected
+        connected += expected
+    assert connected > 50 and len(matroids) - connected > 50

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -380,6 +381,54 @@ def test_coherent_golden_stdout(tmp_path, capsys):
     for mf, expected in golden:
         code, out = run(capsys, ["coherent", "--input", write_input(tmp_path, multifield_to_json(mf))])
         assert code == 0 and out == expected + "\n"
+
+
+def test_cell_outputs_golden_stdout(tmp_path, capsys):
+    # covectors, decompose and the bounded tree, each on a matrix with ∞ and
+    # fractions; the cells' matrices must not depend on how they are built
+    A = {"entries": [[0, "1/2", "inf", 2], ["inf", 0, "3/2", 1], [1, "inf", 0, "-1/2"]]}
+    code, out = run(capsys, ["covectors", "--input", write_input(tmp_path, A)])
+    assert code == 0 and out == (
+        '[{"covector": [[1], [1], [2], [1]], "dim": 2}, {"covector": [[1], [1], [2], [1, 2]], "dim": 1}, '
+        '{"covector": [[1], [1], [2, 3], [1, 2, 3]], "dim": 0}, {"covector": [[1], [1], [2, 3], [1]], "dim": 1}, '
+        '{"covector": [[1], [1], [3], [1]], "dim": 2}, {"covector": [[1], [1], [3], [1, 3]], "dim": 1}, '
+        '{"covector": [[1], [1, 2], [2], [2]], "dim": 1}, {"covector": [[1], [1, 2], [2, 3], [2, 3]], "dim": 0}, '
+        '{"covector": [[1, 3], [1, 2], [3], [3]], "dim": 0}, {"covector": [[1], [1, 2], [3], [3]], "dim": 1}, '
+        '{"covector": [[1], [1], [2], [2]], "dim": 2}, {"covector": [[1], [1], [2, 3], [2, 3]], "dim": 1}, '
+        '{"covector": [[1, 3], [1], [3], [3]], "dim": 1}, {"covector": [[1], [1], [3], [3]], "dim": 2}, '
+        '{"covector": [[1], [2], [2], [2]], "dim": 2}, {"covector": [[1, 3], [2], [2], [2]], "dim": 1}, '
+        '{"covector": [[1, 3], [2], [2, 3], [2, 3]], "dim": 0}, {"covector": [[1], [2], [2, 3], [2, 3]], "dim": 1}, '
+        '{"covector": [[1, 3], [2], [3], [3]], "dim": 1}, {"covector": [[1], [2], [3], [3]], "dim": 2}, '
+        '{"covector": [[3], [1, 2], [3], [3]], "dim": 1}, {"covector": [[3], [1], [3], [3]], "dim": 2}, '
+        '{"covector": [[3], [2], [2], [2]], "dim": 2}, {"covector": [[3], [2], [2, 3], [2, 3]], "dim": 1}, '
+        '{"covector": [[3], [2], [3], [3]], "dim": 2}]\n'
+    )
+    for y, expected in [
+        (["0", "1", "2", "2"], '{"certificate": {"J": [2, 4], "covector": [[1], [1, 2], [2, 3], [2, 3]], '
+                               '"slack": ["0", "1/2", "0", "1/2"], "x": ["0", "1/2", "2"]}, "in_L": true}'),
+        (["0", "0", "0", "0"], '{"in_L": false}'),
+    ]:
+        path = write_input(tmp_path, {"matrix": A, "vector": {"entries": y}})
+        code, out = run(capsys, ["decompose", "--input", path])
+        assert code == 0 and out == expected + "\n"
+    B = {"entries": [[0, 1, "1/2", 3, 0], [2, 0, 1, "-1", "inf"]]}
+    code, out = run(capsys, ["bounded", "--format", "svg", "--input", write_input(tmp_path, B)])
+    assert code == 0 and out == (
+        '<svg xmlns="http://www.w3.org/2000/svg" width="260" height="120" viewBox="0 0 260 120">'
+        '<line x1="40" y1="60" x2="130" y2="60" stroke="black"/><line x1="130" y1="60" x2="220" y2="60" stroke="black"/>'
+        '<circle cx="40" cy="60" r="4" fill="black"/><circle cx="130" cy="60" r="4" fill="black"/>'
+        '<circle cx="220" cy="60" r="4" fill="black"/></svg>\n'
+    )
+
+
+def test_hall_budget_on_complete_24x25(tmp_path, capsys):
+    # 2^24 − 1 row subsets: refused before the first Hall scan, where the
+    # scan itself would take tens of minutes
+    G = {"d": 24, "n": 25, "edges": [[i, j] for i in range(1, 25) for j in range(1, 26)]}
+    start = time.monotonic()
+    code, out = run(capsys, ["support-set", "--input", write_input(tmp_path, G)])
+    assert code == 1 and json.loads(out) == {"error": "BUDGET_EXCEEDED"}
+    assert time.monotonic() - start < 5
 
 
 def test_fuzzed_json_documents_exit_cleanly(capsys, monkeypatch):

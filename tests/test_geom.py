@@ -5,7 +5,6 @@ from fractions import Fraction
 from polyhedra import Polyhedron, matrix_rank, satisfied_by, solve_affine
 from tropstiefel.geom import (
     DifferenceBounds,
-    Polytrope,
     argmin_witness,
     lp_solve,
     strict_feasible,
@@ -145,12 +144,12 @@ def test_vertices_square():
 def test_minimal_form_of_a_restriction():
     # x_3 = x_1 + 2 ties nodes 1 and 3; node 6 is projected out, and the
     # origin, node 0, is bounded against no node
-    dbm = DifferenceBounds(7)
+    dbm = DifferenceBounds(7, unit=2)
     for u, v, c in [(1, 3, 2), (3, 1, -2), (6, 1, 3), (1, 6, 1), (6, 2, 1),
                     (2, 4, 0), (4, 6, 2), (2, 5, 1), (5, 3, 0), (4, 5, 3)]:
         assert dbm.add(u, v, c)  # x_v − x_u <= c
     kept = [1, 2, 3, 4, 5]
-    eqs, ineqs = dbm.restrict([0] + kept).minimal_form(unit=2)
+    eqs, ineqs = dbm.restrict([0] + kept).minimal_form()
     full = [
         (tuple((k == t) - (k == s) for k in range(5)), Fraction(-dbm.bound[kept[t]][kept[s]], 2 * dbm.scale))
         for s in range(5) for t in range(5)
@@ -173,21 +172,17 @@ def test_minimal_form_of_a_restriction():
 
 def test_polytrope_lookups_against_its_rows():
     # z_2 = z_1 + 1, 0 <= z_1 <= 1/2, z_3 >= z_2, constants in halves
-    dbm = DifferenceBounds(4)  # node 0 is the origin, fixed at 0
+    P = DifferenceBounds(4, unit=2)  # node 0 is the origin, fixed at 0
     for u, v, c in [(1, 2, 2), (2, 1, -2), (1, 0, 0), (0, 1, 1), (3, 2, 0)]:
-        assert dbm.add(u, v, c)  # z_v − z_u <= c / 2
-    P = Polytrope(3, dbm, unit=2)
-    assert P.dim() == 2 == Polyhedron(3, *P.rows()).affine_dimension()
-    assert P.contains(P.point()) and Polyhedron(3, *P.rows()).contains(P.point())
+        assert P.add(u, v, c)  # z_v − z_u <= c / 2
+    assert P.dim() == 2 == Polyhedron(3, *P.minimal_form()).affine_dimension()
+    assert P.contains(P.point()[1:]) and Polyhedron(3, *P.minimal_form()).contains(P.point()[1:])
     grid = [F(v, 2) for v in range(-1, 5)]
     for z in itertools.product(grid, repeat=3):
-        assert P.contains(z) == Polyhedron(3, *P.rows()).contains(z) == (
+        assert P.contains(z) == Polyhedron(3, *P.minimal_form()).contains(z) == (
             0 <= z[0] <= F(1, 2) and z[1] == z[0] + 1 and z[2] >= z[1]
         )
     # tying z_3 to the origin pins one more class
-    assert dbm.add(0, 3, 4) and dbm.add(3, 0, -4)
-    assert P.dim() == 1 == Polyhedron(3, *P.rows()).affine_dimension()
+    assert P.add(0, 3, 4) and P.add(3, 0, -4)
+    assert P.dim() == 1 == Polyhedron(3, *P.minimal_form()).affine_dimension()
     assert P.contains((0, 1, 2)) and not P.contains((0, 1, F(5, 2)))
-    empty = Polytrope(3, None)
-    assert empty.dim() == -1 and not empty.contains((0, 0, 0)) and empty.point() is None
-    assert Polyhedron(3, *empty.rows()).is_empty()

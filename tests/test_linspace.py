@@ -135,7 +135,7 @@ def test_decompose_certificates_against_cones_and_circuits():
                 continue
             found += 1
             cone = decomposition_cone(A, cert.covector.edges, cert.J)
-            assert Polyhedron(n, *cone.rows()).contains(y.entries) and cone.contains(y.entries)
+            assert Polyhedron(n, *cone.minimal_form()).contains(y.entries) and cone.contains(y.entries)
             image = vec_mat_mul(cert.x, A)
             assert all(image.entry(j) + cert.slack.entry(j) == y.entry(j) for j in range(1, n + 1))
             assert covector_of_point(A, cert.x).edges >= cert.covector.edges
@@ -198,7 +198,7 @@ def norm(entries):
 def test_bounded_complex_two_row():
     cells = bounded_complex(TWO_ROW)
     assert len(cells) == 3
-    polys = [Polyhedron(4, *image.rows()) for _, image in cells]
+    polys = [Polyhedron(4, *image.minimal_form()) for _, image in cells]
     assert [P.affine_dimension() for P in polys] == [image.dim() for _, image in cells]
     points = [poly for poly in polys if poly.affine_dimension() == 0]
     segments = [poly for poly in polys if poly.affine_dimension() == 1]
@@ -214,9 +214,9 @@ def test_bounded_complex_stair():
     cells = bounded_complex(STAIR)
     assert len(cells) == 1
     image = cells[0][1]
-    poly = Polyhedron(4, *image.rows())
+    poly = Polyhedron(4, *image.minimal_form())
     assert poly.affine_dimension() == 0 == image.dim()
-    assert norm(poly.vertices()[0]) == (0, 0, 0, 0) == norm(image.point())
+    assert norm(poly.vertices()[0]) == (0, 0, 0, 0) == norm(image.point()[1:])
 
 
 def test_bounded_complex_matches_interior_census():
@@ -254,10 +254,10 @@ def test_image_cells_against_their_cells():
         except DomainError as exc:
             assert exc.code == "NO_SUPPORT_SET"
             continue
-        tc = enumerate_covectors(A)
+        tc = {c.covector: c for c in enumerate_covectors(A)}
         for covector, image in cells:
-            cell = tc.cell_of(covector)
-            poly = Polyhedron(n, *image.rows())
+            cell = tc[covector]
+            poly = Polyhedron(n, *image.minimal_form())
             y = vec_mat_mul(TropVector(cell.point), A).entries
             assert poly.affine_dimension() == cell.dim == image.dim()
             assert poly.contains(y) and image.contains(y)
@@ -277,12 +277,12 @@ def test_bounded_point_in_complex():
 def test_decomposition_cone():
     vertex = frozenset([(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4)])
     cone = decomposition_cone(STAIR, vertex, {2, 3})
-    for C in (cone, Polyhedron(4, *cone.rows())):
+    for C in (cone, Polyhedron(4, *cone.minimal_form())):
         assert C.contains((0, 1, 1, 0))
         assert C.contains((0, 0, 0, 0))  # closure includes zero slack
         assert not C.contains((-1, 0, 0, 0))
     cone0 = decomposition_cone(STAIR, vertex, frozenset())
-    P0 = Polyhedron(4, *cone0.rows())
+    P0 = Polyhedron(4, *cone0.minimal_form())
     # the image of the vertex cell is the projective point 0
     assert cone0.dim() == P0.affine_dimension() == 1
     for C0 in (cone0, P0):
@@ -308,7 +308,7 @@ def test_injectivity_on_B_cells():
     for A in (STAIR, TWO_ROW):
         tc = enumerate_covectors(A)
         images = {}
-        for cell in tc.cells:
+        for cell in tc:
             if not in_B(cell.covector):
                 continue
             y = vec_mat_mul(TropVector(cell.point), A)
@@ -335,7 +335,7 @@ def cones(draw):
     n = draw(st.integers(d, 6))
     A = TropMatrix(draw(st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=d, max_size=d)))
     assume(all(A.col_support(j) for j in range(1, n + 1)))
-    cell = draw(st.sampled_from(enumerate_covectors(A).cells))
+    cell = draw(st.sampled_from(enumerate_covectors(A)))
     subsets = [J for r in range(n + 1) for J in itertools.combinations(range(1, n + 1), r)
                if colwise_dragon_condition(cell.covector.graph, J)]
     return A, cell, frozenset(draw(st.sampled_from(subsets)))
@@ -362,9 +362,9 @@ def test_polytrope_against_the_reference_polyhedron(case):
     n = A.n
     y = vec_mat_mul(TropVector(cell.point), A).entries  # in every cone of the cell: zero slack
     cone = decomposition_cone(A, cell.covector.edges, J)
-    P = Polyhedron(n, *cone.rows())
+    P = Polyhedron(n, *cone.minimal_form())
     assert cone.dim() == P.affine_dimension()
-    assert cone.contains(y) and P.contains(cone.point())
+    assert cone.contains(y) and P.contains(cone.point()[1:])
     for z in nearby(y):
         assert cone.contains(z) == P.contains(z)
     if not in_K(cell.covector) or transversal_matroid(BipartiteGraph.from_support(A)) != uniform_matroid(A.d, n):
@@ -372,7 +372,25 @@ def test_polytrope_against_the_reference_polyhedron(case):
     image = dict(bounded_complex(A))[cell.covector]
     j1 = min(cell.covector.graph.J(1))
     gauge = Polyhedron(n, eqs=[(tuple(int(j == j1) for j in range(1, n + 1)), A.entry(1, j1))])
-    Q = Polyhedron(n, *decomposition_cone(A, cell.covector.edges, ()).rows()).intersect(gauge)
-    assert image.dim() == cell.dim == Q.affine_dimension() == Polyhedron(n, *image.rows()).affine_dimension()
+    Q = Polyhedron(n, *decomposition_cone(A, cell.covector.edges, ()).minimal_form()).intersect(gauge)
+    assert image.dim() == cell.dim == Q.affine_dimension() == Polyhedron(n, *image.minimal_form()).affine_dimension()
     for z in nearby(y):
         assert image.contains(z) == Q.contains(z)
+
+
+def test_decomposition_cone_checks_tau_and_J():
+    A = TropMatrix([[0, 1], [1, 0]])
+    # row 0 and row 3 do not exist, nor do columns 0 and 5
+    for tau, J, code in [
+        ([(0, 1), (2, 2)], (), "BAD_COVECTOR"),
+        ([(3, 1), (2, 2)], (), "BAD_COVECTOR"),
+        ([(1, 1), (2, 0), (2, 2)], (), "BAD_COVECTOR"),
+        ([(1, 1), (2, 2)], {0}, "BAD_SUBSET"),
+        ([(1, 1), (2, 2)], {5}, "BAD_SUBSET"),
+    ]:
+        with pytest.raises(DomainError) as exc:
+            decomposition_cone(A, tau, J)
+        assert exc.value.code == code
+    # x_2 + 1 <= x_1 and x_1 + 1 <= x_2: the closed cell is empty
+    assert decomposition_cone(A, [(2, 1), (1, 2)], ()) is None
+    assert decomposition_cone(A, [(1, 1), (2, 2)], {1}).dim() == 2

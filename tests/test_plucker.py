@@ -244,3 +244,11 @@ def test_recover_matrix_row_constants():
 def test_json_roundtrip():
     p = stiefel_map(APRIME)
     assert plucker_from_json(plucker_to_json(p)) == p
+
+
+def test_cocircuit_rejects_subsets_outside_the_ground_set():
+    p = stiefel_map(TropMatrix([[0, 1, 2, 3], [1, 0, 2, 0]]))
+    for S in ({9}, {0}, {1, 2}):
+        with pytest.raises(DomainError) as exc:
+            cocircuit(p, S)
+        assert exc.value.code == "BAD_SUBSET"

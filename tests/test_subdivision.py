@@ -137,3 +137,11 @@ def test_facets_json():
     out = facets_to_json(facets_of_D(TWO_ROW))
     assert out == sorted(out)
     assert len(out) == 2
+
+
+def test_cell_exists_rejects_bases_outside_the_d_subsets():
+    p = stiefel_map(TropMatrix([[0, 1, 2, 3], [1, 0, 2, 0]]))
+    for bases in ([{1}], [{1, 2}, {1, 2, 3}], [{1, 5}]):
+        with pytest.raises(DomainError) as exc:
+            cell_exists(p, bases)
+        assert exc.value.code == "BAD_BASIS"
