@@ -2,8 +2,9 @@
 
 Covectors of points, the full covector complex TC(A), the subcomplexes
 B(A) (all rows covered) and K(A) (dragon marriage condition), transpose
-covectors, the 0- and 1-cells of a list of cells with the ends of each
-1-cell (``skeleton``), and the tropical singularity predicate.
+covectors (covectors of Aᵀ), the 0- and 1-cells of a list of cells with
+the ends of each 1-cell (``skeleton``), and the tropical singularity
+predicate.
 
 The arrangement lives in the torus of x-coordinates, and every cell of TC(A)
 is a polytrope: the points whose covector is tau satisfy, per column j,
@@ -14,8 +15,9 @@ integer-scaled entries of A, strictly in the search and weakly in
 ``_closed_cell``.  TC(A) is found by a depth-first search over the columns:
 a partial choice (I_1, ..., I_j) is kept exactly when its system is
 feasible, and every feasible prefix extends to a covector, so the search
-never dead-ends.  A cell's dimension is the number of components of its row
-equality graph minus one, and its witness, gauge-fixed by x_1 = 0, comes
+never dead-ends.  A cell's dimension is the number of tie classes of its
+closed matrix minus one (the only zero cycles of a feasible strict system
+are its tie equalities), and its witness, gauge-fixed by x_1 = 0, comes
 from the potentials of the closed matrix.
 """
 
@@ -27,7 +29,7 @@ from fractions import Fraction
 
 from .core import INF, DomainError, TropMatrix, TropVector, require_column_supports, require_row_supports, trop_sum
 from .geom import DifferenceBounds
-from .bipartite import BipartiteGraph, components, dragon_condition, optimal_matchings
+from .bipartite import BipartiteGraph, dragon_condition, optimal_matchings
 
 ZERO = Fraction(0)
 
@@ -70,7 +72,7 @@ def covector_of_point(A: TropMatrix, x: TropVector) -> Covector:
     """tc(x): per column, the finite-entry rows attaining min_i (x_i + a_ij)."""
     require_column_supports(A)
     if len(x) != A.d or not x.is_finite():
-        raise DomainError("BAD_POINT", "x must be a finite vector of length d")
+        raise DomainError("BAD_POINT", "the point must be finite, one coordinate per row")
     edges = []
     for j in range(1, A.n + 1):
         best = trop_sum(x.entry(i) + A.entry(i, j) for i in range(1, A.d + 1))
@@ -81,17 +83,10 @@ def covector_of_point(A: TropMatrix, x: TropVector) -> Covector:
 
 
 def transpose_covector(A: TropMatrix, y: TropVector) -> BipartiteGraph:
-    """Per row, the columns attaining min_j (a_ij + y_j)."""
+    """Per row, the columns attaining min_j (a_ij + y_j): tc(y) in the
+    arrangement of Aᵀ, its edges flipped."""
     require_row_supports(A)
-    if len(y) != A.n or not y.is_finite():
-        raise DomainError("BAD_POINT", "y must be a finite vector of length n")
-    edges = []
-    for i in range(1, A.d + 1):
-        best = trop_sum(A.entry(i, j) + y.entry(j) for j in range(1, A.n + 1))
-        for j in range(1, A.n + 1):
-            if A.entry(i, j) is not INF and A.entry(i, j) + y.entry(j) == best:
-                edges.append((i, j))
-    return BipartiteGraph(A.d, A.n, edges)
+    return BipartiteGraph(A.d, A.n, [(i, j) for j, i in covector_of_point(A.transpose(), y).edges])
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +156,11 @@ def _closed_cell(dbm: DifferenceBounds, a, tau, base):
     """Impose on ``dbm`` the closed cell of the covector edge set tau, row i
     being node base + i: ``_attain`` with weak bounds for each column.
     Returns the least row i0 of each column, or None when the cell is empty.
-    BAD_COVECTOR, before any bound is imposed, for an edge outside
-    [d]×[n] or off the support, or for an uncovered column."""
+    BAD_COVECTOR, before any bound is imposed, for an edge not of integers
+    in [d]×[n] or off the support, or for an uncovered column."""
     by_col = [set() for _ in a[0]]
     for i, j in tau:
-        if not (1 <= i <= len(a) and 1 <= j <= len(by_col)) or a[i - 1][j - 1] is None:
+        if not (type(i) is int and type(j) is int and 1 <= i <= len(a) and 1 <= j <= len(by_col)) or a[i - 1][j - 1] is None:
             raise DomainError("BAD_COVECTOR", f"edge {(i, j)} is not in the support")
         by_col[j - 1].add(i - 1)
     if not all(by_col):
@@ -213,7 +208,7 @@ def enumerate_covectors(A: TropMatrix, budget=5000) -> list:
     def search(j, dbm, chosen):
         if j == n:
             edges = [(i + 1, k + 1) for k, I in enumerate(chosen) for i in I]
-            cells.append(Cell(Covector(BipartiteGraph(d, n, edges)), components(d, chosen) - 1, dbm.point()))
+            cells.append(Cell(Covector(BipartiteGraph(d, n, edges)), dbm.dim(), dbm.point()))
             if len(cells) > budget:
                 raise DomainError("BUDGET_EXCEEDED", f"more than {budget} cells")
             return

@@ -6,11 +6,13 @@ matroids, and the first-Betti-number dimension formula.  One matching engine
 (``optimal_matchings``) answers which column sets can be matched and how
 well: the Stiefel map, multifields, coherence, transversal matroids and
 tropical singularity; it refuses up front a table of more than
-``MATCHING_BUDGET`` column sets, as the Hall-type scans refuse more than
-``HALL_BUDGET`` row subsets.  Coherence is one ``geom.argmin_witness``
-question.  One augmenting-path matcher (``_max_matching_size``)
-answers the maximum matching over all columns, and one union-find
-(``components``) every component count, here and in ``arrangement`` and
+``MATCHING_BUDGET`` column sets.  One Hall-type surplus scan answers the
+support-set test and both dragon conditions, over row or column subsets
+refused up front past ``HALL_BUDGET``, as the spanning-tree search is
+past ``TREE_BUDGET`` edge subsets.  Coherence is one
+``geom.argmin_witness`` question.  One augmenting-path matcher
+(``_max_matching_size``) answers the maximum matching over all columns,
+and one union-find (``components``) every component count, here and in
 ``linspace``.
 """
 
@@ -343,24 +345,32 @@ def is_coherent(multifield: MatchingMultifield):
 # Support sets
 # ---------------------------------------------------------------------------
 
-HALL_BUDGET = 10 ** 5  # nonempty row subsets a Hall-type scan may visit
+HALL_BUDGET = 10 ** 5  # nonempty vertex subsets a Hall-type scan may visit
 
 
-def _nonempty_left_subsets(d):
-    """The nonempty I ⊆ [d]; DomainError BUDGET_EXCEEDED, before the first,
-    when their 2^d − 1 exceed ``HALL_BUDGET``."""
-    if 2 ** d - 1 > HALL_BUDGET:
-        raise DomainError("BUDGET_EXCEEDED", f"{d} rows give {2 ** d - 1} row subsets, budget {HALL_BUDGET}")
-    for r in range(1, d + 1):
-        yield from itertools.combinations(range(1, d + 1), r)
+def _nonempty_subsets(ground):
+    """The nonempty subsets of the sequence ``ground``, as tuples by size;
+    DomainError BUDGET_EXCEEDED, before the first, when their
+    2^|ground| − 1 exceed ``HALL_BUDGET``."""
+    count = 2 ** len(ground) - 1
+    if count > HALL_BUDGET:
+        raise DomainError("BUDGET_EXCEEDED", f"{len(ground)} vertices give {count} subsets, budget {HALL_BUDGET}")
+    for r in range(1, len(ground) + 1):
+        yield from itertools.combinations(ground, r)
+
+
+def _hall_surplus(ground, neighbours, k):
+    """|neighbours(S)| >= |S| + k for every nonempty S ⊆ ground, over rows
+    or columns; a plain loop, since ``decompose`` asks it ~300 times a query."""
+    for S in _nonempty_subsets(ground):
+        if len(neighbours(S)) < len(S) + k:
+            return False
+    return True
 
 
 def hall_surplus_check(G: BipartiteGraph) -> bool:
     """|J_I| >= n - d + |I| for every nonempty I ⊆ [d]."""
-    for I in _nonempty_left_subsets(G.d):
-        if len(G.J_of(I)) < G.n - G.d + len(I):
-            return False
-    return True
+    return _hall_surplus(range(1, G.d + 1), G.J_of, G.n - G.d)
 
 
 def is_support_set(G: BipartiteGraph) -> bool:
@@ -418,7 +428,7 @@ def transversal_rank(G: BipartiteGraph, S) -> int:
     """min over I ⊆ [d] of |S ∩ J_I| + d − |I| (the deficiency formula)."""
     S = frozenset(S)
     best = G.d  # I = ∅
-    for I in _nonempty_left_subsets(G.d):
+    for I in _nonempty_subsets(range(1, G.d + 1)):
         v = len(S & G.J_of(I)) + G.d - len(I)
         if v < best:
             best = v
@@ -431,27 +441,23 @@ def transversal_rank(G: BipartiteGraph, S) -> int:
 
 def dragon_condition(G: BipartiteGraph) -> bool:
     """|J_I| >= |I| + 1 for every nonempty I ⊆ [d] (row-wise)."""
-    for I in _nonempty_left_subsets(G.d):
-        if len(G.J_of(I)) < len(I) + 1:
-            return False
-    return True
+    return _hall_surplus(range(1, G.d + 1), G.J_of, 1)
 
 
 def colwise_dragon_condition(G: BipartiteGraph, J) -> bool:
-    """|I_{J'}| >= |J'| + 1 for every nonempty J' ⊆ J (column-wise)."""
-    J = sorted(set(J))
-    for r in range(1, len(J) + 1):
-        for Jp in itertools.combinations(J, r):
-            if len(G.I_of(Jp)) < r + 1:
-                return False
-    return True
+    """|I_{J'}| >= |J'| + 1 for every nonempty J' ⊆ J (column-wise), under
+    ``HALL_BUDGET``; ``decompose`` asks it only with |J| ≤ d − 1."""
+    return _hall_surplus(sorted(set(J)), G.I_of, 1)
 
 
 # ---------------------------------------------------------------------------
 # Spanning trees and the Betti-number dimension formula
 # ---------------------------------------------------------------------------
 
-def spanning_tree_no_left_leaves(G: BipartiteGraph, budget=10 ** 5) -> BipartiteGraph:
+TREE_BUDGET = 10 ** 5  # edge subsets the spanning-tree search may visit
+
+
+def spanning_tree_no_left_leaves(G: BipartiteGraph) -> BipartiteGraph:
     """A spanning tree of G whose left vertices all have degree >= 2.
 
     Exists whenever d < n, G is connected and every edge lies in a matching;
@@ -468,7 +474,7 @@ def spanning_tree_no_left_leaves(G: BipartiteGraph, budget=10 ** 5) -> Bipartite
             raise DomainError("EDGE_NOT_MATCHABLE", f"edge {(i, j)} lies in no matching")
     edges = sorted(G.edges)
     need = G.d + G.n - 1
-    if math.comb(len(edges), need) > budget:
+    if math.comb(len(edges), need) > TREE_BUDGET:
         raise DomainError("BUDGET_EXCEEDED", "spanning-tree search too large")
     for subset in itertools.combinations(edges, need):
         T = BipartiteGraph(G.d, G.n, subset)

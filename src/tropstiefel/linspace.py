@@ -1,9 +1,9 @@
 """Stiefel tropical linear spaces L(A).
 
-Membership by circuit minima, by selected matroids, and by an explicit
-covector decomposition with certificates; boundedness tests; the bounded
-complex (the image of the dragon-condition subcomplex K(A)); and the rank-2
-caterpillar predicate.
+Membership by circuit minima (``plucker.contains``, imported here), by
+selected matroids, and by an explicit covector decomposition with
+certificates; boundedness tests; the bounded complex (the image of the
+dragon-condition subcomplex K(A)); and the rank-2 caterpillar predicate.
 
 A covector decomposition y ∈ (F ⊙ A) + R_{>=0}{e_j : j ∈ J} and its cone
 are difference systems over x and y, so both run on the closed integer
@@ -22,34 +22,17 @@ from __future__ import annotations
 
 import itertools
 
-from .core import (
-    DomainError,
-    TropMatrix,
-    TropVector,
-    trop_vanishes,
-    vec_mat_mul,
-)
+from .core import DomainError, TropMatrix, TropVector, residuation, vec_mat_mul
 from .geom import DifferenceBounds
 from .bipartite import BipartiteGraph, _max_matching_size, colwise_dragon_condition, components, transversal_matroid, uniform_matroid
-from .plucker import PluckerVector, underlying_matroid
+from .plucker import PluckerVector, contains, underlying_matroid
 from .arrangement import Covector, _closed_cell, _integer_scaled, covector_to_json, enumerate_covectors, in_B, in_K, skeleton
-from .subdivision import select_matroid
-
-
-def contains(p: PluckerVector, y: TropVector) -> bool:
-    """Circuit membership: for every (d+1)-subset J the minimum of
-    p_{J−j} + y_j over j ∈ J is ∞ or attained at least twice."""
-    if len(y) != p.n:
-        raise DomainError("LENGTH_MISMATCH", "y must have length n")
-    return all(
-        trop_vanishes(p[frozenset(J) - {j}] + y.entry(j) for j in J)
-        for J in itertools.combinations(range(1, p.n + 1), p.d + 1)
-    )
+from .subdivision import is_interior_cell, select_matroid
 
 
 def contains_via_matroid(p: PluckerVector, y: TropVector) -> bool:
     """Membership via the selected matroid: M_y must be loopless."""
-    return not select_matroid(p, y).matroid.loops()
+    return not select_matroid(p, y).loops()
 
 
 class DecompositionCertificate:
@@ -129,10 +112,7 @@ def bounded_membership(p: PluckerVector, y: TropVector) -> bool:
     matroid; equivalent to membership plus a coloop-free selected matroid."""
     if underlying_matroid(p) != uniform_matroid(p.d, p.n):
         raise DomainError("NOT_UNIFORM", "underlying matroid must be uniform")
-    if len(y) != p.n or not y.is_finite():
-        raise DomainError("BAD_POINT", "y must be finite of length n")
-    M = select_matroid(p, y).matroid
-    return not M.loops() and not M.coloops()
+    return is_interior_cell(select_matroid(p, y))
 
 
 def decomposition_cone(A: TropMatrix, tau, J):
@@ -196,15 +176,11 @@ def bounded_skeleton(A: TropMatrix):
     return skeleton(_bounded_cells(A))
 
 
-def bounded_point_in_complex(A: TropMatrix, y: TropVector, complex_=None) -> bool:
+def bounded_point_in_complex(A: TropMatrix, y: TropVector) -> bool:
     """Does y, suitably gauge-shifted, land in some bounded image cell?"""
-    from .core import residuation
-
-    if complex_ is None:
-        complex_ = bounded_complex(A)
     x = residuation(y, A)
     shifted = y.shift(-x.entry(1))
-    return any(image.contains(shifted.entries) for _, image in complex_)
+    return any(image.contains(shifted.entries) for _, image in bounded_complex(A))
 
 
 def caterpillar_check(A: TropMatrix) -> bool:

@@ -1,8 +1,9 @@
 """Tropical Plücker vectors.
 
 The Stiefel map (tropical maximal minors, from the matching engine), the
-Plücker relations of every (d−1)-set and (d+1)-set, duality, stable union
-and stable intersection (the dual of the stable union of the duals),
+circuits of p, read once per call, behind membership in L(p) and the
+Plücker check (every cocircuit lies in L(p)), duality, stable union and
+stable intersection (the dual of the stable union of the duals),
 underlying matroids, cocircuits and matrix recovery from a support set.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .core import INF, DomainError, TropMatrix, TropVector, scalar, scalar_str, subset_from_key, trop_sum, trop_vanishes
+from .core import INF, DomainError, TropMatrix, TropVector, proj_eq, scalar, scalar_str, subset_from_key, trop_sum, trop_vanishes
 from .bipartite import (
     BipartiteGraph,
     Matroid,
@@ -48,22 +49,11 @@ class PluckerVector:
     def support(self):
         return frozenset(J for J, v in self.values.items() if v is not INF)
 
-    def canonical(self):
-        """Subtract the value at the lexicographically least finite coordinate."""
-        least = min(
-            (tuple(sorted(J)) for J, v in self.values.items() if v is not INF)
-        )
-        base = self.values[frozenset(least)]
-        return PluckerVector(
-            self.n,
-            self.d,
-            {J: (v - base if v is not INF else INF) for J, v in self.values.items()},
-        )
-
     def proj_eq(self, other) -> bool:
-        if (self.n, self.d) != (other.n, other.d):
-            return False
-        return self.canonical().values == other.canonical().values
+        """``core.proj_eq`` on the coordinates of both, in one order."""
+        return (self.n, self.d) == (other.n, other.d) and proj_eq(
+            TropVector(self.values.values()), TropVector(other.values[J] for J in self.values)
+        )
 
     def __eq__(self, other):
         return (
@@ -90,19 +80,33 @@ def stiefel_map(A: TropMatrix) -> PluckerVector:
     return PluckerVector(A.n, A.d, values)
 
 
+def _circuit_test(p: PluckerVector):
+    """The circuits of p, read once, as a test of 0-based coordinates y:
+    for every (d+1)-set T the minimum of p_{T−j} + y_j over j ∈ T is ∞ or
+    attained at least twice."""
+    circuits = [[(j - 1, p[frozenset(T) - {j}]) for j in T] for T in _subsets(p.n, p.d + 1)]
+    return lambda y: all(trop_vanishes(v + y[k] for k, v in C) for C in circuits)
+
+
+def contains(p: PluckerVector, y: TropVector) -> bool:
+    """Circuit membership of y in L(p)."""
+    if len(y) != p.n:
+        raise DomainError("LENGTH_MISMATCH", "y must have length n")
+    return _circuit_test(p)(y.entries)
+
+
 def check_plucker(p: PluckerVector) -> bool:
-    """The Plücker relations: for every (d−1)-set S and (d+1)-set T the
-    minimum of p_{S∪i} + p_{T−i} over i ∈ T∖S is ∞ or attained twice."""
+    """The Plücker relations: every cocircuit of p (∞ on a (d−1)-set S,
+    p_{S∪j} elsewhere) lies in L(p).  The circuit of a (d+1)-set T at the
+    cocircuit of S is the relation of S and T: the minimum of
+    p_{S∪j} + p_{T−j} over j ∈ T∖S is ∞ or attained twice."""
     if p.d == 0:
         return True  # no relations in rank 0
-    ground = range(1, p.n + 1)
-    for S in itertools.combinations(ground, p.d - 1):
-        Sset = frozenset(S)
-        for T in itertools.combinations(ground, p.d + 1):
-            Tset = frozenset(T)
-            if not trop_vanishes(p[Sset | {i}] + p[Tset - {i}] for i in Tset - Sset):
-                return False
-    return True
+    in_span, ground = _circuit_test(p), range(1, p.n + 1)
+    return all(
+        in_span([INF if j in S else p.values[S | {j}] for j in ground])
+        for S in map(frozenset, _subsets(p.n, p.d - 1))
+    )
 
 
 def dual(p: PluckerVector) -> PluckerVector:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .core import INF, DomainError, TropMatrix, TropVector
 from .geom import argmin_witness
-from .bipartite import BipartiteGraph, Matroid, _nonempty_left_subsets, transversal_matroid
+from .bipartite import BipartiteGraph, Matroid, _nonempty_subsets, transversal_matroid
 from .plucker import PluckerVector
 from .arrangement import enumerate_covectors
 
@@ -20,21 +20,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class SelectedMatroid:
+def select_matroid(p: PluckerVector, y: TropVector) -> Matroid:
     """The matroid M_y selected by y: argmin of p_J − Σ_{j∈J} y_j."""
-
-    __slots__ = ("matroid", "y", "minimum")
-
-    def __init__(self, matroid, y, minimum):
-        self.matroid = matroid
-        self.y = y
-        self.minimum = minimum
-
-    def __repr__(self):
-        return "SelectedMatroid(%r, min=%s)" % (self.matroid, self.minimum)
-
-
-def select_matroid(p: PluckerVector, y: TropVector) -> SelectedMatroid:
     if len(y) != p.n or not y.is_finite():
         raise DomainError("BAD_POINT", "y must be finite of length n")
     best = None
@@ -48,7 +35,7 @@ def select_matroid(p: PluckerVector, y: TropVector) -> SelectedMatroid:
             bases = [J]
         elif val == best:
             bases.append(J)
-    return SelectedMatroid(Matroid(p.n, p.d, bases), y, best)
+    return Matroid(p.n, p.d, bases)
 
 
 def facets_of_D(A: TropMatrix) -> frozenset:
@@ -88,7 +75,7 @@ def transversal_polytope_ineqs(G: BipartiteGraph):
         hi = [ZERO] * n
         hi[j] = -ONE
         ineqs.append((tuple(hi), -ONE))
-    for I in _nonempty_left_subsets(d):
+    for I in _nonempty_subsets(range(1, d + 1)):
         co = [ZERO] * n
         for j in G.J_of(I):
             co[j - 1] = ONE

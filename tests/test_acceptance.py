@@ -345,7 +345,7 @@ def test_facet_cross_validation():
                 if key not in cache:
                     if y is None:
                         y = vec_mat_mul(TropVector(x), A)
-                    cache[key] = select_matroid(p, y).matroid
+                    cache[key] = select_matroid(p, y)
                 seen.add(cache[key])
             maximal = {
                 M for M in seen if not any(set(M.bases) < set(N.bases) for N in seen)
@@ -449,7 +449,7 @@ def test_caterpillar_and_snowflake():
         # census of selected matroids over a small exact grid
         seen = set()
         for y in itertools.product(range(4), repeat=6):
-            seen.add(select_matroid(p, TropVector(y)).matroid)
+            seen.add(select_matroid(p, TropVector(y)))
         facets = {
             M for M in seen if not any(set(M.bases) < set(N.bases) for N in seen)
         }

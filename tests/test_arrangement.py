@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyhedra import Polyhedron
 from tropstiefel.arrangement import (
@@ -17,7 +18,7 @@ from tropstiefel.arrangement import (
     transpose_covector,
 )
 from tropstiefel.bipartite import BipartiteGraph, matching_multifield, Matching
-from tropstiefel.core import DomainError, INF, TropMatrix, TropVector
+from tropstiefel.core import DomainError, INF, TropMatrix, TropVector, trop_sum
 
 FIG = TropMatrix([[0, 3, 0, "inf", "inf"], ["inf", 0, 0, 2, "inf"], ["inf", "inf", 0, 0, 0]])
 STAIR = TropMatrix([[0, 0, "inf", "inf"], ["inf", 0, 0, "inf"], ["inf", "inf", 0, 0]])
@@ -49,6 +50,41 @@ def test_covector_of_point_examples():
     assert covector_of_point(z, TropVector([5, 5])).edges == frozenset(
         [(1, 1), (1, 2), (2, 1), (2, 2)]
     )
+
+
+def row_argmins(A, y):
+    """The reference route: per row, the columns attaining min_j (a_ij + y_j)."""
+    edges = []
+    for i in range(1, A.d + 1):
+        best = trop_sum(A.entry(i, j) + y.entry(j) for j in range(1, A.n + 1))
+        edges += [(i, j) for j in range(1, A.n + 1) if A.entry(i, j) is not INF and A.entry(i, j) + y.entry(j) == best]
+    return BipartiteGraph(A.d, A.n, edges)
+
+
+HALVES = st.sampled_from([Fraction(k, 2) for k in range(-4, 5)])
+
+
+@st.composite
+def matrices_and_points(draw):
+    """A matrix with d <= 4, n <= 7 and entries in halves and ∞, and a point
+    of R^n in halves."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 7))
+    entries = st.one_of(st.just(INF), HALVES)
+    A = TropMatrix(draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=d, max_size=d)))
+    return A, TropVector(draw(st.lists(HALVES, min_size=n, max_size=n)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(matrices_and_points())
+def test_transpose_covector_against_row_argmins(case):
+    A, y = case
+    if not all(A.row_support(i) for i in range(1, A.d + 1)):
+        with pytest.raises(DomainError) as exc:
+            transpose_covector(A, y)
+        assert exc.value.code == "EMPTY_ROW"
+    else:
+        assert transpose_covector(A, y) == row_argmins(A, y)
 
 
 def test_transpose_covector_examples():

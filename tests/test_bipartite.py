@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropstiefel.bipartite import (
     HALL_BUDGET,
@@ -31,7 +32,7 @@ from tropstiefel.bipartite import (
     transversal_rank,
     uniform_matroid,
     _max_matching_size,
-    _nonempty_left_subsets,
+    _nonempty_subsets,
 )
 from tropstiefel.core import INF, DomainError, TropMatrix, TropVector
 from tropstiefel.plucker import stiefel_map
@@ -267,6 +268,42 @@ def test_colwise_dragon_condition():
     assert colwise_dragon_condition(vertex, set())
 
 
+def column_scan(G, J, k):
+    """The reference Hall-type scan: |I_{J'}| >= |J'| + k for each of the
+    2^|J| − 1 nonempty J' ⊆ J, one bit mask at a time."""
+    J = sorted(set(J))
+    for mask in range(1, 2 ** len(J)):
+        Jp = {j for b, j in enumerate(J) if mask >> b & 1}
+        if len({i for i, j in G.edges if j in Jp}) < len(Jp) + k:
+            return False
+    return True
+
+
+@st.composite
+def graphs_and_columns(draw):
+    """A graph with d <= 4 rows and n <= 7 columns, the support of a matrix
+    with a random ∞ pattern, and a column set J."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 7))
+    entry_is_finite = st.sampled_from([True, True, True, False])
+    finite = draw(st.lists(st.lists(entry_is_finite, min_size=n, max_size=n), min_size=d, max_size=d))
+    edges = [(i + 1, j + 1) for i, row in enumerate(finite) for j, f in enumerate(row) if f]
+    in_J = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return BipartiteGraph(d, n, edges), {j + 1 for j, b in enumerate(in_J) if b}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(graphs_and_columns())
+def test_hall_scans_against_column_scan(case):
+    """The column-wise dragon condition on J directly; the row-wise one and
+    the support-set surplus as column scans of the transposed graph."""
+    G, J = case
+    T = BipartiteGraph(G.n, G.d, [(j, i) for i, j in G.edges])
+    assert colwise_dragon_condition(G, J) == column_scan(G, J, 1)
+    assert dragon_condition(G) == column_scan(T, range(1, G.d + 1), 1)
+    assert hall_surplus_check(G) == column_scan(T, range(1, G.d + 1), G.n - G.d)
+
+
 def test_spanning_tree_no_left_leaves():
     T0 = BipartiteGraph(2, 3, [(1, 1), (1, 2), (2, 2), (2, 3)])
     assert spanning_tree_no_left_leaves(T0) == T0
@@ -309,12 +346,18 @@ def test_json_roundtrips():
 
 
 def test_hall_scans_budget():
-    # 2^16 − 1 row subsets fit the budget and 2^17 − 1 do not; the refusal
-    # comes before the first subset
+    # 2^16 − 1 row or column subsets fit the budget and 2^17 − 1 do not;
+    # the refusal comes before the first subset
     assert (2 ** 16 - 1) <= HALL_BUDGET < 2 ** 17 - 1
-    assert next(_nonempty_left_subsets(16)) == (1,)
+    assert next(_nonempty_subsets(range(1, 17))) == (1,)
     G = BipartiteGraph(17, 18, [(i, j) for i in range(1, 18) for j in range(1, 19)])
-    for scan in (hall_surplus_check, dragon_condition, lambda G: transversal_rank(G, {1}), transversal_polytope_ineqs):
+    for scan in (
+        hall_surplus_check,
+        dragon_condition,
+        lambda G: transversal_rank(G, {1}),
+        transversal_polytope_ineqs,
+        lambda G: colwise_dragon_condition(G, range(1, 18)),
+    ):
         with pytest.raises(DomainError) as exc:
             scan(G)
         assert exc.value.code == "BUDGET_EXCEEDED" and "budget 100000" in str(exc.value)
@@ -346,7 +389,7 @@ def test_is_connected_against_separations():
             p = stiefel_map(A)
         except DomainError:
             continue
-        matroids.append(select_matroid(p, TropVector([rng.randint(-3, 3) for _ in range(n)])).matroid)
+        matroids.append(select_matroid(p, TropVector([rng.randint(-3, 3) for _ in range(n)])))
     connected = 0
     for M in matroids:
         expected = not M.is_empty() and not separable(M)

@@ -4,9 +4,10 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from tropstiefel.bipartite import BipartiteGraph, uniform_matroid
-from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, proj_eq, trop_sum
+from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, proj_eq, trop_sum, trop_vanishes
 from tropstiefel.plucker import (
     PluckerVector,
     check_plucker,
@@ -75,6 +76,76 @@ def test_check_plucker():
         },
     )
     assert not check_plucker(bad)
+
+
+def all_pairs_plucker(p):
+    """The reference route: for every (d−1)-set S and (d+1)-set T the
+    minimum of p_{S∪i} + p_{T−i} over i ∈ T∖S is ∞ or attained twice."""
+    ground = range(1, p.n + 1)
+    for S in itertools.combinations(ground, p.d - 1):
+        Sset = frozenset(S)
+        for T in itertools.combinations(ground, p.d + 1):
+            Tset = frozenset(T)
+            if not trop_vanishes(p[Sset | {i}] + p[Tset - {i}] for i in Tset - Sset):
+                return False
+    return True
+
+
+def least_coordinate_form(p):
+    """The reference projective form: subtract the value at the
+    lexicographically least finite coordinate."""
+    base = p[min(sorted(J) for J, v in p.values.items() if v is not INF)]
+    return {J: v if v is INF else v - base for J, v in p.values.items()}
+
+
+VALUES = st.sampled_from([INF, INF] + [Fraction(k, 2) for k in range(-6, 7)])
+
+
+@st.composite
+def perturbed_images(draw):
+    """π(A) for A with 2 <= d <= 4 (rank 1 has no relation that can fail),
+    n <= 7 and entries in halves and ∞, with 0–2 coordinates replaced by a
+    half or ∞."""
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(d, 7))
+    A = TropMatrix(draw(st.lists(st.lists(VALUES, min_size=n, max_size=n), min_size=d, max_size=d)))
+    try:
+        values = dict(stiefel_map(A).values)
+    except DomainError:
+        assume(False)
+    for J in draw(st.lists(st.sampled_from(sorted(values, key=sorted)), max_size=2)):
+        values[J] = draw(VALUES)
+    assume(any(v is not INF for v in values.values()))
+    return PluckerVector(n, d, values)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(perturbed_images())
+def test_check_plucker_against_all_pairs(p):
+    assert check_plucker(p) == all_pairs_plucker(p)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(perturbed_images(), st.sampled_from([Fraction(k, 2) for k in range(-4, 5)]), st.data())
+def test_proj_eq_against_least_coordinate(p, c, data):
+    """p against p + c with at most two coordinates replaced."""
+    values = {J: v + c for J, v in p.values.items()}
+    for J in data.draw(st.lists(st.sampled_from(sorted(values, key=sorted)), max_size=2)):
+        values[J] = data.draw(VALUES)
+    assume(any(v is not INF for v in values.values()))
+    q = PluckerVector(p.n, p.d, values)
+    expected = least_coordinate_form(p) == least_coordinate_form(q)
+    assert p.proj_eq(q) == q.proj_eq(p) == expected
+
+
+def test_proj_eq_and_check_plucker_edge_cases():
+    assert check_plucker(rank_zero(3)) and rank_zero(3).proj_eq(rank_zero(3))
+    assert not rank_zero(3).proj_eq(rank_zero(4))
+    assert not zero_plucker(1, 3).proj_eq(zero_plucker(2, 3))
+    # supports of one size in different places
+    p = PluckerVector(3, 2, {frozenset({1, 2}): 0, frozenset({1, 3}): 0, frozenset({2, 3}): INF})
+    q = PluckerVector(3, 2, {frozenset({1, 2}): 0, frozenset({1, 3}): INF, frozenset({2, 3}): 0})
+    assert not p.proj_eq(q) and not q.proj_eq(p)
 
 
 def test_stiefel_image_in_grassmannian():
