@@ -25,13 +25,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from .core import INF, DomainError, TropMatrix, TropVector, require_column_supports, require_row_supports, trop_sum
 from .geom import DifferenceBounds
 from .bipartite import BipartiteGraph, dragon_condition, optimal_matchings
-
-ZERO = Fraction(0)
 
 
 class Covector:
@@ -92,36 +89,6 @@ def transpose_covector(A: TropMatrix, y: TropVector) -> BipartiteGraph:
 # ---------------------------------------------------------------------------
 # Cells and the covector complex
 # ---------------------------------------------------------------------------
-
-def _cell_constraints(A: TropMatrix, tau):
-    """Equalities tying the tau rows of each column, and the weak 'other
-    rows lose' inequalities (as (coeffs, rhs, edge) triples)."""
-    d = A.d
-    eqs = []
-    others = []
-    by_col = {}
-    for i, j in tau:
-        by_col.setdefault(j, []).append(i)
-    for j in range(1, A.n + 1):
-        rows_in = sorted(by_col.get(j, ()))
-        if not rows_in:
-            raise DomainError("BAD_COVECTOR", f"column {j} uncovered")
-        i0 = rows_in[0]
-        a0 = A.entry(i0, j)
-        for i in rows_in[1:]:
-            co = [ZERO] * d
-            co[i0 - 1] += 1
-            co[i - 1] -= 1
-            eqs.append((tuple(co), A.entry(i, j) - a0))
-        for i in sorted(A.col_support(j)):
-            if i in rows_in:
-                continue
-            co = [ZERO] * d
-            co[i - 1] += 1
-            co[i0 - 1] -= 1
-            others.append((tuple(co), a0 - A.entry(i, j), (i, j)))
-    return eqs, others
-
 
 def _integer_scaled(A: TropMatrix, y=()):
     """(unit, a, z): the entries of A and of y times unit, the LCM of all

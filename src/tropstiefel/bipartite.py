@@ -10,7 +10,8 @@ tropical singularity; it refuses up front a table of more than
 support-set test and both dragon conditions, over row or column subsets
 refused up front past ``HALL_BUDGET``, as the spanning-tree search is
 past ``TREE_BUDGET`` edge subsets.  Coherence is one
-``geom.argmin_witness`` question.  One augmenting-path matcher
+``geom.argmin_witness`` question, refused up front past
+``COHERENCE_BUDGET`` supported matchings.  One augmenting-path matcher
 (``_max_matching_size``) answers the maximum matching over all columns,
 and one union-find (``components``) every component count, here and in
 ``linspace``.
@@ -305,6 +306,9 @@ def matching_multifield(A: TropMatrix) -> MatchingMultifield:
     return MatchingMultifield(A.d, A.n, choices)
 
 
+COHERENCE_BUDGET = 2 * 10 ** 3  # supported matchings (one LP row each) the coherence LP may hold
+
+
 def is_coherent(multifield: MatchingMultifield):
     """A witness matrix A with matching_multifield(A) = Λ, or None.
 
@@ -312,12 +316,17 @@ def is_coherent(multifield: MatchingMultifield):
     per J: the chosen matchings on J are exactly the lightest of the
     supported matchings on J, each an incidence vector over the support
     with height 0.  The supported matchings on J are the optimal ones of the
-    support's 0/∞ matrix, on which each of them weighs 0.
+    support's 0/∞ matrix, on which each of them weighs 0.  DomainError
+    BUDGET_EXCEEDED, before the LP, when they are more than
+    ``COHERENCE_BUDGET``; a list cut at one past it is alone over it.
     """
     support = sorted(multifield.support())
     index = {e: k for k, e in enumerate(support)}
     rows = _zero_inf_rows(multifield.d, multifield.n, index)
-    supported = optimal_matchings(rows, range(1, multifield.n + 1))[1]
+    supported = optimal_matchings(rows, range(1, multifield.n + 1), limit=COHERENCE_BUDGET + 1)[1]
+    total = sum(len(supported(J)) for J in multifield.choices)
+    if total > COHERENCE_BUDGET:
+        raise DomainError("BUDGET_EXCEEDED", f"at least {total} supported matchings, budget {COHERENCE_BUDGET}")
     pair = lambda m: (tuple(int(m.cols[i - 1] == j) for i, j in support), 0)
     groups = []
     for J in sorted(multifield.choices, key=lambda s: tuple(sorted(s))):

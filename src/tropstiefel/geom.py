@@ -1,34 +1,31 @@
 """Exact feasibility of linear systems: the difference-constraint engine
-and the simplex.
+and the simplex, each with its own questions.
 
 Systems mix equalities, weak and strict inequalities.  Two engines:
 
-* ``DifferenceBounds``, a closed integer difference-bound matrix, for
-  systems whose every constraint has the form x_i - x_j >= b, x_i >= b or
-  -x_i >= b: covector cells, covector decompositions and their cones.
-  Rational constants are scaled to integers by the LCM of their
+* ``DifferenceBounds``, a closed integer difference-bound matrix, answers
+  cells, cones and decompositions: systems whose every constraint has the
+  form x_i - x_j >= b, x_i >= b or -x_i >= b, built by their callers bound
+  by bound.  Rational constants are scaled to integers by the LCM of their
   denominators, and strict bounds are exact through one ε = 1/(V+1) fixed
   by the number of nodes V.  The projection of a closed matrix onto some of
   its nodes is its restriction to them.  With node 0 an origin pinned at 0,
   a closed matrix of weak bounds is a polytrope: it answers dimension,
   membership and a witness point by lookups, and emits its rows in minimal
   form;
-* a two-phase exact simplex with Bland's rule over Fractions for the one
-  question that is not a difference system: ``argmin_witness``, a linear
-  height under which chosen points are exactly the argmins.  Coherence of a
-  matching multifield (a cone of the secondary fan of the product of maximal
-  minors) and a cell of the regular subdivision of Δ(d, n) are both this
-  question.  Each strict row a·x > b is relaxed to a·x >= b + ε and ε is
-  maximized; the system is strictly feasible iff the optimum has ε > 0.
-
-``strict_feasible`` answers a system of plain rows (a, b) by the first
-engine when every row is a difference and by the simplex otherwise, with
-None for no solution.
+* a two-phase exact simplex with Bland's rule over Fractions answers
+  ``argmin_witness``, a linear height under which chosen points are exactly
+  the argmins: the one question that is not a difference system.  Coherence
+  of a matching multifield (a cone of the secondary fan of the product of
+  maximal minors) and a cell of the regular subdivision of Δ(d, n) are both
+  this question.  ``strict_feasible`` relaxes each strict row a·x > b to
+  a·x >= b + ε and maximizes ε; the system is strictly feasible iff the
+  optimum has ε > 0.  Free variables are x = u − t·1 with u, t >= 0: one
+  shift column t serves every coordinate.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -96,15 +93,14 @@ def lp_solve(dim, eqs, ges, objective):
     optimal.
     """
     ges = list(ges)
-    nreal = 2 * dim + len(ges)  # x_k = u_k - v_k, one surplus var per >=
+    nreal = dim + 1 + len(ges)  # x = u - t·1 with u, t >= 0, one surplus var per >=
 
-    rows = []
-    for a, b in eqs:
-        rows.append(([Fraction(v) for v in a] + [-Fraction(v) for v in a] + [ZERO] * len(ges), Fraction(b)))
-    for idx, (a, b) in enumerate(ges):
-        s = [ZERO] * len(ges)
-        s[idx] = -ONE
-        rows.append(([Fraction(v) for v in a] + [-Fraction(v) for v in a] + s, Fraction(b)))
+    def lift(a):  # a·x as a·u - (Σa)·t
+        a = [Fraction(v) for v in a]
+        return a + [-sum(a, ZERO)]
+
+    rows = [(lift(a) + [ZERO] * len(ges), Fraction(b)) for a, b in eqs]
+    rows += [(lift(a) + [-ONE if k == idx else ZERO for k in range(len(ges))], Fraction(b)) for idx, (a, b) in enumerate(ges)]
 
     m = len(rows)
     if m == 0:
@@ -141,7 +137,7 @@ def lp_solve(dim, eqs, ges, objective):
         del basis[i]
     tab = [row[:nreal] + [row[-1]] for row in tab]
 
-    c2 = [Fraction(v) for v in objective] + [-Fraction(v) for v in objective] + [ZERO] * len(ges)
+    c2 = lift(objective) + [ZERO] * len(ges)
     _set_objective(tab, basis, c2)
     status = _run_simplex(tab, basis, nreal)
     if status == "unbounded":
@@ -149,7 +145,7 @@ def lp_solve(dim, eqs, ges, objective):
     vals = [ZERO] * nreal
     for i, b in enumerate(basis):
         vals[b] = tab[i][-1]
-    point = tuple(vals[k] - vals[dim + k] for k in range(dim))
+    point = tuple(vals[k] - vals[dim] for k in range(dim))
     return "optimal", point, tab[-1][-1]
 
 
@@ -286,52 +282,11 @@ class DifferenceBounds:
         return eqs, ineqs
 
 
-def _difference_bounds(eqs, ges, gts):
-    """The rows as bounds (u, v, b, strict): x_v − x_u ≤ b, or < b.
-
-    Node 0 is an origin fixed at 0; variable k is node k + 1.  Returns None
-    if some row is not of difference form.
-    """
-
-    def nodes(a):
-        # (u, v) with a·x = x_v − x_u, the origin standing in for a missing term
-        u = v = 0
-        for k, c in enumerate(a, start=1):
-            if c == 0:
-                continue
-            if c == 1 and not v:
-                v = k
-            elif c == -1 and not u:
-                u = k
-            else:
-                return None
-        return u, v
-
-    ties, weak, strict = ([(nodes(a), b) for a, b in rows] for rows in (eqs, ges, gts))
-    if any(uv is None for uv, _ in ties + weak + strict):
-        return None
-    # a·x >= b is x_u − x_v <= −b, and a·x <= b is x_v − x_u <= b
-    return (
-        [(v, u, -b, False) for (u, v), b in ties + weak]
-        + [(v, u, -b, True) for (u, v), b in strict]
-        + [(u, v, b, False) for (u, v), b in ties]
-    )
-
-
 def strict_feasible(dim, eqs=(), ges=(), gts=()):
     """An exact x meeting the rows (a, b), each a of length ``dim`` and b
     rational: a·x = b for ``eqs``, a·x >= b for ``ges`` and a·x > b for
-    ``gts``; None when there is none."""
-    bounds = _difference_bounds(eqs, ges, gts)
-    if bounds is not None:
-        unit = math.lcm(*(b.denominator for _, _, b, _ in bounds))
-        dbm = DifferenceBounds(dim + 1, unit)
-        for u, v, b, strict in bounds:
-            if not dbm.add(u, v, b.numerator * (unit // b.denominator), strict):
-                return None
-        return dbm.point()[1:]
-
-    # General path: maximize ε with strict constraints relaxed to >= b + ε.
+    ``gts``; None when there is none.  The simplex maximizes ε with the
+    strict rows relaxed to a·x >= b + ε."""
     status, point, value = lp_solve(
         dim + 1,
         [(tuple(a) + (ZERO,), b) for a, b in eqs],

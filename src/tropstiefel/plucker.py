@@ -2,7 +2,8 @@
 
 The Stiefel map (tropical maximal minors, from the matching engine), the
 circuits of p, read once per call, behind membership in L(p) and the
-Plücker check (every cocircuit lies in L(p)), duality, stable union and
+Plücker check (every cocircuit lies in L(p), refused up front past
+``PLUCKER_BUDGET`` relation terms), duality, stable union and
 stable intersection (the dual of the stable union of the duals),
 underlying matroids, cocircuits and matrix recovery from a support set.
 """
@@ -10,6 +11,7 @@ underlying matroids, cocircuits and matrix recovery from a support set.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .core import INF, DomainError, TropMatrix, TropVector, proj_eq, scalar, scalar_str, subset_from_key, trop_sum, trop_vanishes
 from .bipartite import (
@@ -95,13 +97,21 @@ def contains(p: PluckerVector, y: TropVector) -> bool:
     return _circuit_test(p)(y.entries)
 
 
+PLUCKER_BUDGET = 10 ** 7  # relation terms the Plücker check may test
+
+
 def check_plucker(p: PluckerVector) -> bool:
     """The Plücker relations: every cocircuit of p (∞ on a (d−1)-set S,
     p_{S∪j} elsewhere) lies in L(p).  The circuit of a (d+1)-set T at the
     cocircuit of S is the relation of S and T: the minimum of
-    p_{S∪j} + p_{T−j} over j ∈ T∖S is ∞ or attained twice."""
+    p_{S∪j} + p_{T−j} over j ∈ T∖S is ∞ or attained twice.  DomainError
+    BUDGET_EXCEEDED, before any circuit is listed, when the
+    C(n, d−1)·C(n, d+1)·(d+1) terms exceed ``PLUCKER_BUDGET``."""
     if p.d == 0:
         return True  # no relations in rank 0
+    terms = math.comb(p.n, p.d - 1) * math.comb(p.n, p.d + 1) * (p.d + 1)
+    if terms > PLUCKER_BUDGET:
+        raise DomainError("BUDGET_EXCEEDED", f"rank {p.d} on [{p.n}] gives {terms} relation terms, budget {PLUCKER_BUDGET}")
     in_span, ground = _circuit_test(p), range(1, p.n + 1)
     return all(
         in_span([INF if j in S else p.values[S | {j}] for j in ground])

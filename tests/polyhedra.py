@@ -3,15 +3,20 @@ against which the tests check polytropes, cell dimensions and transversal
 matroid polytopes.
 
 Equalities a·x = b and weak inequalities a·x >= b.  Emptiness and implicit
-equalities go through ``geom.strict_feasible`` (one call per inequality),
-affine dimension through a Gaussian rank, vertices through basic-solution
-enumeration.  Meant for desk-scale inputs only.
+equalities go through ``strict_feasible`` (one call per inequality): a
+system of differences runs on ``geom.DifferenceBounds``, which keeps the
+cell-dimension references fast, and any other on the simplex of
+``geom.strict_feasible``.  Affine dimension goes through a Gaussian rank,
+vertices through basic-solution enumeration.  Meant for desk-scale inputs
+only.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
-from tropstiefel.geom import _pivot, strict_feasible
+from tropstiefel import geom
+from tropstiefel.geom import DifferenceBounds, _pivot
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -23,6 +28,52 @@ def _vec(coeffs, dim):
     for k, c in enumerate(coeffs):
         v[k] = Fraction(c)
     return tuple(v)
+
+
+def _difference_bounds(eqs, ges, gts):
+    """The rows as bounds (u, v, b, strict): x_v − x_u ≤ b, or < b.
+
+    Node 0 is an origin fixed at 0; variable k is node k + 1.  Returns None
+    if some row is not of difference form.
+    """
+
+    def nodes(a):
+        # (u, v) with a·x = x_v − x_u, the origin standing in for a missing term
+        u = v = 0
+        for k, c in enumerate(a, start=1):
+            if c == 0:
+                continue
+            if c == 1 and not v:
+                v = k
+            elif c == -1 and not u:
+                u = k
+            else:
+                return None
+        return u, v
+
+    ties, weak, strict = ([(nodes(a), b) for a, b in rows] for rows in (eqs, ges, gts))
+    if any(uv is None for uv, _ in ties + weak + strict):
+        return None
+    # a·x >= b is x_u − x_v <= −b, and a·x <= b is x_v − x_u <= b
+    return (
+        [(v, u, -b, False) for (u, v), b in ties + weak]
+        + [(v, u, -b, True) for (u, v), b in strict]
+        + [(u, v, b, False) for (u, v), b in ties]
+    )
+
+
+def strict_feasible(dim, eqs=(), ges=(), gts=()):
+    """``geom.strict_feasible``, with a system of differences answered by
+    ``DifferenceBounds`` instead of the simplex."""
+    bounds = _difference_bounds(eqs, ges, gts)
+    if bounds is None:
+        return geom.strict_feasible(dim, eqs, ges, gts)
+    unit = math.lcm(*(b.denominator for _, _, b, _ in bounds))
+    dbm = DifferenceBounds(dim + 1, unit)
+    for u, v, b, strict in bounds:
+        if not dbm.add(u, v, b.numerator * (unit // b.denominator), strict):
+            return None
+    return dbm.point()[1:]
 
 
 def satisfied_by(x, eqs=(), ges=(), gts=()):

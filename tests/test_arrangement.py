@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from polyhedra import Polyhedron
 from tropstiefel.arrangement import (
     Covector,
-    _cell_constraints,
     complex_to_json,
     covector_of_point,
     enumerate_covectors,
@@ -185,6 +184,36 @@ def test_cell_witnesses_and_euler_characteristic():
             assert covector_of_point(A, TropVector(cell.point)) == cell.covector
         # the relatively open cells partition R^(d-1)
         assert sum((-1) ** cell.dim for cell in tc) == (-1) ** (A.d - 1)
+
+
+def _cell_constraints(A: TropMatrix, tau):
+    """Equalities tying the tau rows of each column, and the weak 'other
+    rows lose' inequalities (as (coeffs, rhs, edge) triples)."""
+    d = A.d
+    eqs = []
+    others = []
+    by_col = {}
+    for i, j in tau:
+        by_col.setdefault(j, []).append(i)
+    for j in range(1, A.n + 1):
+        rows_in = sorted(by_col.get(j, ()))
+        if not rows_in:
+            raise DomainError("BAD_COVECTOR", f"column {j} uncovered")
+        i0 = rows_in[0]
+        a0 = A.entry(i0, j)
+        for i in rows_in[1:]:
+            co = [Fraction(0)] * d
+            co[i0 - 1] += 1
+            co[i - 1] -= 1
+            eqs.append((tuple(co), A.entry(i, j) - a0))
+        for i in sorted(A.col_support(j)):
+            if i in rows_in:
+                continue
+            co = [Fraction(0)] * d
+            co[i - 1] += 1
+            co[i0 - 1] -= 1
+            others.append((tuple(co), a0 - A.entry(i, j), (i, j)))
+    return eqs, others
 
 
 def test_cell_dimension_matches_closed_cell_polyhedron():

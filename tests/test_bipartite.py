@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropstiefel.bipartite import (
+    COHERENCE_BUDGET,
     HALL_BUDGET,
     MATCHING_BUDGET,
     BipartiteGraph,
@@ -185,6 +186,33 @@ def test_incoherent_cyclic_matching_field():
     }
     mf = MatchingMultifield(2, 4, choices)
     assert is_coherent(mf) is None
+
+
+def test_coherence_budget(monkeypatch):
+    # a multifield supported on every edge of a 4x8 (70 column sets of 24
+    # supported matchings: 1680 LP rows) fits the budget, and one of a 5x8
+    # (56 of 120: 6720 rows) does not
+    assert 1680 <= COHERENCE_BUDGET < 6720
+
+    def no_lp(dim, groups):
+        raise AssertionError("the LP ran past the budget")
+
+    # the 6 column pairs of this 2x4 have 2 supported matchings each: 12 rows
+    mf = matching_multifield(TropMatrix([[0, 0, 0, 0], [0, 0, 1, 1]]))
+    monkeypatch.setattr("tropstiefel.bipartite.COHERENCE_BUDGET", 12)
+    assert is_coherent(mf) is not None
+    monkeypatch.setattr("tropstiefel.bipartite.argmin_witness", no_lp)
+    monkeypatch.setattr("tropstiefel.bipartite.COHERENCE_BUDGET", 11)
+    with pytest.raises(DomainError) as exc:
+        is_coherent(mf)
+    assert exc.value.code == "BUDGET_EXCEEDED" and "12 supported" in str(exc.value) and "budget 11" in str(exc.value)
+    # the zero 3x4: 6 supported matchings on each of 4 column triples, each
+    # list cut at 5
+    dense = matching_multifield(TropMatrix([[0] * 4 for _ in range(3)]))
+    monkeypatch.setattr("tropstiefel.bipartite.COHERENCE_BUDGET", 4)
+    with pytest.raises(DomainError) as exc:
+        is_coherent(dense)
+    assert exc.value.code == "BUDGET_EXCEEDED" and "at least 20 supported" in str(exc.value)
 
 
 def test_hall_surplus_check():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -20,7 +21,7 @@ from tropstiefel.bipartite import (
     matching_multifield,
     multifield_to_json,
 )
-from tropstiefel.plucker import plucker_to_json, stiefel_map
+from tropstiefel.plucker import PluckerVector, plucker_to_json, stiefel_map
 
 STAIR = TropMatrix([[0, 0, "inf", "inf"], ["inf", 0, 0, "inf"], ["inf", "inf", 0, 0]])
 FIG = TropMatrix([[0, 3, 0, "inf", "inf"], ["inf", 0, 0, 2, "inf"], ["inf", "inf", 0, 0, 0]])
@@ -429,6 +430,21 @@ def test_hall_budget_on_complete_24x25(tmp_path, capsys):
     code, out = run(capsys, ["support-set", "--input", write_input(tmp_path, G)])
     assert code == 1 and json.loads(out) == {"error": "BUDGET_EXCEEDED"}
     assert time.monotonic() - start < 5
+
+
+def test_coherence_and_plucker_budgets_refuse_up_front(tmp_path, capsys):
+    # the multifield of the zero 5x8, supported on every edge, has 56 · 120
+    # supported matchings for the coherence LP, and the zero rank-8 vector
+    # on [16] about 1.2·10^9 Plücker terms: both are refused before any LP
+    # or circuit work
+    dense = TropMatrix([[0] * 8 for _ in range(5)])
+    zero = PluckerVector(16, 8, {frozenset(J): 0 for J in itertools.combinations(range(1, 17), 8)})
+    for command, obj in (("coherent", multifield_to_json(matching_multifield(dense))), ("plucker-check", plucker_to_json(zero))):
+        path = write_input(tmp_path, obj)
+        start = time.monotonic()
+        code, out = run(capsys, [command, "--input", path])
+        assert code == 1 and json.loads(out) == {"error": "BUDGET_EXCEEDED"}
+        assert time.monotonic() - start < 5
 
 
 def test_fuzzed_json_documents_exit_cleanly(capsys, monkeypatch):

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import polyhedra
 from polyhedra import Polyhedron, matrix_rank, satisfied_by, solve_affine
 from tropstiefel.geom import (
     DifferenceBounds,
@@ -87,7 +88,8 @@ def test_difference_bounds_strict_chain():
 
 
 def test_strict_feasible_brute_force_agreement():
-    """Completeness at desk scale against a rational grid search."""
+    """Completeness at desk scale against a rational grid search, for the
+    simplex and for the test reference's difference route in front of it."""
     rng = random.Random(2024)
     grid = [F(num, 4) for num in range(-8, 9)]
     for _ in range(60):
@@ -96,15 +98,16 @@ def test_strict_feasible_brute_force_agreement():
             a = tuple(rng.randint(-2, 2) for _ in range(3))
             b = rng.randint(-2, 2)
             (gts if rng.random() < 0.5 else ges).append((a, b))
-        found = strict_feasible(3, ges=ges, gts=gts)
         brute = any(
             satisfied_by(p, ges=ges, gts=gts) for p in itertools.product(grid, repeat=3)
         )
-        if found is not None:
-            assert satisfied_by(found, ges=ges, gts=gts)
-        if brute:
-            # grid witness implies the solver must also find one
-            assert found is not None
+        for solve in (strict_feasible, polyhedra.strict_feasible):
+            found = solve(3, ges=ges, gts=gts)
+            if found is not None:
+                assert satisfied_by(found, ges=ges, gts=gts)
+            if brute:
+                # grid witness implies the solver must also find one
+                assert found is not None
 
 
 def test_rank_and_solve():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import reduce
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from tropstiefel.bipartite import BipartiteGraph, uniform_matroid
 from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, proj_eq, trop_sum, trop_vanishes
 from tropstiefel.plucker import (
+    PLUCKER_BUDGET,
     PluckerVector,
     check_plucker,
     cocircuit,
@@ -76,6 +78,35 @@ def test_check_plucker():
         },
     )
     assert not check_plucker(bad)
+    # rank 3 on [6] with support {123, 456}: every three-term relation
+    # vanishes, but the support is not the basis set of a matroid
+    split = PluckerVector(6, 3, {
+        frozenset(J): 0 if set(J) in ({1, 2, 3}, {4, 5, 6}) else INF
+        for J in itertools.combinations(range(1, 7), 3)
+    })
+    assert not check_plucker(split)
+
+
+def test_check_plucker_budget(monkeypatch):
+    # a dense 6x12 Stiefel image (C(12, 5)·C(12, 7)·7 terms) fits the budget,
+    # and rank 8 on [16] does not: refused before any circuit is listed
+    assert math.comb(12, 5) * math.comb(12, 7) * 7 <= PLUCKER_BUDGET
+    # rank 2 on [4]: 4 cocircuits against 4 circuits of 3 terms
+    monkeypatch.setattr("tropstiefel.plucker.PLUCKER_BUDGET", 48)
+    assert check_plucker(zero_plucker(2, 4))
+
+    def no_circuits(p):
+        raise AssertionError("circuits listed past the budget")
+
+    monkeypatch.setattr("tropstiefel.plucker._circuit_test", no_circuits)
+    monkeypatch.setattr("tropstiefel.plucker.PLUCKER_BUDGET", 47)
+    with pytest.raises(DomainError):
+        check_plucker(zero_plucker(2, 4))
+    monkeypatch.undo()
+    with pytest.raises(DomainError) as exc:
+        check_plucker(zero_plucker(8, 16))
+    terms = math.comb(16, 7) * math.comb(16, 9) * 9
+    assert exc.value.code == "BUDGET_EXCEEDED" and str(terms) in str(exc.value) and str(PLUCKER_BUDGET) in str(exc.value)
 
 
 def all_pairs_plucker(p):

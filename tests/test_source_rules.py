@@ -18,3 +18,40 @@ def test_no_assert_in_library_code():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in library code: {found}"
+
+
+def test_no_private_name_unused_in_library_code():
+    """A module-level private function, class or assignment (``_name``) that
+    no code in ``src/`` reads outside its own definition is test code, and
+    belongs in ``tests/``."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in sorted(SOURCE.glob("*.py"))]
+    assert trees
+
+    def names(node):  # every name a statement reads, imports or calls by attribute
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+            elif isinstance(sub, ast.alias):
+                yield sub.name
+
+    def defined(stmt):  # the names a module-level statement binds
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            return [stmt.name]
+        if isinstance(stmt, ast.Assign):
+            return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            return [stmt.target.id]
+        return []
+
+    statements = [stmt for tree in trees for stmt in tree.body]
+    used = [set(names(stmt)) for stmt in statements]
+    unused = [
+        name
+        for k, stmt in enumerate(statements)
+        for name in defined(stmt)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in seen for j, seen in enumerate(used) if j != k)
+    ]
+    assert not unused, f"private names no library code uses: {unused}"
