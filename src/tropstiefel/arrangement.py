@@ -122,9 +122,9 @@ def _attain(dbm: DifferenceBounds, a, j, I, base, strict):
 def _closed_cell(dbm: DifferenceBounds, a, tau, base):
     """Impose on ``dbm`` the closed cell of the covector edge set tau, row i
     being node base + i: ``_attain`` with weak bounds for each column.
-    Returns the least row i0 of each column, or None when the cell is empty.
-    BAD_COVECTOR, before any bound is imposed, for an edge not of integers
-    in [d]×[n] or off the support, or for an uncovered column."""
+    Returns False when the cell is empty.  BAD_COVECTOR, before any bound
+    is imposed, for an edge not of integers in [d]×[n] or off the support,
+    or for an uncovered column."""
     by_col = [set() for _ in a[0]]
     for i, j in tau:
         if not (type(i) is int and type(j) is int and 1 <= i <= len(a) and 1 <= j <= len(by_col)) or a[i - 1][j - 1] is None:
@@ -132,9 +132,7 @@ def _closed_cell(dbm: DifferenceBounds, a, tau, base):
         by_col[j - 1].add(i - 1)
     if not all(by_col):
         raise DomainError("BAD_COVECTOR", f"column {by_col.index(set()) + 1} uncovered")
-    if not all(_attain(dbm, a, j, sorted(I), base + 1, False) for j, I in enumerate(by_col)):
-        return None
-    return [min(I) + 1 for I in by_col]
+    return all(_attain(dbm, a, j, sorted(I), base + 1, False) for j, I in enumerate(by_col))
 
 
 class Cell:
@@ -152,23 +150,27 @@ class Cell:
         return "Cell(dim=%d, %s)" % (self.dim, self.covector.tuple_view())
 
 
-def enumerate_covectors(A: TropMatrix, budget=5000) -> list:
-    """TC(A), exactly: every covector with its cell, sorted by covector key;
-    DomainError BUDGET_EXCEEDED beyond ``budget`` cells.
-
-    One column's hyperplane alone has 2^|supp j| − 1 faces and TC(A) refines
-    it, so a column that forces more cells than the budget is refused before
-    the search starts.
-    """
+def _column_rows(A: TropMatrix, budget):
+    """The sorted 0-based finite rows of each column; BUDGET_EXCEEDED when
+    one column alone forces more than ``budget`` cells of TC(A), which
+    refines that column's 2^|supp j| − 1 faces."""
     require_column_supports(A)
-    d, n = A.d, A.n
-    cols = [sorted(i - 1 for i in A.col_support(j)) for j in range(1, n + 1)]
+    cols = [sorted(i - 1 for i in A.col_support(j)) for j in range(1, A.n + 1)]
     widest = max(len(rows) for rows in cols)
     if 2 ** widest - 1 > budget:
         raise DomainError(
             "BUDGET_EXCEEDED",
             f"a column with {widest} finite entries gives {2 ** widest - 1} cells, budget {budget}",
         )
+    return cols
+
+
+def enumerate_covectors(A: TropMatrix, budget=5000) -> list:
+    """TC(A), exactly: every covector with its cell, sorted by covector key;
+    DomainError BUDGET_EXCEEDED beyond ``budget`` cells, up front by
+    ``_column_rows``."""
+    d, n = A.d, A.n
+    cols = _column_rows(A, budget)
     unit, a, _ = _integer_scaled(A)
     cells = []
 

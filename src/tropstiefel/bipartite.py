@@ -370,7 +370,7 @@ def _nonempty_subsets(ground):
 
 def _hall_surplus(ground, neighbours, k):
     """|neighbours(S)| >= |S| + k for every nonempty S ⊆ ground, over rows
-    or columns; a plain loop, since ``decompose`` asks it ~300 times a query."""
+    or columns; a plain loop, since ``decompose`` asks it per surviving leaf."""
     for S in _nonempty_subsets(ground):
         if len(neighbours(S)) < len(S) + k:
             return False
@@ -455,7 +455,7 @@ def dragon_condition(G: BipartiteGraph) -> bool:
 
 def colwise_dragon_condition(G: BipartiteGraph, J) -> bool:
     """|I_{J'}| >= |J'| + 1 for every nonempty J' ⊆ J (column-wise), under
-    ``HALL_BUDGET``; ``decompose`` asks it only with |J| ≤ d − 1."""
+    ``HALL_BUDGET``; ``decompose`` asks it per surviving leaf, with |J| ≤ d − 1."""
     return _hall_surplus(sorted(set(J)), G.I_of, 1)
 
 

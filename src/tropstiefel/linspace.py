@@ -8,14 +8,15 @@ dragon-condition subcomplex K(A)); and the rank-2 caterpillar predicate.
 A covector decomposition y ∈ (F ⊙ A) + R_{>=0}{e_j : j ∈ J} and its cone
 are difference systems over x and y, so both run on the closed integer
 difference-bound matrix of ``geom.DifferenceBounds``: the certificate search
-reads its witness from the potentials, and the cone is the restriction of
-the closed matrix to an origin and the y nodes, a polytrope answering its
-dimension, membership and rows itself.  The image of a cell of K(A) under
-⊙A is its cone with J = ∅, gauge-fixed by tying one y node to the origin,
-so the bounded complex reads its cells, their dimensions and membership
-from the same projection.  Its vertices and segments need only the K(A)
-cells of TC(A) and their dimensions, so ``bounded_skeleton`` builds no
-cone.
+runs column by column, directed by y, builds only the (cell, J) pairs that y
+allows and reads its witness from the potentials, and the cone is the
+restriction of the closed matrix to an origin and the y nodes, a polytrope
+answering its dimension, membership and rows itself.  The image of a cell of
+K(A) under ⊙A is its cone with J = ∅, gauge-fixed by tying one y node to the
+origin, so the bounded complex reads its cells, their dimensions and
+membership from the same projection.  Its vertices and segments need only
+the K(A) cells of TC(A) and their dimensions, so ``bounded_skeleton`` builds
+no cone.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .core import DomainError, TropMatrix, TropVector, residuation, vec_mat_mul
 from .geom import DifferenceBounds
 from .bipartite import BipartiteGraph, _max_matching_size, colwise_dragon_condition, components, transversal_matroid, uniform_matroid
 from .plucker import PluckerVector, contains, underlying_matroid
-from .arrangement import Covector, _closed_cell, _integer_scaled, covector_to_json, enumerate_covectors, in_B, in_K, skeleton
+from .arrangement import Covector, _attain, _closed_cell, _column_rows, _integer_scaled, covector_to_json, enumerate_covectors, in_B, in_K, skeleton
 from .subdivision import is_interior_cell, select_matroid
 
 
@@ -50,61 +51,63 @@ class DecompositionCertificate:
         return "DecompositionCertificate(J=%s, x=%r)" % (sorted(self.J), self.x)
 
 
-def _subsets_upto(n, maxsize):
-    out = []
-    for r in range(0, maxsize + 1):
-        out.extend(itertools.combinations(range(1, n + 1), r))
-    out.sort()
-    return out
+def decompose(A: TropMatrix, y: TropVector, budget=5000):
+    """The least certificate (F, J) for y ∈ L(A), by covector key and then
+    sorted J, or None when y is not in the linear space: F a covector of
+    TC(A) covering every row, J meeting the column-wise dragon condition,
+    and y ∈ (F ⊙ A) + R_{>=0}{e_j : j ∈ J} with zero slack off J.
 
-
-def decompose(A: TropMatrix, y: TropVector):
-    """The lexicographically first covector certificate for y ∈ L(A), or
-    None when y is not in the linear space.
-
-    Searches covectors F of TC(A) covering every row, and column subsets J
-    satisfying the column-wise dragon condition, for exact feasibility of
-    y ∈ (F ⊙ A) + R_{>=0}{e_j : j ∈ J} with zero slack off J.  Every such
-    system is a difference system over x, solved on one closed integer
-    difference-bound matrix (node 0 the origin, node i the coordinate x_i)
-    over the entries of A and y scaled by the LCM of their denominators:
-    per cell, the closed cell with x ⊙ A <= y prunes the cell when empty,
-    and each J then adds x_i0 + a_i0j = y_j off J and < y_j on J, for the
-    least row i0 of each I_j, to a copy of that matrix.
+    A depth-first search over the columns, directed by y, picks I_j and
+    whether j ∈ J (while |J| < d − 1) on two closed difference-bound
+    matrices over the integer-scaled entries of A and y: the open cell of
+    (I_1, ..., I_j) on x, as in ``enumerate_covectors``, and, tried first,
+    the closed system on an origin and x: the closed cell, x_i0 + a_i0j <= y_j
+    for the least row i0 of I_j, = y_j off J and < y_j on J.  So only the
+    pairs (F, J) that y allows reach a leaf, and x comes from the potentials.
+    BUDGET_EXCEEDED up front as ``enumerate_covectors`` refuses, or beyond
+    ``budget`` distinct leaf covectors, each a cell of TC(A).
     """
     if len(y) != A.n or not y.is_finite():
         raise DomainError("BAD_POINT", "y must be finite of length n")
-    tc = enumerate_covectors(A)
+    cols = _column_rows(A, budget)
     if _max_matching_size(BipartiteGraph.from_support(A), range(1, A.n + 1)) < A.d:
         raise DomainError("NO_MATCHING_IN_SUPPORT", "support contains no matching")
+    d, n = A.d, A.n
     unit, a, z = _integer_scaled(A, y.entries)
-    subsets = [frozenset(J) for J in _subsets_upto(A.n, max(A.d - 1, 0))]
-    for cell in tc:
-        F = cell.covector
-        if not in_B(F):
-            continue
-        cell_dbm = DifferenceBounds(A.d + 1, unit)
-        reps = _closed_cell(cell_dbm, a, F.edges, 0)
-        # prune: some x in the closed cell must satisfy x ⊙ A <= y at all
-        if reps is None or not all(cell_dbm.add(0, i0, z[j] - a[i0 - 1][j]) for j, i0 in enumerate(reps)):
-            continue
-        for J in subsets:
-            if not colwise_dragon_condition(F.graph, J):
-                continue
-            dbm = cell_dbm.copy()
-            if all(
-                dbm.add(0, i0, z[j] - a[i0 - 1][j], strict=True)  # y_j > x_i0 + a_i0j
-                if j + 1 in J
-                else dbm.add(i0, 0, a[i0 - 1][j] - z[j])  # y_j = x_i0 + a_i0j
-                for j, i0 in enumerate(reps)
-            ):
-                xv = TropVector(dbm.point()[1:])
-                image = vec_mat_mul(xv, A)
-                slack = TropVector(
-                    [y.entry(j) - image.entry(j) for j in range(1, A.n + 1)]
-                )
-                return DecompositionCertificate(F, xv, J, slack)
-    return None
+    leaves, found = set(), []
+
+    def search(j, cell, system, chosen, J):
+        if j == n:
+            F = Covector(BipartiteGraph(d, n, [(i + 1, k + 1) for k, I in enumerate(chosen) for i in I]))
+            leaves.add(F)
+            if len(leaves) > budget:
+                raise DomainError("BUDGET_EXCEEDED", f"more than {budget} cells")
+            if in_B(F) and colwise_dragon_condition(F.graph, J):
+                found.append((F.key(), J, F, system))
+            return
+        for r in range(1, len(cols[j]) + 1):
+            for I in itertools.combinations(cols[j], r):
+                i0, c = I[0], z[j] - a[I[0]][j]
+                off_J = system.copy()
+                if not (_attain(off_J, a, j, I, 1, False) and off_J.add(0, i0 + 1, c)):
+                    continue
+                on_J = off_J.copy() if len(J) < d - 1 else None
+                branches = [(off_J, J)] if off_J.add(i0 + 1, 0, -c) else []  # y_j = x_i0 + a_i0j
+                if on_J is not None and on_J.add(0, i0 + 1, c, strict=True):  # y_j > x_i0 + a_i0j
+                    branches.append((on_J, J + (j + 1,)))
+                child = cell.copy() if branches else None
+                if child is not None and _attain(child, a, j, I, 0, True):
+                    for closed, J_ in branches:
+                        search(j + 1, child, closed, chosen + [I], J_)
+
+    search(0, DifferenceBounds(d, unit), DifferenceBounds(d + 1, unit), [], ())
+    if not found:
+        return None
+    _, J, F, closed = min(found, key=lambda leaf: leaf[:2])
+    xv = TropVector(closed.point()[1:])
+    image = vec_mat_mul(xv, A)
+    slack = TropVector([y.entry(j) - image.entry(j) for j in range(1, n + 1)])
+    return DecompositionCertificate(F, xv, J, slack)
 
 
 def bounded_membership(p: PluckerVector, y: TropVector) -> bool:
@@ -134,7 +137,7 @@ def decomposition_cone(A: TropMatrix, tau, J):
         raise DomainError("BAD_SUBSET", "J must be a subset of [n]")
     unit, a, _ = _integer_scaled(A)
     dbm = DifferenceBounds(1 + n + d, unit)  # node 0 the origin, y_j node j, x_i node n + i
-    feasible = _closed_cell(dbm, a, tau, n) is not None and all(
+    feasible = _closed_cell(dbm, a, tau, n) and all(
         dbm.add(j, n + i, -a[i - 1][j - 1])
         and (j in Jset or dbm.add(n + i, j, a[i - 1][j - 1]))
         for i, j in sorted(tau)

@@ -2,8 +2,8 @@
 
 The Stiefel map (tropical maximal minors, from the matching engine), the
 circuits of p, read once per call, behind membership in L(p) and the
-Plücker check (every cocircuit lies in L(p), refused up front past
-``PLUCKER_BUDGET`` relation terms), duality, stable union and
+Plücker check (every cocircuit lies in L(p)), both refused up front past
+``PLUCKER_BUDGET`` relation terms, duality, stable union and
 stable intersection (the dual of the stable union of the duals),
 underlying matroids, cocircuits and matrix recovery from a support set.
 """
@@ -90,14 +90,19 @@ def _circuit_test(p: PluckerVector):
     return lambda y: all(trop_vanishes(v + y[k] for k, v in C) for C in circuits)
 
 
+PLUCKER_BUDGET = 10 ** 7  # relation terms the Plücker check or one membership test may test
+
+
 def contains(p: PluckerVector, y: TropVector) -> bool:
-    """Circuit membership of y in L(p)."""
+    """Circuit membership of y in L(p); DomainError BUDGET_EXCEEDED, before
+    any circuit is listed, when the C(n, d+1)·(d+1) terms exceed
+    ``PLUCKER_BUDGET``."""
     if len(y) != p.n:
         raise DomainError("LENGTH_MISMATCH", "y must have length n")
+    terms = math.comb(p.n, p.d + 1) * (p.d + 1)
+    if terms > PLUCKER_BUDGET:
+        raise DomainError("BUDGET_EXCEEDED", f"rank {p.d} on [{p.n}] gives {terms} circuit terms, budget {PLUCKER_BUDGET}")
     return _circuit_test(p)(y.entries)
-
-
-PLUCKER_BUDGET = 10 ** 7  # relation terms the Plücker check may test
 
 
 def check_plucker(p: PluckerVector) -> bool:

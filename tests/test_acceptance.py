@@ -478,3 +478,24 @@ def test_caterpillar_and_snowflake():
         # a vertex with three bounded neighbors: the tree is not a path
         assert max(degree.values()) == 3
         assert sorted(degree.values()) == [1, 1, 1, 3]
+
+
+# -- 12 ---------------------------------------------------------------------
+
+def test_decompose_dense_queries():
+    """decompose directed by y on a dense 4×8 (1043 cells): image
+    points and random y, each answer agreeing with circuit membership."""
+    with Budget(5):
+        rng = random.Random(1201)
+        A = TropMatrix([[rng.randint(-50, 50) for _ in range(8)] for _ in range(4)])
+        p = stiefel_map(A)
+        found = 0
+        for q in range(20):
+            if q % 2 == 0:
+                y = vec_mat_mul(TropVector([rng.randint(-20, 20) for _ in range(4)]), A)
+            else:
+                y = TropVector([Fraction(rng.randint(-100, 100), rng.randint(1, 2)) for _ in range(8)])
+            cert = decompose(A, y)
+            assert (cert is not None) == contains(p, y)
+            found += cert is not None
+        assert found >= 10

@@ -1,13 +1,15 @@
 import itertools
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from polyhedra import Polyhedron
-from tropstiefel.arrangement import covector_of_point, enumerate_covectors, in_K
-from tropstiefel.bipartite import BipartiteGraph, colwise_dragon_condition, transversal_matroid, uniform_matroid
+from tropstiefel.arrangement import _closed_cell, _integer_scaled, covector_of_point, enumerate_covectors, in_B, in_K
+from tropstiefel.bipartite import BipartiteGraph, _max_matching_size, colwise_dragon_condition, transversal_matroid, uniform_matroid
 from tropstiefel.core import (
     DomainError,
     INF,
@@ -24,9 +26,11 @@ from tropstiefel.linspace import (
     certificate_to_json,
     contains,
     contains_via_matroid,
+    DecompositionCertificate,
     decompose,
     decomposition_cone,
 )
+from tropstiefel.geom import DifferenceBounds
 from tropstiefel.plucker import stiefel_map
 from tropstiefel.subdivision import select_matroid, is_interior_cell
 
@@ -140,6 +144,123 @@ def test_decompose_certificates_against_cones_and_circuits():
             assert all(image.entry(j) + cert.slack.entry(j) == y.entry(j) for j in range(1, n + 1))
             assert covector_of_point(A, cert.x).edges >= cert.covector.edges
     assert found > 40 and missed > 20
+
+
+def all_cells_systems(A, y, tc, keep):
+    """The retired loop of ``decompose`` over all of TC(A): each cell F of
+    tc in covector order and, per cell, each J with |J| <= d − 1 in tuple
+    order that ``keep(F, J)`` accepts, yielded with the closed system of
+    (F, J) on the origin and x when it is feasible: the closed cell,
+    x_i0 + a_i0j <= y_j, and = y_j off J, < y_j on J."""
+    unit, a, z = _integer_scaled(A, y.entries)
+    subsets = sorted(J for r in range(A.d) for J in itertools.combinations(range(1, A.n + 1), r))
+    for cell in tc:
+        F = cell.covector
+        reps = [min(F.graph.I(j)) for j in range(1, A.n + 1)]
+        cell_dbm = DifferenceBounds(A.d + 1, unit)
+        if not (_closed_cell(cell_dbm, a, F.edges, 0) and all(cell_dbm.add(0, i0, z[j] - a[i0 - 1][j]) for j, i0 in enumerate(reps))):
+            continue
+        for J in subsets:
+            if not keep(F, J):
+                continue
+            dbm = cell_dbm.copy()
+            if all(
+                dbm.add(0, i0, z[j] - a[i0 - 1][j], strict=True) if j + 1 in J else dbm.add(i0, 0, a[i0 - 1][j] - z[j])
+                for j, i0 in enumerate(reps)
+            ):
+                yield F, J, dbm
+
+
+def decompose_all_cells(A, y):
+    """The retired ``decompose``: TC(A) enumerated in full, then the first
+    feasible pair (F, J) with F in B(A) and J meeting the column-wise dragon
+    condition, with its errors in the same order."""
+    if len(y) != A.n or not y.is_finite():
+        raise DomainError("BAD_POINT", "y must be finite of length n")
+    tc = enumerate_covectors(A)
+    if _max_matching_size(BipartiteGraph.from_support(A), range(1, A.n + 1)) < A.d:
+        raise DomainError("NO_MATCHING_IN_SUPPORT", "support contains no matching")
+    for F, J, dbm in all_cells_systems(A, y, tc, lambda F, J: in_B(F) and colwise_dragon_condition(F.graph, J)):
+        x = TropVector(dbm.point()[1:])
+        image = vec_mat_mul(x, A)
+        return DecompositionCertificate(F, x, J, TropVector([y.entry(j) - image.entry(j) for j in range(1, A.n + 1)]))
+    return None
+
+
+def decompose_outcome(route, A, y):
+    """The certificate as JSON text, "null", or the error code."""
+    try:
+        cert = route(A, y)
+    except DomainError as exc:
+        return exc.code
+    return json.dumps(None if cert is None else certificate_to_json(cert), sort_keys=True)
+
+
+def test_decompose_against_the_all_cells_route():
+    """The y-directed search gives, byte for byte, the certificate, None or
+    error code of the loop over all of TC(A), on seeded queries with d <= 4,
+    n <= 6, ∞ entries, halves, image points (some with slack) and random y."""
+    rng = random.Random(67)
+    half = lambda: Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
+    seen = Counter()
+    for _ in range(1000):
+        d = 4 if rng.random() < 0.07 else rng.randint(1, 3)  # d = 4 takes most of the time
+        n = rng.randint(d, 6)
+        inf = rng.choice((0, 0.15, 0.3))
+        A = TropMatrix([[INF if rng.random() < inf else half() for _ in range(n)] for _ in range(d)])
+        if rng.random() < 0.5:
+            image = vec_mat_mul(TropVector([half() for _ in range(d)]), A)
+            y = TropVector([v + (abs(half()) if rng.random() < 0.3 else 0) for v in image.entries])
+        else:
+            y = TropVector([half() for _ in range(n)])
+        out = decompose_outcome(decompose, A, y)
+        assert out == decompose_outcome(decompose_all_cells, A, y), (A.entries, y.entries)
+        seen[out[:2]] += 1
+    # certificates, None and errors all occur often
+    assert seen['{"'] > 250 and seen["nu"] > 250 and sum(seen.values()) - seen['{"'] - seen["nu"] > 50
+
+
+def test_decompose_budget_counts_leaf_covectors():
+    """The budget bounds the distinct covectors the search reaches, each a
+    cell of TC(A): those with a closed system admitting y for some J with
+    |J| <= d − 1, row cover and dragon condition aside."""
+    y = TropVector([Fraction(-3, 2), Fraction(-3, 2), 2, Fraction(1, 2), Fraction(5, 2)])
+    leaves = {F for F, _, _ in all_cells_systems(FIG, y, enumerate_covectors(FIG), lambda F, J: True)}
+    k = len(leaves)
+    assert 2 ** 3 <= k < len(enumerate_covectors(FIG))  # past the widest column's 7 faces, short of TC(A)
+    expected = decompose_outcome(decompose_all_cells, FIG, y)
+    assert expected.startswith("{") and decompose_outcome(lambda A, y: decompose(A, y, budget=k), FIG, y) == expected
+    with pytest.raises(DomainError) as exc:
+        decompose(FIG, y, budget=k - 1)
+    assert exc.value.code == "BUDGET_EXCEEDED" and str(exc.value) == f"more than {k - 1} cells"
+
+
+def test_decompose_refuses_a_wide_column_up_front(monkeypatch):
+    """A column with 13 finite entries alone forces 8191 > 5000 cells."""
+    import tropstiefel.linspace as linspace
+
+    def no_search(*args):
+        raise AssertionError("searched past the budget")
+
+    monkeypatch.setattr(linspace, "_attain", no_search)
+    with pytest.raises(DomainError) as exc:
+        decompose(TropMatrix([[0] * 13] * 13), TropVector([0] * 13))
+    assert exc.value.code == "BUDGET_EXCEEDED" and "8191" in str(exc.value) and "5000" in str(exc.value)
+
+
+def test_decompose_answers_past_the_cell_budget():
+    """A dense 5×8 has more than 5000 cells, so the all-cells route refused
+    it; the search reaches far fewer covectors and certifies an image point,
+    checked by its decomposition cone and by circuit membership."""
+    rng = random.Random(0)
+    A = TropMatrix([[rng.randint(-50, 50) for _ in range(8)] for _ in range(5)])
+    with pytest.raises(DomainError) as exc:
+        enumerate_covectors(A)
+    assert exc.value.code == "BUDGET_EXCEEDED"
+    y = vec_mat_mul(TropVector([rng.randint(-20, 20) for _ in range(5)]), A)
+    cert = decompose(A, y)
+    assert cert is not None and decomposition_cone(A, cert.covector.edges, cert.J).contains(y.entries)
+    assert contains(stiefel_map(A), y)
 
 
 def test_caterpillar_and_tree_build_tc_once(monkeypatch):

@@ -14,6 +14,7 @@ from tropstiefel.plucker import (
     PluckerVector,
     check_plucker,
     cocircuit,
+    contains,
     dual,
     plucker_from_json,
     plucker_to_json,
@@ -107,6 +108,24 @@ def test_check_plucker_budget(monkeypatch):
         check_plucker(zero_plucker(8, 16))
     terms = math.comb(16, 7) * math.comb(16, 9) * 9
     assert exc.value.code == "BUDGET_EXCEEDED" and str(terms) in str(exc.value) and str(PLUCKER_BUDGET) in str(exc.value)
+
+
+def test_contains_budget(monkeypatch):
+    # the 3x5 membership inputs take C(5, 4)·4 = 20 circuit terms and a
+    # 6x12 member query C(12, 7)·7 = 5544; rank 2 on [4] takes C(4, 3)·3 = 12
+    assert math.comb(5, 4) * 4 == 20 and math.comb(12, 7) * 7 == 5544 <= PLUCKER_BUDGET
+    y = TropVector([0, 0, 0, 0])
+    monkeypatch.setattr("tropstiefel.plucker.PLUCKER_BUDGET", 12)
+    assert contains(zero_plucker(2, 4), y)
+
+    def no_circuits(p):
+        raise AssertionError("circuits listed past the budget")
+
+    monkeypatch.setattr("tropstiefel.plucker._circuit_test", no_circuits)
+    monkeypatch.setattr("tropstiefel.plucker.PLUCKER_BUDGET", 11)
+    with pytest.raises(DomainError) as exc:
+        contains(zero_plucker(2, 4), y)
+    assert exc.value.code == "BUDGET_EXCEEDED" and str(exc.value) == "rank 2 on [4] gives 12 circuit terms, budget 11"
 
 
 def all_pairs_plucker(p):
