@@ -150,6 +150,9 @@ class Cell:
         return "Cell(dim=%d, %s)" % (self.dim, self.covector.tuple_view())
 
 
+CELL_BUDGET = 5000  # cells of TC(A) enumerated by default, or covectors decompose may reach at one depth
+
+
 def _column_rows(A: TropMatrix, budget):
     """The sorted 0-based finite rows of each column; BUDGET_EXCEEDED when
     one column alone forces more than ``budget`` cells of TC(A), which
@@ -158,14 +161,11 @@ def _column_rows(A: TropMatrix, budget):
     cols = [sorted(i - 1 for i in A.col_support(j)) for j in range(1, A.n + 1)]
     widest = max(len(rows) for rows in cols)
     if 2 ** widest - 1 > budget:
-        raise DomainError(
-            "BUDGET_EXCEEDED",
-            f"a column with {widest} finite entries gives {2 ** widest - 1} cells, budget {budget}",
-        )
+        raise DomainError("BUDGET_EXCEEDED", f"a column with {widest} finite entries gives {2 ** widest - 1} cells, budget {budget}")
     return cols
 
 
-def enumerate_covectors(A: TropMatrix, budget=5000) -> list:
+def enumerate_covectors(A: TropMatrix, budget=CELL_BUDGET) -> list:
     """TC(A), exactly: every covector with its cell, sorted by covector key;
     DomainError BUDGET_EXCEEDED beyond ``budget`` cells, up front by
     ``_column_rows``."""

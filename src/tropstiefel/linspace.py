@@ -7,16 +7,15 @@ dragon-condition subcomplex K(A)); and the rank-2 caterpillar predicate.
 
 A covector decomposition y ∈ (F ⊙ A) + R_{>=0}{e_j : j ∈ J} and its cone
 are difference systems over x and y, so both run on the closed integer
-difference-bound matrix of ``geom.DifferenceBounds``: the certificate search
-runs column by column, directed by y, builds only the (cell, J) pairs that y
-allows and reads its witness from the potentials, and the cone is the
-restriction of the closed matrix to an origin and the y nodes, a polytrope
-answering its dimension, membership and rows itself.  The image of a cell of
-K(A) under ⊙A is its cone with J = ∅, gauge-fixed by tying one y node to the
-origin, so the bounded complex reads its cells, their dimensions and
-membership from the same projection.  Its vertices and segments need only
-the K(A) cells of TC(A) and their dimensions, so ``bounded_skeleton`` builds
-no cone.
+difference-bound matrix of ``geom.DifferenceBounds``: the certificate search,
+column by column and directed by y, builds only the (cell, J) pairs that y
+allows and reads its witness from the potentials; the cone is the closed
+matrix restricted to an origin and the y nodes, a polytrope answering its
+dimension, membership and rows itself.  The image of a cell of K(A) under
+⊙A is its cone with J = ∅, gauge-fixed by tying one y node to the origin,
+so the bounded complex reads its cells, their dimensions and membership
+from the same projection.  Its vertices and segments need only the K(A)
+cells of TC(A) and their dimensions, so ``bounded_skeleton`` builds no cone.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .core import DomainError, TropMatrix, TropVector, residuation, vec_mat_mul
 from .geom import DifferenceBounds
 from .bipartite import BipartiteGraph, _max_matching_size, colwise_dragon_condition, components, transversal_matroid, uniform_matroid
 from .plucker import PluckerVector, contains, underlying_matroid
-from .arrangement import Covector, _attain, _closed_cell, _column_rows, _integer_scaled, covector_to_json, enumerate_covectors, in_B, in_K, skeleton
+from .arrangement import CELL_BUDGET, Covector, _attain, _closed_cell, _column_rows, _integer_scaled, covector_to_json, enumerate_covectors, in_B, in_K, skeleton
 from .subdivision import is_interior_cell, select_matroid
 
 
@@ -51,7 +50,7 @@ class DecompositionCertificate:
         return "DecompositionCertificate(J=%s, x=%r)" % (sorted(self.J), self.x)
 
 
-def decompose(A: TropMatrix, y: TropVector, budget=5000):
+def decompose(A: TropMatrix, y: TropVector):
     """The least certificate (F, J) for y ∈ L(A), by covector key and then
     sorted J, or None when y is not in the linear space: F a covector of
     TC(A) covering every row, J meeting the column-wise dragon condition,
@@ -64,24 +63,22 @@ def decompose(A: TropMatrix, y: TropVector, budget=5000):
     the closed system on an origin and x: the closed cell, x_i0 + a_i0j <= y_j
     for the least row i0 of I_j, = y_j off J and < y_j on J.  So only the
     pairs (F, J) that y allows reach a leaf, and x comes from the potentials.
-    BUDGET_EXCEEDED up front as ``enumerate_covectors`` refuses, or beyond
-    ``budget`` distinct leaf covectors, each a cell of TC(A).
+    BUDGET_EXCEEDED up front as ``enumerate_covectors`` refuses, or past
+    ``CELL_BUDGET`` covectors (I_1, ..., I_j) reached at one depth j: cells
+    of TC(A[:, :j]), which has no more cells than TC(A).
     """
     if len(y) != A.n or not y.is_finite():
         raise DomainError("BAD_POINT", "y must be finite of length n")
-    cols = _column_rows(A, budget)
+    cols = _column_rows(A, CELL_BUDGET)
     if _max_matching_size(BipartiteGraph.from_support(A), range(1, A.n + 1)) < A.d:
         raise DomainError("NO_MATCHING_IN_SUPPORT", "support contains no matching")
     d, n = A.d, A.n
     unit, a, z = _integer_scaled(A, y.entries)
-    leaves, found = set(), []
+    reached, found = [set() for _ in range(n)], []
 
     def search(j, cell, system, chosen, J):
         if j == n:
             F = Covector(BipartiteGraph(d, n, [(i + 1, k + 1) for k, I in enumerate(chosen) for i in I]))
-            leaves.add(F)
-            if len(leaves) > budget:
-                raise DomainError("BUDGET_EXCEEDED", f"more than {budget} cells")
             if in_B(F) and colwise_dragon_condition(F.graph, J):
                 found.append((F.key(), J, F, system))
             return
@@ -97,10 +94,13 @@ def decompose(A: TropMatrix, y: TropVector, budget=5000):
                     branches.append((on_J, J + (j + 1,)))
                 child = cell.copy() if branches else None
                 if child is not None and _attain(child, a, j, I, 0, True):
+                    reached[j].add(chosen + (I,))
+                    if len(reached[j]) > CELL_BUDGET:
+                        raise DomainError("BUDGET_EXCEEDED", f"more than {CELL_BUDGET} cells")
                     for closed, J_ in branches:
-                        search(j + 1, child, closed, chosen + [I], J_)
+                        search(j + 1, child, closed, chosen + (I,), J_)
 
-    search(0, DifferenceBounds(d, unit), DifferenceBounds(d + 1, unit), [], ())
+    search(0, DifferenceBounds(d, unit), DifferenceBounds(d + 1, unit), (), ())
     if not found:
         return None
     _, J, F, closed = min(found, key=lambda leaf: leaf[:2])

@@ -220,19 +220,45 @@ def test_decompose_against_the_all_cells_route():
     assert seen['{"'] > 250 and seen["nu"] > 250 and sum(seen.values()) - seen['{"'] - seen["nu"] > 50
 
 
-def test_decompose_budget_counts_leaf_covectors():
-    """The budget bounds the distinct covectors the search reaches, each a
-    cell of TC(A): those with a closed system admitting y for some J with
-    |J| <= d − 1, row cover and dragon condition aside."""
+def reached_covectors(A, y):
+    """Per depth j, the covectors (I_1, ..., I_j) the search reaches: the
+    cells of TC(A[:, :j]) whose closed system admits y_1..y_j for some J
+    with |J| <= d − 1, row cover and dragon condition aside."""
+    out = []
+    for j in range(1, A.n + 1):
+        Aj, yj = TropMatrix([row[:j] for row in A.entries]), TropVector(y.entries[:j])
+        out.append({F for F, _, _ in all_cells_systems(Aj, yj, enumerate_covectors(Aj), lambda F, J: True)})
+    return out
+
+
+def test_decompose_budget_counts_reached_covectors(monkeypatch):
+    """``CELL_BUDGET`` bounds the distinct covectors the search reaches at
+    each depth, not only at the leaves: FIG (23 cells) under a budget of 14,
+    on a point of L(A) and on seeded random y, answers as the
+    all-cells route exactly when no depth reaches more than 14 covectors,
+    and otherwise ends with BUDGET_EXCEEDED, even where y is not in L(A)."""
+    import tropstiefel.linspace as linspace
+
     y = TropVector([Fraction(-3, 2), Fraction(-3, 2), 2, Fraction(1, 2), Fraction(5, 2)])
-    leaves = {F for F, _, _ in all_cells_systems(FIG, y, enumerate_covectors(FIG), lambda F, J: True)}
-    k = len(leaves)
-    assert 2 ** 3 <= k < len(enumerate_covectors(FIG))  # past the widest column's 7 faces, short of TC(A)
+    counts = [len(F) for F in reached_covectors(FIG, y)]
+    assert counts == [1, 3, 13, 19, 11] and len(enumerate_covectors(FIG)) == 23
     expected = decompose_outcome(decompose_all_cells, FIG, y)
-    assert expected.startswith("{") and decompose_outcome(lambda A, y: decompose(A, y, budget=k), FIG, y) == expected
+    monkeypatch.setattr(linspace, "CELL_BUDGET", 19)
+    assert expected.startswith("{") and decompose_outcome(decompose, FIG, y) == expected
+    monkeypatch.setattr(linspace, "CELL_BUDGET", 18)  # past 11 leaves, short of 19 at depth 4
     with pytest.raises(DomainError) as exc:
-        decompose(FIG, y, budget=k - 1)
-    assert exc.value.code == "BUDGET_EXCEEDED" and str(exc.value) == f"more than {k - 1} cells"
+        decompose(FIG, y)
+    assert exc.value.code == "BUDGET_EXCEEDED" and str(exc.value) == "more than 18 cells"
+    monkeypatch.setattr(linspace, "CELL_BUDGET", 14)
+    rng = random.Random(5)
+    seen = Counter()
+    for _ in range(60):
+        y = TropVector([rng.randint(-4, 4) for _ in range(5)])
+        expected = decompose_outcome(decompose_all_cells, FIG, y)
+        over = max(len(F) for F in reached_covectors(FIG, y)) > 14
+        assert decompose_outcome(decompose, FIG, y) == ("BUDGET_EXCEEDED" if over else expected)
+        seen[over, expected] += 1
+    assert seen[True, "null"] >= 8 and seen[False, "null"] >= 8
 
 
 def test_decompose_refuses_a_wide_column_up_front(monkeypatch):
