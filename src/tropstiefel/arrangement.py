@@ -12,9 +12,11 @@ equalities tying the rows of I_j and strict inequalities saying that the
 other rows of supp(j) lose.  ``_attain`` imposes that rule for one column
 on a closed difference-bound matrix (``geom.DifferenceBounds``) over the
 integer-scaled entries of A, strictly in the search and weakly in
-``_closed_cell``.  TC(A) is found by a depth-first search over the columns:
-a partial choice (I_1, ..., I_j) is kept exactly when its system is
-feasible, and every feasible prefix extends to a covector, so the search
+``_closed_cell``; ``_refused`` first reads the same bounds one at a time
+from the matrix, so a search copies it only for a choice of rows that no
+single bound rules out.  TC(A) is found by a depth-first search over the
+columns: a partial choice (I_1, ..., I_j) is kept exactly when its system
+is feasible, and every feasible prefix extends to a covector, so the search
 never dead-ends.  A cell's dimension is the number of tie classes of its
 closed matrix minus one (the only zero cycles of a feasible strict system
 are its tie equalities), and its witness, gauge-fixed by x_1 = 0, comes
@@ -119,6 +121,28 @@ def _attain(dbm: DifferenceBounds, a, j, I, base, strict):
     return True
 
 
+def _refused(dbm: DifferenceBounds, a, j, I, base, strict):
+    """Does one bound of ``_attain(dbm, a, j, I, base, strict)`` alone
+    contradict ``dbm``?  Read-only lookups, as ``DifferenceBounds.add``
+    refuses x_v − x_u <= c when bound[v][u] + scale·c − strict < 0: True
+    means ``_attain`` would return False, so a search may skip the copy it
+    would spend on I."""
+    m, K = dbm.bound, dbm.scale
+    i0 = I[0]
+    a0 = a[i0][j]
+    u0 = base + i0
+    for k, row in enumerate(a):
+        c = row[j]
+        if c is None or k == i0:
+            continue
+        up, down = m[u0][base + k], m[base + k][u0]  # x_k − x_i0 <= up, x_i0 − x_k <= down
+        if up is not None and up + K * (c - a0) - (strict and k not in I) < 0:  # x_k − x_i0 >= a0 − c
+            return True
+        if k in I and down is not None and down + K * (a0 - c) < 0:  # x_k − x_i0 <= a0 − c
+            return True
+    return False
+
+
 def _closed_cell(dbm: DifferenceBounds, a, tau, base):
     """Impose on ``dbm`` the closed cell of the covector edge set tau, row i
     being node base + i: ``_attain`` with weak bounds for each column.
@@ -183,6 +207,8 @@ def enumerate_covectors(A: TropMatrix, budget=CELL_BUDGET) -> list:
             return
         for r in range(1, len(cols[j]) + 1):
             for I in itertools.combinations(cols[j], r):
+                if _refused(dbm, a, j, I, 0, True):
+                    continue
                 child = dbm.copy()
                 if _attain(child, a, j, I, 0, True):
                     search(j + 1, child, chosen + [I])

@@ -9,13 +9,16 @@ A covector decomposition y ∈ (F ⊙ A) + R_{>=0}{e_j : j ∈ J} and its cone
 are difference systems over x and y, so both run on the closed integer
 difference-bound matrix of ``geom.DifferenceBounds``: the certificate search,
 column by column and directed by y, builds only the (cell, J) pairs that y
-allows and reads its witness from the potentials; the cone is the closed
-matrix restricted to an origin and the y nodes, a polytrope answering its
-dimension, membership and rows itself.  The image of a cell of K(A) under
-⊙A is its cone with J = ∅, gauge-fixed by tying one y node to the origin,
-so the bounded complex reads its cells, their dimensions and membership
-from the same projection.  Its vertices and segments need only the K(A)
-cells of TC(A) and their dimensions, so ``bounded_skeleton`` builds no cone.
+allows, reads single bounds from its closed matrix before each copy to drop
+the rows y rules out and the prefixes whose later columns cannot all fit in
+J, and reads its witness from the potentials of the least leaf; the cone is
+the closed matrix restricted to an origin and the y nodes, a polytrope
+answering its dimension, membership and rows itself.  The image of a cell
+of K(A) under ⊙A is its cone with J = ∅, gauge-fixed by tying one y node to
+the origin, so the bounded complex reads its cells, their dimensions and
+membership from the same projection.  Its vertices and segments need only
+the K(A) cells of TC(A) and their dimensions, so ``bounded_skeleton``
+builds no cone.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .core import DomainError, TropMatrix, TropVector, residuation, vec_mat_mul
 from .geom import DifferenceBounds
 from .bipartite import BipartiteGraph, _max_matching_size, colwise_dragon_condition, components, transversal_matroid, uniform_matroid
 from .plucker import PluckerVector, contains, underlying_matroid
-from .arrangement import CELL_BUDGET, Covector, _attain, _closed_cell, _column_rows, _integer_scaled, covector_to_json, enumerate_covectors, in_B, in_K, skeleton
+from .arrangement import CELL_BUDGET, Covector, _attain, _closed_cell, _refused, _column_rows, _integer_scaled, covector_to_json, enumerate_covectors, in_B, in_K, skeleton
 from .subdivision import is_interior_cell, select_matroid
 
 
@@ -63,9 +66,20 @@ def decompose(A: TropMatrix, y: TropVector):
     the closed system on an origin and x: the closed cell, x_i0 + a_i0j <= y_j
     for the least row i0 of I_j, = y_j off J and < y_j on J.  So only the
     pairs (F, J) that y allows reach a leaf, and x comes from the potentials.
+
+    Before any copy, each node reads single bounds from its closed matrix,
+    which later columns only tighten.  Row filter: I_j ranges over the rows
+    i that admit x_i + a_ij <= y_j, j stays off J only if every row admits
+    x_i + a_ij >= y_j, and I_j is skipped when ``_refused`` rules it out.
+    Look-ahead: a column k >= j with some row refusing x_i + a_ik >= y_k,
+    or no row admitting x_i + a_ik = y_k, must go into J, so a node with
+    more such columns than the d − 1 − |J| left is dropped.  Both read
+    necessary conditions, so the leaves are the same.
+
     BUDGET_EXCEEDED up front as ``enumerate_covectors`` refuses, or past
     ``CELL_BUDGET`` covectors (I_1, ..., I_j) reached at one depth j: cells
-    of TC(A[:, :j]), which has no more cells than TC(A).
+    of TC(A[:, :j]), which has no more cells than TC(A), whose closed
+    system passes the look-ahead for some J.
     """
     if len(y) != A.n or not y.is_finite():
         raise DomainError("BAD_POINT", "y must be finite of length n")
@@ -74,36 +88,62 @@ def decompose(A: TropMatrix, y: TropVector):
         raise DomainError("NO_MATCHING_IN_SUPPORT", "support contains no matching")
     d, n = A.d, A.n
     unit, a, z = _integer_scaled(A, y.entries)
-    reached, found = [set() for _ in range(n)], []
+    reached, best = [set() for _ in range(n)], None
+    root = DifferenceBounds(d + 1, unit)
+    targets = [[(i, root.scale * (z[k] - a[i][k])) for i in cols[k]] for k in range(n)]  # x_i = y_k − a_ik, scaled
 
-    def search(j, cell, system, chosen, J):
+    def plan(system, j, J):
+        """Per column k >= j, the rows admitting x_i + a_ik <= y_k and
+        whether every row admits x_i + a_ik >= y_k, each bound read alone
+        from ``system`` as ``_refused`` reads them; column j's pair, or None
+        when the look-ahead drops the node."""
+        up, down = system.bound[0], [row[0] for row in system.bound]  # x_i <= up[i + 1], −x_i <= down[i + 1]
+        fits = [
+            ([i for i, t in targets[k] if down[i + 1] is None or down[i + 1] + t >= 0],
+             all(up[i + 1] is None or up[i + 1] >= t for i, t in targets[k]))
+            for k in range(j, n)
+        ]
+        if sum(not (rows and above) for rows, above in fits) > d - 1 - len(J):
+            return None
+        return fits[0] if fits else ((), True)
+
+    def search(j, cell, system, chosen, J, rows, above):
+        nonlocal best
         if j == n:
             F = Covector(BipartiteGraph(d, n, [(i + 1, k + 1) for k, I in enumerate(chosen) for i in I]))
-            if in_B(F) and colwise_dragon_condition(F.graph, J):
-                found.append((F.key(), J, F, system))
+            if (best is None or (F.key(), J) < best[0]) and in_B(F) and colwise_dragon_condition(F.graph, J):
+                best = (F.key(), J), F, system
             return
-        for r in range(1, len(cols[j]) + 1):
-            for I in itertools.combinations(cols[j], r):
-                i0, c = I[0], z[j] - a[I[0]][j]
-                off_J = system.copy()
-                if not (_attain(off_J, a, j, I, 1, False) and off_J.add(0, i0 + 1, c)):
+        for r in range(1, len(rows) + 1):
+            for I in itertools.combinations(rows, r):
+                if _refused(system, a, j, I, 1, False):
                     continue
-                on_J = off_J.copy() if len(J) < d - 1 else None
-                branches = [(off_J, J)] if off_J.add(i0 + 1, 0, -c) else []  # y_j = x_i0 + a_i0j
+                i0, c = I[0], z[j] - a[I[0]][j]
+                closed = system.copy()
+                if not (_attain(closed, a, j, I, 1, False) and closed.add(0, i0 + 1, c)):
+                    continue
+                if len(J) == d - 1:
+                    on_J = None
+                else:  # the off-J branch, tried when every row admits >= y_j, tightens closed itself
+                    on_J = closed.copy() if above else closed
+                branches = [(closed, J)] if above and closed.add(i0 + 1, 0, -c) else []  # y_j = x_i0 + a_i0j
                 if on_J is not None and on_J.add(0, i0 + 1, c, strict=True):  # y_j > x_i0 + a_i0j
                     branches.append((on_J, J + (j + 1,)))
-                child = cell.copy() if branches else None
-                if child is not None and _attain(child, a, j, I, 0, True):
+                branches = [(s, J_, fit) for s, J_ in branches if (fit := plan(s, j + 1, J_))]
+                if not branches or _refused(cell, a, j, I, 0, True):
+                    continue
+                child = cell.copy()
+                if _attain(child, a, j, I, 0, True):
                     reached[j].add(chosen + (I,))
                     if len(reached[j]) > CELL_BUDGET:
                         raise DomainError("BUDGET_EXCEEDED", f"more than {CELL_BUDGET} cells")
-                    for closed, J_ in branches:
-                        search(j + 1, child, closed, chosen + (I,), J_)
+                    for s, J_, fit in branches:
+                        search(j + 1, child, s, chosen + (I,), J_, *fit)
 
-    search(0, DifferenceBounds(d, unit), DifferenceBounds(d + 1, unit), (), ())
-    if not found:
+    search(0, DifferenceBounds(d, unit), root, (), (), *plan(root, 0, ()))
+    if best is None:
         return None
-    _, J, F, closed = min(found, key=lambda leaf: leaf[:2])
+    (_, J), F, closed = best
     xv = TropVector(closed.point()[1:])
     image = vec_mat_mul(xv, A)
     slack = TropVector([y.entry(j) - image.entry(j) for j in range(1, n + 1)])

@@ -18,7 +18,7 @@ from tropstiefel.bipartite import (
     transversal_matroid,
     uniform_matroid,
 )
-from tropstiefel.core import INF, TropMatrix, TropVector, vec_mat_mul
+from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, vec_mat_mul
 from tropstiefel.geom import lp_solve
 from tropstiefel.linspace import (
     bounded_complex,
@@ -26,6 +26,7 @@ from tropstiefel.linspace import (
     contains,
     contains_via_matroid,
     decompose,
+    decomposition_cone,
 )
 from tropstiefel.plucker import (
     PluckerVector,
@@ -499,3 +500,23 @@ def test_decompose_dense_queries():
             assert (cert is not None) == contains(p, y)
             found += cert is not None
         assert found >= 10
+
+
+# -- 13 ---------------------------------------------------------------------
+
+def test_decompose_dense_image_point_ends():
+    """An image point of a dense 6×9 (``random.Random(1)``, entries
+    −50..50), where the search once walked prefixes whose later columns
+    could not all fit in J and refused only after 11–15 s: it must end,
+    with a certificate checked by its decomposition cone or with
+    BUDGET_EXCEEDED, well inside the budget."""
+    with Budget(5):
+        rng = random.Random(1)
+        A = TropMatrix([[rng.randint(-50, 50) for _ in range(9)] for _ in range(6)])
+        y = vec_mat_mul(TropVector([rng.randint(-20, 20) for _ in range(6)]), A)
+        try:
+            cert = decompose(A, y)
+        except DomainError as exc:
+            assert exc.code == "BUDGET_EXCEEDED"
+        else:
+            assert cert is not None and decomposition_cone(A, cert.covector.edges, cert.J).contains(y.entries)

@@ -220,42 +220,91 @@ def test_decompose_against_the_all_cells_route():
     assert seen['{"'] > 250 and seen["nu"] > 250 and sum(seen.values()) - seen['{"'] - seen["nu"] > 50
 
 
+def test_decompose_against_the_all_cells_route_where_j_fills():
+    """Where the look-ahead on the room left in J prunes: d = 4–5, n = 7–8,
+    compared with the all-cells route as JSON text.  Most queries are image
+    points x ⊙ A with slack on a set J of 0 to d − 1 columns, A drawn so
+    that x attains each column of J at two rows adjacent on a path through
+    all rows (so J meets the column-wise dragon condition) and each other
+    column at one row, with ∞ or larger entries elsewhere; the rest are
+    random y on random A."""
+    rng = random.Random(71)
+    half = lambda: Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
+    seen = Counter()
+    for _ in range(16):
+        d, n = rng.randint(4, 5), rng.randint(7, 8)
+        if rng.random() < 0.8:
+            x, path, J = [half() for _ in range(d)], rng.sample(range(d), d), rng.sample(range(n), rng.randint(0, d - 1))
+            ties = [set(path[J.index(j):J.index(j) + 2]) if j in J else {rng.randrange(d)} for j in range(n)]
+            c = [half() for _ in range(n)]
+            A = TropMatrix([[c[j] - x[i] + (0 if i in ties[j] else INF if rng.random() < 0.6 else rng.randint(1, 3)) for j in range(n)] for i in range(d)])
+            y = TropVector([c[j] + (rng.randint(1, 4) if j in J else 0) for j in range(n)])
+        else:
+            A = TropMatrix([[INF if rng.random() < 0.4 else half() for _ in range(n)] for _ in range(d)])
+            y = TropVector([half() for _ in range(n)])
+        out = decompose_outcome(decompose, A, y)
+        assert out == decompose_outcome(decompose_all_cells, A, y), (A.entries, y.entries)
+        seen[len(json.loads(out)["J"]) if out.startswith("{") else out] += 1
+    # certificates whose J fills or nearly fills its room of d − 1, and refusals
+    assert seen[3] + seen[4] >= 4 and seen["null"] >= 3, seen
+
+
 def reached_covectors(A, y):
     """Per depth j, the covectors (I_1, ..., I_j) the search reaches: the
     cells of TC(A[:, :j]) whose closed system admits y_1..y_j for some J
-    with |J| <= d − 1, row cover and dragon condition aside."""
+    with |J| <= d − 1 and leaves room in J for the later columns that must
+    join it, row cover and dragon condition aside.  A later column k must
+    join J when the system refuses x_i + a_ik >= y_k for some row i, or
+    x_i + a_ik = y_k for every row i, each bound added to a copy alone."""
+    _, a, z = _integer_scaled(A, y.entries)  # integer entries: every prefix keeps unit 1
+    A, y = TropMatrix([[INF if v is None else v for v in row] for row in a]), TropVector(z)
+
+    def admits(dbm, *bounds):
+        dbm = dbm.copy()
+        return all(dbm.add(*b) for b in bounds)
+
+    def must_join(dbm, k):
+        rows = [i for i in range(A.d) if a[i][k] is not None]
+        ge = [(i + 1, 0, a[i][k] - z[k]) for i in rows]
+        return not all(admits(dbm, b) for b in ge) or not any(admits(dbm, (0, i + 1, z[k] - a[i][k]), b) for i, b in zip(rows, ge))
+
     out = []
     for j in range(1, A.n + 1):
         Aj, yj = TropMatrix([row[:j] for row in A.entries]), TropVector(y.entries[:j])
-        out.append({F for F, _, _ in all_cells_systems(Aj, yj, enumerate_covectors(Aj), lambda F, J: True)})
+        out.append({
+            F for F, J, dbm in all_cells_systems(Aj, yj, enumerate_covectors(Aj), lambda F, J: True)
+            if sum(must_join(dbm, k) for k in range(j, A.n)) <= A.d - 1 - len(J)
+        })
     return out
 
 
 def test_decompose_budget_counts_reached_covectors(monkeypatch):
     """``CELL_BUDGET`` bounds the distinct covectors the search reaches at
-    each depth, not only at the leaves: FIG (23 cells) under a budget of 14,
-    on a point of L(A) and on seeded random y, answers as the
-    all-cells route exactly when no depth reaches more than 14 covectors,
-    and otherwise ends with BUDGET_EXCEEDED, even where y is not in L(A)."""
+    each depth, not only at the leaves: on FIG (23 cells), a point of L(A)
+    answers as the all-cells route under its largest per-depth count and
+    ends with BUDGET_EXCEEDED just below it, and under a budget of 7
+    seeded random y answer as the all-cells route exactly when no depth
+    reaches more than 7 covectors, and otherwise end with BUDGET_EXCEEDED,
+    even where y is not in L(A)."""
     import tropstiefel.linspace as linspace
 
     y = TropVector([Fraction(-3, 2), Fraction(-3, 2), 2, Fraction(1, 2), Fraction(5, 2)])
     counts = [len(F) for F in reached_covectors(FIG, y)]
-    assert counts == [1, 3, 13, 19, 11] and len(enumerate_covectors(FIG)) == 23
+    assert counts == [1, 3, 5, 11, 11] and len(enumerate_covectors(FIG)) == 23
     expected = decompose_outcome(decompose_all_cells, FIG, y)
-    monkeypatch.setattr(linspace, "CELL_BUDGET", 19)
+    monkeypatch.setattr(linspace, "CELL_BUDGET", 11)
     assert expected.startswith("{") and decompose_outcome(decompose, FIG, y) == expected
-    monkeypatch.setattr(linspace, "CELL_BUDGET", 18)  # past 11 leaves, short of 19 at depth 4
+    monkeypatch.setattr(linspace, "CELL_BUDGET", 10)
     with pytest.raises(DomainError) as exc:
         decompose(FIG, y)
-    assert exc.value.code == "BUDGET_EXCEEDED" and str(exc.value) == "more than 18 cells"
-    monkeypatch.setattr(linspace, "CELL_BUDGET", 14)
+    assert exc.value.code == "BUDGET_EXCEEDED" and str(exc.value) == "more than 10 cells"
+    monkeypatch.setattr(linspace, "CELL_BUDGET", 7)  # FIG's widest column alone needs 7
     rng = random.Random(5)
     seen = Counter()
     for _ in range(60):
         y = TropVector([rng.randint(-4, 4) for _ in range(5)])
         expected = decompose_outcome(decompose_all_cells, FIG, y)
-        over = max(len(F) for F in reached_covectors(FIG, y)) > 14
+        over = max(len(F) for F in reached_covectors(FIG, y)) > 7
         assert decompose_outcome(decompose, FIG, y) == ("BUDGET_EXCEEDED" if over else expected)
         seen[over, expected] += 1
     assert seen[True, "null"] >= 8 and seen[False, "null"] >= 8
