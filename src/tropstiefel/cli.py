@@ -351,8 +351,11 @@ def _emit(args, payload):
         text = dumps(payload)
     out = getattr(args, "output", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write output: {exc}")
     else:
         sys.stdout.write(text + "\n")
 
@@ -364,15 +367,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        payload = HANDLERS[args.command](args)
+        try:
+            payload, code = HANDLERS[args.command](args), 0
+        except DomainError as exc:
+            payload, code = {"error": exc.code}, 1
+        _emit(args, payload)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
-    except DomainError as exc:
-        _emit(args, {"error": exc.code})
-        return 1
-    _emit(args, payload)
-    return 0
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

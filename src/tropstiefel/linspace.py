@@ -9,9 +9,11 @@ A covector decomposition y ∈ (F ⊙ A) + R_{>=0}{e_j : j ∈ J} and its cone
 are difference systems over x and y, so both run on the closed integer
 difference-bound matrix of ``geom.DifferenceBounds``: the certificate search,
 column by column and directed by y, builds only the (cell, J) pairs that y
-allows, reads single bounds from its closed matrix before each copy to drop
-the rows y rules out and the prefixes whose later columns cannot all fit in
-J, and reads its witness from the potentials of the least leaf; the cone is
+allows, bounds x from below by the residual floors of y before any column is
+chosen, reads single bounds from its closed matrix before each copy to drop
+the rows y rules out, the prefixes whose later columns cannot all fit in J
+and those that cannot beat the least leaf in hand, and reads its witness
+from the potentials of the least leaf; the cone is
 the closed matrix restricted to an origin and the y nodes, a polytrope
 answering its dimension, membership and rows itself.  The image of a cell
 of K(A) under ⊙A is its cone with J = ∅, gauge-fixed by tying one y node to
@@ -23,6 +25,7 @@ builds no cone.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .core import DomainError, TropMatrix, TropVector, residuation, vec_mat_mul
@@ -67,19 +70,35 @@ def decompose(A: TropMatrix, y: TropVector):
     for the least row i0 of I_j, = y_j off J and < y_j on J.  So only the
     pairs (F, J) that y allows reach a leaf, and x comes from the potentials.
 
+    Residual floors: off J, x_i + a_ik >= y_k for every finite row i, and
+    at most r = d − 1 − |J| of the columns k >= j still join J, so x_i is
+    at least the (r + 1)-th largest y_k − a_ik over them (the principal
+    solution of min-plus residuation when r = 0).  The closed system takes
+    these bounds at the root and whenever j joins J; off J, column j
+    implies them.  Every leaf below meets them, so its matrix is unchanged.
+
     Before any copy, each node reads single bounds from its closed matrix,
     which later columns only tighten.  Row filter: I_j ranges over the rows
     i that admit x_i + a_ij <= y_j, j stays off J only if every row admits
     x_i + a_ij >= y_j, and I_j is skipped when ``_refused`` rules it out.
     Look-ahead: a column k >= j with some row refusing x_i + a_ik >= y_k,
     or no row admitting x_i + a_ik = y_k, must go into J, so a node with
-    more such columns than the d − 1 − |J| left is dropped.  Both read
-    necessary conditions, so the leaves are the same.
+    more such columns than the d − 1 − |J| left is dropped; a node refines
+    its parent's rows and stops counting once the room is gone.  Order
+    bound: every leaf covers every row, so on rows 1..d − 1 a smaller key
+    has the larger row-major edge bits (in row d a shorter row sorts
+    first, so row d is left out).  A prefix whose bits, with every bit the
+    look-ahead still admits in later columns, fall below the least leaf's
+    is dropped, and I_j is tried in descending bit order, so once one I_j
+    falls short the rest do too.  All of these read necessary conditions
+    or drop only leaves that sort after one in hand, so the least leaf and
+    its matrix are the same.
 
     BUDGET_EXCEEDED up front as ``enumerate_covectors`` refuses, or past
     ``CELL_BUDGET`` covectors (I_1, ..., I_j) reached at one depth j: cells
     of TC(A[:, :j]), which has no more cells than TC(A), whose closed
-    system passes the look-ahead for some J.
+    system with its floors passes the look-ahead for some J, and, once a
+    leaf is in hand, whose bits can still reach it.
     """
     if len(y) != A.n or not y.is_finite():
         raise DomainError("BAD_POINT", "y must be finite of length n")
@@ -88,59 +107,77 @@ def decompose(A: TropMatrix, y: TropVector):
         raise DomainError("NO_MATCHING_IN_SUPPORT", "support contains no matching")
     d, n = A.d, A.n
     unit, a, z = _integer_scaled(A, y.entries)
-    reached, best = [set() for _ in range(n)], None
+    reached, best, top = [set() for _ in range(n)], None, -1  # top: the bits of the least leaf so far
     root = DifferenceBounds(d + 1, unit)
-    targets = [[(i, root.scale * (z[k] - a[i][k])) for i in cols[k]] for k in range(n)]  # x_i = y_k − a_ik, scaled
+    target = [[None if row[k] is None else root.scale * (z[k] - row[k]) for row in a] for k in range(n)]  # x_i = y_k − a_ik, scaled
+    # floor[j][r]: x_i >= the (r + 1)-th largest y_k − a_ik over the columns k >= j, as bounds to add
+    residual = [[sorted((z[k] - row[k] for k in range(j, n) if row[k] is not None), reverse=True) for row in a] for j in range(n + 1)]
+    floor = [[[(i + 1, 0, -v[r]) for i, v in enumerate(res) if len(v) > r] for r in range(d)] for res in residual]
+    bit = [[1 << ((d - 2 - i) * n + n - 1 - k) if i < d - 1 else 0 for i in range(d)] for k in range(n)]  # edge (i, k), row-major, rows 1..d − 1
 
-    def plan(system, j, J):
-        """Per column k >= j, the rows admitting x_i + a_ik <= y_k and
-        whether every row admits x_i + a_ik >= y_k, each bound read alone
-        from ``system`` as ``_refused`` reads them; column j's pair, or None
-        when the look-ahead drops the node."""
+    def plan(system, fits, room):
+        """The parent's ``fits`` of the columns it has not placed, refined on
+        ``system``: per column k, the rows still admitting x_i + a_ik <= y_k,
+        whether every row still admits x_i + a_ik >= y_k (each bound read
+        alone, as ``_refused`` reads them) and the bits of those rows, with
+        their sum; None once more columns must join J than the ``room`` left."""
         up, down = system.bound[0], [row[0] for row in system.bound]  # x_i <= up[i + 1], −x_i <= down[i + 1]
-        fits = [
-            ([i for i, t in targets[k] if down[i + 1] is None or down[i + 1] + t >= 0],
-             all(up[i + 1] is None or up[i + 1] >= t for i, t in targets[k]))
-            for k in range(j, n)
-        ]
-        if sum(not (rows and above) for rows, above in fits) > d - 1 - len(J):
-            return None
-        return fits[0] if fits else ((), True)
+        out, forced = [], 0
+        for k, (rows, above, _) in zip(range(n - len(fits), n), fits):
+            t = target[k]
+            rows = tuple(i for i in rows if down[i + 1] is None or down[i + 1] + t[i] >= 0)
+            above = above and all(up[i + 1] is None or up[i + 1] >= t[i] for i in cols[k])
+            forced += not (rows and above)
+            if forced > room:
+                return None
+            out.append((rows, above, sum(map(bit[k].__getitem__, rows))))
+        return out, sum(fit[2] for fit in out)
 
-    def search(j, cell, system, chosen, J, rows, above):
-        nonlocal best
+    @functools.cache  # every nonempty I ⊆ rows with its bits in column j, bits descending; the empty set comes last
+    def subsets(j, rows):
+        return [(tuple(itertools.compress(rows, f)), sum(itertools.compress(map(bit[j].__getitem__, rows), f)))
+                for f in itertools.product((1, 0), repeat=len(rows))][:-1]
+
+    def search(j, cell, system, chosen, bits, J, fits, ahead):
+        nonlocal best, top
         if j == n:
             F = Covector(BipartiteGraph(d, n, [(i + 1, k + 1) for k, I in enumerate(chosen) for i in I]))
             if (best is None or (F.key(), J) < best[0]) and in_B(F) and colwise_dragon_condition(F.graph, J):
-                best = (F.key(), J), F, system
+                best, top = ((F.key(), J), F, system), bits
             return
-        for r in range(1, len(rows) + 1):
-            for I in itertools.combinations(rows, r):
-                if _refused(system, a, j, I, 1, False):
-                    continue
-                i0, c = I[0], z[j] - a[I[0]][j]
-                closed = system.copy()
-                if not (_attain(closed, a, j, I, 1, False) and closed.add(0, i0 + 1, c)):
-                    continue
-                if len(J) == d - 1:
-                    on_J = None
-                else:  # the off-J branch, tried when every row admits >= y_j, tightens closed itself
-                    on_J = closed.copy() if above else closed
-                branches = [(closed, J)] if above and closed.add(i0 + 1, 0, -c) else []  # y_j = x_i0 + a_i0j
-                if on_J is not None and on_J.add(0, i0 + 1, c, strict=True):  # y_j > x_i0 + a_i0j
-                    branches.append((on_J, J + (j + 1,)))
-                branches = [(s, J_, fit) for s, J_ in branches if (fit := plan(s, j + 1, J_))]
-                if not branches or _refused(cell, a, j, I, 0, True):
-                    continue
-                child = cell.copy()
-                if _attain(child, a, j, I, 0, True):
-                    reached[j].add(chosen + (I,))
-                    if len(reached[j]) > CELL_BUDGET:
-                        raise DomainError("BUDGET_EXCEEDED", f"more than {CELL_BUDGET} cells")
-                    for s, J_, fit in branches:
-                        search(j + 1, child, s, chosen + (I,), J_, *fit)
+        rows, above, here = fits[0]
+        later = bits + ahead - here  # the most bits any leaf below reaches, less I_j's
+        for I, I_bits in subsets(j, rows):
+            if later + I_bits < top:  # so is every later I
+                break
+            if _refused(system, a, j, I, 1, False):
+                continue
+            i0, c = I[0], z[j] - a[I[0]][j]
+            closed = system.copy()
+            if not (_attain(closed, a, j, I, 1, False) and closed.add(0, i0 + 1, c)):
+                continue
+            # the off-J branch, tried when every row admits >= y_j, tightens closed itself
+            on_J = None if len(J) == d - 1 else closed.copy() if above else closed
+            branches = [(closed, J)] if above and closed.add(i0 + 1, 0, -c) else []  # y_j = x_i0 + a_i0j
+            if on_J is not None and on_J.add(0, i0 + 1, c, strict=True):  # y_j > x_i0 + a_i0j
+                branches.append((on_J, J + (j + 1,)))
+            branches = [
+                (s, J_, fit) for s, J_ in branches
+                if (J_ == J or all(s.add(*b) for b in floor[j + 1][d - 1 - len(J_)]))  # off J, column j implies them
+                and (fit := plan(s, fits[1:], d - 1 - len(J_))) is not None
+            ]
+            if not branches or _refused(cell, a, j, I, 0, True):
+                continue
+            child = cell.copy()
+            if _attain(child, a, j, I, 0, True):
+                reached[j].add(chosen + (I,))
+                if len(reached[j]) > CELL_BUDGET:
+                    raise DomainError("BUDGET_EXCEEDED", f"more than {CELL_BUDGET} cells")
+                for s, J_, fit in branches:
+                    search(j + 1, child, s, chosen + (I,), bits + I_bits, J_, *fit)
 
-    search(0, DifferenceBounds(d, unit), root, (), (), *plan(root, 0, ()))
+    if all(root.add(*b) for b in floor[0][d - 1]) and (fits := plan(root, [(rows, True, 0) for rows in cols], d - 1)) is not None:
+        search(0, DifferenceBounds(d, unit), root, (), 0, (), *fits)
     if best is None:
         return None
     (_, J), F, closed = best

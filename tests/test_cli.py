@@ -178,6 +178,21 @@ def test_output_file(tmp_path, capsys):
     assert obj["d"] == 2 and obj["n"] == 4
 
 
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    """An --output in a missing directory, or naming a directory, exits 2
+    with a usage error, as an unreadable --input does, for an answer and
+    for a domain error alike."""
+    good = write_input(tmp_path, matrix_to_json(STAIR))
+    bad = write_input(tmp_path, matrix_to_json(TropMatrix([[0, "inf"], [0, "inf"]])), "bad.json")
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        for path in (good, bad):
+            code = main(["stiefel", "--input", path, "--output", str(out)])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err.startswith("usage error: cannot write output: ")
+    assert not (tmp_path / "missing").exists()
+
+
 def test_domain_error_exit_code(tmp_path, capsys):
     # a column of infinities: no matching in the support
     bad = TropMatrix([[0, "inf"], [0, "inf"]])
