@@ -9,18 +9,19 @@ predicate.
 The arrangement lives in the torus of x-coordinates, and every cell of TC(A)
 is a polytrope: the points whose covector is tau satisfy, per column j,
 equalities tying the rows of I_j and strict inequalities saying that the
-other rows of supp(j) lose.  ``_attain`` imposes that rule for one column
-on a closed difference-bound matrix (``geom.DifferenceBounds``) over the
-integer-scaled entries of A, strictly in the search and weakly in
-``_closed_cell``; ``_refused`` first reads the same bounds one at a time
-from the matrix, so a search copies it only for a choice of rows that no
-single bound rules out.  TC(A) is found by a depth-first search over the
-columns: a partial choice (I_1, ..., I_j) is kept exactly when its system
-is feasible, and every feasible prefix extends to a covector, so the search
-never dead-ends.  A cell's dimension is the number of tie classes of its
-closed matrix minus one (the only zero cycles of a feasible strict system
-are its tie equalities), and its witness, gauge-fixed by x_1 = 0, comes
-from the potentials of the closed matrix.
+other rows of supp(j) lose.  ``_attain`` states that rule for one column
+as bounds over the integer-scaled entries of A and hands them to a closed
+difference-bound matrix (``geom.DifferenceBounds``), strictly in the
+search and weakly in ``_closed_cell``: to its ``add`` to impose them, or
+first to its ``admits``, one lookup per bound, so a search copies the
+matrix only for a choice of rows that no single bound rules out.  TC(A)
+is found by a depth-first search over the columns: a partial choice
+(I_1, ..., I_j) is kept exactly when its system is feasible, and every
+feasible prefix extends to a covector, so the search never dead-ends.
+A cell's dimension is the number of tie classes of its closed matrix
+minus one (the only zero cycles of a feasible strict system are its tie
+equalities), and its witness, gauge-fixed by x_1 = 0, comes from the
+potentials of the closed matrix.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class Covector:
         )
 
     def key(self):
-        return tuple(sorted(self.edges))
+        return self.graph.sorted_edges()
 
     def __eq__(self, other):
         return isinstance(other, Covector) and self.graph == other.graph
@@ -100,12 +101,13 @@ def _integer_scaled(A: TropMatrix, y=()):
     return unit, a, [v.numerator * (unit // v.denominator) for v in y]
 
 
-def _attain(dbm: DifferenceBounds, a, j, I, base, strict):
-    """Impose on ``dbm`` that the rows I of column j attain
-    min_k (x_k + a_kj), row k being node base + k (0-based, I sorted):
-    x_i + a_ij = x_i0 + a_i0j for i ∈ I with i0 = I[0], and
-    x_k + a_kj >= x_i0 + a_i0j (> when strict) for the other finite rows k.
-    Returns False when that contradicts the bounds so far."""
+def _attain(impose, a, j, I, base, strict):
+    """Hand to ``impose`` (a ``DifferenceBounds.add`` or ``admits``) the
+    bounds saying that the rows I of column j attain min_k (x_k + a_kj),
+    row k being node base + k (0-based, I sorted): x_i + a_ij = x_i0 + a_i0j
+    for i ∈ I with i0 = I[0], and x_k + a_kj >= x_i0 + a_i0j (> when
+    strict) for the other finite rows k.  Returns False at the first bound
+    ``impose`` refuses."""
     i0 = I[0]
     a0 = a[i0][j]
     u0 = base + i0
@@ -114,41 +116,19 @@ def _attain(dbm: DifferenceBounds, a, j, I, base, strict):
         if c is None or k == i0:
             continue
         if k in I:
-            if not (dbm.add(u0, base + k, a0 - c) and dbm.add(base + k, u0, c - a0)):
+            if not (impose(u0, base + k, a0 - c) and impose(base + k, u0, c - a0)):
                 return False
-        elif not dbm.add(base + k, u0, c - a0, strict):
+        elif not impose(base + k, u0, c - a0, strict):
             return False
     return True
 
 
-def _refused(dbm: DifferenceBounds, a, j, I, base, strict):
-    """Does one bound of ``_attain(dbm, a, j, I, base, strict)`` alone
-    contradict ``dbm``?  Read-only lookups, as ``DifferenceBounds.add``
-    refuses x_v − x_u <= c when bound[v][u] + scale·c − strict < 0: True
-    means ``_attain`` would return False, so a search may skip the copy it
-    would spend on I."""
-    m, K = dbm.bound, dbm.scale
-    i0 = I[0]
-    a0 = a[i0][j]
-    u0 = base + i0
-    for k, row in enumerate(a):
-        c = row[j]
-        if c is None or k == i0:
-            continue
-        up, down = m[u0][base + k], m[base + k][u0]  # x_k − x_i0 <= up, x_i0 − x_k <= down
-        if up is not None and up + K * (c - a0) - (strict and k not in I) < 0:  # x_k − x_i0 >= a0 − c
-            return True
-        if k in I and down is not None and down + K * (a0 - c) < 0:  # x_k − x_i0 <= a0 − c
-            return True
-    return False
-
-
 def _closed_cell(dbm: DifferenceBounds, a, tau, base):
     """Impose on ``dbm`` the closed cell of the covector edge set tau, row i
-    being node base + i: ``_attain`` with weak bounds for each column.
-    Returns False when the cell is empty.  BAD_COVECTOR, before any bound
-    is imposed, for an edge not of integers in [d]×[n] or off the support,
-    or for an uncovered column."""
+    being node base + i: ``_attain(dbm.add, ...)`` with weak bounds for each
+    column.  Returns False when the cell is empty.  BAD_COVECTOR, before
+    any bound is imposed, for an edge not of integers in [d]×[n] or off the
+    support, or for an uncovered column."""
     by_col = [set() for _ in a[0]]
     for i, j in tau:
         if not (type(i) is int and type(j) is int and 1 <= i <= len(a) and 1 <= j <= len(by_col)) or a[i - 1][j - 1] is None:
@@ -156,7 +136,7 @@ def _closed_cell(dbm: DifferenceBounds, a, tau, base):
         by_col[j - 1].add(i - 1)
     if not all(by_col):
         raise DomainError("BAD_COVECTOR", f"column {by_col.index(set()) + 1} uncovered")
-    return all(_attain(dbm, a, j, sorted(I), base + 1, False) for j, I in enumerate(by_col))
+    return all(_attain(dbm.add, a, j, sorted(I), base + 1, False) for j, I in enumerate(by_col))
 
 
 class Cell:
@@ -207,10 +187,10 @@ def enumerate_covectors(A: TropMatrix, budget=CELL_BUDGET) -> list:
             return
         for r in range(1, len(cols[j]) + 1):
             for I in itertools.combinations(cols[j], r):
-                if _refused(dbm, a, j, I, 0, True):
+                if not _attain(dbm.admits, a, j, I, 0, True):
                     continue
                 child = dbm.copy()
-                if _attain(child, a, j, I, 0, True):
+                if _attain(child.add, a, j, I, 0, True):
                     search(j + 1, child, chosen + [I])
 
     search(0, DifferenceBounds(d, unit), [])

@@ -165,9 +165,11 @@ class DifferenceBounds:
     does any larger K (a copy or restriction keeps its matrix's K and unit),
     and the shortest-path potentials of the stored integers are an exact
     witness.  ``bound[u][v]`` is the tightest implied bound (None when there
-    is none); adding a bound keeps the matrix closed in O(size²).  Node 0
-    is an origin pinned at 0; ``dim``, ``contains`` and ``minimal_form``
-    read a matrix of weak bounds: a polytrope.
+    is none); adding a bound keeps the matrix closed in O(size²), and
+    ``admits`` tells by one lookup whether ``add`` would accept it.  This
+    class alone reads the stored encoding.  Node 0 is an origin pinned at
+    0; ``dim``, ``contains`` and ``minimal_form`` read a matrix of weak
+    bounds: a polytrope.
     """
 
     __slots__ = ("size", "scale", "unit", "bound")
@@ -191,6 +193,12 @@ class DifferenceBounds:
         projection onto them.  It keeps this matrix's scale, which stays
         exact for the shorter cycles of fewer nodes."""
         return self._with([[self.bound[u][v] for v in nodes] for u in nodes])
+
+    def admits(self, u, v, c, strict=False):
+        """Would ``add(u, v, c, strict)`` accept x_v − x_u ≤ c (< c when
+        strict)?  One lookup: only the bound the other way can refuse it."""
+        b = self.bound[v][u]
+        return b is None or b + self.scale * c - strict >= 0
 
     def add(self, u, v, c, strict=False):
         """Impose x_v − x_u ≤ c (< c when strict).  Returns False, leaving

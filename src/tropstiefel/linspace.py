@@ -10,9 +10,10 @@ are difference systems over x and y, so both run on the closed integer
 difference-bound matrix of ``geom.DifferenceBounds``: the certificate search,
 column by column and directed by y, builds only the (cell, J) pairs that y
 allows, bounds x from below by the residual floors of y before any column is
-chosen, reads single bounds from its closed matrix before each copy to drop
-the rows y rules out, the prefixes whose later columns cannot all fit in J
-and those that cannot beat the least leaf in hand, and reads its witness
+chosen, asks its closed matrix whether it ``admits`` single bounds before
+each copy to drop the rows y rules out, the choices of rows one bound of
+the column rule refuses, the prefixes whose later columns cannot all fit in
+J and those that cannot beat the least leaf in hand, and reads its witness
 from the potentials of the least leaf; the cone is
 the closed matrix restricted to an origin and the y nodes, a polytrope
 answering its dimension, membership and rows itself.  The image of a cell
@@ -32,7 +33,7 @@ from .core import DomainError, TropMatrix, TropVector, residuation, vec_mat_mul
 from .geom import DifferenceBounds
 from .bipartite import BipartiteGraph, _max_matching_size, colwise_dragon_condition, components, transversal_matroid, uniform_matroid
 from .plucker import PluckerVector, contains, underlying_matroid
-from .arrangement import CELL_BUDGET, Covector, _attain, _closed_cell, _refused, _column_rows, _integer_scaled, covector_to_json, enumerate_covectors, in_B, in_K, skeleton
+from .arrangement import CELL_BUDGET, Covector, _attain, _closed_cell, _column_rows, _integer_scaled, covector_to_json, enumerate_covectors, in_B, in_K, skeleton
 from .subdivision import is_interior_cell, select_matroid
 
 
@@ -77,10 +78,12 @@ def decompose(A: TropMatrix, y: TropVector):
     these bounds at the root and whenever j joins J; off J, column j
     implies them.  Every leaf below meets them, so its matrix is unchanged.
 
-    Before any copy, each node reads single bounds from its closed matrix,
-    which later columns only tighten.  Row filter: I_j ranges over the rows
-    i that admit x_i + a_ij <= y_j, j stays off J only if every row admits
-    x_i + a_ij >= y_j, and I_j is skipped when ``_refused`` rules it out.
+    Before any copy, each node asks its closed matrix whether it
+    ``admits`` single bounds, which later columns only tighten.  Row
+    filter: I_j ranges over the rows i that admit x_i + a_ij <= y_j, j stays
+    off J only if every row admits x_i + a_ij >= y_j, and I_j is skipped
+    when ``_attain(system.admits, ...)`` or, on the open cell,
+    ``_attain(cell.admits, ...)`` refuses one of its bounds.
     Look-ahead: a column k >= j with some row refusing x_i + a_ik >= y_k,
     or no row admitting x_i + a_ik = y_k, must go into J, so a node with
     more such columns than the d − 1 − |J| left is dropped; a node refines
@@ -109,7 +112,6 @@ def decompose(A: TropMatrix, y: TropVector):
     unit, a, z = _integer_scaled(A, y.entries)
     reached, best, top = [set() for _ in range(n)], None, -1  # top: the bits of the least leaf so far
     root = DifferenceBounds(d + 1, unit)
-    target = [[None if row[k] is None else root.scale * (z[k] - row[k]) for row in a] for k in range(n)]  # x_i = y_k − a_ik, scaled
     # floor[j][r]: x_i >= the (r + 1)-th largest y_k − a_ik over the columns k >= j, as bounds to add
     residual = [[sorted((z[k] - row[k] for k in range(j, n) if row[k] is not None), reverse=True) for row in a] for j in range(n + 1)]
     floor = [[[(i + 1, 0, -v[r]) for i, v in enumerate(res) if len(v) > r] for r in range(d)] for res in residual]
@@ -118,15 +120,14 @@ def decompose(A: TropMatrix, y: TropVector):
     def plan(system, fits, room):
         """The parent's ``fits`` of the columns it has not placed, refined on
         ``system``: per column k, the rows still admitting x_i + a_ik <= y_k,
-        whether every row still admits x_i + a_ik >= y_k (each bound read
-        alone, as ``_refused`` reads them) and the bits of those rows, with
-        their sum; None once more columns must join J than the ``room`` left."""
-        up, down = system.bound[0], [row[0] for row in system.bound]  # x_i <= up[i + 1], −x_i <= down[i + 1]
+        whether every row still admits x_i + a_ik >= y_k (each bound alone,
+        by ``system.admits``) and the bits of those rows, with their sum;
+        None once more columns must join J than the ``room`` left."""
+        admits = system.admits
         out, forced = [], 0
         for k, (rows, above, _) in zip(range(n - len(fits), n), fits):
-            t = target[k]
-            rows = tuple(i for i in rows if down[i + 1] is None or down[i + 1] + t[i] >= 0)
-            above = above and all(up[i + 1] is None or up[i + 1] >= t[i] for i in cols[k])
+            rows = tuple(i for i in rows if admits(0, i + 1, z[k] - a[i][k]))
+            above = above and all(admits(i + 1, 0, a[i][k] - z[k]) for i in cols[k])
             forced += not (rows and above)
             if forced > room:
                 return None
@@ -150,11 +151,11 @@ def decompose(A: TropMatrix, y: TropVector):
         for I, I_bits in subsets(j, rows):
             if later + I_bits < top:  # so is every later I
                 break
-            if _refused(system, a, j, I, 1, False):
+            if not _attain(system.admits, a, j, I, 1, False):
                 continue
             i0, c = I[0], z[j] - a[I[0]][j]
             closed = system.copy()
-            if not (_attain(closed, a, j, I, 1, False) and closed.add(0, i0 + 1, c)):
+            if not (_attain(closed.add, a, j, I, 1, False) and closed.add(0, i0 + 1, c)):
                 continue
             # the off-J branch, tried when every row admits >= y_j, tightens closed itself
             on_J = None if len(J) == d - 1 else closed.copy() if above else closed
@@ -166,10 +167,10 @@ def decompose(A: TropMatrix, y: TropVector):
                 if (J_ == J or all(s.add(*b) for b in floor[j + 1][d - 1 - len(J_)]))  # off J, column j implies them
                 and (fit := plan(s, fits[1:], d - 1 - len(J_))) is not None
             ]
-            if not branches or _refused(cell, a, j, I, 0, True):
+            if not branches or not _attain(cell.admits, a, j, I, 0, True):
                 continue
             child = cell.copy()
-            if _attain(child, a, j, I, 0, True):
+            if _attain(child.add, a, j, I, 0, True):
                 reached[j].add(chosen + (I,))
                 if len(reached[j]) > CELL_BUDGET:
                     raise DomainError("BUDGET_EXCEEDED", f"more than {CELL_BUDGET} cells")
@@ -237,12 +238,13 @@ def bounded_complex(A: TropMatrix):
     consistently with the arrangement cells (the image of x_1 = 0 is
     y_j1 = a_1j1 for the least column j1 of row 1 in F), a tie of y_j1 to
     the origin."""
+    _, a, _ = _integer_scaled(A)
     out = []
     for cell in _bounded_cells(A):
         F = cell.covector
         j1 = min(F.graph.J(1))
         image = decomposition_cone(A, F.edges, ())
-        c = (A.entry(1, j1) * image.unit).numerator  # unit clears every denominator of A
+        c = a[0][j1 - 1]  # a_1j1 in the cone's unit
         # nothing bounds y_j1 against the origin yet, so neither bound is refused
         image.add(0, j1, c)
         image.add(j1, 0, -c)

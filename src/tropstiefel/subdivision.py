@@ -11,13 +11,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import INF, DomainError, TropMatrix, TropVector
-from .geom import argmin_witness
+from .geom import ONE, ZERO, argmin_witness
 from .bipartite import BipartiteGraph, Matroid, _nonempty_subsets, transversal_matroid
 from .plucker import PluckerVector
 from .arrangement import enumerate_covectors
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def select_matroid(p: PluckerVector, y: TropVector) -> Matroid:

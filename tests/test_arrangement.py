@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from polyhedra import Polyhedron
 from tropstiefel.arrangement import (
     Covector,
+    _attain,
     complex_to_json,
     covector_of_point,
     enumerate_covectors,
@@ -18,6 +19,7 @@ from tropstiefel.arrangement import (
 )
 from tropstiefel.bipartite import BipartiteGraph, matching_multifield, Matching
 from tropstiefel.core import DomainError, INF, TropMatrix, TropVector, trop_sum
+from tropstiefel.geom import DifferenceBounds
 
 FIG = TropMatrix([[0, 3, 0, "inf", "inf"], ["inf", 0, 0, 2, "inf"], ["inf", "inf", 0, 0, 0]])
 STAIR = TropMatrix([[0, 0, "inf", "inf"], ["inf", 0, 0, "inf"], ["inf", "inf", 0, 0]])
@@ -329,3 +331,50 @@ def test_complex_json():
     obj = complex_to_json(tc)
     assert len(obj) == 5
     assert all(set(entry) == {"covector", "dim"} for entry in obj)
+
+
+def test_attain_pre_check_refuses_only_what_add_refuses():
+    """``_attain(dbm.admits, ...)`` reads each bound of the column rule
+    alone, so where it refuses, imposing the bounds together refuses too;
+    where it passes, imposing them may still refuse.  Seeded random closed
+    matrices on 2–5 rows with ∞ entries, weak and strict."""
+    rng = random.Random(13)
+    seen = set()
+    for _ in range(400):
+        d, base = rng.randint(2, 5), rng.randint(0, 1)
+        dbm = DifferenceBounds(d + base)
+        for _ in range(rng.randint(0, 2 * d)):
+            u, v = rng.sample(range(d + base), 2)
+            dbm.add(u, v, rng.randint(-4, 4), rng.random() < 0.5)
+        a = [[None if rng.random() < 0.25 else rng.randint(-3, 3)] for _ in range(d)]
+        rows = [i for i in range(d) if a[i][0] is not None]
+        if not rows:
+            continue
+        I = sorted(rng.sample(rows, rng.randint(1, len(rows))))
+        strict = rng.random() < 0.5
+        before = [row[:] for row in dbm.bound]
+        checked = _attain(dbm.admits, a, 0, I, base, strict)
+        assert dbm.bound == before
+        imposed = _attain(dbm.copy().add, a, 0, I, base, strict)
+        assert checked or not imposed, (dbm.bound, a, I, base, strict)
+        seen.add((checked, imposed))
+    assert seen == {(False, False), (True, False), (True, True)}, seen
+
+
+def test_enumerate_covectors_copy_count(monkeypatch):
+    """The work of the search, without a clock: ``DifferenceBounds.copy``
+    calls over 20 dense 3×6 matrices.  The search copies a matrix only for
+    a choice of rows that ``_attain(dbm.admits, ...)`` passes (without that
+    pre-check: 23352 copies), so losing it shows."""
+    calls = 0
+    real = DifferenceBounds.copy
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return real(self)
+
+    monkeypatch.setattr(DifferenceBounds, "copy", counting)
+    rng = random.Random(17)
+    cells = sum(len(enumerate_covectors(TropMatrix([[rng.randint(-9, 9) for _ in range(6)] for _ in range(3)]))) for _ in range(20))
+    assert cells > 0 and calls <= 5374, (cells, calls)

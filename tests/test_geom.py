@@ -189,3 +189,26 @@ def test_polytrope_lookups_against_its_rows():
     assert P.add(0, 3, 4) and P.add(3, 0, -4)
     assert P.dim() == 1 == Polyhedron(3, *P.minimal_form()).affine_dimension()
     assert P.contains((0, 1, 2)) and not P.contains((0, 1, F(5, 2)))
+
+
+def test_admits_is_add_without_the_closure():
+    """``admits(u, v, c, s)`` answers as ``add`` on a copy would, on seeded
+    random closed matrices of 2–5 nodes with weak and strict bounds, and
+    leaves the matrix as it is."""
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(300):
+        size = rng.randint(2, 5)
+        dbm = DifferenceBounds(size, unit=rng.choice((1, 2, 3)))
+        for _ in range(rng.randint(0, 2 * size)):
+            u, v = rng.sample(range(size), 2)
+            dbm.add(u, v, rng.randint(-4, 4), rng.random() < 0.5)
+        before = [row[:] for row in dbm.bound]
+        for _ in range(10):
+            u, v = rng.randrange(size), rng.randrange(size)
+            c, strict = rng.randint(-6, 6), rng.random() < 0.5
+            verdict = dbm.admits(u, v, c, strict)
+            assert verdict == dbm.copy().add(u, v, c, strict), (dbm.bound, u, v, c, strict)
+            seen.add((verdict, strict))
+        assert dbm.bound == before
+    assert len(seen) == 4

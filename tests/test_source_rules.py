@@ -55,3 +55,19 @@ def test_no_private_name_unused_in_library_code():
         and not any(name in seen for j, seen in enumerate(used) if j != k)
     ]
     assert not unused, f"private names no library code uses: {unused}"
+
+
+def test_bound_encoding_read_only_in_geom():
+    """``DifferenceBounds`` stores a bound as K·c, less 1 when strict; only
+    ``geom`` reads that encoding (``bound``, ``scale``, ``unit``).  Other
+    modules impose bounds with ``add``, test them with ``admits`` and read
+    answers through the matrix's own methods."""
+    files = [path for path in sorted(SOURCE.glob("*.py")) if path.name != "geom.py"]
+    assert files
+    found = [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ("bound", "scale", "unit")
+    ]
+    assert not found, f"the bound encoding read outside geom: {found}"
