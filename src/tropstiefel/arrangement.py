@@ -1,18 +1,17 @@
 """Tropical hyperplane arrangements of a matrix A.
 
-Covectors of points, the full covector complex TC(A), the subcomplexes
-B(A) (all rows covered) and K(A) (dragon marriage condition), transpose
-covectors (covectors of Aᵀ), the 0- and 1-cells of a list of cells with
-the ends of each 1-cell (``skeleton``), and the tropical singularity
-predicate.
+The full covector complex TC(A), the subcomplexes B(A) (all rows covered)
+and K(A) (dragon marriage condition), and the 0- and 1-cells of a list of
+cells with the ends of each 1-cell (``skeleton``).
 
 The arrangement lives in the torus of x-coordinates, and every cell of TC(A)
 is a polytrope: the points whose covector is tau satisfy, per column j,
 equalities tying the rows of I_j and strict inequalities saying that the
 other rows of supp(j) lose.  ``_attain`` states that rule for one column
 as bounds over the integer-scaled entries of A and hands them to a closed
-difference-bound matrix (``geom.DifferenceBounds``), strictly in the
-search and weakly in ``_closed_cell``: to its ``add`` to impose them, or
+difference-bound matrix (``geom.DifferenceBounds``), strictly for the
+open cells of the search and weakly for the closed cells of
+``linspace.decompose``: to its ``add`` to impose them, or
 first to its ``admits``, one lookup per bound, so a search copies the
 matrix only for a choice of rows that no single bound rules out.  TC(A)
 is found by a depth-first search over the columns: a partial choice
@@ -29,9 +28,9 @@ from __future__ import annotations
 import itertools
 import math
 
-from .core import INF, DomainError, TropMatrix, TropVector, require_column_supports, require_row_supports, trop_sum
+from .core import INF, DomainError, TropMatrix, require_column_supports
 from .geom import DifferenceBounds
-from .bipartite import BipartiteGraph, dragon_condition, optimal_matchings
+from .bipartite import BipartiteGraph, dragon_condition
 
 
 class Covector:
@@ -68,27 +67,6 @@ class Covector:
         return "Covector(%s)" % (self.tuple_view(),)
 
 
-def covector_of_point(A: TropMatrix, x: TropVector) -> Covector:
-    """tc(x): per column, the finite-entry rows attaining min_i (x_i + a_ij)."""
-    require_column_supports(A)
-    if len(x) != A.d or not x.is_finite():
-        raise DomainError("BAD_POINT", "the point must be finite, one coordinate per row")
-    edges = []
-    for j in range(1, A.n + 1):
-        best = trop_sum(x.entry(i) + A.entry(i, j) for i in range(1, A.d + 1))
-        for i in range(1, A.d + 1):
-            if A.entry(i, j) is not INF and x.entry(i) + A.entry(i, j) == best:
-                edges.append((i, j))
-    return Covector(BipartiteGraph(A.d, A.n, edges))
-
-
-def transpose_covector(A: TropMatrix, y: TropVector) -> BipartiteGraph:
-    """Per row, the columns attaining min_j (a_ij + y_j): tc(y) in the
-    arrangement of Aᵀ, its edges flipped."""
-    require_row_supports(A)
-    return BipartiteGraph(A.d, A.n, [(i, j) for j, i in covector_of_point(A.transpose(), y).edges])
-
-
 # ---------------------------------------------------------------------------
 # Cells and the covector complex
 # ---------------------------------------------------------------------------
@@ -121,22 +99,6 @@ def _attain(impose, a, j, I, base, strict):
         elif not impose(base + k, u0, c - a0, strict):
             return False
     return True
-
-
-def _closed_cell(dbm: DifferenceBounds, a, tau, base):
-    """Impose on ``dbm`` the closed cell of the covector edge set tau, row i
-    being node base + i: ``_attain(dbm.add, ...)`` with weak bounds for each
-    column.  Returns False when the cell is empty.  BAD_COVECTOR, before
-    any bound is imposed, for an edge not of integers in [d]×[n] or off the
-    support, or for an uncovered column."""
-    by_col = [set() for _ in a[0]]
-    for i, j in tau:
-        if not (type(i) is int and type(j) is int and 1 <= i <= len(a) and 1 <= j <= len(by_col)) or a[i - 1][j - 1] is None:
-            raise DomainError("BAD_COVECTOR", f"edge {(i, j)} is not in the support")
-        by_col[j - 1].add(i - 1)
-    if not all(by_col):
-        raise DomainError("BAD_COVECTOR", f"column {by_col.index(set()) + 1} uncovered")
-    return all(_attain(dbm.add, a, j, sorted(I), base + 1, False) for j, I in enumerate(by_col))
 
 
 class Cell:
@@ -212,16 +174,6 @@ def in_B(covector: Covector) -> bool:
 def in_K(covector: Covector) -> bool:
     """The dragon marriage condition |J_I| >= |I| + 1 for nonempty I."""
     return dragon_condition(covector.graph)
-
-
-def is_trop_singular(B: TropMatrix) -> bool:
-    """Minimum of the tropical permutation expansion is ∞ or attained twice:
-    the matching engine finds no optimal matching or a second one."""
-    if B.d != B.n:
-        raise DomainError("BAD_SHAPE", "tropical singularity requires a square matrix")
-    full = frozenset(range(1, B.n + 1))
-    best, argmins = optimal_matchings(B.entries, range(1, B.n + 1), limit=2)
-    return full not in best or len(argmins(full)) == 2
 
 
 # ---------------------------------------------------------------------------

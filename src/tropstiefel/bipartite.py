@@ -4,17 +4,15 @@ Graphs, matchings, optimal matchings under exact min-plus weights, matching
 multifields and their coherence, support-set predicates, transversal
 matroids, and the first-Betti-number dimension formula.  One matching engine
 (``optimal_matchings``) answers which column sets can be matched and how
-well: the Stiefel map, multifields, coherence, transversal matroids and
-tropical singularity; it refuses up front a table of more than
-``MATCHING_BUDGET`` column sets.  One Hall-type surplus scan answers the
-support-set test and both dragon conditions, over row or column subsets
-refused up front past ``HALL_BUDGET``, as the spanning-tree search is
-past ``TREE_BUDGET`` edge subsets.  Coherence is one
-``geom.argmin_witness`` question, refused up front past
-``COHERENCE_BUDGET`` supported matchings.  One augmenting-path matcher
-(``_max_matching_size``) answers the maximum matching over all columns,
-and one union-find (``components``) every component count, here and in
-``linspace``.
+well: the Stiefel map, multifields, coherence and transversal matroids; it
+refuses up front a table of more than ``MATCHING_BUDGET`` column sets.  One
+Hall-type surplus scan answers the support-set test and both dragon
+conditions, over row or column subsets refused up front past
+``HALL_BUDGET``.  Coherence is one ``geom.argmin_witness`` question,
+refused up front past ``COHERENCE_BUDGET`` supported matchings.  One
+augmenting-path matcher (``_max_matching_size``) answers the maximum
+matching over all columns, and one union-find (``components``) every
+component count.
 """
 
 from __future__ import annotations
@@ -280,20 +278,6 @@ def _zero_inf_rows(d, n, edges):
     return [[0 if (i, j) in edges else INF for j in range(1, n + 1)] for i in range(1, d + 1)]
 
 
-def min_matchings(A: TropMatrix, J):
-    """Optimal-assignment value and all optimal matchings on column set J.
-
-    Returns (value, argmins); value is INF and argmins empty when the
-    support of A admits no matching on J.  The engine runs on J alone."""
-    J = frozenset(J)
-    if len(J) != A.d or not J <= frozenset(range(1, A.n + 1)):
-        raise DomainError("BAD_SUBSET", "J must be a d-subset of [n]")
-    best, argmins = optimal_matchings(A.entries, sorted(J))
-    if J not in best:
-        return INF, frozenset()
-    return best[J], frozenset(Matching(cols) for cols in argmins(J))
-
-
 def matching_multifield(A: TropMatrix) -> MatchingMultifield:
     """Λ(A): the optimal matchings on every column d-subset."""
     best, argmins = optimal_matchings(A.entries, range(1, A.n + 1))
@@ -433,17 +417,6 @@ def transversal_matroid(G: BipartiteGraph) -> Matroid:
     return Matroid(G.n, G.d, [S for S in best if len(S) == G.d])
 
 
-def transversal_rank(G: BipartiteGraph, S) -> int:
-    """min over I ⊆ [d] of |S ∩ J_I| + d − |I| (the deficiency formula)."""
-    S = frozenset(S)
-    best = G.d  # I = ∅
-    for I in _nonempty_subsets(range(1, G.d + 1)):
-        v = len(S & G.J_of(I)) + G.d - len(I)
-        if v < best:
-            best = v
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Dragon marriage conditions
 # ---------------------------------------------------------------------------
@@ -460,39 +433,8 @@ def colwise_dragon_condition(G: BipartiteGraph, J) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Spanning trees and the Betti-number dimension formula
+# The Betti-number dimension formula
 # ---------------------------------------------------------------------------
-
-TREE_BUDGET = 10 ** 5  # edge subsets the spanning-tree search may visit
-
-
-def spanning_tree_no_left_leaves(G: BipartiteGraph) -> BipartiteGraph:
-    """A spanning tree of G whose left vertices all have degree >= 2.
-
-    Exists whenever d < n, G is connected and every edge lies in a matching;
-    found here by bounded exhaustive search over edge subsets.
-    """
-    if not G.d < G.n:
-        raise DomainError("BAD_SHAPE", "requires d < n")
-    if not G.is_connected():
-        raise DomainError("NOT_CONNECTED", "graph must be connected")
-    for i, j in sorted(G.edges):
-        # the other rows match into the other columns
-        rest = BipartiteGraph(G.d, G.n, [(a, b) for a, b in G.edges if a != i and b != j])
-        if _max_matching_size(rest, range(1, G.n + 1)) < G.d - 1:
-            raise DomainError("EDGE_NOT_MATCHABLE", f"edge {(i, j)} lies in no matching")
-    edges = sorted(G.edges)
-    need = G.d + G.n - 1
-    if math.comb(len(edges), need) > TREE_BUDGET:
-        raise DomainError("BUDGET_EXCEEDED", "spanning-tree search too large")
-    for subset in itertools.combinations(edges, need):
-        T = BipartiteGraph(G.d, G.n, subset)
-        if not T.is_connected():
-            continue
-        if all(len(T.J(i)) >= 2 for i in range(1, G.d + 1)):
-            return T
-    raise DomainError("NO_SUCH_TREE", "no spanning tree without left leaves")
-
 
 def support_face_dimension(G: BipartiteGraph) -> int:
     """First Betti number h_1 = E − V + C over the non-isolated vertices."""
@@ -520,10 +462,6 @@ def components(k, groups):
 # ---------------------------------------------------------------------------
 # JSON interchange
 # ---------------------------------------------------------------------------
-
-def graph_to_json(G: BipartiteGraph):
-    return {"d": G.d, "n": G.n, "edges": [list(e) for e in G.sorted_edges()]}
-
 
 def graph_from_json(obj) -> BipartiteGraph:
     if not isinstance(obj, dict) or not {"d", "n", "edges"} <= set(obj):

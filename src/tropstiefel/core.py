@@ -7,7 +7,8 @@ Everything is immutable and exact -- no floats anywhere.
 
 Row and column indices are 1-based throughout the public API, matching the
 usual conventions for [d] x [n] bipartite objects.  Vector entries are
-addressed 1-based via ``entry``; the underlying tuples are 0-based.
+addressed 1-based via ``entry``; the underlying tuples are 0-based.  The
+JSON codec reads and writes matrices, and reads vectors.
 """
 
 from __future__ import annotations
@@ -167,14 +168,6 @@ def proj_eq(x: TropVector, y: TropVector) -> bool:
     return True
 
 
-def proj_normalize(x: TropVector) -> TropVector:
-    """Subtract the value at the first finite coordinate (canonical form)."""
-    for v in x.entries:
-        if v is not INF:
-            return TropVector(tuple(w - v if w is not INF else INF for w in x.entries))
-    raise DomainError("ALL_INF", "cannot normalize the all-infinity vector")
-
-
 class TropMatrix:
     """An exact d x n matrix over the min-plus semiring.
 
@@ -239,12 +232,6 @@ def require_column_supports(A: TropMatrix):
             raise DomainError("EMPTY_COLUMN", f"column {j} has empty support")
 
 
-def require_row_supports(A: TropMatrix):
-    for i in range(1, A.d + 1):
-        if not A.row_support(i):
-            raise DomainError("EMPTY_ROW", f"row {i} has empty support")
-
-
 def vec_mat_mul(x: TropVector, A: TropMatrix) -> TropVector:
     """Tropical right multiplication: (x ⊙ A)_j = min_i (x_i + a_ij)."""
     if len(x) != A.d:
@@ -252,23 +239,6 @@ def vec_mat_mul(x: TropVector, A: TropMatrix) -> TropVector:
     out = []
     for j in range(A.n):
         out.append(trop_sum(x.entries[i] + A.entries[i][j] for i in range(A.d)))
-    return TropVector(out)
-
-
-def residuation(y: TropVector, A: TropMatrix) -> TropVector:
-    """The residual x with x_i = max_{j in J_i} (y_j - a_ij).
-
-    If y lies in the image of ⊙A this is its unique preimage meeting every
-    row; in general vec_mat_mul(residuation(y, A), A) >= y componentwise.
-    """
-    if len(y) != A.n:
-        raise DomainError("LENGTH_MISMATCH", "vector length must equal column count")
-    if not y.is_finite():
-        raise DomainError("INF_ENTRY", "residuation requires a finite vector")
-    require_row_supports(A)
-    out = []
-    for i in range(1, A.d + 1):
-        out.append(max(y.entry(j) - A.entry(i, j) for j in A.row_support(i)))
     return TropVector(out)
 
 
@@ -294,10 +264,6 @@ def matrix_from_json(obj) -> TropMatrix:
         if key in obj and not (type(obj[key]) is int and obj[key] == size):
             raise DomainError("BAD_MATRIX_JSON", f"declared {key} is not the integer {size} of the entries")
     return A
-
-
-def vector_to_json(x: TropVector) -> dict:
-    return {"entries": [scalar_str(v) for v in x.entries]}
 
 
 def vector_from_json(obj) -> TropVector:

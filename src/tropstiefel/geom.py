@@ -15,13 +15,13 @@ Systems mix equalities, weak and strict inequalities.  Two engines:
   form;
 * a two-phase exact simplex with Bland's rule over Fractions answers
   ``argmin_witness``, a linear height under which chosen points are exactly
-  the argmins: the one question that is not a difference system.  Coherence
-  of a matching multifield (a cone of the secondary fan of the product of
-  maximal minors) and a cell of the regular subdivision of Δ(d, n) are both
-  this question.  ``strict_feasible`` relaxes each strict row a·x > b to
-  a·x >= b + ε and maximizes ε; the system is strictly feasible iff the
-  optimum has ε > 0.  Free variables are x = u − t·1 with u, t >= 0: one
-  shift column t serves every coordinate.
+  the argmins: the one question that is not a difference system.  Its one
+  library caller is the coherence of a matching multifield (a cone of the
+  secondary fan of the product of maximal minors).  ``strict_feasible``
+  relaxes each strict row a·x > b to a·x >= b + ε and maximizes ε; the
+  system is strictly feasible iff the optimum has ε > 0.  Free variables
+  are x = u − t·1 with u, t >= 0: one shift column t serves every
+  coordinate.
 """
 
 from __future__ import annotations
@@ -191,7 +191,8 @@ class DifferenceBounds:
     def restrict(self, nodes):
         """The closed matrix on ``nodes`` alone, in that order: the
         projection onto them.  It keeps this matrix's scale, which stays
-        exact for the shorter cycles of fewer nodes."""
+        exact for the shorter cycles of fewer nodes.  Only the tests and
+        their references (``tests/reference.py``) call it."""
         return self._with([[self.bound[u][v] for v in nodes] for u in nodes])
 
     def admits(self, u, v, c, strict=False):
@@ -238,7 +239,8 @@ class DifferenceBounds:
         return sum(not any(tied(s, t) for s in range(t)) for t in range(self.size)) - 1
 
     def contains(self, z):
-        """Does x = (0, *z) meet every bound?"""
+        """Does x = (0, *z) meet every bound?  Only the tests and their
+        references (``tests/reference.py``) call it."""
         x = (0, *z)
         den = self.scale * self.unit
         return all(
@@ -253,7 +255,8 @@ class DifferenceBounds:
         Nodes whose bounds sum to zero both ways are tied: each such class
         gives one chain of equalities, and between the class representatives
         only the bounds that no third representative implies are kept (the
-        minimal form of Larsen et al., RTSS 1997).
+        minimal form of Larsen et al., RTSS 1997).  Only the tests and
+        their references (``tests/reference.py``) call it.
         """
         m = self.bound
         den = self.scale * self.unit

@@ -2,11 +2,11 @@
 
 Membership by circuit minima (``plucker.contains``, imported here), by
 selected matroids, and by an explicit covector decomposition with
-certificates; boundedness tests; the bounded complex (the image of the
-dragon-condition subcomplex K(A)); and the rank-2 caterpillar predicate.
+certificates; boundedness by a coloop-free selected matroid; and the
+vertices and segments of the bounded part.
 
-A covector decomposition y ∈ (F ⊙ A) + R_{>=0}{e_j : j ∈ J} and its cone
-are difference systems over x and y, so both run on the closed integer
+A covector decomposition y ∈ (F ⊙ A) + R_{>=0}{e_j : j ∈ J} is a
+difference system over x and y, so it runs on the closed integer
 difference-bound matrix of ``geom.DifferenceBounds``: the certificate search,
 column by column and directed by y, builds only the (cell, J) pairs that y
 allows, bounds x from below by the residual floors of y before any column is
@@ -14,14 +14,9 @@ chosen, asks its closed matrix whether it ``admits`` single bounds before
 each copy to drop the rows y rules out, the choices of rows one bound of
 the column rule refuses, the prefixes whose later columns cannot all fit in
 J and those that cannot beat the least leaf in hand, and reads its witness
-from the potentials of the least leaf; the cone is
-the closed matrix restricted to an origin and the y nodes, a polytrope
-answering its dimension, membership and rows itself.  The image of a cell
-of K(A) under ⊙A is its cone with J = ∅, gauge-fixed by tying one y node to
-the origin, so the bounded complex reads its cells, their dimensions and
-membership from the same projection.  Its vertices and segments need only
-the K(A) cells of TC(A) and their dimensions, so ``bounded_skeleton``
-builds no cone.
+from the potentials of the least leaf.  The vertices and segments of the
+bounded part need only the cells of TC(A) in K(A) and their dimensions, so
+``bounded_skeleton`` builds no image of a cell.
 """
 
 from __future__ import annotations
@@ -29,11 +24,11 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .core import DomainError, TropMatrix, TropVector, residuation, vec_mat_mul
+from .core import DomainError, TropMatrix, TropVector, vec_mat_mul
 from .geom import DifferenceBounds
-from .bipartite import BipartiteGraph, _max_matching_size, colwise_dragon_condition, components, transversal_matroid, uniform_matroid
+from .bipartite import BipartiteGraph, _max_matching_size, colwise_dragon_condition, transversal_matroid, uniform_matroid
 from .plucker import PluckerVector, contains, underlying_matroid
-from .arrangement import CELL_BUDGET, Covector, _attain, _closed_cell, _column_rows, _integer_scaled, covector_to_json, enumerate_covectors, in_B, in_K, skeleton
+from .arrangement import CELL_BUDGET, Covector, _attain, _column_rows, _integer_scaled, covector_to_json, enumerate_covectors, in_B, in_K, skeleton
 from .subdivision import is_interior_cell, select_matroid
 
 
@@ -196,33 +191,6 @@ def bounded_membership(p: PluckerVector, y: TropVector) -> bool:
     return is_interior_cell(select_matroid(p, y))
 
 
-def decomposition_cone(A: TropMatrix, tau, J):
-    """(F ⊙ A) + R_{>=0}{e_j : j ∈ J} as a closed ``DifferenceBounds`` of
-    weak bounds on an origin, node 0, and y_1, ..., y_n, nodes 1..n; None
-    when it is empty.
-
-    F is the cell with covector edge set tau.  The graph of the tropical
-    map over the closed cell is a difference system on the nodes y_1..y_n,
-    x_1..x_d: the cell's bounds on x and y_j − x_i >= a_ij for each edge of
-    tau, an equality for j ∉ J.  Its projection is the restriction of the
-    closed matrix to the y nodes and an origin, which nothing bounds.
-    BAD_SUBSET unless J ⊆ [n], and BAD_COVECTOR for an edge of tau outside
-    [d]×[n] or off the support, both before any bound is imposed.
-    """
-    d, n = A.d, A.n
-    Jset = frozenset(J)
-    if not Jset <= frozenset(range(1, n + 1)):
-        raise DomainError("BAD_SUBSET", "J must be a subset of [n]")
-    unit, a, _ = _integer_scaled(A)
-    dbm = DifferenceBounds(1 + n + d, unit)  # node 0 the origin, y_j node j, x_i node n + i
-    feasible = _closed_cell(dbm, a, tau, n) and all(
-        dbm.add(j, n + i, -a[i - 1][j - 1])
-        and (j in Jset or dbm.add(n + i, j, a[i - 1][j - 1]))
-        for i, j in sorted(tau)
-    )
-    return dbm.restrict(range(n + 1)) if feasible else None
-
-
 def _bounded_cells(A: TropMatrix):
     """The cells of TC(A) that lie in K(A); NO_SUPPORT_SET unless the
     support of A contains a support set."""
@@ -231,56 +199,10 @@ def _bounded_cells(A: TropMatrix):
     return [cell for cell in enumerate_covectors(A) if in_K(cell.covector)]
 
 
-def bounded_complex(A: TropMatrix):
-    """The cells of K(A) with the exact image polytropes of ⊙A in R^n.
-
-    The image of a cell F is its decomposition cone with J = ∅, gauge-fixed
-    consistently with the arrangement cells (the image of x_1 = 0 is
-    y_j1 = a_1j1 for the least column j1 of row 1 in F), a tie of y_j1 to
-    the origin."""
-    _, a, _ = _integer_scaled(A)
-    out = []
-    for cell in _bounded_cells(A):
-        F = cell.covector
-        j1 = min(F.graph.J(1))
-        image = decomposition_cone(A, F.edges, ())
-        c = a[0][j1 - 1]  # a_1j1 in the cone's unit
-        # nothing bounds y_j1 against the origin yet, so neither bound is refused
-        image.add(0, j1, c)
-        image.add(j1, 0, -c)
-        out.append((F, image))
-    return out
-
-
 def bounded_skeleton(A: TropMatrix):
     """The vertices (0-cells) of the bounded complex, and each of its
     segments (1-cells) with its ends, as in ``arrangement.skeleton``."""
     return skeleton(_bounded_cells(A))
-
-
-def bounded_point_in_complex(A: TropMatrix, y: TropVector) -> bool:
-    """Does y, suitably gauge-shifted, land in some bounded image cell?"""
-    x = residuation(y, A)
-    shifted = y.shift(-x.entry(1))
-    return any(image.contains(shifted.entries) for _, image in bounded_complex(A))
-
-
-def caterpillar_check(A: TropMatrix) -> bool:
-    """For d = 2: is the bounded part of L(A) a point or a path?"""
-    if A.d != 2:
-        raise DomainError("BAD_SHAPE", "caterpillar check requires d = 2")
-    vertices, segments = bounded_skeleton(A)
-    if not vertices:
-        # n = d: the bounded part is empty, vacuously a caterpillar
-        return not segments
-    index = {v: k for k, v in enumerate(vertices)}
-    ends = [[index[v] for v in e] for _, e in segments]
-    if any(len(e) != 2 for e in ends) or len(ends) != len(vertices) - 1:
-        return False
-    if any(sum(k in e for e in ends) > 2 for k in range(len(vertices))):
-        return False
-    # |V| − 1 edges and degrees <= 2: a path exactly when connected
-    return components(len(vertices), ends) == 1
 
 
 def certificate_to_json(cert: DecompositionCertificate):

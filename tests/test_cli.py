@@ -10,13 +10,13 @@ from pathlib import Path
 import pytest
 
 import tropstiefel.cli
+from reference import graph_to_json
 from tropstiefel.cli import main
 from tropstiefel.core import TropMatrix, matrix_from_json, matrix_to_json
 from tropstiefel.bipartite import (
     BipartiteGraph,
     Matching,
     MatchingMultifield,
-    graph_to_json,
     is_support_set,
     matching_multifield,
     multifield_to_json,
@@ -313,6 +313,9 @@ def test_malformed_json_shapes_exit_code(tmp_path):
         (["support-set"], {"d": True, "n": 2, "edges": [[1, 1], [1, 2]]}, "BAD_GRAPH_JSON"),
         (["plucker-check"], {"d": True, "n": 2, "values": {"1": 0, "2": 1}}, "BAD_PLUCKER_JSON"),
         (["coherent"], {"d": True, "n": 2, "choices": {"1": [[[1, 1]]], "2": [[[1, 2]]]}}, "BAD_MULTIFIELD_JSON"),
+        # 0 <= d <= n for a Plücker vector, as for a multifield
+        (["plucker-check"], {"d": 0, "n": -1, "values": {"": "0"}}, "BAD_PLUCKER_JSON"),
+        (["plucker-check"], {"d": 3, "n": 2, "values": {}}, "BAD_PLUCKER_JSON"),
         # a subset key is d distinct ASCII decimal indices in [n], comma-separated
         (["plucker-check"], {"d": 1, "n": 2, "values": {"1": 0, "0_2": 1}}, "BAD_PLUCKER_JSON"),
         (["plucker-check"], {"d": 1, "n": 2, "values": {"1": 0, " 2 ": 1}}, "BAD_PLUCKER_JSON"),

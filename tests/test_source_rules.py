@@ -71,3 +71,64 @@ def test_bound_encoding_read_only_in_geom():
         if isinstance(node, ast.Attribute) and node.attr in ("bound", "scale", "unit")
     ]
     assert not found, f"the bound encoding read outside geom: {found}"
+
+
+BENCH_WORKLOADS = SOURCE.parents[1] / "bench" / "workloads.py"
+
+
+def _reads(node):
+    """Every name a statement reads, imports or calls by attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def _binds(stmt):
+    """The names a module-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def test_every_library_name_is_reached():
+    """The library is what the CLI and the benchmark reach.  From every
+    statement of ``cli.py`` and the names ``bench/workloads.py`` imports
+    from the package, follow the names each reached module-level definition
+    reads; a module-level name of ``src/`` left unreached is a test
+    reference, and belongs in ``tests/reference.py``."""
+    modules = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in sorted(SOURCE.glob("*.py"))}
+    bench = ast.parse(BENCH_WORKLOADS.read_text(encoding="utf-8"), filename=str(BENCH_WORKLOADS))
+    assert "cli.py" in modules
+    frontier = [name for stmt in modules["cli.py"].body for name in _reads(stmt)]
+    frontier += [
+        alias.name
+        for node in ast.walk(bench)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "tropstiefel"
+        for alias in node.names
+    ]
+    definitions = {}
+    for module, tree in modules.items():
+        for stmt in tree.body:
+            for name in _binds(stmt):
+                definitions.setdefault(name, []).append((module, stmt))
+    reached = set()
+    while frontier:
+        name = frontier.pop()
+        if name not in reached:
+            reached.add(name)
+            frontier += [read for _, stmt in definitions.get(name, ()) for read in _reads(stmt)]
+    unreached = sorted(
+        f"{module[:-3]}.{name}"
+        for name, places in definitions.items()
+        for module, _ in places
+        if module != "cli.py" and name not in reached
+    )
+    assert not unreached, f"library names neither the CLI nor the benchmark reaches: {unreached}"

@@ -5,17 +5,15 @@ from fractions import Fraction
 import pytest
 
 from polyhedra import Polyhedron
+from reference import cell_exists, subdivisions_equal, transversal_polytope_ineqs
 from tropstiefel.bipartite import BipartiteGraph, Matroid, transversal_matroid, uniform_matroid
 from tropstiefel.core import DomainError, INF, TropMatrix, TropVector
 from tropstiefel.plucker import stiefel_map
 from tropstiefel.subdivision import (
-    cell_exists,
     facets_of_D,
     facets_to_json,
     is_interior_cell,
     select_matroid,
-    subdivisions_equal,
-    transversal_polytope_ineqs,
 )
 
 FIG = TropMatrix([[0, 3, 0, "inf", "inf"], ["inf", 0, 0, 2, "inf"], ["inf", "inf", 0, 0, 0]])
