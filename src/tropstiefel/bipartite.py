@@ -216,10 +216,6 @@ class Matroid:
         return "Matroid(n=%d, rank=%d, %d bases)" % (self.n, self.rank_value, len(self.bases))
 
 
-def uniform_matroid(d, n):
-    return Matroid(n, d, itertools.combinations(range(1, n + 1), d))
-
-
 # ---------------------------------------------------------------------------
 # The matching engine: optimal matchings and multifields
 # ---------------------------------------------------------------------------
@@ -384,7 +380,6 @@ def enumerate_support_sets(d, n, budget=10 ** 6):
         G = BipartiteGraph(d, n, edges)
         if hall_surplus_check(G):
             out.append(G)
-    out.sort(key=lambda g: g.sorted_edges())
     return out
 
 

@@ -60,7 +60,7 @@ def _read_input(args):
         return json.loads(text)
     except OSError as exc:
         raise UsageError(f"cannot read input: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the int/str digit limit
         raise UsageError(f"invalid JSON input: {exc}")
 
 

@@ -75,7 +75,7 @@ def scalar(x):
         raise DomainError("BAD_SCALAR", "booleans are not scalars")
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, str) and "e" not in x.lower():  # an exponent asks Fraction for 10^k
         if x.strip().lower() == "inf":
             return INF
         try:

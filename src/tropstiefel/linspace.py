@@ -2,8 +2,9 @@
 
 Membership by circuit minima (``plucker.contains``, imported here), by
 selected matroids, and by an explicit covector decomposition with
-certificates; boundedness by a coloop-free selected matroid; and the
-vertices and segments of the bounded part.
+certificates; boundedness by a coloop-free selected matroid when no
+coordinate is ∞; and the vertices and segments of the bounded part of a
+support that passes the Hall scan ``bipartite.hall_surplus_check``.
 
 A covector decomposition y ∈ (F ⊙ A) + R_{>=0}{e_j : j ∈ J} is a
 difference system over x and y, so it runs on the closed integer
@@ -24,10 +25,10 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .core import DomainError, TropMatrix, TropVector, vec_mat_mul
+from .core import INF, DomainError, TropMatrix, TropVector, vec_mat_mul
 from .geom import DifferenceBounds
-from .bipartite import BipartiteGraph, _max_matching_size, colwise_dragon_condition, transversal_matroid, uniform_matroid
-from .plucker import PluckerVector, contains, underlying_matroid
+from .bipartite import BipartiteGraph, _max_matching_size, colwise_dragon_condition, hall_surplus_check
+from .plucker import PluckerVector, contains
 from .arrangement import CELL_BUDGET, Covector, _attain, _column_rows, _integer_scaled, covector_to_json, enumerate_covectors, in_B, in_K, skeleton
 from .subdivision import is_interior_cell, select_matroid
 
@@ -184,17 +185,19 @@ def decompose(A: TropMatrix, y: TropVector):
 
 
 def bounded_membership(p: PluckerVector, y: TropVector) -> bool:
-    """Is y in the bounded part of L(p)?  Requires a uniform underlying
-    matroid; equivalent to membership plus a coloop-free selected matroid."""
-    if underlying_matroid(p) != uniform_matroid(p.d, p.n):
+    """Is y in the bounded part of L(p), that is, in L(p) with a coloop-free
+    selected matroid?  Needs a uniform underlying matroid: no ∞ coordinate."""
+    if any(v is INF for v in p.values.values()):
         raise DomainError("NOT_UNIFORM", "underlying matroid must be uniform")
     return is_interior_cell(select_matroid(p, y))
 
 
 def _bounded_cells(A: TropMatrix):
     """The cells of TC(A) that lie in K(A); NO_SUPPORT_SET unless the
-    support of A contains a support set."""
-    if transversal_matroid(BipartiteGraph.from_support(A)) != uniform_matroid(A.d, A.n):
+    support of A contains a support set: every column d-set is matchable,
+    which by Hall's theorem is |J_I| >= n − d + |I| for every nonempty row
+    set I (no d-set exists when d > n)."""
+    if A.d <= A.n and not hall_surplus_check(BipartiteGraph.from_support(A)):
         raise DomainError("NO_SUPPORT_SET", "support must contain a support set")
     return [cell for cell in enumerate_covectors(A) if in_K(cell.covector)]
 

@@ -3,8 +3,8 @@
 The Stiefel map (tropical maximal minors, from the matching engine), the
 circuits of p, read once per call, behind membership in L(p) and the
 Plücker check (every cocircuit lies in L(p)), both refused up front past
-``PLUCKER_BUDGET`` relation terms, underlying matroids, cocircuits and
-matrix recovery from a support set.
+``PLUCKER_BUDGET`` relation terms, cocircuits and matrix recovery from a
+support set, which needs a uniform underlying matroid: no ∞ coordinate.
 """
 
 from __future__ import annotations
@@ -13,13 +13,7 @@ import itertools
 import math
 
 from .core import INF, DomainError, TropMatrix, TropVector, proj_eq, scalar, scalar_str, subset_from_key, trop_vanishes
-from .bipartite import (
-    BipartiteGraph,
-    Matroid,
-    is_support_set,
-    optimal_matchings,
-    uniform_matroid,
-)
+from .bipartite import BipartiteGraph, is_support_set, optimal_matchings
 
 
 def _subsets(n, d):
@@ -123,10 +117,6 @@ def check_plucker(p: PluckerVector) -> bool:
     )
 
 
-def underlying_matroid(p: PluckerVector) -> Matroid:
-    return Matroid(p.n, p.d, [J for J in p.support()])
-
-
 def cocircuit(p: PluckerVector, S) -> TropVector:
     """c_j = p_{S∪j} off S and ∞ on S; a minimal-support vector of L(p)."""
     S = frozenset(S)
@@ -145,10 +135,11 @@ def recover_matrix(p: PluckerVector, support: BipartiteGraph) -> TropMatrix:
 
     Row i is cocircuit(p, [n] ∖ J_i); when p = stiefel_map(A) for A supported
     on the support set, the result equals A up to one constant per row.
+    NOT_UNIFORM when a coordinate is ∞: the underlying matroid is not uniform.
     """
     if not is_support_set(support):
         raise DomainError("NOT_SUPPORT_SET", "second argument must be a support set")
-    if underlying_matroid(p) != uniform_matroid(p.d, p.n):
+    if any(v is INF for v in p.values.values()):
         raise DomainError("NOT_UNIFORM", "underlying matroid must be uniform")
     ground = frozenset(range(1, p.n + 1))
     rows = []

@@ -14,6 +14,11 @@ the two.  The library keeps only what the CLI and the benchmark reach
   against ``plucker.stiefel_map``, with duality and stable intersection;
 * transversal rank by deficiency and the matroid polytope inequalities
   against ``bipartite.transversal_matroid``;
+* the matroid references: the uniform matroid U(d, n)
+  (``uniform_matroid``), against which ``bipartite.transversal_matroid``
+  is compared where the library asks ``bipartite.hall_surplus_check``,
+  and the underlying matroid of a Plücker vector (``underlying_matroid``),
+  uniform exactly when no coordinate is ∞;
 * the optimal matchings on one column set (``min_matchings``) against the
   other views of ``bipartite.optimal_matchings``;
 * the residual of y (``residuation``) against ``decompose``'s residual
@@ -75,8 +80,13 @@ def vector_to_json(x: TropVector) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Bipartite graphs: one optimal assignment, transversal rank, spanning trees
+# Bipartite graphs: the uniform matroid, one optimal assignment, transversal
+# rank, spanning trees
 # ---------------------------------------------------------------------------
+
+def uniform_matroid(d, n):
+    return Matroid(n, d, itertools.combinations(range(1, n + 1), d))
+
 
 def min_matchings(A: TropMatrix, J):
     """Optimal-assignment value and all optimal matchings on column set J.
@@ -139,8 +149,13 @@ def graph_to_json(G: BipartiteGraph):
 
 
 # ---------------------------------------------------------------------------
-# Plücker vectors: duality, stable union and intersection, rank 1 and 0
+# Plücker vectors: the underlying matroid, duality, stable union and
+# intersection, rank 1 and 0
 # ---------------------------------------------------------------------------
+
+def underlying_matroid(p: PluckerVector) -> Matroid:
+    return Matroid(p.n, p.d, [J for J in p.support()])
+
 
 def dual(p: PluckerVector) -> PluckerVector:
     """p*_S = p_{[n]∖S}, a vector of rank n − d."""

@@ -19,6 +19,7 @@ from reference import (
     stable_union,
     subdivisions_equal,
     transversal_polytope_ineqs,
+    uniform_matroid,
 )
 from tropstiefel.arrangement import Covector, enumerate_covectors
 from tropstiefel.bipartite import (
@@ -27,7 +28,6 @@ from tropstiefel.bipartite import (
     enumerate_support_sets,
     matching_multifield,
     transversal_matroid,
-    uniform_matroid,
 )
 from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, vec_mat_mul
 from tropstiefel.geom import lp_solve

@@ -12,6 +12,7 @@ from reference import (
     spanning_tree_no_left_leaves,
     transversal_polytope_ineqs,
     transversal_rank,
+    uniform_matroid,
 )
 from tropstiefel.bipartite import (
     COHERENCE_BUDGET,
@@ -34,7 +35,6 @@ from tropstiefel.bipartite import (
     optimal_matchings,
     support_face_dimension,
     transversal_matroid,
-    uniform_matroid,
     _max_matching_size,
     _nonempty_subsets,
 )
@@ -241,6 +241,9 @@ def test_enumerate_support_sets_small():
         assert len(G.J(1)) == 2 and len(G.J(2)) == 2
     assert len(enumerate_support_sets(1, 4)) == 1
     assert enumerate_support_sets(1, 4)[0].edges == frozenset((1, j) for j in range(1, 5))
+    for d, n in ((2, 3), (2, 5), (3, 5), (3, 6)):  # lexicographic by edge list, with no sort
+        keys = [G.sorted_edges() for G in enumerate_support_sets(d, n)]
+        assert keys == sorted(keys), (d, n)
 
 
 def test_transversal_matroid_examples():
@@ -367,6 +370,24 @@ def test_support_sets_give_uniform_matroid_and_multifields():
             for i in range(1, 3)
         ]
         matching_multifield(TropMatrix(entries))  # must not raise
+
+
+def test_hall_surplus_scan_is_a_uniform_transversal_matroid():
+    """Hall's theorem: every column d-set of G is matchable exactly when
+    |J_I| >= n − d + |I| for every nonempty row set I; no d-set exists when
+    d > n, so the transversal matroid is then the empty U(d, n)."""
+    rng = random.Random(18)
+    seen = set()
+    for _ in range(600):
+        d, n = rng.randint(1, 5), rng.randint(1, 8)
+        density = rng.choice((0.3, 0.6, 0.85, 1.0))
+        empty = set(rng.sample(range(1, n + 1), rng.randint(0, n // 3)))  # columns with no edge
+        edges = [(i, j) for i in range(1, d + 1) for j in range(1, n + 1) if j not in empty and rng.random() < density]
+        G = BipartiteGraph(d, n, edges)
+        uniform = d > n or hall_surplus_check(G)
+        assert (transversal_matroid(G) == uniform_matroid(d, n)) == uniform, (d, n, sorted(edges))
+        seen.add((d > n, uniform))
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def test_json_roundtrips():

@@ -207,6 +207,9 @@ def test_usage_error_exit_code(tmp_path, capsys):
     path.write_text("this is not json")
     code, _ = run(capsys, ["stiefel", "--input", str(path)])
     assert code == 2
+    path.write_text("[[" + "9" * 5000 + "]]")  # past the int/str digit limit of json.loads
+    code, _ = run(capsys, ["stiefel", "--input", str(path)])
+    assert code == 2
     code, _ = run(capsys, ["no-such-command"])
     assert code == 2
     # --seed, --budget and --format exist only on the commands that read
@@ -270,11 +273,11 @@ def test_determinism_of_covectors_output(tmp_path, capsys):
 def test_bad_scalar_exit_code(tmp_path):
     src = str(Path(tropstiefel.cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    for bad in ("abc", "1/0"):
+    for bad in ("abc", "1/0", "1e5000", "1e100000000"):
         path = write_input(tmp_path, {"entries": [[bad, "1"]]})
         proc = subprocess.run(
             [sys.executable, "-m", "tropstiefel.cli", "covectors", "--input", path],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=env, timeout=60,
         )
         assert proc.returncode == 1
         assert json.loads(proc.stdout) == {"error": "BAD_SCALAR"}

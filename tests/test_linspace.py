@@ -15,9 +15,10 @@ from reference import (
     caterpillar_check,
     covector_of_point,
     decomposition_cone,
+    uniform_matroid,
 )
 from tropstiefel.arrangement import _integer_scaled, enumerate_covectors, in_B, in_K
-from tropstiefel.bipartite import BipartiteGraph, _max_matching_size, colwise_dragon_condition, transversal_matroid, uniform_matroid
+from tropstiefel.bipartite import BipartiteGraph, _max_matching_size, colwise_dragon_condition, transversal_matroid
 from tropstiefel.core import (
     DomainError,
     INF,
@@ -28,6 +29,7 @@ from tropstiefel.core import (
 )
 from tropstiefel.linspace import (
     bounded_membership,
+    bounded_skeleton,
     certificate_to_json,
     contains,
     contains_via_matroid,
@@ -435,6 +437,25 @@ def test_caterpillar_and_tree_build_tc_once(monkeypatch):
         assert calls == [A]
         # the skeleton reads cell dimensions only: no image cones
         assert cones == []
+
+
+def test_bounded_skeleton_skips_the_matching_engine(monkeypatch):
+    """The support-set test of the bounded tree is a Hall scan over the
+    rows, not a table of matchable column sets."""
+    import tropstiefel.bipartite as bipartite
+    import tropstiefel.plucker as plucker
+
+    rng = random.Random(41)
+    A = TropMatrix([[rng.randint(-9, 9) for _ in range(8)] for _ in range(2)])
+    expected = bounded_skeleton(A)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bounded tree called the matching engine")
+
+    monkeypatch.setattr(bipartite, "optimal_matchings", refuse)
+    monkeypatch.setattr(plucker, "optimal_matchings", refuse)
+    assert repr(bounded_skeleton(A)) == repr(expected)  # Cell has no __eq__
+    assert expected[0]
 
 
 def test_image_points_lie_in_L():

@@ -7,8 +7,8 @@ from functools import reduce
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from reference import dual, rank_zero, row_vector, stable_intersection, stable_union
-from tropstiefel.bipartite import BipartiteGraph, uniform_matroid
+from reference import dual, rank_zero, row_vector, stable_intersection, stable_union, underlying_matroid, uniform_matroid
+from tropstiefel.bipartite import BipartiteGraph
 from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, proj_eq, trop_sum, trop_vanishes
 from tropstiefel.plucker import (
     PLUCKER_BUDGET,
@@ -20,7 +20,6 @@ from tropstiefel.plucker import (
     plucker_to_json,
     recover_matrix,
     stiefel_map,
-    underlying_matroid,
 )
 
 STAIR = TropMatrix([[0, 0, "inf", "inf"], ["inf", 0, 0, "inf"], ["inf", "inf", 0, 0]])

@@ -6,6 +6,28 @@ import pathlib
 SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "tropstiefel"
 
 
+def _reads(node):
+    """Every name a statement reads, imports or calls by attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def _binds(stmt):
+    """The names a module-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
 def test_no_assert_in_library_code():
     """``python -O`` strips ``assert``, so library code raises instead;
     ``raise AssertionError`` sanity checks stay allowed."""
@@ -26,31 +48,12 @@ def test_no_private_name_unused_in_library_code():
     belongs in ``tests/``."""
     trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in sorted(SOURCE.glob("*.py"))]
     assert trees
-
-    def names(node):  # every name a statement reads, imports or calls by attribute
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
-                yield sub.id
-            elif isinstance(sub, ast.Attribute):
-                yield sub.attr
-            elif isinstance(sub, ast.alias):
-                yield sub.name
-
-    def defined(stmt):  # the names a module-level statement binds
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return [stmt.name]
-        if isinstance(stmt, ast.Assign):
-            return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            return [stmt.target.id]
-        return []
-
     statements = [stmt for tree in trees for stmt in tree.body]
-    used = [set(names(stmt)) for stmt in statements]
+    used = [set(_reads(stmt)) for stmt in statements]
     unused = [
         name
         for k, stmt in enumerate(statements)
-        for name in defined(stmt)
+        for name in _binds(stmt)
         if name.startswith("_") and not name.startswith("__")
         and not any(name in seen for j, seen in enumerate(used) if j != k)
     ]
@@ -74,28 +77,6 @@ def test_bound_encoding_read_only_in_geom():
 
 
 BENCH_WORKLOADS = SOURCE.parents[1] / "bench" / "workloads.py"
-
-
-def _reads(node):
-    """Every name a statement reads, imports or calls by attribute."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
-        elif isinstance(sub, ast.alias):
-            yield sub.name
-
-
-def _binds(stmt):
-    """The names a module-level statement binds."""
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        return [stmt.name]
-    if isinstance(stmt, ast.Assign):
-        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
-    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-        return [stmt.target.id]
-    return []
 
 
 def test_every_library_name_is_reached():

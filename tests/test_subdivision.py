@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from polyhedra import Polyhedron
-from reference import cell_exists, subdivisions_equal, transversal_polytope_ineqs
-from tropstiefel.bipartite import BipartiteGraph, Matroid, transversal_matroid, uniform_matroid
+from reference import cell_exists, subdivisions_equal, transversal_polytope_ineqs, uniform_matroid
+from tropstiefel.bipartite import BipartiteGraph, Matroid, transversal_matroid
 from tropstiefel.core import DomainError, INF, TropMatrix, TropVector
 from tropstiefel.plucker import stiefel_map
 from tropstiefel.subdivision import (
