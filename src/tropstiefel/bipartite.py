@@ -155,12 +155,6 @@ class MatchingMultifield:
             and self.choices == other.choices
         )
 
-    def __hash__(self):
-        return hash((self.d, self.n, tuple(sorted(
-            (tuple(sorted(J)), tuple(sorted(m.cols for m in ms)))
-            for J, ms in self.choices.items()
-        ))))
-
     def __repr__(self):
         return "MatchingMultifield(d=%d, n=%d)" % (self.d, self.n)
 
@@ -183,8 +177,6 @@ class Matroid:
 
     def loops(self):
         """Elements lying in no basis."""
-        if self.is_empty():
-            return frozenset(range(1, self.n + 1))
         used = frozenset().union(*self.bases)
         return frozenset(range(1, self.n + 1)) - used
 

@@ -79,7 +79,7 @@ def _budget_kwargs(args):
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns (payload, is_svg_text)
+# Command handlers: each returns SVG text as a str, or a JSON payload
 # ---------------------------------------------------------------------------
 
 def cmd_stiefel(args):
@@ -175,8 +175,7 @@ def cmd_gen(args):
             [rng.randint(lo, hi) if (i, j) in G.edges else "inf" for j in range(1, n + 1)]
             for i in range(1, d + 1)
         ]
-    elif args.mode == "pointed":
-        # identity block on [d] columns, dense on the remaining columns
+    else:  # pointed: identity block on [d] columns, dense on the remaining columns
         entries = [
             [
                 (rng.randint(lo, hi) if (j == i or j > d) else "inf")
@@ -184,8 +183,6 @@ def cmd_gen(args):
             ]
             for i in range(1, d + 1)
         ]
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown mode {args.mode}")
     return matrix_to_json(TropMatrix(entries))
 
 
@@ -200,10 +197,6 @@ def cmd_render(args):
 # Best-effort SVG (exact integer pixel arithmetic only)
 # ---------------------------------------------------------------------------
 
-class SvgText(str):
-    """Marker type: payload is already-rendered SVG, not JSON."""
-
-
 def _px(value, lo, span, size, margin):
     """Map an exact rational into integer pixel space."""
     if span == 0:
@@ -217,7 +210,7 @@ def _svg_document(width, height, body):
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">'
     )
-    return SvgText(head + "".join(body) + "</svg>")
+    return head + "".join(body) + "</svg>"
 
 
 def _svg_arrangement(A, tc):
@@ -345,10 +338,7 @@ def build_parser():
 
 
 def _emit(args, payload):
-    if isinstance(payload, SvgText):
-        text = str(payload)
-    else:
-        text = dumps(payload)
+    text = payload if isinstance(payload, str) else dumps(payload)
     out = getattr(args, "output", None)
     if out:
         try:

@@ -14,6 +14,7 @@ JSON codec reads and writes matrices, and reads vectors.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 
@@ -88,8 +89,14 @@ def scalar(x):
 
 
 def scalar_str(v) -> str:
-    """Serialize a scalar as 'inf' or a reduced 'p/q' / integer string."""
-    return "inf" if v is INF else str(v)
+    """Serialize a scalar as 'inf' or a reduced 'p/q' / integer string;
+    DomainError BUDGET_EXCEEDED past Python's int/str digit limit."""
+    try:
+        return "inf" if v is INF else str(v)
+    except ValueError:
+        bits = max(abs(v.numerator), v.denominator).bit_length()  # digits ≈ bits · log10(2)
+        raise DomainError("BUDGET_EXCEEDED", f"a scalar of about {bits * 30103 // 100000 + 1} digits, "
+                          f"limit {sys.get_int_max_str_digits()}") from None
 
 
 def trop_sum(values):
@@ -144,9 +151,6 @@ class TropVector:
 
     def __eq__(self, other):
         return isinstance(other, TropVector) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __repr__(self):
         return "TropVector(%s)" % (", ".join(scalar_str(v) for v in self.entries))
@@ -217,9 +221,6 @@ class TropMatrix:
 
     def __eq__(self, other):
         return isinstance(other, TropMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __repr__(self):
         return "TropMatrix(%d x %d)" % (self.d, self.n)

@@ -103,8 +103,6 @@ def lp_solve(dim, eqs, ges, objective):
     rows += [(lift(a) + [-ONE if k == idx else ZERO for k in range(len(ges))], Fraction(b)) for idx, (a, b) in enumerate(ges)]
 
     m = len(rows)
-    if m == 0:
-        return "optimal" if all(v == 0 for v in objective) else "unbounded", tuple([ZERO] * dim), ZERO
 
     # Phase 1 tableau with one artificial variable per row.
     tab = []

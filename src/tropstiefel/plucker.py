@@ -57,11 +57,6 @@ class PluckerVector:
             and self.values == other.values
         )
 
-    def __hash__(self):
-        return hash((self.n, self.d, tuple(sorted(
-            (tuple(sorted(J)), v) for J, v in self.values.items()
-        ))))
-
     def __repr__(self):
         return "PluckerVector(n=%d, d=%d)" % (self.n, self.d)
 

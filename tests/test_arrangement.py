@@ -322,6 +322,9 @@ def test_budget_and_column_check(monkeypatch):
     assert exc.value.code == "BUDGET_EXCEEDED"
     with pytest.raises(DomainError):
         covector_of_point(TropMatrix([[0, "inf"], [0, "inf"]]), TropVector([0, 0]))
+    with pytest.raises(DomainError) as exc:
+        Covector(BipartiteGraph(2, 2, [(1, 1)]))
+    assert exc.value.code == "BAD_COVECTOR"
 
 
 def test_complex_json():

@@ -263,6 +263,8 @@ def test_matroid_loops_coloops_connected():
     )  # bases 12,13,14: 1 is a coloop
     assert M2.coloops() == frozenset({1})
     assert not M2.is_connected()
+    empty = Matroid(3, 2, [])
+    assert empty.loops() == frozenset({1, 2, 3}) and empty.coloops() == frozenset()
 
 
 def test_transversal_rank():

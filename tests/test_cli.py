@@ -84,6 +84,12 @@ def test_multifield_and_coherent(tmp_path, capsys):
     assert res["coherent"] is True
     witness = matrix_from_json(res["witness"])
     assert witness.support() == FIG.support()
+    # cyclic strict preferences on {1,2}, {2,3}, {1,3}: no height induces them
+    cyclic = {frozenset(J): {Matching(cols)} for J, cols in
+              (((1, 2), (1, 2)), ((2, 3), (2, 3)), ((1, 3), (3, 1)), ((1, 4), (1, 4)), ((2, 4), (2, 4)), ((3, 4), (3, 4)))}
+    path3 = write_input(tmp_path, multifield_to_json(MatchingMultifield(2, 4, cyclic)), "cyclic.json")
+    code, out = run(capsys, ["coherent", "--input", path3])
+    assert code == 0 and json.loads(out) == {"coherent": False}
 
 
 def test_support_set_command(tmp_path, capsys):
@@ -194,12 +200,48 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
 
 
 def test_domain_error_exit_code(tmp_path, capsys):
-    # a column of infinities: no matching in the support
-    bad = TropMatrix([[0, "inf"], [0, "inf"]])
-    path = write_input(tmp_path, matrix_to_json(bad))
-    code, out = run(capsys, ["stiefel", "--input", path])
-    assert code == 1
-    assert json.loads(out) == {"error": "NO_MATCHING_IN_SUPPORT"}
+    def matrix(rows):
+        return {"entries": rows}
+
+    def point(rows, y):
+        return {"matrix": matrix(rows), "vector": {"entries": y}}
+
+    def field(choices):
+        return {"d": 2, "n": 2, "choices": choices}
+
+    one_one = {"d": 1, "n": 2, "values": {"1": "0", "2": "inf"}}
+    long_diagonal = ["1/1" + "0" * 2499 + "1", "1/1" + "0" * 2499 + "3"]
+    cases = [
+        # a column of infinities: no matching in the support
+        (["stiefel"], matrix([[0, "inf"], [0, "inf"]]), "NO_MATCHING_IN_SUPPORT"),
+        (["facets"], matrix([[0, 0], ["inf", "inf"]]), "NO_MATCHING_IN_SUPPORT"),
+        (["covectors"], matrix([[0, "inf"], [1, "inf"]]), "EMPTY_COLUMN"),
+        (["multifield"], matrix([[0, "inf", 1], [0, "inf", 1]]), "NO_MATCHING_ON_SUBSET"),
+        (["stiefel"], matrix([["0", "1"], ["2"]]), "BAD_SHAPE"),
+        (["stiefel"], matrix([[True, "1"]]), "BAD_SCALAR"),
+        # every input scalar fits the int/str digit limit, the minor does not
+        (["stiefel"], matrix([[long_diagonal[0], "9"], ["9", long_diagonal[1]]]), "BUDGET_EXCEEDED"),
+        (["support-set"], {"d": 2, "n": 3, "edges": [[1, 1], [3, 1]]}, "BAD_EDGE"),
+        (["coherent"], field({"1,2": [[[1, 1], [2, 1]]]}), "BAD_MATCHING"),
+        (["coherent"], field({"1,2": [[[1, 1]]]}), "BAD_CHOICE"),
+        (["coherent"], field({"1,2": []}), "EMPTY_CHOICE"),
+        (["gen", "3", "6", "--mode", "support-set", "--budget", "1"], None, "BUDGET_EXCEEDED"),
+        (["gen", "3", "2"], None, "BAD_SHAPE"),
+        (["render"], matrix([[0] * 4] * 4), "BAD_FORMAT"),
+        (["render", "--kind", "tree"], matrix([[0] * 4] * 3), "BAD_FORMAT"),
+        (["member"], point([[0, 1], [1, 0]], ["0"]), "LENGTH_MISMATCH"),
+        (["member"], point([[0, 1], [1, 0]], []), "EMPTY_VECTOR"),
+        (["bounded"], point([[0, 1, 2], [1, 0, 2]], ["0"]), "BAD_POINT"),
+        (["recover"], {"plucker": one_one, "support": {"d": 1, "n": 2, "edges": [[1, 1], [1, 2]]}}, "NOT_UNIFORM"),
+        (["recover"], {"plucker": one_one, "support": {"d": 1, "n": 2, "edges": [[1, 1]]}}, "NOT_SUPPORT_SET"),
+        (["plucker-check"], {"d": 2, "n": 3, "values": {"1,2": "0", "1,3": "0"}}, "MISSING_COORDINATE"),
+    ]
+    for argv, obj, error in cases:
+        if obj is not None:
+            argv = argv + ["--input", write_input(tmp_path, obj)]
+        code, out = run(capsys, argv)
+        assert code == 1, argv
+        assert json.loads(out) == {"error": error}, argv
 
 
 def test_usage_error_exit_code(tmp_path, capsys):
@@ -211,6 +253,10 @@ def test_usage_error_exit_code(tmp_path, capsys):
     code, _ = run(capsys, ["stiefel", "--input", str(path)])
     assert code == 2
     code, _ = run(capsys, ["no-such-command"])
+    assert code == 2
+    code, _ = run(capsys, ["stiefel", "--input", str(tmp_path / "missing.json")])
+    assert code == 2
+    code, _ = run(capsys, ["gen", "2", "3", "--min", "5", "--max", "1"])
     assert code == 2
     # --seed, --budget and --format exist only on the commands that read
     # them; the inputs are valid, so the flag alone makes these exit 2
@@ -237,6 +283,11 @@ def test_render_svg(tmp_path, capsys):
     code, out = run(capsys, ["bounded", "--input", path2, "--format", "svg"])
     assert code == 0
     assert out.startswith("<svg")
+    # one 1-cell, the whole line, with no vertex at either end: a label only
+    path3 = write_input(tmp_path, {"entries": [[0, 0], ["inf", "inf"]]}, "line.json")
+    code, out = run(capsys, ["render", "--input", path3])
+    assert code == 0
+    assert out.count("<text") == 1 and "<line" not in out and "<circle" not in out
 
 
 def test_determinism_of_covectors_output(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,11 @@ def test_scalar_parsing():
     assert scalar_str(INF) == "inf"
     with pytest.raises(DomainError):
         scalar(0.5)
+    # a reduced part past Python's int/str digit limit is BUDGET_EXCEEDED, not a ValueError
+    with pytest.raises(DomainError) as exc:
+        scalar_str(Fraction(1, 10 ** sys.get_int_max_str_digits()))
+    assert exc.value.code == "BUDGET_EXCEEDED"
+    assert str(sys.get_int_max_str_digits()) in str(exc.value)
 
 
 def test_infinity_semantics():
@@ -38,6 +44,10 @@ def test_infinity_semantics():
     assert min(Fraction(2), INF) == Fraction(2)
     assert INF > Fraction(10 ** 9)
     assert not (INF < INF)
+    assert INF <= INF and not (INF <= Fraction(0)) and INF >= Fraction(3)
+    with pytest.raises(DomainError) as exc:
+        -INF
+    assert exc.value.code == "NEGATE_INF"
 
 
 def test_supports():

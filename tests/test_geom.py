@@ -30,6 +30,10 @@ def test_lp_infeasible_and_unbounded():
     assert status == "infeasible"
     status, _, _ = lp_solve(1, eqs=[], ges=[((1,), 0)], objective=(1,))
     assert status == "unbounded"
+    # no rows at all: the same answers, and no point on an unbounded objective
+    assert lp_solve(1, [], [], (1,)) == ("unbounded", None, None)
+    assert lp_solve(2, [], [], (0, -1)) == ("unbounded", None, None)
+    assert lp_solve(2, [], [], (0, 0)) == ("optimal", (0, 0), 0)
 
 
 def test_lp_equalities_and_rationals():

@@ -319,6 +319,10 @@ def test_cocircuit():
     p = stiefel_map(APRIME)
     assert cocircuit(p, {2}) == TropVector([0, INF, 0, 0])
     assert cocircuit(p, {1}) == TropVector([INF, 0, 1, 1])
+    single = PluckerVector(3, 2, {frozenset({1, 2}): INF, frozenset({1, 3}): INF, frozenset({2, 3}): 0})
+    with pytest.raises(DomainError) as exc:
+        cocircuit(single, {1})
+    assert exc.value.code == "ALL_INF"
 
 
 def test_cocircuit_projective_invariance():

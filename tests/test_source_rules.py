@@ -113,3 +113,25 @@ def test_every_library_name_is_reached():
         if module != "cli.py" and name not in reached
     )
     assert not unreached, f"library names neither the CLI nor the benchmark reaches: {unreached}"
+
+
+def test_every_error_code_is_named_by_a_test():
+    """Each code a library ``DomainError`` raises by name appears as a
+    string constant in some ``tests/test_*.py``, so every refusal has a
+    test that asks for it by its code."""
+    raised = {
+        node.args[0].value
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "DomainError"
+        and node.args and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)
+    }
+    tests = sorted(pathlib.Path(__file__).resolve().parent.glob("test_*.py"))
+    named = {
+        node.value
+        for path in tests
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert raised and tests
+    assert not raised - named, f"error codes no test names: {sorted(raised - named)}"

@@ -107,8 +107,9 @@ def test_is_interior_cell():
     assert not is_interior_cell(coloop)
     for M in facets_of_D(TWO_ROW):
         assert is_interior_cell(M)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as exc:
         is_interior_cell(Matroid(3, 2, []))
+    assert exc.value.code == "EMPTY_MATROID"
 
 
 def test_subdivisions_equal():
