@@ -10,9 +10,8 @@ Hall-type surplus scan answers the support-set test and both dragon
 conditions, over row or column subsets refused up front past
 ``HALL_BUDGET``.  Coherence is one ``geom.argmin_witness`` question,
 refused up front past ``COHERENCE_BUDGET`` supported matchings.  One
-augmenting-path matcher (``_max_matching_size``) answers the maximum
-matching over all columns, and one union-find (``components``) every
-component count.
+Hungarian solve (``assignment``) gives the columns some min-cost
+assignment of every row uses, and one union-find every component count.
 """
 
 from __future__ import annotations
@@ -278,6 +277,68 @@ def matching_multifield(A: TropMatrix) -> MatchingMultifield:
     return MatchingMultifield(A.d, A.n, choices)
 
 
+def assignment(cost):
+    """A min-cost assignment of each row of ``cost`` to its own column, by
+    the Hungarian method (Kuhn 1955; Munkres 1957) in exact ints: ``cost``
+    is d rows of n ints, None for a missing edge (0-based).  Each row joins
+    by a shortest augmenting path over the reduced costs c_ij − u_i − v_j,
+    O(d²n) in all.  Returns (u, v, match): u_i + v_j <= c_ij on every edge,
+    with equality on the edges (i, match[i]), v <= 0, and v_j = 0 on the
+    columns no row takes, so Σu + Σv is the least cost.
+    NO_MATCHING_IN_SUPPORT when no matching covers every row."""
+    d, n = len(cost), len(cost[0])
+    u, v, match, owner = [0] * d, [0] * n, [None] * d, [None] * n
+    for r in range(d):
+        slack, via, used, i = [None] * n, [None] * n, [False] * n, r
+        while True:  # grow the tree of r and the owners of the used columns
+            ui, j1 = u[i], None
+            for j, c in enumerate(cost[i]):
+                if not used[j]:
+                    if c is not None and (slack[j] is None or c - ui - v[j] < slack[j]):
+                        slack[j], via[j] = c - ui - v[j], i
+                    if slack[j] is not None and (j1 is None or slack[j] < slack[j1]):
+                        j1 = j
+            if j1 is None:
+                raise DomainError("NO_MATCHING_IN_SUPPORT", "support contains no matching")
+            delta = slack[j1]
+            u[r] += delta
+            for j in range(n):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                elif slack[j] is not None:
+                    slack[j] -= delta
+            used[j1], i = True, owner[j1]
+            if i is None:
+                break
+        while j1 is not None:  # augment: each row of the path takes the column it reached
+            i = via[j1]
+            owner[j1], match[i], j1 = i, j1, match[i]
+    return u, v, match
+
+
+def optimal_columns(cost):
+    """The 0-based columns that some min-cost assignment of ``cost`` uses.
+    By complementary slackness the optimal assignments are those on tight
+    edges (u_i + v_j = c_ij) that take every column with v_j < 0, so a free
+    column lies in one exactly when a tight edge joins it to a row that may
+    leave its column c: when v_c = 0, or when a tight edge joins c to
+    another such row.  Swapping along that path costs nothing."""
+    u, v, match = assignment(cost)
+    owner = {j: i for i, j in enumerate(match)}
+    free = [i for i, j in enumerate(match) if v[j] == 0]
+    seen, out = set(free), set(match)
+    for i in free:  # grows as it is read
+        for j, c in enumerate(cost[i]):
+            if c is not None and c == u[i] + v[j]:
+                out.add(j)
+                k = owner.get(j)
+                if k is not None and k not in seen:
+                    seen.add(k)
+                    free.append(k)
+    return out
+
+
 COHERENCE_BUDGET = 2 * 10 ** 3  # supported matchings (one LP row each) the coherence LP may hold
 
 
@@ -378,24 +439,6 @@ def enumerate_support_sets(d, n, budget=10 ** 6):
 # ---------------------------------------------------------------------------
 # Transversal matroids
 # ---------------------------------------------------------------------------
-
-def _max_matching_size(G: BipartiteGraph, cols):
-    """Maximum matching between [d] and ``cols`` inside G (augmenting paths)."""
-    cols = frozenset(cols)
-    owner = {}
-
-    def augment(i, seen):
-        for j in sorted(G.J(i) & cols):
-            if j in seen:
-                continue
-            seen.add(j)
-            if j not in owner or augment(owner[j], seen):
-                owner[j] = i
-                return True
-        return False
-
-    return sum(1 for i in range(1, G.d + 1) if augment(i, set()))
-
 
 def transversal_matroid(G: BipartiteGraph) -> Matroid:
     """Bases are the column d-subsets fully matchable to [d] inside G: the

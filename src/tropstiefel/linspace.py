@@ -6,6 +6,9 @@ certificates; boundedness by a coloop-free selected matroid when no
 coordinate is ∞; and the vertices and segments of the bounded part of a
 support that passes the Hall scan ``bipartite.hall_surplus_check``.
 
+Each p_J is an optimal-assignment value, so y ∈ L(A) exactly when every
+column lies in some min-cost assignment of the costs a_ij − y_j
+(``bipartite.optimal_columns``); ``decompose`` asks this before it searches.
 A covector decomposition y ∈ (F ⊙ A) + R_{>=0}{e_j : j ∈ J} is a
 difference system over x and y, so it runs on the closed integer
 difference-bound matrix of ``geom.DifferenceBounds``: the certificate search,
@@ -27,7 +30,7 @@ import itertools
 
 from .core import INF, DomainError, TropMatrix, TropVector, vec_mat_mul
 from .geom import DifferenceBounds
-from .bipartite import BipartiteGraph, _max_matching_size, colwise_dragon_condition, hall_surplus_check
+from .bipartite import BipartiteGraph, colwise_dragon_condition, hall_surplus_check, optimal_columns
 from .plucker import PluckerVector, contains
 from .arrangement import CELL_BUDGET, Covector, _attain, _column_rows, _integer_scaled, covector_to_json, enumerate_covectors, in_B, in_K, skeleton
 from .subdivision import is_interior_cell, select_matroid
@@ -58,6 +61,10 @@ def decompose(A: TropMatrix, y: TropVector):
     sorted J, or None when y is not in the linear space: F a covector of
     TC(A) covering every row, J meeting the column-wise dragon condition,
     and y ∈ (F ⊙ A) + R_{>=0}{e_j : j ∈ J} with zero slack off J.
+
+    None before any search when a column lies in no min-cost assignment of
+    the costs a_ij − y_j, a loop of M_y; NO_MATCHING_IN_SUPPORT when none
+    covers every row.
 
     A depth-first search over the columns, directed by y, picks I_j and
     whether j ∈ J (while |J| < d − 1) on two closed difference-bound
@@ -93,19 +100,19 @@ def decompose(A: TropMatrix, y: TropVector):
     or drop only leaves that sort after one in hand, so the least leaf and
     its matrix are the same.
 
-    BUDGET_EXCEEDED up front as ``enumerate_covectors`` refuses, or past
-    ``CELL_BUDGET`` covectors (I_1, ..., I_j) reached at one depth j: cells
-    of TC(A[:, :j]), which has no more cells than TC(A), whose closed
-    system with its floors passes the look-ahead for some J, and, once a
-    leaf is in hand, whose bits can still reach it.
+    BUDGET_EXCEEDED up front as ``enumerate_covectors`` refuses, or, for a
+    y in L(A) only, past ``CELL_BUDGET`` covectors (I_1, ..., I_j) reached
+    at one depth j: cells of TC(A[:, :j]), which has no more cells than
+    TC(A), whose closed system with its floors passes the look-ahead for
+    some J, and, once a leaf is in hand, whose bits can still reach it.
     """
     if len(y) != A.n or not y.is_finite():
         raise DomainError("BAD_POINT", "y must be finite of length n")
     cols = _column_rows(A, CELL_BUDGET)
-    if _max_matching_size(BipartiteGraph.from_support(A), range(1, A.n + 1)) < A.d:
-        raise DomainError("NO_MATCHING_IN_SUPPORT", "support contains no matching")
     d, n = A.d, A.n
     unit, a, z = _integer_scaled(A, y.entries)
+    if len(optimal_columns([[None if c is None else c - z[j] for j, c in enumerate(row)] for row in a])) < n:
+        return None  # a loop of M_y: no optimal assignment uses some column
     reached, best, top = [set() for _ in range(n)], None, -1  # top: the bits of the least leaf so far
     root = DifferenceBounds(d + 1, unit)
     # floor[j][r]: x_i >= the (r + 1)-th largest y_k − a_ik over the columns k >= j, as bounds to add

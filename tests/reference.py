@@ -13,7 +13,9 @@ the two.  The library keeps only what the CLI and the benchmark reach
 * π(A) as the stable union of the rows (``stable_union``, ``row_vector``)
   against ``plucker.stiefel_map``, with duality and stable intersection;
 * transversal rank by deficiency and the matroid polytope inequalities
-  against ``bipartite.transversal_matroid``;
+  against ``bipartite.transversal_matroid``, and the maximum matching by
+  augmenting paths (``_max_matching_size``) against both and against
+  ``decompose``'s refusal of a support with no matching;
 * the matroid references: the uniform matroid U(d, n)
   (``uniform_matroid``), against which ``bipartite.transversal_matroid``
   is compared where the library asks ``bipartite.hall_surplus_check``,
@@ -33,7 +35,7 @@ from fractions import Fraction
 
 from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, require_column_supports, scalar_str, trop_sum
 from tropstiefel.geom import ONE, ZERO, DifferenceBounds, argmin_witness
-from tropstiefel.bipartite import BipartiteGraph, Matching, Matroid, _max_matching_size, _nonempty_subsets, components, optimal_matchings
+from tropstiefel.bipartite import BipartiteGraph, Matching, Matroid, _nonempty_subsets, components, optimal_matchings
 from tropstiefel.plucker import PluckerVector, _subsets
 from tropstiefel.arrangement import Covector, _attain, _integer_scaled
 from tropstiefel.subdivision import facets_of_D
@@ -100,6 +102,24 @@ def min_matchings(A: TropMatrix, J):
     if J not in best:
         return INF, frozenset()
     return best[J], frozenset(Matching(cols) for cols in argmins(J))
+
+
+def _max_matching_size(G: BipartiteGraph, cols):
+    """Maximum matching between [d] and ``cols`` inside G (augmenting paths)."""
+    cols = frozenset(cols)
+    owner = {}
+
+    def augment(i, seen):
+        for j in sorted(G.J(i) & cols):
+            if j in seen:
+                continue
+            seen.add(j)
+            if j not in owner or augment(owner[j], seen):
+                owner[j] = i
+                return True
+        return False
+
+    return sum(1 for i in range(1, G.d + 1) if augment(i, set()))
 
 
 def transversal_rank(G: BipartiteGraph, S) -> int:

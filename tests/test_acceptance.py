@@ -3,11 +3,15 @@ cross-validation of independent computation routes, each under an explicit
 time budget (exact arithmetic throughout, no tolerances)."""
 
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
 from functools import reduce
 
+import pytest
+
+import tropstiefel.linspace as linspace
 from polyhedra import Polyhedron
 from reference import (
     bounded_complex,
@@ -20,16 +24,19 @@ from reference import (
     subdivisions_equal,
     transversal_polytope_ineqs,
     uniform_matroid,
+    vector_to_json,
 )
-from tropstiefel.arrangement import Covector, enumerate_covectors
+from tropstiefel.arrangement import Covector, _integer_scaled, enumerate_covectors
 from tropstiefel.bipartite import (
     BipartiteGraph,
     colwise_dragon_condition,
     enumerate_support_sets,
     matching_multifield,
+    optimal_columns,
     transversal_matroid,
 )
-from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, vec_mat_mul
+from tropstiefel.cli import main
+from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, matrix_to_json, vec_mat_mul
 from tropstiefel.geom import lp_solve
 from tropstiefel.linspace import (
     contains,
@@ -260,6 +267,21 @@ def test_support_census_dimension():
 
 # -- 5 ----------------------------------------------------------------------
 
+def contains_via_assignment(A, y):
+    """The fourth membership route: y ∈ L(A) exactly when every column lies
+    in some min-cost assignment of the costs a_ij − y_j."""
+    _, a, z = _integer_scaled(A, y.entries)
+    return len(optimal_columns([[None if c is None else c - z[j] for j, c in enumerate(row)] for row in a])) == A.n
+
+
+def searched(A, y):
+    """``decompose`` with its assignment gate letting every y through, so
+    the certificate search alone decides."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(linspace, "optimal_columns", lambda cost: set(range(len(cost[0]))))
+        return decompose(A, y)
+
+
 def test_membership_triple_equivalence():
     with Budget(120):
         rng = random.Random(501)
@@ -280,14 +302,18 @@ def test_membership_triple_equivalence():
                 a = contains(p, y)
                 b = contains_via_matroid(p, y)
                 c = decompose(A, y) is not None
-                assert a == b == c, (A.entries, y.entries, a, b, c)
+                e = contains_via_assignment(A, y)
+                assert a == b == c == e, (A.entries, y.entries, a, b, c, e)
+                assert a or searched(A, y) is None
                 total += 1
 
 
 def test_membership_equivalence_ranks_4_and_5():
-    """Circuits, selected matroids and ``decompose`` at d = 4 and 5, on
-    image points and random halves with 0, 15 or 30% ∞ entries; every
-    certificate lies in its decomposition cone."""
+    """Circuits, selected matroids, ``decompose`` and optimal assignments
+    at d = 4 and 5, on image points and random halves with 0, 15 or 30% ∞
+    entries; the search without the assignment gate also finds no
+    certificate for a y outside L(A), and every certificate lies in its
+    decomposition cone."""
     with Budget(30):
         rng = random.Random(901)
         members = queries = 0
@@ -302,8 +328,9 @@ def test_membership_equivalence_ranks_4_and_5():
                 else:
                     y = TropVector([Fraction(rng.randint(-8, 8), rng.randint(1, 2)) for _ in range(n)])
                 cert = decompose(A, y)
-                a, b, c = contains(p, y), contains_via_matroid(p, y), cert is not None
-                assert a == b == c, (A.entries, y.entries, a, b, c)
+                a, b, c, e = contains(p, y), contains_via_matroid(p, y), cert is not None, contains_via_assignment(A, y)
+                assert a == b == c == e, (A.entries, y.entries, a, b, c, e)
+                assert a or searched(A, y) is None
                 if cert is not None:
                     assert decomposition_cone(A, cert.covector.edges, cert.J).contains(y.entries)
                 members += c
@@ -550,3 +577,21 @@ def test_decompose_dense_image_point_ends():
             assert exc.code == "BUDGET_EXCEEDED"
         else:
             assert cert is not None and decomposition_cone(A, cert.covector.edges, cert.J).contains(y.entries)
+
+
+# -- 14 ---------------------------------------------------------------------
+
+def test_decompose_answers_a_wide_non_member_before_searching(tmp_path, capsys):
+    """A dense 12×14 (``random.Random(201)``, entries −50..50, then y in
+    −60..60) with y outside L(A): one assignment problem answers None
+    before the search, which alone refuses it with BUDGET_EXCEEDED only
+    after about 30 s; the CLI prints ``{"in_L": false}`` and exits 0."""
+    with Budget(5):
+        rng = random.Random(201)
+        A = TropMatrix([[rng.randint(-50, 50) for _ in range(14)] for _ in range(12)])
+        y = TropVector([rng.randint(-60, 60) for _ in range(14)])
+        assert decompose(A, y) is None
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"matrix": matrix_to_json(A), "vector": vector_to_json(y)}))
+        assert main(["decompose", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"in_L": False}

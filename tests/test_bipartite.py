@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import (
+    _max_matching_size,
     graph_to_json,
     min_matchings,
     spanning_tree_no_left_leaves,
@@ -22,6 +23,7 @@ from tropstiefel.bipartite import (
     Matching,
     MatchingMultifield,
     Matroid,
+    assignment,
     colwise_dragon_condition,
     dragon_condition,
     enumerate_support_sets,
@@ -32,14 +34,16 @@ from tropstiefel.bipartite import (
     matching_multifield,
     multifield_from_json,
     multifield_to_json,
+    optimal_columns,
     optimal_matchings,
     support_face_dimension,
     transversal_matroid,
-    _max_matching_size,
     _nonempty_subsets,
 )
-from tropstiefel.core import INF, DomainError, TropMatrix, TropVector
-from tropstiefel.plucker import stiefel_map
+from tropstiefel.arrangement import _integer_scaled
+from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, vec_mat_mul
+from tropstiefel.linspace import decompose
+from tropstiefel.plucker import contains, stiefel_map
 from tropstiefel.subdivision import select_matroid
 
 FIG = TropMatrix([[0, 3, 0, "inf", "inf"], ["inf", 0, 0, 2, "inf"], ["inf", "inf", 0, 0, 0]])
@@ -272,6 +276,71 @@ def test_transversal_rank():
     assert transversal_rank(G, {3, 4}) == 1
     assert transversal_rank(G, set()) == 0
     assert transversal_rank(BipartiteGraph.from_support(FIG), {1, 2, 3}) == 3
+
+
+def test_assignment_potentials_and_optimal_columns():
+    """Seeded queries, d ≤ 5 and n ≤ 8, in halves with 0, 15 or 30% ∞
+    entries, on image points with and without slack and on random y: the
+    potentials of ``assignment`` on the costs a_ij − y_j are feasible, tight
+    on the matching, 0 off it and sum to the least p_J − Σ_{j∈J} y_j, and
+    ``optimal_columns`` are the columns of M_y that are not loops, so they
+    are all of [n] exactly when circuits put y in L(A)."""
+    rng = random.Random(2003)
+    half = lambda k: Fraction(rng.randint(-k, k), rng.choice((1, 2)))
+    queries = members = 0
+    while queries < 3000:
+        d = rng.randint(1, 5)
+        n = rng.randint(d, 8)
+        inf_prob = rng.choice((0, 0.15, 0.3))
+        A = TropMatrix([[INF if rng.random() < inf_prob else half(6) for _ in range(n)] for _ in range(d)])
+        try:
+            p = stiefel_map(A)
+        except DomainError:  # no matching covers every row
+            continue
+        for _ in range(5):
+            if rng.random() < 0.5:
+                y = vec_mat_mul(TropVector([rng.randint(-3, 3) for _ in range(d)]), A)
+                y = TropVector([v + (rng.randint(1, 3) if rng.random() < 0.3 else 0) for v in y.entries])
+            else:
+                y = TropVector([half(8) for _ in range(n)])
+            if not y.is_finite():
+                continue
+            unit, a, z = _integer_scaled(A, y.entries)
+            cost = [[None if c is None else c - z[j] for j, c in enumerate(row)] for row in a]
+            u, v, match = assignment(cost)
+            assert sorted(set(match)) == sorted(match) and all(cost[i][j] is not None for i, j in enumerate(match))
+            assert all(c is None or c - u[i] - v[j] >= 0 for i, row in enumerate(cost) for j, c in enumerate(row))
+            assert all(cost[i][j] == u[i] + v[j] for i, j in enumerate(match))
+            assert all(v[j] == 0 for j in range(n) if j not in match) and max(v) <= 0
+            least = min(value - sum(y.entry(j) for j in J) for J, value in p.values.items() if value is not INF)
+            assert sum(u) + sum(v) == unit * least
+            columns = optimal_columns(cost)
+            assert {j + 1 for j in columns} == set(range(1, n + 1)) - select_matroid(p, y).loops()
+            assert (len(columns) == n) == contains(p, y), (A.entries, y.entries)
+            members += len(columns) == n
+            queries += 1
+    assert 500 < members < 2500, members
+
+
+def test_assignment_refuses_a_support_without_matching():
+    """A row that reaches no free column ends the solve with
+    NO_MATCHING_IN_SUPPORT, which ``decompose`` raises after BAD_POINT and
+    the column checks, as before it had the assignment.  Where two
+    assignments tie, the potentials make both tight."""
+    for cost in ([[0, 1], [None, None]], [[0], [2]], [[0, None, None], [1, None, None], [None, 0, 5]]):
+        with pytest.raises(DomainError) as exc:
+            assignment(cost)
+        assert exc.value.code == "NO_MATCHING_IN_SUPPORT"
+    assert assignment([[3, 1, None], [2, 0, 7]]) == ([3, 2], [0, -2, 0], [1, 0])  # both assignments cost 3
+    for entries, y, code in (
+        ([[0, 0], ["inf", "inf"]], [0, 0], "NO_MATCHING_IN_SUPPORT"),
+        ([[0], [0]], [0], "NO_MATCHING_IN_SUPPORT"),
+        ([[0, "inf"], [0, "inf"]], [0, 0], "EMPTY_COLUMN"),
+        ([[0, 0], ["inf", "inf"]], [0, "inf"], "BAD_POINT"),
+    ):
+        with pytest.raises(DomainError) as exc:
+            decompose(TropMatrix(entries), TropVector(y))
+        assert exc.value.code == code
 
 
 def test_transversal_rank_matches_max_matching():

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from polyhedra import Polyhedron
 from reference import (
     _closed_cell,
+    _max_matching_size,
     bounded_complex,
     bounded_point_in_complex,
     caterpillar_check,
@@ -18,7 +19,7 @@ from reference import (
     uniform_matroid,
 )
 from tropstiefel.arrangement import _integer_scaled, enumerate_covectors, in_B, in_K
-from tropstiefel.bipartite import BipartiteGraph, _max_matching_size, colwise_dragon_condition, transversal_matroid
+from tropstiefel.bipartite import BipartiteGraph, colwise_dragon_condition, transversal_matroid
 from tropstiefel.core import (
     DomainError,
     INF,
@@ -304,9 +305,22 @@ def test_decompose_budget_counts_reached_covectors(monkeypatch):
     Where y is in L(A), a leaf in hand drops the prefixes that cannot beat
     it, so the search reaches no more than the reference: it answers as the
     all-cells route under the reference count, and some image points of
-    FIG whose reference count passes 7 answer under a budget of 7 too."""
+    FIG whose reference count passes 7 answer under a budget of 7 too.
+
+    ``decompose`` answers a y not in L(A) by its assignment gate before any
+    search, so the gate is patched here to let every y through, and the
+    search alone decides; with the gate in place each of those y answers
+    None under the same budgets."""
     import tropstiefel.linspace as linspace
 
+    gate = linspace.optimal_columns
+
+    def gated(y):
+        with monkeypatch.context() as m:
+            m.setattr(linspace, "optimal_columns", gate)
+            return decompose(FIG, y)
+
+    monkeypatch.setattr(linspace, "optimal_columns", lambda cost: set(range(len(cost[0]))))
     y = TropVector([-2, 3, -2, -1, -2])
     assert [len(F) for F in reached_covectors(FIG, y)] == [1, 3, 13, 13, 13] and len(enumerate_covectors(FIG)) == 23
     monkeypatch.setattr(linspace, "CELL_BUDGET", 13)
@@ -315,6 +329,7 @@ def test_decompose_budget_counts_reached_covectors(monkeypatch):
     with pytest.raises(DomainError) as exc:
         decompose(FIG, y)
     assert exc.value.code == "BUDGET_EXCEEDED" and str(exc.value) == "more than 12 cells"
+    assert gated(y) is None
     monkeypatch.setattr(linspace, "CELL_BUDGET", 7)  # FIG's widest column alone needs 7
     rng = random.Random(5)
     seen = Counter()
@@ -323,6 +338,7 @@ def test_decompose_budget_counts_reached_covectors(monkeypatch):
         expected = decompose_outcome(decompose_all_cells, FIG, y)
         over = max(len(F) for F in reached_covectors(FIG, y)) > 7
         assert expected == "null" and decompose_outcome(decompose, FIG, y) == ("BUDGET_EXCEEDED" if over else expected)
+        assert gated(y) is None
         seen[over] += 1
     assert seen[True] >= 8 and seen[False] >= 8
     for _ in range(20):  # image points, some with slack
