@@ -1,19 +1,18 @@
 """Tropical hyperplane arrangements of a matrix A.
 
-The full covector complex TC(A), the subcomplexes B(A) (all rows covered)
-and K(A) (dragon marriage condition), and the 0- and 1-cells of a list of
-cells with the ends of each 1-cell (``skeleton``).
+The full covector complex TC(A), its subcomplex K(A) (dragon marriage
+condition), and the 0- and 1-cells of a list of cells with the ends of each
+1-cell (``skeleton``).
 
 The arrangement lives in the torus of x-coordinates, and every cell of TC(A)
 is a polytrope: the points whose covector is tau satisfy, per column j,
 equalities tying the rows of I_j and strict inequalities saying that the
 other rows of supp(j) lose.  ``_attain`` states that rule for one column
-as bounds over the integer-scaled entries of A and hands them to a closed
-difference-bound matrix (``geom.DifferenceBounds``), strictly for the
-open cells of the search and weakly for the closed cells of
-``linspace.decompose``: to its ``add`` to impose them, or
-first to its ``admits``, one lookup per bound, so a search copies the
-matrix only for a choice of rows that no single bound rules out.  TC(A)
+as bounds over the integer-scaled entries of A and hands them to the
+closed difference-bound matrix (``geom.DifferenceBounds``) of an open
+cell: to its ``add`` to impose them, or first to its ``admits``, one
+lookup per bound, so the search copies the matrix only for a choice of
+rows that no single bound rules out.  TC(A)
 is found by a depth-first search over the columns: a partial choice
 (I_1, ..., I_j) is kept exactly when its system is feasible, and every
 feasible prefix extends to a covector, so the search never dead-ends.
@@ -79,24 +78,23 @@ def _integer_scaled(A: TropMatrix, y=()):
     return unit, a, [v.numerator * (unit // v.denominator) for v in y]
 
 
-def _attain(impose, a, j, I, base, strict):
+def _attain(impose, a, j, I):
     """Hand to ``impose`` (a ``DifferenceBounds.add`` or ``admits``) the
-    bounds saying that the rows I of column j attain min_k (x_k + a_kj),
-    row k being node base + k (0-based, I sorted): x_i + a_ij = x_i0 + a_i0j
-    for i ∈ I with i0 = I[0], and x_k + a_kj >= x_i0 + a_i0j (> when
-    strict) for the other finite rows k.  Returns False at the first bound
-    ``impose`` refuses."""
+    bounds saying that exactly the rows I of column j attain
+    min_k (x_k + a_kj), row k being node k (0-based, I sorted):
+    x_i + a_ij = x_i0 + a_i0j for i ∈ I with i0 = I[0], and
+    x_k + a_kj > x_i0 + a_i0j for the other finite rows k.  Returns False
+    at the first bound ``impose`` refuses."""
     i0 = I[0]
     a0 = a[i0][j]
-    u0 = base + i0
     for k, row in enumerate(a):
         c = row[j]
         if c is None or k == i0:
             continue
         if k in I:
-            if not (impose(u0, base + k, a0 - c) and impose(base + k, u0, c - a0)):
+            if not (impose(i0, k, a0 - c) and impose(k, i0, c - a0)):
                 return False
-        elif not impose(base + k, u0, c - a0, strict):
+        elif not impose(k, i0, c - a0, True):
             return False
     return True
 
@@ -116,7 +114,7 @@ class Cell:
         return "Cell(dim=%d, %s)" % (self.dim, self.covector.tuple_view())
 
 
-CELL_BUDGET = 5000  # cells of TC(A) enumerated by default, or covectors decompose may reach at one depth
+CELL_BUDGET = 5000  # cells of TC(A) enumerated by default
 
 
 def _column_rows(A: TropMatrix, budget):
@@ -149,10 +147,10 @@ def enumerate_covectors(A: TropMatrix, budget=CELL_BUDGET) -> list:
             return
         for r in range(1, len(cols[j]) + 1):
             for I in itertools.combinations(cols[j], r):
-                if not _attain(dbm.admits, a, j, I, 0, True):
+                if not _attain(dbm.admits, a, j, I):
                     continue
                 child = dbm.copy()
-                if _attain(child.add, a, j, I, 0, True):
+                if _attain(child.add, a, j, I):
                     search(j + 1, child, chosen + [I])
 
     search(0, DifferenceBounds(d, unit), [])
@@ -164,11 +162,6 @@ def skeleton(cells):
     whose covector strictly contains its own: the ends of a segment or ray."""
     vertices = [c for c in cells if c.dim == 0]
     return vertices, [(c, [v for v in vertices if v.covector.edges > c.covector.edges]) for c in cells if c.dim == 1]
-
-
-def in_B(covector: Covector) -> bool:
-    """Every row of the covector has degree >= 1."""
-    return all(covector.graph.J(i) for i in range(1, covector.graph.d + 1))
 
 
 def in_K(covector: Covector) -> bool:

@@ -6,12 +6,12 @@ matroids, and the first-Betti-number dimension formula.  One matching engine
 (``optimal_matchings``) answers which column sets can be matched and how
 well: the Stiefel map, multifields, coherence and transversal matroids; it
 refuses up front a table of more than ``MATCHING_BUDGET`` column sets.  One
-Hall-type surplus scan answers the support-set test and both dragon
-conditions, over row or column subsets refused up front past
-``HALL_BUDGET``.  Coherence is one ``geom.argmin_witness`` question,
-refused up front past ``COHERENCE_BUDGET`` supported matchings.  One
-Hungarian solve (``assignment``) gives the columns some min-cost
-assignment of every row uses, and one union-find every component count.
+Hall-type surplus scan answers the support-set test and the dragon
+condition, over row subsets refused up front past ``HALL_BUDGET``.
+Coherence is one ``geom.argmin_witness`` question, refused up front past
+``COHERENCE_BUDGET`` supported matchings.  One Hungarian solve
+(``assignment``) gives a min-cost assignment of every row and the greatest
+optimal dual, and one union-find every component count.
 """
 
 from __future__ import annotations
@@ -282,9 +282,15 @@ def assignment(cost):
     the Hungarian method (Kuhn 1955; Munkres 1957) in exact ints: ``cost``
     is d rows of n ints, None for a missing edge (0-based).  Each row joins
     by a shortest augmenting path over the reduced costs c_ij − u_i − v_j,
-    O(d²n) in all.  Returns (u, v, match): u_i + v_j <= c_ij on every edge,
-    with equality on the edges (i, match[i]), v <= 0, and v_j = 0 on the
-    columns no row takes, so Σu + Σv is the least cost.
+    O(d²n) in all.  Returns (u, v, match) with (u, v) the greatest optimal
+    dual in v: u_i + v_j <= c_ij on every edge, with equality on the edges
+    (i, match[i]), v <= 0, and v_j = 0 on the columns no row takes, so
+    Σu + Σv is the least cost.  Optimal duals form a lattice (Shapley–Shubik
+    1971) and are those with v_j <= 0 and v_j − v_m <= c_ij − c_im, m =
+    match[i], so v is raised to its greatest value by a Bellman–Ford
+    fixpoint from v = 0 (Demange–Gale–Sotomayor 1986): an optimal matching
+    leaves no negative cycle, and a shortest path passes at most d matched
+    columns, so it ends after at most d + 1 sweeps.
     NO_MATCHING_IN_SUPPORT when no matching covers every row."""
     d, n = len(cost), len(cost[0])
     u, v, match, owner = [0] * d, [0] * n, [None] * d, [None] * n
@@ -314,29 +320,15 @@ def assignment(cost):
         while j1 is not None:  # augment: each row of the path takes the column it reached
             i = via[j1]
             owner[j1], match[i], j1 = i, j1, match[i]
-    return u, v, match
-
-
-def optimal_columns(cost):
-    """The 0-based columns that some min-cost assignment of ``cost`` uses.
-    By complementary slackness the optimal assignments are those on tight
-    edges (u_i + v_j = c_ij) that take every column with v_j < 0, so a free
-    column lies in one exactly when a tight edge joins it to a row that may
-    leave its column c: when v_c = 0, or when a tight edge joins c to
-    another such row.  Swapping along that path costs nothing."""
-    u, v, match = assignment(cost)
-    owner = {j: i for i, j in enumerate(match)}
-    free = [i for i, j in enumerate(match) if v[j] == 0]
-    seen, out = set(free), set(match)
-    for i in free:  # grows as it is read
-        for j, c in enumerate(cost[i]):
-            if c is not None and c == u[i] + v[j]:
-                out.add(j)
-                k = owner.get(j)
-                if k is not None and k not in seen:
-                    seen.add(k)
-                    free.append(k)
-    return out
+    v, changed = [0] * n, True
+    while changed:  # v_j <= v_m + c_ij − c_im: shortest paths from v = 0
+        changed = False
+        for row, m in zip(cost, match):
+            base = v[m] - row[m]
+            for j, c in enumerate(row):
+                if c is not None and base + c < v[j]:
+                    v[j], changed = base + c, True
+    return [row[m] - v[m] for row, m in zip(cost, match)], v, match
 
 
 COHERENCE_BUDGET = 2 * 10 ** 3  # supported matchings (one LP row each) the coherence LP may hold
@@ -402,8 +394,7 @@ def _nonempty_subsets(ground):
 
 
 def _hall_surplus(ground, neighbours, k):
-    """|neighbours(S)| >= |S| + k for every nonempty S ⊆ ground, over rows
-    or columns; a plain loop, since ``decompose`` asks it per surviving leaf."""
+    """|neighbours(S)| >= |S| + k for every nonempty S ⊆ ground."""
     for S in _nonempty_subsets(ground):
         if len(neighbours(S)) < len(S) + k:
             return False
@@ -448,18 +439,12 @@ def transversal_matroid(G: BipartiteGraph) -> Matroid:
 
 
 # ---------------------------------------------------------------------------
-# Dragon marriage conditions
+# The dragon marriage condition
 # ---------------------------------------------------------------------------
 
 def dragon_condition(G: BipartiteGraph) -> bool:
     """|J_I| >= |I| + 1 for every nonempty I ⊆ [d] (row-wise)."""
     return _hall_surplus(range(1, G.d + 1), G.J_of, 1)
-
-
-def colwise_dragon_condition(G: BipartiteGraph, J) -> bool:
-    """|I_{J'}| >= |J'| + 1 for every nonempty J' ⊆ J (column-wise), under
-    ``HALL_BUDGET``; ``decompose`` asks it per surviving leaf, with |J| ≤ d − 1."""
-    return _hall_surplus(sorted(set(J)), G.I_of, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -99,15 +99,6 @@ def scalar_str(v) -> str:
                           f"limit {sys.get_int_max_str_digits()}") from None
 
 
-def trop_sum(values):
-    """⊕ over an iterable: the minimum, ∞ if empty."""
-    best = INF
-    for v in values:
-        if v < best:
-            best = v
-    return best
-
-
 def trop_vanishes(values) -> bool:
     """Tropical vanishing: the minimum of ``values`` is ∞ or is attained at
     least twice.  One pass; this is the condition of circuit membership and
@@ -231,16 +222,6 @@ def require_column_supports(A: TropMatrix):
     for j in range(1, A.n + 1):
         if not A.col_support(j):
             raise DomainError("EMPTY_COLUMN", f"column {j} has empty support")
-
-
-def vec_mat_mul(x: TropVector, A: TropMatrix) -> TropVector:
-    """Tropical right multiplication: (x ⊙ A)_j = min_i (x_i + a_ij)."""
-    if len(x) != A.d:
-        raise DomainError("LENGTH_MISMATCH", "vector length must equal row count")
-    out = []
-    for j in range(A.n):
-        out.append(trop_sum(x.entries[i] + A.entries[i][j] for i in range(A.d)))
-    return TropVector(out)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,12 @@ the two.  The library keeps only what the CLI and the benchmark reach
 * the bounded part of L(A) as the images of the cells of K(A)
   (``bounded_complex``, ``bounded_point_in_complex``) against
   ``linspace.bounded_membership``, and the caterpillar test of d = 2;
-* the decomposition cone of a certificate (``decomposition_cone``)
-  against ``linspace.decompose``;
+* the decomposition cone of a certificate (``decomposition_cone``),
+  x ⊙ A (``vec_mat_mul``, over ⊕ = ``trop_sum``), the row cover of B(A)
+  (``in_B``) and the column-wise dragon condition
+  (``colwise_dragon_condition``) against ``linspace.decompose``, and the
+  columns some optimal assignment uses, by alternating paths
+  (``optimal_columns``), against its membership answer;
 * tc(x) of a point (``covector_of_point``) against the search of
   ``arrangement.enumerate_covectors``;
 * π(A) as the stable union of the rows (``stable_union``, ``row_vector``)
@@ -23,8 +27,8 @@ the two.  The library keeps only what the CLI and the benchmark reach
   uniform exactly when no coordinate is ∞;
 * the optimal matchings on one column set (``min_matchings``) against the
   other views of ``bipartite.optimal_matchings``;
-* the residual of y (``residuation``) against ``decompose``'s residual
-  floors;
+* the residual of y (``residuation``), by which
+  ``bounded_point_in_complex`` gauges y;
 * cells of D(A) by ``geom.argmin_witness`` (``cell_exists``) and the
   equality of two subdivisions against ``subdivision.facets_of_D``.
 """
@@ -33,18 +37,38 @@ import itertools
 import math
 from fractions import Fraction
 
-from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, require_column_supports, scalar_str, trop_sum
+from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, require_column_supports, scalar_str
 from tropstiefel.geom import ONE, ZERO, DifferenceBounds, argmin_witness
-from tropstiefel.bipartite import BipartiteGraph, Matching, Matroid, _nonempty_subsets, components, optimal_matchings
+from tropstiefel.bipartite import BipartiteGraph, Matching, Matroid, _hall_surplus, _nonempty_subsets, assignment, components, optimal_matchings
 from tropstiefel.plucker import PluckerVector, _subsets
-from tropstiefel.arrangement import Covector, _attain, _integer_scaled
+from tropstiefel.arrangement import Covector, _integer_scaled
 from tropstiefel.subdivision import facets_of_D
 from tropstiefel.linspace import _bounded_cells, bounded_skeleton
 
 
 # ---------------------------------------------------------------------------
-# Vectors: the residual, the row-support check and the vector codec
+# Vectors: ⊕ and x ⊙ A, the residual, the row-support check and the vector
+# codec
 # ---------------------------------------------------------------------------
+
+def trop_sum(values):
+    """⊕ over an iterable: the minimum, ∞ if empty."""
+    best = INF
+    for v in values:
+        if v < best:
+            best = v
+    return best
+
+
+def vec_mat_mul(x: TropVector, A: TropMatrix) -> TropVector:
+    """Tropical right multiplication: (x ⊙ A)_j = min_i (x_i + a_ij)."""
+    if len(x) != A.d:
+        raise DomainError("LENGTH_MISMATCH", "vector length must equal row count")
+    out = []
+    for j in range(A.n):
+        out.append(trop_sum(x.entries[i] + A.entries[i][j] for i in range(A.d)))
+    return TropVector(out)
+
 
 def proj_normalize(x: TropVector) -> TropVector:
     """Subtract the value at the first finite coordinate (canonical form)."""
@@ -102,6 +126,34 @@ def min_matchings(A: TropMatrix, J):
     if J not in best:
         return INF, frozenset()
     return best[J], frozenset(Matching(cols) for cols in argmins(J))
+
+
+def optimal_columns(cost):
+    """The 0-based columns that some min-cost assignment of ``cost`` uses.
+    By complementary slackness the optimal assignments are those on tight
+    edges (u_i + v_j = c_ij) that take every column with v_j < 0, so a free
+    column lies in one exactly when a tight edge joins it to a row that may
+    leave its column c: when v_c = 0, or when a tight edge joins c to
+    another such row.  Swapping along that path costs nothing."""
+    u, v, match = assignment(cost)
+    owner = {j: i for i, j in enumerate(match)}
+    free = [i for i, j in enumerate(match) if v[j] == 0]
+    seen, out = set(free), set(match)
+    for i in free:  # grows as it is read
+        for j, c in enumerate(cost[i]):
+            if c is not None and c == u[i] + v[j]:
+                out.add(j)
+                k = owner.get(j)
+                if k is not None and k not in seen:
+                    seen.add(k)
+                    free.append(k)
+    return out
+
+
+def colwise_dragon_condition(G: BipartiteGraph, J) -> bool:
+    """|I_{J'}| >= |J'| + 1 for every nonempty J' ⊆ J (column-wise), under
+    ``HALL_BUDGET``."""
+    return _hall_surplus(sorted(set(J)), G.I_of, 1)
 
 
 def _max_matching_size(G: BipartiteGraph, cols):
@@ -234,6 +286,11 @@ def covector_of_point(A: TropMatrix, x: TropVector) -> Covector:
     return Covector(BipartiteGraph(A.d, A.n, edges))
 
 
+def in_B(covector: Covector) -> bool:
+    """Every row of the covector has degree >= 1."""
+    return all(covector.graph.J(i) for i in range(1, covector.graph.d + 1))
+
+
 def transpose_covector(A: TropMatrix, y: TropVector) -> BipartiteGraph:
     """Per row, the columns attaining min_j (a_ij + y_j): tc(y) in the
     arrangement of Aᵀ, its edges flipped."""
@@ -243,10 +300,11 @@ def transpose_covector(A: TropMatrix, y: TropVector) -> BipartiteGraph:
 
 def _closed_cell(dbm: DifferenceBounds, a, tau, base):
     """Impose on ``dbm`` the closed cell of the covector edge set tau, row i
-    being node base + i: ``_attain(dbm.add, ...)`` with weak bounds for each
-    column.  Returns False when the cell is empty.  BAD_COVECTOR, before
-    any bound is imposed, for an edge not of integers in [d]×[n] or off the
-    support, or for an uncovered column."""
+    being node base + i: per column j with rows I and i0 = min I,
+    x_i + a_ij = x_i0 + a_i0j for i ∈ I and x_k + a_kj >= x_i0 + a_i0j for
+    every finite row k.  Returns False when the cell is empty.  BAD_COVECTOR,
+    before any bound is imposed, for an edge not of integers in [d]×[n] or
+    off the support, or for an uncovered column."""
     by_col = [set() for _ in a[0]]
     for i, j in tau:
         if not (type(i) is int and type(j) is int and 1 <= i <= len(a) and 1 <= j <= len(by_col)) or a[i - 1][j - 1] is None:
@@ -254,7 +312,15 @@ def _closed_cell(dbm: DifferenceBounds, a, tau, base):
         by_col[j - 1].add(i - 1)
     if not all(by_col):
         raise DomainError("BAD_COVECTOR", f"column {by_col.index(set()) + 1} uncovered")
-    return all(_attain(dbm.add, a, j, sorted(I), base + 1, False) for j, I in enumerate(by_col))
+    for j, I in enumerate(by_col):
+        i0 = min(I)
+        u0, a0 = base + 1 + i0, a[i0][j]
+        for k, row in enumerate(a):
+            if row[j] is None or k == i0:
+                continue
+            if not dbm.add(base + 1 + k, u0, row[j] - a0) or (k in I and not dbm.add(u0, base + 1 + k, a0 - row[j])):
+                return False
+    return True
 
 
 def is_trop_singular(B: TropMatrix) -> bool:

@@ -9,34 +9,33 @@ import time
 from fractions import Fraction
 from functools import reduce
 
-import pytest
-
-import tropstiefel.linspace as linspace
 from polyhedra import Polyhedron
 from reference import (
     bounded_complex,
     caterpillar_check,
     cell_exists,
+    colwise_dragon_condition,
+    covector_of_point,
     decomposition_cone,
     is_trop_singular,
+    optimal_columns,
     row_vector,
     stable_union,
     subdivisions_equal,
     transversal_polytope_ineqs,
     uniform_matroid,
+    vec_mat_mul,
     vector_to_json,
 )
 from tropstiefel.arrangement import Covector, _integer_scaled, enumerate_covectors
 from tropstiefel.bipartite import (
     BipartiteGraph,
-    colwise_dragon_condition,
     enumerate_support_sets,
     matching_multifield,
-    optimal_columns,
     transversal_matroid,
 )
 from tropstiefel.cli import main
-from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, matrix_to_json, vec_mat_mul
+from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, matrix_to_json
 from tropstiefel.geom import lp_solve
 from tropstiefel.linspace import (
     contains,
@@ -274,14 +273,6 @@ def contains_via_assignment(A, y):
     return len(optimal_columns([[None if c is None else c - z[j] for j, c in enumerate(row)] for row in a])) == A.n
 
 
-def searched(A, y):
-    """``decompose`` with its assignment gate letting every y through, so
-    the certificate search alone decides."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(linspace, "optimal_columns", lambda cost: set(range(len(cost[0]))))
-        return decompose(A, y)
-
-
 def test_membership_triple_equivalence():
     with Budget(120):
         rng = random.Random(501)
@@ -304,16 +295,13 @@ def test_membership_triple_equivalence():
                 c = decompose(A, y) is not None
                 e = contains_via_assignment(A, y)
                 assert a == b == c == e, (A.entries, y.entries, a, b, c, e)
-                assert a or searched(A, y) is None
                 total += 1
 
 
 def test_membership_equivalence_ranks_4_and_5():
     """Circuits, selected matroids, ``decompose`` and optimal assignments
     at d = 4 and 5, on image points and random halves with 0, 15 or 30% ∞
-    entries; the search without the assignment gate also finds no
-    certificate for a y outside L(A), and every certificate lies in its
-    decomposition cone."""
+    entries; every certificate lies in its decomposition cone."""
     with Budget(30):
         rng = random.Random(901)
         members = queries = 0
@@ -330,7 +318,6 @@ def test_membership_equivalence_ranks_4_and_5():
                 cert = decompose(A, y)
                 a, b, c, e = contains(p, y), contains_via_matroid(p, y), cert is not None, contains_via_assignment(A, y)
                 assert a == b == c == e, (A.entries, y.entries, a, b, c, e)
-                assert a or searched(A, y) is None
                 if cert is not None:
                     assert decomposition_cone(A, cert.covector.edges, cert.J).contains(y.entries)
                 members += c
@@ -595,3 +582,37 @@ def test_decompose_answers_a_wide_non_member_before_searching(tmp_path, capsys):
         path.write_text(json.dumps({"matrix": matrix_to_json(A), "vector": vector_to_json(y)}))
         assert main(["decompose", "--input", str(path)]) == 0
         assert json.loads(capsys.readouterr().out) == {"in_L": False}
+
+
+# -- 15 ---------------------------------------------------------------------
+
+def test_decompose_answers_dense_and_diagonal_image_points(tmp_path, capsys):
+    """Image points on which a search over covector prefixes grows
+    exponentially, each answered by one assignment.  The dense 7×10
+    (``random.Random(3)``) and 8×10 (``random.Random(4)``), entries
+    −50..50 and x in −20..20, answer with certificates in their
+    decomposition cones, and the CLI answers the 8×10 with exit 0.  The
+    diagonal 17×17 (``random.Random(3)``, diagonal −5..5 drawn first, then
+    x in −3..3) is too large for the cone, so its certificate is checked by
+    the covector of x, the column-wise dragon condition and
+    x ⊙ A + slack = y."""
+    with Budget(5):
+        for seed, d in ((3, 7), (4, 8)):
+            rng = random.Random(seed)
+            A = TropMatrix([[rng.randint(-50, 50) for _ in range(10)] for _ in range(d)])
+            y = vec_mat_mul(TropVector([rng.randint(-20, 20) for _ in range(d)]), A)
+            cert = decompose(A, y)
+            assert cert is not None and decomposition_cone(A, cert.covector.edges, cert.J).contains(y.entries)
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"matrix": matrix_to_json(A), "vector": vector_to_json(y)}))
+        assert main(["decompose", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["in_L"] is True
+
+        rng = random.Random(3)
+        diagonal = [rng.randint(-5, 5) for _ in range(17)]
+        A = TropMatrix([[diagonal[i] if i == j else INF for j in range(17)] for i in range(17)])
+        y = vec_mat_mul(TropVector([rng.randint(-3, 3) for _ in range(17)]), A)
+        cert = decompose(A, y)
+        assert cert is not None and cert.J == frozenset()
+        assert covector_of_point(A, cert.x) == cert.covector and colwise_dragon_condition(cert.covector.graph, cert.J)
+        assert vec_mat_mul(cert.x, A) == y and cert.slack.entries == (0,) * 17

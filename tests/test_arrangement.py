@@ -6,17 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyhedra import Polyhedron
-from reference import covector_of_point, is_trop_singular, transpose_covector
+from reference import covector_of_point, in_B, is_trop_singular, transpose_covector, trop_sum
 from tropstiefel.arrangement import (
     Covector,
     _attain,
     complex_to_json,
     enumerate_covectors,
-    in_B,
     in_K,
 )
 from tropstiefel.bipartite import BipartiteGraph, matching_multifield, Matching
-from tropstiefel.core import DomainError, INF, TropMatrix, TropVector, trop_sum
+from tropstiefel.core import DomainError, INF, TropMatrix, TropVector
 from tropstiefel.geom import DifferenceBounds
 
 FIG = TropMatrix([[0, 3, 0, "inf", "inf"], ["inf", 0, 0, 2, "inf"], ["inf", "inf", 0, 0, 0]])
@@ -338,26 +337,25 @@ def test_attain_pre_check_refuses_only_what_add_refuses():
     """``_attain(dbm.admits, ...)`` reads each bound of the column rule
     alone, so where it refuses, imposing the bounds together refuses too;
     where it passes, imposing them may still refuse.  Seeded random closed
-    matrices on 2–5 rows with ∞ entries, weak and strict."""
+    matrices on 2–5 rows with ∞ entries."""
     rng = random.Random(13)
     seen = set()
     for _ in range(400):
-        d, base = rng.randint(2, 5), rng.randint(0, 1)
-        dbm = DifferenceBounds(d + base)
+        d = rng.randint(2, 5)
+        dbm = DifferenceBounds(d)
         for _ in range(rng.randint(0, 2 * d)):
-            u, v = rng.sample(range(d + base), 2)
+            u, v = rng.sample(range(d), 2)
             dbm.add(u, v, rng.randint(-4, 4), rng.random() < 0.5)
         a = [[None if rng.random() < 0.25 else rng.randint(-3, 3)] for _ in range(d)]
         rows = [i for i in range(d) if a[i][0] is not None]
         if not rows:
             continue
         I = sorted(rng.sample(rows, rng.randint(1, len(rows))))
-        strict = rng.random() < 0.5
         before = [row[:] for row in dbm.bound]
-        checked = _attain(dbm.admits, a, 0, I, base, strict)
+        checked = _attain(dbm.admits, a, 0, I)
         assert dbm.bound == before
-        imposed = _attain(dbm.copy().add, a, 0, I, base, strict)
-        assert checked or not imposed, (dbm.bound, a, I, base, strict)
+        imposed = _attain(dbm.copy().add, a, 0, I)
+        assert checked or not imposed, (dbm.bound, a, I)
         seen.add((checked, imposed))
     assert seen == {(False, False), (True, False), (True, True)}, seen
 

@@ -8,12 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from reference import (
     _max_matching_size,
+    colwise_dragon_condition,
     graph_to_json,
     min_matchings,
+    optimal_columns,
     spanning_tree_no_left_leaves,
     transversal_polytope_ineqs,
     transversal_rank,
     uniform_matroid,
+    vec_mat_mul,
 )
 from tropstiefel.bipartite import (
     COHERENCE_BUDGET,
@@ -24,7 +27,6 @@ from tropstiefel.bipartite import (
     MatchingMultifield,
     Matroid,
     assignment,
-    colwise_dragon_condition,
     dragon_condition,
     enumerate_support_sets,
     graph_from_json,
@@ -34,14 +36,13 @@ from tropstiefel.bipartite import (
     matching_multifield,
     multifield_from_json,
     multifield_to_json,
-    optimal_columns,
     optimal_matchings,
     support_face_dimension,
     transversal_matroid,
     _nonempty_subsets,
 )
 from tropstiefel.arrangement import _integer_scaled
-from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, vec_mat_mul
+from tropstiefel.core import INF, DomainError, TropMatrix, TropVector
 from tropstiefel.linspace import decompose
 from tropstiefel.plucker import contains, stiefel_map
 from tropstiefel.subdivision import select_matroid
@@ -284,7 +285,10 @@ def test_assignment_potentials_and_optimal_columns():
     potentials of ``assignment`` on the costs a_ij − y_j are feasible, tight
     on the matching, 0 off it and sum to the least p_J − Σ_{j∈J} y_j, and
     ``optimal_columns`` are the columns of M_y that are not loops, so they
-    are all of [n] exactly when circuits put y in L(A)."""
+    are all of [n] exactly when circuits put y in L(A).  The potentials are
+    the greatest optimal dual: its tight edges cover every column exactly
+    when y ∈ L(A), and the columns with v_j < 0 meet the column-wise dragon
+    condition on them."""
     rng = random.Random(2003)
     half = lambda k: Fraction(rng.randint(-k, k), rng.choice((1, 2)))
     queries = members = 0
@@ -317,6 +321,9 @@ def test_assignment_potentials_and_optimal_columns():
             columns = optimal_columns(cost)
             assert {j + 1 for j in columns} == set(range(1, n + 1)) - select_matroid(p, y).loops()
             assert (len(columns) == n) == contains(p, y), (A.entries, y.entries)
+            tight = BipartiteGraph(d, n, [(i + 1, j + 1) for i, row in enumerate(cost) for j, c in enumerate(row) if c == u[i] + v[j]])
+            assert (len({j for _, j in tight.edges}) == n) == contains(p, y), (A.entries, y.entries)
+            assert colwise_dragon_condition(tight, [j + 1 for j in range(n) if v[j] < 0]), (A.entries, y.entries)
             members += len(columns) == n
             queries += 1
     assert 500 < members < 2500, members

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from reference import proj_normalize, residuation, vector_to_json
+from reference import proj_normalize, residuation, vec_mat_mul, vector_to_json
 from tropstiefel.core import (
     INF,
     DomainError,
@@ -15,7 +15,6 @@ from tropstiefel.core import (
     scalar,
     scalar_str,
     subset_from_key,
-    vec_mat_mul,
     vector_from_json,
 )
 

@@ -14,19 +14,21 @@ from reference import (
     bounded_complex,
     bounded_point_in_complex,
     caterpillar_check,
+    colwise_dragon_condition,
     covector_of_point,
     decomposition_cone,
+    in_B,
     uniform_matroid,
+    vec_mat_mul,
 )
-from tropstiefel.arrangement import _integer_scaled, enumerate_covectors, in_B, in_K
-from tropstiefel.bipartite import BipartiteGraph, colwise_dragon_condition, transversal_matroid
+from tropstiefel.arrangement import _integer_scaled, enumerate_covectors, in_K
+from tropstiefel.bipartite import BipartiteGraph, transversal_matroid
 from tropstiefel.core import (
     DomainError,
     INF,
     TropMatrix,
     TropVector,
     require_column_supports,
-    vec_mat_mul,
 )
 from tropstiefel.linspace import (
     bounded_membership,
@@ -204,10 +206,26 @@ def decompose_outcome(route, A, y):
     return json.dumps(None if cert is None else certificate_to_json(cert), sort_keys=True)
 
 
+def check_certificate(A, y, cert):
+    """A certificate checked on its own: y lies in the decomposition cone
+    of (F, J), F is the covector of x and covers every row, J meets the
+    column-wise dragon condition, and x ⊙ A + slack = y with the slack
+    positive exactly on J."""
+    n = A.n
+    assert decomposition_cone(A, cert.covector.edges, cert.J).contains(y.entries)
+    assert covector_of_point(A, cert.x) == cert.covector and in_B(cert.covector)
+    assert colwise_dragon_condition(cert.covector.graph, cert.J)
+    image = vec_mat_mul(cert.x, A)
+    assert all(image.entry(j) + cert.slack.entry(j) == y.entry(j) for j in range(1, n + 1))
+    assert all((cert.slack.entry(j) > 0) == (j in cert.J) for j in range(1, n + 1))
+
+
 def test_decompose_against_the_all_cells_route():
-    """The y-directed search gives, byte for byte, the certificate, None or
-    error code of the loop over all of TC(A), on seeded queries with d <= 4,
-    n <= 6, ∞ entries, halves, image points (some with slack) and random y."""
+    """``decompose`` gives, byte for byte, the None or error code of the
+    loop over all of TC(A), and a certificate exactly where that loop finds
+    one, checked on its own (``check_certificate``), on seeded queries with
+    d <= 4, n <= 6, ∞ entries, halves, image points (some with slack) and
+    random y."""
     rng = random.Random(67)
     half = lambda: Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
     seen = Counter()
@@ -221,8 +239,12 @@ def test_decompose_against_the_all_cells_route():
             y = TropVector([v + (abs(half()) if rng.random() < 0.3 else 0) for v in image.entries])
         else:
             y = TropVector([half() for _ in range(n)])
-        out = decompose_outcome(decompose, A, y)
-        assert out == decompose_outcome(decompose_all_cells, A, y), (A.entries, y.entries)
+        out, expected = decompose_outcome(decompose, A, y), decompose_outcome(decompose_all_cells, A, y)
+        if out.startswith("{"):
+            assert expected.startswith("{"), (A.entries, y.entries)
+            check_certificate(A, y, decompose(A, y))
+        else:
+            assert out == expected, (A.entries, y.entries)
         seen[out[:2]] += 1
     # certificates, None and errors all occur often
     assert seen['{"'] > 250 and seen["nu"] > 250 and sum(seen.values()) - seen['{"'] - seen["nu"] > 50
@@ -257,128 +279,24 @@ def test_decompose_against_the_all_cells_route_where_j_fills():
     assert seen[3] + seen[4] >= 8 and seen["null"] >= 6, seen
 
 
-def reached_covectors(A, y):
-    """Per depth j, the covectors (I_1, ..., I_j) the search reaches before
-    it holds a leaf: the cells of TC(A[:, :j]) whose closed system admits
-    y_1..y_j for some J with |J| <= d − 1 and, with the residual floors of
-    the columns left, leaves room in J for the later columns that must join
-    it, row cover and dragon condition aside.  The floor of row i is the
-    (r + 1)-th largest y_k − a_ik over the columns k > j, r = d − 1 − |J|:
-    at most r of them join J, and off J x_i + a_ik >= y_k.  A later column
-    k must join J when the system refuses x_i + a_ik >= y_k for some row i,
-    or x_i + a_ik = y_k for every row i, each bound added to a copy alone.
-    None of this depends on the search order; a leaf in hand only drops
-    more prefixes."""
-    _, a, z = _integer_scaled(A, y.entries)  # integer entries: every prefix keeps unit 1
-    A, y = TropMatrix([[INF if v is None else v for v in row] for row in a]), TropVector(z)
-
-    def admits(dbm, *bounds):
-        dbm = dbm.copy()
-        return all(dbm.add(*b) for b in bounds)
-
-    def floored(dbm, j, room):
-        residual = [sorted((z[k] - row[k] for k in range(j, A.n) if row[k] is not None), reverse=True) for row in a]
-        return all(dbm.add(i + 1, 0, -v[room]) for i, v in enumerate(residual) if len(v) > room)
-
-    def must_join(dbm, k):
-        rows = [i for i in range(A.d) if a[i][k] is not None]
-        ge = [(i + 1, 0, a[i][k] - z[k]) for i in rows]
-        return not all(admits(dbm, b) for b in ge) or not any(admits(dbm, (0, i + 1, z[k] - a[i][k]), b) for i, b in zip(rows, ge))
-
-    out = []
-    for j in range(1, A.n + 1):
-        Aj, yj = TropMatrix([row[:j] for row in A.entries]), TropVector(y.entries[:j])
-        out.append({
-            F for F, J, dbm in all_cells_systems(Aj, yj, enumerate_covectors(Aj), lambda F, J: True)
-            if floored(dbm, j, A.d - 1 - len(J)) and sum(must_join(dbm, k) for k in range(j, A.n)) <= A.d - 1 - len(J)
-        })
-    return out
-
-
-def test_decompose_budget_counts_reached_covectors(monkeypatch):
-    """``CELL_BUDGET`` bounds the distinct covectors the search reaches at
-    each depth, not only at the leaves.  Where y is not in L(A) the search
-    never holds a leaf, so it reaches exactly the reference prefixes: on
-    FIG (23 cells) such a y answers None under its largest per-depth count
-    and ends with BUDGET_EXCEEDED just below it, and under a budget of 7
-    seeded random y answer None exactly when no depth reaches more than 7.
-    Where y is in L(A), a leaf in hand drops the prefixes that cannot beat
-    it, so the search reaches no more than the reference: it answers as the
-    all-cells route under the reference count, and some image points of
-    FIG whose reference count passes 7 answer under a budget of 7 too.
-
-    ``decompose`` answers a y not in L(A) by its assignment gate before any
-    search, so the gate is patched here to let every y through, and the
-    search alone decides; with the gate in place each of those y answers
-    None under the same budgets."""
-    import tropstiefel.linspace as linspace
-
-    gate = linspace.optimal_columns
-
-    def gated(y):
-        with monkeypatch.context() as m:
-            m.setattr(linspace, "optimal_columns", gate)
-            return decompose(FIG, y)
-
-    monkeypatch.setattr(linspace, "optimal_columns", lambda cost: set(range(len(cost[0]))))
-    y = TropVector([-2, 3, -2, -1, -2])
-    assert [len(F) for F in reached_covectors(FIG, y)] == [1, 3, 13, 13, 13] and len(enumerate_covectors(FIG)) == 23
-    monkeypatch.setattr(linspace, "CELL_BUDGET", 13)
-    assert decompose_outcome(decompose, FIG, y) == decompose_outcome(decompose_all_cells, FIG, y) == "null"
-    monkeypatch.setattr(linspace, "CELL_BUDGET", 12)
-    with pytest.raises(DomainError) as exc:
-        decompose(FIG, y)
-    assert exc.value.code == "BUDGET_EXCEEDED" and str(exc.value) == "more than 12 cells"
-    assert gated(y) is None
-    monkeypatch.setattr(linspace, "CELL_BUDGET", 7)  # FIG's widest column alone needs 7
-    rng = random.Random(5)
-    seen = Counter()
-    for _ in range(60):
-        y = TropVector([rng.randint(-4, 4) for _ in range(5)])
-        expected = decompose_outcome(decompose_all_cells, FIG, y)
-        over = max(len(F) for F in reached_covectors(FIG, y)) > 7
-        assert expected == "null" and decompose_outcome(decompose, FIG, y) == ("BUDGET_EXCEEDED" if over else expected)
-        assert gated(y) is None
-        seen[over] += 1
-    assert seen[True] >= 8 and seen[False] >= 8
-    for _ in range(20):  # image points, some with slack
-        image = vec_mat_mul(TropVector([rng.randint(-4, 4) for _ in range(3)]), FIG)
-        y = TropVector([v + (rng.randint(1, 3) if rng.random() < 0.3 else 0) for v in image.entries])
-        expected = decompose_outcome(decompose_all_cells, FIG, y)
-        most = max(len(F) for F in reached_covectors(FIG, y))
-        if expected == "null":
-            continue
-        monkeypatch.setattr(linspace, "CELL_BUDGET", 7)
-        out = decompose_outcome(decompose, FIG, y)
-        assert out in (expected, "BUDGET_EXCEEDED") and (most > 7 or out == expected)
-        monkeypatch.setattr(linspace, "CELL_BUDGET", max(most, 7))
-        assert decompose_outcome(decompose, FIG, y) == expected
-        seen[most > 7, out == expected] += 1
-    assert seen[True, True] >= 2 and seen[True, False] >= 2, seen
-    y = TropVector([Fraction(-3, 2), Fraction(-3, 2), 2, Fraction(1, 2), Fraction(5, 2)])
-    assert [len(F) for F in reached_covectors(FIG, y)] == [1, 3, 5, 11, 11]
-    monkeypatch.setattr(linspace, "CELL_BUDGET", 11)
-    assert decompose_outcome(decompose, FIG, y) == decompose_outcome(decompose_all_cells, FIG, y) != "null"
-
-
 def test_decompose_last_row_sorts_shorter_first():
     """At x = (5, 1) the closed cells of two covectors hold y, apart only in
     the last row: the one with edge (2, 5) has more edges, yet its key
-    sorts after the one without it, which is its prefix.  So the order
-    bound, which reads rows 1..d − 1 by their edge bits, must leave row d
-    out."""
+    sorts after the one without it, which is its prefix, so the least
+    certificate by key (the all-cells route's) lacks it.  The greatest
+    optimal dual gives the covector of x itself, with the edge."""
     A = TropMatrix([[-2, 4, 1, -4, 2], [6, 5, Fraction(5, 2), 2, 6]])
     y = TropVector([3, 6, Fraction(7, 2), 1, 7])
-    cert = certificate_to_json(decompose(A, y))
-    assert cert == {"covector": [[1], [2], [2], [1], [1]], "x": ["5", "1"], "J": [], "slack": ["0"] * 5}
-    assert decompose_outcome(decompose_all_cells, A, y) == json.dumps(cert, sort_keys=True)
+    cert = decompose(A, y)
+    assert certificate_to_json(cert) == {"covector": [[1], [2], [2], [1], [1, 2]], "x": ["5", "1"], "J": [], "slack": ["0"] * 5}
+    assert json.loads(decompose_outcome(decompose_all_cells, A, y))["covector"] == [[1], [2], [2], [1], [1]]
+    check_certificate(A, y, cert)
 
 
 def test_decompose_copy_count(monkeypatch):
-    """The work of the search, without a clock: ``DifferenceBounds.copy``
+    """The work of ``decompose``, without a clock: ``DifferenceBounds.copy``
     calls over seeded 3×5 queries, 40 image points and 80 random y in
-    halves.  The residual floors and the bound on the certificate order each
-    cut these counts (before them: 10383 and 4001), so losing one shows."""
+    halves.  One assignment problem answers each and copies no matrix."""
     calls = Counter()
     real = DifferenceBounds.copy
 
@@ -395,20 +313,21 @@ def test_decompose_copy_count(monkeypatch):
         for kind in ("image", "random", "random"):
             y = vec_mat_mul(TropVector([half() for _ in range(3)]), A) if kind == "image" else TropVector([half() for _ in range(5)])
             found += decompose(A, y) is not None
-    assert found == 42 and calls["image"] <= 5195 and calls["random"] <= 1812, calls
+    assert found == 42 and calls["image"] == 0 and calls["random"] == 0, calls
 
 
-def test_decompose_refuses_a_wide_column_up_front(monkeypatch):
-    """A column with 13 finite entries alone forces 8191 > 5000 cells."""
-    import tropstiefel.linspace as linspace
+def test_decompose_answers_a_wide_column_without_the_column_rule(monkeypatch):
+    """A column with 13 finite entries forces 8191 > 5000 cells of TC(A),
+    yet the 13×13 zero matrix answers y = 0 with J = ∅ and x = 0 without
+    stating the column rule of any cell."""
+    import tropstiefel.arrangement as arrangement
 
     def no_search(*args):
-        raise AssertionError("searched past the budget")
+        raise AssertionError("stated the column rule of a cell")
 
-    monkeypatch.setattr(linspace, "_attain", no_search)
-    with pytest.raises(DomainError) as exc:
-        decompose(TropMatrix([[0] * 13] * 13), TropVector([0] * 13))
-    assert exc.value.code == "BUDGET_EXCEEDED" and "8191" in str(exc.value) and "5000" in str(exc.value)
+    monkeypatch.setattr(arrangement, "_attain", no_search)
+    cert = decompose(TropMatrix([[0] * 13] * 13), TropVector([0] * 13))
+    assert cert.J == frozenset() and cert.x.entries == (0,) * 13 and cert.slack.entries == (0,) * 13
 
 
 def test_decompose_answers_past_the_cell_budget():
@@ -606,7 +525,7 @@ def test_caterpillar_examples():
 
 
 def test_injectivity_on_B_cells():
-    from tropstiefel.arrangement import enumerate_covectors, in_B
+    from tropstiefel.arrangement import enumerate_covectors
 
     for A in (STAIR, TWO_ROW):
         tc = enumerate_covectors(A)

@@ -7,9 +7,9 @@ from functools import reduce
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from reference import dual, rank_zero, row_vector, stable_intersection, stable_union, underlying_matroid, uniform_matroid
+from reference import dual, rank_zero, row_vector, stable_intersection, stable_union, trop_sum, underlying_matroid, uniform_matroid
 from tropstiefel.bipartite import BipartiteGraph
-from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, proj_eq, trop_sum, trop_vanishes
+from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, proj_eq, trop_vanishes
 from tropstiefel.plucker import (
     PLUCKER_BUDGET,
     PluckerVector,
