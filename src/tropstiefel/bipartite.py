@@ -54,21 +54,8 @@ class BipartiteGraph:
         """Joint right neighborhood of a set of left vertices."""
         return frozenset(j for a, j in self.edges if a in I)
 
-    def I_of(self, Js):
-        return frozenset(a for a, j in self.edges if j in Js)
-
     def sorted_edges(self):
         return tuple(sorted(self.edges))
-
-    def is_connected(self):
-        """Connected over all d + n vertices (isolated vertices disconnect)."""
-        return components(self.d + self.n, [(i - 1, self.d + j - 1) for i, j in self.edges]) <= 1
-
-    def is_tree(self):
-        nonisolated = {("L", i) for i, _ in self.edges} | {("R", j) for _, j in self.edges}
-        return self.is_connected() and len(self.edges) == self.d + self.n - 1 and len(
-            nonisolated
-        ) == self.d + self.n
 
     def __eq__(self, other):
         return (
@@ -178,21 +165,6 @@ class Matroid:
         """Elements lying in no basis."""
         used = frozenset().union(*self.bases)
         return frozenset(range(1, self.n + 1)) - used
-
-    def coloops(self):
-        """Elements lying in every basis."""
-        if self.is_empty():
-            return frozenset()
-        return frozenset.intersection(*self.bases)
-
-    def is_connected(self):
-        """The fundamental graph of one basis B is connected (Krogdahl):
-        e ∈ B and f ∉ B are joined when B − e + f is a basis."""
-        if self.is_empty():
-            return False
-        B = next(iter(self.bases))
-        pairs = [(e - 1, f - 1) for e in B for f in range(1, self.n + 1) if f not in B and (B - {e}) | {f} in self.bases]
-        return components(self.n, pairs) <= 1
 
     def canonical(self):
         return tuple(sorted(tuple(sorted(b)) for b in self.bases))

@@ -41,11 +41,11 @@ from .plucker import (
 from .arrangement import complex_to_json, enumerate_covectors, skeleton
 from .subdivision import facets_of_D, facets_to_json
 from .linspace import (
-    bounded_membership,
     bounded_skeleton,
     certificate_to_json,
-    contains,
     decompose,
+    in_bounded_part,
+    in_L,
 )
 
 
@@ -128,7 +128,7 @@ def cmd_facets(args):
 
 def cmd_member(args):
     A, y = _matrix_and_vector(_read_input(args))
-    return {"in_L": contains(stiefel_map(A), y)}
+    return {"in_L": in_L(A, y)}
 
 
 def cmd_decompose(args):
@@ -145,7 +145,7 @@ def cmd_bounded(args):
         A = matrix_from_json(obj["matrix"] if isinstance(obj, dict) and "matrix" in obj else obj)
         return _svg_tree(A)
     A, y = _matrix_and_vector(obj)
-    return {"in_bounded_part": bounded_membership(stiefel_map(A), y)}
+    return {"in_bounded_part": in_bounded_part(A, y)}
 
 
 def cmd_recover(args):

@@ -136,31 +136,11 @@ class TropVector:
     def is_finite(self):
         return all(v is not INF for v in self.entries)
 
-    def shift(self, c):
-        c = scalar(c)
-        return TropVector(tuple(v + c for v in self.entries))
-
     def __eq__(self, other):
         return isinstance(other, TropVector) and self.entries == other.entries
 
     def __repr__(self):
         return "TropVector(%s)" % (", ".join(scalar_str(v) for v in self.entries))
-
-
-def proj_eq(x: TropVector, y: TropVector) -> bool:
-    """Projective equality: same support, entries differ by one constant."""
-    if len(x) != len(y) or x.support() != y.support():
-        return False
-    diff = None
-    for a, b in zip(x.entries, y.entries):
-        if a is INF:
-            continue
-        d = a - b
-        if diff is None:
-            diff = d
-        elif d != diff:
-            return False
-    return True
 
 
 class TropMatrix:
@@ -196,19 +176,9 @@ class TropMatrix:
             if v is not INF
         )
 
-    def row_support(self, i):
-        """J_i: columns with finite entry in row i."""
-        return frozenset(j + 1 for j, v in enumerate(self.entries[i - 1]) if v is not INF)
-
     def col_support(self, j):
         """I_j: rows with finite entry in column j."""
         return frozenset(i for i in range(1, self.d + 1) if self.entry(i, j) is not INF)
-
-    def row(self, i) -> TropVector:
-        return TropVector(self.entries[i - 1])
-
-    def transpose(self) -> "TropMatrix":
-        return TropMatrix(tuple(zip(*self.entries)))
 
     def __eq__(self, other):
         return isinstance(other, TropMatrix) and self.entries == other.entries

@@ -8,11 +8,9 @@ Systems mix equalities, weak and strict inequalities.  Two engines:
   form x_i - x_j >= b, x_i >= b or -x_i >= b, built by their callers bound
   by bound.  Rational constants are scaled to integers by the LCM of their
   denominators, and strict bounds are exact through one ε = 1/(V+1) fixed
-  by the number of nodes V.  The projection of a closed matrix onto some of
-  its nodes is its restriction to them.  With node 0 an origin pinned at 0,
-  a closed matrix of weak bounds is a polytrope: it answers dimension,
-  membership and a witness point by lookups, and emits its rows in minimal
-  form;
+  by the number of nodes V.  With node 0 an origin pinned at 0, a closed
+  matrix of weak bounds is a polytrope: it answers its dimension and a
+  witness point by lookups;
 * a two-phase exact simplex with Bland's rule over Fractions answers
   ``argmin_witness``, a linear height under which chosen points are exactly
   the argmins: the one question that is not a difference system.  Its one
@@ -160,14 +158,13 @@ class DifferenceBounds:
     A simple cycle has at most ``size`` edges, so for integer sum C and s
     strict edges K·C − s < 0 exactly when C < 0, or C = 0 and s > 0: exactly
     when the strict system has a contradiction.  So this ε always works, as
-    does any larger K (a copy or restriction keeps its matrix's K and unit),
+    does any larger K (a copy keeps its matrix's K and unit),
     and the shortest-path potentials of the stored integers are an exact
     witness.  ``bound[u][v]`` is the tightest implied bound (None when there
     is none); adding a bound keeps the matrix closed in O(size²), and
-    ``admits`` tells by one lookup whether ``add`` would accept it.  This
-    class alone reads the stored encoding.  Node 0 is an origin pinned at
-    0; ``dim``, ``contains`` and ``minimal_form`` read a matrix of weak
-    bounds: a polytrope.
+    ``admits`` tells by one lookup whether ``add`` would accept it.  In
+    the library this class alone reads the stored encoding.  Node 0 is an
+    origin pinned at 0; ``dim`` reads a matrix of weak bounds: a polytrope.
     """
 
     __slots__ = ("size", "scale", "unit", "bound")
@@ -185,13 +182,6 @@ class DifferenceBounds:
 
     def copy(self):
         return self._with([row[:] for row in self.bound])
-
-    def restrict(self, nodes):
-        """The closed matrix on ``nodes`` alone, in that order: the
-        projection onto them.  It keeps this matrix's scale, which stays
-        exact for the shorter cycles of fewer nodes.  Only the tests and
-        their references (``tests/reference.py``) call it."""
-        return self._with([[self.bound[u][v] for v in nodes] for u in nodes])
 
     def admits(self, u, v, c, strict=False):
         """Would ``add(u, v, c, strict)`` accept x_v − x_u ≤ c (< c when
@@ -235,60 +225,6 @@ class DifferenceBounds:
         m = self.bound
         tied = lambda s, t: m[s][t] is not None and m[t][s] is not None and m[s][t] + m[t][s] == 0
         return sum(not any(tied(s, t) for s in range(t)) for t in range(self.size)) - 1
-
-    def contains(self, z):
-        """Does x = (0, *z) meet every bound?  Only the tests and their
-        references (``tests/reference.py``) call it."""
-        x = (0, *z)
-        den = self.scale * self.unit
-        return all(
-            b is None or (x[v] - x[u]) * den <= b
-            for u, row in enumerate(self.bound) for v, b in enumerate(row)
-        )
-
-    def minimal_form(self):
-        """The rows over x_1, ..., x_{size−1}, with x_0 = 0: equalities
-        a·x = b and inequalities a·x >= b.
-
-        Nodes whose bounds sum to zero both ways are tied: each such class
-        gives one chain of equalities, and between the class representatives
-        only the bounds that no third representative implies are kept (the
-        minimal form of Larsen et al., RTSS 1997).  Only the tests and
-        their references (``tests/reference.py``) call it.
-        """
-        m = self.bound
-        den = self.scale * self.unit
-        k = self.size
-
-        def implied(s, r, t):  # the bound on x_t − x_s through r
-            return None if m[s][r] is None or m[r][t] is None else m[s][r] + m[r][t]
-
-        def row(s, t):  # the coefficients of x_t − x_s, without x_0
-            co = [0] * k
-            co[t] += 1
-            co[s] -= 1
-            return tuple(co[1:])
-
-        rep = list(range(k))
-        last = {}
-        eqs = []
-        for t in range(k):
-            s = next((s for s in range(t) if implied(s, t, s) == 0), t)  # a zero cycle s → t → s
-            rep[t] = rep[s]
-            if s != t:
-                eqs.append((row(last[rep[t]], t), Fraction(m[last[rep[t]]][t], den)))
-            last[rep[t]] = t
-        reps = [s for s in range(k) if rep[s] == s]
-        ineqs = []
-        for s in reps:
-            for t in reps:
-                w = m[s][t]
-                if s == t or w is None:
-                    continue
-                if any(r != s and r != t and implied(s, r, t) == w for r in reps):
-                    continue
-                ineqs.append((row(t, s), Fraction(-w, den)))  # x_s − x_t >= −w
-        return eqs, ineqs
 
 
 def strict_feasible(dim, eqs=(), ges=(), gts=()):

@@ -1,19 +1,19 @@
 """Stiefel tropical linear spaces L(A).
 
-Membership by circuit minima (``plucker.contains``, imported here), by
-selected matroids, and by an explicit covector decomposition with
-certificates; boundedness by a coloop-free selected matroid when no
-coordinate is ∞; and the vertices and segments of the bounded part of a
-support that passes the Hall scan ``bipartite.hall_surplus_check``.
-
-Each p_J is an optimal-assignment value, so one ``bipartite.assignment`` on
-the costs a_ij − y_j answers y ∈ L(A) and certifies it: L(A) is the union of
-the cells (F ⊙ A) + R_{>=0}{e_j : j ∈ J} with F a covector covering every
-row and J meeting the column-wise dragon condition, and ``decompose`` reads
-such a pair (F, J) and its point x off the greatest optimal dual of that
-assignment, with no search.  The vertices and segments of the bounded part
-need only the cells of TC(A) in K(A) and their dimensions, so
-``bounded_skeleton`` builds no image of a cell.
+Each p_J of π(A) is an optimal-assignment value, so one
+``bipartite.assignment`` on the costs a_ij − y_j answers every question on
+y and L(A) from its greatest optimal dual: membership (``in_L``, with ∞
+coordinates), membership in the bounded part, which needs a uniform
+underlying matroid (``in_bounded_part``), and a certificate of membership
+(``decompose``): L(A) is the union of the cells
+(F ⊙ A) + R_{>=0}{e_j : j ∈ J} with F a covector covering every row and J
+meeting the column-wise dragon condition, and ``decompose`` reads such a
+pair (F, J) and its point x off that dual, with no search.  Membership by
+circuit minima (``plucker.contains``, imported here) and by selected
+matroids (``contains_via_matroid``) stays for the benchmark.  The vertices
+and segments of the bounded part of a support that passes the Hall scan
+``bipartite.hall_surplus_check`` need only the cells of TC(A) in K(A) and
+their dimensions, so ``bounded_skeleton`` builds no image of a cell.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .core import INF, DomainError, TropMatrix, TropVector, require_column_suppo
 from .bipartite import BipartiteGraph, assignment, hall_surplus_check
 from .plucker import PluckerVector, contains
 from .arrangement import Covector, _integer_scaled, covector_to_json, enumerate_covectors, in_K, skeleton
-from .subdivision import is_interior_cell, select_matroid
+from .subdivision import select_matroid
 
 
 def contains_via_matroid(p: PluckerVector, y: TropVector) -> bool:
@@ -45,6 +45,67 @@ class DecompositionCertificate:
 
     def __repr__(self):
         return "DecompositionCertificate(J=%s, x=%r)" % (sorted(self.J), self.x)
+
+
+def _greatest_dual(A: TropMatrix, y: TropVector):
+    """(unit, u, v, match, tight): ``bipartite.assignment`` on the costs
+    a_ij − y_j, scaled to integers by ``unit``, with (u, v) its greatest
+    optimal dual and tight its tight edges u_i + v_j = a_ij − y_j, as
+    0-based (i, j).  An ∞ coordinate y_j costs a_ij − M on column j, where
+    M = 1 + 2·d·(max|a| + max|y finite|) outweighs the difference of any
+    two assignments on the finite costs: an optimal assignment takes as
+    many ∞ columns as the support allows, and then the least cost.
+    NO_MATCHING_IN_SUPPORT when no matching covers every row."""
+    finite = [w for w in y.entries if w is not INF]
+    unit, a, z = _integer_scaled(A, finite)
+    if len(finite) < len(y):
+        rest = iter(z)
+        bonus = 1 + 2 * A.d * (max((abs(c) for row in a for c in row if c is not None), default=0) + max(map(abs, z), default=0))
+        z = [bonus if w is INF else next(rest) for w in y.entries]
+    cost = [[None if c is None else c - z[j] for j, c in enumerate(row)] for row in a]
+    u, v, match = assignment(cost)
+    tight = [(i, j) for i, row in enumerate(cost) for j, c in enumerate(row) if c is not None and c == u[i] + v[j]]
+    return unit, u, v, match, tight
+
+
+def in_L(A: TropMatrix, y: TropVector) -> bool:
+    """y ∈ L(A), with ∞ coordinates allowed: every finite coordinate's
+    column has a tight edge at the greatest optimal dual of ``_greatest_dual``,
+    so some optimal assignment uses it.  NO_MATCHING_IN_SUPPORT when no
+    matching covers every row, then LENGTH_MISMATCH unless y has length n."""
+    if len(y) != A.n:
+        assignment(_integer_scaled(A)[1])  # NO_MATCHING_IN_SUPPORT comes first
+        raise DomainError("LENGTH_MISMATCH", "y must have length n")
+    *_, tight = _greatest_dual(A, y)
+    covered = {j for _, j in tight}
+    return all(j in covered for j, w in enumerate(y.entries) if w is not INF)
+
+
+def in_bounded_part(A: TropMatrix, y: TropVector) -> bool:
+    """y in the bounded part of L(A): y ∈ L(A) with a selected matroid M_y
+    free of coloops.  Needs a uniform underlying matroid, that is every
+    column d-set matchable in the support of A: ``hall_surplus_check``.
+    At the greatest optimal dual the optimal assignments are the matchings
+    on tight edges that take every column with v_j < 0, so a column is a
+    loop of M_y when it has no tight edge, and a column some row takes is
+    a coloop when v_j < 0 or when its row has no tight alternating path to
+    a column no row takes, along which the rows could leave it.
+    NO_MATCHING_IN_SUPPORT when no matching covers every row (as when
+    d > n), then NOT_UNIFORM, then BAD_POINT for a y not finite of length n.
+    """
+    if A.d > A.n or not hall_surplus_check(BipartiteGraph.from_support(A)):
+        assignment(_integer_scaled(A)[1])  # NO_MATCHING_IN_SUPPORT comes first
+        raise DomainError("NOT_UNIFORM", "underlying matroid must be uniform")
+    if len(y) != A.n or not y.is_finite():
+        raise DomainError("BAD_POINT", "y must be finite of length n")
+    _, _, v, match, tight = _greatest_dual(A, y)
+    freed, leaves = [j for j in range(A.n) if j not in match], set()
+    for c in freed:  # grows as it is read: the columns the rows can leave free
+        for i, j in tight:
+            if j == c and i not in leaves:
+                leaves.add(i)
+                freed.append(match[i])
+    return len({j for _, j in tight}) == A.n and all(v[j] == 0 and i in leaves for i, j in enumerate(match))
 
 
 def decompose(A: TropMatrix, y: TropVector):
@@ -73,23 +134,13 @@ def decompose(A: TropMatrix, y: TropVector):
     if len(y) != A.n or not y.is_finite():
         raise DomainError("BAD_POINT", "y must be finite of length n")
     require_column_supports(A)
-    unit, a, z = _integer_scaled(A, y.entries)
-    cost = [[None if c is None else c - z[j] for j, c in enumerate(row)] for row in a]
-    u, v, _ = assignment(cost)
-    edges = [(i + 1, j + 1) for i, row in enumerate(cost) for j, c in enumerate(row) if c is not None and c == u[i] + v[j]]
+    unit, u, v, _, tight = _greatest_dual(A, y)
+    edges = [(i + 1, j + 1) for i, j in tight]
     if len({j for _, j in edges}) < A.n:
         return None  # a loop of M_y: no optimal assignment uses some column
     x = TropVector([Fraction(-w, unit) for w in u])
     slack = TropVector([Fraction(-w, unit) for w in v])
     return DecompositionCertificate(Covector(BipartiteGraph(A.d, A.n, edges)), x, [j + 1 for j, w in enumerate(v) if w < 0], slack)
-
-
-def bounded_membership(p: PluckerVector, y: TropVector) -> bool:
-    """Is y in the bounded part of L(p), that is, in L(p) with a coloop-free
-    selected matroid?  Needs a uniform underlying matroid: no ∞ coordinate."""
-    if any(v is INF for v in p.values.values()):
-        raise DomainError("NOT_UNIFORM", "underlying matroid must be uniform")
-    return is_interior_cell(select_matroid(p, y))
 
 
 def _bounded_cells(A: TropMatrix):

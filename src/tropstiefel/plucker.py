@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .core import INF, DomainError, TropMatrix, TropVector, proj_eq, scalar, scalar_str, subset_from_key, trop_vanishes
+from .core import INF, DomainError, TropMatrix, TropVector, scalar, scalar_str, subset_from_key, trop_vanishes
 from .bipartite import BipartiteGraph, is_support_set, optimal_matchings
 
 
@@ -43,12 +43,6 @@ class PluckerVector:
 
     def support(self):
         return frozenset(J for J, v in self.values.items() if v is not INF)
-
-    def proj_eq(self, other) -> bool:
-        """``core.proj_eq`` on the coordinates of both, in one order."""
-        return (self.n, self.d) == (other.n, other.d) and proj_eq(
-            TropVector(self.values.values()), TropVector(other.values[J] for J in self.values)
-        )
 
     def __eq__(self, other):
         return (

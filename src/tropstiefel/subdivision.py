@@ -1,7 +1,7 @@
 """Regular transversal matroid subdivisions D(A).
 
-Selected matroids M_y, facet enumeration via containment-maximal
-covectors, and the interiority test of a cell.
+Selected matroids M_y and facet enumeration via containment-maximal
+covectors.
 """
 
 from __future__ import annotations
@@ -51,13 +51,6 @@ def facets_of_D(A: TropMatrix) -> frozenset:
         if not any(set(M.bases) < set(N.bases) for N in matroids)
     }
     return frozenset(facets)
-
-
-def is_interior_cell(M: Matroid) -> bool:
-    """Loop-free and coloop-free: the cell misses the hypersimplex boundary."""
-    if M.is_empty():
-        raise DomainError("EMPTY_MATROID", "interiority is undefined for no bases")
-    return not M.loops() and not M.coloops()
 
 
 def facets_to_json(facets) -> list:

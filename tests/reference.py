@@ -4,8 +4,10 @@ the two.  The library keeps only what the CLI and the benchmark reach
 (``test_every_library_name_is_reached``), so these routes live here:
 
 * the bounded part of L(A) as the images of the cells of K(A)
-  (``bounded_complex``, ``bounded_point_in_complex``) against
-  ``linspace.bounded_membership``, and the caterpillar test of d = 2;
+  (``bounded_complex``, ``bounded_point_in_complex``) and as the points
+  whose selected matroid is interior, with no loop and no coloop
+  (``bounded_membership``, ``is_interior_cell``), against
+  ``linspace.in_bounded_part``, and the caterpillar test of d = 2;
 * the decomposition cone of a certificate (``decomposition_cone``),
   x ⊙ A (``vec_mat_mul``, over ⊕ = ``trop_sum``), the row cover of B(A)
   (``in_B``) and the column-wise dragon condition
@@ -30,19 +32,24 @@ the two.  The library keeps only what the CLI and the benchmark reach
 * the residual of y (``residuation``), by which
   ``bounded_point_in_complex`` gauges y;
 * cells of D(A) by ``geom.argmin_witness`` (``cell_exists``) and the
-  equality of two subdivisions against ``subdivision.facets_of_D``.
+  equality of two subdivisions against ``subdivision.facets_of_D``;
+* methods that no library code calls, as functions on the object they
+  belonged to: projective equality (``proj_eq``, ``plucker_proj_eq``),
+  shifts, rows and transposes, connectivity of graphs and matroids,
+  coloops, and the restriction, polytrope membership and minimal form of
+  a ``DifferenceBounds``.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, require_column_supports, scalar_str
+from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, require_column_supports, scalar, scalar_str
 from tropstiefel.geom import ONE, ZERO, DifferenceBounds, argmin_witness
 from tropstiefel.bipartite import BipartiteGraph, Matching, Matroid, _hall_surplus, _nonempty_subsets, assignment, components, optimal_matchings
 from tropstiefel.plucker import PluckerVector, _subsets
 from tropstiefel.arrangement import Covector, _integer_scaled
-from tropstiefel.subdivision import facets_of_D
+from tropstiefel.subdivision import facets_of_D, select_matroid
 from tropstiefel.linspace import _bounded_cells, bounded_skeleton
 
 
@@ -80,7 +87,7 @@ def proj_normalize(x: TropVector) -> TropVector:
 
 def require_row_supports(A: TropMatrix):
     for i in range(1, A.d + 1):
-        if not A.row_support(i):
+        if not row_support(A, i):
             raise DomainError("EMPTY_ROW", f"row {i} has empty support")
 
 
@@ -97,7 +104,7 @@ def residuation(y: TropVector, A: TropMatrix) -> TropVector:
     require_row_supports(A)
     out = []
     for i in range(1, A.d + 1):
-        out.append(max(y.entry(j) - A.entry(i, j) for j in A.row_support(i)))
+        out.append(max(y.entry(j) - A.entry(i, j) for j in row_support(A, i)))
     return TropVector(out)
 
 
@@ -153,7 +160,7 @@ def optimal_columns(cost):
 def colwise_dragon_condition(G: BipartiteGraph, J) -> bool:
     """|I_{J'}| >= |J'| + 1 for every nonempty J' ⊆ J (column-wise), under
     ``HALL_BUDGET``."""
-    return _hall_surplus(sorted(set(J)), G.I_of, 1)
+    return _hall_surplus(sorted(set(J)), lambda S: I_of(G, S), 1)
 
 
 def _max_matching_size(G: BipartiteGraph, cols):
@@ -196,7 +203,7 @@ def spanning_tree_no_left_leaves(G: BipartiteGraph) -> BipartiteGraph:
     """
     if not G.d < G.n:
         raise DomainError("BAD_SHAPE", "requires d < n")
-    if not G.is_connected():
+    if not graph_is_connected(G):
         raise DomainError("NOT_CONNECTED", "graph must be connected")
     for i, j in sorted(G.edges):
         # the other rows match into the other columns
@@ -209,7 +216,7 @@ def spanning_tree_no_left_leaves(G: BipartiteGraph) -> BipartiteGraph:
         raise DomainError("BUDGET_EXCEEDED", "spanning-tree search too large")
     for subset in itertools.combinations(edges, need):
         T = BipartiteGraph(G.d, G.n, subset)
-        if not T.is_connected():
+        if not graph_is_connected(T):
             continue
         if all(len(T.J(i)) >= 2 for i in range(1, G.d + 1)):
             return T
@@ -295,7 +302,7 @@ def transpose_covector(A: TropMatrix, y: TropVector) -> BipartiteGraph:
     """Per row, the columns attaining min_j (a_ij + y_j): tc(y) in the
     arrangement of Aᵀ, its edges flipped."""
     require_row_supports(A)
-    return BipartiteGraph(A.d, A.n, [(i, j) for j, i in covector_of_point(A.transpose(), y).edges])
+    return BipartiteGraph(A.d, A.n, [(i, j) for j, i in covector_of_point(transpose(A), y).edges])
 
 
 def _closed_cell(dbm: DifferenceBounds, a, tau, base):
@@ -406,7 +413,7 @@ def decomposition_cone(A: TropMatrix, tau, J):
         and (j in Jset or dbm.add(n + i, j, a[i - 1][j - 1]))
         for i, j in sorted(tau)
     )
-    return dbm.restrict(range(n + 1)) if feasible else None
+    return restrict(dbm, range(n + 1)) if feasible else None
 
 
 def bounded_complex(A: TropMatrix):
@@ -433,8 +440,23 @@ def bounded_complex(A: TropMatrix):
 def bounded_point_in_complex(A: TropMatrix, y: TropVector) -> bool:
     """Does y, suitably gauge-shifted, land in some bounded image cell?"""
     x = residuation(y, A)
-    shifted = y.shift(-x.entry(1))
-    return any(image.contains(shifted.entries) for _, image in bounded_complex(A))
+    shifted = shift(y, -x.entry(1))
+    return any(polytrope_contains(image, shifted.entries) for _, image in bounded_complex(A))
+
+
+def is_interior_cell(M: Matroid) -> bool:
+    """Loop-free and coloop-free: the cell misses the hypersimplex boundary."""
+    if M.is_empty():
+        raise DomainError("EMPTY_MATROID", "interiority is undefined for no bases")
+    return not M.loops() and not coloops(M)
+
+
+def bounded_membership(p: PluckerVector, y: TropVector) -> bool:
+    """Is y in the bounded part of L(p), that is, in L(p) with a coloop-free
+    selected matroid?  Needs a uniform underlying matroid: no ∞ coordinate."""
+    if any(v is INF for v in p.values.values()):
+        raise DomainError("NOT_UNIFORM", "underlying matroid must be uniform")
+    return is_interior_cell(select_matroid(p, y))
 
 
 def caterpillar_check(A: TropMatrix) -> bool:
@@ -453,3 +475,145 @@ def caterpillar_check(A: TropMatrix) -> bool:
         return False
     # |V| − 1 edges and degrees <= 2: a path exactly when connected
     return components(len(vertices), ends) == 1
+
+
+# ---------------------------------------------------------------------------
+# Methods no library code calls, as functions whose bodies stand as they did
+# in their classes (the first parameter keeps the name ``self``), and
+# ``core.proj_eq``, which only ``PluckerVector.proj_eq`` called
+# ---------------------------------------------------------------------------
+
+def shift(self, c):
+    c = scalar(c)
+    return TropVector(tuple(v + c for v in self.entries))
+
+
+def proj_eq(x: TropVector, y: TropVector) -> bool:
+    """Projective equality: same support, entries differ by one constant."""
+    if len(x) != len(y) or x.support() != y.support():
+        return False
+    diff = None
+    for a, b in zip(x.entries, y.entries):
+        if a is INF:
+            continue
+        d = a - b
+        if diff is None:
+            diff = d
+        elif d != diff:
+            return False
+    return True
+
+
+def row_support(self, i):
+    """J_i: columns with finite entry in row i."""
+    return frozenset(j + 1 for j, v in enumerate(self.entries[i - 1]) if v is not INF)
+
+
+def matrix_row(self, i) -> TropVector:
+    return TropVector(self.entries[i - 1])
+
+
+def transpose(self) -> "TropMatrix":
+    return TropMatrix(tuple(zip(*self.entries)))
+
+
+def I_of(self, Js):
+    return frozenset(a for a, j in self.edges if j in Js)
+
+
+def graph_is_connected(self):
+    """Connected over all d + n vertices (isolated vertices disconnect)."""
+    return components(self.d + self.n, [(i - 1, self.d + j - 1) for i, j in self.edges]) <= 1
+
+
+def is_tree(self):
+    nonisolated = {("L", i) for i, _ in self.edges} | {("R", j) for _, j in self.edges}
+    return graph_is_connected(self) and len(self.edges) == self.d + self.n - 1 and len(
+        nonisolated
+    ) == self.d + self.n
+
+
+def coloops(self):
+    """Elements lying in every basis."""
+    if self.is_empty():
+        return frozenset()
+    return frozenset.intersection(*self.bases)
+
+
+def matroid_is_connected(self):
+    """The fundamental graph of one basis B is connected (Krogdahl):
+    e ∈ B and f ∉ B are joined when B − e + f is a basis."""
+    if self.is_empty():
+        return False
+    B = next(iter(self.bases))
+    pairs = [(e - 1, f - 1) for e in B for f in range(1, self.n + 1) if f not in B and (B - {e}) | {f} in self.bases]
+    return components(self.n, pairs) <= 1
+
+
+def plucker_proj_eq(self, other) -> bool:
+    """``core.proj_eq`` on the coordinates of both, in one order."""
+    return (self.n, self.d) == (other.n, other.d) and proj_eq(
+        TropVector(self.values.values()), TropVector(other.values[J] for J in self.values)
+    )
+
+
+def restrict(self, nodes):
+    """The closed matrix on ``nodes`` alone, in that order: the
+    projection onto them.  It keeps this matrix's scale, which stays
+    exact for the shorter cycles of fewer nodes.  Only the tests and
+    their references (``tests/reference.py``) call it."""
+    return self._with([[self.bound[u][v] for v in nodes] for u in nodes])
+
+
+def polytrope_contains(self, z):
+    """Does x = (0, *z) meet every bound?"""
+    x = (0, *z)
+    den = self.scale * self.unit
+    return all(
+        b is None or (x[v] - x[u]) * den <= b
+        for u, row in enumerate(self.bound) for v, b in enumerate(row)
+    )
+
+
+def minimal_form(self):
+    """The rows over x_1, ..., x_{size−1}, with x_0 = 0: equalities
+    a·x = b and inequalities a·x >= b.
+
+    Nodes whose bounds sum to zero both ways are tied: each such class
+    gives one chain of equalities, and between the class representatives
+    only the bounds that no third representative implies are kept (the
+    minimal form of Larsen et al., RTSS 1997).
+    """
+    m = self.bound
+    den = self.scale * self.unit
+    k = self.size
+
+    def implied(s, r, t):  # the bound on x_t − x_s through r
+        return None if m[s][r] is None or m[r][t] is None else m[s][r] + m[r][t]
+
+    def row(s, t):  # the coefficients of x_t − x_s, without x_0
+        co = [0] * k
+        co[t] += 1
+        co[s] -= 1
+        return tuple(co[1:])
+
+    rep = list(range(k))
+    last = {}
+    eqs = []
+    for t in range(k):
+        s = next((s for s in range(t) if implied(s, t, s) == 0), t)  # a zero cycle s → t → s
+        rep[t] = rep[s]
+        if s != t:
+            eqs.append((row(last[rep[t]], t), Fraction(m[last[rep[t]]][t], den)))
+        last[rep[t]] = t
+    reps = [s for s in range(k) if rep[s] == s]
+    ineqs = []
+    for s in reps:
+        for t in reps:
+            w = m[s][t]
+            if s == t or w is None:
+                continue
+            if any(r != s and r != t and implied(s, r, t) == w for r in reps):
+                continue
+            ineqs.append((row(t, s), Fraction(-w, den)))  # x_s − x_t >= −w
+    return eqs, ineqs

@@ -6,19 +6,29 @@ import itertools
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 
 from polyhedra import Polyhedron
 from reference import (
     bounded_complex,
+    bounded_membership,
     caterpillar_check,
     cell_exists,
+    coloops,
     colwise_dragon_condition,
     covector_of_point,
     decomposition_cone,
     is_trop_singular,
+    is_tree,
+    matrix_row,
+    matroid_is_connected,
+    minimal_form,
     optimal_columns,
+    plucker_proj_eq,
+    polytrope_contains,
+    residuation,
     row_vector,
     stable_union,
     subdivisions_equal,
@@ -27,7 +37,7 @@ from reference import (
     vec_mat_mul,
     vector_to_json,
 )
-from tropstiefel.arrangement import Covector, _integer_scaled, enumerate_covectors
+from tropstiefel.arrangement import Covector, _integer_scaled, enumerate_covectors, in_K
 from tropstiefel.bipartite import (
     BipartiteGraph,
     enumerate_support_sets,
@@ -41,6 +51,8 @@ from tropstiefel.linspace import (
     contains,
     contains_via_matroid,
     decompose,
+    in_bounded_part,
+    in_L,
 )
 from tropstiefel.plucker import (
     PluckerVector,
@@ -115,7 +127,7 @@ def test_standard_plane_golden():
         cells = bounded_complex(STAIR)
         assert len(cells) == 1
         image = cells[0][1]
-        poly = Polyhedron(4, *image.minimal_form())
+        poly = Polyhedron(4, *minimal_form(image))
         assert poly.affine_dimension() == 0 == image.dim()
         assert norm(poly.vertices()[0]) == (0, 0, 0, 0) == norm(image.point()[1:])
 
@@ -219,7 +231,7 @@ def test_nonfacial_intersection_golden():
         cone1 = decomposition_cone(A, tau1, J1)
         cone2 = decomposition_cone(A, tau2, J2)
         assert cone1.dim() == cone2.dim() == 8
-        C1, C2 = Polyhedron(12, *cone1.minimal_form()), Polyhedron(12, *cone2.minimal_form())
+        C1, C2 = Polyhedron(12, *minimal_form(cone1)), Polyhedron(12, *minimal_form(cone2))
         assert C1.affine_dimension() == 8
         assert C2.affine_dimension() == 8
 
@@ -245,7 +257,7 @@ def test_nonfacial_intersection_golden():
 
         z = inter.relative_interior_point()
         assert in_relint(C1, z) and in_relint(C2, z)
-        assert cone1.contains(z) and cone2.contains(z)
+        assert polytrope_contains(cone1, z) and polytrope_contains(cone2, z)
 
 
 # -- 4 ----------------------------------------------------------------------
@@ -260,7 +272,7 @@ def test_support_census_dimension():
 
                 assert support_face_dimension(G) == (d - 1) * (n - d - 1)
                 if n == d + 1:
-                    assert G.is_tree()
+                    assert is_tree(G)
                     assert all(len(G.J(i)) == 2 for i in range(1, d + 1))
 
 
@@ -294,13 +306,14 @@ def test_membership_triple_equivalence():
                 b = contains_via_matroid(p, y)
                 c = decompose(A, y) is not None
                 e = contains_via_assignment(A, y)
-                assert a == b == c == e, (A.entries, y.entries, a, b, c, e)
+                f = in_L(A, y)
+                assert a == b == c == e == f, (A.entries, y.entries, a, b, c, e, f)
                 total += 1
 
 
 def test_membership_equivalence_ranks_4_and_5():
-    """Circuits, selected matroids, ``decompose`` and optimal assignments
-    at d = 4 and 5, on image points and random halves with 0, 15 or 30% ∞
+    """Circuits, selected matroids, ``decompose``, optimal assignments and
+    ``in_L`` at d = 4 and 5, on image points and random halves with 0, 15 or 30% ∞
     entries; every certificate lies in its decomposition cone."""
     with Budget(30):
         rng = random.Random(901)
@@ -317,9 +330,10 @@ def test_membership_equivalence_ranks_4_and_5():
                     y = TropVector([Fraction(rng.randint(-8, 8), rng.randint(1, 2)) for _ in range(n)])
                 cert = decompose(A, y)
                 a, b, c, e = contains(p, y), contains_via_matroid(p, y), cert is not None, contains_via_assignment(A, y)
-                assert a == b == c == e, (A.entries, y.entries, a, b, c, e)
+                f = in_L(A, y)
+                assert a == b == c == e == f, (A.entries, y.entries, a, b, c, e, f)
                 if cert is not None:
-                    assert decomposition_cone(A, cert.covector.edges, cert.J).contains(y.entries)
+                    assert polytrope_contains(decomposition_cone(A, cert.covector.edges, cert.J), y.entries)
                 members += c
                 queries += 1
         assert 0 < members < queries
@@ -336,8 +350,8 @@ def test_image_invariants():
             A = random_matrix(rng, d, n, inf_prob=0.1 if rng.random() < 0.3 else 0)
             p = stiefel_map(A)
             assert check_plucker(p)
-            rows = [row_vector(A.row(i)) for i in range(1, d + 1)]
-            assert reduce(stable_union, rows).proj_eq(p)
+            rows = [row_vector(matrix_row(A, i)) for i in range(1, d + 1)]
+            assert plucker_proj_eq(reduce(stable_union, rows), p)
 
 
 # -- 7 ----------------------------------------------------------------------
@@ -499,12 +513,12 @@ def test_caterpillar_and_snowflake():
             M for M in seen if not any(set(M.bases) < set(N.bases) for N in seen)
         }
         interior = {
-            M for M in facets if not M.loops() and not M.coloops()
+            M for M in facets if not M.loops() and not coloops(M)
         }
         # the bounded tree has four internal vertices
         assert len(interior) == 4
         for M in interior:
-            assert M.is_connected()
+            assert matroid_is_connected(M)
         # bounded edges: interior codimension-one walls between vertices
         verts = sorted(interior, key=lambda M: sorted(map(sorted, M.bases)))
         degree = {i: 0 for i in range(len(verts))}
@@ -515,7 +529,7 @@ def test_caterpillar_and_snowflake():
             from tropstiefel.bipartite import Matroid
 
             WM = Matroid(6, 2, W)
-            if WM.loops() or WM.coloops():
+            if WM.loops() or coloops(WM):
                 continue
             if cell_exists(p, list(W)):
                 degree[a] += 1
@@ -563,7 +577,7 @@ def test_decompose_dense_image_point_ends():
         except DomainError as exc:
             assert exc.code == "BUDGET_EXCEEDED"
         else:
-            assert cert is not None and decomposition_cone(A, cert.covector.edges, cert.J).contains(y.entries)
+            assert cert is not None and polytrope_contains(decomposition_cone(A, cert.covector.edges, cert.J), y.entries)
 
 
 # -- 14 ---------------------------------------------------------------------
@@ -602,7 +616,7 @@ def test_decompose_answers_dense_and_diagonal_image_points(tmp_path, capsys):
             A = TropMatrix([[rng.randint(-50, 50) for _ in range(10)] for _ in range(d)])
             y = vec_mat_mul(TropVector([rng.randint(-20, 20) for _ in range(d)]), A)
             cert = decompose(A, y)
-            assert cert is not None and decomposition_cone(A, cert.covector.edges, cert.J).contains(y.entries)
+            assert cert is not None and polytrope_contains(decomposition_cone(A, cert.covector.edges, cert.J), y.entries)
         path = tmp_path / "in.json"
         path.write_text(json.dumps({"matrix": matrix_to_json(A), "vector": vector_to_json(y)}))
         assert main(["decompose", "--input", str(path)]) == 0
@@ -616,3 +630,104 @@ def test_decompose_answers_dense_and_diagonal_image_points(tmp_path, capsys):
         assert cert is not None and cert.J == frozenset()
         assert covector_of_point(A, cert.x) == cert.covector and colwise_dragon_condition(cert.covector.graph, cert.J)
         assert vec_mat_mul(cert.x, A) == y and cert.slack.entries == (0,) * 17
+
+
+# -- 16 ---------------------------------------------------------------------
+
+def answer(route):
+    """What ``route()`` returns, or the code of the DomainError it raises."""
+    try:
+        return route()
+    except DomainError as exc:
+        return exc.code
+
+
+def seeded_query(rng, A):
+    """A y for A: half the time an image point x ⊙ A with slack on about
+    30% of its finite coordinates, else random halves."""
+    if rng.random() < 0.5:
+        image = vec_mat_mul(TropVector([rng.randint(-3, 3) for _ in range(A.d)]), A).entries
+        return [v + Fraction(rng.randint(1, 4), 2) if v is not INF and rng.random() < 0.3 else v for v in image]
+    return [Fraction(rng.randint(-8, 8), rng.randint(1, 2)) for _ in range(A.n)]
+
+
+def test_in_L_against_circuits():
+    """``in_L`` against circuit membership on 3000 seeded queries, d <= 5 and
+    n <= 8, with 0, 15 or 30% ∞ entries in A, ∞ coordinates in about 30%
+    of the y, and a y one coordinate short in about 2%: the same answers,
+    and the same error codes in the same order."""
+    with Budget(30):
+        rng = random.Random(1601)
+        seen, with_inf = Counter(), Counter()
+        for _ in range(3000):
+            d = rng.randint(1, 5)
+            n = rng.randint(d, 8)
+            p = rng.choice((0, 0.15, 0.3))
+            A = TropMatrix([[INF if rng.random() < p else Fraction(rng.randint(-8, 8), rng.randint(1, 2)) for _ in range(n)] for _ in range(d)])
+            y = seeded_query(rng, A)
+            if rng.random() < 0.3:
+                y = [INF if rng.random() < 0.3 else v for v in y]
+            if rng.random() < 0.02:
+                y = y[:-1] or [0, 0]
+            y = TropVector(y)
+            got = answer(lambda: in_L(A, y))
+            assert got == answer(lambda: contains(stiefel_map(A), y)), (A.entries, y.entries)
+            seen[got] += 1
+            with_inf[got] += INF in y.entries
+        assert with_inf[True] >= 100 and with_inf[False] >= 100
+        assert seen["LENGTH_MISMATCH"] and seen["NO_MATCHING_IN_SUPPORT"]
+
+
+def test_in_bounded_part_against_selected_matroids():
+    """``in_bounded_part`` against the selected-matroid route
+    ``bounded_membership(stiefel_map(A), y)`` on 3600 seeded queries: three
+    in four on dense image points with slack on some coordinates, the rest
+    on matrices with 15 or 30% ∞ entries, y with ∞ coordinates or one short.
+    The same answers, at least 300 of them true, and the same error codes
+    in the same order."""
+    with Budget(30):
+        rng = random.Random(1602)
+        seen = Counter()
+        for _ in range(3600):
+            d = rng.randint(1, 5)
+            if rng.random() < 0.75:
+                n = rng.randint(d, min(8, d + 3))
+                A = TropMatrix([[rng.randint(-6, 6) for _ in range(n)] for _ in range(d)])
+                y = vec_mat_mul(TropVector([rng.randint(-3, 3) for _ in range(d)]), A).entries
+                y = [v + Fraction(rng.randint(1, 4), 2) if rng.random() < 0.15 else v for v in y]
+            else:
+                n = rng.randint(max(1, d - 1), 8)
+                p = rng.choice((0.15, 0.3))
+                A = TropMatrix([[INF if rng.random() < p else Fraction(rng.randint(-8, 8), rng.randint(1, 2)) for _ in range(n)] for _ in range(d)])
+                y = seeded_query(rng, A)
+                if rng.random() < 0.2:
+                    y = [INF if rng.random() < 0.3 else v for v in y]
+                if rng.random() < 0.05:
+                    y = y[:-1] or [0, 0]
+            y = TropVector(y)
+            got = answer(lambda: in_bounded_part(A, y))
+            assert got == answer(lambda: bounded_membership(stiefel_map(A), y)), (A.entries, y.entries)
+            seen[got] += 1
+        assert seen[True] >= 300 and seen[False] >= 300
+        assert all(seen[code] for code in ("NO_MATCHING_IN_SUPPORT", "NOT_UNIFORM", "BAD_POINT"))
+
+
+def test_member_and_bounded_answer_a_dense_8x24(tmp_path, capsys):
+    """An image point of a dense 8×24 (``random.Random(6)``, entries
+    −50..50, x in −20..20), whose C(24, 8) minors the matching engine
+    refuses: ``member`` and ``bounded`` answer it from one assignment
+    problem, with exit 0 and no BUDGET_EXCEEDED.  ⊙A is injective on B(A),
+    so y is in the bounded part exactly when the covector of its residual,
+    a point of B(A), meets the dragon condition."""
+    with Budget(5):
+        rng = random.Random(6)
+        A = TropMatrix([[rng.randint(-50, 50) for _ in range(24)] for _ in range(8)])
+        y = vec_mat_mul(TropVector([rng.randint(-20, 20) for _ in range(8)]), A)
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"matrix": matrix_to_json(A), "vector": vector_to_json(y)}))
+        assert main(["member", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"in_L": True}
+        assert main(["bounded", "--input", str(path)]) == 0
+        expected = in_K(covector_of_point(A, residuation(y, A)))
+        assert json.loads(capsys.readouterr().out) == {"in_bounded_part": expected}
+        assert answer(lambda: stiefel_map(A)) == "BUDGET_EXCEEDED"

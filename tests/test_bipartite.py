@@ -8,8 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from reference import (
     _max_matching_size,
+    coloops,
     colwise_dragon_condition,
     graph_to_json,
+    is_tree,
+    matroid_is_connected,
     min_matchings,
     optimal_columns,
     spanning_tree_no_left_leaves,
@@ -242,7 +245,7 @@ def test_enumerate_support_sets_small():
     assert len(out) == 6
     for G in out:
         assert is_support_set(G)
-        assert G.is_tree()
+        assert is_tree(G)
         assert len(G.J(1)) == 2 and len(G.J(2)) == 2
     assert len(enumerate_support_sets(1, 4)) == 1
     assert enumerate_support_sets(1, 4)[0].edges == frozenset((1, j) for j in range(1, 5))
@@ -262,14 +265,14 @@ def test_transversal_matroid_examples():
 
 def test_matroid_loops_coloops_connected():
     M = uniform_matroid(2, 4)
-    assert not M.loops() and not M.coloops() and M.is_connected()
+    assert not M.loops() and not coloops(M) and matroid_is_connected(M)
     M2 = transversal_matroid(
         BipartiteGraph(2, 4, [(1, 1), (2, 2), (2, 3), (2, 4)])
     )  # bases 12,13,14: 1 is a coloop
-    assert M2.coloops() == frozenset({1})
-    assert not M2.is_connected()
+    assert coloops(M2) == frozenset({1})
+    assert not matroid_is_connected(M2)
     empty = Matroid(3, 2, [])
-    assert empty.loops() == frozenset({1, 2, 3}) and empty.coloops() == frozenset()
+    assert empty.loops() == frozenset({1, 2, 3}) and coloops(empty) == frozenset()
 
 
 def test_transversal_rank():
@@ -421,9 +424,9 @@ def test_spanning_tree_no_left_leaves():
     assert spanning_tree_no_left_leaves(T0) == T0
     full = BipartiteGraph(2, 3, [(i, j) for i in (1, 2) for j in (1, 2, 3)])
     T = spanning_tree_no_left_leaves(full)
-    assert T.is_tree() and len(T.J(1)) >= 2 and len(T.J(2)) >= 2
+    assert is_tree(T) and len(T.J(1)) >= 2 and len(T.J(2)) >= 2
     T2 = spanning_tree_no_left_leaves(BipartiteGraph.from_support(FIG))
-    assert T2.is_tree() and all(len(T2.J(i)) >= 2 for i in (1, 2, 3))
+    assert is_tree(T2) and all(len(T2.J(i)) >= 2 for i in (1, 2, 3))
 
 
 def test_spanning_tree_preconditions():
@@ -523,6 +526,6 @@ def test_is_connected_against_separations():
     connected = 0
     for M in matroids:
         expected = not M.is_empty() and not separable(M)
-        assert M.is_connected() == expected
+        assert matroid_is_connected(M) == expected
         connected += expected
     assert connected > 50 and len(matroids) - connected > 50

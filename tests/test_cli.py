@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import tropstiefel.cli
-from reference import graph_to_json
+from reference import graph_to_json, plucker_proj_eq
 from tropstiefel.cli import main
 from tropstiefel.core import TropMatrix, matrix_from_json, matrix_to_json
 from tropstiefel.bipartite import (
@@ -146,7 +146,7 @@ def test_recover_command(tmp_path, capsys):
     code, out = run(capsys, ["recover", "--input", path])
     assert code == 0
     B = matrix_from_json(json.loads(out))
-    assert stiefel_map(B).proj_eq(stiefel_map(FIG))
+    assert plucker_proj_eq(stiefel_map(B), stiefel_map(FIG))
 
 
 def test_gen_modes(capsys):

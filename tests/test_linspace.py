@@ -12,12 +12,17 @@ from reference import (
     _closed_cell,
     _max_matching_size,
     bounded_complex,
+    bounded_membership,
     bounded_point_in_complex,
     caterpillar_check,
+    coloops,
     colwise_dragon_condition,
     covector_of_point,
     decomposition_cone,
     in_B,
+    is_interior_cell,
+    minimal_form,
+    polytrope_contains,
     uniform_matroid,
     vec_mat_mul,
 )
@@ -31,17 +36,18 @@ from tropstiefel.core import (
     require_column_supports,
 )
 from tropstiefel.linspace import (
-    bounded_membership,
     bounded_skeleton,
     certificate_to_json,
     contains,
     contains_via_matroid,
     DecompositionCertificate,
     decompose,
+    in_bounded_part,
+    in_L,
 )
 from tropstiefel.geom import DifferenceBounds
 from tropstiefel.plucker import stiefel_map
-from tropstiefel.subdivision import select_matroid, is_interior_cell
+from tropstiefel.subdivision import select_matroid
 
 FIG = TropMatrix([[0, 3, 0, "inf", "inf"], ["inf", 0, 0, 2, "inf"], ["inf", "inf", 0, 0, 0]])
 STAIR = TropMatrix([[0, 0, "inf", "inf"], ["inf", 0, 0, "inf"], ["inf", "inf", 0, 0]])
@@ -148,7 +154,7 @@ def test_decompose_certificates_against_cones_and_circuits():
                 continue
             found += 1
             cone = decomposition_cone(A, cert.covector.edges, cert.J)
-            assert Polyhedron(n, *cone.minimal_form()).contains(y.entries) and cone.contains(y.entries)
+            assert Polyhedron(n, *minimal_form(cone)).contains(y.entries) and polytrope_contains(cone, y.entries)
             image = vec_mat_mul(cert.x, A)
             assert all(image.entry(j) + cert.slack.entry(j) == y.entry(j) for j in range(1, n + 1))
             assert covector_of_point(A, cert.x).edges >= cert.covector.edges
@@ -212,7 +218,7 @@ def check_certificate(A, y, cert):
     column-wise dragon condition, and x ⊙ A + slack = y with the slack
     positive exactly on J."""
     n = A.n
-    assert decomposition_cone(A, cert.covector.edges, cert.J).contains(y.entries)
+    assert polytrope_contains(decomposition_cone(A, cert.covector.edges, cert.J), y.entries)
     assert covector_of_point(A, cert.x) == cert.covector and in_B(cert.covector)
     assert colwise_dragon_condition(cert.covector.graph, cert.J)
     image = vec_mat_mul(cert.x, A)
@@ -341,7 +347,7 @@ def test_decompose_answers_past_the_cell_budget():
     assert exc.value.code == "BUDGET_EXCEEDED"
     y = vec_mat_mul(TropVector([rng.randint(-20, 20) for _ in range(5)]), A)
     cert = decompose(A, y)
-    assert cert is not None and decomposition_cone(A, cert.covector.edges, cert.J).contains(y.entries)
+    assert cert is not None and polytrope_contains(decomposition_cone(A, cert.covector.edges, cert.J), y.entries)
     assert contains(stiefel_map(A), y)
 
 
@@ -414,6 +420,51 @@ def test_bounded_membership_examples():
         bounded_membership(rank_def, TropVector([0, 0, 0]))
 
 
+def test_in_L_examples_and_error_order():
+    assert in_L(STAIR, TropVector([1, 0, 0, 0]))
+    assert not in_L(STAIR, TropVector([-1, 0, 0, 0]))
+    assert in_L(TWO_ROW, TropVector([0, 0, 1, 1]))
+    # an ∞ coordinate leaves the others to the contraction: the columns
+    # some assignment taking as many ∞ columns as it can uses
+    assert in_L(STAIR, TropVector(["inf", 0, 0, 0]))
+    assert in_L(STAIR, TropVector(["inf", 0, 5, 0])) and not in_L(STAIR, TropVector(["inf", "inf", 0, 1]))
+    assert in_L(STAIR, TropVector(["inf"] * 4))
+    # a finite coordinate on an all-∞ column is outside L(A)
+    A = TropMatrix([[0, "inf", 0], [1, "inf", 0]])
+    assert not in_L(A, TropVector([0, 0, 0])) and in_L(A, TropVector([0, "inf", 0]))
+    # no matching comes before the length of y
+    for A, y in ((TropMatrix([[0, "inf"], [0, "inf"]]), [0]), (TropMatrix([[0], [0]]), [0, 0])):
+        with pytest.raises(DomainError) as exc:
+            in_L(A, TropVector(y))
+        assert exc.value.code == "NO_MATCHING_IN_SUPPORT"
+    with pytest.raises(DomainError) as exc:
+        in_L(STAIR, TropVector([0, 0, 0]))
+    assert exc.value.code == "LENGTH_MISMATCH"
+
+
+def test_in_bounded_part_examples_and_error_order():
+    assert in_bounded_part(TWO_ROW, TropVector([0, 0, 0, 0]))
+    assert not in_bounded_part(TWO_ROW, TropVector([2, 0, 0, 0]))
+    # the standard plane's bounded part is the single projective point 0
+    assert in_bounded_part(STAIR, TropVector([3, 3, 3, 3]))
+    for y in ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1]):
+        assert not in_bounded_part(STAIR, TropVector(y))
+    # d = n: the one basis is all coloops
+    assert not in_bounded_part(TropMatrix([[0, 1], [1, 0]]), TropVector([0, 0]))
+    # no matching (d > n among them), then a non-uniform matroid, then the point
+    cases = [
+        (TropMatrix([[0], [0]]), ["inf"], "NO_MATCHING_IN_SUPPORT"),
+        (TropMatrix([[0, "inf"], [0, "inf"]]), ["inf"], "NO_MATCHING_IN_SUPPORT"),
+        (TropMatrix([[0, 0, "inf"], [0, 0, "inf"]]), ["inf"], "NOT_UNIFORM"),
+        (TWO_ROW, [0, 0, 0, "inf"], "BAD_POINT"),
+        (TWO_ROW, [0, 0, 0], "BAD_POINT"),
+    ]
+    for A, y, code in cases:
+        with pytest.raises(DomainError) as exc:
+            in_bounded_part(A, TropVector(y))
+        assert exc.value.code == code
+
+
 def norm(entries):
     return tuple(v - entries[0] for v in entries)
 
@@ -421,7 +472,7 @@ def norm(entries):
 def test_bounded_complex_two_row():
     cells = bounded_complex(TWO_ROW)
     assert len(cells) == 3
-    polys = [Polyhedron(4, *image.minimal_form()) for _, image in cells]
+    polys = [Polyhedron(4, *minimal_form(image)) for _, image in cells]
     assert [P.affine_dimension() for P in polys] == [image.dim() for _, image in cells]
     points = [poly for poly in polys if poly.affine_dimension() == 0]
     segments = [poly for poly in polys if poly.affine_dimension() == 1]
@@ -437,7 +488,7 @@ def test_bounded_complex_stair():
     cells = bounded_complex(STAIR)
     assert len(cells) == 1
     image = cells[0][1]
-    poly = Polyhedron(4, *image.minimal_form())
+    poly = Polyhedron(4, *minimal_form(image))
     assert poly.affine_dimension() == 0 == image.dim()
     assert norm(poly.vertices()[0]) == (0, 0, 0, 0) == norm(image.point()[1:])
 
@@ -454,7 +505,7 @@ def test_bounded_complex_matches_interior_census():
     for _ in range(300):
         y = TropVector([Fraction(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(5)])
         M = select_matroid(p, y)
-        if not M.loops() and not M.coloops():
+        if not M.loops() and not coloops(M):
             census.add(M)
     assert census <= set(matroids)
 
@@ -480,10 +531,10 @@ def test_image_cells_against_their_cells():
         tc = {c.covector: c for c in enumerate_covectors(A)}
         for covector, image in cells:
             cell = tc[covector]
-            poly = Polyhedron(n, *image.minimal_form())
+            poly = Polyhedron(n, *minimal_form(image))
             y = vec_mat_mul(TropVector(cell.point), A).entries
             assert poly.affine_dimension() == cell.dim == image.dim()
-            assert poly.contains(y) and image.contains(y)
+            assert poly.contains(y) and polytrope_contains(image, y)
             checked += 1
     assert checked > 200
 
@@ -499,17 +550,17 @@ def test_bounded_point_in_complex():
 def test_decomposition_cone():
     vertex = frozenset([(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4)])
     cone = decomposition_cone(STAIR, vertex, {2, 3})
-    for C in (cone, Polyhedron(4, *cone.minimal_form())):
-        assert C.contains((0, 1, 1, 0))
-        assert C.contains((0, 0, 0, 0))  # closure includes zero slack
-        assert not C.contains((-1, 0, 0, 0))
+    for inside in (lambda z: polytrope_contains(cone, z), Polyhedron(4, *minimal_form(cone)).contains):
+        assert inside((0, 1, 1, 0))
+        assert inside((0, 0, 0, 0))  # closure includes zero slack
+        assert not inside((-1, 0, 0, 0))
     cone0 = decomposition_cone(STAIR, vertex, frozenset())
-    P0 = Polyhedron(4, *cone0.minimal_form())
+    P0 = Polyhedron(4, *minimal_form(cone0))
     # the image of the vertex cell is the projective point 0
     assert cone0.dim() == P0.affine_dimension() == 1
-    for C0 in (cone0, P0):
-        assert C0.contains((2, 2, 2, 2))
-        assert not C0.contains((0, 1, 1, 0))
+    for inside in (lambda z: polytrope_contains(cone0, z), P0.contains):
+        assert inside((2, 2, 2, 2))
+        assert not inside((0, 1, 1, 0))
 
 
 def test_caterpillar_examples():
@@ -584,20 +635,20 @@ def test_polytrope_against_the_reference_polyhedron(case):
     n = A.n
     y = vec_mat_mul(TropVector(cell.point), A).entries  # in every cone of the cell: zero slack
     cone = decomposition_cone(A, cell.covector.edges, J)
-    P = Polyhedron(n, *cone.minimal_form())
+    P = Polyhedron(n, *minimal_form(cone))
     assert cone.dim() == P.affine_dimension()
-    assert cone.contains(y) and P.contains(cone.point()[1:])
+    assert polytrope_contains(cone, y) and P.contains(cone.point()[1:])
     for z in nearby(y):
-        assert cone.contains(z) == P.contains(z)
+        assert polytrope_contains(cone, z) == P.contains(z)
     if not in_K(cell.covector) or transversal_matroid(BipartiteGraph.from_support(A)) != uniform_matroid(A.d, n):
         return
     image = dict(bounded_complex(A))[cell.covector]
     j1 = min(cell.covector.graph.J(1))
     gauge = Polyhedron(n, eqs=[(tuple(int(j == j1) for j in range(1, n + 1)), A.entry(1, j1))])
-    Q = Polyhedron(n, *decomposition_cone(A, cell.covector.edges, ()).minimal_form()).intersect(gauge)
-    assert image.dim() == cell.dim == Q.affine_dimension() == Polyhedron(n, *image.minimal_form()).affine_dimension()
+    Q = Polyhedron(n, *minimal_form(decomposition_cone(A, cell.covector.edges, ()))).intersect(gauge)
+    assert image.dim() == cell.dim == Q.affine_dimension() == Polyhedron(n, *minimal_form(image)).affine_dimension()
     for z in nearby(y):
-        assert image.contains(z) == Q.contains(z)
+        assert polytrope_contains(image, z) == Q.contains(z)
 
 
 def test_decomposition_cone_checks_tau_and_J():

@@ -79,38 +79,54 @@ def test_bound_encoding_read_only_in_geom():
 BENCH_WORKLOADS = SOURCE.parents[1] / "bench" / "workloads.py"
 
 
+def _methods(stmt):
+    """The methods of a module-level class statement, dunder methods aside:
+    those run with the class itself."""
+    if not isinstance(stmt, ast.ClassDef):
+        return []
+    return [m for m in stmt.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (m.name.startswith("__") and m.name.endswith("__"))]
+
+
 def test_every_library_name_is_reached():
     """The library is what the CLI and the benchmark reach.  From every
     statement of ``cli.py`` and the names ``bench/workloads.py`` imports
     from the package, follow the names each reached module-level definition
-    reads; a module-level name of ``src/`` left unreached is a test
+    reads, and the methods it calls: a method other than a dunder is
+    reached when a reached statement reads its name as an attribute, and a
+    class statement reads its methods only once they are reached.  A
+    module-level name or method of ``src/`` left unreached is a test
     reference, and belongs in ``tests/reference.py``."""
     modules = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in sorted(SOURCE.glob("*.py"))}
     bench = ast.parse(BENCH_WORKLOADS.read_text(encoding="utf-8"), filename=str(BENCH_WORKLOADS))
     assert "cli.py" in modules
-    frontier = [name for stmt in modules["cli.py"].body for name in _reads(stmt)]
-    frontier += [
+    definitions, methods = {}, {}
+    for module, tree in modules.items():
+        for stmt in tree.body:
+            own = _methods(stmt)
+            parts = [stmt] if not own else [*stmt.decorator_list, *stmt.bases, *stmt.keywords, *(s for s in stmt.body if s not in own)]
+            for name in _binds(stmt):
+                definitions.setdefault(name, []).append((f"{module[:-3]}.{name}", parts))
+            for m in own:
+                methods.setdefault(m.name, []).append((f"{module[:-3]}.{stmt.name}.{m.name}", [m]))
+    names = {
         alias.name
         for node in ast.walk(bench)
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "tropstiefel"
         for alias in node.names
-    ]
-    definitions = {}
-    for module, tree in modules.items():
-        for stmt in tree.body:
-            for name in _binds(stmt):
-                definitions.setdefault(name, []).append((module, stmt))
-    reached = set()
-    while frontier:
-        name = frontier.pop()
-        if name not in reached:
-            reached.add(name)
-            frontier += [read for _, stmt in definitions.get(name, ()) for read in _reads(stmt)]
+    }
+    attributes, stack = set(), list(modules["cli.py"].body)
+    stack += [part for name in names for _, parts in definitions.get(name, ()) for part in parts]
+    while stack:
+        node = stack.pop()
+        for name in set(_reads(node)) - names:
+            names.add(name)
+            stack += [part for _, parts in definitions.get(name, ()) for part in parts]
+        for attr in {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)} - attributes:
+            attributes.add(attr)
+            stack += [part for _, parts in methods.get(attr, ()) for part in parts]
     unreached = sorted(
-        f"{module[:-3]}.{name}"
-        for name, places in definitions.items()
-        for module, _ in places
-        if module != "cli.py" and name not in reached
+        [label for name, places in definitions.items() for label, _ in places if name not in names and not label.startswith("cli.")]
+        + [label for attr, places in methods.items() for label, _ in places if attr not in attributes]
     )
     assert not unreached, f"library names neither the CLI nor the benchmark reaches: {unreached}"
 

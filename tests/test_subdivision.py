@@ -5,14 +5,13 @@ from fractions import Fraction
 import pytest
 
 from polyhedra import Polyhedron
-from reference import cell_exists, subdivisions_equal, transversal_polytope_ineqs, uniform_matroid
+from reference import cell_exists, is_interior_cell, subdivisions_equal, transversal_polytope_ineqs, uniform_matroid
 from tropstiefel.bipartite import BipartiteGraph, Matroid, transversal_matroid
 from tropstiefel.core import DomainError, INF, TropMatrix, TropVector
 from tropstiefel.plucker import stiefel_map
 from tropstiefel.subdivision import (
     facets_of_D,
     facets_to_json,
-    is_interior_cell,
     select_matroid,
 )
 
