@@ -5,13 +5,13 @@ multifields and their coherence, support-set predicates, transversal
 matroids, and the first-Betti-number dimension formula.  One matching engine
 (``optimal_matchings``) answers which column sets can be matched and how
 well: the Stiefel map, multifields, coherence and transversal matroids; it
-refuses up front a table of more than ``MATCHING_BUDGET`` column sets.  One
-Hall-type surplus scan answers the support-set test and the dragon
-condition, over row subsets refused up front past ``HALL_BUDGET``.
+refuses up front a table of more than ``MATCHING_BUDGET`` column sets.
 Coherence is one ``geom.argmin_witness`` question, refused up front past
 ``COHERENCE_BUDGET`` supported matchings.  One Hungarian solve
 (``assignment``) gives a min-cost assignment of every row and the greatest
-optimal dual, and one union-find every component count.
+optimal dual; d of them answer the Hall-type surplus condition behind the
+support-set test and the dragon condition, with no budget.  One union-find
+gives every component count.
 """
 
 from __future__ import annotations
@@ -49,10 +49,6 @@ class BipartiteGraph:
     def I(self, j):
         """Left neighbors of right vertex j."""
         return frozenset(a for a, b in self.edges if b == j)
-
-    def J_of(self, I):
-        """Joint right neighborhood of a set of left vertices."""
-        return frozenset(j for a, j in self.edges if a in I)
 
     def sorted_edges(self):
         return tuple(sorted(self.edges))
@@ -348,34 +344,43 @@ def is_coherent(multifield: MatchingMultifield):
 
 
 # ---------------------------------------------------------------------------
-# Support sets
+# Hall-type surplus conditions: support sets and the dragon condition
 # ---------------------------------------------------------------------------
 
-HALL_BUDGET = 10 ** 5  # nonempty vertex subsets a Hall-type scan may visit
-
-
-def _nonempty_subsets(ground):
-    """The nonempty subsets of the sequence ``ground``, as tuples by size;
-    DomainError BUDGET_EXCEEDED, before the first, when their
-    2^|ground| − 1 exceed ``HALL_BUDGET``."""
-    count = 2 ** len(ground) - 1
-    if count > HALL_BUDGET:
-        raise DomainError("BUDGET_EXCEEDED", f"{len(ground)} vertices give {count} subsets, budget {HALL_BUDGET}")
-    for r in range(1, len(ground) + 1):
-        yield from itertools.combinations(ground, r)
-
-
-def _hall_surplus(ground, neighbours, k):
-    """|neighbours(S)| >= |S| + k for every nonempty S ⊆ ground."""
-    for S in _nonempty_subsets(ground):
-        if len(neighbours(S)) < len(S) + k:
+def _hall_condition(G: BipartiteGraph, k):
+    """|J_I| >= |I| + k for every nonempty I ⊆ [d], by Hall's theorem.
+    Give row i k + 1 copies: Hall's condition on the row sets holding them
+    is this one on the sets I ∋ i, so it holds exactly when, for each row
+    i, some matching of the other rows leaves k + 1 columns of J_i free.
+    One ``assignment`` per row, at cost 1 on J_i and 0 on the other edges,
+    finds the fewest columns of J_i such a matching takes: d calls,
+    O(d³n).  A k < 0 (only when d > n) first joins −k new columns to every
+    row."""
+    pad = frozenset(range(G.n + 1, G.n + 1 - k))
+    k, J = max(k, 0), [G.J(i) | pad for i in range(1, G.d + 1)]
+    cols = range(1, G.n + len(pad) + 1)
+    for i, Ji in enumerate(J):
+        if len(Ji) < k + 1:
             return False
+        if G.d > 1:  # else no other rows, and they take no column of J_i
+            try:
+                u, v, _ = assignment([[int(j in Ji) if j in Jr else None for j in cols] for Jr in J[:i] + J[i + 1:]])
+            except DomainError:  # NO_MATCHING_IN_SUPPORT: Hall fails on the other rows
+                return False
+            if len(Ji) - sum(u) - sum(v) < k + 1:
+                return False
     return True
 
 
 def hall_surplus_check(G: BipartiteGraph) -> bool:
     """|J_I| >= n - d + |I| for every nonempty I ⊆ [d]."""
-    return _hall_surplus(range(1, G.d + 1), G.J_of, G.n - G.d)
+    return _hall_condition(G, G.n - G.d)
+
+
+def dragon_condition(G: BipartiteGraph) -> bool:
+    """The dragon marriage condition: |J_I| >= |I| + 1 for every nonempty
+    I ⊆ [d] (row-wise)."""
+    return _hall_condition(G, 1)
 
 
 def is_support_set(G: BipartiteGraph) -> bool:
@@ -408,15 +413,6 @@ def transversal_matroid(G: BipartiteGraph) -> Matroid:
     d-sets that the matching engine reaches on G's 0/∞ matrix."""
     best = optimal_matchings(_zero_inf_rows(G.d, G.n, G.edges), range(1, G.n + 1))[0]
     return Matroid(G.n, G.d, [S for S in best if len(S) == G.d])
-
-
-# ---------------------------------------------------------------------------
-# The dragon marriage condition
-# ---------------------------------------------------------------------------
-
-def dragon_condition(G: BipartiteGraph) -> bool:
-    """|J_I| >= |I| + 1 for every nonempty I ⊆ [d] (row-wise)."""
-    return _hall_surplus(range(1, G.d + 1), G.J_of, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ underlying matroid (``in_bounded_part``), and a certificate of membership
 meeting the column-wise dragon condition, and ``decompose`` reads such a
 pair (F, J) and its point x off that dual, with no search.  Membership by
 circuit minima (``plucker.contains``, imported here) and by selected
-matroids (``contains_via_matroid``) stays for the benchmark.  The vertices
-and segments of the bounded part of a support that passes the Hall scan
-``bipartite.hall_surplus_check`` need only the cells of TC(A) in K(A) and
-their dimensions, so ``bounded_skeleton`` builds no image of a cell.
+matroids (``contains_via_matroid``) stays for the benchmark.  Both bounded
+questions first ask ``bipartite.hall_surplus_check``, d more assignments,
+that every column d-set be matchable.  The vertices and segments of the
+bounded part need only the cells of TC(A) in K(A) and their dimensions,
+so ``bounded_skeleton`` builds no image of a cell.
 """
 
 from __future__ import annotations

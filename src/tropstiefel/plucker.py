@@ -124,9 +124,10 @@ def recover_matrix(p: PluckerVector, support: BipartiteGraph) -> TropMatrix:
 
     Row i is cocircuit(p, [n] ∖ J_i); when p = stiefel_map(A) for A supported
     on the support set, the result equals A up to one constant per row.
+    NOT_SUPPORT_SET for a support not a support set on p's [d] ⊔ [n], then
     NOT_UNIFORM when a coordinate is ∞: the underlying matroid is not uniform.
     """
-    if not is_support_set(support):
+    if (support.d, support.n) != (p.d, p.n) or not is_support_set(support):
         raise DomainError("NOT_SUPPORT_SET", "second argument must be a support set")
     if any(v is INF for v in p.values.values()):
         raise DomainError("NOT_UNIFORM", "underlying matroid must be uniform")

@@ -18,6 +18,9 @@ the two.  The library keeps only what the CLI and the benchmark reach
   ``arrangement.enumerate_covectors``;
 * π(A) as the stable union of the rows (``stable_union``, ``row_vector``)
   against ``plucker.stiefel_map``, with duality and stable intersection;
+* the Hall-type surplus scan over all 2^d − 1 row sets (``_hall_surplus``,
+  refused past ``HALL_BUDGET``) against ``bipartite.hall_surplus_check``
+  and ``bipartite.dragon_condition``, which ask d assignment problems;
 * transversal rank by deficiency and the matroid polytope inequalities
   against ``bipartite.transversal_matroid``, and the maximum matching by
   augmenting paths (``_max_matching_size``) against both and against
@@ -46,7 +49,7 @@ from fractions import Fraction
 
 from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, require_column_supports, scalar, scalar_str
 from tropstiefel.geom import ONE, ZERO, DifferenceBounds, argmin_witness
-from tropstiefel.bipartite import BipartiteGraph, Matching, Matroid, _hall_surplus, _nonempty_subsets, assignment, components, optimal_matchings
+from tropstiefel.bipartite import BipartiteGraph, Matching, Matroid, assignment, components, optimal_matchings
 from tropstiefel.plucker import PluckerVector, _subsets
 from tropstiefel.arrangement import Covector, _integer_scaled
 from tropstiefel.subdivision import facets_of_D, select_matroid
@@ -157,6 +160,33 @@ def optimal_columns(cost):
     return out
 
 
+def J_of(G: BipartiteGraph, I):
+    """Joint right neighborhood of a set of left vertices."""
+    return frozenset(j for a, j in G.edges if a in I)
+
+
+HALL_BUDGET = 10 ** 5  # nonempty vertex subsets a Hall-type scan may visit
+
+
+def _nonempty_subsets(ground):
+    """The nonempty subsets of the sequence ``ground``, as tuples by size;
+    DomainError BUDGET_EXCEEDED, before the first, when their
+    2^|ground| − 1 exceed ``HALL_BUDGET``."""
+    count = 2 ** len(ground) - 1
+    if count > HALL_BUDGET:
+        raise DomainError("BUDGET_EXCEEDED", f"{len(ground)} vertices give {count} subsets, budget {HALL_BUDGET}")
+    for r in range(1, len(ground) + 1):
+        yield from itertools.combinations(ground, r)
+
+
+def _hall_surplus(ground, neighbours, k):
+    """|neighbours(S)| >= |S| + k for every nonempty S ⊆ ground."""
+    for S in _nonempty_subsets(ground):
+        if len(neighbours(S)) < len(S) + k:
+            return False
+    return True
+
+
 def colwise_dragon_condition(G: BipartiteGraph, J) -> bool:
     """|I_{J'}| >= |J'| + 1 for every nonempty J' ⊆ J (column-wise), under
     ``HALL_BUDGET``."""
@@ -186,7 +216,7 @@ def transversal_rank(G: BipartiteGraph, S) -> int:
     S = frozenset(S)
     best = G.d  # I = ∅
     for I in _nonempty_subsets(range(1, G.d + 1)):
-        v = len(S & G.J_of(I)) + G.d - len(I)
+        v = len(S & J_of(G, I)) + G.d - len(I)
         if v < best:
             best = v
     return best
@@ -360,7 +390,7 @@ def transversal_polytope_ineqs(G: BipartiteGraph):
         ineqs.append((tuple(hi), -ONE))
     for I in _nonempty_subsets(range(1, d + 1)):
         co = [ZERO] * n
-        for j in G.J_of(I):
+        for j in J_of(G, I):
             co[j - 1] = ONE
         ineqs.append((tuple(co), Fraction(len(I))))
     return eqs, ineqs

@@ -33,7 +33,6 @@ from reference import (
     stable_union,
     subdivisions_equal,
     transversal_polytope_ineqs,
-    uniform_matroid,
     vec_mat_mul,
     vector_to_json,
 )
@@ -731,3 +730,25 @@ def test_member_and_bounded_answer_a_dense_8x24(tmp_path, capsys):
         expected = in_K(covector_of_point(A, residuation(y, A)))
         assert json.loads(capsys.readouterr().out) == {"in_bounded_part": expected}
         assert answer(lambda: stiefel_map(A)) == "BUDGET_EXCEEDED"
+
+
+def test_bounded_and_support_set_answer_past_a_subset_scan(tmp_path, capsys):
+    """The surplus Hall condition behind ``bounded`` and ``support-set`` is
+    d assignment problems, not a scan of the 2^d − 1 row sets: ``bounded``
+    on an image point of a dense 16×40 (``random.Random(6)``, entries
+    −50..50, x in −20..20) and ``support-set`` on the complete 17×18 graph
+    answer with exit 0, where a scan would visit 65535 and 131071 row
+    sets."""
+    rng = random.Random(6)
+    A = TropMatrix([[rng.randint(-50, 50) for _ in range(40)] for _ in range(16)])
+    y = vec_mat_mul(TropVector([rng.randint(-20, 20) for _ in range(16)]), A)
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"matrix": matrix_to_json(A), "vector": vector_to_json(y)}))
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"d": 17, "n": 18, "edges": [[i, j] for i in range(1, 18) for j in range(1, 19)]}))
+    with Budget(2):
+        assert main(["bounded", "--input", str(point)]) == 0
+        bounded = json.loads(capsys.readouterr().out)
+        assert main(["support-set", "--input", str(graph)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"h1": 17 * 18 - 35 + 1, "is_support_set": False}
+    assert bounded == {"in_bounded_part": in_K(covector_of_point(A, residuation(y, A)))}

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import (
+    HALL_BUDGET,
+    J_of,
+    _hall_surplus,
     _max_matching_size,
+    _nonempty_subsets,
     coloops,
     colwise_dragon_condition,
     graph_to_json,
@@ -23,7 +27,6 @@ from reference import (
 )
 from tropstiefel.bipartite import (
     COHERENCE_BUDGET,
-    HALL_BUDGET,
     MATCHING_BUDGET,
     BipartiteGraph,
     Matching,
@@ -42,7 +45,6 @@ from tropstiefel.bipartite import (
     optimal_matchings,
     support_face_dimension,
     transversal_matroid,
-    _nonempty_subsets,
 )
 from tropstiefel.arrangement import _integer_scaled
 from tropstiefel.core import INF, DomainError, TropMatrix, TropVector
@@ -396,10 +398,10 @@ def column_scan(G, J, k):
 
 @st.composite
 def graphs_and_columns(draw):
-    """A graph with d <= 4 rows and n <= 7 columns, the support of a matrix
+    """A graph with d <= 6 rows and n <= 8 columns, the support of a matrix
     with a random ∞ pattern, and a column set J."""
-    d = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 7))
+    d = draw(st.integers(0, 6))
+    n = draw(st.integers(0, 8))
     entry_is_finite = st.sampled_from([True, True, True, False])
     finite = draw(st.lists(st.lists(entry_is_finite, min_size=n, max_size=n), min_size=d, max_size=d))
     edges = [(i + 1, j + 1) for i, row in enumerate(finite) for j, f in enumerate(row) if f]
@@ -411,12 +413,15 @@ def graphs_and_columns(draw):
 @given(graphs_and_columns())
 def test_hall_scans_against_column_scan(case):
     """The column-wise dragon condition on J directly; the row-wise one and
-    the support-set surplus as column scans of the transposed graph."""
+    the support-set surplus, which the library answers by assignment
+    problems, as column scans of the transposed graph and as the reference
+    scan over row sets (k = n − d < 0 when d > n)."""
     G, J = case
     T = BipartiteGraph(G.n, G.d, [(j, i) for i, j in G.edges])
+    rows = range(1, G.d + 1)
     assert colwise_dragon_condition(G, J) == column_scan(G, J, 1)
-    assert dragon_condition(G) == column_scan(T, range(1, G.d + 1), 1)
-    assert hall_surplus_check(G) == column_scan(T, range(1, G.d + 1), G.n - G.d)
+    assert dragon_condition(G) == column_scan(T, rows, 1) == _hall_surplus(rows, lambda I: J_of(G, I), 1)
+    assert hall_surplus_check(G) == column_scan(T, rows, G.n - G.d) == _hall_surplus(rows, lambda I: J_of(G, I), G.n - G.d)
 
 
 def test_spanning_tree_no_left_leaves():
@@ -479,14 +484,14 @@ def test_json_roundtrips():
 
 
 def test_hall_scans_budget():
-    # 2^16 − 1 row or column subsets fit the budget and 2^17 − 1 do not;
-    # the refusal comes before the first subset
+    # the reference scans fit 2^16 − 1 row or column subsets in their budget
+    # and not 2^17 − 1, and refuse before the first subset; the library's
+    # checks, d assignment problems, answer on the complete 17x18 graph
     assert (2 ** 16 - 1) <= HALL_BUDGET < 2 ** 17 - 1
     assert next(_nonempty_subsets(range(1, 17))) == (1,)
     G = BipartiteGraph(17, 18, [(i, j) for i in range(1, 18) for j in range(1, 19)])
+    assert hall_surplus_check(G) and dragon_condition(G)
     for scan in (
-        hall_surplus_check,
-        dragon_condition,
         lambda G: transversal_rank(G, {1}),
         transversal_polytope_ineqs,
         lambda G: colwise_dragon_condition(G, range(1, 18)),

@@ -7,8 +7,6 @@ import sys
 import time
 from pathlib import Path
 
-import pytest
-
 import tropstiefel.cli
 from reference import graph_to_json, plucker_proj_eq
 from tropstiefel.cli import main
@@ -210,6 +208,7 @@ def test_domain_error_exit_code(tmp_path, capsys):
         return {"d": 2, "n": 2, "choices": choices}
 
     one_one = {"d": 1, "n": 2, "values": {"1": "0", "2": "inf"}}
+    zero_2_4 = {"d": 2, "n": 4, "values": {f"{a},{b}": "0" for a, b in itertools.combinations(range(1, 5), 2)}}
     long_diagonal = ["1/1" + "0" * 2499 + "1", "1/1" + "0" * 2499 + "3"]
     cases = [
         # a column of infinities: no matching in the support
@@ -234,6 +233,10 @@ def test_domain_error_exit_code(tmp_path, capsys):
         (["bounded"], point([[0, 1, 2], [1, 0, 2]], ["0"]), "BAD_POINT"),
         (["recover"], {"plucker": one_one, "support": {"d": 1, "n": 2, "edges": [[1, 1], [1, 2]]}}, "NOT_UNIFORM"),
         (["recover"], {"plucker": one_one, "support": {"d": 1, "n": 2, "edges": [[1, 1]]}}, "NOT_SUPPORT_SET"),
+        # support sets on another [d] ⊔ [n] than the Plücker vector's
+        (["recover"], {"plucker": zero_2_4, "support": {"d": 1, "n": 3, "edges": [[1, 1], [1, 2], [1, 3]]}}, "NOT_SUPPORT_SET"),
+        (["recover"], {"plucker": zero_2_4, "support": {"d": 2, "n": 5, "edges": [[1, 1], [1, 2], [1, 3], [1, 4], [2, 2], [2, 3], [2, 4], [2, 5]]}}, "NOT_SUPPORT_SET"),
+        (["recover"], {"plucker": zero_2_4, "support": {"d": 1, "n": 4, "edges": [[1, 1], [1, 2], [1, 3], [1, 4]]}}, "NOT_SUPPORT_SET"),
         (["plucker-check"], {"d": 2, "n": 3, "values": {"1,2": "0", "1,3": "0"}}, "MISSING_COORDINATE"),
     ]
     for argv, obj, error in cases:
@@ -494,13 +497,14 @@ def test_cell_outputs_golden_stdout(tmp_path, capsys):
     )
 
 
-def test_hall_budget_on_complete_24x25(tmp_path, capsys):
-    # 2^24 − 1 row subsets: refused before the first Hall scan, where the
-    # scan itself would take tens of minutes
+def test_support_set_answers_on_complete_24x25(tmp_path, capsys):
+    # 2^24 − 1 row subsets, which a scan would take tens of minutes over:
+    # the surplus condition is 24 assignment problems, and holds, but no
+    # row has the n − d + 1 = 2 columns of a support set
     G = {"d": 24, "n": 25, "edges": [[i, j] for i in range(1, 25) for j in range(1, 26)]}
     start = time.monotonic()
     code, out = run(capsys, ["support-set", "--input", write_input(tmp_path, G)])
-    assert code == 1 and json.loads(out) == {"error": "BUDGET_EXCEEDED"}
+    assert code == 0 and json.loads(out) == {"h1": 24 * 25 - 49 + 1, "is_support_set": False}
     assert time.monotonic() - start < 5
 
 
