@@ -7,15 +7,16 @@ condition), and the 0- and 1-cells of a list of cells with the ends of each
 The arrangement lives in the torus of x-coordinates, and every cell of TC(A)
 is a polytrope: the points whose covector is tau satisfy, per column j,
 equalities tying the rows of I_j and strict inequalities saying that the
-other rows of supp(j) lose.  ``_attain`` states that rule for one column
-as bounds over the integer-scaled entries of A and hands them to the
-closed difference-bound matrix (``geom.DifferenceBounds``) of an open
-cell: to its ``add`` to impose them, or first to its ``admits``, one
-lookup per bound, so the search copies the matrix only for a choice of
-rows that no single bound rules out.  TC(A)
-is found by a depth-first search over the columns: a partial choice
+other rows of supp(j) lose.  TC(A) is found by a depth-first search over
+the columns on the closed difference-bound matrix
+(``geom.DifferenceBounds``) of an open cell: a partial choice
 (I_1, ..., I_j) is kept exactly when its system is feasible, and every
-feasible prefix extends to a covector, so the search never dead-ends.
+feasible prefix extends to a covector, so the search never dead-ends.  At
+column j, ``_attain`` imposes on a copy of the matrix each nonempty subset
+of the rows R_j that attain the minimum somewhere in the open cell: row i
+is in R_j when ``admits`` takes each bound x_i + a_ij <= x_k + a_kj alone,
+and those bounds all end at node i, which a simple cycle enters once, so
+together they close no negative cycle.
 A cell's dimension is the number of tie classes of its closed matrix
 minus one (the only zero cycles of a feasible strict system are its tie
 equalities), and its witness, gauge-fixed by x_1 = 0, comes from the
@@ -78,13 +79,12 @@ def _integer_scaled(A: TropMatrix, y=()):
     return unit, a, [v.numerator * (unit // v.denominator) for v in y]
 
 
-def _attain(impose, a, j, I):
-    """Hand to ``impose`` (a ``DifferenceBounds.add`` or ``admits``) the
-    bounds saying that exactly the rows I of column j attain
-    min_k (x_k + a_kj), row k being node k (0-based, I sorted):
-    x_i + a_ij = x_i0 + a_i0j for i ∈ I with i0 = I[0], and
+def _attain(dbm, a, j, I):
+    """Impose on ``dbm`` the bounds saying that exactly the rows I of
+    column j attain min_k (x_k + a_kj), row k being node k (0-based, I
+    sorted): x_i + a_ij = x_i0 + a_i0j for i ∈ I with i0 = I[0], and
     x_k + a_kj > x_i0 + a_i0j for the other finite rows k.  Returns False
-    at the first bound ``impose`` refuses."""
+    at the first bound ``dbm.add`` refuses."""
     i0 = I[0]
     a0 = a[i0][j]
     for k, row in enumerate(a):
@@ -92,9 +92,9 @@ def _attain(impose, a, j, I):
         if c is None or k == i0:
             continue
         if k in I:
-            if not (impose(i0, k, a0 - c) and impose(k, i0, c - a0)):
+            if not (dbm.add(i0, k, a0 - c) and dbm.add(k, i0, c - a0)):
                 return False
-        elif not impose(k, i0, c - a0, True):
+        elif not dbm.add(k, i0, c - a0, True):
             return False
     return True
 
@@ -145,12 +145,11 @@ def enumerate_covectors(A: TropMatrix, budget=CELL_BUDGET) -> list:
             if len(cells) > budget:
                 raise DomainError("BUDGET_EXCEEDED", f"more than {budget} cells")
             return
-        for r in range(1, len(cols[j]) + 1):
-            for I in itertools.combinations(cols[j], r):
-                if not _attain(dbm.admits, a, j, I):
-                    continue
+        rows = [i for i in cols[j] if all(dbm.admits(k, i, a[k][j] - a[i][j]) for k in cols[j])]
+        for r in range(1, len(rows) + 1):
+            for I in itertools.combinations(rows, r):
                 child = dbm.copy()
-                if _attain(child.add, a, j, I):
+                if _attain(child, a, j, I):
                     search(j + 1, child, chosen + [I])
 
     search(0, DifferenceBounds(d, unit), [])

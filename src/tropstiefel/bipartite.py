@@ -234,7 +234,10 @@ def _zero_inf_rows(d, n, edges):
 
 
 def matching_multifield(A: TropMatrix) -> MatchingMultifield:
-    """Λ(A): the optimal matchings on every column d-subset."""
+    """Λ(A): the optimal matchings on every column d-subset;
+    NO_MATCHING_IN_SUPPORT when d > n, which leaves no d-subset."""
+    if A.d > A.n:
+        raise DomainError("NO_MATCHING_IN_SUPPORT", "support contains no matching")
     best, argmins = optimal_matchings(A.entries, range(1, A.n + 1))
     choices = {}
     for J in itertools.combinations(range(1, A.n + 1), A.d):

@@ -115,10 +115,9 @@ def cmd_support_set(args):
 
 def cmd_covectors(args):
     A = matrix_from_json(_read_input(args))
-    tc = enumerate_covectors(A, **_budget_kwargs(args))
     if args.format == "svg":
-        return _svg_arrangement(A, tc)
-    return complex_to_json(tc)
+        return _svg_arrangement(A, args)
+    return complex_to_json(enumerate_covectors(A, **_budget_kwargs(args)))
 
 
 def cmd_facets(args):
@@ -190,7 +189,7 @@ def cmd_render(args):
     A = matrix_from_json(_read_input(args))
     if args.kind == "tree":
         return _svg_tree(A)
-    return _svg_arrangement(A, enumerate_covectors(A, **_budget_kwargs(args)))
+    return _svg_arrangement(A, args)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +212,10 @@ def _svg_document(width, height, body):
     return head + "".join(body) + "</svg>"
 
 
-def _svg_arrangement(A, tc):
+def _svg_arrangement(A, args):
     if A.d > 3:
         raise DomainError("BAD_FORMAT", "arrangement rendering requires d <= 3")
+    tc = enumerate_covectors(A, **_budget_kwargs(args))
     size, margin = 400, 40
     # gauge-fixed coordinates: use (x_2, x_3) (missing coordinates are 0)
     pts = {}

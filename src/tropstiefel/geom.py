@@ -4,13 +4,12 @@ and the simplex, each with its own questions.
 Systems mix equalities, weak and strict inequalities.  Two engines:
 
 * ``DifferenceBounds``, a closed integer difference-bound matrix, answers
-  cells, cones and decompositions: systems whose every constraint has the
-  form x_i - x_j >= b, x_i >= b or -x_i >= b, built by their callers bound
-  by bound.  Rational constants are scaled to integers by the LCM of their
+  the cells of the covector complex TC(A) (``arrangement``): systems whose
+  every constraint has the form x_i - x_j >= b, built bound by bound.
+  Rational constants are scaled to integers by the LCM of their
   denominators, and strict bounds are exact through one ε = 1/(V+1) fixed
   by the number of nodes V.  With node 0 an origin pinned at 0, a closed
-  matrix of weak bounds is a polytrope: it answers its dimension and a
-  witness point by lookups;
+  matrix answers its dimension and a witness point by lookups;
 * a two-phase exact simplex with Bland's rule over Fractions answers
   ``argmin_witness``, a linear height under which chosen points are exactly
   the argmins: the one question that is not a difference system.  Its one
@@ -162,9 +161,10 @@ class DifferenceBounds:
     and the shortest-path potentials of the stored integers are an exact
     witness.  ``bound[u][v]`` is the tightest implied bound (None when there
     is none); adding a bound keeps the matrix closed in O(size²), and
-    ``admits`` tells by one lookup whether ``add`` would accept it.  In
-    the library this class alone reads the stored encoding.  Node 0 is an
-    origin pinned at 0; ``dim`` reads a matrix of weak bounds: a polytrope.
+    ``admits`` tells by one lookup whether ``add`` would accept a weak
+    bound.  In the library this class alone reads the stored encoding.
+    Node 0 is an origin pinned at 0; ``dim`` reads a matrix of weak bounds:
+    a polytrope.
     """
 
     __slots__ = ("size", "scale", "unit", "bound")
@@ -183,11 +183,11 @@ class DifferenceBounds:
     def copy(self):
         return self._with([row[:] for row in self.bound])
 
-    def admits(self, u, v, c, strict=False):
-        """Would ``add(u, v, c, strict)`` accept x_v − x_u ≤ c (< c when
-        strict)?  One lookup: only the bound the other way can refuse it."""
+    def admits(self, u, v, c):
+        """Would ``add(u, v, c)`` accept x_v − x_u ≤ c?  One lookup: only
+        the bound the other way can refuse it."""
         b = self.bound[v][u]
-        return b is None or b + self.scale * c - strict >= 0
+        return b is None or b + self.scale * c >= 0
 
     def add(self, u, v, c, strict=False):
         """Impose x_v − x_u ≤ c (< c when strict).  Returns False, leaving

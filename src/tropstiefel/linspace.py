@@ -145,11 +145,13 @@ def decompose(A: TropMatrix, y: TropVector):
 
 
 def _bounded_cells(A: TropMatrix):
-    """The cells of TC(A) that lie in K(A); NO_SUPPORT_SET unless the
-    support of A contains a support set: every column d-set is matchable,
-    which by Hall's theorem is |J_I| >= n − d + |I| for every nonempty row
-    set I (no d-set exists when d > n)."""
-    if A.d <= A.n and not hall_surplus_check(BipartiteGraph.from_support(A)):
+    """The cells of TC(A) that lie in K(A); NO_MATCHING_IN_SUPPORT when
+    d > n, then NO_SUPPORT_SET unless the support of A contains a support
+    set: every column d-set is matchable, which by Hall's theorem is
+    |J_I| >= n − d + |I| for every nonempty row set I."""
+    if A.d > A.n:
+        raise DomainError("NO_MATCHING_IN_SUPPORT", "support contains no matching")
+    if not hall_surplus_check(BipartiteGraph.from_support(A)):
         raise DomainError("NO_SUPPORT_SET", "support must contain a support set")
     return [cell for cell in enumerate_covectors(A) if in_K(cell.covector)]
 

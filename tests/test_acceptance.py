@@ -752,3 +752,19 @@ def test_bounded_and_support_set_answer_past_a_subset_scan(tmp_path, capsys):
         assert main(["support-set", "--input", str(graph)]) == 0
         assert json.loads(capsys.readouterr().out) == {"h1": 17 * 18 - 35 + 1, "is_support_set": False}
     assert bounded == {"in_bounded_part": in_K(covector_of_point(A, residuation(y, A)))}
+
+
+def test_covectors_and_facets_refuse_a_dense_12x13_in_bounded_time(tmp_path, capsys):
+    """A dense 12×13 (``random.Random(7)``, entries −50..50) has more than
+    5000 cells of TC(A), and each column has 4095 row sets; the search
+    tries only the rows that can attain each column's minimum, so CLI
+    ``covectors`` and ``facets`` refuse it with BUDGET_EXCEEDED in
+    seconds, where trying every row set at every node took about 30 s."""
+    rng = random.Random(7)
+    A = TropMatrix([[rng.randint(-50, 50) for _ in range(13)] for _ in range(12)])
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(matrix_to_json(A)))
+    with Budget(5):
+        for command in ("covectors", "facets"):
+            assert main([command, "--input", str(path)]) == 1
+            assert json.loads(capsys.readouterr().out) == {"error": "BUDGET_EXCEEDED"}

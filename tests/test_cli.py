@@ -210,6 +210,8 @@ def test_domain_error_exit_code(tmp_path, capsys):
     one_one = {"d": 1, "n": 2, "values": {"1": "0", "2": "inf"}}
     zero_2_4 = {"d": 2, "n": 4, "values": {f"{a},{b}": "0" for a, b in itertools.combinations(range(1, 5), 2)}}
     long_diagonal = ["1/1" + "0" * 2499 + "1", "1/1" + "0" * 2499 + "3"]
+    rng = random.Random(11)
+    dense_5x8 = [[rng.randint(-50, 50) for _ in range(8)] for _ in range(5)]
     cases = [
         # a column of infinities: no matching in the support
         (["stiefel"], matrix([[0, "inf"], [0, "inf"]]), "NO_MATCHING_IN_SUPPORT"),
@@ -228,6 +230,13 @@ def test_domain_error_exit_code(tmp_path, capsys):
         (["gen", "3", "2"], None, "BAD_SHAPE"),
         (["render"], matrix([[0] * 4] * 4), "BAD_FORMAT"),
         (["render", "--kind", "tree"], matrix([[0] * 4] * 3), "BAD_FORMAT"),
+        # d > 3 is refused before TC(A), past the cell budget here, is built
+        (["covectors", "--format", "svg"], matrix(dense_5x8), "BAD_FORMAT"),
+        (["render"], matrix(dense_5x8), "BAD_FORMAT"),
+        # d > n: no column d-set, so no matching
+        (["multifield"], matrix([[0, 1], [2, 0], [1, 1]]), "NO_MATCHING_IN_SUPPORT"),
+        (["bounded", "--format", "svg"], matrix([[0], [1]]), "NO_MATCHING_IN_SUPPORT"),
+        (["render", "--kind", "tree"], matrix([[0], [1]]), "NO_MATCHING_IN_SUPPORT"),
         (["member"], point([[0, 1], [1, 0]], ["0"]), "LENGTH_MISMATCH"),
         (["member"], point([[0, 1], [1, 0]], []), "EMPTY_VECTOR"),
         (["bounded"], point([[0, 1, 2], [1, 0, 2]], ["0"]), "BAD_POINT"),
