@@ -488,11 +488,12 @@ def multifield_from_json(obj) -> MatchingMultifield:
             J = subset_from_key(key, d, n, "BAD_MULTIFIELD_JSON")
             ms = set()
             for edge_list in matchings:
-                cols = [0] * d
+                cols, rows = [0] * d, set()
                 for i, j in _index_pairs(edge_list, "BAD_MULTIFIELD_JSON"):
-                    if not 1 <= i <= d:
-                        raise DomainError("BAD_MULTIFIELD_JSON", f"row {i} outside [{d}]")
+                    if not 1 <= i <= d or i in rows:
+                        raise DomainError("BAD_MULTIFIELD_JSON", f"row {i} outside [{d}] or named twice")
                     cols[i - 1] = j
+                    rows.add(i)
                 ms.add(Matching(cols))
             choices[J] = frozenset(ms)
     except (TypeError, ValueError, OverflowError):

@@ -221,8 +221,8 @@ def _svg_arrangement(A, args):
     pts = {}
     for cell in tc:
         x = cell.point
-        u = x[1] if A.d >= 2 else Fraction(0)
-        v = x[2] if A.d >= 3 else Fraction(0)
+        u = x[1] if A.d >= 2 else 0
+        v = x[2] if A.d >= 3 else 0
         pts[cell.covector.key()] = (u, v)
     us = [u for u, _ in pts.values()]
     vs = [v for _, v in pts.values()]

@@ -1,9 +1,14 @@
 """Exact min-plus (tropical) arithmetic: scalars, vectors, matrices.
 
-The semiring carrier is Q ∪ {∞} with ⊕ = min and ⊙ = +.  Finite values are
-`fractions.Fraction`; the absorbing element is the module singleton ``INF``.
+The semiring carrier is Q ∪ {∞} with ⊕ = min and ⊙ = +.  A finite value is
+an ``int`` when it is whole and otherwise a reduced `fractions.Fraction` with
+denominator > 1, so integer inputs never enter `Fraction` arithmetic;
+``scalar`` keeps this on input and ``quotient`` on the quotients the library
+forms itself.  The absorbing element is the module singleton ``INF``.
 ``trop_vanishes`` is the one test of "the minimum is ∞ or attained twice".
-Everything is immutable and exact -- no floats anywhere.
+Everything is immutable and exact -- no floats anywhere: ``/`` between two
+ints would give one, so the library divides only through ``quotient`` or
+with a `Fraction` on the left, and ``scalar_str`` refuses a float.
 
 Row and column indices are 1-based throughout the public API, matching the
 usual conventions for [d] x [n] bipartite objects.  Vector entries are
@@ -67,20 +72,21 @@ INF = _Infinity()
 
 
 def scalar(x):
-    """Coerce ``x`` (int, Fraction, 'p/q' string, 'inf', INF) to a scalar."""
-    if x is INF:
-        return INF
-    if isinstance(x, Fraction):
+    """Coerce ``x`` (int, Fraction, 'p/q' string, 'inf', INF) to a scalar:
+    INF, an int when the value is whole, else a reduced Fraction."""
+    if x is INF or type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, bool):
         raise DomainError("BAD_SCALAR", "booleans are not scalars")
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     if isinstance(x, str) and "e" not in x.lower():  # an exponent asks Fraction for 10^k
         if x.strip().lower() == "inf":
             return INF
         try:
-            return Fraction(x)
+            return scalar(Fraction(x))
         except (ValueError, ZeroDivisionError):
             raise DomainError("BAD_SCALAR", f"cannot interpret {x!r} as a scalar") from None
     if isinstance(x, float):
@@ -88,9 +94,19 @@ def scalar(x):
     raise DomainError("BAD_SCALAR", f"cannot interpret {x!r} as a scalar")
 
 
+def quotient(num, den):
+    """The scalar num / den of ints, den > 0: an int when den divides num,
+    else a reduced Fraction."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
 def scalar_str(v) -> str:
     """Serialize a scalar as 'inf' or a reduced 'p/q' / integer string;
-    DomainError BUDGET_EXCEEDED past Python's int/str digit limit."""
+    DomainError BUDGET_EXCEEDED past Python's int/str digit limit.  A float
+    is no scalar: TypeError, so an inexact value is never printed."""
+    if isinstance(v, float):
+        raise TypeError(f"a float is not an exact scalar: {v!r}")
     try:
         return "inf" if v is INF else str(v)
     except ValueError:

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .core import quotient
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -216,7 +218,7 @@ class DifferenceBounds:
         # distances from a virtual source joined to every node at length 0
         p = [min(row[v] for row in m if row[v] is not None) for v in range(self.size)]
         den = self.scale * self.unit
-        return tuple(Fraction(pv - p[0], den) for pv in p)
+        return tuple(quotient(pv - p[0], den) for pv in p)
 
     def dim(self):
         """The affine dimension.  Only the zero cycles of a closed matrix are

@@ -19,9 +19,7 @@ so ``bounded_skeleton`` builds no image of a cell.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .core import INF, DomainError, TropMatrix, TropVector, require_column_supports
+from .core import INF, DomainError, TropMatrix, TropVector, quotient, require_column_supports
 from .bipartite import BipartiteGraph, assignment, hall_surplus_check
 from .plucker import PluckerVector, contains
 from .arrangement import Covector, _integer_scaled, covector_to_json, enumerate_covectors, in_K, skeleton
@@ -139,8 +137,8 @@ def decompose(A: TropMatrix, y: TropVector):
     edges = [(i + 1, j + 1) for i, j in tight]
     if len({j for _, j in edges}) < A.n:
         return None  # a loop of M_y: no optimal assignment uses some column
-    x = TropVector([Fraction(-w, unit) for w in u])
-    slack = TropVector([Fraction(-w, unit) for w in v])
+    x = TropVector([quotient(-w, unit) for w in u])
+    slack = TropVector([quotient(-w, unit) for w in v])
     return DecompositionCertificate(Covector(BipartiteGraph(A.d, A.n, edges)), x, [j + 1 for j, w in enumerate(v) if w < 0], slack)
 
 

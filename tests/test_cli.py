@@ -364,6 +364,9 @@ def test_malformed_json_shapes_exit_code(tmp_path):
         (["coherent"], {"d": 1, "n": 2, "choices": {"a": []}}, "BAD_MULTIFIELD_JSON"),
         (["coherent"], {"d": 1, "n": 2, "choices": {"1": [[[2, 1]]], "2": [[[1, 2]]]}}, "BAD_MULTIFIELD_JSON"),
         (["coherent"], {"d": 1, "n": 2, "choices": {"1": [[[0, 1]]], "2": [[[1, 2]]]}}, "BAD_MULTIFIELD_JSON"),
+        # an edge list names each row once: none wins by coming last
+        (["coherent"], {"d": 2, "n": 2, "choices": {"1,2": [[[1, 1], [1, 2], [2, 1]]]}}, "BAD_MULTIFIELD_JSON"),
+        (["coherent"], {"d": 1, "n": 2, "choices": {"1": [[[1, 1], [1, 1]]], "2": [[[1, 2]]]}}, "BAD_MULTIFIELD_JSON"),
         (["recover"], {"plucker": plucker_to_json(stiefel_map(TWO_ROW)), "support": {"d": 2, "n": 4, "edges": 5}},
          "BAD_GRAPH_JSON"),
         # edge indices are JSON integers: no splitting of strings or keys,

@@ -1,4 +1,6 @@
+import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,11 +13,16 @@ from tropstiefel.core import (
     TropVector,
     matrix_from_json,
     matrix_to_json,
+    quotient,
     scalar,
     scalar_str,
     subset_from_key,
     vector_from_json,
 )
+from tropstiefel.arrangement import enumerate_covectors
+from tropstiefel.bipartite import BipartiteGraph, is_coherent, matching_multifield
+from tropstiefel.linspace import decompose
+from tropstiefel.plucker import recover_matrix, stiefel_map
 
 # Rows (0,0,inf,inf), (inf,0,0,inf), (inf,inf,0,0): the running 3x4 example.
 STAIR = TropMatrix([[0, 0, "inf", "inf"], ["inf", 0, 0, "inf"], ["inf", "inf", 0, 0]])
@@ -34,6 +41,25 @@ def test_scalar_parsing():
         scalar_str(Fraction(1, 10 ** sys.get_int_max_str_digits()))
     assert exc.value.code == "BUDGET_EXCEEDED"
     assert str(sys.get_int_max_str_digits()) in str(exc.value)
+    # a float is no scalar, so none is printed as "1.5"
+    with pytest.raises(TypeError):
+        scalar_str(1.5)
+    with pytest.raises(TypeError):
+        scalar_str(3 / 1)
+
+
+def test_whole_scalars_are_ints():
+    """A finite scalar is an int when whole, else a reduced Fraction with
+    denominator > 1, whichever way it is written or formed."""
+    for x in (3, "3", "6/2", " -4 ", Fraction(8, 4), "0/5", "-0"):
+        assert type(scalar(x)) is int and scalar(x) == Fraction(x)
+    for x in ("3/2", Fraction(-2, 6), "4/6"):
+        assert type(scalar(x)) is Fraction and scalar(x).denominator > 1
+    assert (quotient(6, 3), quotient(-6, 4), quotient(0, 7), quotient(-7, 7)) == (2, Fraction(-3, 2), 0, -1)
+    assert [type(quotient(k, 6)) for k in (-12, -3, 6, 7)] == [int, Fraction, int, Fraction]
+    # output, hashes, equality and order agree between 3 and Fraction(3)
+    assert scalar_str(scalar("6/2")) == scalar_str(Fraction(3)) == "3"
+    assert hash(scalar("6/2")) == hash(Fraction(3)) and scalar(3) < Fraction(7, 2) < scalar(4)
 
 
 def test_infinity_semantics():
@@ -138,3 +164,58 @@ def test_subset_keys():
         with pytest.raises(DomainError) as exc:
             subset_from_key(key, d, 2, "X")
         assert exc.value.code == "X"
+
+
+def _canonical(v):
+    """The scalar invariant: ∞, an int when whole, else a Fraction with
+    denominator > 1 (Fractions are always reduced)."""
+    return v is INF or type(v) is int or (type(v) is Fraction and v.denominator > 1)
+
+
+def test_library_scalars_keep_the_invariant():
+    """Every finite scalar the library returns is an int when whole and a
+    Fraction with denominator > 1 otherwise: on 300 seeded matrices with ∞,
+    halves, thirds, whole values written as fractions and copied rows, the
+    entries of TropMatrix and TropVector, π(A), the x and slack of
+    ``decompose``, the cell points of TC(A), ``recover_matrix`` and the
+    witness of ``is_coherent``."""
+    rng = random.Random(26)
+    pool = ["inf", 0, 1, -2, 3, "1/2", "-3/2", "7/2", "1/3", "-2/3", "5/3", "6/3", Fraction(4, 2)]
+    values, answered = [], Counter()
+
+    def route(name, call, read):
+        try:
+            out = call()
+        except DomainError:
+            return None
+        if out is not None:
+            values.extend((name, v) for v in read(out))
+            answered[name] += 1
+        return out
+
+    for _ in range(300):
+        d = rng.randint(1, 3)
+        n = rng.randint(d, 5)
+        rows = []
+        for _ in range(d):
+            rows.append(list(rng.choice(rows)) if rows and rng.random() < 0.3 else [rng.choice(pool) for _ in range(n)])
+        A = TropMatrix(rows)
+        values.extend(("TropMatrix", v) for row in A.entries for v in row)
+        x = [rng.choice([0, 1, Fraction(1, 2), Fraction(-1, 3), Fraction(9, 3)]) for _ in range(d)]
+        image = [min((x[i] + A.entries[i][j] for i in range(d) if A.entries[i][j] is not INF), default=INF) for j in range(n)]
+        for y in (image, [rng.choice(pool[1:]) for _ in range(n)]):
+            Y = TropVector(y)
+            values.extend(("TropVector", v) for v in Y.entries)
+            route("decompose", lambda: decompose(A, Y), lambda cert: cert.x.entries + cert.slack.entries)
+        route("stiefel_map", lambda: stiefel_map(A), lambda p: p.values.values())
+        route("enumerate_covectors", lambda: enumerate_covectors(A), lambda cells: [v for cell in cells for v in cell.point])
+        # A kept on the staircase support set, where π is finite unless A has ∞ there
+        G = BipartiteGraph(d, n, [(i, j) for i in range(1, d + 1) for j in range(i, i + n - d + 1)])
+        stair = TropMatrix([[v if (i + 1, j + 1) in G.edges else INF for j, v in enumerate(row)] for i, row in enumerate(A.entries)])
+        route("recover_matrix", lambda: recover_matrix(stiefel_map(stair), G), lambda B: [v for row in B.entries for v in row])
+        if d * n <= 8:
+            route("is_coherent", lambda: is_coherent(matching_multifield(A)), lambda B: [v for row in B.entries for v in row])
+    bad = [(name, v) for name, v in values if not _canonical(v)]
+    assert not bad, bad[:10]
+    assert {type(v) for _, v in values} == {int, Fraction, type(INF)}
+    assert min(answered.values()) >= 50 and len(answered) == 5, answered

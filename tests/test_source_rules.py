@@ -151,3 +151,34 @@ def test_every_error_code_is_named_by_a_test():
     }
     assert raised and tests
     assert not raised - named, f"error codes no test names: {sorted(raised - named)}"
+
+
+# The true divisions the library holds, as (file, enclosing function,
+# expression): each has a Fraction on its left.  Whole scalars are ints, and
+# ``/`` between two ints gives a float, so a new quotient goes through
+# ``core.quotient`` instead.
+TRUE_DIVISIONS = {
+    ("cli.py", "_px", "(Fraction(value) - lo) / span"),
+    ("geom.py", "_pivot", "ONE / tab[r][c]"),
+    ("geom.py", "_run_simplex", "tab[i][rhs] / a"),
+}
+
+
+def _true_divisions(node, where):
+    """(enclosing function, source) of every ``/`` and ``/=`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Div):
+            yield where, ast.unparse(child)
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        yield from _true_divisions(child, inner)
+
+
+def test_true_division_only_at_the_allowed_sites():
+    found = {
+        (path.name, where, text)
+        for path in sorted(SOURCE.glob("*.py"))
+        for where, text in _true_divisions(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "<module>")
+    }
+    assert found
+    assert not found - TRUE_DIVISIONS, f"true division outside the allowed sites: {sorted(found - TRUE_DIVISIONS)}"
+    assert not TRUE_DIVISIONS - found, f"allowed sites that no longer divide: {sorted(TRUE_DIVISIONS - found)}"
