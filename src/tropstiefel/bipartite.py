@@ -1,17 +1,18 @@
 """Bipartite combinatorics on [d] ⊔ [n].
 
 Graphs, matchings, optimal matchings under exact min-plus weights, matching
-multifields and their coherence, support-set predicates, transversal
-matroids, and the first-Betti-number dimension formula.  One matching engine
-(``optimal_matchings``) answers which column sets can be matched and how
-well: the Stiefel map, multifields, coherence and transversal matroids; it
-refuses up front a table of more than ``MATCHING_BUDGET`` column sets.
-Coherence is one ``geom.argmin_witness`` question, refused up front past
-``COHERENCE_BUDGET`` supported matchings.  One Hungarian solve
-(``assignment``) gives a min-cost assignment of every row and the greatest
-optimal dual; d of them answer the Hall-type surplus condition behind the
-support-set test and the dragon condition, with no budget.  One union-find
-gives every component count.
+multifields and their coherence, support-set predicates and sampling,
+transversal matroids, and the first-Betti-number dimension formula.  One
+matching engine (``optimal_matchings``) answers which column sets can be
+matched and how well: the Stiefel map, multifields, coherence and
+transversal matroids; it refuses up front a table of more than
+``MATCHING_BUDGET`` column sets.  Coherence is one ``geom.argmin_witness``
+question, refused up front past ``COHERENCE_BUDGET`` supported matchings.
+One Hungarian solve (``assignment``) gives a min-cost assignment of every
+row and the greatest optimal dual; d of them answer the Hall-type surplus
+condition behind the support-set test, the dragon condition and the
+rejection sampler ``random_support_set``.  One union-find gives every
+component count.
 """
 
 from __future__ import annotations
@@ -393,18 +394,24 @@ def is_support_set(G: BipartiteGraph) -> bool:
     return all(len(G.J(i)) == G.n - G.d + 1 for i in range(1, G.d + 1))
 
 
-def enumerate_support_sets(d, n, budget=10 ** 6):
-    """All support sets on [d] ⊔ [n], lexicographically ordered by edge list."""
-    row_choices = list(itertools.combinations(range(1, n + 1), n - d + 1))
-    if len(row_choices) ** d > budget:
-        raise DomainError("BUDGET_EXCEEDED", "support-set enumeration too large")
-    out = []
-    for rows in itertools.product(row_choices, repeat=d):
-        edges = [(i + 1, j) for i, cols in enumerate(rows) for j in cols]
-        G = BipartiteGraph(d, n, edges)
-        if hall_surplus_check(G):
-            out.append(G)
-    return out
+SUPPORT_SET_DRAWS = 10 ** 4  # draws random_support_set may make
+
+
+def random_support_set(rng, d, n, budget=SUPPORT_SET_DRAWS):
+    """A support set on [d] ⊔ [n], 1 <= d <= n, uniform among them, by
+    rejection: each draw gives every row n − d + 1 columns uniformly and is
+    kept when it meets the surplus Hall condition.  A support set is one
+    tuple of row choices, so a kept draw is uniform over support sets.  A
+    draw whose rows miss a column fails the condition at I = [d], and is
+    dropped before the d assignment problems.  DomainError BUDGET_EXCEEDED
+    when ``budget`` draws keep none."""
+    for _ in range(budget):
+        rows = [rng.sample(range(1, n + 1), n - d + 1) for _ in range(d)]
+        if len(set().union(*rows)) == n:
+            G = BipartiteGraph(d, n, [(i, j) for i, cols in enumerate(rows, 1) for j in cols])
+            if hall_surplus_check(G):
+                return G
+    raise DomainError("BUDGET_EXCEEDED", f"{budget} draws on [{d}] ⊔ [{n}] found no support set, budget {budget}")
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,13 @@ from .core import (
     vector_from_json,
 )
 from .bipartite import (
-    enumerate_support_sets,
     graph_from_json,
     is_coherent,
     is_support_set,
     matching_multifield,
     multifield_from_json,
     multifield_to_json,
+    random_support_set,
     support_face_dimension,
 )
 from .plucker import (
@@ -156,6 +156,9 @@ def cmd_recover(args):
     return matrix_to_json(recover_matrix(p, G))
 
 
+GEN_BUDGET = 10 ** 6  # d·n entries gen may draw, or d³n, the work of one support-set draw
+
+
 def cmd_gen(args):
     if args.d < 1 or args.n < args.d:
         raise DomainError("BAD_SHAPE", "need 1 <= d <= n")
@@ -164,24 +167,15 @@ def cmd_gen(args):
     if lo > hi:
         raise UsageError("--min must not exceed --max")
     d, n = args.d, args.n
-    if args.mode == "dense":
-        entries = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(d)]
-    elif args.mode == "support-set":
-        kwargs = _budget_kwargs(args)
-        supports = enumerate_support_sets(d, n, **kwargs)
-        G = rng.choice(supports)
-        entries = [
-            [rng.randint(lo, hi) if (i, j) in G.edges else "inf" for j in range(1, n + 1)]
-            for i in range(1, d + 1)
-        ]
-    else:  # pointed: identity block on [d] columns, dense on the remaining columns
-        entries = [
-            [
-                (rng.randint(lo, hi) if (j == i or j > d) else "inf")
-                for j in range(1, n + 1)
-            ]
-            for i in range(1, d + 1)
-        ]
+    size = d ** 3 * n if args.mode == "support-set" else d * n
+    if size > GEN_BUDGET:
+        raise DomainError("BUDGET_EXCEEDED", f"gen --mode {args.mode} on {d}x{n} has size {size}, budget {GEN_BUDGET}")
+    if args.mode == "support-set":
+        edges = random_support_set(rng, d, n, **_budget_kwargs(args)).edges
+        finite = lambda i, j: (i, j) in edges
+    else:  # dense, or pointed: an identity block on columns [d], dense on the rest
+        finite = lambda i, j: args.mode == "dense" or j == i or j > d
+    entries = [[rng.randint(lo, hi) if finite(i, j) else "inf" for j in range(1, n + 1)] for i in range(1, d + 1)]
     return matrix_to_json(TropMatrix(entries))
 
 

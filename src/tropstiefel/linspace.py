@@ -11,10 +11,10 @@ meeting the column-wise dragon condition, and ``decompose`` reads such a
 pair (F, J) and its point x off that dual, with no search.  Membership by
 circuit minima (``plucker.contains``, imported here) and by selected
 matroids (``contains_via_matroid``) stays for the benchmark.  Both bounded
-questions first ask ``bipartite.hall_surplus_check``, d more assignments,
-that every column d-set be matchable.  The vertices and segments of the
-bounded part need only the cells of TC(A) in K(A) and their dimensions,
-so ``bounded_skeleton`` builds no image of a cell.
+questions first ask ``_require_uniform``, d more assignments, that every
+column d-set be matchable.  The vertices and segments of the bounded part
+need only the cells of TC(A) in K(A) and their dimensions, so
+``bounded_skeleton`` builds no image of a cell.
 """
 
 from __future__ import annotations
@@ -80,21 +80,26 @@ def in_L(A: TropMatrix, y: TropVector) -> bool:
     return all(j in covered for j, w in enumerate(y.entries) if w is not INF)
 
 
-def in_bounded_part(A: TropMatrix, y: TropVector) -> bool:
-    """y in the bounded part of L(A): y ∈ L(A) with a selected matroid M_y
-    free of coloops.  Needs a uniform underlying matroid, that is every
-    column d-set matchable in the support of A: ``hall_surplus_check``.
-    At the greatest optimal dual the optimal assignments are the matchings
-    on tight edges that take every column with v_j < 0, so a column is a
-    loop of M_y when it has no tight edge, and a column some row takes is
-    a coloop when v_j < 0 or when its row has no tight alternating path to
-    a column no row takes, along which the rows could leave it.
-    NO_MATCHING_IN_SUPPORT when no matching covers every row (as when
-    d > n), then NOT_UNIFORM, then BAD_POINT for a y not finite of length n.
-    """
+def _require_uniform(A: TropMatrix):
+    """NO_MATCHING_IN_SUPPORT when no matching covers every row (as when
+    d > n), then NOT_UNIFORM unless the underlying matroid is uniform: every
+    column d-set matchable in the support of A, |J_I| >= n − d + |I| for
+    every nonempty row set I by Hall's theorem (``hall_surplus_check``)."""
     if A.d > A.n or not hall_surplus_check(BipartiteGraph.from_support(A)):
         assignment(_integer_scaled(A)[1])  # NO_MATCHING_IN_SUPPORT comes first
         raise DomainError("NOT_UNIFORM", "underlying matroid must be uniform")
+
+
+def in_bounded_part(A: TropMatrix, y: TropVector) -> bool:
+    """y in the bounded part of L(A): y ∈ L(A) with a selected matroid M_y
+    free of coloops.  At the greatest optimal dual the optimal assignments
+    are the matchings on tight edges that take every column with v_j < 0,
+    so a column is a loop of M_y when it has no tight edge, and a column
+    some row takes is a coloop when v_j < 0 or when its row has no tight
+    alternating path to a column no row takes, along which the rows could
+    leave it.  The errors of ``_require_uniform`` (the underlying matroid
+    must be uniform), then BAD_POINT for a y not finite of length n."""
+    _require_uniform(A)
     if len(y) != A.n or not y.is_finite():
         raise DomainError("BAD_POINT", "y must be finite of length n")
     _, _, v, match, tight = _greatest_dual(A, y)
@@ -143,14 +148,8 @@ def decompose(A: TropMatrix, y: TropVector):
 
 
 def _bounded_cells(A: TropMatrix):
-    """The cells of TC(A) that lie in K(A); NO_MATCHING_IN_SUPPORT when
-    d > n, then NO_SUPPORT_SET unless the support of A contains a support
-    set: every column d-set is matchable, which by Hall's theorem is
-    |J_I| >= n − d + |I| for every nonempty row set I."""
-    if A.d > A.n:
-        raise DomainError("NO_MATCHING_IN_SUPPORT", "support contains no matching")
-    if not hall_surplus_check(BipartiteGraph.from_support(A)):
-        raise DomainError("NO_SUPPORT_SET", "support must contain a support set")
+    """The cells of TC(A) that lie in K(A), after ``_require_uniform``."""
+    _require_uniform(A)
     return [cell for cell in enumerate_covectors(A) if in_K(cell.covector)]
 
 

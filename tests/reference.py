@@ -21,6 +21,9 @@ the two.  The library keeps only what the CLI and the benchmark reach
 * the Hall-type surplus scan over all 2^d − 1 row sets (``_hall_surplus``,
   refused past ``HALL_BUDGET``) against ``bipartite.hall_surplus_check``
   and ``bipartite.dragon_condition``, which ask d assignment problems;
+* the list of every support set (``enumerate_support_sets``), for the
+  support-set censuses and against the draws of
+  ``bipartite.random_support_set``;
 * transversal rank by deficiency and the matroid polytope inequalities
   against ``bipartite.transversal_matroid``, and the maximum matching by
   augmenting paths (``_max_matching_size``) against both and against
@@ -49,7 +52,7 @@ from fractions import Fraction
 
 from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, require_column_supports, scalar, scalar_str
 from tropstiefel.geom import ONE, ZERO, DifferenceBounds, argmin_witness
-from tropstiefel.bipartite import BipartiteGraph, Matching, Matroid, assignment, components, optimal_matchings
+from tropstiefel.bipartite import BipartiteGraph, Matching, Matroid, assignment, components, hall_surplus_check, optimal_matchings
 from tropstiefel.plucker import PluckerVector, _subsets
 from tropstiefel.arrangement import Covector, _integer_scaled
 from tropstiefel.subdivision import facets_of_D, select_matroid
@@ -220,6 +223,20 @@ def transversal_rank(G: BipartiteGraph, S) -> int:
         if v < best:
             best = v
     return best
+
+
+def enumerate_support_sets(d, n, budget=10 ** 6):
+    """All support sets on [d] ⊔ [n], lexicographically ordered by edge list."""
+    row_choices = list(itertools.combinations(range(1, n + 1), n - d + 1))
+    if len(row_choices) ** d > budget:
+        raise DomainError("BUDGET_EXCEEDED", "support-set enumeration too large")
+    out = []
+    for rows in itertools.product(row_choices, repeat=d):
+        edges = [(i + 1, j) for i, cols in enumerate(rows) for j in cols]
+        G = BipartiteGraph(d, n, edges)
+        if hall_surplus_check(G):
+            out.append(G)
+    return out
 
 
 TREE_BUDGET = 10 ** 5  # edge subsets the spanning-tree search may visit

@@ -20,6 +20,7 @@ from reference import (
     colwise_dragon_condition,
     covector_of_point,
     decomposition_cone,
+    enumerate_support_sets,
     is_trop_singular,
     is_tree,
     matrix_row,
@@ -39,7 +40,7 @@ from reference import (
 from tropstiefel.arrangement import Covector, _integer_scaled, enumerate_covectors, in_K
 from tropstiefel.bipartite import (
     BipartiteGraph,
-    enumerate_support_sets,
+    is_support_set,
     matching_multifield,
     transversal_matroid,
 )
@@ -768,3 +769,22 @@ def test_covectors_and_facets_refuse_a_dense_12x13_in_bounded_time(tmp_path, cap
         for command in ("covectors", "facets"):
             assert main([command, "--input", str(path)]) == 1
             assert json.loads(capsys.readouterr().out) == {"error": "BUDGET_EXCEEDED"}
+
+
+def test_gen_support_set_answers_in_bounded_time(capsys):
+    """``gen --mode support-set`` draws one support set by rejection
+    instead of listing them all: (4, 6) took 15 s as a list, and (4, 7) was
+    refused.  A d = n shape keeps d!/d^d of its draws and ends at the draw
+    cap; a shape whose single Hall check is too large, and a dense request
+    of 10^9 entries, are refused before any draw."""
+    with Budget(2):
+        for d, n in ((4, 6), (4, 7), (8, 16), (10, 20)):
+            assert main(["gen", str(d), str(n), "--mode", "support-set", "--seed", "1"]) == 0
+            A = TropMatrix(json.loads(capsys.readouterr().out)["entries"])
+            assert is_support_set(BipartiteGraph.from_support(A)), (d, n)
+    with Budget(5):
+        for argv in (["gen", "30", "30", "--mode", "support-set"], ["gen", "200", "400", "--mode", "support-set"],
+                     ["gen", "1", "1000000000"]):
+            code = main(argv)
+            out = json.loads(capsys.readouterr().out)
+            assert code == 0 or (code == 1 and out == {"error": "BUDGET_EXCEEDED"}), argv

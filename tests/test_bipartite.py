@@ -14,6 +14,7 @@ from reference import (
     _nonempty_subsets,
     coloops,
     colwise_dragon_condition,
+    enumerate_support_sets,
     graph_to_json,
     is_tree,
     matroid_is_connected,
@@ -34,7 +35,6 @@ from tropstiefel.bipartite import (
     Matroid,
     assignment,
     dragon_condition,
-    enumerate_support_sets,
     graph_from_json,
     hall_surplus_check,
     is_coherent,
@@ -43,6 +43,7 @@ from tropstiefel.bipartite import (
     multifield_from_json,
     multifield_to_json,
     optimal_matchings,
+    random_support_set,
     support_face_dimension,
     transversal_matroid,
 )
@@ -254,6 +255,40 @@ def test_enumerate_support_sets_small():
     for d, n in ((2, 3), (2, 5), (3, 5), (3, 6)):  # lexicographic by edge list, with no sort
         keys = [G.sorted_edges() for G in enumerate_support_sets(d, n)]
         assert keys == sorted(keys), (d, n)
+
+
+def test_random_support_set_is_uniform():
+    """Each support set is one tuple of row choices, so a kept draw is
+    uniform over the 600 support sets of (3, 5): Pearson's χ² of 12000
+    seeded draws against the reference enumeration lies between the
+    0.001 and 0.999 quantiles of χ² with 599 degrees of freedom
+    (Wilson–Hilferty)."""
+    supports = {G.sorted_edges() for G in enumerate_support_sets(3, 5)}
+    assert len(supports) == 600
+    rng, draws = random.Random(305), 12000
+    counts = dict.fromkeys(supports, 0)
+    for _ in range(draws):
+        counts[random_support_set(rng, 3, 5).sorted_edges()] += 1  # a KeyError is a draw outside the list
+    expected = draws / len(supports)
+    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+    k = len(supports) - 1
+    low, high = (k * (1 - 2 / (9 * k) + z * math.sqrt(2 / (9 * k))) ** 3 for z in (-3.09, 3.09))
+    assert low < chi2 < high, chi2
+
+
+def test_random_support_set_draws_support_sets_and_refuses_past_its_cap():
+    rng = random.Random(17)
+    for d, n in ((1, 1), (1, 5), (2, 2), (3, 3), (2, 6), (4, 6), (4, 7), (5, 10), (8, 16), (12, 13)):
+        for _ in range(5):
+            G = random_support_set(rng, d, n)
+            assert (G.d, G.n) == (d, n) and is_support_set(G), (d, n, G)
+    # d = n keeps d!/d^d of its draws: 8!/8^8 < 0.3%
+    with pytest.raises(DomainError) as exc:
+        random_support_set(random.Random(0), 8, 8, 1)
+    assert exc.value.code == "BUDGET_EXCEEDED" and str(exc.value) == "1 draws on [8] ⊔ [8] found no support set, budget 1"
+    with pytest.raises(DomainError) as exc:
+        random_support_set(random.Random(0), 2, 3, 0)
+    assert exc.value.code == "BUDGET_EXCEEDED"
 
 
 def test_transversal_matroid_examples():

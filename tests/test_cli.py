@@ -163,12 +163,13 @@ def test_gen_modes(capsys):
 
 
 def test_gen_determinism(capsys):
-    code1, out1 = run(capsys, ["gen", "3", "6", "--seed", "42"])
-    code2, out2 = run(capsys, ["gen", "3", "6", "--seed", "42"])
-    code3, out3 = run(capsys, ["gen", "3", "6", "--seed", "43"])
-    assert code1 == code2 == code3 == 0
-    assert out1 == out2
-    assert out1 != out3
+    for mode in ("dense", "support-set", "pointed"):
+        code1, out1 = run(capsys, ["gen", "3", "6", "--seed", "42", "--mode", mode])
+        code2, out2 = run(capsys, ["gen", "3", "6", "--seed", "42", "--mode", mode])
+        code3, out3 = run(capsys, ["gen", "3", "6", "--seed", "43", "--mode", mode])
+        assert code1 == code2 == code3 == 0
+        assert out1 == out2, mode
+        assert out1 != out3, mode
 
 
 def test_output_file(tmp_path, capsys):
@@ -226,7 +227,12 @@ def test_domain_error_exit_code(tmp_path, capsys):
         (["coherent"], field({"1,2": [[[1, 1], [2, 1]]]}), "BAD_MATCHING"),
         (["coherent"], field({"1,2": [[[1, 1]]]}), "BAD_CHOICE"),
         (["coherent"], field({"1,2": []}), "EMPTY_CHOICE"),
-        (["gen", "3", "6", "--mode", "support-set", "--budget", "1"], None, "BUDGET_EXCEEDED"),
+        # d = n keeps 8!/8^8 < 0.3% of its draws, and seed 0's first fails
+        (["gen", "8", "8", "--mode", "support-set", "--budget", "1"], None, "BUDGET_EXCEEDED"),
+        # refused before drawing: d·n = 10^9 entries, and d³n for one Hall check
+        (["gen", "1", "1000000000"], None, "BUDGET_EXCEEDED"),
+        (["gen", "1000", "1001", "--mode", "pointed"], None, "BUDGET_EXCEEDED"),
+        (["gen", "200", "400", "--mode", "support-set"], None, "BUDGET_EXCEEDED"),
         (["gen", "3", "2"], None, "BAD_SHAPE"),
         (["render"], matrix([[0] * 4] * 4), "BAD_FORMAT"),
         (["render", "--kind", "tree"], matrix([[0] * 4] * 3), "BAD_FORMAT"),
@@ -237,6 +243,13 @@ def test_domain_error_exit_code(tmp_path, capsys):
         (["multifield"], matrix([[0, 1], [2, 0], [1, 1]]), "NO_MATCHING_IN_SUPPORT"),
         (["bounded", "--format", "svg"], matrix([[0], [1]]), "NO_MATCHING_IN_SUPPORT"),
         (["render", "--kind", "tree"], matrix([[0], [1]]), "NO_MATCHING_IN_SUPPORT"),
+        # every column d-set matchable: one check, one pair of codes, for all three
+        (["bounded"], point([[0, "inf", "inf"], [0, "inf", "inf"]], ["0", "0", "0"]), "NO_MATCHING_IN_SUPPORT"),
+        (["bounded", "--format", "svg"], matrix([[0, "inf", "inf"], [0, "inf", "inf"]]), "NO_MATCHING_IN_SUPPORT"),
+        (["render", "--kind", "tree"], matrix([[0, "inf", "inf"], [0, "inf", "inf"]]), "NO_MATCHING_IN_SUPPORT"),
+        (["bounded"], point([[0, 0, "inf"], [0, 0, "inf"]], ["0", "0", "0"]), "NOT_UNIFORM"),
+        (["bounded", "--format", "svg"], matrix([[0, 0, "inf"], [0, 0, "inf"]]), "NOT_UNIFORM"),
+        (["render", "--kind", "tree"], matrix([[0, 0, "inf"], [0, 0, "inf"]]), "NOT_UNIFORM"),
         (["member"], point([[0, 1], [1, 0]], ["0"]), "LENGTH_MISMATCH"),
         (["member"], point([[0, 1], [1, 0]], []), "EMPTY_VECTOR"),
         (["bounded"], point([[0, 1, 2], [1, 0, 2]], ["0"]), "BAD_POINT"),
@@ -320,6 +333,7 @@ def test_determinism_of_covectors_output(tmp_path, capsys):
         ["covectors", "--input", matrix], ["facets", "--input", matrix], ["multifield", "--input", matrix],
         ["coherent", "--input", field], ["decompose", "--input", point], ["render", "--input", matrix],
         ["bounded", "--format", "svg", "--input", two_row],
+        ["gen", "4", "7", "--seed", "3", "--mode", "support-set"],
     ]
     for command in commands:
         outputs = []

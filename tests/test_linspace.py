@@ -526,7 +526,10 @@ def test_image_cells_against_their_cells():
         try:
             cells = bounded_complex(A)
         except DomainError as exc:
-            assert exc.code == "NO_SUPPORT_SET"
+            # no matching covers every row, else a column d-set has none
+            G = BipartiteGraph.from_support(A)
+            assert exc.code == ("NO_MATCHING_IN_SUPPORT" if _max_matching_size(G, range(1, n + 1)) < d else "NOT_UNIFORM")
+            assert transversal_matroid(G) != uniform_matroid(d, n)
             continue
         tc = {c.covector: c for c in enumerate_covectors(A)}
         for covector, image in cells:

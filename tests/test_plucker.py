@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from reference import (
     dual,
+    enumerate_support_sets,
     matrix_row,
     plucker_proj_eq,
     proj_eq,
@@ -358,8 +359,6 @@ def test_recover_matrix_examples():
 
 def test_recover_matrix_row_constants():
     rng = random.Random(9)
-    from tropstiefel.bipartite import enumerate_support_sets
-
     sets = enumerate_support_sets(2, 4)
     for _ in range(25):
         G = rng.choice(sets)

@@ -182,3 +182,23 @@ def test_true_division_only_at_the_allowed_sites():
     assert found
     assert not found - TRUE_DIVISIONS, f"true division outside the allowed sites: {sorted(found - TRUE_DIVISIONS)}"
     assert not TRUE_DIVISIONS - found, f"allowed sites that no longer divide: {sorted(TRUE_DIVISIONS - found)}"
+
+
+def test_budget_errors_name_a_size():
+    """Every ``DomainError("BUDGET_EXCEEDED", …)`` in ``src/`` has an
+    f-string message that interpolates at least one value, so a budget
+    error names the budget and the size that was requested."""
+    calls = [
+        (f"{path.name}:{node.lineno}", node)
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "DomainError"
+        and node.args and isinstance(node.args[0], ast.Constant) and node.args[0].value == "BUDGET_EXCEEDED"
+    ]
+    assert calls
+    plain = [
+        where for where, node in calls
+        if len(node.args) < 2 or not isinstance(node.args[1], ast.JoinedStr)
+        or not any(isinstance(part, ast.FormattedValue) for part in node.args[1].values)
+    ]
+    assert not plain, f"budget errors whose message names no value: {plain}"
