@@ -8,8 +8,8 @@ The arrangement lives in the torus of x-coordinates, and every cell of TC(A)
 is a polytrope: the points whose covector is tau satisfy, per column j,
 equalities tying the rows of I_j and strict inequalities saying that the
 other rows of supp(j) lose.  TC(A) is found by a depth-first search over
-the columns on the closed difference-bound matrix
-(``geom.DifferenceBounds``) of an open cell: a partial choice
+the columns on the closed difference-bound matrix (``geom.DifferenceBounds``,
+in units of 1/``A.denom`` on ``A.ints``) of an open cell: a partial choice
 (I_1, ..., I_j) is kept exactly when its system is feasible, and every
 feasible prefix extends to a covector, so the search never dead-ends.  At
 column j, ``_attain`` imposes on a copy of the matrix each nonempty subset
@@ -26,9 +26,8 @@ potentials of the closed matrix.
 from __future__ import annotations
 
 import itertools
-import math
 
-from .core import INF, DomainError, TropMatrix, require_column_supports
+from .core import DomainError, TropMatrix, require_column_supports
 from .geom import DifferenceBounds
 from .bipartite import BipartiteGraph, dragon_condition
 
@@ -70,14 +69,6 @@ class Covector:
 # ---------------------------------------------------------------------------
 # Cells and the covector complex
 # ---------------------------------------------------------------------------
-
-def _integer_scaled(A: TropMatrix, y=()):
-    """(unit, a, z): the entries of A and of y times unit, the LCM of all
-    their denominators; a[i][j] is None where A is ∞ (0-based indices)."""
-    unit = math.lcm(*(v.denominator for row in A.entries for v in row if v is not INF), *(v.denominator for v in y))
-    a = [[None if v is INF else v.numerator * (unit // v.denominator) for v in row] for row in A.entries]
-    return unit, a, [v.numerator * (unit // v.denominator) for v in y]
-
 
 def _attain(dbm, a, j, I):
     """Impose on ``dbm`` the bounds saying that exactly the rows I of
@@ -135,7 +126,7 @@ def enumerate_covectors(A: TropMatrix, budget=CELL_BUDGET) -> list:
     ``_column_rows``."""
     d, n = A.d, A.n
     cols = _column_rows(A, budget)
-    unit, a, _ = _integer_scaled(A)
+    a = A.ints
     cells = []
 
     def search(j, dbm, chosen):
@@ -152,7 +143,7 @@ def enumerate_covectors(A: TropMatrix, budget=CELL_BUDGET) -> list:
                 if _attain(child, a, j, I):
                     search(j + 1, child, chosen + [I])
 
-    search(0, DifferenceBounds(d, unit), [])
+    search(0, DifferenceBounds(d, A.denom), [])
     return sorted(cells, key=lambda c: c.covector.key())
 
 

@@ -403,9 +403,12 @@ def random_support_set(rng, d, n, budget=SUPPORT_SET_DRAWS):
     kept when it meets the surplus Hall condition.  A support set is one
     tuple of row choices, so a kept draw is uniform over support sets.  A
     draw whose rows miss a column fails the condition at I = [d], and is
-    dropped before the d assignment problems.  DomainError BUDGET_EXCEEDED
-    when ``budget`` draws keep none."""
+    dropped before the d assignment problems.  At d = n a draw is one
+    uniform permutation, a perfect matching: a support set.  DomainError
+    BUDGET_EXCEEDED when ``budget`` draws keep none."""
     for _ in range(budget):
+        if d == n:
+            return BipartiteGraph(d, n, enumerate(rng.sample(range(1, n + 1), n), 1))
         rows = [rng.sample(range(1, n + 1), n - d + 1) for _ in range(d)]
         if len(set().union(*rows)) == n:
             G = BipartiteGraph(d, n, [(i, j) for i, cols in enumerate(rows, 1) for j in cols])

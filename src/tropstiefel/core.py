@@ -9,6 +9,9 @@ forms itself.  The absorbing element is the module singleton ``INF``.
 Everything is immutable and exact -- no floats anywhere: ``/`` between two
 ints would give one, so the library divides only through ``quotient`` or
 with a `Fraction` on the left, and ``scalar_str`` refuses a float.
+``TropVector``, ``TropMatrix`` and ``plucker.PluckerVector`` take their
+integer form on construction (``integer_form``): ``denom``, the LCM of the
+finite entries' denominators, and ``ints``, the entries times it (None at ∞).
 
 Row and column indices are 1-based throughout the public API, matching the
 usual conventions for [d] x [n] bipartite objects.  Vector entries are
@@ -19,6 +22,7 @@ JSON codec reads and writes matrices, and reads vectors.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -101,6 +105,21 @@ def quotient(num, den):
     return Fraction(num, den) if r else q
 
 
+def integer_form(values):
+    """(denom, ints): the LCM of the finite ``values``' denominators and
+    each value times it, an int, or None at ∞."""
+    denom = math.lcm(*{v.denominator for v in values if v is not INF})
+    if denom == 1:
+        return 1, tuple([None if v is INF else v for v in values])
+    return denom, tuple([None if v is INF else v.numerator * (denom // v.denominator) for v in values])
+
+
+def common_denom(p, q):
+    """(m, m/p, m/q) for the LCM m of denominators p and q."""
+    m = p if p == q else math.lcm(p, q)
+    return m, m // p, m // q
+
+
 def scalar_str(v) -> str:
     """Serialize a scalar as 'inf' or a reduced 'p/q' / integer string;
     DomainError BUDGET_EXCEEDED past Python's int/str digit limit.  A float
@@ -131,12 +150,13 @@ def trop_vanishes(values) -> bool:
 class TropVector:
     """An exact vector over the min-plus semiring."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "denom", "ints")
 
     def __init__(self, entries):
         self.entries = tuple(scalar(e) for e in entries)
         if not self.entries:
             raise DomainError("EMPTY_VECTOR", "vectors must have length >= 1")
+        self.denom, self.ints = integer_form(self.entries)
 
     def __len__(self):
         return len(self.entries)
@@ -167,7 +187,7 @@ class TropMatrix:
     at the call site.
     """
 
-    __slots__ = ("d", "n", "entries")
+    __slots__ = ("d", "n", "entries", "denom", "ints")
 
     def __init__(self, entries):
         rows = tuple(tuple(scalar(e) for e in row) for row in entries)
@@ -178,6 +198,8 @@ class TropMatrix:
         self.entries = rows
         self.d = len(rows)
         self.n = len(rows[0])
+        self.denom, ints = integer_form([v for row in rows for v in row])
+        self.ints = tuple(ints[k:k + self.n] for k in range(0, len(ints), self.n))
 
     def entry(self, i, j):
         """1-based entry access."""
@@ -205,8 +227,8 @@ class TropMatrix:
 
 def require_column_supports(A: TropMatrix):
     """Reject matrices with an all-∞ column (arrangement / linear-space uses)."""
-    for j in range(1, A.n + 1):
-        if not A.col_support(j):
+    for j, col in enumerate(zip(*A.ints), 1):
+        if col.count(None) == A.d:
             raise DomainError("EMPTY_COLUMN", f"column {j} has empty support")
 
 

@@ -1,28 +1,28 @@
 """Stiefel tropical linear spaces L(A).
 
 Each p_J of π(A) is an optimal-assignment value, so one
-``bipartite.assignment`` on the costs a_ij − y_j answers every question on
-y and L(A) from its greatest optimal dual: membership (``in_L``, with ∞
-coordinates), membership in the bounded part, which needs a uniform
-underlying matroid (``in_bounded_part``), and a certificate of membership
-(``decompose``): L(A) is the union of the cells
-(F ⊙ A) + R_{>=0}{e_j : j ∈ J} with F a covector covering every row and J
-meeting the column-wise dragon condition, and ``decompose`` reads such a
-pair (F, J) and its point x off that dual, with no search.  Membership by
-circuit minima (``plucker.contains``, imported here) and by selected
-matroids (``contains_via_matroid``) stays for the benchmark.  Both bounded
-questions first ask ``_require_uniform``, d more assignments, that every
-column d-set be matchable.  The vertices and segments of the bounded part
-need only the cells of TC(A) in K(A) and their dimensions, so
-``bounded_skeleton`` builds no image of a cell.
+``bipartite.assignment`` on the costs a_ij − y_j, in ints at the common
+denominator of A and y, answers every question on y and L(A) from its
+greatest optimal dual: membership (``in_L``, with ∞ coordinates),
+membership in the bounded part, which needs a uniform underlying matroid
+(``in_bounded_part``), and a certificate of membership (``decompose``):
+L(A) is the union of the cells (F ⊙ A) + R_{>=0}{e_j : j ∈ J} with F a
+covector covering every row and J meeting the column-wise dragon condition,
+and ``decompose`` reads such a pair (F, J) and its point x off that dual,
+with no search.  Membership by circuit minima (``plucker.contains``,
+imported here) and by selected matroids (``contains_via_matroid``) stays
+for the benchmark.  Both bounded questions first ask ``_require_uniform``,
+d more assignments, that every column d-set be matchable.  The vertices and
+segments of the bounded part need only the cells of TC(A) in K(A) and their
+dimensions, so ``bounded_skeleton`` builds no image of a cell.
 """
 
 from __future__ import annotations
 
-from .core import INF, DomainError, TropMatrix, TropVector, quotient, require_column_supports
+from .core import INF, DomainError, TropMatrix, TropVector, common_denom, quotient, require_column_supports, scalar_str
 from .bipartite import BipartiteGraph, assignment, hall_surplus_check
 from .plucker import PluckerVector, contains
-from .arrangement import Covector, _integer_scaled, covector_to_json, enumerate_covectors, in_K, skeleton
+from .arrangement import Covector, covector_to_json, enumerate_covectors, in_K, skeleton
 from .subdivision import select_matroid
 
 
@@ -48,20 +48,21 @@ class DecompositionCertificate:
 
 def _greatest_dual(A: TropMatrix, y: TropVector):
     """(unit, u, v, match, tight): ``bipartite.assignment`` on the costs
-    a_ij − y_j, scaled to integers by ``unit``, with (u, v) its greatest
-    optimal dual and tight its tight edges u_i + v_j = a_ij − y_j, as
-    0-based (i, j).  An ∞ coordinate y_j costs a_ij − M on column j, where
-    M = 1 + 2·d·(max|a| + max|y finite|) outweighs the difference of any
-    two assignments on the finite costs: an optimal assignment takes as
-    many ∞ columns as the support allows, and then the least cost.
+    a_ij − y_j in units of 1/unit, the common denominator of A and y, with
+    (u, v) its greatest optimal dual and tight its tight edges
+    u_i + v_j = a_ij − y_j, as 0-based (i, j).  An ∞ coordinate y_j costs
+    a_ij − M on column j, where M = 1 + 2·d·(max|a| + max|y finite|)
+    outweighs the difference of any two assignments on the finite costs: an
+    optimal assignment takes as many ∞ columns as the support allows, and
+    then the least cost.
     NO_MATCHING_IN_SUPPORT when no matching covers every row."""
-    finite = [w for w in y.entries if w is not INF]
-    unit, a, z = _integer_scaled(A, finite)
-    if len(finite) < len(y):
-        rest = iter(z)
-        bonus = 1 + 2 * A.d * (max((abs(c) for row in a for c in row if c is not None), default=0) + max(map(abs, z), default=0))
-        z = [bonus if w is INF else next(rest) for w in y.entries]
-    cost = [[None if c is None else c - z[j] for j, c in enumerate(row)] for row in a]
+    unit, fa, fy = common_denom(A.denom, y.denom)
+    z = [None if w is None else w * fy for w in y.ints]
+    if None in z:
+        top = max((abs(c) for row in A.ints for c in row if c is not None), default=0)
+        bonus = 1 + 2 * A.d * (fa * top + max((abs(w) for w in z if w is not None), default=0))
+        z = [bonus if w is None else w for w in z]
+    cost = [[None if c is None else c * fa - z[j] for j, c in enumerate(row)] for row in A.ints]
     u, v, match = assignment(cost)
     tight = [(i, j) for i, row in enumerate(cost) for j, c in enumerate(row) if c is not None and c == u[i] + v[j]]
     return unit, u, v, match, tight
@@ -73,7 +74,7 @@ def in_L(A: TropMatrix, y: TropVector) -> bool:
     so some optimal assignment uses it.  NO_MATCHING_IN_SUPPORT when no
     matching covers every row, then LENGTH_MISMATCH unless y has length n."""
     if len(y) != A.n:
-        assignment(_integer_scaled(A)[1])  # NO_MATCHING_IN_SUPPORT comes first
+        assignment(A.ints)  # NO_MATCHING_IN_SUPPORT comes first
         raise DomainError("LENGTH_MISMATCH", "y must have length n")
     *_, tight = _greatest_dual(A, y)
     covered = {j for _, j in tight}
@@ -86,7 +87,7 @@ def _require_uniform(A: TropMatrix):
     column d-set matchable in the support of A, |J_I| >= n − d + |I| for
     every nonempty row set I by Hall's theorem (``hall_surplus_check``)."""
     if A.d > A.n or not hall_surplus_check(BipartiteGraph.from_support(A)):
-        assignment(_integer_scaled(A)[1])  # NO_MATCHING_IN_SUPPORT comes first
+        assignment(A.ints)  # NO_MATCHING_IN_SUPPORT comes first
         raise DomainError("NOT_UNIFORM", "underlying matroid must be uniform")
 
 
@@ -160,8 +161,6 @@ def bounded_skeleton(A: TropMatrix):
 
 
 def certificate_to_json(cert: DecompositionCertificate):
-    from .core import scalar_str
-
     return {
         "covector": covector_to_json(cert.covector),
         "x": [scalar_str(v) for v in cert.x.entries],

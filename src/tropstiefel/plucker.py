@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .core import INF, DomainError, TropMatrix, TropVector, scalar, scalar_str, subset_from_key, trop_vanishes
+from .core import INF, DomainError, TropMatrix, TropVector, common_denom, integer_form, scalar, scalar_str, subset_from_key, trop_vanishes
 from .bipartite import BipartiteGraph, is_support_set, optimal_matchings
 
 
@@ -23,7 +23,7 @@ def _subsets(n, d):
 class PluckerVector:
     """A map from d-subsets of [n] to scalars, not identically infinite."""
 
-    __slots__ = ("n", "d", "values")
+    __slots__ = ("n", "d", "values", "denom", "ints")
 
     def __init__(self, n, d, values):
         self.n = n
@@ -37,6 +37,8 @@ class PluckerVector:
         self.values = vals
         if all(v is INF for v in vals.values()):
             raise DomainError("ALL_INF", "Plücker vectors may not be identically ∞")
+        self.denom, ints = integer_form(vals.values())
+        self.ints = dict(zip(vals, ints))
 
     def __getitem__(self, J):
         return self.values[frozenset(J)]
@@ -64,12 +66,14 @@ def stiefel_map(A: TropMatrix) -> PluckerVector:
     return PluckerVector(A.n, A.d, values)
 
 
-def _circuit_test(p: PluckerVector):
-    """The circuits of p, read once, as a test of 0-based coordinates y:
-    for every (d+1)-set T the minimum of p_{T−j} + y_j over j ∈ T is ∞ or
-    attained at least twice."""
-    circuits = [[(j - 1, p[frozenset(T) - {j}]) for j in T] for T in _subsets(p.n, p.d + 1)]
-    return lambda y: all(trop_vanishes(v + y[k] for k, v in C) for C in circuits)
+def _circuit_test(p: PluckerVector, f=1):
+    """The circuits of p, read once, as a test of 0-based int coordinates y
+    in units of 1/(f·p.denom), INF at ∞: for every (d+1)-set T the minimum
+    of p_{T−j} + y_j over j ∈ T is ∞ or attained at least twice.  Returns
+    the test and p's ints in that unit, INF at ∞."""
+    ints = {J: INF if c is None else c * f for J, c in p.ints.items()}
+    circuits = [[(j - 1, ints[T - {j}]) for j in T] for T in map(frozenset, _subsets(p.n, p.d + 1))]
+    return lambda y: all(trop_vanishes(v + y[k] for k, v in C) for C in circuits), ints
 
 
 PLUCKER_BUDGET = 10 ** 7  # relation terms the Plücker check or one membership test may test
@@ -84,7 +88,8 @@ def contains(p: PluckerVector, y: TropVector) -> bool:
     terms = math.comb(p.n, p.d + 1) * (p.d + 1)
     if terms > PLUCKER_BUDGET:
         raise DomainError("BUDGET_EXCEEDED", f"rank {p.d} on [{p.n}] gives {terms} circuit terms, budget {PLUCKER_BUDGET}")
-    return _circuit_test(p)(y.entries)
+    _, fp, fy = common_denom(p.denom, y.denom)
+    return _circuit_test(p, fp)[0]([INF if w is None else w * fy for w in y.ints])
 
 
 def check_plucker(p: PluckerVector) -> bool:
@@ -99,9 +104,9 @@ def check_plucker(p: PluckerVector) -> bool:
     terms = math.comb(p.n, p.d - 1) * math.comb(p.n, p.d + 1) * (p.d + 1)
     if terms > PLUCKER_BUDGET:
         raise DomainError("BUDGET_EXCEEDED", f"rank {p.d} on [{p.n}] gives {terms} relation terms, budget {PLUCKER_BUDGET}")
-    in_span, ground = _circuit_test(p), range(1, p.n + 1)
+    (in_span, ints), ground = _circuit_test(p), range(1, p.n + 1)
     return all(
-        in_span([INF if j in S else p.values[S | {j}] for j in ground])
+        in_span([INF if j in S else ints[S | {j}] for j in ground])
         for S in map(frozenset, _subsets(p.n, p.d - 1))
     )
 
@@ -111,9 +116,7 @@ def cocircuit(p: PluckerVector, S) -> TropVector:
     S = frozenset(S)
     if len(S) != p.d - 1 or not S <= frozenset(range(1, p.n + 1)):
         raise DomainError("BAD_SUBSET", "S must be a (d-1)-subset of [n]")
-    entries = []
-    for j in range(1, p.n + 1):
-        entries.append(INF if j in S else p[S | {j}])
+    entries = [INF if j in S else p[S | {j}] for j in range(1, p.n + 1)]
     if all(v is INF for v in entries):
         raise DomainError("ALL_INF", "every extension of S is infinite")
     return TropVector(entries)
@@ -132,11 +135,7 @@ def recover_matrix(p: PluckerVector, support: BipartiteGraph) -> TropMatrix:
     if any(v is INF for v in p.values.values()):
         raise DomainError("NOT_UNIFORM", "underlying matroid must be uniform")
     ground = frozenset(range(1, p.n + 1))
-    rows = []
-    for i in range(1, support.d + 1):
-        c = cocircuit(p, ground - support.J(i))
-        rows.append(c.entries)
-    return TropMatrix(rows)
+    return TropMatrix([cocircuit(p, ground - support.J(i)).entries for i in range(1, support.d + 1)])
 
 
 # ---------------------------------------------------------------------------

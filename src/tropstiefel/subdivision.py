@@ -6,22 +6,22 @@ covectors.
 
 from __future__ import annotations
 
-from .core import INF, DomainError, TropMatrix, TropVector
+from .core import DomainError, TropMatrix, TropVector, common_denom
 from .bipartite import Matroid, transversal_matroid
 from .plucker import PluckerVector
 from .arrangement import enumerate_covectors
 
 
 def select_matroid(p: PluckerVector, y: TropVector) -> Matroid:
-    """The matroid M_y selected by y: argmin of p_J − Σ_{j∈J} y_j."""
+    """The matroid M_y selected by y: argmin of p_J − Σ_{j∈J} y_j, in ints."""
     if len(y) != p.n or not y.is_finite():
         raise DomainError("BAD_POINT", "y must be finite of length n")
-    best = None
-    bases = []
-    for J, v in p.values.items():
-        if v is INF:
+    _, fp, fy = common_denom(p.denom, y.denom)
+    best, bases, z = None, [], y.ints
+    for J, v in p.ints.items():
+        if v is None:
             continue
-        val = v - sum(y.entry(j) for j in J)
+        val = v * fp - fy * sum(z[j - 1] for j in J)
         if best is None or val < best:
             best = val
             bases = [J]

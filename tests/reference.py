@@ -50,11 +50,11 @@ import itertools
 import math
 from fractions import Fraction
 
-from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, require_column_supports, scalar, scalar_str
+from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, common_denom, require_column_supports, scalar, scalar_str
 from tropstiefel.geom import ONE, ZERO, DifferenceBounds, argmin_witness
 from tropstiefel.bipartite import BipartiteGraph, Matching, Matroid, assignment, components, hall_surplus_check, optimal_matchings
 from tropstiefel.plucker import PluckerVector, _subsets
-from tropstiefel.arrangement import Covector, _integer_scaled
+from tropstiefel.arrangement import Covector
 from tropstiefel.subdivision import facets_of_D, select_matroid
 from tropstiefel.linspace import _bounded_cells, bounded_skeleton
 
@@ -63,6 +63,13 @@ from tropstiefel.linspace import _bounded_cells, bounded_skeleton
 # Vectors: ⊕ and x ⊙ A, the residual, the row-support check and the vector
 # codec
 # ---------------------------------------------------------------------------
+
+def common_ints(A: TropMatrix, y: TropVector):
+    """(unit, a, z): the integer forms of A and of a finite y brought to
+    their common denominator unit; a[i][j] is None where A is ∞."""
+    unit, fa, fy = common_denom(A.denom, y.denom)
+    return unit, [[None if c is None else c * fa for c in row] for row in A.ints], [w * fy for w in y.ints]
+
 
 def trop_sum(values):
     """⊕ over an iterable: the minimum, ∞ if empty."""
@@ -453,7 +460,7 @@ def decomposition_cone(A: TropMatrix, tau, J):
     Jset = frozenset(J)
     if not Jset <= frozenset(range(1, n + 1)):
         raise DomainError("BAD_SUBSET", "J must be a subset of [n]")
-    unit, a, _ = _integer_scaled(A)
+    unit, a = A.denom, A.ints
     dbm = DifferenceBounds(1 + n + d, unit)  # node 0 the origin, y_j node j, x_i node n + i
     feasible = _closed_cell(dbm, a, tau, n) and all(
         dbm.add(j, n + i, -a[i - 1][j - 1])
@@ -470,7 +477,7 @@ def bounded_complex(A: TropMatrix):
     consistently with the arrangement cells (the image of x_1 = 0 is
     y_j1 = a_1j1 for the least column j1 of row 1 in F), a tie of y_j1 to
     the origin."""
-    _, a, _ = _integer_scaled(A)
+    a = A.ints
     out = []
     for cell in _bounded_cells(A):
         F = cell.covector

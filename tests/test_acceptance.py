@@ -18,6 +18,7 @@ from reference import (
     cell_exists,
     coloops,
     colwise_dragon_condition,
+    common_ints,
     covector_of_point,
     decomposition_cone,
     enumerate_support_sets,
@@ -37,7 +38,7 @@ from reference import (
     vec_mat_mul,
     vector_to_json,
 )
-from tropstiefel.arrangement import Covector, _integer_scaled, enumerate_covectors, in_K
+from tropstiefel.arrangement import Covector, enumerate_covectors, in_K
 from tropstiefel.bipartite import (
     BipartiteGraph,
     is_support_set,
@@ -281,7 +282,7 @@ def test_support_census_dimension():
 def contains_via_assignment(A, y):
     """The fourth membership route: y ∈ L(A) exactly when every column lies
     in some min-cost assignment of the costs a_ij − y_j."""
-    _, a, z = _integer_scaled(A, y.entries)
+    _, a, z = common_ints(A, y)
     return len(optimal_columns([[None if c is None else c - z[j] for j, c in enumerate(row)] for row in a])) == A.n
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from reference import (
     _nonempty_subsets,
     coloops,
     colwise_dragon_condition,
+    common_ints,
     enumerate_support_sets,
     graph_to_json,
     is_tree,
@@ -47,7 +49,6 @@ from tropstiefel.bipartite import (
     support_face_dimension,
     transversal_matroid,
 )
-from tropstiefel.arrangement import _integer_scaled
 from tropstiefel.core import INF, DomainError, TropMatrix, TropVector
 from tropstiefel.linspace import decompose
 from tropstiefel.plucker import contains, stiefel_map
@@ -276,16 +277,29 @@ def test_random_support_set_is_uniform():
     assert low < chi2 < high, chi2
 
 
+def test_random_support_set_draws_permutations_uniformly_at_d_equal_n():
+    """At d = n the support sets are the 24 perfect matchings of (4, 4):
+    Pearson's χ² of 4800 seeded draws lies below 49.73, the 0.999 quantile
+    of χ² with 23 degrees of freedom, and every permutation is drawn."""
+    rng, draws = random.Random(2904), 4800
+    counts = Counter(tuple(j for _, j in random_support_set(rng, 4, 4).sorted_edges()) for _ in range(draws))
+    assert sorted(counts) == sorted(itertools.permutations(range(1, 5)))
+    expected = draws / 24
+    assert sum((c - expected) ** 2 / expected for c in counts.values()) < 49.73, counts
+
+
 def test_random_support_set_draws_support_sets_and_refuses_past_its_cap():
     rng = random.Random(17)
     for d, n in ((1, 1), (1, 5), (2, 2), (3, 3), (2, 6), (4, 6), (4, 7), (5, 10), (8, 16), (12, 13)):
         for _ in range(5):
             G = random_support_set(rng, d, n)
             assert (G.d, G.n) == (d, n) and is_support_set(G), (d, n, G)
-    # d = n keeps d!/d^d of its draws: 8!/8^8 < 0.3%
+    # (12, 13) keeps about 1.6% of its draws, and seed 0's first fails
     with pytest.raises(DomainError) as exc:
-        random_support_set(random.Random(0), 8, 8, 1)
-    assert exc.value.code == "BUDGET_EXCEEDED" and str(exc.value) == "1 draws on [8] ⊔ [8] found no support set, budget 1"
+        random_support_set(random.Random(0), 12, 13, 1)
+    assert exc.value.code == "BUDGET_EXCEEDED" and str(exc.value) == "1 draws on [12] ⊔ [13] found no support set, budget 1"
+    # d = n draws one permutation, kept at once: 30 x 30 answers within a one-draw cap
+    assert is_support_set(random_support_set(random.Random(0), 30, 30, 1))
     with pytest.raises(DomainError) as exc:
         random_support_set(random.Random(0), 2, 3, 0)
     assert exc.value.code == "BUDGET_EXCEEDED"
@@ -349,7 +363,7 @@ def test_assignment_potentials_and_optimal_columns():
                 y = TropVector([half(8) for _ in range(n)])
             if not y.is_finite():
                 continue
-            unit, a, z = _integer_scaled(A, y.entries)
+            unit, a, z = common_ints(A, y)
             cost = [[None if c is None else c - z[j] for j, c in enumerate(row)] for row in a]
             u, v, match = assignment(cost)
             assert sorted(set(match)) == sorted(match) and all(cost[i][j] is not None for i, j in enumerate(match))

@@ -227,8 +227,8 @@ def test_domain_error_exit_code(tmp_path, capsys):
         (["coherent"], field({"1,2": [[[1, 1], [2, 1]]]}), "BAD_MATCHING"),
         (["coherent"], field({"1,2": [[[1, 1]]]}), "BAD_CHOICE"),
         (["coherent"], field({"1,2": []}), "EMPTY_CHOICE"),
-        # d = n keeps 8!/8^8 < 0.3% of its draws, and seed 0's first fails
-        (["gen", "8", "8", "--mode", "support-set", "--budget", "1"], None, "BUDGET_EXCEEDED"),
+        # (12, 13) keeps about 1.6% of its draws, and seed 0's first fails
+        (["gen", "12", "13", "--mode", "support-set", "--budget", "1"], None, "BUDGET_EXCEEDED"),
         # refused before drawing: d·n = 10^9 entries, and d³n for one Hall check
         (["gen", "1", "1000000000"], None, "BUDGET_EXCEEDED"),
         (["gen", "1000", "1001", "--mode", "pointed"], None, "BUDGET_EXCEEDED"),

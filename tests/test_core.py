@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 import sys
 from collections import Counter
@@ -11,6 +13,7 @@ from tropstiefel.core import (
     DomainError,
     TropMatrix,
     TropVector,
+    common_denom,
     matrix_from_json,
     matrix_to_json,
     quotient,
@@ -22,7 +25,7 @@ from tropstiefel.core import (
 from tropstiefel.arrangement import enumerate_covectors
 from tropstiefel.bipartite import BipartiteGraph, is_coherent, matching_multifield
 from tropstiefel.linspace import decompose
-from tropstiefel.plucker import recover_matrix, stiefel_map
+from tropstiefel.plucker import PluckerVector, recover_matrix, stiefel_map
 
 # Rows (0,0,inf,inf), (inf,0,0,inf), (inf,inf,0,0): the running 3x4 example.
 STAIR = TropMatrix([[0, 0, "inf", "inf"], ["inf", 0, 0, "inf"], ["inf", "inf", 0, 0]])
@@ -60,6 +63,57 @@ def test_whole_scalars_are_ints():
     # output, hashes, equality and order agree between 3 and Fraction(3)
     assert scalar_str(scalar("6/2")) == scalar_str(Fraction(3)) == "3"
     assert hash(scalar("6/2")) == hash(Fraction(3)) and scalar(3) < Fraction(7, 2) < scalar(4)
+
+
+def test_int_subclasses_are_plain_ints():
+    class Count(int):
+        pass
+
+    for x in (Count(5), Count(-3), Count(0)):
+        assert type(scalar(x)) is int and scalar(x) == x
+    with pytest.raises(DomainError):
+        scalar(True)
+
+
+def _check_integer_form(values, denom, ints):
+    """denom is the LCM of the finite values' denominators, and each int is
+    its value times denom exactly, None exactly at ∞."""
+    assert type(denom) is int and denom == math.lcm(*(Fraction(v).denominator for v in values if v is not INF))
+    assert len(ints) == len(values)
+    for v, c in zip(values, ints):
+        assert (c is None) == (v is INF)
+        assert c is None or (type(c) is int and c == v * denom)
+
+
+def test_integer_form_on_construction():
+    """``TropMatrix``, ``TropVector`` and ``PluckerVector`` take their
+    integer form on construction: 300 seeded inputs with ∞, halves, thirds,
+    "4/2" and copied rows, and ``common_denom`` on each matrix and vector."""
+    rng = random.Random(2901)
+    pool = ["inf", 0, 1, -2, 3, "4/2", Fraction(6, 3), "1/2", "-3/2", "1/3", "-2/3", "5/3", "-5/6"]
+    denoms = Counter()
+    for _ in range(300):
+        d = rng.randint(1, 3)
+        n = rng.randint(d, 5)
+        whole = rng.random() < 0.2  # no denominator but 1
+        draw = lambda start=0: rng.choice(pool[start:7] if whole else pool[start:])
+        rows = []
+        for _ in range(d):
+            rows.append(list(rng.choice(rows)) if rows and rng.random() < 0.3 else [draw() for _ in range(n)])
+        A = TropMatrix(rows)
+        assert len(A.ints) == d and all(len(row) == n for row in A.ints)
+        _check_integer_form([v for row in A.entries for v in row], A.denom, [c for row in A.ints for c in row])
+        Y = TropVector([draw() for _ in range(n)])
+        _check_integer_form(Y.entries, Y.denom, Y.ints)
+        values = {frozenset(J): draw() for J in itertools.combinations(range(1, n + 1), d)}
+        values[frozenset(range(1, d + 1))] = draw(1)  # not identically ∞
+        p = PluckerVector(n, d, values)
+        assert list(p.ints) == list(p.values)
+        _check_integer_form(list(p.values.values()), p.denom, list(p.ints.values()))
+        m, fa, fy = common_denom(A.denom, Y.denom)
+        assert m == math.lcm(A.denom, Y.denom) == A.denom * fa == Y.denom * fy
+        denoms.update((A.denom, Y.denom, p.denom))
+    assert all(denoms[k] for k in (1, 2, 3, 6)), denoms
 
 
 def test_infinity_semantics():

@@ -17,6 +17,7 @@ from reference import (
     caterpillar_check,
     coloops,
     colwise_dragon_condition,
+    common_ints,
     covector_of_point,
     decomposition_cone,
     in_B,
@@ -26,13 +27,14 @@ from reference import (
     uniform_matroid,
     vec_mat_mul,
 )
-from tropstiefel.arrangement import _integer_scaled, enumerate_covectors, in_K
+from tropstiefel.arrangement import enumerate_covectors, in_K
 from tropstiefel.bipartite import BipartiteGraph, transversal_matroid
 from tropstiefel.core import (
     DomainError,
     INF,
     TropMatrix,
     TropVector,
+    common_denom,
     require_column_supports,
 )
 from tropstiefel.linspace import (
@@ -167,7 +169,7 @@ def all_cells_systems(A, y, tc, keep):
     order that ``keep(F, J)`` accepts, yielded with the closed system of
     (F, J) on the origin and x when it is feasible: the closed cell,
     x_i0 + a_i0j <= y_j, and = y_j off J, < y_j on J."""
-    unit, a, z = _integer_scaled(A, y.entries)
+    unit, a, z = common_ints(A, y)
     subsets = sorted(J for r in range(A.d) for J in itertools.combinations(range(1, A.n + 1), r))
     for cell in tc:
         F = cell.covector
@@ -406,6 +408,48 @@ def test_image_points_lie_in_L():
         for _ in range(20):
             x = TropVector([rng.randint(-4, 4) for _ in range(A.d)])
             assert contains(p, vec_mat_mul(x, A))
+
+
+def test_routes_agree_at_the_common_denominator():
+    """A in thirds and y in halves meet at the common denominator 6: on
+    seeded 1 <= d <= 3, n <= 5 inputs with ∞ entries, circuits, selected
+    matroids, ``decompose`` and ``in_L`` give one answer, and every
+    certificate has x ⊙ A + slack = y exactly.  With ∞ coordinates in y,
+    ``in_L``, on its bonus path, agrees with circuit membership."""
+    rng = random.Random(2906)
+    thirds = [0, 1, -2, "1/3", "-2/3", "5/3", "-4/3", "inf"]
+    seen, at_six, with_inf = Counter(), 0, Counter()
+    while min(seen[True], seen[False], with_inf[True], with_inf[False]) < 40 or at_six < 200:
+        d = rng.randint(1, 3)
+        n = rng.randint(d, 5)
+        A = TropMatrix([[rng.choice(thirds) for _ in range(n)] for _ in range(d)])
+        try:
+            require_column_supports(A)
+            p = stiefel_map(A)
+        except DomainError:
+            continue
+        x = TropVector([Fraction(rng.randint(-4, 4), 2) for _ in range(d)])
+        image = vec_mat_mul(x, A).entries
+        halves = [Fraction(rng.randint(-8, 8), 2) for _ in range(n)]
+        for y in (image, [v + Fraction(rng.randint(0, 2), 2) for v in image], halves):
+            Y = TropVector(y)
+            if not Y.is_finite():
+                continue
+            at_six += common_denom(A.denom, Y.denom)[0] == 6
+            cert = decompose(A, Y)
+            answers = {contains(p, Y), contains_via_matroid(p, Y), in_L(A, Y), cert is not None}
+            assert len(answers) == 1, (A.entries, y)
+            seen[cert is not None] += 1
+            if cert is not None:
+                assert [a + s for a, s in zip(vec_mat_mul(cert.x, A).entries, cert.slack.entries)] == list(Y.entries)
+        Y = TropVector([INF if rng.random() < 0.4 else v for v in rng.choice((image, halves))])
+        if len(Y.support()) < n:
+            got = in_L(A, Y)
+            assert got == contains(p, Y), (A.entries, Y.entries)
+            with_inf[got] += 1
+    # the bonus M of an ∞ coordinate is counted in sixths here, as the costs are
+    A, Y = TropMatrix([["-2/3", 3]]), TropVector(["1/2", "inf"])
+    assert not in_L(A, Y) and not contains(stiefel_map(A), Y)
 
 
 def test_bounded_membership_examples():

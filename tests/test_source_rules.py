@@ -76,6 +76,20 @@ def test_bound_encoding_read_only_in_geom():
     assert not found, f"the bound encoding read outside geom: {found}"
 
 
+def test_lcm_only_in_core():
+    """Scaling by a common denominator has one home: every ``lcm`` the
+    library calls or imports is in ``core.py`` (``integer_form`` and
+    ``common_denom``)."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name != "core.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if "lcm" in (getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None))
+    ]
+    assert not found, f"lcm outside core: {found}"
+
+
 BENCH_WORKLOADS = SOURCE.parents[1] / "bench" / "workloads.py"
 
 
