@@ -9,18 +9,30 @@ is a polytrope: the points whose covector is tau satisfy, per column j,
 equalities tying the rows of I_j and strict inequalities saying that the
 other rows of supp(j) lose.  TC(A) is found by a depth-first search over
 the columns on the closed difference-bound matrix (``geom.DifferenceBounds``,
-in units of 1/``A.denom`` on ``A.ints``) of an open cell: a partial choice
-(I_1, ..., I_j) is kept exactly when its system is feasible, and every
-feasible prefix extends to a covector, so the search never dead-ends.  At
-column j, ``_attain`` imposes on a copy of the matrix each nonempty subset
-of the rows R_j that attain the minimum somewhere in the open cell: row i
-is in R_j when ``admits`` takes each bound x_i + a_ij <= x_k + a_kj alone,
-and those bounds all end at node i, which a simple cycle enters once, so
-together they close no negative cycle.
-A cell's dimension is the number of tie classes of its closed matrix
-minus one (the only zero cycles of a feasible strict system are its tie
-equalities), and its witness, gauge-fixed by x_1 = 0, comes from the
-potentials of the closed matrix.
+in units of 1/``A.denom`` on ``A.ints``) of the open cell C of a prefix
+(I_1, ..., I_j).  Row i is in R_j, the rows that attain column j's minimum
+somewhere in C, when ``admits`` takes each bound x_i + a_ij <= x_k + a_kj
+alone: those bounds all end at node i, which a simple cycle enters once, so
+together they close no negative cycle.  The search carries one label per
+row, naming its component of the rows the I's so far tie; the tie classes
+of R_j are its rows grouped by label, and each nonempty union of them is a
+child I_j, imposed on a copy by ``_attain``.  Every child is a cell prefix:
+
+* Every bound of C is a difference bound, weak or strict, so C is open in
+  the affine space H of its tie equalities, and closed under coordinatewise
+  min and under adding multiples of 1.  So a cell's dimension is its number
+  of components less one.
+* Tied rows of R_j differ by a constant on C, so they attain together.
+* One class K: take a point of C where K attains, and add ε·1_U for the
+  component U of each other class that ties there.  1_U is a direction of
+  H and C is open in H, so for small ε the point stays in C, and exactly K
+  attains.
+* A union S of classes: shift each such point so that column j's minimum
+  is 0, and take their coordinatewise min.  It lies in C, and exactly S
+  attains there.
+
+A cell's witness, gauge-fixed by x_1 = 0, comes from the potentials of the
+closed matrix.
 """
 
 from __future__ import annotations
@@ -74,20 +86,15 @@ def _attain(dbm, a, j, I):
     """Impose on ``dbm`` the bounds saying that exactly the rows I of
     column j attain min_k (x_k + a_kj), row k being node k (0-based, I
     sorted): x_i + a_ij = x_i0 + a_i0j for i ∈ I with i0 = I[0], and
-    x_k + a_kj > x_i0 + a_i0j for the other finite rows k.  Returns False
-    at the first bound ``dbm.add`` refuses."""
-    i0 = I[0]
-    a0 = a[i0][j]
+    x_k + a_kj > x_i0 + a_i0j for the other finite rows k."""
+    i0, a0 = I[0], a[I[0]][j]
     for k, row in enumerate(a):
         c = row[j]
         if c is None or k == i0:
             continue
         if k in I:
-            if not (dbm.add(i0, k, a0 - c) and dbm.add(k, i0, c - a0)):
-                return False
-        elif not dbm.add(k, i0, c - a0, True):
-            return False
-    return True
+            dbm.add(i0, k, a0 - c)
+        dbm.add(k, i0, c - a0, k not in I)
 
 
 class Cell:
@@ -129,21 +136,26 @@ def enumerate_covectors(A: TropMatrix, budget=CELL_BUDGET) -> list:
     a = A.ints
     cells = []
 
-    def search(j, dbm, chosen):
+    # label[i] is a row of row i's component; a union of classes merges theirs
+    def search(j, dbm, chosen, label):
         if j == n:
             edges = [(i + 1, k + 1) for k, I in enumerate(chosen) for i in I]
-            cells.append(Cell(Covector(BipartiteGraph(d, n, edges)), dbm.dim(), dbm.point()))
+            cells.append(Cell(Covector(BipartiteGraph(d, n, edges)), len(set(label)) - 1, dbm.point()))
             if len(cells) > budget:
                 raise DomainError("BUDGET_EXCEEDED", f"more than {budget} cells")
             return
-        rows = [i for i in cols[j] if all(dbm.admits(k, i, a[k][j] - a[i][j]) for k in cols[j])]
-        for r in range(1, len(rows) + 1):
-            for I in itertools.combinations(rows, r):
+        classes = {}
+        for i in cols[j]:
+            if all(dbm.admits(k, i, a[k][j] - a[i][j]) for k in cols[j]):
+                classes.setdefault(label[i], []).append(i)
+        for r in range(1, len(classes) + 1):
+            for picked in itertools.combinations(classes, r):
+                I = sorted(i for L in picked for i in classes[L])
                 child = dbm.copy()
-                if _attain(child, a, j, I):
-                    search(j + 1, child, chosen + [I])
+                _attain(child, a, j, I)
+                search(j + 1, child, chosen + [I], label if r == 1 else [I[0] if L in picked else L for L in label])
 
-    search(0, DifferenceBounds(d, A.denom), [])
+    search(0, DifferenceBounds(d, A.denom), [], list(range(d)))
     return sorted(cells, key=lambda c: c.covector.key())
 
 

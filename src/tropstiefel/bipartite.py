@@ -498,13 +498,10 @@ def multifield_from_json(obj) -> MatchingMultifield:
             J = subset_from_key(key, d, n, "BAD_MULTIFIELD_JSON")
             ms = set()
             for edge_list in matchings:
-                cols, rows = [0] * d, set()
-                for i, j in _index_pairs(edge_list, "BAD_MULTIFIELD_JSON"):
-                    if not 1 <= i <= d or i in rows:
-                        raise DomainError("BAD_MULTIFIELD_JSON", f"row {i} outside [{d}] or named twice")
-                    cols[i - 1] = j
-                    rows.add(i)
-                ms.add(Matching(cols))
+                pairs = sorted(_index_pairs(edge_list, "BAD_MULTIFIELD_JSON"))
+                if [i for i, _ in pairs] != list(range(1, d + 1)):
+                    raise DomainError("BAD_MULTIFIELD_JSON", f"an edge list must name each row of [{d}] once")
+                ms.add(Matching(j for _, j in pairs))
             choices[J] = frozenset(ms)
     except (TypeError, ValueError, OverflowError):
         raise DomainError("BAD_MULTIFIELD_JSON", "choices must map 'j1,...,jd' to lists of edge lists") from None

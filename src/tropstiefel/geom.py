@@ -8,8 +8,7 @@ Systems mix equalities, weak and strict inequalities.  Two engines:
   every constraint has the form x_i - x_j >= b, built bound by bound.
   Rational constants are scaled to integers by the LCM of their
   denominators, and strict bounds are exact through one ε = 1/(V+1) fixed
-  by the number of nodes V.  With node 0 an origin pinned at 0, a closed
-  matrix answers its dimension and a witness point by lookups;
+  by the number of nodes V.  A closed matrix answers a witness by lookups;
 * a two-phase exact simplex with Bland's rule over Fractions answers
   ``argmin_witness``, a linear height under which chosen points are exactly
   the argmins: the one question that is not a difference system.  Its one
@@ -165,8 +164,6 @@ class DifferenceBounds:
     is none); adding a bound keeps the matrix closed in O(size²), and
     ``admits`` tells by one lookup whether ``add`` would accept a weak
     bound.  In the library this class alone reads the stored encoding.
-    Node 0 is an origin pinned at 0; ``dim`` reads a matrix of weak bounds:
-    a polytrope.
     """
 
     __slots__ = ("size", "scale", "unit", "bound")
@@ -219,14 +216,6 @@ class DifferenceBounds:
         p = [min(row[v] for row in m if row[v] is not None) for v in range(self.size)]
         den = self.scale * self.unit
         return tuple(quotient(pv - p[0], den) for pv in p)
-
-    def dim(self):
-        """The affine dimension.  Only the zero cycles of a closed matrix are
-        implicit equalities, so each class of tied nodes is one free
-        parameter, and the origin's class is pinned."""
-        m = self.bound
-        tied = lambda s, t: m[s][t] is not None and m[t][s] is not None and m[s][t] + m[t][s] == 0
-        return sum(not any(tied(s, t) for s in range(t)) for t in range(self.size)) - 1
 
 
 def strict_feasible(dim, eqs=(), ges=(), gts=()):

@@ -15,7 +15,11 @@ the two.  The library keeps only what the CLI and the benchmark reach
   columns some optimal assignment uses, by alternating paths
   (``optimal_columns``), against its membership answer;
 * tc(x) of a point (``covector_of_point``) against the search of
-  ``arrangement.enumerate_covectors``;
+  ``arrangement.enumerate_covectors``, and TC(A) by trying every nonempty
+  subset of the rows R_j that can attain each column's minimum and keeping
+  the feasible ones (``covectors_by_row_subsets``, on the refusing
+  ``attain_or_refuse``), against the library's search over unions of tie
+  classes, which has no infeasible child;
 * π(A) as the stable union of the rows (``stable_union``, ``row_vector``)
   against ``plucker.stiefel_map``, with duality and stable intersection;
 * the Hall-type surplus scan over all 2^d − 1 row sets (``_hall_surplus``,
@@ -42,8 +46,8 @@ the two.  The library keeps only what the CLI and the benchmark reach
 * methods that no library code calls, as functions on the object they
   belonged to: projective equality (``proj_eq``, ``plucker_proj_eq``),
   shifts, rows and transposes, connectivity of graphs and matroids,
-  coloops, and the restriction, polytrope membership and minimal form of
-  a ``DifferenceBounds``.
+  coloops, and the restriction, polytrope membership, dimension and
+  minimal form of a ``DifferenceBounds``.
 """
 
 import itertools
@@ -54,7 +58,7 @@ from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, common_de
 from tropstiefel.geom import ONE, ZERO, DifferenceBounds, argmin_witness
 from tropstiefel.bipartite import BipartiteGraph, Matching, Matroid, assignment, components, hall_surplus_check, optimal_matchings
 from tropstiefel.plucker import PluckerVector, _subsets
-from tropstiefel.arrangement import Covector
+from tropstiefel.arrangement import Cell, Covector
 from tropstiefel.subdivision import facets_of_D, select_matroid
 from tropstiefel.linspace import _bounded_cells, bounded_skeleton
 
@@ -384,6 +388,52 @@ def _closed_cell(dbm: DifferenceBounds, a, tau, base):
     return True
 
 
+def attain_or_refuse(dbm, a, j, I):
+    """``arrangement._attain`` with a refusal: impose on ``dbm`` the bounds
+    saying that exactly the rows I of column j attain min_k (x_k + a_kj),
+    row k being node k (0-based, I sorted).  Returns False at the first
+    bound ``dbm.add`` refuses."""
+    i0 = I[0]
+    a0 = a[i0][j]
+    for k, row in enumerate(a):
+        c = row[j]
+        if c is None or k == i0:
+            continue
+        if k in I:
+            if not (dbm.add(i0, k, a0 - c) and dbm.add(k, i0, c - a0)):
+                return False
+        elif not dbm.add(k, i0, c - a0, True):
+            return False
+    return True
+
+
+def covectors_by_row_subsets(A: TropMatrix):
+    """TC(A) as sorted cells, by a depth-first search that imposes each
+    nonempty subset of R_j, the rows ``admits`` lets attain column j's
+    minimum in the open cell, on a copy and keeps it when no bound is
+    refused; a cell's dimension is read off its closed matrix
+    (``polytrope_dim``)."""
+    require_column_supports(A)
+    d, n, a = A.d, A.n, A.ints
+    cols = [sorted(i - 1 for i in A.col_support(j)) for j in range(1, n + 1)]
+    cells = []
+
+    def search(j, dbm, chosen):
+        if j == n:
+            edges = [(i + 1, k + 1) for k, I in enumerate(chosen) for i in I]
+            cells.append(Cell(Covector(BipartiteGraph(d, n, edges)), polytrope_dim(dbm), dbm.point()))
+            return
+        rows = [i for i in cols[j] if all(dbm.admits(k, i, a[k][j] - a[i][j]) for k in cols[j])]
+        for r in range(1, len(rows) + 1):
+            for I in itertools.combinations(rows, r):
+                child = dbm.copy()
+                if attain_or_refuse(child, a, j, I):
+                    search(j + 1, child, chosen + [I])
+
+    search(0, DifferenceBounds(d, A.denom), [])
+    return sorted(cells, key=lambda c: c.covector.key())
+
+
 def is_trop_singular(B: TropMatrix) -> bool:
     """Minimum of the tropical permutation expansion is ∞ or attained twice:
     the matching engine finds no optimal matching or a second one."""
@@ -627,6 +677,16 @@ def polytrope_contains(self, z):
         b is None or (x[v] - x[u]) * den <= b
         for u, row in enumerate(self.bound) for v, b in enumerate(row)
     )
+
+
+def polytrope_dim(self):
+    """The affine dimension of a closed matrix, node 0 an origin pinned at
+    0.  Only the zero cycles of a closed matrix are implicit equalities, so
+    each class of tied nodes is one free parameter, and the origin's class
+    is pinned."""
+    m = self.bound
+    tied = lambda s, t: m[s][t] is not None and m[t][s] is not None and m[s][t] + m[t][s] == 0
+    return sum(not any(tied(s, t) for s in range(t)) for t in range(self.size)) - 1
 
 
 def minimal_form(self):

@@ -30,6 +30,7 @@ from reference import (
     optimal_columns,
     plucker_proj_eq,
     polytrope_contains,
+    polytrope_dim,
     residuation,
     row_vector,
     stable_union,
@@ -47,7 +48,7 @@ from tropstiefel.bipartite import (
 )
 from tropstiefel.cli import main
 from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, matrix_to_json
-from tropstiefel.geom import lp_solve
+from tropstiefel.geom import DifferenceBounds, lp_solve
 from tropstiefel.linspace import (
     contains,
     contains_via_matroid,
@@ -129,7 +130,7 @@ def test_standard_plane_golden():
         assert len(cells) == 1
         image = cells[0][1]
         poly = Polyhedron(4, *minimal_form(image))
-        assert poly.affine_dimension() == 0 == image.dim()
+        assert poly.affine_dimension() == 0 == polytrope_dim(image)
         assert norm(poly.vertices()[0]) == (0, 0, 0, 0) == norm(image.point()[1:])
 
         cert = decompose(STAIR, TropVector([0, 1, 1, 0]))
@@ -231,7 +232,7 @@ def test_nonfacial_intersection_golden():
 
         cone1 = decomposition_cone(A, tau1, J1)
         cone2 = decomposition_cone(A, tau2, J2)
-        assert cone1.dim() == cone2.dim() == 8
+        assert polytrope_dim(cone1) == polytrope_dim(cone2) == 8
         C1, C2 = Polyhedron(12, *minimal_form(cone1)), Polyhedron(12, *minimal_form(cone2))
         assert C1.affine_dimension() == 8
         assert C2.affine_dimension() == 8
@@ -770,6 +771,29 @@ def test_covectors_and_facets_refuse_a_dense_12x13_in_bounded_time(tmp_path, cap
         for command in ("covectors", "facets"):
             assert main([command, "--input", str(path)]) == 1
             assert json.loads(capsys.readouterr().out) == {"error": "BUDGET_EXCEEDED"}
+
+
+def test_covectors_of_twelve_identical_rows_in_bounded_time(monkeypatch):
+    """Twelve identical rows of width 3 (``random.Random(1)``, entries
+    −50..50) tie in every column: TC(A) is the 2^12 − 1 faces of the first
+    column.  The search tries unions of tie classes, so each cell costs one
+    copy of the matrix per column, 12285 in all; trying every subset of the
+    attaining rows made 1058785 copies and took 4–6 s."""
+    copies = 0
+    real = DifferenceBounds.copy
+
+    def counting(self):
+        nonlocal copies
+        copies += 1
+        return real(self)
+
+    monkeypatch.setattr(DifferenceBounds, "copy", counting)
+    rng = random.Random(1)
+    row = [rng.randint(-50, 50) for _ in range(3)]
+    with Budget(3):
+        cells = enumerate_covectors(TropMatrix([row] * 12))
+    assert len(cells) == 4095 and copies == 12285
+    assert all(c.dim == 12 - len(c.covector.graph.I(1)) for c in cells)
 
 
 def test_gen_support_set_answers_in_bounded_time(capsys):

@@ -1,15 +1,27 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyhedra import Polyhedron
-from reference import covector_of_point, in_B, is_trop_singular, row_support, shift, transpose, transpose_covector, trop_sum
+from reference import (
+    attain_or_refuse,
+    covector_of_point,
+    covectors_by_row_subsets,
+    in_B,
+    is_trop_singular,
+    row_support,
+    shift,
+    transpose,
+    transpose_covector,
+    trop_sum,
+)
+from tropstiefel import arrangement
 from tropstiefel.arrangement import (
     Covector,
-    _attain,
     complex_to_json,
     enumerate_covectors,
     in_K,
@@ -336,9 +348,9 @@ def test_complex_json():
 def test_attaining_rows_are_exactly_the_feasible_row_sets():
     """The rows R_j that the search tries, those i for which ``admits``
     takes each bound x_i + a_ij <= x_k + a_kj alone, are exactly the union
-    of the row sets I that ``_attain`` imposes on a copy, found by brute
-    force over every subset.  Seeded random closed matrices on 2–5 rows
-    with weak and strict bounds and ∞ entries."""
+    of the row sets I that the refusing ``attain_or_refuse`` imposes on a
+    copy, found by brute force over every subset.  Seeded random closed
+    matrices on 2–5 rows with weak and strict bounds and ∞ entries."""
     rng = random.Random(13)
     sizes = []
     for _ in range(400):
@@ -357,7 +369,7 @@ def test_attaining_rows_are_exactly_the_feasible_row_sets():
         feasible = set()
         for r in range(1, len(rows) + 1):
             for I in itertools.combinations(rows, r):
-                if _attain(dbm.copy(), a, 0, I):
+                if attain_or_refuse(dbm.copy(), a, 0, I):
                     feasible |= set(I)
         assert R == feasible and R, (dbm.bound, a)
         sizes.append((len(R), len(rows)))
@@ -368,9 +380,9 @@ def test_attaining_rows_are_exactly_the_feasible_row_sets():
 def test_enumerate_covectors_copy_count(monkeypatch):
     """The work of the search, without a clock: ``DifferenceBounds.copy``
     calls over 20 dense 3×6 matrices.  The search copies a matrix only for
-    the row sets within the rows R_j that can attain each column's minimum
-    in the open cell (5234 copies; trying every row set of each column
-    instead: 23352), so losing that rule shows."""
+    the unions of tie classes of the rows R_j that can attain each column's
+    minimum in the open cell (5030 copies; every subset of R_j: 5234; every
+    row set of each column: 23352), so losing that rule shows."""
     calls = 0
     real = DifferenceBounds.copy
 
@@ -383,3 +395,60 @@ def test_enumerate_covectors_copy_count(monkeypatch):
     rng = random.Random(17)
     cells = sum(len(enumerate_covectors(TropMatrix([[rng.randint(-9, 9) for _ in range(6)] for _ in range(3)]))) for _ in range(20))
     assert cells > 0 and calls <= 5374, (cells, calls)
+
+
+def tied_matrices(seed, count):
+    """Matrices up to 5 × 7 with ∞ and entries in halves and thirds or in
+    {0, 1}, where each row after the first is, with probability 0.4, a copy
+    of an earlier one; every column has a finite entry."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d, n = rng.randint(1, 5), rng.randint(1, 7)
+        p_inf = rng.choice([0, 0.2, 0.4])
+        entry = (lambda: rng.randint(0, 1)) if rng.random() < 0.3 else (lambda: Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])))
+        rows = []
+        for _ in range(d):
+            if rows and rng.random() < 0.4:
+                rows.append(list(rng.choice(rows)))
+            else:
+                rows.append(["inf" if rng.random() < p_inf else entry() for _ in range(n)])
+        A = TropMatrix(rows)
+        if all(A.col_support(j) for j in range(1, n + 1)):
+            out.append(A)
+    return out
+
+
+def test_search_over_tie_classes_matches_the_row_subset_search(monkeypatch):
+    """Every union of tie classes of R_j is a cell prefix (the proof is in
+    ``arrangement``'s docstring), so the search refuses no bound, calls
+    ``_attain`` at most n times per cell, and gives the covectors,
+    dimensions and points of the reference that tries every subset of R_j
+    and keeps the feasible ones, on seeded matrices with ∞, fractions,
+    {0, 1} entries and copied rows.  The reference refuses bounds on these
+    inputs, so they hold row subsets that the library never tries."""
+    refused = Counter()
+    attains = 0
+    real_add, real_attain = DifferenceBounds.add, arrangement._attain
+
+    def add(self, u, v, c, strict=False):
+        ok = real_add(self, u, v, c, strict)
+        refused[side] += not ok
+        return ok
+
+    def attain(*args):
+        nonlocal attains
+        attains += 1
+        return real_attain(*args)
+
+    monkeypatch.setattr(DifferenceBounds, "add", add)
+    monkeypatch.setattr(arrangement, "_attain", attain)
+    for A in tied_matrices(31, 200):
+        attains = 0
+        side = "library"
+        cells = enumerate_covectors(A)
+        assert attains <= A.n * len(cells), (A, attains, len(cells))
+        side = "reference"
+        expected = covectors_by_row_subsets(A)
+        assert [(c.covector, c.dim, c.point) for c in cells] == [(c.covector, c.dim, c.point) for c in expected], A
+    assert refused["library"] == 0 and refused["reference"] > 0, refused

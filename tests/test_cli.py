@@ -225,7 +225,9 @@ def test_domain_error_exit_code(tmp_path, capsys):
         (["stiefel"], matrix([[long_diagonal[0], "9"], ["9", long_diagonal[1]]]), "BUDGET_EXCEEDED"),
         (["support-set"], {"d": 2, "n": 3, "edges": [[1, 1], [3, 1]]}, "BAD_EDGE"),
         (["coherent"], field({"1,2": [[[1, 1], [2, 1]]]}), "BAD_MATCHING"),
-        (["coherent"], field({"1,2": [[[1, 1]]]}), "BAD_CHOICE"),
+        # an edge list names each row of [d] once, or the document is malformed
+        (["coherent"], field({"1,2": [[[1, 1]]]}), "BAD_MULTIFIELD_JSON"),
+        (["coherent"], field({"1,2": [[[1, 1], [2, 3]]]}), "BAD_CHOICE"),
         (["coherent"], field({"1,2": []}), "EMPTY_CHOICE"),
         # (12, 13) keeps about 1.6% of its draws, and seed 0's first fails
         (["gen", "12", "13", "--mode", "support-set", "--budget", "1"], None, "BUDGET_EXCEEDED"),
@@ -359,6 +361,37 @@ def test_bad_scalar_exit_code(tmp_path):
         assert proc.returncode == 1
         assert json.loads(proc.stdout) == {"error": "BAD_SCALAR"}
         assert "Traceback" not in proc.stderr
+
+
+def test_an_edge_list_names_each_row_once(tmp_path, capsys):
+    """``coherent`` reads an edge list only when it names each row of [d]
+    exactly once: a list with a row left out, an empty list, a list naming
+    a row twice and a list naming a row outside [d] answer
+    BAD_MULTIFIELD_JSON for every d, in any edge order and at any place in
+    its key's list, and a full list whose rows share a column answers
+    BAD_MATCHING.  Seeded multifields of dense d × (d + 2) matrices, d = 2..5."""
+    rng = random.Random(23)
+    for d in range(2, 6):
+        for _ in range(4):
+            A = TropMatrix([[rng.randint(-3, 3) for _ in range(d + 2)] for _ in range(d)])
+            doc = multifield_to_json(matching_multifield(A))
+            key = rng.choice(sorted(doc["choices"]))
+            edges = doc["choices"][key][0]
+            i, k = rng.sample(range(d), 2)
+            cases = [
+                (edges[:i] + edges[i + 1:], "BAD_MULTIFIELD_JSON"),
+                ([], "BAD_MULTIFIELD_JSON"),
+                (edges + [[edges[i][0], edges[k][1]]], "BAD_MULTIFIELD_JSON"),
+                ([[d + 1, j] if row == edges[i][0] else [row, j] for row, j in edges], "BAD_MULTIFIELD_JSON"),
+                ([[row, edges[k][1]] if row == edges[i][0] else [row, j] for row, j in edges], "BAD_MATCHING"),
+            ]
+            for bad, error in cases:
+                rng.shuffle(bad)
+                lists = list(doc["choices"][key])
+                lists.insert(rng.randint(0, len(lists)), bad)
+                path = write_input(tmp_path, {**doc, "choices": {**doc["choices"], key: lists}})
+                code, out = run(capsys, ["coherent", "--input", path])
+                assert (code, json.loads(out)) == (1, {"error": error}), (d, bad)
 
 
 def test_malformed_json_shapes_exit_code(tmp_path):

