@@ -50,9 +50,10 @@ class Covector:
     __slots__ = ("graph",)
 
     def __init__(self, graph: BipartiteGraph):
-        for j in range(1, graph.n + 1):
-            if not graph.I(j):
-                raise DomainError("BAD_COVECTOR", f"column {j} uncovered")
+        covered = {j for _, j in graph.edges}
+        if len(covered) < graph.n:
+            j = min(set(range(1, graph.n + 1)) - covered)
+            raise DomainError("BAD_COVECTOR", f"column {j} uncovered")
         self.graph = graph
 
     @property

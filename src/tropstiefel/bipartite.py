@@ -151,8 +151,9 @@ class Matroid:
         self.n = n
         self.rank_value = rank
         self.bases = frozenset(frozenset(b) for b in bases)
+        ground = frozenset(range(1, n + 1))
         for b in self.bases:
-            if len(b) != rank or not all(1 <= e <= n for e in b):
+            if len(b) != rank or not b <= ground:
                 raise DomainError("BAD_BASIS", f"{sorted(b)} is not a {rank}-subset of [{n}]")
 
     def is_empty(self):

@@ -135,16 +135,12 @@ def scalar_str(v) -> str:
 
 
 def trop_vanishes(values) -> bool:
-    """Tropical vanishing: the minimum of ``values`` is ∞ or is attained at
-    least twice.  One pass; this is the condition of circuit membership and
-    of the Plücker relations."""
-    best, count = INF, 0
-    for v in values:
-        if v < best:
-            best, count = v, 1
-        elif v == best:
-            count += 1
-    return best is INF or count >= 2
+    """Tropical vanishing: the minimum of ``values`` is ∞ (as it is for no
+    values) or is attained at least twice.  This is the condition of
+    circuit membership and of the Plücker relations."""
+    values = list(values)
+    best = min(values, default=INF)
+    return best is INF or values.count(best) >= 2
 
 
 class TropVector:
@@ -170,7 +166,7 @@ class TropVector:
         return frozenset(j + 1 for j, v in enumerate(self.entries) if v is not INF)
 
     def is_finite(self):
-        return all(v is not INF for v in self.entries)
+        return None not in self.ints
 
     def __eq__(self, other):
         return isinstance(other, TropVector) and self.entries == other.entries

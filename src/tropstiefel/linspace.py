@@ -10,11 +10,12 @@ L(A) is the union of the cells (F ⊙ A) + R_{>=0}{e_j : j ∈ J} with F a
 covector covering every row and J meeting the column-wise dragon condition,
 and ``decompose`` reads such a pair (F, J) and its point x off that dual,
 with no search.  Membership by circuit minima (``plucker.contains``,
-imported here) and by selected matroids (``contains_via_matroid``) stays
-for the benchmark.  Both bounded questions first ask ``_require_uniform``,
-d more assignments, that every column d-set be matchable.  The vertices and
-segments of the bounded part need only the cells of TC(A) in K(A) and their
-dimensions, so ``bounded_skeleton`` builds no image of a cell.
+imported here, on the circuits kept on p) and by selected matroids
+(``contains_via_matroid``) stays for the benchmark.  Both bounded
+questions first ask ``_require_uniform``, d more assignments, that every
+column d-set be matchable.  The vertices and segments of the bounded part
+need only the cells of TC(A) in K(A) and their dimensions, so
+``bounded_skeleton`` builds no image of a cell.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Tropical Plücker vectors.
 
 The Stiefel map (tropical maximal minors, from the matching engine), the
-circuits of p, read once per call, behind membership in L(p) and the
-Plücker check (every cocircuit lies in L(p)), both refused up front past
-``PLUCKER_BUDGET`` relation terms, cocircuits and matrix recovery from a
-support set, which needs a uniform underlying matroid: no ∞ coordinate.
+circuits of p, listed on first use and kept on p, behind membership in
+L(p) and the Plücker check (every cocircuit lies in L(p)), both refused up
+front past ``PLUCKER_BUDGET`` relation terms, cocircuits and matrix
+recovery from a support set, which needs a uniform underlying matroid: no
+∞ coordinate.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ def _subsets(n, d):
 class PluckerVector:
     """A map from d-subsets of [n] to scalars, not identically infinite."""
 
-    __slots__ = ("n", "d", "values", "denom", "ints")
+    __slots__ = ("n", "d", "values", "denom", "ints", "circuits")
 
     def __init__(self, n, d, values):
         self.n = n
@@ -39,6 +40,7 @@ class PluckerVector:
             raise DomainError("ALL_INF", "Plücker vectors may not be identically ∞")
         self.denom, ints = integer_form(vals.values())
         self.ints = dict(zip(vals, ints))
+        self.circuits = None
 
     def __getitem__(self, J):
         return self.values[frozenset(J)]
@@ -66,47 +68,59 @@ def stiefel_map(A: TropMatrix) -> PluckerVector:
     return PluckerVector(A.n, A.d, values)
 
 
-def _circuit_test(p: PluckerVector, f=1):
-    """The circuits of p, read once, as a test of 0-based int coordinates y
-    in units of 1/(f·p.denom), INF at ∞: for every (d+1)-set T the minimum
-    of p_{T−j} + y_j over j ∈ T is ∞ or attained at least twice.  Returns
-    the test and p's ints in that unit, INF at ∞."""
-    ints = {J: INF if c is None else c * f for J, c in p.ints.items()}
-    circuits = [[(j - 1, ints[T - {j}]) for j in T] for T in map(frozenset, _subsets(p.n, p.d + 1))]
-    return lambda y: all(trop_vanishes(v + y[k] for k, v in C) for C in circuits), ints
+def _circuits(p: PluckerVector):
+    """The circuits of p, listed on the first call and kept on p: for every
+    (d+1)-set T the pairs (j − 1, p_{T−j}) over the j ∈ T with p_{T−j}
+    finite, in p's ints.  An ∞ term is never a circuit's one minimum, so
+    it is left out."""
+    if p.circuits is None:
+        ints = p.ints
+        p.circuits = tuple(
+            tuple((j - 1, c) for j in T if (c := ints[T - {j}]) is not None)
+            for T in map(frozenset, _subsets(p.n, p.d + 1))
+        )
+    return p.circuits
+
+
+def _in_span(circuits, y, f):
+    """Every circuit minimum of 0-based int coordinates y, None at ∞, is ∞
+    or attained at least twice, with the circuits' terms times f in y's
+    unit."""
+    return all(trop_vanishes([v * f + y[k] for k, v in C if y[k] is not None]) for C in circuits)
 
 
 PLUCKER_BUDGET = 10 ** 7  # relation terms the Plücker check or one membership test may test
 
 
 def contains(p: PluckerVector, y: TropVector) -> bool:
-    """Circuit membership of y in L(p); DomainError BUDGET_EXCEEDED, before
-    any circuit is listed, when the C(n, d+1)·(d+1) terms exceed
-    ``PLUCKER_BUDGET``."""
+    """Circuit membership of y in L(p), on p's kept circuits; DomainError
+    BUDGET_EXCEEDED, before any circuit is listed or read, when the
+    C(n, d+1)·(d+1) terms exceed ``PLUCKER_BUDGET``."""
     if len(y) != p.n:
         raise DomainError("LENGTH_MISMATCH", "y must have length n")
     terms = math.comb(p.n, p.d + 1) * (p.d + 1)
     if terms > PLUCKER_BUDGET:
         raise DomainError("BUDGET_EXCEEDED", f"rank {p.d} on [{p.n}] gives {terms} circuit terms, budget {PLUCKER_BUDGET}")
     _, fp, fy = common_denom(p.denom, y.denom)
-    return _circuit_test(p, fp)[0]([INF if w is None else w * fy for w in y.ints])
+    z = y.ints if fy == 1 else [None if w is None else w * fy for w in y.ints]
+    return _in_span(_circuits(p), z, fp)
 
 
 def check_plucker(p: PluckerVector) -> bool:
     """The Plücker relations: every cocircuit of p (∞ on a (d−1)-set S,
-    p_{S∪j} elsewhere) lies in L(p).  The circuit of a (d+1)-set T at the
-    cocircuit of S is the relation of S and T: the minimum of
-    p_{S∪j} + p_{T−j} over j ∈ T∖S is ∞ or attained twice.  DomainError
-    BUDGET_EXCEEDED, before any circuit is listed, when the
-    C(n, d−1)·C(n, d+1)·(d+1) terms exceed ``PLUCKER_BUDGET``."""
+    p_{S∪j} elsewhere) lies in L(p), on p's kept circuits.  The circuit of
+    a (d+1)-set T at the cocircuit of S is the relation of S and T: the
+    minimum of p_{S∪j} + p_{T−j} over j ∈ T∖S is ∞ or attained twice.
+    DomainError BUDGET_EXCEEDED, before any circuit is listed or read, when
+    the C(n, d−1)·C(n, d+1)·(d+1) terms exceed ``PLUCKER_BUDGET``."""
     if p.d == 0:
         return True  # no relations in rank 0
     terms = math.comb(p.n, p.d - 1) * math.comb(p.n, p.d + 1) * (p.d + 1)
     if terms > PLUCKER_BUDGET:
         raise DomainError("BUDGET_EXCEEDED", f"rank {p.d} on [{p.n}] gives {terms} relation terms, budget {PLUCKER_BUDGET}")
-    (in_span, ints), ground = _circuit_test(p), range(1, p.n + 1)
+    circuits, ints, ground = _circuits(p), p.ints, range(1, p.n + 1)
     return all(
-        in_span([INF if j in S else ints[S | {j}] for j in ground])
+        _in_span(circuits, [None if j in S else ints[S | {j}] for j in ground], 1)
         for S in map(frozenset, _subsets(p.n, p.d - 1))
     )
 

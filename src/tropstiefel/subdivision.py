@@ -13,15 +13,16 @@ from .arrangement import enumerate_covectors
 
 
 def select_matroid(p: PluckerVector, y: TropVector) -> Matroid:
-    """The matroid M_y selected by y: argmin of p_J − Σ_{j∈J} y_j, in ints."""
+    """The matroid M_y selected by y: argmin of p_J − Σ_{j∈J} y_j, in ints,
+    y padded to be read 1-based."""
     if len(y) != p.n or not y.is_finite():
         raise DomainError("BAD_POINT", "y must be finite of length n")
     _, fp, fy = common_denom(p.denom, y.denom)
-    best, bases, z = None, [], y.ints
+    best, bases, z = None, [], ((0,) + y.ints).__getitem__
     for J, v in p.ints.items():
         if v is None:
             continue
-        val = v * fp - fy * sum(z[j - 1] for j in J)
+        val = v * fp - fy * sum(map(z, J))
         if best is None or val < best:
             best = val
             bases = [J]

@@ -47,7 +47,7 @@ from tropstiefel.bipartite import (
     transversal_matroid,
 )
 from tropstiefel.cli import main
-from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, matrix_to_json
+from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, common_denom, matrix_to_json, require_column_supports
 from tropstiefel.geom import DifferenceBounds, lp_solve
 from tropstiefel.linspace import (
     contains,
@@ -311,6 +311,68 @@ def test_membership_triple_equivalence():
                 f = in_L(A, y)
                 assert a == b == c == e == f, (A.entries, y.entries, a, b, c, e, f)
                 total += 1
+
+
+def members_by_matchings(A, y):
+    """Membership by brute force over the row-to-column matchings of A's
+    support: every finite coordinate's column lies in some matching that
+    takes as many ∞ columns of y as any matching does and, among those,
+    least Σ (a_ij − y_j) over its finite columns.  Small d and n only."""
+    finite = {j for j, w in enumerate(y.entries) if w is not INF}
+    best, used = None, set()
+    for cols in itertools.permutations(range(A.n), A.d):
+        if any(A.entries[i][j] is INF for i, j in enumerate(cols)):
+            continue
+        key = (-sum(j not in finite for j in cols),
+               sum(A.entries[i][j] for i, j in enumerate(cols)) - sum(y.entries[j] for j in cols if j in finite))
+        if best is None or key < best:
+            best, used = key, set(cols)
+        elif key == best:
+            used |= set(cols)
+    return finite <= used
+
+
+def test_kept_circuits_answer_every_denominator():
+    """One p kept across queries whose denominators change from query to
+    query: A in halves and thirds with ∞ entries, y in units of 1, 1/2,
+    1/3 and 1/4 in turn (so p's kept ints are scaled by 1 and by 2), some
+    with ∞ coordinates.  Circuits agree with ``in_L`` on every query, with
+    the assignment route on finite y and with brute force over matchings
+    on every y; the list is built once and kept."""
+    rng = random.Random(3117)
+    entries = [0, 1, -2, "1/2", "-3/2", "1/3", "-2/3", "5/3", "inf"]
+    seen, scaled, with_inf = Counter(), 0, 0
+    for _ in range(60):
+        d = rng.randint(2, 3)
+        n = rng.randint(d + 1, 5)
+        A = TropMatrix([[rng.choice(entries) for _ in range(n)] for _ in range(d)])
+        try:
+            require_column_supports(A)
+            p = stiefel_map(A)
+        except DomainError:
+            continue
+        kept = None
+        for k in range(12):
+            q = (1, 2, 3, 4)[k % 4]
+            if k % 3 == 0:
+                y = vec_mat_mul(TropVector([Fraction(rng.randint(-6, 6), q) for _ in range(d)]), A).entries
+            else:
+                y = [Fraction(rng.randint(-12, 12), q) for _ in range(n)]
+            if k % 2:
+                y = [INF if rng.random() < 0.3 else v for v in y]
+            Y = TropVector(y)
+            if not Y.support():
+                continue
+            got = contains(p, Y)
+            assert got == in_L(A, Y) == members_by_matchings(A, Y), (A.entries, Y.entries)
+            if Y.is_finite():
+                assert got == contains_via_assignment(A, Y), (A.entries, Y.entries)
+            kept = kept or p.circuits
+            assert kept is not None and p.circuits is kept
+            seen[got] += 1
+            scaled += common_denom(p.denom, Y.denom)[1] != 1
+            with_inf += not Y.is_finite()
+    assert min(seen.values()) >= 100 and scaled >= 100 and with_inf >= 100, (seen, scaled, with_inf)
 
 
 def test_membership_equivalence_ranks_4_and_5():

@@ -338,6 +338,14 @@ def test_budget_and_column_check(monkeypatch):
     assert exc.value.code == "BAD_COVECTOR"
 
 
+def test_covector_names_its_first_uncovered_column():
+    for n, edges, j in ((2, [(1, 1)], 2), (3, [(2, 3)], 1), (3, [(1, 1), (2, 2)], 3)):
+        with pytest.raises(DomainError) as exc:
+            Covector(BipartiteGraph(2, n, edges))
+        assert exc.value.code == "BAD_COVECTOR" and str(exc.value) == f"column {j} uncovered"
+    assert Covector(BipartiteGraph(2, 3, [(1, 1), (2, 2), (2, 3)])).tuple_view() == ((1,), (2,), (2,))
+
+
 def test_complex_json():
     tc = enumerate_covectors(TWO_ROW)
     obj = complex_to_json(tc)

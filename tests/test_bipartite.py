@@ -326,6 +326,14 @@ def test_matroid_loops_coloops_connected():
     assert empty.loops() == frozenset({1, 2, 3}) and coloops(empty) == frozenset()
 
 
+def test_matroid_refuses_a_basis_off_its_rank_or_ground_set():
+    assert Matroid(4, 2, [{1, 2}, {3, 4}]).bases == {frozenset({1, 2}), frozenset({3, 4})}
+    for basis in ({1, 2, 3}, {0, 1}, {1, 5}):
+        with pytest.raises(DomainError) as exc:
+            Matroid(4, 2, [{1, 2}, basis])
+        assert exc.value.code == "BAD_BASIS" and str(exc.value) == f"{sorted(basis)} is not a 2-subset of [4]"
+
+
 def test_transversal_rank():
     G = BipartiteGraph(2, 4, [(1, 1), (1, 2)] + [(2, j) for j in range(1, 5)])
     assert transversal_rank(G, {3, 4}) == 1

@@ -20,6 +20,7 @@ from tropstiefel.core import (
     scalar,
     scalar_str,
     subset_from_key,
+    trop_vanishes,
     vector_from_json,
 )
 from tropstiefel.arrangement import enumerate_covectors
@@ -126,6 +127,14 @@ def test_infinity_semantics():
     with pytest.raises(DomainError) as exc:
         -INF
     assert exc.value.code == "NEGATE_INF"
+
+
+def test_trop_vanishes():
+    for values, vanishes in (
+        ([], True), ([INF], True), ([INF, INF], True), ([3], False), ([1, INF], False),
+        ([1, 1, INF], True), ([Fraction(1, 2), 2, Fraction(1, 2)], True), ([2, 1, 2], False),
+    ):
+        assert trop_vanishes(values) == trop_vanishes(iter(values)) == vanishes, values
 
 
 def test_supports():

@@ -107,15 +107,17 @@ def test_check_plucker_budget(monkeypatch):
     def no_circuits(p):
         raise AssertionError("circuits listed past the budget")
 
-    monkeypatch.setattr("tropstiefel.plucker._circuit_test", no_circuits)
+    monkeypatch.setattr("tropstiefel.plucker._circuits", no_circuits)
     monkeypatch.setattr("tropstiefel.plucker.PLUCKER_BUDGET", 47)
     with pytest.raises(DomainError):
         check_plucker(zero_plucker(2, 4))
     monkeypatch.undo()
+    refused = zero_plucker(8, 16)
     with pytest.raises(DomainError) as exc:
-        check_plucker(zero_plucker(8, 16))
+        check_plucker(refused)
     terms = math.comb(16, 7) * math.comb(16, 9) * 9
     assert exc.value.code == "BUDGET_EXCEEDED" and str(terms) in str(exc.value) and str(PLUCKER_BUDGET) in str(exc.value)
+    assert refused.circuits is None  # a refused p keeps no list
 
 
 def test_contains_budget(monkeypatch):
@@ -129,11 +131,42 @@ def test_contains_budget(monkeypatch):
     def no_circuits(p):
         raise AssertionError("circuits listed past the budget")
 
-    monkeypatch.setattr("tropstiefel.plucker._circuit_test", no_circuits)
+    monkeypatch.setattr("tropstiefel.plucker._circuits", no_circuits)
     monkeypatch.setattr("tropstiefel.plucker.PLUCKER_BUDGET", 11)
     with pytest.raises(DomainError) as exc:
         contains(zero_plucker(2, 4), y)
     assert exc.value.code == "BUDGET_EXCEEDED" and str(exc.value) == "rank 2 on [4] gives 12 circuit terms, budget 11"
+    monkeypatch.undo()
+    monkeypatch.setattr("tropstiefel.plucker.PLUCKER_BUDGET", 11)
+    refused = zero_plucker(2, 4)
+    with pytest.raises(DomainError):
+        contains(refused, y)
+    assert refused.circuits is None  # a refused p keeps no list
+
+
+def test_kept_circuits_leave_check_plucker_unchanged():
+    """``check_plucker`` answers the same on a fresh p, after membership
+    queries have listed p's circuits (at a scaled denominator too), and on
+    a fresh copy of p, on Plücker and non-Plücker vectors alike."""
+    rng = random.Random(3118)
+    answers = set()
+    for _ in range(40):
+        d = rng.randint(2, 3)
+        n = rng.randint(d + 1, 5)
+        if rng.random() < 0.5:
+            p = stiefel_map(random_matrix(rng, d, n, inf_prob=0.2))
+        else:
+            vals = [rng.choice([INF, 0, 1, Fraction(1, 2), Fraction(-2, 3)]) for _ in range(math.comb(n, d))]
+            if all(v is INF for v in vals):
+                continue
+            p = PluckerVector(n, d, dict(zip(map(frozenset, itertools.combinations(range(1, n + 1), d)), vals)))
+        before = check_plucker(p)
+        assert p.circuits is not None
+        for q in (1, 3, 4):
+            contains(p, TropVector([Fraction(rng.randint(-6, 6), q) for _ in range(n)]))
+        assert check_plucker(p) == before == check_plucker(PluckerVector(p.n, p.d, p.values))
+        answers.add(before)
+    assert answers == {True, False}
 
 
 def all_pairs_plucker(p):
