@@ -31,8 +31,12 @@ child I_j, imposed on a copy by ``_attain``.  Every child is a cell prefix:
   is 0, and take their coordinatewise min.  It lies in C, and exactly S
   attains there.
 
-A cell's witness, gauge-fixed by x_1 = 0, comes from the potentials of the
-closed matrix.
+A covector is its type (I_1, ..., I_n), a tuple of sorted 1-based row
+tuples, and a cell is its covector and its dimension.  ``covector_edges``
+gives the edges (i, j), i ∈ I_j, by which cells are sorted and compared.
+The search keeps no point: ``cell_point`` rebuilds a cell's closed matrix,
+``_attain`` one column at a time, and reads a relative-interior point,
+gauge-fixed by x_1 = 0, off its potentials.
 """
 
 from __future__ import annotations
@@ -42,41 +46,6 @@ import itertools
 from .core import DomainError, TropMatrix, require_column_supports
 from .geom import DifferenceBounds
 from .bipartite import BipartiteGraph, dragon_condition
-
-
-class Covector:
-    """A covector: a bipartite graph on [d] ⊔ [n] with every column hit."""
-
-    __slots__ = ("graph",)
-
-    def __init__(self, graph: BipartiteGraph):
-        covered = {j for _, j in graph.edges}
-        if len(covered) < graph.n:
-            j = min(set(range(1, graph.n + 1)) - covered)
-            raise DomainError("BAD_COVECTOR", f"column {j} uncovered")
-        self.graph = graph
-
-    @property
-    def edges(self):
-        return self.graph.edges
-
-    def tuple_view(self):
-        """(I_1, ..., I_n) as a tuple of sorted row lists."""
-        return tuple(
-            tuple(sorted(self.graph.I(j))) for j in range(1, self.graph.n + 1)
-        )
-
-    def key(self):
-        return self.graph.sorted_edges()
-
-    def __eq__(self, other):
-        return isinstance(other, Covector) and self.graph == other.graph
-
-    def __hash__(self):
-        return hash(self.graph)
-
-    def __repr__(self):
-        return "Covector(%s)" % (self.tuple_view(),)
 
 
 # ---------------------------------------------------------------------------
@@ -99,18 +68,22 @@ def _attain(dbm, a, j, I):
 
 
 class Cell:
-    """One face of TC(A): its covector, its dimension in the gauge x_1 = 0,
-    and a relative-interior point with x_1 = 0."""
+    """One face of TC(A): its covector (I_1, ..., I_n) and its dimension in
+    the gauge x_1 = 0."""
 
-    __slots__ = ("covector", "dim", "point")
+    __slots__ = ("covector", "dim")
 
-    def __init__(self, covector, dim, point):
+    def __init__(self, covector, dim):
         self.covector = covector
         self.dim = dim
-        self.point = point
 
     def __repr__(self):
-        return "Cell(dim=%d, %s)" % (self.dim, self.covector.tuple_view())
+        return "Cell(dim=%d, %s)" % (self.dim, self.covector)
+
+
+def covector_edges(covector) -> frozenset:
+    """The 1-based edges (i, j), i ∈ I_j, of a covector (I_1, ..., I_n)."""
+    return frozenset((i, j) for j, I in enumerate(covector, 1) for i in I)
 
 
 CELL_BUDGET = 5000  # cells of TC(A) enumerated by default
@@ -129,9 +102,9 @@ def _column_rows(A: TropMatrix, budget):
 
 
 def enumerate_covectors(A: TropMatrix, budget=CELL_BUDGET) -> list:
-    """TC(A), exactly: every covector with its cell, sorted by covector key;
-    DomainError BUDGET_EXCEEDED beyond ``budget`` cells, up front by
-    ``_column_rows``."""
+    """TC(A), exactly: every covector with its dimension, sorted by
+    covector edges; DomainError BUDGET_EXCEEDED beyond ``budget`` cells, up
+    front by ``_column_rows``."""
     d, n = A.d, A.n
     cols = _column_rows(A, budget)
     a = A.ints
@@ -140,8 +113,7 @@ def enumerate_covectors(A: TropMatrix, budget=CELL_BUDGET) -> list:
     # label[i] is a row of row i's component; a union of classes merges theirs
     def search(j, dbm, chosen, label):
         if j == n:
-            edges = [(i + 1, k + 1) for k, I in enumerate(chosen) for i in I]
-            cells.append(Cell(Covector(BipartiteGraph(d, n, edges)), len(set(label)) - 1, dbm.point()))
+            cells.append(Cell(chosen, len(set(label)) - 1))
             if len(cells) > budget:
                 raise DomainError("BUDGET_EXCEEDED", f"more than {budget} cells")
             return
@@ -154,31 +126,38 @@ def enumerate_covectors(A: TropMatrix, budget=CELL_BUDGET) -> list:
                 I = sorted(i for L in picked for i in classes[L])
                 child = dbm.copy()
                 _attain(child, a, j, I)
-                search(j + 1, child, chosen + [I], label if r == 1 else [I[0] if L in picked else L for L in label])
+                search(j + 1, child, chosen + (tuple(i + 1 for i in I),), label if r == 1 else [I[0] if L in picked else L for L in label])
 
-    search(0, DifferenceBounds(d, A.denom), [], list(range(d)))
-    return sorted(cells, key=lambda c: c.covector.key())
+    search(0, DifferenceBounds(d, A.denom), (), list(range(d)))
+    return sorted(cells, key=lambda c: sorted(covector_edges(c.covector)))
+
+
+def cell_point(A: TropMatrix, covector):
+    """An exact relative-interior point, with x_1 = 0, of the cell of TC(A)
+    with this covector: the search's closed matrix at the cell, rebuilt by
+    ``_attain`` one column at a time, read off by its potentials."""
+    dbm = DifferenceBounds(A.d, A.denom)
+    for j, I in enumerate(covector):
+        _attain(dbm, A.ints, j, [i - 1 for i in I])
+    return dbm.point()
 
 
 def skeleton(cells):
     """The 0-cells of a list of cells, and each 1-cell paired with the 0-cells
     whose covector strictly contains its own: the ends of a segment or ray."""
+    edges = {c.covector: covector_edges(c.covector) for c in cells if c.dim <= 1}
     vertices = [c for c in cells if c.dim == 0]
-    return vertices, [(c, [v for v in vertices if v.covector.edges > c.covector.edges]) for c in cells if c.dim == 1]
+    return vertices, [(c, [v for v in vertices if edges[v.covector] > edges[c.covector]]) for c in cells if c.dim == 1]
 
 
-def in_K(covector: Covector) -> bool:
-    """The dragon marriage condition |J_I| >= |I| + 1 for nonempty I."""
-    return dragon_condition(covector.graph)
+def in_K(A: TropMatrix, covector) -> bool:
+    """The dragon marriage condition |J_I| >= |I| + 1 for nonempty I ⊆ [d]."""
+    return dragon_condition(BipartiteGraph(A.d, A.n, covector_edges(covector)))
 
 
 # ---------------------------------------------------------------------------
 # JSON interchange
 # ---------------------------------------------------------------------------
 
-def covector_to_json(covector: Covector):
-    return [list(I) for I in covector.tuple_view()]
-
-
 def complex_to_json(cells):
-    return [{"covector": covector_to_json(c.covector), "dim": c.dim} for c in cells]
+    return [{"covector": c.covector, "dim": c.dim} for c in cells]

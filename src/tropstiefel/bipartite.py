@@ -47,13 +47,6 @@ class BipartiteGraph:
         """Right neighbors of left vertex i."""
         return frozenset(j for a, j in self.edges if a == i)
 
-    def I(self, j):
-        """Left neighbors of right vertex j."""
-        return frozenset(a for a, b in self.edges if b == j)
-
-    def sorted_edges(self):
-        return tuple(sorted(self.edges))
-
     def __eq__(self, other):
         return (
             isinstance(other, BipartiteGraph)
@@ -389,10 +382,10 @@ def dragon_condition(G: BipartiteGraph) -> bool:
 
 
 def is_support_set(G: BipartiteGraph) -> bool:
-    """Surplus Hall condition plus |J_i| = n - d + 1 for every row."""
-    if not hall_surplus_check(G):
-        return False
-    return all(len(G.J(i)) == G.n - G.d + 1 for i in range(1, G.d + 1))
+    """|J_i| = n - d + 1 for every row, then the surplus Hall condition.
+    The degrees come first: they refuse d > n + 1, whose surplus test
+    would pad every row with d − n columns."""
+    return all(len(G.J(i)) == G.n - G.d + 1 for i in range(1, G.d + 1)) and hall_surplus_check(G)
 
 
 SUPPORT_SET_DRAWS = 10 ** 4  # draws random_support_set may make

@@ -38,7 +38,7 @@ from .plucker import (
     recover_matrix,
     stiefel_map,
 )
-from .arrangement import complex_to_json, enumerate_covectors, skeleton
+from .arrangement import cell_point, complex_to_json, enumerate_covectors, skeleton
 from .subdivision import facets_of_D, facets_to_json
 from .linspace import (
     bounded_skeleton,
@@ -142,7 +142,7 @@ def cmd_bounded(args):
     obj = _read_input(args)
     if args.format == "svg":
         A = matrix_from_json(obj["matrix"] if isinstance(obj, dict) and "matrix" in obj else obj)
-        return _svg_tree(A)
+        return _svg_tree(A)  # the default cell budget: bounded has no --budget
     A, y = _matrix_and_vector(obj)
     return {"in_bounded_part": in_bounded_part(A, y)}
 
@@ -182,7 +182,7 @@ def cmd_gen(args):
 def cmd_render(args):
     A = matrix_from_json(_read_input(args))
     if args.kind == "tree":
-        return _svg_tree(A)
+        return _svg_tree(A, **_budget_kwargs(args))
     return _svg_arrangement(A, args)
 
 
@@ -214,18 +214,18 @@ def _svg_arrangement(A, args):
     # gauge-fixed coordinates: use (x_2, x_3) (missing coordinates are 0)
     pts = {}
     for cell in tc:
-        x = cell.point
+        x = cell_point(A, cell.covector)
         u = x[1] if A.d >= 2 else 0
         v = x[2] if A.d >= 3 else 0
-        pts[cell.covector.key()] = (u, v)
+        pts[cell.covector] = (u, v)
     us = [u for u, _ in pts.values()]
     vs = [v for _, v in pts.values()]
     ulo, uspan = min(us), max(us) - min(us)
     vlo, vspan = min(vs), max(vs) - min(vs)
     body = []
     for cell, ends in skeleton(tc)[1]:
-        mid = pts[cell.covector.key()]
-        ends = [pts[v.covector.key()] for v in ends]
+        mid = pts[cell.covector]
+        ends = [pts[v.covector] for v in ends]
         if len(ends) == 2:
             (u1, v1), (u2, v2) = ends
         elif len(ends) == 1:
@@ -245,13 +245,13 @@ def _svg_arrangement(A, args):
             )
         )
     for cell in tc:
-        u, v = pts[cell.covector.key()]
+        u, v = pts[cell.covector]
         x = _px(u, ulo, uspan, size, margin)
         y = _px(v, vlo, vspan, size, margin)
         if cell.dim == 0:
             body.append('<circle cx="%d" cy="%d" r="4" fill="black"/>' % (x, y))
         label = "".join(
-            "{" + ",".join(str(i) for i in I) + "}" for I in cell.covector.tuple_view()
+            "{" + ",".join(str(i) for i in I) + "}" for I in cell.covector
         )
         body.append(
             '<text x="%d" y="%d" font-size="9">%s</text>' % (x + 6, y - 6, label)
@@ -259,10 +259,10 @@ def _svg_arrangement(A, args):
     return _svg_document(size + 2 * margin, size + 2 * margin, body)
 
 
-def _svg_tree(A):
+def _svg_tree(A, **budget):
     if A.d != 2:
         raise DomainError("BAD_FORMAT", "tree rendering requires d = 2")
-    verts, segs = bounded_skeleton(A)
+    verts, segs = bounded_skeleton(A, **budget)
     order = {v: idx for idx, v in enumerate(verts)}
     step, y0, margin = 90, 60, 40
     body = []

@@ -23,7 +23,7 @@ from __future__ import annotations
 from .core import INF, DomainError, TropMatrix, TropVector, common_denom, quotient, require_column_supports, scalar_str
 from .bipartite import BipartiteGraph, assignment, hall_surplus_check
 from .plucker import PluckerVector, contains
-from .arrangement import Covector, covector_to_json, enumerate_covectors, in_K, skeleton
+from .arrangement import CELL_BUDGET, enumerate_covectors, in_K, skeleton
 from .subdivision import select_matroid
 
 
@@ -37,7 +37,7 @@ class DecompositionCertificate:
 
     __slots__ = ("covector", "x", "J", "slack")
 
-    def __init__(self, covector: Covector, x: TropVector, J, slack: TropVector):
+    def __init__(self, covector, x: TropVector, J, slack: TropVector):
         self.covector = covector
         self.x = x
         self.J = frozenset(J)
@@ -141,29 +141,32 @@ def decompose(A: TropMatrix, y: TropVector):
         raise DomainError("BAD_POINT", "y must be finite of length n")
     require_column_supports(A)
     unit, u, v, _, tight = _greatest_dual(A, y)
-    edges = [(i + 1, j + 1) for i, j in tight]
-    if len({j for _, j in edges}) < A.n:
+    F = [[] for _ in range(A.n)]
+    for i, j in tight:  # row by row, so each I_j is sorted
+        F[j].append(i + 1)
+    if not all(F):
         return None  # a loop of M_y: no optimal assignment uses some column
     x = TropVector([quotient(-w, unit) for w in u])
     slack = TropVector([quotient(-w, unit) for w in v])
-    return DecompositionCertificate(Covector(BipartiteGraph(A.d, A.n, edges)), x, [j + 1 for j, w in enumerate(v) if w < 0], slack)
+    return DecompositionCertificate(tuple(map(tuple, F)), x, [j + 1 for j, w in enumerate(v) if w < 0], slack)
 
 
-def _bounded_cells(A: TropMatrix):
-    """The cells of TC(A) that lie in K(A), after ``_require_uniform``."""
+def _bounded_cells(A: TropMatrix, budget=CELL_BUDGET):
+    """The cells of TC(A) that lie in K(A), after ``_require_uniform``;
+    ``enumerate_covectors`` refuses past ``budget`` cells of TC(A)."""
     _require_uniform(A)
-    return [cell for cell in enumerate_covectors(A) if in_K(cell.covector)]
+    return [cell for cell in enumerate_covectors(A, budget) if in_K(A, cell.covector)]
 
 
-def bounded_skeleton(A: TropMatrix):
+def bounded_skeleton(A: TropMatrix, budget=CELL_BUDGET):
     """The vertices (0-cells) of the bounded complex, and each of its
     segments (1-cells) with its ends, as in ``arrangement.skeleton``."""
-    return skeleton(_bounded_cells(A))
+    return skeleton(_bounded_cells(A, budget))
 
 
 def certificate_to_json(cert: DecompositionCertificate):
     return {
-        "covector": covector_to_json(cert.covector),
+        "covector": cert.covector,
         "x": [scalar_str(v) for v in cert.x.entries],
         "J": sorted(cert.J),
         "slack": [scalar_str(v) for v in cert.slack.entries],

@@ -7,9 +7,9 @@ covectors.
 from __future__ import annotations
 
 from .core import DomainError, TropMatrix, TropVector, common_denom
-from .bipartite import Matroid, transversal_matroid
+from .bipartite import BipartiteGraph, Matroid, transversal_matroid
 from .plucker import PluckerVector
-from .arrangement import enumerate_covectors
+from .arrangement import covector_edges, enumerate_covectors
 
 
 def select_matroid(p: PluckerVector, y: TropVector) -> Matroid:
@@ -41,7 +41,7 @@ def facets_of_D(A: TropMatrix) -> frozenset:
     """
     matroids = set()
     for c in enumerate_covectors(A):
-        M = transversal_matroid(c.covector.graph)
+        M = transversal_matroid(BipartiteGraph(A.d, A.n, covector_edges(c.covector)))
         if not M.is_empty():
             matroids.add(M)
     if not matroids:

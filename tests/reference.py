@@ -58,7 +58,7 @@ from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, common_de
 from tropstiefel.geom import ONE, ZERO, DifferenceBounds, argmin_witness
 from tropstiefel.bipartite import BipartiteGraph, Matching, Matroid, assignment, components, hall_surplus_check, optimal_matchings
 from tropstiefel.plucker import PluckerVector, _subsets
-from tropstiefel.arrangement import Cell, Covector
+from tropstiefel.arrangement import covector_edges
 from tropstiefel.subdivision import facets_of_D, select_matroid
 from tropstiefel.linspace import _bounded_cells, bounded_skeleton
 
@@ -282,7 +282,7 @@ def spanning_tree_no_left_leaves(G: BipartiteGraph) -> BipartiteGraph:
 
 
 def graph_to_json(G: BipartiteGraph):
-    return {"d": G.d, "n": G.n, "edges": [list(e) for e in G.sorted_edges()]}
+    return {"d": G.d, "n": G.n, "edges": [list(e) for e in sorted(G.edges)]}
 
 
 # ---------------------------------------------------------------------------
@@ -337,30 +337,34 @@ def rank_zero(n) -> PluckerVector:
 # Arrangements: covectors of points, transpose covectors, closed cells
 # ---------------------------------------------------------------------------
 
-def covector_of_point(A: TropMatrix, x: TropVector) -> Covector:
-    """tc(x): per column, the finite-entry rows attaining min_i (x_i + a_ij)."""
+def covector_of_point(A: TropMatrix, x: TropVector):
+    """tc(x) = (I_1, ..., I_n): per column, the finite-entry rows attaining
+    min_i (x_i + a_ij)."""
     require_column_supports(A)
     if len(x) != A.d or not x.is_finite():
         raise DomainError("BAD_POINT", "the point must be finite, one coordinate per row")
-    edges = []
+    covector = []
     for j in range(1, A.n + 1):
         best = trop_sum(x.entry(i) + A.entry(i, j) for i in range(1, A.d + 1))
-        for i in range(1, A.d + 1):
-            if A.entry(i, j) is not INF and x.entry(i) + A.entry(i, j) == best:
-                edges.append((i, j))
-    return Covector(BipartiteGraph(A.d, A.n, edges))
+        covector.append(tuple(i for i in range(1, A.d + 1) if A.entry(i, j) is not INF and x.entry(i) + A.entry(i, j) == best))
+    return tuple(covector)
 
 
-def in_B(covector: Covector) -> bool:
-    """Every row of the covector has degree >= 1."""
-    return all(covector.graph.J(i) for i in range(1, covector.graph.d + 1))
+def covector_graph(A: TropMatrix, covector) -> BipartiteGraph:
+    """The covector (I_1, ..., I_n) as a bipartite graph on [d] ⊔ [n]."""
+    return BipartiteGraph(A.d, A.n, covector_edges(covector))
+
+
+def in_B(A: TropMatrix, covector) -> bool:
+    """Every row of [d] lies in some I_j of the covector."""
+    return set().union(*covector) == set(range(1, A.d + 1))
 
 
 def transpose_covector(A: TropMatrix, y: TropVector) -> BipartiteGraph:
     """Per row, the columns attaining min_j (a_ij + y_j): tc(y) in the
     arrangement of Aᵀ, its edges flipped."""
     require_row_supports(A)
-    return BipartiteGraph(A.d, A.n, [(i, j) for j, i in covector_of_point(transpose(A), y).edges])
+    return BipartiteGraph(A.d, A.n, [(i, j) for j, i in covector_edges(covector_of_point(transpose(A), y))])
 
 
 def _closed_cell(dbm: DifferenceBounds, a, tau, base):
@@ -408,11 +412,12 @@ def attain_or_refuse(dbm, a, j, I):
 
 
 def covectors_by_row_subsets(A: TropMatrix):
-    """TC(A) as sorted cells, by a depth-first search that imposes each
-    nonempty subset of R_j, the rows ``admits`` lets attain column j's
-    minimum in the open cell, on a copy and keeps it when no bound is
-    refused; a cell's dimension is read off its closed matrix
-    (``polytrope_dim``)."""
+    """TC(A) as (covector, dimension, point) triples sorted by covector
+    edges, by a depth-first search that imposes each nonempty subset of
+    R_j, the rows ``admits`` lets attain column j's minimum in the open
+    cell, on a copy and keeps it when no bound is refused; a cell's
+    dimension and point are read off its closed matrix (``polytrope_dim``,
+    ``DifferenceBounds.point``)."""
     require_column_supports(A)
     d, n, a = A.d, A.n, A.ints
     cols = [sorted(i - 1 for i in A.col_support(j)) for j in range(1, n + 1)]
@@ -420,8 +425,7 @@ def covectors_by_row_subsets(A: TropMatrix):
 
     def search(j, dbm, chosen):
         if j == n:
-            edges = [(i + 1, k + 1) for k, I in enumerate(chosen) for i in I]
-            cells.append(Cell(Covector(BipartiteGraph(d, n, edges)), polytrope_dim(dbm), dbm.point()))
+            cells.append((tuple(tuple(i + 1 for i in I) for I in chosen), polytrope_dim(dbm), dbm.point()))
             return
         rows = [i for i in cols[j] if all(dbm.admits(k, i, a[k][j] - a[i][j]) for k in cols[j])]
         for r in range(1, len(rows) + 1):
@@ -431,7 +435,7 @@ def covectors_by_row_subsets(A: TropMatrix):
                     search(j + 1, child, chosen + [I])
 
     search(0, DifferenceBounds(d, A.denom), [])
-    return sorted(cells, key=lambda c: c.covector.key())
+    return sorted(cells, key=lambda c: sorted(covector_edges(c[0])))
 
 
 def is_trop_singular(B: TropMatrix) -> bool:
@@ -531,8 +535,8 @@ def bounded_complex(A: TropMatrix):
     out = []
     for cell in _bounded_cells(A):
         F = cell.covector
-        j1 = min(F.graph.J(1))
-        image = decomposition_cone(A, F.edges, ())
+        j1 = min(j for j, I in enumerate(F, 1) if 1 in I)
+        image = decomposition_cone(A, covector_edges(F), ())
         c = a[0][j1 - 1]  # a_1j1 in the cone's unit
         # nothing bounds y_j1 against the origin yet, so neither bound is refused
         image.add(0, j1, c)

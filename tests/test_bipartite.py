@@ -254,7 +254,7 @@ def test_enumerate_support_sets_small():
     assert len(enumerate_support_sets(1, 4)) == 1
     assert enumerate_support_sets(1, 4)[0].edges == frozenset((1, j) for j in range(1, 5))
     for d, n in ((2, 3), (2, 5), (3, 5), (3, 6)):  # lexicographic by edge list, with no sort
-        keys = [G.sorted_edges() for G in enumerate_support_sets(d, n)]
+        keys = [tuple(sorted(G.edges)) for G in enumerate_support_sets(d, n)]
         assert keys == sorted(keys), (d, n)
 
 
@@ -264,12 +264,12 @@ def test_random_support_set_is_uniform():
     seeded draws against the reference enumeration lies between the
     0.001 and 0.999 quantiles of χ² with 599 degrees of freedom
     (Wilson–Hilferty)."""
-    supports = {G.sorted_edges() for G in enumerate_support_sets(3, 5)}
+    supports = {tuple(sorted(G.edges)) for G in enumerate_support_sets(3, 5)}
     assert len(supports) == 600
     rng, draws = random.Random(305), 12000
     counts = dict.fromkeys(supports, 0)
     for _ in range(draws):
-        counts[random_support_set(rng, 3, 5).sorted_edges()] += 1  # a KeyError is a draw outside the list
+        counts[tuple(sorted(random_support_set(rng, 3, 5).edges))] += 1  # a KeyError is a draw outside the list
     expected = draws / len(supports)
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     k = len(supports) - 1
@@ -282,7 +282,7 @@ def test_random_support_set_draws_permutations_uniformly_at_d_equal_n():
     Pearson's χ² of 4800 seeded draws lies below 49.73, the 0.999 quantile
     of χ² with 23 degrees of freedom, and every permutation is drawn."""
     rng, draws = random.Random(2904), 4800
-    counts = Counter(tuple(j for _, j in random_support_set(rng, 4, 4).sorted_edges()) for _ in range(draws))
+    counts = Counter(tuple(j for _, j in sorted(random_support_set(rng, 4, 4).edges)) for _ in range(draws))
     assert sorted(counts) == sorted(itertools.permutations(range(1, 5)))
     expected = draws / 24
     assert sum((c - expected) ** 2 / expected for c in counts.values()) < 49.73, counts

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -5,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import tropstiefel.cli
@@ -481,6 +483,20 @@ def test_covectors_budget_on_dense_4x8(tmp_path, capsys):
     assert sum((-1) ** c["dim"] for c in cells) == -1
 
 
+def test_render_tree_is_bounded_by_budget(tmp_path, capsys):
+    # both kinds of render enumerate TC(A), so --budget bounds both; bounded
+    # --format svg has no --budget and draws the same tree at the default
+    path = write_input(tmp_path, {"entries": [[0, 3, 1, 5], [2, 0, 4, 1]]})
+    cells = len(json.loads(run(capsys, ["covectors", "--input", path])[1]))
+    for kind in ("arrangement", "tree"):
+        for budget in (1, cells - 1):
+            code, out = run(capsys, ["render", "--kind", kind, "--budget", str(budget), "--input", path])
+            assert code == 1 and json.loads(out) == {"error": "BUDGET_EXCEEDED"}, (kind, budget)
+        code, out = run(capsys, ["render", "--kind", kind, "--budget", str(cells), "--input", path])
+        assert code == 0 and out.startswith("<svg")
+    assert run(capsys, ["bounded", "--format", "svg", "--input", path]) == (0, out)
+
+
 def test_matching_engine_budget_on_dense_14x40(tmp_path):
     # Σ_{k≤14} C(40, k) column sets: refused before the engine starts, so
     # the process exits at once rather than running for minutes
@@ -519,8 +535,9 @@ def test_coherent_golden_stdout(tmp_path, capsys):
 
 
 def test_cell_outputs_golden_stdout(tmp_path, capsys):
-    # covectors, decompose and the bounded tree, each on a matrix with ∞ and
-    # fractions; the cells' matrices must not depend on how they are built
+    # covectors (JSON and SVG), render, decompose and the bounded tree, each
+    # on a matrix with ∞ and fractions; the cells' matrices must not depend
+    # on how they are built
     A = {"entries": [[0, "1/2", "inf", 2], ["inf", 0, "3/2", 1], [1, "inf", 0, "-1/2"]]}
     code, out = run(capsys, ["covectors", "--input", write_input(tmp_path, A)])
     assert code == 0 and out == (
@@ -546,6 +563,10 @@ def test_cell_outputs_golden_stdout(tmp_path, capsys):
         path = write_input(tmp_path, {"matrix": A, "vector": {"entries": y}})
         code, out = run(capsys, ["decompose", "--input", path])
         assert code == 0 and out == expected + "\n"
+    # the arrangement SVG places each cell at its point
+    for argv in (["render"], ["covectors", "--format", "svg"]):
+        code, out = run(capsys, argv + ["--input", write_input(tmp_path, A)])
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == "d5fa7977ee75ed59c224e02df263009929af461636caf454e9b0daacfd6ba833"
     B = {"entries": [[0, 1, "1/2", 3, 0], [2, 0, 1, "-1", "inf"]]}
     code, out = run(capsys, ["bounded", "--format", "svg", "--input", write_input(tmp_path, B)])
     assert code == 0 and out == (
@@ -554,6 +575,36 @@ def test_cell_outputs_golden_stdout(tmp_path, capsys):
         '<circle cx="40" cy="60" r="4" fill="black"/><circle cx="130" cy="60" r="4" fill="black"/>'
         '<circle cx="220" cy="60" r="4" fill="black"/></svg>\n'
     )
+
+
+SEEDED_DIGEST = "4711748bb0965255f8d54f876be4d5411260ca731d453822f2c416efa33ad3d3"
+
+
+def test_seeded_output_digest(capsys, monkeypatch):
+    """One sha256 over the exit codes and stdout of six commands on 100
+    seeded matrices, 1 <= d <= 4 and n <= 6, with ∞ and fractional entries:
+    covectors, facets, render, bounded --format svg, and decompose and
+    bounded on a point y that is x ⊙ A, raised on some columns, or drawn
+    at random.  A refactor of the cells must leave every byte as it was."""
+    rng = random.Random(32)
+    digest = hashlib.sha256()
+    for _ in range(100):
+        d = rng.randint(1, 4)
+        n = rng.randint(d, 6)
+        p_inf = rng.choice([0, 0.15, 0.3])
+        rows = [["inf" if rng.random() < p_inf else f"{rng.randint(-6, 6)}/{rng.choice([1, 1, 2, 3])}" for _ in range(n)] for _ in range(d)]
+        x = [Fraction(rng.randint(-6, 6), rng.choice([1, 2])) for _ in range(d)]
+        if rng.random() < 0.5:
+            y = [min((x[i] + Fraction(rows[i][j]) for i in range(d) if rows[i][j] != "inf"), default=0) + rng.choice([0, 0, 1]) for j in range(n)]
+        else:
+            y = [Fraction(rng.randint(-6, 6), rng.choice([1, 2])) for _ in range(n)]
+        A = json.dumps({"entries": rows})
+        point = json.dumps({"matrix": {"entries": rows}, "vector": {"entries": [str(v) for v in y]}})
+        for argv, text in ((["covectors"], A), (["facets"], A), (["render"], A), (["bounded", "--format", "svg"], A),
+                           (["decompose"], point), (["bounded"], point)):
+            code, out = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
+            digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == SEEDED_DIGEST
 
 
 def test_support_set_answers_on_complete_24x25(tmp_path, capsys):

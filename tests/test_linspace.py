@@ -18,6 +18,7 @@ from reference import (
     coloops,
     colwise_dragon_condition,
     common_ints,
+    covector_graph,
     covector_of_point,
     decomposition_cone,
     in_B,
@@ -28,7 +29,7 @@ from reference import (
     uniform_matroid,
     vec_mat_mul,
 )
-from tropstiefel.arrangement import enumerate_covectors, in_K
+from tropstiefel.arrangement import cell_point, covector_edges, enumerate_covectors, in_K
 from tropstiefel.bipartite import BipartiteGraph, transversal_matroid
 from tropstiefel.core import (
     DomainError,
@@ -93,12 +94,12 @@ def test_decompose_with_slack():
     y = TropVector([0, 1, 1, 0])
     cert = decompose(STAIR, y)
     assert cert is not None
-    assert cert.covector.tuple_view() == ((1,), (1, 2), (2, 3), (3,))
+    assert cert.covector == ((1,), (1, 2), (2, 3), (3,))
     assert cert.x.entries == (0, 0, 0)
     assert cert.J == frozenset({2, 3})
     assert cert.slack.entries == (0, 1, 1, 0)
     # certificate invariants
-    assert colwise_dragon_condition(cert.covector.graph, cert.J)
+    assert colwise_dragon_condition(covector_graph(STAIR, cert.covector), cert.J)
     image = vec_mat_mul(cert.x, STAIR)
     assert all(
         image.entry(j) + cert.slack.entry(j) == y.entry(j) for j in range(1, 5)
@@ -156,11 +157,11 @@ def test_decompose_certificates_against_cones_and_circuits():
                 assert not contains(p, y)
                 continue
             found += 1
-            cone = decomposition_cone(A, cert.covector.edges, cert.J)
+            cone = decomposition_cone(A, covector_edges(cert.covector), cert.J)
             assert Polyhedron(n, *minimal_form(cone)).contains(y.entries) and polytrope_contains(cone, y.entries)
             image = vec_mat_mul(cert.x, A)
             assert all(image.entry(j) + cert.slack.entry(j) == y.entry(j) for j in range(1, n + 1))
-            assert covector_of_point(A, cert.x).edges >= cert.covector.edges
+            assert covector_edges(covector_of_point(A, cert.x)) >= covector_edges(cert.covector)
     assert found > 40 and missed > 20
 
 
@@ -174,9 +175,9 @@ def all_cells_systems(A, y, tc, keep):
     subsets = sorted(J for r in range(A.d) for J in itertools.combinations(range(1, A.n + 1), r))
     for cell in tc:
         F = cell.covector
-        reps = [min(F.graph.I(j)) for j in range(1, A.n + 1)]
+        reps = [min(I) for I in F]
         cell_dbm = DifferenceBounds(A.d + 1, unit)
-        if not (_closed_cell(cell_dbm, a, F.edges, 0) and all(cell_dbm.add(0, i0, z[j] - a[i0 - 1][j]) for j, i0 in enumerate(reps))):
+        if not (_closed_cell(cell_dbm, a, covector_edges(F), 0) and all(cell_dbm.add(0, i0, z[j] - a[i0 - 1][j]) for j, i0 in enumerate(reps))):
             continue
         for J in subsets:
             if not keep(F, J):
@@ -198,8 +199,8 @@ def decompose_all_cells(A, y):
     tc = enumerate_covectors(A)
     if _max_matching_size(BipartiteGraph.from_support(A), range(1, A.n + 1)) < A.d:
         raise DomainError("NO_MATCHING_IN_SUPPORT", "support contains no matching")
-    covering = [cell for cell in tc if in_B(cell.covector)]  # asked once per cell, not once per J
-    for F, J, dbm in all_cells_systems(A, y, covering, lambda F, J: colwise_dragon_condition(F.graph, J)):
+    covering = [cell for cell in tc if in_B(A, cell.covector)]  # asked once per cell, not once per J
+    for F, J, dbm in all_cells_systems(A, y, covering, lambda F, J: colwise_dragon_condition(covector_graph(A, F), J)):
         x = TropVector(dbm.point()[1:])
         image = vec_mat_mul(x, A)
         return DecompositionCertificate(F, x, J, TropVector([y.entry(j) - image.entry(j) for j in range(1, A.n + 1)]))
@@ -221,9 +222,9 @@ def check_certificate(A, y, cert):
     column-wise dragon condition, and x ⊙ A + slack = y with the slack
     positive exactly on J."""
     n = A.n
-    assert polytrope_contains(decomposition_cone(A, cert.covector.edges, cert.J), y.entries)
-    assert covector_of_point(A, cert.x) == cert.covector and in_B(cert.covector)
-    assert colwise_dragon_condition(cert.covector.graph, cert.J)
+    assert polytrope_contains(decomposition_cone(A, covector_edges(cert.covector), cert.J), y.entries)
+    assert covector_of_point(A, cert.x) == cert.covector and in_B(A, cert.covector)
+    assert colwise_dragon_condition(covector_graph(A, cert.covector), cert.J)
     image = vec_mat_mul(cert.x, A)
     assert all(image.entry(j) + cert.slack.entry(j) == y.entry(j) for j in range(1, n + 1))
     assert all((cert.slack.entry(j) > 0) == (j in cert.J) for j in range(1, n + 1))
@@ -297,7 +298,7 @@ def test_decompose_last_row_sorts_shorter_first():
     A = TropMatrix([[-2, 4, 1, -4, 2], [6, 5, Fraction(5, 2), 2, 6]])
     y = TropVector([3, 6, Fraction(7, 2), 1, 7])
     cert = decompose(A, y)
-    assert certificate_to_json(cert) == {"covector": [[1], [2], [2], [1], [1, 2]], "x": ["5", "1"], "J": [], "slack": ["0"] * 5}
+    assert certificate_to_json(cert) == {"covector": ((1,), (2,), (2,), (1,), (1, 2)), "x": ["5", "1"], "J": [], "slack": ["0"] * 5}
     assert json.loads(decompose_outcome(decompose_all_cells, A, y))["covector"] == [[1], [2], [2], [1], [1]]
     check_certificate(A, y, cert)
 
@@ -350,7 +351,7 @@ def test_decompose_answers_past_the_cell_budget():
     assert exc.value.code == "BUDGET_EXCEEDED"
     y = vec_mat_mul(TropVector([rng.randint(-20, 20) for _ in range(5)]), A)
     cert = decompose(A, y)
-    assert cert is not None and polytrope_contains(decomposition_cone(A, cert.covector.edges, cert.J), y.entries)
+    assert cert is not None and polytrope_contains(decomposition_cone(A, covector_edges(cert.covector), cert.J), y.entries)
     assert contains(stiefel_map(A), y)
 
 
@@ -540,7 +541,7 @@ def test_bounded_complex_stair():
 
 def test_bounded_complex_matches_interior_census():
     cells = bounded_complex(FIG)
-    matroids = [transversal_matroid(cov.graph) for cov, _ in cells]
+    matroids = [transversal_matroid(covector_graph(FIG, cov)) for cov, _ in cells]
     # distinct interior transversal matroids, one per bounded cell
     assert len(set(matroids)) == len(matroids)
     assert all(is_interior_cell(M) for M in matroids)
@@ -580,7 +581,7 @@ def test_image_cells_against_their_cells():
         for covector, image in cells:
             cell = tc[covector]
             poly = Polyhedron(n, *minimal_form(image))
-            y = vec_mat_mul(TropVector(cell.point), A).entries
+            y = vec_mat_mul(TropVector(cell_point(A, covector)), A).entries
             assert poly.affine_dimension() == cell.dim == polytrope_dim(image)
             assert poly.contains(y) and polytrope_contains(image, y)
             checked += 1
@@ -630,11 +631,11 @@ def test_injectivity_on_B_cells():
         tc = enumerate_covectors(A)
         images = {}
         for cell in tc:
-            if not in_B(cell.covector):
+            if not in_B(A, cell.covector):
                 continue
-            y = vec_mat_mul(TropVector(cell.point), A)
+            y = vec_mat_mul(TropVector(cell_point(A, cell.covector)), A)
             assert y not in images.values()
-            images[cell.covector.key()] = y
+            images[cell.covector] = y
 
 
 def test_certificate_json():
@@ -658,7 +659,7 @@ def cones(draw):
     assume(all(A.col_support(j) for j in range(1, n + 1)))
     cell = draw(st.sampled_from(enumerate_covectors(A)))
     subsets = [J for r in range(n + 1) for J in itertools.combinations(range(1, n + 1), r)
-               if colwise_dragon_condition(cell.covector.graph, J)]
+               if colwise_dragon_condition(covector_graph(A, cell.covector), J)]
     return A, cell, frozenset(draw(st.sampled_from(subsets)))
 
 
@@ -681,19 +682,19 @@ def test_polytrope_against_the_reference_polyhedron(case):
     row."""
     A, cell, J = case
     n = A.n
-    y = vec_mat_mul(TropVector(cell.point), A).entries  # in every cone of the cell: zero slack
-    cone = decomposition_cone(A, cell.covector.edges, J)
+    y = vec_mat_mul(TropVector(cell_point(A, cell.covector)), A).entries  # in every cone of the cell: zero slack
+    cone = decomposition_cone(A, covector_edges(cell.covector), J)
     P = Polyhedron(n, *minimal_form(cone))
     assert polytrope_dim(cone) == P.affine_dimension()
     assert polytrope_contains(cone, y) and P.contains(cone.point()[1:])
     for z in nearby(y):
         assert polytrope_contains(cone, z) == P.contains(z)
-    if not in_K(cell.covector) or transversal_matroid(BipartiteGraph.from_support(A)) != uniform_matroid(A.d, n):
+    if not in_K(A, cell.covector) or transversal_matroid(BipartiteGraph.from_support(A)) != uniform_matroid(A.d, n):
         return
     image = dict(bounded_complex(A))[cell.covector]
-    j1 = min(cell.covector.graph.J(1))
+    j1 = min(j for j, I in enumerate(cell.covector, 1) if 1 in I)
     gauge = Polyhedron(n, eqs=[(tuple(int(j == j1) for j in range(1, n + 1)), A.entry(1, j1))])
-    Q = Polyhedron(n, *minimal_form(decomposition_cone(A, cell.covector.edges, ()))).intersect(gauge)
+    Q = Polyhedron(n, *minimal_form(decomposition_cone(A, covector_edges(cell.covector), ()))).intersect(gauge)
     assert polytrope_dim(image) == cell.dim == Q.affine_dimension() == Polyhedron(n, *minimal_form(image)).affine_dimension()
     for z in nearby(y):
         assert polytrope_contains(image, z) == Q.contains(z)
