@@ -1,8 +1,10 @@
 """Bipartite combinatorics on [d] ⊔ [n].
 
-Graphs, matchings, optimal matchings under exact min-plus weights, matching
+Graphs, optimal matchings under exact min-plus weights, matching
 multifields and their coherence, support-set predicates and sampling,
-transversal matroids, and the first-Betti-number dimension formula.  One
+transversal matroids, and the first-Betti-number dimension formula.  A
+matching is the tuple (j_1, ..., j_d) of its columns in row order, and a
+transversal matroid the frozenset of its bases.  One
 matching engine (``optimal_matchings``) answers which column sets can be
 matched and how well: the Stiefel map, multifields, coherence and
 transversal matroids; it refuses up front a table of more than
@@ -60,40 +62,9 @@ class BipartiteGraph:
         return "BipartiteGraph(%d, %d, %s)" % (self.d, self.n, sorted(self.edges))
 
 
-class Matching:
-    """A matching covering every left vertex: edges {(1,j_1),...,(d,j_d)}."""
-
-    __slots__ = ("cols",)
-
-    def __init__(self, cols):
-        cols = tuple(int(c) for c in cols)
-        if len(set(cols)) != len(cols):
-            raise DomainError("BAD_MATCHING", "repeated right endpoint")
-        self.cols = cols
-
-    @property
-    def edges(self):
-        return frozenset((i + 1, j) for i, j in enumerate(self.cols))
-
-    @property
-    def columns(self):
-        return frozenset(self.cols)
-
-    def key(self):
-        return tuple(sorted(self.edges))
-
-    def __eq__(self, other):
-        return isinstance(other, Matching) and self.cols == other.cols
-
-    def __hash__(self):
-        return hash(self.cols)
-
-    def __repr__(self):
-        return "Matching(%s)" % (self.cols,)
-
-
 class MatchingMultifield:
-    """A choice of a nonempty set of matchings for each column d-subset."""
+    """A choice of a nonempty set of matchings for each column d-subset,
+    each matching the tuple (j_1, ..., j_d) of its columns in row order."""
 
     __slots__ = ("d", "n", "choices")
 
@@ -107,7 +78,7 @@ class MatchingMultifield:
             if not ms:
                 raise DomainError("EMPTY_CHOICE", f"no matching chosen on {sorted(J)}")
             for m in ms:
-                if m.columns != key:
+                if frozenset(m) != key:
                     raise DomainError(
                         "BAD_CHOICE", f"matching {m} does not cover {sorted(J)}"
                     )
@@ -121,7 +92,7 @@ class MatchingMultifield:
         out = set()
         for ms in self.choices.values():
             for m in ms:
-                out |= m.edges
+                out.update(enumerate(m, 1))
         return frozenset(out)
 
     def __eq__(self, other):
@@ -133,41 +104,6 @@ class MatchingMultifield:
 
     def __repr__(self):
         return "MatchingMultifield(d=%d, n=%d)" % (self.d, self.n)
-
-
-class Matroid:
-    """A matroid on [n] given by its explicit (possibly empty) basis list."""
-
-    __slots__ = ("n", "rank_value", "bases")
-
-    def __init__(self, n, rank, bases):
-        self.n = n
-        self.rank_value = rank
-        self.bases = frozenset(frozenset(b) for b in bases)
-        ground = frozenset(range(1, n + 1))
-        for b in self.bases:
-            if len(b) != rank or not b <= ground:
-                raise DomainError("BAD_BASIS", f"{sorted(b)} is not a {rank}-subset of [{n}]")
-
-    def is_empty(self):
-        return not self.bases
-
-    def loops(self):
-        """Elements lying in no basis."""
-        used = frozenset().union(*self.bases)
-        return frozenset(range(1, self.n + 1)) - used
-
-    def canonical(self):
-        return tuple(sorted(tuple(sorted(b)) for b in self.bases))
-
-    def __eq__(self, other):
-        return isinstance(other, Matroid) and (self.n, self.bases) == (other.n, other.bases)
-
-    def __hash__(self):
-        return hash((self.n, self.bases))
-
-    def __repr__(self):
-        return "Matroid(n=%d, rank=%d, %d bases)" % (self.n, self.rank_value, len(self.bases))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +175,7 @@ def matching_multifield(A: TropMatrix) -> MatchingMultifield:
         J = frozenset(J)
         if J not in best:
             raise DomainError("NO_MATCHING_ON_SUBSET", f"support admits no matching on {sorted(J)}")
-        choices[J] = frozenset(Matching(cols) for cols in argmins(J))
+        choices[J] = frozenset(argmins(J))
     return MatchingMultifield(A.d, A.n, choices)
 
 
@@ -318,11 +254,11 @@ def is_coherent(multifield: MatchingMultifield):
     total = sum(len(supported(J)) for J in multifield.choices)
     if total > COHERENCE_BUDGET:
         raise DomainError("BUDGET_EXCEEDED", f"at least {total} supported matchings, budget {COHERENCE_BUDGET}")
-    pair = lambda m: (tuple(int(m.cols[i - 1] == j) for i, j in support), 0)
+    pair = lambda m: (tuple(int(m[i - 1] == j) for i, j in support), 0)
     groups = []
     for J in sorted(multifield.choices, key=lambda s: tuple(sorted(s))):
-        chosen = sorted(multifield[J], key=lambda m: m.key())
-        others = [m for m in map(Matching, sorted(supported(J))) if m not in multifield[J]]
+        chosen = sorted(multifield[J])
+        others = [m for m in sorted(supported(J)) if m not in multifield[J]]
         groups.append(([pair(m) for m in chosen], [pair(m) for m in others]))
     witness = argmin_witness(len(support), groups)
     if witness is None:
@@ -415,11 +351,12 @@ def random_support_set(rng, d, n, budget=SUPPORT_SET_DRAWS):
 # Transversal matroids
 # ---------------------------------------------------------------------------
 
-def transversal_matroid(G: BipartiteGraph) -> Matroid:
-    """Bases are the column d-subsets fully matchable to [d] inside G: the
-    d-sets that the matching engine reaches on G's 0/∞ matrix."""
+def transversal_matroid(G: BipartiteGraph) -> frozenset:
+    """The frozenset of bases, the column d-subsets fully matchable to [d]
+    inside G: the d-sets that the matching engine reaches on G's 0/∞
+    matrix."""
     best = optimal_matchings(_zero_inf_rows(G.d, G.n, G.edges), range(1, G.n + 1))[0]
-    return Matroid(G.n, G.d, [S for S in best if len(S) == G.d])
+    return frozenset(S for S in best if len(S) == G.d)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +413,7 @@ def multifield_to_json(mf: MatchingMultifield):
     out = {}
     for J, ms in mf.choices.items():
         key = ",".join(str(j) for j in sorted(J))
-        out[key] = sorted([list(e) for e in m.key()] for m in ms)
+        out[key] = sorted([[i, j] for i, j in enumerate(m, 1)] for m in ms)
     return {"d": mf.d, "n": mf.n, "choices": out}
 
 
@@ -495,7 +432,10 @@ def multifield_from_json(obj) -> MatchingMultifield:
                 pairs = sorted(_index_pairs(edge_list, "BAD_MULTIFIELD_JSON"))
                 if [i for i, _ in pairs] != list(range(1, d + 1)):
                     raise DomainError("BAD_MULTIFIELD_JSON", f"an edge list must name each row of [{d}] once")
-                ms.add(Matching(j for _, j in pairs))
+                m = tuple(j for _, j in pairs)
+                if len(set(m)) != d:
+                    raise DomainError("BAD_MATCHING", "repeated right endpoint")
+                ms.add(m)
             choices[J] = frozenset(ms)
     except (TypeError, ValueError, OverflowError):
         raise DomainError("BAD_MULTIFIELD_JSON", "choices must map 'j1,...,jd' to lists of edge lists") from None

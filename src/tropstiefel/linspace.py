@@ -28,8 +28,9 @@ from .subdivision import select_matroid
 
 
 def contains_via_matroid(p: PluckerVector, y: TropVector) -> bool:
-    """Membership via the selected matroid: M_y must be loopless."""
-    return not select_matroid(p, y).loops()
+    """Membership via the selected matroid: M_y must be loopless, its
+    bases covering [n]."""
+    return len(frozenset().union(*select_matroid(p, y))) == p.n
 
 
 class DecompositionCertificate:

@@ -3,9 +3,9 @@
 The Stiefel map (tropical maximal minors, from the matching engine), the
 circuits of p, listed on first use and kept on p, behind membership in
 L(p) and the Plücker check (every cocircuit lies in L(p)), both refused up
-front past ``PLUCKER_BUDGET`` relation terms, cocircuits and matrix
-recovery from a support set, which needs a uniform underlying matroid: no
-∞ coordinate.
+front past ``PLUCKER_BUDGET`` relation terms, and matrix recovery from a
+support set, whose rows ``recover_matrix`` reads off p; it needs a uniform
+underlying matroid: no ∞ coordinate.
 """
 
 from __future__ import annotations
@@ -125,22 +125,12 @@ def check_plucker(p: PluckerVector) -> bool:
     )
 
 
-def cocircuit(p: PluckerVector, S) -> TropVector:
-    """c_j = p_{S∪j} off S and ∞ on S; a minimal-support vector of L(p)."""
-    S = frozenset(S)
-    if len(S) != p.d - 1 or not S <= frozenset(range(1, p.n + 1)):
-        raise DomainError("BAD_SUBSET", "S must be a (d-1)-subset of [n]")
-    entries = [INF if j in S else p[S | {j}] for j in range(1, p.n + 1)]
-    if all(v is INF for v in entries):
-        raise DomainError("ALL_INF", "every extension of S is infinite")
-    return TropVector(entries)
-
-
 def recover_matrix(p: PluckerVector, support: BipartiteGraph) -> TropMatrix:
-    """Rebuild a matrix from π(A) and a support set: rows are cocircuits.
+    """Rebuild a matrix from π(A) and a support set, its rows read off p.
 
-    Row i is cocircuit(p, [n] ∖ J_i); when p = stiefel_map(A) for A supported
-    on the support set, the result equals A up to one constant per row.
+    Row i is p_{([n]∖J_i) ∪ j} at j ∈ J_i and ∞ off J_i, the cocircuit of
+    the (d−1)-set [n] ∖ J_i; when p = stiefel_map(A) for A supported on the
+    support set, the result equals A up to one constant per row.
     NOT_SUPPORT_SET for a support not a support set on p's [d] ⊔ [n], then
     NOT_UNIFORM when a coordinate is ∞: the underlying matroid is not uniform.
     """
@@ -149,7 +139,10 @@ def recover_matrix(p: PluckerVector, support: BipartiteGraph) -> TropMatrix:
     if any(v is INF for v in p.values.values()):
         raise DomainError("NOT_UNIFORM", "underlying matroid must be uniform")
     ground = frozenset(range(1, p.n + 1))
-    return TropMatrix([cocircuit(p, ground - support.J(i)).entries for i in range(1, support.d + 1)])
+    return TropMatrix([
+        [p[(ground - Ji) | {j}] if j in Ji else INF for j in range(1, p.n + 1)]
+        for Ji in map(support.J, range(1, p.d + 1))
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,18 @@
 """Regular transversal matroid subdivisions D(A).
 
 Selected matroids M_y and facet enumeration via containment-maximal
-covectors.
+covectors.  A matroid is the frozenset of its bases, each a frozenset.
 """
 
 from __future__ import annotations
 
 from .core import DomainError, TropMatrix, TropVector, common_denom
-from .bipartite import BipartiteGraph, Matroid, transversal_matroid
+from .bipartite import BipartiteGraph, transversal_matroid
 from .plucker import PluckerVector
 from .arrangement import covector_edges, enumerate_covectors
 
 
-def select_matroid(p: PluckerVector, y: TropVector) -> Matroid:
+def select_matroid(p: PluckerVector, y: TropVector) -> frozenset:
     """The matroid M_y selected by y: argmin of p_J − Σ_{j∈J} y_j, in ints,
     y padded to be read 1-based."""
     if len(y) != p.n or not y.is_finite():
@@ -28,7 +28,7 @@ def select_matroid(p: PluckerVector, y: TropVector) -> Matroid:
             bases = [J]
         elif val == best:
             bases.append(J)
-    return Matroid(p.n, p.d, bases)
+    return frozenset(bases)
 
 
 def facets_of_D(A: TropMatrix) -> frozenset:
@@ -42,17 +42,12 @@ def facets_of_D(A: TropMatrix) -> frozenset:
     matroids = set()
     for c in enumerate_covectors(A):
         M = transversal_matroid(BipartiteGraph(A.d, A.n, covector_edges(c.covector)))
-        if not M.is_empty():
+        if M:
             matroids.add(M)
     if not matroids:
         raise DomainError("NO_MATCHING_IN_SUPPORT", "support contains no matching")
-    facets = {
-        M
-        for M in matroids
-        if not any(set(M.bases) < set(N.bases) for N in matroids)
-    }
-    return frozenset(facets)
+    return frozenset(M for M in matroids if not any(M < N for N in matroids))
 
 
 def facets_to_json(facets) -> list:
-    return sorted([list(b) for b in M.canonical()] for M in facets)
+    return sorted(sorted(sorted(b) for b in M) for M in facets)

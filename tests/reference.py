@@ -45,9 +45,15 @@ the two.  The library keeps only what the CLI and the benchmark reach
   equality of two subdivisions against ``subdivision.facets_of_D``;
 * methods that no library code calls, as functions on the object they
   belonged to: projective equality (``proj_eq``, ``plucker_proj_eq``),
-  shifts, rows and transposes, connectivity of graphs and matroids,
-  coloops, and the restriction, polytrope membership, dimension and
-  minimal form of a ``DifferenceBounds``.
+  shifts, rows and transposes, connectivity of graphs, and the
+  restriction, polytrope membership, dimension and minimal form of a
+  ``DifferenceBounds``;
+* functions on a matroid, the frozenset of its bases: its loops and
+  coloops, its connectivity, and the shape check of a basis list
+  (``BAD_BASIS``) in ``cell_exists``;
+* the cocircuit of a (d−1)-set (``cocircuit``), with its refusals of a
+  set of another size (``BAD_SUBSET``) and of an all-∞ vector
+  (``ALL_INF``), against the rows ``plucker.recover_matrix`` reads off p.
 """
 
 import itertools
@@ -56,7 +62,7 @@ from fractions import Fraction
 
 from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, common_denom, require_column_supports, scalar, scalar_str
 from tropstiefel.geom import ONE, ZERO, DifferenceBounds, argmin_witness
-from tropstiefel.bipartite import BipartiteGraph, Matching, Matroid, assignment, components, hall_surplus_check, optimal_matchings
+from tropstiefel.bipartite import BipartiteGraph, assignment, components, hall_surplus_check, optimal_matchings
 from tropstiefel.plucker import PluckerVector, _subsets
 from tropstiefel.arrangement import covector_edges
 from tropstiefel.subdivision import facets_of_D, select_matroid
@@ -135,7 +141,7 @@ def vector_to_json(x: TropVector) -> dict:
 # ---------------------------------------------------------------------------
 
 def uniform_matroid(d, n):
-    return Matroid(n, d, itertools.combinations(range(1, n + 1), d))
+    return frozenset(map(frozenset, itertools.combinations(range(1, n + 1), d)))
 
 
 def min_matchings(A: TropMatrix, J):
@@ -149,7 +155,7 @@ def min_matchings(A: TropMatrix, J):
     best, argmins = optimal_matchings(A.entries, sorted(J))
     if J not in best:
         return INF, frozenset()
-    return best[J], frozenset(Matching(cols) for cols in argmins(J))
+    return best[J], frozenset(argmins(J))
 
 
 def optimal_columns(cost):
@@ -286,12 +292,23 @@ def graph_to_json(G: BipartiteGraph):
 
 
 # ---------------------------------------------------------------------------
-# Plücker vectors: the underlying matroid, duality, stable union and
-# intersection, rank 1 and 0
+# Plücker vectors: the underlying matroid, cocircuits, duality, stable
+# union and intersection, rank 1 and 0
 # ---------------------------------------------------------------------------
 
-def underlying_matroid(p: PluckerVector) -> Matroid:
-    return Matroid(p.n, p.d, [J for J in p.support()])
+def underlying_matroid(p: PluckerVector) -> frozenset:
+    return p.support()
+
+
+def cocircuit(p: PluckerVector, S) -> TropVector:
+    """c_j = p_{S∪j} off S and ∞ on S; a minimal-support vector of L(p)."""
+    S = frozenset(S)
+    if len(S) != p.d - 1 or not S <= frozenset(range(1, p.n + 1)):
+        raise DomainError("BAD_SUBSET", "S must be a (d-1)-subset of [n]")
+    entries = [INF if j in S else p[S | {j}] for j in range(1, p.n + 1)]
+    if all(v is INF for v in entries):
+        raise DomainError("ALL_INF", "every extension of S is infinite")
+    return TropVector(entries)
 
 
 def dual(p: PluckerVector) -> PluckerVector:
@@ -477,15 +494,17 @@ def transversal_polytope_ineqs(G: BipartiteGraph):
 def subdivisions_equal(A: TropMatrix, B: TropMatrix) -> bool:
     if (A.d, A.n) != (B.d, B.n):
         return False
-    key = lambda facets: frozenset(M.canonical() for M in facets)
-    return key(facets_of_D(A)) == key(facets_of_D(B))
+    return facets_of_D(A) == facets_of_D(B)
 
 
 def cell_exists(p: PluckerVector, bases) -> bool:
     """Is there a y selecting exactly this basis set as its argmin?  One
     ``argmin_witness`` group: the bases against the other finite J, each
     the pair (−1_J, p_J), so that height + vector·y = p_J − Σ_{j∈J} y_j."""
-    bases = Matroid(p.n, p.d, bases).bases  # BAD_BASIS for a basis that is no d-subset of [n]
+    bases = frozenset(map(frozenset, bases))
+    for b in bases:
+        if len(b) != p.d or not b <= frozenset(range(1, p.n + 1)):
+            raise DomainError("BAD_BASIS", f"{sorted(b)} is not a {p.d}-subset of [{p.n}]")
     if not bases or any(p[b] is INF for b in bases):
         return False
     pair = lambda J: (tuple(-1 if j in J else 0 for j in range(1, p.n + 1)), p[J])
@@ -552,11 +571,12 @@ def bounded_point_in_complex(A: TropMatrix, y: TropVector) -> bool:
     return any(polytrope_contains(image, shifted.entries) for _, image in bounded_complex(A))
 
 
-def is_interior_cell(M: Matroid) -> bool:
-    """Loop-free and coloop-free: the cell misses the hypersimplex boundary."""
-    if M.is_empty():
+def is_interior_cell(M, n) -> bool:
+    """Loop-free and coloop-free on [n]: the cell misses the hypersimplex
+    boundary."""
+    if not M:
         raise DomainError("EMPTY_MATROID", "interiority is undefined for no bases")
-    return not M.loops() and not coloops(M)
+    return not loops(M, n) and not coloops(M)
 
 
 def bounded_membership(p: PluckerVector, y: TropVector) -> bool:
@@ -564,7 +584,7 @@ def bounded_membership(p: PluckerVector, y: TropVector) -> bool:
     selected matroid?  Needs a uniform underlying matroid: no ∞ coordinate."""
     if any(v is INF for v in p.values.values()):
         raise DomainError("NOT_UNIFORM", "underlying matroid must be uniform")
-    return is_interior_cell(select_matroid(p, y))
+    return is_interior_cell(select_matroid(p, y), p.n)
 
 
 def caterpillar_check(A: TropMatrix) -> bool:
@@ -641,21 +661,25 @@ def is_tree(self):
     ) == self.d + self.n
 
 
-def coloops(self):
-    """Elements lying in every basis."""
-    if self.is_empty():
-        return frozenset()
-    return frozenset.intersection(*self.bases)
+def loops(M, n):
+    """Elements of [n] lying in no basis of the basis set M."""
+    return frozenset(range(1, n + 1)) - frozenset().union(*M)
 
 
-def matroid_is_connected(self):
-    """The fundamental graph of one basis B is connected (Krogdahl):
-    e ∈ B and f ∉ B are joined when B − e + f is a basis."""
-    if self.is_empty():
+def coloops(M):
+    """Elements lying in every basis of the basis set M."""
+    return frozenset.intersection(*M) if M else frozenset()
+
+
+def matroid_is_connected(M, n):
+    """The fundamental graph of one basis B of the basis set M on [n] is
+    connected (Krogdahl): e ∈ B and f ∉ B are joined when B − e + f is a
+    basis."""
+    if not M:
         return False
-    B = next(iter(self.bases))
-    pairs = [(e - 1, f - 1) for e in B for f in range(1, self.n + 1) if f not in B and (B - {e}) | {f} in self.bases]
-    return components(self.n, pairs) <= 1
+    B = next(iter(M))
+    pairs = [(e - 1, f - 1) for e in B for f in range(1, n + 1) if f not in B and (B - {e}) | {f} in M]
+    return components(n, pairs) <= 1
 
 
 def plucker_proj_eq(self, other) -> bool:

@@ -25,6 +25,7 @@ from reference import (
     enumerate_support_sets,
     is_trop_singular,
     is_tree,
+    loops,
     matrix_row,
     matroid_is_connected,
     minimal_form,
@@ -466,9 +467,7 @@ def test_facet_cross_validation():
                         y = vec_mat_mul(TropVector(x), A)
                     cache[key] = select_matroid(p, y)
                 seen.add(cache[key])
-            maximal = {
-                M for M in seen if not any(set(M.bases) < set(N.bases) for N in seen)
-            }
+            maximal = {M for M in seen if not any(M < N for N in seen)}
             assert maximal == set(facets_of_D(A)), A.entries
 
 
@@ -532,7 +531,7 @@ def test_polytope_exactness():
             G = BipartiteGraph(d, n, edges)
             P = Polyhedron(n, *transversal_polytope_ineqs(G))
             M = transversal_matroid(G)
-            expected = {tuple(sorted(b)) for b in M.bases}
+            expected = {tuple(sorted(b)) for b in M}
             got = {
                 J
                 for J in itertools.combinations(range(1, n + 1), d)
@@ -569,27 +568,22 @@ def test_caterpillar_and_snowflake():
         seen = set()
         for y in itertools.product(range(4), repeat=6):
             seen.add(select_matroid(p, TropVector(y)))
-        facets = {
-            M for M in seen if not any(set(M.bases) < set(N.bases) for N in seen)
-        }
+        facets = {M for M in seen if not any(M < N for N in seen)}
         interior = {
-            M for M in facets if not M.loops() and not coloops(M)
+            M for M in facets if not loops(M, 6) and not coloops(M)
         }
         # the bounded tree has four internal vertices
         assert len(interior) == 4
         for M in interior:
-            assert matroid_is_connected(M)
+            assert matroid_is_connected(M, 6)
         # bounded edges: interior codimension-one walls between vertices
-        verts = sorted(interior, key=lambda M: sorted(map(sorted, M.bases)))
+        verts = sorted(interior, key=lambda M: sorted(map(sorted, M)))
         degree = {i: 0 for i in range(len(verts))}
         for a, b in itertools.combinations(range(len(verts)), 2):
-            W = set(verts[a].bases) & set(verts[b].bases)
+            W = verts[a] & verts[b]
             if not W:
                 continue
-            from tropstiefel.bipartite import Matroid
-
-            WM = Matroid(6, 2, W)
-            if WM.loops() or coloops(WM):
+            if loops(W, 6) or coloops(W):
                 continue
             if cell_exists(p, list(W)):
                 degree[a] += 1

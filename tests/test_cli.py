@@ -15,11 +15,11 @@ from tropstiefel.cli import main
 from tropstiefel.core import TropMatrix, matrix_from_json, matrix_to_json
 from tropstiefel.bipartite import (
     BipartiteGraph,
-    Matching,
     MatchingMultifield,
     is_support_set,
     matching_multifield,
     multifield_to_json,
+    random_support_set,
 )
 from tropstiefel.plucker import PluckerVector, plucker_to_json, stiefel_map
 
@@ -85,7 +85,7 @@ def test_multifield_and_coherent(tmp_path, capsys):
     witness = matrix_from_json(res["witness"])
     assert witness.support() == FIG.support()
     # cyclic strict preferences on {1,2}, {2,3}, {1,3}: no height induces them
-    cyclic = {frozenset(J): {Matching(cols)} for J, cols in
+    cyclic = {frozenset(J): {cols} for J, cols in
               (((1, 2), (1, 2)), ((2, 3), (2, 3)), ((1, 3), (3, 1)), ((1, 4), (1, 4)), ((2, 4), (2, 4)), ((3, 4), (3, 4)))}
     path3 = write_input(tmp_path, multifield_to_json(MatchingMultifield(2, 4, cyclic)), "cyclic.json")
     code, out = run(capsys, ["coherent", "--input", path3])
@@ -264,6 +264,7 @@ def test_domain_error_exit_code(tmp_path, capsys):
         (["recover"], {"plucker": zero_2_4, "support": {"d": 2, "n": 5, "edges": [[1, 1], [1, 2], [1, 3], [1, 4], [2, 2], [2, 3], [2, 4], [2, 5]]}}, "NOT_SUPPORT_SET"),
         (["recover"], {"plucker": zero_2_4, "support": {"d": 1, "n": 4, "edges": [[1, 1], [1, 2], [1, 3], [1, 4]]}}, "NOT_SUPPORT_SET"),
         (["plucker-check"], {"d": 2, "n": 3, "values": {"1,2": "0", "1,3": "0"}}, "MISSING_COORDINATE"),
+        (["plucker-check"], {"d": 1, "n": 2, "values": {"1": "inf", "2": "inf"}}, "ALL_INF"),
     ]
     for argv, obj, error in cases:
         if obj is not None:
@@ -518,7 +519,7 @@ def test_coherent_golden_stdout(tmp_path, capsys):
     # coherence rows: a dense 2x4, a 3x5 with ∞, and the 3x5 with one of its
     # two matchings on {2, 3, 4} dropped.
     with_inf = matching_multifield(TropMatrix([[0, 1, "inf", 2, 0], ["1/2", 0, 0, "inf", 1], [2, "inf", 0, 1, 0]]))
-    dropped = MatchingMultifield(3, 5, {**with_inf.choices, frozenset({2, 3, 4}): {Matching((4, 2, 3))}})
+    dropped = MatchingMultifield(3, 5, {**with_inf.choices, frozenset({2, 3, 4}): {(4, 2, 3)}})
     golden = [
         (matching_multifield(TWO_ROW),
          '{"coherent": true, "witness": {"d": 2, "entries": [["1", "1", "0", "0"], ["0", "0", "0", "0"]], "n": 4}}'),
@@ -605,6 +606,56 @@ def test_seeded_output_digest(capsys, monkeypatch):
             code, out = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
             digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() == SEEDED_DIGEST
+
+
+MATCHING_DIGEST = "ef3e840c92b56585144949495ab871e1aa20122341519cb441447ef8868fbeaf"
+
+
+def test_seeded_matching_digest(capsys, monkeypatch):
+    """One sha256 over the exit codes and stdout of the matching commands on
+    120 seeded matrices, 1 <= d <= 3 and n <= 5, with ∞ and fractional
+    entries: stiefel, plucker-check on its output, multifield, and coherent
+    on each multifield, on a copy with one chosen matching dropped from the
+    first J that has two, and on a copy with a repeated column; then
+    recover on the Stiefel image of a matrix drawn on a random support
+    set.  A refactor of matchings and matroids must leave every byte as it
+    was."""
+    rng = random.Random(33)
+    digest = hashlib.sha256()
+
+    def record(argv, obj):
+        code, out = run(capsys, argv, stdin=json.dumps(obj), monkeypatch=monkeypatch)
+        digest.update(f"{code}\n{out}".encode())
+        return code, out
+
+    def scalar():
+        return f"{rng.randint(-6, 6)}/{rng.choice([1, 1, 2, 3])}"
+
+    for _ in range(120):
+        d = rng.randint(1, 3)
+        n = rng.randint(d, 5)
+        p_inf = rng.choice([0, 0.15, 0.3])
+        A = {"entries": [["inf" if rng.random() < p_inf else scalar() for _ in range(n)] for _ in range(d)]}
+        code, out = record(["stiefel"], A)
+        if code == 0:
+            record(["plucker-check"], json.loads(out))
+        code, out = record(["multifield"], A)
+        if code == 0:
+            mf = json.loads(out)
+            record(["coherent"], mf)
+            ties = [J for J, ms in mf["choices"].items() if len(ms) >= 2]
+            if ties:
+                ms, k = mf["choices"][ties[0]], rng.randrange(len(mf["choices"][ties[0]]))
+                record(["coherent"], {**mf, "choices": {**mf["choices"], ties[0]: ms[:k] + ms[k + 1:]}})
+            if d >= 2:
+                J = next(iter(mf["choices"]))
+                (i, j), *rest = mf["choices"][J][0]
+                repeated = [[i, j], [rest[0][0], j], *rest[1:]]
+                record(["coherent"], {**mf, "choices": {**mf["choices"], J: [repeated]}})
+        G = random_support_set(rng, d, n)
+        B = TropMatrix([[scalar() if (i, j) in G.edges else "inf" for j in range(1, n + 1)] for i in range(1, d + 1)])
+        record(["recover"], {"plucker": plucker_to_json(stiefel_map(B)), "support": graph_to_json(G)})
+    assert digest.hexdigest() == MATCHING_DIGEST
 
 
 def test_support_set_answers_on_complete_24x25(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from reference import (
+    cocircuit,
     dual,
     enumerate_support_sets,
     matrix_row,
@@ -27,7 +28,6 @@ from tropstiefel.plucker import (
     PLUCKER_BUDGET,
     PluckerVector,
     check_plucker,
-    cocircuit,
     contains,
     plucker_from_json,
     plucker_to_json,
@@ -356,7 +356,7 @@ def test_underlying_matroid():
     single = PluckerVector(
         3, 2, {frozenset({1, 2}): 0, frozenset({1, 3}): INF, frozenset({2, 3}): INF}
     )
-    assert underlying_matroid(single).bases == frozenset([frozenset({1, 2})])
+    assert underlying_matroid(single) == frozenset([frozenset({1, 2})])
 
 
 def test_cocircuit():
@@ -403,6 +403,8 @@ def test_recover_matrix_row_constants():
         B = recover_matrix(stiefel_map(A), G)
         for i in range(1, 3):
             assert proj_eq(matrix_row(A, i), matrix_row(B, i))
+            # row i is the cocircuit of the (d−1)-set [n] ∖ J_i
+            assert matrix_row(B, i) == cocircuit(stiefel_map(A), set(range(1, 5)) - G.J(i))
 
 
 def test_json_roundtrip():

@@ -169,10 +169,19 @@ def test_every_library_name_is_reached():
     assert not unreached, f"library names neither the CLI nor the benchmark reaches: {unreached}"
 
 
+# Codes ``src/`` raises that no command need reach, each with its reason.
+NOT_A_REFUSAL = {
+    # ``core.INF`` refuses to be negated, as −∞ is no scalar: a guard
+    # against a bug in the library's own arithmetic, not a refusal of input
+    "NEGATE_INF",
+}
+
+
 def test_every_error_code_is_named_by_a_test():
     """Each code a library ``DomainError`` raises by name appears as a
-    string constant in some ``tests/test_*.py``, so every refusal has a
-    test that asks for it by its code."""
+    string constant in ``tests/test_cli.py``, so every refusal of input has
+    a command that is asked for it by its code; a refusal no command can
+    reach fails here.  ``NOT_A_REFUSAL`` lists the exceptions."""
     raised = {
         node.args[0].value
         for path in sorted(SOURCE.glob("*.py"))
@@ -180,15 +189,14 @@ def test_every_error_code_is_named_by_a_test():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "DomainError"
         and node.args and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)
     }
-    tests = sorted(pathlib.Path(__file__).resolve().parent.glob("test_*.py"))
+    cli_tests = pathlib.Path(__file__).resolve().parent / "test_cli.py"
     named = {
         node.value
-        for path in tests
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        for node in ast.walk(ast.parse(cli_tests.read_text(encoding="utf-8"), filename=str(cli_tests)))
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     }
-    assert raised and tests
-    assert not raised - named, f"error codes no test names: {sorted(raised - named)}"
+    assert raised and NOT_A_REFUSAL <= raised
+    assert not raised - named - NOT_A_REFUSAL, f"error codes no CLI test names: {sorted(raised - named - NOT_A_REFUSAL)}"
 
 
 # The true divisions the library holds, as (file, enclosing function,

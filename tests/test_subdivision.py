@@ -6,7 +6,7 @@ import pytest
 
 from polyhedra import Polyhedron
 from reference import cell_exists, is_interior_cell, subdivisions_equal, transversal_polytope_ineqs, uniform_matroid
-from tropstiefel.bipartite import BipartiteGraph, Matroid, transversal_matroid
+from tropstiefel.bipartite import BipartiteGraph, transversal_matroid
 from tropstiefel.core import DomainError, INF, TropMatrix, TropVector
 from tropstiefel.plucker import stiefel_map
 from tropstiefel.subdivision import (
@@ -32,7 +32,7 @@ def A_of_t(t):
 
 
 def bases_of(M):
-    return frozenset(tuple(sorted(b)) for b in M.bases)
+    return frozenset(tuple(sorted(b)) for b in M)
 
 
 def test_select_matroid_examples():
@@ -87,7 +87,7 @@ def test_transversal_polytope_01_points():
         for J in itertools.combinations(range(1, 5), 2)
         if P.contains(tuple(1 if j in J else 0 for j in range(1, 5)))
     }
-    assert pts == {tuple(sorted(b)) for b in M.bases}
+    assert pts == {tuple(sorted(b)) for b in M}
 
 
 def test_transversal_polytope_hypersimplex():
@@ -101,13 +101,13 @@ def test_transversal_polytope_hypersimplex():
 
 
 def test_is_interior_cell():
-    assert is_interior_cell(uniform_matroid(2, 4))
-    coloop = Matroid(4, 2, [(1, 2), (1, 3), (1, 4)])
-    assert not is_interior_cell(coloop)
+    assert is_interior_cell(uniform_matroid(2, 4), 4)
+    coloop = frozenset(map(frozenset, [(1, 2), (1, 3), (1, 4)]))
+    assert not is_interior_cell(coloop, 4)
     for M in facets_of_D(TWO_ROW):
-        assert is_interior_cell(M)
+        assert is_interior_cell(M, 4)
     with pytest.raises(DomainError) as exc:
-        is_interior_cell(Matroid(3, 2, []))
+        is_interior_cell(frozenset(), 3)
     assert exc.value.code == "EMPTY_MATROID"
 
 
