@@ -1,8 +1,9 @@
 """Tropical hyperplane arrangements of a matrix A.
 
 The full covector complex TC(A), its subcomplex K(A) (dragon marriage
-condition), and the 0- and 1-cells of a list of cells with the ends of each
-1-cell (``skeleton``).
+condition), the 0- and 1-cells of a list of cells with the ends of each
+1-cell (``skeleton``), and the facets of the matroid subdivision D(A), the
+containment-maximal transversal matroids of the cells (``facets_of_D``).
 
 The arrangement lives in the torus of x-coordinates, and every cell of TC(A)
 is a polytrope: the points whose covector is tau satisfy, per column j,
@@ -45,7 +46,7 @@ import itertools
 
 from .core import DomainError, TropMatrix, require_column_supports
 from .geom import DifferenceBounds
-from .bipartite import BipartiteGraph, dragon_condition
+from .bipartite import BipartiteGraph, dragon_condition, transversal_matroid
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +156,31 @@ def in_K(A: TropMatrix, covector) -> bool:
     return dragon_condition(BipartiteGraph(A.d, A.n, covector_edges(covector)))
 
 
+def facets_of_D(A: TropMatrix) -> frozenset:
+    """The facet matroids of D(A): the containment-maximal transversal
+    matroids over all covectors of TC(A).
+
+    Maximality is taken over basis sets, not covector edge sets: distinct
+    maximal covectors can induce nested matroids once their cells are
+    intersected with the hypersimplex.
+    """
+    matroids = set()
+    for c in enumerate_covectors(A):
+        M = transversal_matroid(BipartiteGraph(A.d, A.n, covector_edges(c.covector)))
+        if M:
+            matroids.add(M)
+    if not matroids:
+        raise DomainError("NO_MATCHING_IN_SUPPORT", "support contains no matching")
+    return frozenset(M for M in matroids if not any(M < N for N in matroids))
+
+
 # ---------------------------------------------------------------------------
 # JSON interchange
 # ---------------------------------------------------------------------------
 
 def complex_to_json(cells):
     return [{"covector": c.covector, "dim": c.dim} for c in cells]
+
+
+def facets_to_json(facets) -> list:
+    return sorted(sorted(sorted(b) for b in M) for M in facets)

@@ -38,8 +38,7 @@ from .plucker import (
     recover_matrix,
     stiefel_map,
 )
-from .arrangement import cell_point, complex_to_json, enumerate_covectors, skeleton
-from .subdivision import facets_of_D, facets_to_json
+from .arrangement import cell_point, complex_to_json, enumerate_covectors, facets_of_D, facets_to_json, skeleton
 from .linspace import (
     bounded_skeleton,
     certificate_to_json,

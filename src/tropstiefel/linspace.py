@@ -10,11 +10,11 @@ L(A) is the union of the cells (F ⊙ A) + R_{>=0}{e_j : j ∈ J} with F a
 covector covering every row and J meeting the column-wise dragon condition,
 and ``decompose`` reads such a pair (F, J) and its point x off that dual,
 with no search.  Membership by circuit minima (``plucker.contains``,
-imported here, on the circuits kept on p) and by selected matroids
-(``contains_via_matroid``) stays for the benchmark.  Both bounded
-questions first ask ``_require_uniform``, d more assignments, that every
-column d-set be matchable.  The vertices and segments of the bounded part
-need only the cells of TC(A) in K(A) and their dimensions, so
+imported here, on the circuits kept on p) and by the selected matroid M_y
+of ``select_matroid`` (``contains_via_matroid``) stays for the benchmark.
+Both bounded questions first ask ``_require_uniform``, d more assignments,
+that every column d-set be matchable.  The vertices and segments of the
+bounded part need only the cells of TC(A) in K(A) and their dimensions, so
 ``bounded_skeleton`` builds no image of a cell.
 """
 
@@ -24,7 +24,25 @@ from .core import INF, DomainError, TropMatrix, TropVector, common_denom, quotie
 from .bipartite import BipartiteGraph, assignment, hall_surplus_check
 from .plucker import PluckerVector, contains
 from .arrangement import CELL_BUDGET, enumerate_covectors, in_K, skeleton
-from .subdivision import select_matroid
+
+
+def select_matroid(p: PluckerVector, y: TropVector) -> frozenset:
+    """The matroid M_y selected by y: argmin of p_J − Σ_{j∈J} y_j, in ints,
+    y padded to be read 1-based."""
+    if len(y) != p.n or not y.is_finite():
+        raise DomainError("BAD_POINT", "y must be finite of length n")
+    _, fp, fy = common_denom(p.denom, y.denom)
+    best, bases, z = None, [], ((0,) + y.ints).__getitem__
+    for J, v in p.ints.items():
+        if v is None:
+            continue
+        val = v * fp - fy * sum(map(z, J))
+        if best is None or val < best:
+            best = val
+            bases = [J]
+        elif val == best:
+            bases.append(J)
+    return frozenset(bases)
 
 
 def contains_via_matroid(p: PluckerVector, y: TropVector) -> bool:

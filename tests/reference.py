@@ -42,7 +42,7 @@ the two.  The library keeps only what the CLI and the benchmark reach
 * the residual of y (``residuation``), by which
   ``bounded_point_in_complex`` gauges y;
 * cells of D(A) by ``geom.argmin_witness`` (``cell_exists``) and the
-  equality of two subdivisions against ``subdivision.facets_of_D``;
+  equality of two subdivisions against ``arrangement.facets_of_D``;
 * methods that no library code calls, as functions on the object they
   belonged to: projective equality (``proj_eq``, ``plucker_proj_eq``),
   shifts, rows and transposes, connectivity of graphs, and the
@@ -64,9 +64,8 @@ from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, common_de
 from tropstiefel.geom import ONE, ZERO, DifferenceBounds, argmin_witness
 from tropstiefel.bipartite import BipartiteGraph, assignment, components, hall_surplus_check, optimal_matchings
 from tropstiefel.plucker import PluckerVector, _subsets
-from tropstiefel.arrangement import covector_edges
-from tropstiefel.subdivision import facets_of_D, select_matroid
-from tropstiefel.linspace import _bounded_cells, bounded_skeleton
+from tropstiefel.arrangement import covector_edges, facets_of_D
+from tropstiefel.linspace import _bounded_cells, bounded_skeleton, select_matroid
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from reference import (
     vec_mat_mul,
     vector_to_json,
 )
-from tropstiefel.arrangement import covector_edges, enumerate_covectors, in_K
+from tropstiefel.arrangement import covector_edges, enumerate_covectors, facets_of_D, in_K
 from tropstiefel.bipartite import (
     BipartiteGraph,
     is_support_set,
@@ -57,16 +57,13 @@ from tropstiefel.linspace import (
     decompose,
     in_bounded_part,
     in_L,
+    select_matroid,
 )
 from tropstiefel.plucker import (
     PluckerVector,
     check_plucker,
     recover_matrix,
     stiefel_map,
-)
-from tropstiefel.subdivision import (
-    facets_of_D,
-    select_matroid,
 )
 
 STAIR = TropMatrix([[0, 0, "inf", "inf"], ["inf", 0, 0, "inf"], ["inf", "inf", 0, 0]])

@@ -49,9 +49,8 @@ from tropstiefel.bipartite import (
     transversal_matroid,
 )
 from tropstiefel.core import INF, DomainError, TropMatrix, TropVector
-from tropstiefel.linspace import decompose
+from tropstiefel.linspace import decompose, select_matroid
 from tropstiefel.plucker import contains, stiefel_map
-from tropstiefel.subdivision import select_matroid
 
 FIG = TropMatrix([[0, 3, 0, "inf", "inf"], ["inf", 0, 0, 2, "inf"], ["inf", "inf", 0, 0, 0]])
 STAIR = TropMatrix([[0, 0, "inf", "inf"], ["inf", 0, 0, "inf"], ["inf", "inf", 0, 0]])

@@ -515,9 +515,9 @@ def test_matching_engine_budget_on_dense_14x40(tmp_path):
 
 
 def test_coherent_golden_stdout(tmp_path, capsys):
-    # The witness is the simplex's point, so it changes with the order of the
-    # coherence rows: a dense 2x4, a 3x5 with ∞, and the 3x5 with one of its
-    # two matchings on {2, 3, 4} dropped.
+    # The witness is the simplex's point, pinned byte for byte on a dense 2x4,
+    # a 3x5 with ∞, and the 3x5 with one of its two matchings on {2, 3, 4}
+    # dropped.
     with_inf = matching_multifield(TropMatrix([[0, 1, "inf", 2, 0], ["1/2", 0, 0, "inf", 1], [2, "inf", 0, 1, 0]]))
     dropped = MatchingMultifield(3, 5, {**with_inf.choices, frozenset({2, 3, 4}): {(4, 2, 3)}})
     golden = [
@@ -656,6 +656,52 @@ def test_seeded_matching_digest(capsys, monkeypatch):
         B = TropMatrix([[scalar() if (i, j) in G.edges else "inf" for j in range(1, n + 1)] for i in range(1, d + 1)])
         record(["recover"], {"plucker": plucker_to_json(stiefel_map(B)), "support": graph_to_json(G)})
     assert digest.hexdigest() == MATCHING_DIGEST
+
+
+QUERY_DIGEST = "3721bcfab71a8dbd2a28208da2271e22940a4d098df7217bcf4f6d64081e6ec7"
+
+
+def test_seeded_query_digest(capsys, monkeypatch):
+    """One sha256 over the exit codes and stdout of the query commands on
+    100 seeded matrices, 1 <= d <= 4 and n <= 6, with ∞ and fractional
+    entries: member on a point y that is x ⊙ A, x ⊙ A with some coordinates
+    ∞, x ⊙ A raised on one column, or drawn at random; support-set on a
+    seeded graph, some with d > n + 1; and gen d n in each mode.  A refactor
+    must leave every byte as it was."""
+    rng = random.Random(35)
+    digest = hashlib.sha256()
+
+    def record(argv, text=None):
+        code, out = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
+        digest.update(f"{code}\n{out}".encode())
+
+    def scalar():
+        return Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
+
+    for _ in range(100):
+        d = rng.randint(1, 4)
+        n = rng.randint(d, 6)
+        p_inf = rng.choice([0, 0.15, 0.3])
+        rows = [[None if rng.random() < p_inf else scalar() for _ in range(n)] for _ in range(d)]
+        x = [scalar() for _ in range(d)]
+        image = [min((x[i] + rows[i][j] for i in range(d) if rows[i][j] is not None), default=None) for j in range(n)]
+        with_inf = [None if rng.random() < 0.4 else v for v in image]
+        raised = list(image)
+        k = rng.randrange(n)
+        raised[k] = None if raised[k] is None else raised[k] + rng.choice([Fraction(1, 2), 1, 2])
+        drawn = [scalar() for _ in range(n)]
+        entries = [["inf" if v is None else str(v) for v in row] for row in rows]
+        for y in (image, with_inf, raised, drawn):
+            point = {"matrix": {"entries": entries}, "vector": {"entries": ["inf" if v is None else str(v) for v in y]}}
+            record(["member"], json.dumps(point))
+        gd, gn = rng.randint(1, 5), rng.randint(1, 6)
+        p_edge = rng.choice([0.5, 0.8, 1])
+        G = {"d": gd, "n": gn, "edges": [[i, j] for i in range(1, gd + 1) for j in range(1, gn + 1) if rng.random() < p_edge]}
+        record(["support-set"], json.dumps(G))
+        seed = str(rng.randrange(1000))
+        for mode in ("dense", "support-set", "pointed"):
+            record(["gen", str(d), str(n), "--seed", seed, "--mode", mode])
+    assert digest.hexdigest() == QUERY_DIGEST
 
 
 def test_support_set_answers_on_complete_24x25(tmp_path, capsys):

@@ -49,10 +49,10 @@ from tropstiefel.linspace import (
     decompose,
     in_bounded_part,
     in_L,
+    select_matroid,
 )
 from tropstiefel.geom import DifferenceBounds
 from tropstiefel.plucker import stiefel_map
-from tropstiefel.subdivision import select_matroid
 
 FIG = TropMatrix([[0, 3, 0, "inf", "inf"], ["inf", 0, 0, 2, "inf"], ["inf", "inf", 0, 0, 0]])
 STAIR = TropMatrix([[0, 0, "inf", "inf"], ["inf", 0, 0, "inf"], ["inf", "inf", 0, 0]])

@@ -1,6 +1,7 @@
 """Rules on the library source itself that no behavioural test sees."""
 
 import ast
+import importlib
 import pathlib
 
 SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "tropstiefel"
@@ -45,10 +46,10 @@ def test_no_assert_in_library_code():
 # The only modules outside the package that ``src/`` may import.  Every op
 # of the ``geometry`` benchmark, and every ``setup_s`` sample, is a cold
 # ``import tropstiefel.cli``; with PYTHONDONTWRITEBYTECODE=1 set that
-# compiles all eight modules from source, so each import is paid by every
-# command.  ``dataclasses`` alone, which pulls in ``inspect``, moved that
-# import from 114 to 126–129 ms (medians of 15 cold runs on a shared 2-core
-# VM): a tenth more start-up for every command.
+# compiles every module of the package from source, so each import is paid
+# by every command.  ``dataclasses`` alone, which pulls in ``inspect``,
+# moved that import from 114 to 126–129 ms (medians of 15 cold runs on a
+# shared 2-core VM): a tenth more start-up for every command.
 ALLOWED_IMPORTS = {"__future__", "argparse", "fractions", "functools", "itertools", "json", "math", "random", "sys"}
 
 
@@ -167,6 +168,30 @@ def test_every_library_name_is_reached():
         + [label for attr, places in methods.items() for label, _ in places if attr not in attributes]
     )
     assert not unreached, f"library names neither the CLI nor the benchmark reaches: {unreached}"
+
+
+def test_benchmark_imports_resolve():
+    """Every ``from tropstiefel… import name`` in ``bench/workloads.py`` and
+    ``bench/run.py``, at any depth, imports and gives an attribute or a
+    submodule of that module: a refactor of ``src/`` that moves such a name
+    fails every benchmark run.  The traced ``TARGETS`` strings are not
+    imports; the tracer skips a missing one by design."""
+    imports = [
+        (path.name, node.module, alias.name)
+        for path in (BENCH_WORKLOADS, BENCH_WORKLOADS.with_name("run.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and not node.level and (node.module or "").split(".")[0] == "tropstiefel"
+        for alias in node.names
+    ]
+    assert imports
+    missing = []
+    for where, module, name in imports:
+        try:
+            if not hasattr(importlib.import_module(module), name):
+                importlib.import_module(f"{module}.{name}")
+        except ModuleNotFoundError:
+            missing.append(f"{where}: from {module} import {name}")
+    assert not missing, f"benchmark imports that no longer resolve: {missing}"
 
 
 # Codes ``src/`` raises that no command need reach, each with its reason.

@@ -6,14 +6,11 @@ import pytest
 
 from polyhedra import Polyhedron
 from reference import cell_exists, is_interior_cell, subdivisions_equal, transversal_polytope_ineqs, uniform_matroid
+from tropstiefel.arrangement import facets_of_D, facets_to_json
 from tropstiefel.bipartite import BipartiteGraph, transversal_matroid
 from tropstiefel.core import DomainError, INF, TropMatrix, TropVector
+from tropstiefel.linspace import select_matroid
 from tropstiefel.plucker import stiefel_map
-from tropstiefel.subdivision import (
-    facets_of_D,
-    facets_to_json,
-    select_matroid,
-)
 
 FIG = TropMatrix([[0, 3, 0, "inf", "inf"], ["inf", 0, 0, 2, "inf"], ["inf", "inf", 0, 0, 0]])
 STAIR = TropMatrix([[0, 0, "inf", "inf"], ["inf", 0, 0, "inf"], ["inf", "inf", 0, 0]])
