@@ -1,9 +1,9 @@
 """Tropical hyperplane arrangements of a matrix A.
 
-The full covector complex TC(A), its subcomplex K(A) (dragon marriage
-condition), the 0- and 1-cells of a list of cells with the ends of each
-1-cell (``skeleton``), and the facets of the matroid subdivision D(A), the
-containment-maximal transversal matroids of the cells (``facets_of_D``).
+The full covector complex TC(A), the 0- and 1-cells of a list of cells
+with the ends of each 1-cell (``skeleton``), and the facets of the matroid
+subdivision D(A), the containment-maximal transversal matroids of the cells
+(``facets_of_D``).
 
 The arrangement lives in the torus of x-coordinates, and every cell of TC(A)
 is a polytrope: the points whose covector is tau satisfy, per column j,
@@ -46,7 +46,6 @@ import itertools
 
 from .core import DomainError, TropMatrix, require_column_supports
 from .geom import DifferenceBounds
-from .bipartite import BipartiteGraph, dragon_condition, transversal_matroid
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +150,6 @@ def skeleton(cells):
     return vertices, [(c, [v for v in vertices if edges[v.covector] > edges[c.covector]]) for c in cells if c.dim == 1]
 
 
-def in_K(A: TropMatrix, covector) -> bool:
-    """The dragon marriage condition |J_I| >= |I| + 1 for nonempty I ⊆ [d]."""
-    return dragon_condition(BipartiteGraph(A.d, A.n, covector_edges(covector)))
-
-
 def facets_of_D(A: TropMatrix) -> frozenset:
     """The facet matroids of D(A): the containment-maximal transversal
     matroids over all covectors of TC(A).
@@ -164,6 +158,8 @@ def facets_of_D(A: TropMatrix) -> frozenset:
     maximal covectors can induce nested matroids once their cells are
     intersected with the hypersimplex.
     """
+    # imported here, so that covectors and render never compile bipartite
+    from .bipartite import BipartiteGraph, transversal_matroid
     matroids = set()
     for c in enumerate_covectors(A):
         M = transversal_matroid(BipartiteGraph(A.d, A.n, covector_edges(c.covector)))

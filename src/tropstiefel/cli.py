@@ -9,43 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
 
-from .core import (
-    DomainError,
-    TropMatrix,
-    dumps,
-    matrix_from_json,
-    matrix_to_json,
-    vector_from_json,
-)
-from .bipartite import (
-    graph_from_json,
-    is_coherent,
-    is_support_set,
-    matching_multifield,
-    multifield_from_json,
-    multifield_to_json,
-    random_support_set,
-    support_face_dimension,
-)
-from .plucker import (
-    check_plucker,
-    plucker_from_json,
-    plucker_to_json,
-    recover_matrix,
-    stiefel_map,
-)
-from .arrangement import cell_point, complex_to_json, enumerate_covectors, facets_of_D, facets_to_json, skeleton
-from .linspace import (
-    bounded_skeleton,
-    certificate_to_json,
-    decompose,
-    in_bounded_part,
-    in_L,
-)
+# Only ``core``, which every command reads and writes with, is imported
+# here; each handler imports the other library names it calls, so a cold
+# process compiles only the modules its command runs.
+from .core import DomainError, TropMatrix, dumps, matrix_from_json, matrix_to_json, vector_from_json
 
 
 def _read_input(args):
@@ -82,21 +52,25 @@ def _budget_kwargs(args):
 # ---------------------------------------------------------------------------
 
 def cmd_stiefel(args):
+    from .plucker import plucker_to_json, stiefel_map
     A = matrix_from_json(_read_input(args))
     return plucker_to_json(stiefel_map(A))
 
 
 def cmd_plucker_check(args):
+    from .plucker import check_plucker, plucker_from_json
     p = plucker_from_json(_read_input(args))
     return {"is_plucker": check_plucker(p)}
 
 
 def cmd_multifield(args):
+    from .bipartite import matching_multifield, multifield_to_json
     A = matrix_from_json(_read_input(args))
     return multifield_to_json(matching_multifield(A))
 
 
 def cmd_coherent(args):
+    from .bipartite import is_coherent, multifield_from_json
     mf = multifield_from_json(_read_input(args))
     witness = is_coherent(mf)
     if witness is None:
@@ -105,6 +79,7 @@ def cmd_coherent(args):
 
 
 def cmd_support_set(args):
+    from .bipartite import graph_from_json, is_support_set, support_face_dimension
     G = graph_from_json(_read_input(args))
     return {
         "is_support_set": is_support_set(G),
@@ -113,6 +88,7 @@ def cmd_support_set(args):
 
 
 def cmd_covectors(args):
+    from .arrangement import complex_to_json, enumerate_covectors
     A = matrix_from_json(_read_input(args))
     if args.format == "svg":
         return _svg_arrangement(A, args)
@@ -120,16 +96,19 @@ def cmd_covectors(args):
 
 
 def cmd_facets(args):
+    from .arrangement import facets_of_D, facets_to_json
     A = matrix_from_json(_read_input(args))
     return facets_to_json(facets_of_D(A))
 
 
 def cmd_member(args):
+    from .linspace import in_L
     A, y = _matrix_and_vector(_read_input(args))
     return {"in_L": in_L(A, y)}
 
 
 def cmd_decompose(args):
+    from .linspace import certificate_to_json, decompose
     A, y = _matrix_and_vector(_read_input(args))
     cert = decompose(A, y)
     if cert is None:
@@ -138,6 +117,7 @@ def cmd_decompose(args):
 
 
 def cmd_bounded(args):
+    from .linspace import in_bounded_part
     obj = _read_input(args)
     if args.format == "svg":
         A = matrix_from_json(obj["matrix"] if isinstance(obj, dict) and "matrix" in obj else obj)
@@ -147,6 +127,8 @@ def cmd_bounded(args):
 
 
 def cmd_recover(args):
+    from .bipartite import graph_from_json
+    from .plucker import plucker_from_json, recover_matrix
     obj = _read_input(args)
     if not isinstance(obj, dict) or "plucker" not in obj or "support" not in obj:
         raise UsageError("expected {'plucker': ..., 'support': ...}")
@@ -159,6 +141,8 @@ GEN_BUDGET = 10 ** 6  # d·n entries gen may draw, or d³n, the work of one supp
 
 
 def cmd_gen(args):
+    import random
+    from .bipartite import random_support_set
     if args.d < 1 or args.n < args.d:
         raise DomainError("BAD_SHAPE", "need 1 <= d <= n")
     rng = random.Random(args.seed)
@@ -206,6 +190,7 @@ def _svg_document(width, height, body):
 
 
 def _svg_arrangement(A, args):
+    from .arrangement import cell_point, enumerate_covectors, skeleton
     if A.d > 3:
         raise DomainError("BAD_FORMAT", "arrangement rendering requires d <= 3")
     tc = enumerate_covectors(A, **_budget_kwargs(args))
@@ -259,6 +244,7 @@ def _svg_arrangement(A, args):
 
 
 def _svg_tree(A, **budget):
+    from .linspace import bounded_skeleton
     if A.d != 2:
         raise DomainError("BAD_FORMAT", "tree rendering requires d = 2")
     verts, segs = bounded_skeleton(A, **budget)

@@ -21,9 +21,9 @@ bounded part need only the cells of TC(A) in K(A) and their dimensions, so
 from __future__ import annotations
 
 from .core import INF, DomainError, TropMatrix, TropVector, common_denom, quotient, require_column_supports, scalar_str
-from .bipartite import BipartiteGraph, assignment, hall_surplus_check
+from .bipartite import BipartiteGraph, assignment, dragon_condition, hall_surplus_check
 from .plucker import PluckerVector, contains
-from .arrangement import CELL_BUDGET, enumerate_covectors, in_K, skeleton
+from .arrangement import CELL_BUDGET, covector_edges, enumerate_covectors, skeleton
 
 
 def select_matroid(p: PluckerVector, y: TropVector) -> frozenset:
@@ -168,6 +168,11 @@ def decompose(A: TropMatrix, y: TropVector):
     x = TropVector([quotient(-w, unit) for w in u])
     slack = TropVector([quotient(-w, unit) for w in v])
     return DecompositionCertificate(tuple(map(tuple, F)), x, [j + 1 for j, w in enumerate(v) if w < 0], slack)
+
+
+def in_K(A: TropMatrix, covector) -> bool:
+    """The dragon marriage condition |J_I| >= |I| + 1 for nonempty I ⊆ [d]."""
+    return dragon_condition(BipartiteGraph(A.d, A.n, covector_edges(covector)))
 
 
 def _bounded_cells(A: TropMatrix, budget=CELL_BUDGET):

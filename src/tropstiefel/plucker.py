@@ -132,17 +132,23 @@ def recover_matrix(p: PluckerVector, support: BipartiteGraph) -> TropMatrix:
     the (d−1)-set [n] ∖ J_i; when p = stiefel_map(A) for A supported on the
     support set, the result equals A up to one constant per row.
     NOT_SUPPORT_SET for a support not a support set on p's [d] ⊔ [n], then
-    NOT_UNIFORM when a coordinate is ∞: the underlying matroid is not uniform.
+    NOT_UNIFORM when a coordinate is ∞: the underlying matroid is not uniform,
+    then NOT_STIEFEL_ON_SUPPORT when the result's image is not p up to one
+    constant, so that no matrix supported on the support set maps to p.
     """
     if (support.d, support.n) != (p.d, p.n) or not is_support_set(support):
         raise DomainError("NOT_SUPPORT_SET", "second argument must be a support set")
     if any(v is INF for v in p.values.values()):
         raise DomainError("NOT_UNIFORM", "underlying matroid must be uniform")
     ground = frozenset(range(1, p.n + 1))
-    return TropMatrix([
+    B = TropMatrix([
         [p[(ground - Ji) | {j}] if j in Ji else INF for j in range(1, p.n + 1)]
         for Ji in map(support.J, range(1, p.d + 1))
     ])
+    q = stiefel_map(B)  # finite: a support set matches every column d-set
+    if len({q.values[J] - v for J, v in p.values.items()}) != 1:
+        raise DomainError("NOT_STIEFEL_ON_SUPPORT", "no matrix on this support set maps to p")
+    return B
 
 
 # ---------------------------------------------------------------------------

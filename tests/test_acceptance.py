@@ -41,7 +41,7 @@ from reference import (
     vec_mat_mul,
     vector_to_json,
 )
-from tropstiefel.arrangement import covector_edges, enumerate_covectors, facets_of_D, in_K
+from tropstiefel.arrangement import covector_edges, enumerate_covectors, facets_of_D
 from tropstiefel.bipartite import (
     BipartiteGraph,
     is_support_set,
@@ -56,6 +56,7 @@ from tropstiefel.linspace import (
     contains_via_matroid,
     decompose,
     in_bounded_part,
+    in_K,
     in_L,
     select_matroid,
 )

@@ -25,11 +25,11 @@ from tropstiefel.arrangement import (
     complex_to_json,
     covector_edges,
     enumerate_covectors,
-    in_K,
 )
 from tropstiefel.bipartite import BipartiteGraph, matching_multifield
 from tropstiefel.core import DomainError, INF, TropMatrix, TropVector
 from tropstiefel.geom import DifferenceBounds
+from tropstiefel.linspace import in_K
 
 FIG = TropMatrix([[0, 3, 0, "inf", "inf"], ["inf", 0, 0, 2, "inf"], ["inf", "inf", 0, 0, 0]])
 STAIR = TropMatrix([[0, 0, "inf", "inf"], ["inf", 0, 0, "inf"], ["inf", "inf", 0, 0]])

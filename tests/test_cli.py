@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import tropstiefel.cli
-from reference import graph_to_json, plucker_proj_eq
+from reference import cocircuit, graph_to_json, plucker_proj_eq
 from tropstiefel.cli import main
 from tropstiefel.core import TropMatrix, matrix_from_json, matrix_to_json
 from tropstiefel.bipartite import (
@@ -147,6 +147,34 @@ def test_recover_command(tmp_path, capsys):
     assert code == 0
     B = matrix_from_json(json.loads(out))
     assert plucker_proj_eq(stiefel_map(B), stiefel_map(FIG))
+
+
+def test_recover_prints_only_a_matrix_that_maps_to_p(capsys, monkeypatch):
+    """recover prints a matrix only when its Stiefel image is p up to one
+    constant; otherwise it refuses with NOT_STIEFEL_ON_SUPPORT.  On 200
+    seeded dense A, d in 2..3 and n <= 6, each with a random support set G:
+    every printed matrix maps to π(A); every refusal is of a p whose rows
+    read off G, the cocircuits of [n] ∖ J_i, do not map to it; and π of A
+    cut down to G is always recovered."""
+    rng = random.Random(36)
+    refused = 0
+    for _ in range(200):
+        d = rng.randint(2, 3)
+        n = rng.randint(d, 6)
+        A = TropMatrix([[rng.randint(-20, 20) for _ in range(n)] for _ in range(d)])
+        G = random_support_set(rng, d, n)
+        on_G = TropMatrix([[v if (i, j) in G.edges else "inf" for j, v in enumerate(row, 1)] for i, row in enumerate(A.entries, 1)])
+        for M in (A, on_G):
+            p = stiefel_map(M)
+            code, out = run(capsys, ["recover"], stdin=json.dumps({"plucker": plucker_to_json(p), "support": graph_to_json(G)}), monkeypatch=monkeypatch)
+            if code == 0:
+                assert plucker_proj_eq(stiefel_map(matrix_from_json(json.loads(out))), p)
+                continue
+            assert M is A and (code, json.loads(out)) == (1, {"error": "NOT_STIEFEL_ON_SUPPORT"})
+            rows = [cocircuit(p, set(range(1, n + 1)) - G.J(i)).entries for i in range(1, d + 1)]
+            assert not plucker_proj_eq(stiefel_map(TropMatrix(rows)), p)
+            refused += 1
+    assert 0 < refused < 200, refused
 
 
 def test_gen_modes(capsys):
@@ -364,6 +392,36 @@ def test_bad_scalar_exit_code(tmp_path):
         assert proc.returncode == 1
         assert json.loads(proc.stdout) == {"error": "BAD_SCALAR"}
         assert "Traceback" not in proc.stderr
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    """Without kept bytecode a cold process compiles every module it
+    imports, so the CLI imports the library per command: in a fresh
+    interpreter each, ``import tropstiefel.cli`` loads only the package,
+    ``cli`` and ``core``; covectors and render (arrangement) load no
+    bipartite, plucker or linspace; facets loads no plucker or linspace."""
+    src = str(Path(tropstiefel.cli.__file__).resolve().parents[1])
+    script = (
+        "import sys\nimport tropstiefel.cli\n"
+        "code = tropstiefel.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('tropstiefel')), file=sys.stderr)"
+    )
+    path = write_input(tmp_path, matrix_to_json(FIG))
+
+    def loaded(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        code, *modules = proc.stderr.split()
+        assert code == "0", (argv, proc.stderr)
+        return set(modules)
+
+    assert loaded() == {"tropstiefel", "tropstiefel.cli", "tropstiefel.core"}
+    for argv in (["covectors"], ["covectors", "--format", "svg"], ["render"]):
+        assert not loaded(*argv, "--input", path) & {"tropstiefel.bipartite", "tropstiefel.plucker", "tropstiefel.linspace"}, argv
+    facets = loaded("facets", "--input", path)
+    assert "tropstiefel.bipartite" in facets and not facets & {"tropstiefel.plucker", "tropstiefel.linspace"}
 
 
 def test_an_edge_list_names_each_row_once(tmp_path, capsys):

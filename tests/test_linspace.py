@@ -30,7 +30,7 @@ from reference import (
     uniform_matroid,
     vec_mat_mul,
 )
-from tropstiefel.arrangement import cell_point, covector_edges, enumerate_covectors, in_K
+from tropstiefel.arrangement import cell_point, covector_edges, enumerate_covectors
 from tropstiefel.bipartite import BipartiteGraph, transversal_matroid
 from tropstiefel.core import (
     DomainError,
@@ -48,6 +48,7 @@ from tropstiefel.linspace import (
     DecompositionCertificate,
     decompose,
     in_bounded_part,
+    in_K,
     in_L,
     select_matroid,
 )
@@ -201,7 +202,8 @@ def decompose_all_cells(A, y):
     if _max_matching_size(BipartiteGraph.from_support(A), range(1, A.n + 1)) < A.d:
         raise DomainError("NO_MATCHING_IN_SUPPORT", "support contains no matching")
     covering = [cell for cell in tc if in_B(A, cell.covector)]  # asked once per cell, not once per J
-    for F, J, dbm in all_cells_systems(A, y, covering, lambda F, J: colwise_dragon_condition(covector_graph(A, F), J)):
+    graphs = {cell.covector: covector_graph(A, cell.covector) for cell in covering}  # built once per cell, not once per J
+    for F, J, dbm in all_cells_systems(A, y, covering, lambda F, J: colwise_dragon_condition(graphs[F], J)):
         x = TropVector(dbm.point()[1:])
         image = vec_mat_mul(x, A)
         return DecompositionCertificate(F, x, J, TropVector([y.entry(j) - image.entry(j) for j in range(1, A.n + 1)]))

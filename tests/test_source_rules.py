@@ -45,11 +45,14 @@ def test_no_assert_in_library_code():
 
 # The only modules outside the package that ``src/`` may import.  Every op
 # of the ``geometry`` benchmark, and every ``setup_s`` sample, is a cold
-# ``import tropstiefel.cli``; with PYTHONDONTWRITEBYTECODE=1 set that
-# compiles every module of the package from source, so each import is paid
-# by every command.  ``dataclasses`` alone, which pulls in ``inspect``,
-# moved that import from 114 to 126–129 ms (medians of 15 cold runs on a
-# shared 2-core VM): a tenth more start-up for every command.
+# ``import tropstiefel.cli``; with PYTHONDONTWRITEBYTECODE=1 set, that
+# process compiles from source each module of the package its command
+# loads, and runs each import those modules make at module level.  An
+# import in ``core`` or ``cli`` is paid by every command, and one in
+# another module by every command that loads it.  ``dataclasses`` alone,
+# which pulls in ``inspect``, moved ``import tropstiefel.cli`` from 114 to
+# 126–129 ms when every module was loaded at start-up (medians of 15 cold
+# runs on a shared 2-core VM): a tenth more start-up for every command.
 ALLOWED_IMPORTS = {"__future__", "argparse", "fractions", "functools", "itertools", "json", "math", "random", "sys"}
 
 
