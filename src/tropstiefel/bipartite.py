@@ -1,13 +1,14 @@
 """Bipartite combinatorics on [d] ⊔ [n].
 
-Graphs, optimal matchings under exact min-plus weights, matching
+Graphs, optimal matchings under min-plus weights in ints, matching
 multifields and their coherence, support-set predicates and sampling,
 transversal matroids, and the first-Betti-number dimension formula.  A
 matching is the tuple (j_1, ..., j_d) of its columns in row order, and a
 transversal matroid the frozenset of its bases.  One
-matching engine (``optimal_matchings``) answers which column sets can be
-matched and how well: the Stiefel map, multifields, coherence and
-transversal matroids; it refuses up front a table of more than
+matching engine (``optimal_matchings``), on int weights with None at ∞ (a
+matrix's ``ints``, or the 0/None rows of an edge set), answers which column
+sets can be matched and how well: the Stiefel map, multifields, coherence
+and transversal matroids; it refuses up front a table of more than
 ``MATCHING_BUDGET`` column sets.  Coherence is one ``geom.argmin_witness``
 question, refused up front past ``COHERENCE_BUDGET`` supported matchings.
 One Hungarian solve (``assignment``) gives a min-cost assignment of every
@@ -114,7 +115,8 @@ MATCHING_BUDGET = 10 ** 5  # column sets the matching engine may hold
 
 
 def optimal_matchings(rows, cols, limit=None):
-    """The matching engine on the d = len(rows) rows of a weight matrix.
+    """The matching engine on the d = len(rows) rows of an int weight
+    matrix, None at ∞.
 
     Returns (best, argmins).  ``best[S]`` is the least weight of a matching
     of rows 1..|S| onto each frozenset S ⊆ ``cols`` with |S| ≤ d that the
@@ -137,7 +139,7 @@ def optimal_matchings(rows, cols, limit=None):
         for S, w in layer.items():
             for j in cols:
                 a = row[j - 1]
-                if a is not INF and j not in S:
+                if a is not None and j not in S:
                     T, v = S | {j}, w + a
                     if T not in grown or v < grown[T]:
                         grown[T] = v
@@ -153,15 +155,16 @@ def _argmins(rows, best, memo, limit, S):
         row, out = rows[len(S) - 1], []
         for j in S:
             a, T = row[j - 1], S - {j}
-            if a is not INF and T in best and best[T] + a == best[S]:
+            if a is not None and T in best and best[T] + a == best[S]:
                 out += [m + (j,) for m in _argmins(rows, best, memo, limit, T)]
         memo[S] = out[:limit]
     return memo[S]
 
 
 def _zero_inf_rows(d, n, edges):
-    """The 0/∞ matrix of an edge set: every supported matching weighs 0."""
-    return [[0 if (i, j) in edges else INF for j in range(1, n + 1)] for i in range(1, d + 1)]
+    """The 0/∞ matrix of an edge set as int rows, None at ∞: every
+    supported matching weighs 0."""
+    return [[0 if (i, j) in edges else None for j in range(1, n + 1)] for i in range(1, d + 1)]
 
 
 def matching_multifield(A: TropMatrix) -> MatchingMultifield:
@@ -169,7 +172,7 @@ def matching_multifield(A: TropMatrix) -> MatchingMultifield:
     NO_MATCHING_IN_SUPPORT when d > n, which leaves no d-subset."""
     if A.d > A.n:
         raise DomainError("NO_MATCHING_IN_SUPPORT", "support contains no matching")
-    best, argmins = optimal_matchings(A.entries, range(1, A.n + 1))
+    best, argmins = optimal_matchings(A.ints, range(1, A.n + 1))
     choices = {}
     for J in itertools.combinations(range(1, A.n + 1), A.d):
         J = frozenset(J)

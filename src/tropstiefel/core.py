@@ -4,14 +4,16 @@ The semiring carrier is Q ∪ {∞} with ⊕ = min and ⊙ = +.  A finite value 
 an ``int`` when it is whole and otherwise a reduced `fractions.Fraction` with
 denominator > 1, so integer inputs never enter `Fraction` arithmetic;
 ``scalar`` keeps this on input and ``quotient`` on the quotients the library
-forms itself.  The absorbing element is the module singleton ``INF``.
-``trop_vanishes`` is the one test of "the minimum is ∞ or attained twice".
-Everything is immutable and exact -- no floats anywhere: ``/`` between two
-ints would give one, so the library divides only through ``quotient`` or
-with a `Fraction` on the left, and ``scalar_str`` refuses a float.
-``TropVector``, ``TropMatrix`` and ``plucker.PluckerVector`` take their
-integer form on construction (``integer_form``): ``denom``, the LCM of the
-finite entries' denominators, and ``ints``, the entries times it (None at ∞).
+forms itself.  Everything is immutable and exact -- no floats anywhere: ``/``
+between two ints would give one, so the library divides only through
+``quotient`` or with a `Fraction` on the left, and ``scalar_str`` refuses a
+float.  ``TropVector``, ``TropMatrix`` and ``plucker.PluckerVector`` take
+their integer form on construction (``integer_form``): ``denom``, the LCM of
+the finite entries' denominators, and ``ints``, the entries times it.  Every
+engine reads ``ints``, where ∞ is None; the module singleton ``INF`` is ∞
+only as a value is parsed, handed to a constructor or printed, and it has no
+arithmetic and no order.  ``trop_vanishes`` is the one test of "the minimum
+is attained twice" on the finite terms.
 
 Row and column indices are 1-based throughout the public API, matching the
 usual conventions for [d] x [n] bipartite objects.  Vector entries are
@@ -36,7 +38,7 @@ class DomainError(Exception):
 
 
 class _Infinity:
-    """The tropical additive identity +∞ (absorbing for ⊙, identity for ⊕)."""
+    """+∞ as parsed and printed: a sentinel with no arithmetic and no order."""
 
     _instance = None
     __slots__ = ()
@@ -48,28 +50,6 @@ class _Infinity:
 
     def __repr__(self):
         return "inf"
-
-    # ∞ is strictly greater than every rational.
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __add__(self, other):
-        return self
-
-    def __radd__(self, other):
-        return self
-
-    def __neg__(self):
-        raise DomainError("NEGATE_INF", "cannot negate infinity")
 
 
 INF = _Infinity()
@@ -135,12 +115,13 @@ def scalar_str(v) -> str:
 
 
 def trop_vanishes(values) -> bool:
-    """Tropical vanishing: the minimum of ``values`` is ∞ (as it is for no
-    values) or is attained at least twice.  This is the condition of
-    circuit membership and of the Plücker relations."""
+    """Tropical vanishing of the finite terms ``values``, ints: there are
+    none, so the minimum is ∞, or their minimum is attained at least twice.
+    This is the condition of circuit membership and of the Plücker
+    relations; an ∞ term is never the one minimum, so the caller leaves it
+    out."""
     values = list(values)
-    best = min(values, default=INF)
-    return best is INF or values.count(best) >= 2
+    return not values or values.count(min(values)) >= 2
 
 
 class TropVector:
@@ -163,7 +144,7 @@ class TropVector:
 
     def support(self):
         """1-based indices of finite entries."""
-        return frozenset(j + 1 for j, v in enumerate(self.entries) if v is not INF)
+        return frozenset(j + 1 for j, v in enumerate(self.ints) if v is not None)
 
     def is_finite(self):
         return None not in self.ints
@@ -205,9 +186,9 @@ class TropMatrix:
         """All (i,j), 1-based, with finite entry."""
         return frozenset(
             (i + 1, j + 1)
-            for i, row in enumerate(self.entries)
+            for i, row in enumerate(self.ints)
             for j, v in enumerate(row)
-            if v is not INF
+            if v is not None
         )
 
     def col_support(self, j):

@@ -20,7 +20,7 @@ bounded part need only the cells of TC(A) in K(A) and their dimensions, so
 
 from __future__ import annotations
 
-from .core import INF, DomainError, TropMatrix, TropVector, common_denom, quotient, require_column_supports, scalar_str
+from .core import DomainError, TropMatrix, TropVector, common_denom, quotient, require_column_supports, scalar_str
 from .bipartite import BipartiteGraph, assignment, dragon_condition, hall_surplus_check
 from .plucker import PluckerVector, contains
 from .arrangement import CELL_BUDGET, covector_edges, enumerate_covectors, skeleton
@@ -98,7 +98,7 @@ def in_L(A: TropMatrix, y: TropVector) -> bool:
         raise DomainError("LENGTH_MISMATCH", "y must have length n")
     *_, tight = _greatest_dual(A, y)
     covered = {j for _, j in tight}
-    return all(j in covered for j, w in enumerate(y.entries) if w is not INF)
+    return all(j in covered for j, w in enumerate(y.ints) if w is not None)
 
 
 def _require_uniform(A: TropMatrix):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .core import INF, DomainError, TropMatrix, TropVector, common_denom, integer_form, scalar, scalar_str, subset_from_key, trop_vanishes
+from .core import INF, DomainError, TropMatrix, TropVector, common_denom, integer_form, quotient, scalar, scalar_str, subset_from_key, trop_vanishes
 from .bipartite import BipartiteGraph, is_support_set, optimal_matchings
 
 
@@ -46,7 +46,7 @@ class PluckerVector:
         return self.values[frozenset(J)]
 
     def support(self):
-        return frozenset(J for J, v in self.values.items() if v is not INF)
+        return frozenset(J for J, w in self.ints.items() if w is not None)
 
     def __eq__(self, other):
         return (
@@ -60,9 +60,10 @@ class PluckerVector:
 
 
 def stiefel_map(A: TropMatrix) -> PluckerVector:
-    """π(A): the optimal-assignment value on every column d-subset."""
-    best = optimal_matchings(A.entries, range(1, A.n + 1))[0]
-    values = {J: best.get(J, INF) for J in map(frozenset, _subsets(A.n, A.d))}
+    """π(A): the optimal-assignment value on every column d-subset, from
+    the matching engine on A's ints, ∞ where no matching exists."""
+    best = optimal_matchings(A.ints, range(1, A.n + 1))[0]
+    values = {J: INF if (w := best.get(J)) is None else quotient(w, A.denom) for J in map(frozenset, _subsets(A.n, A.d))}
     if all(v is INF for v in values.values()):
         raise DomainError("NO_MATCHING_IN_SUPPORT", "support contains no matching")
     return PluckerVector(A.n, A.d, values)
@@ -138,7 +139,7 @@ def recover_matrix(p: PluckerVector, support: BipartiteGraph) -> TropMatrix:
     """
     if (support.d, support.n) != (p.d, p.n) or not is_support_set(support):
         raise DomainError("NOT_SUPPORT_SET", "second argument must be a support set")
-    if any(v is INF for v in p.values.values()):
+    if None in p.ints.values():
         raise DomainError("NOT_UNIFORM", "underlying matroid must be uniform")
     ground = frozenset(range(1, p.n + 1))
     B = TropMatrix([

@@ -60,7 +60,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, common_denom, require_column_supports, scalar, scalar_str
+from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, common_denom, quotient, require_column_supports, scalar, scalar_str
 from tropstiefel.geom import ONE, ZERO, DifferenceBounds, argmin_witness
 from tropstiefel.bipartite import BipartiteGraph, assignment, components, hall_surplus_check, optimal_matchings
 from tropstiefel.plucker import PluckerVector, _subsets
@@ -81,12 +81,8 @@ def common_ints(A: TropMatrix, y: TropVector):
 
 
 def trop_sum(values):
-    """⊕ over an iterable: the minimum, ∞ if empty."""
-    best = INF
-    for v in values:
-        if v < best:
-            best = v
-    return best
+    """⊕ over an iterable: the minimum of its finite terms, ∞ if none."""
+    return min((v for v in values if v is not INF), default=INF)
 
 
 def vec_mat_mul(x: TropVector, A: TropMatrix) -> TropVector:
@@ -95,7 +91,8 @@ def vec_mat_mul(x: TropVector, A: TropMatrix) -> TropVector:
         raise DomainError("LENGTH_MISMATCH", "vector length must equal row count")
     out = []
     for j in range(A.n):
-        out.append(trop_sum(x.entries[i] + A.entries[i][j] for i in range(A.d)))
+        terms = zip(x.entries, (row[j] for row in A.entries))
+        out.append(trop_sum(a + b for a, b in terms if a is not INF and b is not INF))
     return TropVector(out)
 
 
@@ -147,14 +144,15 @@ def min_matchings(A: TropMatrix, J):
     """Optimal-assignment value and all optimal matchings on column set J.
 
     Returns (value, argmins); value is INF and argmins empty when the
-    support of A admits no matching on J.  The engine runs on J alone."""
+    support of A admits no matching on J.  The engine runs on J alone, on
+    A's ints."""
     J = frozenset(J)
     if len(J) != A.d or not J <= frozenset(range(1, A.n + 1)):
         raise DomainError("BAD_SUBSET", "J must be a d-subset of [n]")
-    best, argmins = optimal_matchings(A.entries, sorted(J))
+    best, argmins = optimal_matchings(A.ints, sorted(J))
     if J not in best:
         return INF, frozenset()
-    return best[J], frozenset(argmins(J))
+    return quotient(best[J], A.denom), frozenset(argmins(J))
 
 
 def optimal_columns(cost):
@@ -335,7 +333,8 @@ def stable_union(p: PluckerVector, q: PluckerVector) -> PluckerVector:
         terms = []
         for R in itertools.combinations(sorted(Tset), p.d):
             Rset = frozenset(R)
-            terms.append(p[Rset] + q[Tset - Rset])
+            if p[Rset] is not INF and q[Tset - Rset] is not INF:
+                terms.append(p[Rset] + q[Tset - Rset])
         values[Tset] = trop_sum(terms)
     return PluckerVector(n, rank, values)
 
@@ -361,7 +360,7 @@ def covector_of_point(A: TropMatrix, x: TropVector):
         raise DomainError("BAD_POINT", "the point must be finite, one coordinate per row")
     covector = []
     for j in range(1, A.n + 1):
-        best = trop_sum(x.entry(i) + A.entry(i, j) for i in range(1, A.d + 1))
+        best = trop_sum(x.entry(i) + A.entry(i, j) for i in range(1, A.d + 1) if A.entry(i, j) is not INF)
         covector.append(tuple(i for i in range(1, A.d + 1) if A.entry(i, j) is not INF and x.entry(i) + A.entry(i, j) == best))
     return tuple(covector)
 
@@ -460,7 +459,7 @@ def is_trop_singular(B: TropMatrix) -> bool:
     if B.d != B.n:
         raise DomainError("BAD_SHAPE", "tropical singularity requires a square matrix")
     full = frozenset(range(1, B.n + 1))
-    best, argmins = optimal_matchings(B.entries, range(1, B.n + 1), limit=2)
+    best, argmins = optimal_matchings(B.ints, range(1, B.n + 1), limit=2)
     return full not in best or len(argmins(full)) == 2
 
 

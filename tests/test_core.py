@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 import sys
 from collections import Counter
@@ -117,23 +119,20 @@ def test_integer_form_on_construction():
     assert all(denoms[k] for k in (1, 2, 3, 6)), denoms
 
 
-def test_infinity_semantics():
-    assert INF + Fraction(5) is INF
-    assert Fraction(5) + INF is INF
-    assert min(Fraction(2), INF) == Fraction(2)
-    assert INF > Fraction(10 ** 9)
-    assert not (INF < INF)
-    assert INF <= INF and not (INF <= Fraction(0)) and INF >= Fraction(3)
-    with pytest.raises(DomainError) as exc:
-        -INF
-    assert exc.value.code == "NEGATE_INF"
+def test_infinity_sentinel():
+    # INF is parsed and printed, and it keeps its identity through copies;
+    # it has no arithmetic, order or negation, as the engines read None
+    assert scalar("inf") is INF and scalar(INF) is INF
+    assert scalar_str(INF) == "inf"
+    assert copy.deepcopy(INF) is INF and pickle.loads(pickle.dumps(INF)) is INF
+    assert copy.deepcopy(TropVector([1, "inf"])).entries[1] is INF
+    for op in (lambda: INF + 1, lambda: 1 + INF, lambda: INF < 0, lambda: 0 < INF, lambda: -INF):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_trop_vanishes():
-    for values, vanishes in (
-        ([], True), ([INF], True), ([INF, INF], True), ([3], False), ([1, INF], False),
-        ([1, 1, INF], True), ([Fraction(1, 2), 2, Fraction(1, 2)], True), ([2, 1, 2], False),
-    ):
+    for values, vanishes in (([], True), ([3], False), ([1, 1], True), ([1, 1, 2], True), ([2, 1, 2], False)):
         assert trop_vanishes(values) == trop_vanishes(iter(values)) == vanishes, values
 
 

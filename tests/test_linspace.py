@@ -249,7 +249,8 @@ def test_decompose_against_the_all_cells_route():
         A = TropMatrix([[INF if rng.random() < inf else half() for _ in range(n)] for _ in range(d)])
         if rng.random() < 0.5:
             image = vec_mat_mul(TropVector([half() for _ in range(d)]), A)
-            y = TropVector([v + (abs(half()) if rng.random() < 0.3 else 0) for v in image.entries])
+            raise_by = [abs(half()) if rng.random() < 0.3 else 0 for _ in image.entries]
+            y = TropVector([v if v is INF else v + r for v, r in zip(image.entries, raise_by)])
         else:
             y = TropVector([half() for _ in range(n)])
         out, expected = decompose_outcome(decompose, A, y), decompose_outcome(decompose_all_cells, A, y)
@@ -280,7 +281,7 @@ def test_decompose_against_the_all_cells_route_where_j_fills():
             x, path, J = [half() for _ in range(d)], rng.sample(range(d), d), rng.sample(range(n), rng.randint(0, d - 1))
             ties = [set(path[J.index(j):J.index(j) + 2]) if j in J else {rng.randrange(d)} for j in range(n)]
             c = [half() for _ in range(n)]
-            A = TropMatrix([[c[j] - x[i] + (0 if i in ties[j] else INF if rng.random() < 0.6 else rng.randint(1, 3)) for j in range(n)] for i in range(d)])
+            A = TropMatrix([[c[j] - x[i] if i in ties[j] else INF if rng.random() < 0.6 else c[j] - x[i] + rng.randint(1, 3) for j in range(n)] for i in range(d)])
             y = TropVector([c[j] + (rng.randint(1, 4) if j in J else 0) for j in range(n)])
         else:
             A = TropMatrix([[INF if rng.random() < 0.4 else half() for _ in range(n)] for _ in range(d)])

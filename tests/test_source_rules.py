@@ -197,19 +197,11 @@ def test_benchmark_imports_resolve():
     assert not missing, f"benchmark imports that no longer resolve: {missing}"
 
 
-# Codes ``src/`` raises that no command need reach, each with its reason.
-NOT_A_REFUSAL = {
-    # ``core.INF`` refuses to be negated, as −∞ is no scalar: a guard
-    # against a bug in the library's own arithmetic, not a refusal of input
-    "NEGATE_INF",
-}
-
-
 def test_every_error_code_is_named_by_a_test():
     """Each code a library ``DomainError`` raises by name appears as a
     string constant in ``tests/test_cli.py``, so every refusal of input has
     a command that is asked for it by its code; a refusal no command can
-    reach fails here.  ``NOT_A_REFUSAL`` lists the exceptions."""
+    reach fails here."""
     raised = {
         node.args[0].value
         for path in sorted(SOURCE.glob("*.py"))
@@ -223,8 +215,8 @@ def test_every_error_code_is_named_by_a_test():
         for node in ast.walk(ast.parse(cli_tests.read_text(encoding="utf-8"), filename=str(cli_tests)))
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     }
-    assert raised and NOT_A_REFUSAL <= raised
-    assert not raised - named - NOT_A_REFUSAL, f"error codes no CLI test names: {sorted(raised - named - NOT_A_REFUSAL)}"
+    assert raised
+    assert not raised - named, f"error codes no CLI test names: {sorted(raised - named)}"
 
 
 # The true divisions the library holds, as (file, enclosing function,
