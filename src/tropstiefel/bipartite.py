@@ -24,7 +24,7 @@ import functools
 import itertools
 import math
 
-from .core import INF, DomainError, TropMatrix, subset_from_key
+from .core import DomainError, TropMatrix, subset_from_key
 from .geom import argmin_witness
 
 
@@ -267,13 +267,13 @@ def is_coherent(multifield: MatchingMultifield):
     if witness is None:
         return None
 
-    entries = [[INF] * multifield.n for _ in range(multifield.d)]
+    entries = [[None] * multifield.n for _ in range(multifield.d)]
     for (i, j), k in index.items():
         entries[i - 1][j - 1] = witness[k]
     # gauge: subtract row minima for a reproducible witness
     for row in entries:
-        m = min(v for v in row if v is not INF)
-        row[:] = [v if v is INF else v - m for v in row]
+        m = min(v for v in row if v is not None)
+        row[:] = [v if v is None else v - m for v in row]
     A = TropMatrix(entries)
     if matching_multifield(A) != multifield:  # pragma: no cover - sanity
         raise AssertionError("coherence witness failed to reproduce the multifield")

@@ -10,10 +10,10 @@ between two ints would give one, so the library divides only through
 float.  ``TropVector``, ``TropMatrix`` and ``plucker.PluckerVector`` take
 their integer form on construction (``integer_form``): ``denom``, the LCM of
 the finite entries' denominators, and ``ints``, the entries times it.  Every
-engine reads ``ints``, where ∞ is None; the module singleton ``INF`` is ∞
-only as a value is parsed, handed to a constructor or printed, and it has no
-arithmetic and no order.  ``trop_vanishes`` is the one test of "the minimum
-is attained twice" on the finite terms.
+engine reads ``ints``.  ∞ is ``None`` in every form; ``INF`` names it
+where a value is parsed or printed, and it has no arithmetic and no order.
+``trop_vanishes`` is the one test of "the minimum is attained twice" on the
+finite terms.
 
 Row and column indices are 1-based throughout the public API, matching the
 usual conventions for [d] x [n] bipartite objects.  Vector entries are
@@ -37,27 +37,12 @@ class DomainError(Exception):
         self.code = code
 
 
-class _Infinity:
-    """+∞ as parsed and printed: a sentinel with no arithmetic and no order."""
-
-    _instance = None
-    __slots__ = ()
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "inf"
-
-
-INF = _Infinity()
+INF = None
 
 
 def scalar(x):
-    """Coerce ``x`` (int, Fraction, 'p/q' string, 'inf', INF) to a scalar:
-    INF, an int when the value is whole, else a reduced Fraction."""
+    """Coerce ``x`` (int, Fraction, 'p/q' string, 'inf', None) to a scalar:
+    None at ∞, an int when the value is whole, else a reduced Fraction."""
     if x is INF or type(x) is int:
         return x
     if isinstance(x, Fraction):
@@ -88,10 +73,10 @@ def quotient(num, den):
 def integer_form(values):
     """(denom, ints): the LCM of the finite ``values``' denominators and
     each value times it, an int, or None at ∞."""
-    denom = math.lcm(*{v.denominator for v in values if v is not INF})
+    denom = math.lcm(*{v.denominator for v in values if v is not None})
     if denom == 1:
-        return 1, tuple([None if v is INF else v for v in values])
-    return denom, tuple([None if v is INF else v.numerator * (denom // v.denominator) for v in values])
+        return 1, tuple(values)
+    return denom, tuple([None if v is None else v.numerator * (denom // v.denominator) for v in values])
 
 
 def common_denom(p, q):
@@ -193,7 +178,7 @@ class TropMatrix:
 
     def col_support(self, j):
         """I_j: rows with finite entry in column j."""
-        return frozenset(i for i in range(1, self.d + 1) if self.entry(i, j) is not INF)
+        return frozenset(i for i in range(1, self.d + 1) if self.entry(i, j) is not None)
 
     def __eq__(self, other):
         return isinstance(other, TropMatrix) and self.entries == other.entries
@@ -226,6 +211,8 @@ def matrix_from_json(obj) -> TropMatrix:
         raise DomainError("BAD_MATRIX_JSON", "expected {'d','n','entries'}")
     if not all(isinstance(row, list) for row in obj["entries"]):
         raise DomainError("BAD_MATRIX_JSON", "entries must be a list of rows")
+    if any(None in row for row in obj["entries"]):
+        raise DomainError("BAD_SCALAR", 'null is not a scalar; ∞ is "inf"')
     A = TropMatrix(obj["entries"])
     for key, size in (("d", A.d), ("n", A.n)):
         if key in obj and not (type(obj[key]) is int and obj[key] == size):
@@ -236,6 +223,8 @@ def matrix_from_json(obj) -> TropMatrix:
 def vector_from_json(obj) -> TropVector:
     if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
         raise DomainError("BAD_VECTOR_JSON", "expected {'entries': [...]}")
+    if None in obj["entries"]:
+        raise DomainError("BAD_SCALAR", 'null is not a scalar; ∞ is "inf"')
     return TropVector(obj["entries"])
 
 

@@ -175,17 +175,13 @@ def in_K(A: TropMatrix, covector) -> bool:
     return dragon_condition(BipartiteGraph(A.d, A.n, covector_edges(covector)))
 
 
-def _bounded_cells(A: TropMatrix, budget=CELL_BUDGET):
-    """The cells of TC(A) that lie in K(A), after ``_require_uniform``;
-    ``enumerate_covectors`` refuses past ``budget`` cells of TC(A)."""
-    _require_uniform(A)
-    return [cell for cell in enumerate_covectors(A, budget) if in_K(A, cell.covector)]
-
-
 def bounded_skeleton(A: TropMatrix, budget=CELL_BUDGET):
     """The vertices (0-cells) of the bounded complex, and each of its
-    segments (1-cells) with its ends, as in ``arrangement.skeleton``."""
-    return skeleton(_bounded_cells(A, budget))
+    segments (1-cells) with its ends, as in ``arrangement.skeleton``: from
+    the cells of TC(A) in K(A), after ``_require_uniform``.
+    ``enumerate_covectors`` refuses past ``budget`` cells of TC(A)."""
+    _require_uniform(A)
+    return skeleton([cell for cell in enumerate_covectors(A, budget) if in_K(A, cell.covector)])
 
 
 def certificate_to_json(cert: DecompositionCertificate):

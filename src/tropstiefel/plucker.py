@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .core import INF, DomainError, TropMatrix, TropVector, common_denom, integer_form, quotient, scalar, scalar_str, subset_from_key, trop_vanishes
+from .core import DomainError, TropMatrix, TropVector, common_denom, integer_form, quotient, scalar, scalar_str, subset_from_key, trop_vanishes
 from .bipartite import BipartiteGraph, is_support_set, optimal_matchings
 
 
@@ -36,7 +36,7 @@ class PluckerVector:
                 raise DomainError("MISSING_COORDINATE", f"no value for {list(J)}")
             vals[key] = scalar(values[key])
         self.values = vals
-        if all(v is INF for v in vals.values()):
+        if all(v is None for v in vals.values()):
             raise DomainError("ALL_INF", "Plücker vectors may not be identically ∞")
         self.denom, ints = integer_form(vals.values())
         self.ints = dict(zip(vals, ints))
@@ -44,9 +44,6 @@ class PluckerVector:
 
     def __getitem__(self, J):
         return self.values[frozenset(J)]
-
-    def support(self):
-        return frozenset(J for J, w in self.ints.items() if w is not None)
 
     def __eq__(self, other):
         return (
@@ -63,8 +60,8 @@ def stiefel_map(A: TropMatrix) -> PluckerVector:
     """π(A): the optimal-assignment value on every column d-subset, from
     the matching engine on A's ints, ∞ where no matching exists."""
     best = optimal_matchings(A.ints, range(1, A.n + 1))[0]
-    values = {J: INF if (w := best.get(J)) is None else quotient(w, A.denom) for J in map(frozenset, _subsets(A.n, A.d))}
-    if all(v is INF for v in values.values()):
+    values = {J: None if (w := best.get(J)) is None else quotient(w, A.denom) for J in map(frozenset, _subsets(A.n, A.d))}
+    if all(v is None for v in values.values()):
         raise DomainError("NO_MATCHING_IN_SUPPORT", "support contains no matching")
     return PluckerVector(A.n, A.d, values)
 
@@ -143,7 +140,7 @@ def recover_matrix(p: PluckerVector, support: BipartiteGraph) -> TropMatrix:
         raise DomainError("NOT_UNIFORM", "underlying matroid must be uniform")
     ground = frozenset(range(1, p.n + 1))
     B = TropMatrix([
-        [p[(ground - Ji) | {j}] if j in Ji else INF for j in range(1, p.n + 1)]
+        [p[(ground - Ji) | {j}] if j in Ji else None for j in range(1, p.n + 1)]
         for Ji in map(support.J, range(1, p.d + 1))
     ])
     q = stiefel_map(B)  # finite: a support set matches every column d-set
@@ -170,7 +167,12 @@ def plucker_from_json(obj) -> PluckerVector:
     d, n = obj["d"], obj["n"]
     if not (type(d) is int and type(n) is int and 0 <= d <= n and isinstance(obj["values"], dict)):
         raise DomainError("BAD_PLUCKER_JSON", "need integers 0 <= d <= n and a values object")
-    values = {subset_from_key(key, d, n, "BAD_PLUCKER_JSON"): scalar(v) for key, v in obj["values"].items()}
+    values = {}
+    for key, v in obj["values"].items():
+        J = subset_from_key(key, d, n, "BAD_PLUCKER_JSON")
+        if v is None:
+            raise DomainError("BAD_SCALAR", 'null is not a scalar; ∞ is "inf"')
+        values[J] = scalar(v)
     if len(values) != len(obj["values"]):
         raise DomainError("BAD_PLUCKER_JSON", "two keys name one subset")
     return PluckerVector(n, d, values)

@@ -64,8 +64,8 @@ from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, common_de
 from tropstiefel.geom import ONE, ZERO, DifferenceBounds, argmin_witness
 from tropstiefel.bipartite import BipartiteGraph, assignment, components, hall_surplus_check, optimal_matchings
 from tropstiefel.plucker import PluckerVector, _subsets
-from tropstiefel.arrangement import covector_edges, facets_of_D
-from tropstiefel.linspace import _bounded_cells, bounded_skeleton, select_matroid
+from tropstiefel.arrangement import covector_edges, enumerate_covectors, facets_of_D
+from tropstiefel.linspace import _require_uniform, bounded_skeleton, in_K, select_matroid
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +294,7 @@ def graph_to_json(G: BipartiteGraph):
 # ---------------------------------------------------------------------------
 
 def underlying_matroid(p: PluckerVector) -> frozenset:
-    return p.support()
+    return frozenset(J for J, w in p.ints.items() if w is not None)
 
 
 def cocircuit(p: PluckerVector, S) -> TropVector:
@@ -548,10 +548,13 @@ def bounded_complex(A: TropMatrix):
     consistently with the arrangement cells (the image of x_1 = 0 is
     y_j1 = a_1j1 for the least column j1 of row 1 in F), a tie of y_j1 to
     the origin."""
+    _require_uniform(A)
     a = A.ints
     out = []
-    for cell in _bounded_cells(A):
+    for cell in enumerate_covectors(A):
         F = cell.covector
+        if not in_K(A, F):
+            continue
         j1 = min(j for j, I in enumerate(F, 1) if 1 in I)
         image = decomposition_cone(A, covector_edges(F), ())
         c = a[0][j1 - 1]  # a_1j1 in the cone's unit

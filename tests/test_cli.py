@@ -381,17 +381,23 @@ def test_determinism_of_covectors_output(tmp_path, capsys):
 
 
 def test_bad_scalar_exit_code(tmp_path):
+    # the library reads None as ∞, but in JSON ∞ is only "inf": each of the
+    # three scalar readers refuses null, where the input is otherwise valid
     src = str(Path(tropstiefel.cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    for bad in ("abc", "1/0", "1e5000", "1e100000000"):
-        path = write_input(tmp_path, {"entries": [[bad, "1"]]})
+    cases = [("covectors", {"entries": [[bad, "1"]]}) for bad in ("abc", "1/0", "1e5000", "1e100000000")] + [
+        ("stiefel", {"entries": [[None, "1"], ["0", "0"]]}),
+        ("member", {"matrix": {"entries": [["0", "1"], ["1", "0"]]}, "vector": {"entries": [None, "0"]}}),
+        ("plucker-check", {"d": 1, "n": 2, "values": {"1": None, "2": "0"}}),
+    ]
+    for command, obj in cases:
         proc = subprocess.run(
-            [sys.executable, "-m", "tropstiefel.cli", "covectors", "--input", path],
+            [sys.executable, "-m", "tropstiefel.cli", command, "--input", write_input(tmp_path, obj)],
             capture_output=True, text=True, env=env, timeout=60,
         )
-        assert proc.returncode == 1
-        assert json.loads(proc.stdout) == {"error": "BAD_SCALAR"}
-        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 1, obj
+        assert json.loads(proc.stdout) == {"error": "BAD_SCALAR"}, obj
+        assert "Traceback" not in proc.stderr, obj
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):

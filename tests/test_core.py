@@ -120,10 +120,13 @@ def test_integer_form_on_construction():
 
 
 def test_infinity_sentinel():
-    # INF is parsed and printed, and it keeps its identity through copies;
-    # it has no arithmetic, order or negation, as the engines read None
-    assert scalar("inf") is INF and scalar(INF) is INF
+    # ∞ is None in every form: INF names it where a value is parsed or
+    # printed, it keeps its identity through copies, and it has no
+    # arithmetic, order or negation
+    assert INF is None
+    assert scalar("inf") is INF and scalar(INF) is INF and scalar(None) is None
     assert scalar_str(INF) == "inf"
+    assert TropVector([1, None]) == TropVector([1, "inf"])
     assert copy.deepcopy(INF) is INF and pickle.loads(pickle.dumps(INF)) is INF
     assert copy.deepcopy(TropVector([1, "inf"])).entries[1] is INF
     for op in (lambda: INF + 1, lambda: 1 + INF, lambda: INF < 0, lambda: 0 < INF, lambda: -INF):

@@ -118,6 +118,20 @@ def test_lcm_only_in_core():
     assert not found, f"lcm outside core: {found}"
 
 
+def test_inf_read_only_in_core():
+    """∞ is ``None`` in every form.  ``core`` binds ``INF = None`` for the
+    places that parse and print a scalar; every other module writes and
+    tests ``None``, and neither reads, imports nor binds the name ``INF``."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name != "core.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if "INF" in (getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None))
+    ]
+    assert not found, f"INF read outside core: {found}"
+
+
 BENCH_WORKLOADS = SOURCE.parents[1] / "bench" / "workloads.py"
 
 
