@@ -10,7 +10,9 @@ matrix's ``ints``, or the 0/None rows of an edge set), answers which column
 sets can be matched and how well: the Stiefel map, multifields, coherence
 and transversal matroids; it refuses up front a table of more than
 ``MATCHING_BUDGET`` column sets.  Coherence is one ``geom.argmin_witness``
-question, refused up front past ``COHERENCE_BUDGET`` supported matchings.
+question, a transposed LP with a row per support edge and a column per
+supported matching whose "no" comes with a checked certificate, refused up
+front past ``COHERENCE_BUDGET`` supported matchings.
 One Hungarian solve (``assignment``) gives a min-cost assignment of every
 row and the greatest optimal dual; d of them answer the Hall-type surplus
 condition behind the support-set test, the dragon condition and the
@@ -236,7 +238,7 @@ def assignment(cost):
     return [row[m] - v[m] for row, m in zip(cost, match)], v, match
 
 
-COHERENCE_BUDGET = 2 * 10 ** 3  # supported matchings (one LP row each) the coherence LP may hold
+COHERENCE_BUDGET = 2 * 10 ** 3  # supported matchings the coherence LP may hold: a tableau column each, two for a tie
 
 
 def is_coherent(multifield: MatchingMultifield):
@@ -248,7 +250,8 @@ def is_coherent(multifield: MatchingMultifield):
     with height 0.  The supported matchings on J are the optimal ones of the
     support's 0/∞ matrix, on which each of them weighs 0.  DomainError
     BUDGET_EXCEEDED, before the LP, when they are more than
-    ``COHERENCE_BUDGET``; a list cut at one past it is alone over it.
+    ``COHERENCE_BUDGET``; a list cut at one past it is alone over it.  A
+    None has passed ``argmin_witness``'s certificate check.
     """
     support = sorted(multifield.support())
     index = {e: k for k, e in enumerate(support)}

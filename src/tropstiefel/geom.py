@@ -9,15 +9,24 @@ Systems mix equalities, weak and strict inequalities.  Two engines:
   Rational constants are scaled to integers by the LCM of their
   denominators, and strict bounds are exact through one ε = 1/(V+1) fixed
   by the number of nodes V.  A closed matrix answers a witness by lookups;
-* a two-phase exact simplex with Bland's rule over Fractions answers
+* an exact simplex with Bland's rule over Fractions answers
   ``argmin_witness``, a linear height under which chosen points are exactly
   the argmins: the one question that is not a difference system.  Its one
   library caller is the coherence of a matching multifield (a cone of the
-  secondary fan of the product of maximal minors).  ``strict_feasible``
-  relaxes each strict row a·x > b to a·x >= b + ε and maximizes ε; the
-  system is strictly feasible iff the optimum has ε > 0.  Free variables
-  are x = u − t·1 with u, t >= 0: one shift column t serves every
-  coordinate.
+  secondary fan of the product of maximal minors).  Ex = b, Gx > h has a
+  solution iff "maximize ε subject to Ex = b, Gx − ε·1 >= h, ε <= 1" has
+  an optimum ε* > 0.  The simplex solves the transposed LP
+
+      minimize b·λ − h·ν + μ  subject to  λE − νG = 0,  Σν + μ = 1,
+      λ free (as λ⁺ − λ⁻),  ν, μ >= 0,
+
+  one row per coordinate of x and one more, from the feasible basis μ = 1:
+  the rows of x have right-hand side 0, so one pivot per row takes its
+  artificial column out, and no phase 1 is needed.  When ε* > 0, x is read
+  off the reduced costs of the artificial columns.  Otherwise the optimal
+  (λ, ν, μ), or a ray of the dual when Ex = b has no solution, proves that
+  there is no x (Motzkin's transposition theorem, 1936), and it is checked
+  by exact products before the answer is given.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# Exact two-phase simplex (maximization), Bland's rule
+# Exact simplex (maximization), Bland's rule
 # ---------------------------------------------------------------------------
 
 def _pivot(tab, basis, r, c):
@@ -83,66 +92,60 @@ def _run_simplex(tab, basis, nvars):
         _pivot(tab, basis, best[1], col)
 
 
-def lp_solve(dim, eqs, ges, objective):
-    """Maximize objective·x subject to eqs and ges over free variables.
-
-    Returns (status, point, value) with status in
-    {'optimal', 'unbounded', 'infeasible'}; point/value are None unless
-    optimal.
-    """
-    ges = list(ges)
-    nreal = dim + 1 + len(ges)  # x = u - t·1 with u, t >= 0, one surplus var per >=
-
-    def lift(a):  # a·x as a·u - (Σa)·t
-        a = [Fraction(v) for v in a]
-        return a + [-sum(a, ZERO)]
-
-    rows = [(lift(a) + [ZERO] * len(ges), Fraction(b)) for a, b in eqs]
-    rows += [(lift(a) + [-ONE if k == idx else ZERO for k in range(len(ges))], Fraction(b)) for idx, (a, b) in enumerate(ges)]
-
-    m = len(rows)
-
-    # Phase 1 tableau with one artificial variable per row.
-    tab = []
-    for i, (a, b) in enumerate(rows):
-        if b < 0:
-            a = [-v for v in a]
-            b = -b
-        art = [ZERO] * m
-        art[i] = ONE
-        tab.append(a + art + [b])
-    basis = [nreal + i for i in range(m)]
-    tab.append([ZERO] * (nreal + m + 1))
-    c1 = [ZERO] * nreal + [-ONE] * m
-    _set_objective(tab, basis, c1)
-    _run_simplex(tab, basis, nreal + m)
-    if tab[-1][-1] < 0:
-        return "infeasible", None, None
-
-    # Drive remaining artificials out of the basis, then drop their columns.
-    drop_rows = []
-    for i in range(m):
-        if basis[i] >= nreal:
-            col = next((j for j in range(nreal) if tab[i][j] != 0), None)
-            if col is None:
-                drop_rows.append(i)
-            else:
-                _pivot(tab, basis, i, col)
-    for i in sorted(drop_rows, reverse=True):
-        del tab[i]
-        del basis[i]
-    tab = [row[:nreal] + [row[-1]] for row in tab]
-
-    c2 = lift(objective) + [ZERO] * len(ges)
-    _set_objective(tab, basis, c2)
-    status = _run_simplex(tab, basis, nreal)
-    if status == "unbounded":
-        return "unbounded", None, None
-    vals = [ZERO] * nreal
-    for i, b in enumerate(basis):
-        vals[b] = tab[i][-1]
-    point = tuple(vals[k] - vals[dim] for k in range(dim))
-    return "optimal", point, tab[-1][-1]
+def argmin_witness(dim, groups):
+    """A point w at which, in every group (chosen, others) of lists of
+    (vector, height) pairs, each chosen pair attains the minimum of
+    height + vector·w and each other pair exceeds it; None when there is
+    no such w.  The rows are taken against the group's first chosen pair:
+    an equality a·w = b per further chosen pair (the rows E, b), a strict
+    inequality g·w > h per other (the rows G, h).  The simplex solves the
+    transposed LP of the module docstring; a point it reads off is checked
+    against every row, and a certificate (λ, ν, μ) of value
+    c = b·λ − h·ν + μ must pass λE = νG, ν, μ >= 0 and c <= 0 < Σν + μ − c
+    before None is returned: a w would give 0 = λEw − νGw <= b·λ − h·ν,
+    with equality only at ν = 0, so c >= μ >= 0, and c <= 0 would force
+    c = μ = 0 and ν = 0, that is Σν + μ − c = 0."""
+    eqs, gts = [], []
+    for ((v0, h0), *tied), others in groups:
+        rel = lambda v: tuple(x - y for x, y in zip(v, v0))
+        eqs += [(rel(v), h0 - h) for v, h in tied]
+        gts += [(rel(v), h0 - h) for v, h in others]
+    # the columns λ⁺, λ⁻, ν and μ as (entries on the rows of x, entry on the
+    # row Σν + μ = 1, cost to maximize), then an artificial column per row of x
+    neg = lambda a: tuple(-c for c in a)
+    cols = ([(a, 0, -b) for a, b in eqs] + [(neg(a), 0, b) for a, b in eqs]
+            + [(neg(g), 1, h) for g, h in gts] + [((0,) * dim, 1, -1)])
+    real = len(cols)
+    # entries as given; the right-hand sides are Fractions, so each ratio is exact
+    tab = [[a[k] for a, _, _ in cols] + [ONE if j == k else ZERO for j in range(dim)] + [ZERO] for k in range(dim)]
+    tab += [[s for _, s, _ in cols] + [ZERO] * dim + [ONE], [ZERO] * (real + dim + 1)]
+    basis = [real + k for k in range(dim)] + [real - 1]
+    for k in range(dim):  # right-hand side 0: a pivot anywhere in the row keeps the basis feasible
+        c = next((j for j in range(real) if tab[k][j]), None)
+        if c is not None:  # else no row mentions x_k, and its artificial stays at 0
+            _pivot(tab, basis, k, c)
+    _set_objective(tab, basis, [c for _, _, c in cols])
+    dot = lambda a, y: sum(c * v for c, v in zip(a, y))
+    if _run_simplex(tab, basis, real) == "optimal" and tab[-1][-1] < 0:  # the optimum is −ε*
+        x = tuple(-y for y in tab[-1][real:-1])
+        if not (all(dot(a, x) == b for a, b in eqs) and all(dot(g, x) > h for g, h in gts)):  # pragma: no cover - sanity
+            raise AssertionError("simplex point fails the system it solves")
+        return x
+    # the optimal (λ, ν, μ); or, when Ex = b has no solution and the dual
+    # objective falls without end, the ray along the column that would enter
+    ray = next((j for j in range(real) if tab[-1][j] < 0), None)
+    y = [ZERO] * (real + dim)
+    for i, c in enumerate(basis):
+        y[c] = tab[i][-1] if ray is None else -tab[i][ray]
+    if ray is not None:
+        y[ray] = ONE
+    e = len(eqs)
+    lam, nu, mu = [p - q for p, q in zip(y[:e], y[e:2 * e])], y[2 * e:real - 1], y[real - 1]
+    c = dot(lam, [b for _, b in eqs]) - dot(nu, [h for _, h in gts]) + mu
+    balanced = all(dot(lam, [a[k] for a, _ in eqs]) == dot(nu, [a[k] for a, _ in gts]) for k in range(dim))
+    if not (balanced and all(v >= 0 for v in nu) and mu >= 0 and c <= 0 < sum(nu) + mu - c):
+        raise AssertionError("simplex certificate fails the system it refutes")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -216,40 +219,3 @@ class DifferenceBounds:
         p = [min(row[v] for row in m if row[v] is not None) for v in range(self.size)]
         den = self.scale * self.unit
         return tuple(quotient(pv - p[0], den) for pv in p)
-
-
-def strict_feasible(dim, eqs=(), ges=(), gts=()):
-    """An exact x meeting the rows (a, b), each a of length ``dim`` and b
-    rational: a·x = b for ``eqs``, a·x >= b for ``ges`` and a·x > b for
-    ``gts``; None when there is none.  The simplex maximizes ε with the
-    strict rows relaxed to a·x >= b + ε."""
-    status, point, value = lp_solve(
-        dim + 1,
-        [(tuple(a) + (ZERO,), b) for a, b in eqs],
-        [(tuple(a) + (ZERO,), b) for a, b in ges]
-        + [(tuple(a) + (-ONE,), b) for a, b in gts]
-        + [((ZERO,) * dim + (-ONE,), -ONE)],  # ε <= 1
-        [ZERO] * dim + [ONE],
-    )
-    if status == "infeasible" or (status == "optimal" and value <= 0):
-        return None
-    x = point[:dim]
-    dot = lambda a: sum(c * v for c, v in zip(a, x))
-    if not (all(dot(a) == b for a, b in eqs) and all(dot(a) >= b for a, b in ges)
-            and all(dot(a) > b for a, b in gts)):  # pragma: no cover - sanity
-        raise AssertionError("simplex point fails the system it solves")
-    return x
-
-
-def argmin_witness(dim, groups):
-    """A point w at which, in every group (chosen, others) of lists of
-    (vector, height) pairs, each chosen pair attains the minimum of
-    height + vector·w and each other pair exceeds it; None when there is
-    no such w.  The rows are taken against the group's first chosen pair:
-    an equality per further chosen pair, a strict inequality per other."""
-    eqs, gts = [], []
-    for ((v0, h0), *tied), others in groups:
-        rel = lambda v: tuple(x - y for x, y in zip(v, v0))
-        eqs += [(rel(v), h0 - h) for v, h in tied]
-        gts += [(rel(v), h0 - h) for v, h in others]
-    return strict_feasible(dim, eqs=eqs, gts=gts)

@@ -5,8 +5,8 @@ matroid polytopes.
 Equalities a·x = b and weak inequalities a·x >= b.  Emptiness and implicit
 equalities go through ``strict_feasible`` (one call per inequality): a
 system of differences runs on ``geom.DifferenceBounds``, which keeps the
-cell-dimension references fast, and any other on the simplex of
-``geom.strict_feasible``.  Affine dimension goes through a Gaussian rank,
+cell-dimension references fast, and any other on the primal simplex of
+``reference.strict_feasible``.  Affine dimension goes through a Gaussian rank,
 vertices through basic-solution enumeration.  Meant for desk-scale inputs
 only.
 """
@@ -15,7 +15,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from tropstiefel import geom
+import reference
 from tropstiefel.geom import DifferenceBounds, _pivot
 
 ZERO = Fraction(0)
@@ -63,11 +63,11 @@ def _difference_bounds(eqs, ges, gts):
 
 
 def strict_feasible(dim, eqs=(), ges=(), gts=()):
-    """``geom.strict_feasible``, with a system of differences answered by
-    ``DifferenceBounds`` instead of the simplex."""
+    """``reference.strict_feasible``, with a system of differences answered
+    by ``DifferenceBounds`` instead of the simplex."""
     bounds = _difference_bounds(eqs, ges, gts)
     if bounds is None:
-        return geom.strict_feasible(dim, eqs, ges, gts)
+        return reference.strict_feasible(dim, eqs, ges, gts)
     unit = math.lcm(*(b.denominator for _, _, b, _ in bounds))
     dbm = DifferenceBounds(dim + 1, unit)
     for u, v, b, strict in bounds:

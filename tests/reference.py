@@ -41,8 +41,13 @@ the two.  The library keeps only what the CLI and the benchmark reach
   other views of ``bipartite.optimal_matchings``;
 * the residual of y (``residuation``), by which
   ``bounded_point_in_complex`` gauges y;
-* cells of D(A) by ``geom.argmin_witness`` (``cell_exists``) and the
-  equality of two subdivisions against ``arrangement.facets_of_D``;
+* the primal route of ``geom.argmin_witness``: a two-phase simplex with
+  a shift column, a surplus and an artificial column per row
+  (``lp_solve``), which maximizes ε over the strict rows relaxed to
+  a·x >= b + ε (``strict_feasible``, on the rows of ``argmin_rows``),
+  against the library's transposed LP;
+* cells of D(A) by that primal route (``cell_exists``) and the equality
+  of two subdivisions against ``arrangement.facets_of_D``;
 * methods that no library code calls, as functions on the object they
   belonged to: projective equality (``proj_eq``, ``plucker_proj_eq``),
   shifts, rows and transposes, connectivity of graphs, and the
@@ -61,7 +66,7 @@ import math
 from fractions import Fraction
 
 from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, common_denom, quotient, require_column_supports, scalar, scalar_str
-from tropstiefel.geom import ONE, ZERO, DifferenceBounds, argmin_witness
+from tropstiefel.geom import ONE, ZERO, DifferenceBounds, _pivot, _run_simplex, _set_objective
 from tropstiefel.bipartite import BipartiteGraph, assignment, components, hall_surplus_check, optimal_matchings
 from tropstiefel.plucker import PluckerVector, _subsets
 from tropstiefel.arrangement import covector_edges, enumerate_covectors, facets_of_D
@@ -496,9 +501,10 @@ def subdivisions_equal(A: TropMatrix, B: TropMatrix) -> bool:
 
 
 def cell_exists(p: PluckerVector, bases) -> bool:
-    """Is there a y selecting exactly this basis set as its argmin?  One
-    ``argmin_witness`` group: the bases against the other finite J, each
-    the pair (−1_J, p_J), so that height + vector·y = p_J − Σ_{j∈J} y_j."""
+    """Is there a y selecting exactly this basis set as its argmin?  The
+    rows of one ``argmin_witness`` group, solved by the primal
+    ``strict_feasible``: the bases against the other finite J, each the
+    pair (−1_J, p_J), so that height + vector·y = p_J − Σ_{j∈J} y_j."""
     bases = frozenset(map(frozenset, bases))
     for b in bases:
         if len(b) != p.d or not b <= frozenset(range(1, p.n + 1)):
@@ -507,7 +513,110 @@ def cell_exists(p: PluckerVector, bases) -> bool:
         return False
     pair = lambda J: (tuple(-1 if j in J else 0 for j in range(1, p.n + 1)), p[J])
     others = [pair(J) for J, v in p.values.items() if v is not INF and J not in bases]
-    return argmin_witness(p.n, [([pair(b) for b in bases], others)]) is not None
+    eqs, gts = argmin_rows([([pair(b) for b in bases], others)])
+    return strict_feasible(p.n, eqs=eqs, gts=gts) is not None
+
+
+# ---------------------------------------------------------------------------
+# The primal route of ``geom.argmin_witness``: a two-phase simplex
+# ---------------------------------------------------------------------------
+
+def argmin_rows(groups):
+    """The system of ``geom.argmin_witness`` on ``groups``, as the rows
+    (eqs, gts) of ``strict_feasible``: each pair taken against its group's
+    first chosen pair, an equality per further chosen pair and a strict
+    inequality per other."""
+    eqs, gts = [], []
+    for ((v0, h0), *tied), others in groups:
+        rel = lambda v: tuple(x - y for x, y in zip(v, v0))
+        eqs += [(rel(v), h0 - h) for v, h in tied]
+        gts += [(rel(v), h0 - h) for v, h in others]
+    return eqs, gts
+
+
+def lp_solve(dim, eqs, ges, objective):
+    """Maximize objective·x subject to eqs and ges over free variables.
+
+    Returns (status, point, value) with status in
+    {'optimal', 'unbounded', 'infeasible'}; point/value are None unless
+    optimal.
+    """
+    ges = list(ges)
+    nreal = dim + 1 + len(ges)  # x = u - t·1 with u, t >= 0, one surplus var per >=
+
+    def lift(a):  # a·x as a·u - (Σa)·t
+        a = [Fraction(v) for v in a]
+        return a + [-sum(a, ZERO)]
+
+    rows = [(lift(a) + [ZERO] * len(ges), Fraction(b)) for a, b in eqs]
+    rows += [(lift(a) + [-ONE if k == idx else ZERO for k in range(len(ges))], Fraction(b)) for idx, (a, b) in enumerate(ges)]
+
+    m = len(rows)
+
+    # Phase 1 tableau with one artificial variable per row.
+    tab = []
+    for i, (a, b) in enumerate(rows):
+        if b < 0:
+            a = [-v for v in a]
+            b = -b
+        art = [ZERO] * m
+        art[i] = ONE
+        tab.append(a + art + [b])
+    basis = [nreal + i for i in range(m)]
+    tab.append([ZERO] * (nreal + m + 1))
+    c1 = [ZERO] * nreal + [-ONE] * m
+    _set_objective(tab, basis, c1)
+    _run_simplex(tab, basis, nreal + m)
+    if tab[-1][-1] < 0:
+        return "infeasible", None, None
+
+    # Drive remaining artificials out of the basis, then drop their columns.
+    drop_rows = []
+    for i in range(m):
+        if basis[i] >= nreal:
+            col = next((j for j in range(nreal) if tab[i][j] != 0), None)
+            if col is None:
+                drop_rows.append(i)
+            else:
+                _pivot(tab, basis, i, col)
+    for i in sorted(drop_rows, reverse=True):
+        del tab[i]
+        del basis[i]
+    tab = [row[:nreal] + [row[-1]] for row in tab]
+
+    c2 = lift(objective) + [ZERO] * len(ges)
+    _set_objective(tab, basis, c2)
+    status = _run_simplex(tab, basis, nreal)
+    if status == "unbounded":
+        return "unbounded", None, None
+    vals = [ZERO] * nreal
+    for i, b in enumerate(basis):
+        vals[b] = tab[i][-1]
+    point = tuple(vals[k] - vals[dim] for k in range(dim))
+    return "optimal", point, tab[-1][-1]
+
+
+def strict_feasible(dim, eqs=(), ges=(), gts=()):
+    """An exact x meeting the rows (a, b), each a of length ``dim`` and b
+    rational: a·x = b for ``eqs``, a·x >= b for ``ges`` and a·x > b for
+    ``gts``; None when there is none.  The simplex maximizes ε with the
+    strict rows relaxed to a·x >= b + ε."""
+    status, point, value = lp_solve(
+        dim + 1,
+        [(tuple(a) + (ZERO,), b) for a, b in eqs],
+        [(tuple(a) + (ZERO,), b) for a, b in ges]
+        + [(tuple(a) + (-ONE,), b) for a, b in gts]
+        + [((ZERO,) * dim + (-ONE,), -ONE)],  # ε <= 1
+        [ZERO] * dim + [ONE],
+    )
+    if status == "infeasible" or (status == "optimal" and value <= 0):
+        return None
+    x = point[:dim]
+    dot = lambda a: sum(c * v for c, v in zip(a, x))
+    if not (all(dot(a) == b for a, b in eqs) and all(dot(a) >= b for a, b in ges)
+            and all(dot(a) > b for a, b in gts)):  # pragma: no cover - sanity
+        raise AssertionError("simplex point fails the system it solves")
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from reference import (
     _hall_surplus,
     _max_matching_size,
     _nonempty_subsets,
+    argmin_rows,
     coloops,
     colwise_dragon_condition,
     common_ints,
@@ -26,9 +27,12 @@ from reference import (
     spanning_tree_no_left_leaves,
     transversal_polytope_ineqs,
     transversal_rank,
+    strict_feasible,
     uniform_matroid,
     vec_mat_mul,
 )
+import tropstiefel.bipartite
+from tropstiefel import geom
 from tropstiefel.bipartite import (
     COHERENCE_BUDGET,
     MATCHING_BUDGET,
@@ -197,18 +201,90 @@ def test_is_coherent_zero_matrix():
     assert is_coherent(mf) is not None
 
 
+# cyclic strict preferences on {1,2}, {2,3}, {1,3} sum to 0 < 0
+CYCLIC = MatchingMultifield(2, 4, {
+    frozenset({1, 2}): {(1, 2)},
+    frozenset({2, 3}): {(2, 3)},
+    frozenset({1, 3}): {(3, 1)},
+    frozenset({1, 4}): {(1, 4)},
+    frozenset({2, 4}): {(2, 4)},
+    frozenset({3, 4}): {(3, 4)},
+})
+
+
 def test_incoherent_cyclic_matching_field():
-    # cyclic strict preferences on {1,2}, {2,3}, {1,3} sum to 0 < 0
-    choices = {
-        frozenset({1, 2}): {(1, 2)},
-        frozenset({2, 3}): {(2, 3)},
-        frozenset({1, 3}): {(3, 1)},
-        frozenset({1, 4}): {(1, 4)},
-        frozenset({2, 4}): {(2, 4)},
-        frozenset({3, 4}): {(3, 4)},
-    }
-    mf = MatchingMultifield(2, 4, choices)
-    assert is_coherent(mf) is None
+    assert is_coherent(CYCLIC) is None
+
+
+def test_a_wrong_certificate_raises(monkeypatch):
+    """A "no" comes only with a certificate that passes its check: with one
+    basic ν entry of the final tableau raised by 1, ``is_coherent`` raises
+    instead of answering None."""
+    run = geom._run_simplex
+
+    def tampered(tab, basis, nvars):
+        status = run(tab, basis, nvars)
+        # no tied matchings, so every real column before μ, the last, is a ν
+        i = next(i for i, c in enumerate(basis) if c < nvars - 1 and tab[i][-1] > 0)
+        tab[i][-1] += 1
+        return status
+
+    monkeypatch.setattr(geom, "_run_simplex", tampered)
+    with pytest.raises(AssertionError, match="certificate"):
+        is_coherent(CYCLIC)
+
+
+def coherence_sample(rng, count):
+    """``count`` seeded multifields, d 2–3 and n <= 6, about 10% ∞, entries
+    0..1, 0..3 or 0..9: each Λ(A), and after it Λ(A) with one chosen
+    matching dropped from the first J that has several."""
+    out = []
+    while len(out) < count:
+        d = rng.randint(2, 3)
+        n, top = rng.randint(d, 6), rng.choice((1, 3, 9))
+        A = TropMatrix([[INF if rng.random() < 0.1 else rng.randint(0, top) for _ in range(n)] for _ in range(d)])
+        try:
+            mf = matching_multifield(A)
+        except DomainError:
+            continue
+        out.append(mf)
+        tied = [J for J in sorted(mf.choices, key=sorted) if len(mf[J]) > 1]
+        if tied:
+            ms = sorted(mf[tied[0]])
+            del ms[rng.randrange(len(ms))]
+            out.append(MatchingMultifield(mf.d, mf.n, {**mf.choices, tied[0]: frozenset(ms)}))
+    return out[:count]
+
+
+def compare_coherence_routes(monkeypatch, multifields):
+    """Run ``is_coherent`` on each multifield and ask the primal route of
+    ``reference.strict_feasible`` the same system; returns the Counter of
+    (transposed answer, primal answer)."""
+    calls = []
+
+    def spy(dim, groups):
+        calls.append((dim, groups, geom.argmin_witness(dim, groups)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(tropstiefel.bipartite, "argmin_witness", spy)
+    seen = Counter()
+    for mf in multifields:
+        witness = is_coherent(mf)
+        dim, groups, point = calls.pop()
+        eqs, gts = argmin_rows(groups)
+        primal = strict_feasible(dim, eqs=eqs, gts=gts)
+        assert (point is None) == (witness is None)
+        seen[point is not None, primal is not None] += 1
+    return seen
+
+
+def test_coherence_agrees_with_the_primal_route(monkeypatch):
+    """The transposed LP of ``argmin_witness`` and the two-phase primal
+    simplex give the same yes/no on seeded multifields, with and without a
+    dropped matching; every "no" has passed the certificate check."""
+    seen = compare_coherence_routes(monkeypatch, coherence_sample(random.Random(41), 300))
+    assert set(seen) == {(True, True), (False, False)}
+    assert seen[False, False] >= 10
 
 
 def test_coherence_budget(monkeypatch):

@@ -672,7 +672,7 @@ def test_seeded_output_digest(capsys, monkeypatch):
     assert digest.hexdigest() == SEEDED_DIGEST
 
 
-MATCHING_DIGEST = "ef3e840c92b56585144949495ab871e1aa20122341519cb441447ef8868fbeaf"
+MATCHING_DIGEST = "566c517a50eed2842e96a413f87f4baed9e768a78ded4bd9ae1d9ac595510b81"
 
 
 def test_seeded_matching_digest(capsys, monkeypatch):

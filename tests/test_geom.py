@@ -1,16 +1,12 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import polyhedra
 from polyhedra import Polyhedron, matrix_rank, satisfied_by, solve_affine
-from reference import minimal_form, polytrope_contains, polytrope_dim, restrict
-from tropstiefel.geom import (
-    DifferenceBounds,
-    argmin_witness,
-    lp_solve,
-    strict_feasible,
-)
+from reference import argmin_rows, lp_solve, minimal_form, polytrope_contains, polytrope_dim, restrict, strict_feasible
+from tropstiefel.geom import DifferenceBounds, argmin_witness
 
 F = Fraction
 
@@ -74,6 +70,37 @@ def test_argmin_witness_collinear():
     w = argmin_witness(2, [(lifted[:2], lifted[2:])])
     value = lambda v, h: h + sum(c * x for c, x in zip(v, w))
     assert value(*lifted[0]) == value(*lifted[1]) < value(*lifted[2])
+
+
+def test_argmin_witness_inconsistent_ties():
+    # the same two points tie at heights 0 and 0, and at 0 and 1: w = 0 and
+    # w = 1, so the transposed LP has no optimum, and a ray of it is the "no"
+    tie = lambda h: ([((0,), 0), ((1,), h)], [((2,), 5)])
+    assert argmin_witness(1, [tie(0)]) == (0,)
+    assert argmin_witness(1, [tie(0), tie(1)]) is None
+
+
+def test_argmin_witness_against_the_primal_route():
+    """On seeded groups of points in 1–3 dimensions at rational heights,
+    the transposed LP answers as the reference's primal simplex, its point
+    meets the system, and some systems have ties with no common solution."""
+    rng = random.Random(7)
+    seen = Counter()
+    for _ in range(300):
+        dim = rng.randint(1, 3)
+        groups = []
+        for _ in range(rng.randint(1, 3)):
+            pairs = [(tuple(rng.randint(-2, 2) for _ in range(dim)), F(rng.randint(-3, 3), rng.choice((1, 2))))
+                     for _ in range(rng.randint(1, 4))]
+            k = rng.randint(1, len(pairs))
+            groups.append((pairs[:k], pairs[k:]))
+        w = argmin_witness(dim, groups)
+        eqs, gts = argmin_rows(groups)
+        assert (w is None) == (strict_feasible(dim, eqs=eqs, gts=gts) is None)
+        if w is not None:
+            assert satisfied_by(w, eqs=eqs, gts=gts)
+        seen[w is None, strict_feasible(dim, eqs=eqs) is None] += 1
+    assert seen[False, False] and seen[True, False] and seen[True, True]
 
 
 def test_difference_bounds_strict_chain():
