@@ -127,10 +127,6 @@ class TropVector:
         """1-based coordinate access."""
         return self.entries[j - 1]
 
-    def support(self):
-        """1-based indices of finite entries."""
-        return frozenset(j + 1 for j, v in enumerate(self.ints) if v is not None)
-
     def is_finite(self):
         return None not in self.ints
 

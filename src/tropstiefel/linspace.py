@@ -2,20 +2,19 @@
 
 Each p_J of π(A) is an optimal-assignment value, so one
 ``bipartite.assignment`` on the costs a_ij − y_j, in ints at the common
-denominator of A and y, answers every question on y and L(A) from its
-greatest optimal dual: membership (``in_L``, with ∞ coordinates),
-membership in the bounded part, which needs a uniform underlying matroid
-(``in_bounded_part``), and a certificate of membership (``decompose``):
-L(A) is the union of the cells (F ⊙ A) + R_{>=0}{e_j : j ∈ J} with F a
-covector covering every row and J meeting the column-wise dragon condition,
-and ``decompose`` reads such a pair (F, J) and its point x off that dual,
-with no search.  Membership by circuit minima (``plucker.contains``,
-imported here, on the circuits kept on p) and by the selected matroid M_y
-of ``select_matroid`` (``contains_via_matroid``) stays for the benchmark.
-Both bounded questions first ask ``_require_uniform``, d more assignments,
-that every column d-set be matchable.  The vertices and segments of the
-bounded part need only the cells of TC(A) in K(A) and their dimensions, so
-``bounded_skeleton`` builds no image of a cell.
+denominator of A and y, answers membership of y in L(A) from its greatest
+optimal dual: ``in_L``, with ∞ coordinates, and ``decompose``, which reads
+a certificate (F, J, x) off that dual, with no search: L(A) is the union of
+the cells (F ⊙ A) + R_{>=0}{e_j : j ∈ J} with F a covector covering every
+row and J meeting the column-wise dragon condition.  The bounded part of
+L(A), for a uniform underlying matroid (``_require_uniform``), is the image
+x ⊙ A of the cells of K(A), the covectors meeting the dragon condition
+(``in_K``): ``in_bounded_part`` asks ``decompose`` for a certificate with
+J = ∅ and its covector in K(A), and ``bounded_skeleton`` keeps the cells of
+TC(A) in K(A) and their dimensions, with no image built.  Membership by
+circuit minima (``plucker.contains``, imported here, on the circuits kept on
+p) and by the selected matroid M_y of ``select_matroid``
+(``contains_via_matroid``) stays for the benchmark.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ class DecompositionCertificate:
 
 
 def _greatest_dual(A: TropMatrix, y: TropVector):
-    """(unit, u, v, match, tight): ``bipartite.assignment`` on the costs
+    """(unit, u, v, tight): ``bipartite.assignment`` on the costs
     a_ij − y_j in units of 1/unit, the common denominator of A and y, with
     (u, v) its greatest optimal dual and tight its tight edges
     u_i + v_j = a_ij − y_j, as 0-based (i, j).  An ∞ coordinate y_j costs
@@ -83,9 +82,9 @@ def _greatest_dual(A: TropMatrix, y: TropVector):
         bonus = 1 + 2 * A.d * (fa * top + max((abs(w) for w in z if w is not None), default=0))
         z = [bonus if w is None else w for w in z]
     cost = [[None if c is None else c * fa - z[j] for j, c in enumerate(row)] for row in A.ints]
-    u, v, match = assignment(cost)
+    u, v, _ = assignment(cost)
     tight = [(i, j) for i, row in enumerate(cost) for j, c in enumerate(row) if c is not None and c == u[i] + v[j]]
-    return unit, u, v, match, tight
+    return unit, u, v, tight
 
 
 def in_L(A: TropMatrix, y: TropVector) -> bool:
@@ -112,25 +111,18 @@ def _require_uniform(A: TropMatrix):
 
 
 def in_bounded_part(A: TropMatrix, y: TropVector) -> bool:
-    """y in the bounded part of L(A): y ∈ L(A) with a selected matroid M_y
-    free of coloops.  At the greatest optimal dual the optimal assignments
-    are the matchings on tight edges that take every column with v_j < 0,
-    so a column is a loop of M_y when it has no tight edge, and a column
-    some row takes is a coloop when v_j < 0 or when its row has no tight
-    alternating path to a column no row takes, along which the rows could
-    leave it.  The errors of ``_require_uniform`` (the underlying matroid
-    must be uniform), then BAD_POINT for a y not finite of length n."""
+    """y in the bounded part of L(A), the image x ⊙ A of the cells of K(A):
+    ``decompose`` certifies y with J = ∅, no slack, so y = x ⊙ A, and its
+    covector tc(x) meets the dragon condition (``in_K``, as in
+    ``bounded_skeleton``).  A point x' of a K(A) cell with x' ⊙ A = y is
+    the least point x̄ of the fiber of y, since the rows where x̄ < x' would
+    attain no column's minimum at x'; so (−x', 0) is an optimal dual, the
+    greatest has J = ∅, and J = ∅ makes its x the least point x̄ = x'.
+    The errors of ``_require_uniform`` (the underlying matroid must be
+    uniform), then BAD_POINT for a y not finite of length n."""
     _require_uniform(A)
-    if len(y) != A.n or not y.is_finite():
-        raise DomainError("BAD_POINT", "y must be finite of length n")
-    _, _, v, match, tight = _greatest_dual(A, y)
-    freed, leaves = [j for j in range(A.n) if j not in match], set()
-    for c in freed:  # grows as it is read: the columns the rows can leave free
-        for i, j in tight:
-            if j == c and i not in leaves:
-                leaves.add(i)
-                freed.append(match[i])
-    return len({j for _, j in tight}) == A.n and all(v[j] == 0 and i in leaves for i, j in enumerate(match))
+    cert = decompose(A, y)
+    return cert is not None and not cert.J and in_K(A, cert.covector)
 
 
 def decompose(A: TropMatrix, y: TropVector):
@@ -159,7 +151,7 @@ def decompose(A: TropMatrix, y: TropVector):
     if len(y) != A.n or not y.is_finite():
         raise DomainError("BAD_POINT", "y must be finite of length n")
     require_column_supports(A)
-    unit, u, v, _, tight = _greatest_dual(A, y)
+    unit, u, v, tight = _greatest_dual(A, y)
     F = [[] for _ in range(A.n)]
     for i, j in tight:  # row by row, so each I_j is sorted
         F[j].append(i + 1)

@@ -50,9 +50,9 @@ the two.  The library keeps only what the CLI and the benchmark reach
   of two subdivisions against ``arrangement.facets_of_D``;
 * methods that no library code calls, as functions on the object they
   belonged to: projective equality (``proj_eq``, ``plucker_proj_eq``),
-  shifts, rows and transposes, connectivity of graphs, and the
-  restriction, polytrope membership, dimension and minimal form of a
-  ``DifferenceBounds``;
+  shifts, the support of a vector, rows and transposes, connectivity of
+  graphs, and the restriction, polytrope membership, dimension and minimal
+  form of a ``DifferenceBounds``;
 * functions on a matroid, the frozenset of its bases: its loops and
   coloops, its connectivity, and the shape check of a basis list
   (``BAD_BASIS``) in ``cell_exists``;
@@ -726,9 +726,14 @@ def shift(self, c):
     return TropVector(tuple(v + c for v in self.entries))
 
 
+def vector_support(self):
+    """1-based indices of finite entries."""
+    return frozenset(j + 1 for j, v in enumerate(self.ints) if v is not None)
+
+
 def proj_eq(x: TropVector, y: TropVector) -> bool:
     """Projective equality: same support, entries differ by one constant."""
-    if len(x) != len(y) or x.support() != y.support():
+    if len(x) != len(y) or vector_support(x) != vector_support(y):
         return False
     diff = None
     for a, b in zip(x.entries, y.entries):

@@ -40,6 +40,7 @@ from reference import (
     subdivisions_equal,
     transversal_polytope_ineqs,
     vec_mat_mul,
+    vector_support,
     vector_to_json,
 )
 from tropstiefel.arrangement import covector_edges, enumerate_covectors, facets_of_D
@@ -358,7 +359,7 @@ def test_kept_circuits_answer_every_denominator():
             if k % 2:
                 y = [INF if rng.random() < 0.3 else v for v in y]
             Y = TropVector(y)
-            if not Y.support():
+            if not vector_support(Y):
                 continue
             got = contains(p, Y)
             assert got == in_L(A, Y) == members_by_matchings(A, Y), (A.entries, Y.entries)

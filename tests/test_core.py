@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from reference import proj_eq, proj_normalize, residuation, row_support, shift, vec_mat_mul, vector_to_json
+from reference import proj_eq, proj_normalize, residuation, row_support, shift, vec_mat_mul, vector_support, vector_to_json
 from tropstiefel.core import (
     INF,
     DomainError,
@@ -145,7 +145,7 @@ def test_supports():
     )
     assert row_support(STAIR, 2) == frozenset([2, 3])
     assert STAIR.col_support(3) == frozenset([2, 3])
-    assert TropVector([INF, 1, INF]).support() == frozenset([2])
+    assert vector_support(TropVector([INF, 1, INF])) == frozenset([2])
 
 
 def test_vec_mat_mul_examples():

@@ -29,9 +29,10 @@ from reference import (
     polytrope_dim,
     uniform_matroid,
     vec_mat_mul,
+    vector_support,
 )
 from tropstiefel.arrangement import cell_point, covector_edges, enumerate_covectors
-from tropstiefel.bipartite import BipartiteGraph, transversal_matroid
+from tropstiefel.bipartite import BipartiteGraph, hall_surplus_check, transversal_matroid
 from tropstiefel.core import (
     DomainError,
     INF,
@@ -449,7 +450,7 @@ def test_routes_agree_at_the_common_denominator():
             if cert is not None:
                 assert [a + s for a, s in zip(vec_mat_mul(cert.x, A).entries, cert.slack.entries)] == list(Y.entries)
         Y = TropVector([INF if rng.random() < 0.4 else v for v in rng.choice((image, halves))])
-        if len(Y.support()) < n:
+        if len(vector_support(Y)) < n:
             got = in_L(A, Y)
             assert got == contains(p, Y), (A.entries, Y.entries)
             with_inf[got] += 1
@@ -593,11 +594,32 @@ def test_image_cells_against_their_cells():
 
 
 def test_bounded_point_in_complex():
-    p = P_TWO
+    """The images of the cells of K(A) (``bounded_point_in_complex``)
+    against the selected matroids on TWO_ROW and against
+    ``in_bounded_part`` on seeded uniform matrices, at y = x ⊙ A with and
+    without slack on some coordinates; the image of every K(A) cell's
+    ``cell_point`` lies in the bounded part."""
     rng = random.Random(37)
     for _ in range(60):
         y = TropVector([Fraction(rng.randint(-10, 10), rng.randint(1, 3)) for _ in range(4)])
-        assert bounded_point_in_complex(TWO_ROW, y) == bounded_membership(p, y)
+        assert bounded_point_in_complex(TWO_ROW, y) == bounded_membership(P_TWO, y) == in_bounded_part(TWO_ROW, y)
+    rng, seen = random.Random(42), Counter()
+    while sum(seen.values()) < 240:
+        d = rng.randint(2, 4)
+        n = rng.randint(d + 1, 6)
+        A = TropMatrix([[INF if rng.random() < 0.1 else Fraction(rng.randint(-12, 12), 2) for _ in range(n)] for _ in range(d)])
+        if not hall_surplus_check(BipartiteGraph.from_support(A)):
+            continue  # not uniform
+        for cell in enumerate_covectors(A):
+            if in_K(A, cell.covector):
+                assert in_bounded_part(A, vec_mat_mul(TropVector(cell_point(A, cell.covector)), A))
+        for k in range(4):
+            y = vec_mat_mul(TropVector([Fraction(rng.randint(-4, 4), 2) for _ in range(d)]), A).entries
+            Y = TropVector([v + Fraction(rng.randint(1, 4), 2) if k % 2 and rng.random() < 0.3 else v for v in y])
+            got = in_bounded_part(A, Y)
+            assert got == bounded_point_in_complex(A, Y), (A.entries, y)
+            seen[got] += 1
+    assert seen[True] >= 30, seen
 
 
 def test_decomposition_cone():
