@@ -193,11 +193,18 @@ def assignment(cost):
     dual in v: u_i + v_j <= c_ij on every edge, with equality on the edges
     (i, match[i]), v <= 0, and v_j = 0 on the columns no row takes, so
     Σu + Σv is the least cost.  Optimal duals form a lattice (Shapley–Shubik
-    1971) and are those with v_j <= 0 and v_j − v_m <= c_ij − c_im, m =
-    match[i], so v is raised to its greatest value by a Bellman–Ford
-    fixpoint from v = 0 (Demange–Gale–Sotomayor 1986): an optimal matching
-    leaves no negative cycle, and a shortest path passes at most d matched
-    columns, so it ends after at most d + 1 sweeps.
+    1971; Demange–Gale–Sotomayor 1986), and after rows 0..r join, v is the
+    greatest for those rows.  Lemma: a feasible (u, v), v <= 0, tight on an
+    optimal matching m, is greatest exactly when every column with v_j < 0
+    is reached from one with v = 0 by steps from a column m(i) to its row i,
+    then along a tight edge (i, j'): each step keeps w_j' − v_j' <=
+    w_m(i) − v_m(i) for any optimal w, and unreached columns could rise, u
+    falling on their rows.  Row r lowers v only on the columns Dijkstra
+    settles before the free column j1, where v = 0, and raises u only on its
+    tree, whose edges turn tight, so after the augmentation j1 reaches the
+    tree.  A row whose u rose has tight edges only into settled columns, so
+    a path that reached an unsettled column keeps, past its last tree row,
+    its edges, its matching and v.
     NO_MATCHING_IN_SUPPORT when no matching covers every row."""
     d, n = len(cost), len(cost[0])
     u, v, match, owner = [0] * d, [0] * n, [None] * d, [None] * n
@@ -227,15 +234,7 @@ def assignment(cost):
         while j1 is not None:  # augment: each row of the path takes the column it reached
             i = via[j1]
             owner[j1], match[i], j1 = i, j1, match[i]
-    v, changed = [0] * n, True
-    while changed:  # v_j <= v_m + c_ij − c_im: shortest paths from v = 0
-        changed = False
-        for row, m in zip(cost, match):
-            base = v[m] - row[m]
-            for j, c in enumerate(row):
-                if c is not None and base + c < v[j]:
-                    v[j], changed = base + c, True
-    return [row[m] - v[m] for row, m in zip(cost, match)], v, match
+    return u, v, match
 
 
 COHERENCE_BUDGET = 2 * 10 ** 3  # supported matchings the coherence LP may hold: a tableau column each, two for a tie

@@ -103,9 +103,9 @@ def in_L(A: TropMatrix, y: TropVector) -> bool:
 def _require_uniform(A: TropMatrix):
     """NO_MATCHING_IN_SUPPORT when no matching covers every row (as when
     d > n), then NOT_UNIFORM unless the underlying matroid is uniform: every
-    column d-set matchable in the support of A, |J_I| >= n − d + |I| for
-    every nonempty row set I by Hall's theorem (``hall_surplus_check``)."""
-    if A.d > A.n or not hall_surplus_check(BipartiteGraph.from_support(A)):
+    column d-set matchable in the support of A, as when A is finite, or by
+    Hall |J_I| >= n − d + |I| for every nonempty row set I (``hall_surplus_check``)."""
+    if A.d > A.n or (any(None in row for row in A.ints) and not hall_surplus_check(BipartiteGraph.from_support(A))):
         assignment(A.ints)  # NO_MATCHING_IN_SUPPORT comes first
         raise DomainError("NOT_UNIFORM", "underlying matroid must be uniform")
 
@@ -136,10 +136,10 @@ def decompose(A: TropMatrix, y: TropVector):
     x = −u, F the tight edges u_i + v_j = a_ij − y_j, J = {j : v_j < 0}
     and slack −v.  Dual feasibility makes x_i + a_ij >= y_j + v_j with
     equality on F, so F is the covector of x wherever each column has a
-    tight edge, and x ⊙ A + slack = y.  At the greatest dual every row is
-    reached from a column with v = 0 by a tight alternating path, so the
-    columns with a tight edge are exactly those some optimal assignment
-    uses: y ∈ L(A) exactly when every column has one.  A set S ⊆ J with
+    tight edge, and x ⊙ A + slack = y.  By the lemma of ``assignment``
+    every row is reached from a column with v = 0, so the columns with a
+    tight edge are exactly those some optimal assignment uses: y ∈ L(A)
+    exactly when every column has one.  A set S ⊆ J with
     |N_F(S)| = |S| would let v rise on S, so J meets the column-wise dragon
     condition exactly at the greatest dual, the only optimal dual whose
     certificate does.  O(d²n).

@@ -14,6 +14,9 @@ the two.  The library keeps only what the CLI and the benchmark reach
   (``colwise_dragon_condition``) against ``linspace.decompose``, and the
   columns some optimal assignment uses, by alternating paths
   (``optimal_columns``), against its membership answer;
+* the greatest optimal dual of an assignment by a Bellman–Ford fixpoint
+  (``greatest_dual``) against the one ``bipartite.assignment``'s Hungarian
+  loop ends at;
 * tc(x) of a point (``covector_of_point``) against the search of
   ``arrangement.enumerate_covectors``, and TC(A) by trying every nonempty
   subset of the rows R_j that can attain each column's minimum and keeping
@@ -180,6 +183,25 @@ def optimal_columns(cost):
                     seen.add(k)
                     free.append(k)
     return out
+
+
+def greatest_dual(cost, match):
+    """The greatest optimal dual (u, v) of ``cost`` for an optimal
+    assignment ``match`` (0-based), by a Bellman–Ford fixpoint from v = 0
+    (Demange–Gale–Sotomayor 1986).  Optimal duals form a lattice
+    (Shapley–Shubik 1971) and are those with v_j <= 0 and
+    v_j − v_m <= c_ij − c_im, m = match[i], u_i = c_im − v_m: an optimal
+    matching leaves no negative cycle, and a shortest path passes at most d
+    matched columns, so it ends after at most d + 1 sweeps."""
+    v, changed = [0] * len(cost[0]), True
+    while changed:  # v_j <= v_m + c_ij − c_im: shortest paths from v = 0
+        changed = False
+        for row, m in zip(cost, match):
+            base = v[m] - row[m]
+            for j, c in enumerate(row):
+                if c is not None and base + c < v[j]:
+                    v[j], changed = base + c, True
+    return [row[m] - v[m] for row, m in zip(cost, match)], v
 
 
 def J_of(G: BipartiteGraph, I):

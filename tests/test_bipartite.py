@@ -19,6 +19,7 @@ from reference import (
     common_ints,
     enumerate_support_sets,
     graph_to_json,
+    greatest_dual,
     is_tree,
     loops,
     matroid_is_connected,
@@ -417,6 +418,31 @@ def test_transversal_rank():
     assert transversal_rank(BipartiteGraph.from_support(FIG), {1, 2, 3}) == 3
 
 
+def _check_greatest_dual(cost, u, v, match):
+    """(u, v, match) of ``assignment``: a matching of every row on its
+    edges, with (u, v) feasible, tight on it, 0 off it and ≤ 0 in v, equal
+    to the Bellman–Ford fixpoint ``greatest_dual``, and with every column
+    with v_j < 0 reached from a column with v = 0 by the path of the
+    lemma: from a column m(i) to its row i, then along a tight edge."""
+    n = len(cost[0])
+    assert sorted(set(match)) == sorted(match) and all(cost[i][j] is not None for i, j in enumerate(match))
+    assert all(c is None or c - u[i] - v[j] >= 0 for i, row in enumerate(cost) for j, c in enumerate(row))
+    assert all(cost[i][j] == u[i] + v[j] for i, j in enumerate(match))
+    assert all(v[j] == 0 for j in range(n) if j not in match) and max(v) <= 0
+    assert (u, v) == greatest_dual(cost, match), cost
+    owner = {j: i for i, j in enumerate(match)}
+    reached = [j for j in range(n) if v[j] == 0]
+    seen = set(reached)
+    for j in reached:  # grows as it is read
+        if j in owner:
+            i = owner[j]
+            for k, c in enumerate(cost[i]):
+                if c is not None and c == u[i] + v[k] and k not in seen:
+                    seen.add(k)
+                    reached.append(k)
+    assert len(seen) == n, cost
+
+
 def test_assignment_potentials_and_optimal_columns():
     """Seeded queries, d ≤ 5 and n ≤ 8, in halves with 0, 15 or 30% ∞
     entries, on image points with and without slack and on random y: the
@@ -424,9 +450,13 @@ def test_assignment_potentials_and_optimal_columns():
     on the matching, 0 off it and sum to the least p_J − Σ_{j∈J} y_j, and
     ``optimal_columns`` are the columns of M_y that are not loops, so they
     are all of [n] exactly when circuits put y in L(A).  The potentials are
-    the greatest optimal dual: its tight edges cover every column exactly
-    when y ∈ L(A), and the columns with v_j < 0 meet the column-wise dragon
-    condition on them."""
+    the greatest optimal dual: they equal the Bellman–Ford fixpoint
+    ``greatest_dual``, every column with v_j < 0 is reached from one with
+    v = 0 (the lemma in ``assignment``), its tight edges cover every column
+    exactly when y ∈ L(A), and the columns with v_j < 0 meet the
+    column-wise dragon condition on them.  A second seeded pass asks the
+    same of raw int costs, d ≤ 6 and n ≤ 9, in 0..1 or −9..9, with up to
+    40% None and some rows repeated, so that ties abound."""
     rng = random.Random(2003)
     half = lambda k: Fraction(rng.randint(-k, k), rng.choice((1, 2)))
     queries = members = 0
@@ -451,10 +481,7 @@ def test_assignment_potentials_and_optimal_columns():
             unit, a, z = common_ints(A, y)
             cost = [[None if c is None else c - z[j] for j, c in enumerate(row)] for row in a]
             u, v, match = assignment(cost)
-            assert sorted(set(match)) == sorted(match) and all(cost[i][j] is not None for i, j in enumerate(match))
-            assert all(c is None or c - u[i] - v[j] >= 0 for i, row in enumerate(cost) for j, c in enumerate(row))
-            assert all(cost[i][j] == u[i] + v[j] for i, j in enumerate(match))
-            assert all(v[j] == 0 for j in range(n) if j not in match) and max(v) <= 0
+            _check_greatest_dual(cost, u, v, match)
             least = min(value - sum(y.entry(j) for j in J) for J, value in p.values.items() if value is not INF)
             assert sum(u) + sum(v) == unit * least
             columns = optimal_columns(cost)
@@ -466,6 +493,25 @@ def test_assignment_potentials_and_optimal_columns():
             members += len(columns) == n
             queries += 1
     assert 500 < members < 2500, members
+    solved = 0
+    while solved < 3000:
+        d = rng.randint(1, 6)
+        n = rng.randint(d, 9)
+        lo, hi = rng.choice(((0, 1), (-9, 9)))
+        none_prob = rng.choice((0, 0.2, 0.4))
+        cost = []
+        for _ in range(d):
+            if cost and rng.random() < 0.2:
+                cost.append(list(rng.choice(cost)))
+            else:
+                cost.append([None if rng.random() < none_prob else rng.randint(lo, hi) for _ in range(n)])
+        try:
+            u, v, match = assignment(cost)
+        except DomainError as exc:
+            assert exc.code == "NO_MATCHING_IN_SUPPORT"
+            continue
+        _check_greatest_dual(cost, u, v, match)
+        solved += 1
 
 
 def test_assignment_refuses_a_support_without_matching():

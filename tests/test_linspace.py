@@ -391,8 +391,10 @@ def test_caterpillar_and_tree_build_tc_once(monkeypatch):
 
 def test_bounded_skeleton_skips_the_matching_engine(monkeypatch):
     """The support-set test of the bounded tree is a Hall scan over the
-    rows, not a table of matchable column sets."""
+    rows, not a table of matchable column sets, and a finite A such as
+    this dense 2×8 needs neither: with d <= n it is uniform at once."""
     import tropstiefel.bipartite as bipartite
+    import tropstiefel.linspace as linspace
     import tropstiefel.plucker as plucker
 
     rng = random.Random(41)
@@ -400,10 +402,11 @@ def test_bounded_skeleton_skips_the_matching_engine(monkeypatch):
     expected = bounded_skeleton(A)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the bounded tree called the matching engine")
+        raise AssertionError("the bounded tree called the matching engine or the Hall scan")
 
     monkeypatch.setattr(bipartite, "optimal_matchings", refuse)
     monkeypatch.setattr(plucker, "optimal_matchings", refuse)
+    monkeypatch.setattr(linspace, "hall_surplus_check", refuse)
     assert repr(bounded_skeleton(A)) == repr(expected)  # Cell has no __eq__
     assert expected[0]
 
