@@ -10,9 +10,9 @@ matrix's ``ints``, or the 0/None rows of an edge set), answers which column
 sets can be matched and how well: the Stiefel map, multifields, coherence
 and transversal matroids; it refuses up front a table of more than
 ``MATCHING_BUDGET`` column sets.  Coherence is one ``geom.argmin_witness``
-question, a transposed LP with a row per support edge and a column per
-supported matching whose "no" comes with a checked certificate, refused up
-front past ``COHERENCE_BUDGET`` supported matchings.
+question, Gordan's alternative on the supported matchings' incidence
+vectors, whose "no" comes with a checked certificate, refused up front
+past ``COHERENCE_BUDGET`` supported matchings.
 One Hungarian solve (``assignment``) gives a min-cost assignment of every
 row and the greatest optimal dual; d of them answer the Hall-type surplus
 condition behind the support-set test, the dragon condition and the
@@ -245,12 +245,12 @@ def is_coherent(multifield: MatchingMultifield):
 
     One unknown weight per support edge and one ``argmin_witness`` group
     per J: the chosen matchings on J are exactly the lightest of the
-    supported matchings on J, each an incidence vector over the support
-    with height 0.  The supported matchings on J are the optimal ones of the
+    supported matchings on J, each the incidence vector of its edges over
+    the support.  The supported matchings on J are the optimal ones of the
     support's 0/∞ matrix, on which each of them weighs 0.  DomainError
     BUDGET_EXCEEDED, before the LP, when they are more than
     ``COHERENCE_BUDGET``; a list cut at one past it is alone over it.  A
-    None has passed ``argmin_witness``'s certificate check.
+    None has passed the check of ``argmin_witness``'s Gordan certificate.
     """
     support = sorted(multifield.support())
     index = {e: k for k, e in enumerate(support)}
@@ -259,12 +259,12 @@ def is_coherent(multifield: MatchingMultifield):
     total = sum(len(supported(J)) for J in multifield.choices)
     if total > COHERENCE_BUDGET:
         raise DomainError("BUDGET_EXCEEDED", f"at least {total} supported matchings, budget {COHERENCE_BUDGET}")
-    pair = lambda m: (tuple(int(m[i - 1] == j) for i, j in support), 0)
+    incidence = lambda m: tuple(int(m[i - 1] == j) for i, j in support)
     groups = []
     for J in sorted(multifield.choices, key=lambda s: tuple(sorted(s))):
         chosen = sorted(multifield[J])
         others = [m for m in sorted(supported(J)) if m not in multifield[J]]
-        groups.append(([pair(m) for m in chosen], [pair(m) for m in others]))
+        groups.append(([incidence(m) for m in chosen], [incidence(m) for m in others]))
     witness = argmin_witness(len(support), groups)
     if witness is None:
         return None

@@ -10,23 +10,23 @@ Systems mix equalities, weak and strict inequalities.  Two engines:
   denominators, and strict bounds are exact through one ε = 1/(V+1) fixed
   by the number of nodes V.  A closed matrix answers a witness by lookups;
 * an exact simplex with Bland's rule over Fractions answers
-  ``argmin_witness``, a linear height under which chosen points are exactly
-  the argmins: the one question that is not a difference system.  Its one
-  library caller is the coherence of a matching multifield (a cone of the
-  secondary fan of the product of maximal minors).  Ex = b, Gx > h has a
-  solution iff "maximize ε subject to Ex = b, Gx − ε·1 >= h, ε <= 1" has
-  an optimum ε* > 0.  The simplex solves the transposed LP
+  ``argmin_witness``, a linear function under which chosen points are
+  exactly the argmins: the one question that is not a difference system.
+  Its one library caller is the coherence of a matching multifield (a cone
+  of the secondary fan of the product of maximal minors).  By Gordan's
+  alternative (1873), Ew = 0, Gw > 0 has a solution iff no λ and ν >= 0
+  with Σν > 0 have λE = νG.  The simplex solves
 
-      minimize b·λ − h·ν + μ  subject to  λE − νG = 0,  Σν + μ = 1,
+      maximize Σν  subject to  λE − νG = 0,  Σν + μ = 1,
       λ free (as λ⁺ − λ⁻),  ν, μ >= 0,
 
-  one row per coordinate of x and one more, from the feasible basis μ = 1:
-  the rows of x have right-hand side 0, so one pivot per row takes its
-  artificial column out, and no phase 1 is needed.  When ε* > 0, x is read
-  off the reduced costs of the artificial columns.  Otherwise the optimal
-  (λ, ν, μ), or a ray of the dual when Ex = b has no solution, proves that
-  there is no x (Motzkin's transposition theorem, 1936), and it is checked
-  by exact products before the answer is given.
+  one row per coordinate of w and one more, from the feasible basis μ = 1:
+  the rows of w have right-hand side 0, so one pivot per row takes its
+  artificial column out, and no phase 1 is needed.  Σν <= 1 bounds the
+  objective, so the simplex ends at an optimum, 0 or 1.  At 0, w is read
+  off the reduced costs of the artificial columns, a solution of the dual
+  LP with Ew = 0 and Gw >= 1.  At 1, the optimal (λ, ν) proves that there
+  is no w, and it is checked by exact products before the answer is given.
 """
 
 from __future__ import annotations
@@ -57,20 +57,6 @@ def _pivot(tab, basis, r, c):
     basis[r] = c
 
 
-def _set_objective(tab, basis, c):
-    """Install the reduced-cost row for maximizing c·x given the basis."""
-    ncols = len(tab[0])
-    obj = [(-c[j] if j < len(c) else ZERO) for j in range(ncols)]
-    m = len(tab) - 1
-    for i in range(m):
-        cb = c[basis[i]] if basis[i] < len(c) else ZERO
-        if cb:
-            row = tab[i]
-            for j in range(ncols):
-                obj[j] += cb * row[j]
-    tab[-1] = obj
-
-
 def _run_simplex(tab, basis, nvars):
     """Iterate to optimality.  Returns 'optimal' or 'unbounded'."""
     m = len(tab) - 1
@@ -94,56 +80,48 @@ def _run_simplex(tab, basis, nvars):
 
 def argmin_witness(dim, groups):
     """A point w at which, in every group (chosen, others) of lists of
-    (vector, height) pairs, each chosen pair attains the minimum of
-    height + vector·w and each other pair exceeds it; None when there is
-    no such w.  The rows are taken against the group's first chosen pair:
-    an equality a·w = b per further chosen pair (the rows E, b), a strict
-    inequality g·w > h per other (the rows G, h).  The simplex solves the
-    transposed LP of the module docstring; a point it reads off is checked
-    against every row, and a certificate (λ, ν, μ) of value
-    c = b·λ − h·ν + μ must pass λE = νG, ν, μ >= 0 and c <= 0 < Σν + μ − c
-    before None is returned: a w would give 0 = λEw − νGw <= b·λ − h·ν,
-    with equality only at ν = 0, so c >= μ >= 0, and c <= 0 would force
-    c = μ = 0 and ν = 0, that is Σν + μ − c = 0."""
+    vectors, each chosen vector attains the minimum of vector·w and each
+    other vector exceeds it; None when there is no such w.  The rows are
+    taken against the group's first chosen vector: an equality a·w = 0 per
+    further chosen vector (the rows E), a strict inequality g·w > 0 per
+    other (the rows G).  The simplex solves the LP of the module docstring;
+    a point it reads off is checked against every row, and a certificate
+    (λ, ν) must pass λE = νG, ν >= 0 and Σν > 0 before None is returned: a
+    w would give 0 = λEw = νGw > 0."""
     eqs, gts = [], []
-    for ((v0, h0), *tied), others in groups:
+    for (v0, *tied), others in groups:
         rel = lambda v: tuple(x - y for x, y in zip(v, v0))
-        eqs += [(rel(v), h0 - h) for v, h in tied]
-        gts += [(rel(v), h0 - h) for v, h in others]
-    # the columns λ⁺, λ⁻, ν and μ as (entries on the rows of x, entry on the
-    # row Σν + μ = 1, cost to maximize), then an artificial column per row of x
+        eqs += [rel(v) for v in tied]
+        gts += [rel(v) for v in others]
+    # the columns λ⁺, λ⁻, ν and μ as (entries on the rows of w, entry on the
+    # row Σν + μ = 1), then an artificial column per row of w
     neg = lambda a: tuple(-c for c in a)
-    cols = ([(a, 0, -b) for a, b in eqs] + [(neg(a), 0, b) for a, b in eqs]
-            + [(neg(g), 1, h) for g, h in gts] + [((0,) * dim, 1, -1)])
-    real = len(cols)
-    # entries as given; the right-hand sides are Fractions, so each ratio is exact
-    tab = [[a[k] for a, _, _ in cols] + [ONE if j == k else ZERO for j in range(dim)] + [ZERO] for k in range(dim)]
-    tab += [[s for _, s, _ in cols] + [ZERO] * dim + [ONE], [ZERO] * (real + dim + 1)]
+    cols = [(a, 0) for a in eqs] + [(neg(a), 0) for a in eqs] + [(neg(g), 1) for g in gts] + [((0,) * dim, 1)]
+    e, real = len(eqs), len(cols)
+    # entries as given; the right-hand sides are Fractions, so each ratio is
+    # exact.  The last row is the objective Σν, in canonical form at the
+    # basis μ = 1, where every real column but μ is nonbasic
+    tab = [[a[k] for a, _ in cols] + [ONE if j == k else ZERO for j in range(dim)] + [ZERO] for k in range(dim)]
+    tab += [[s for _, s in cols] + [ZERO] * dim + [ONE],
+            [-ONE if 2 * e <= j < real - 1 else ZERO for j in range(real + dim)] + [ZERO]]
     basis = [real + k for k in range(dim)] + [real - 1]
     for k in range(dim):  # right-hand side 0: a pivot anywhere in the row keeps the basis feasible
         c = next((j for j in range(real) if tab[k][j]), None)
-        if c is not None:  # else no row mentions x_k, and its artificial stays at 0
+        if c is not None:  # else no row mentions w_k, and its artificial stays at 0
             _pivot(tab, basis, k, c)
-    _set_objective(tab, basis, [c for _, _, c in cols])
+    _run_simplex(tab, basis, real)  # "optimal": Σν <= 1 bounds the objective
     dot = lambda a, y: sum(c * v for c, v in zip(a, y))
-    if _run_simplex(tab, basis, real) == "optimal" and tab[-1][-1] < 0:  # the optimum is −ε*
-        x = tuple(-y for y in tab[-1][real:-1])
-        if not (all(dot(a, x) == b for a, b in eqs) and all(dot(g, x) > h for g, h in gts)):  # pragma: no cover - sanity
+    if not tab[-1][-1]:  # the optimum Σν is 0: only ν = 0 balances
+        w = tuple(-y for y in tab[-1][real:-1])
+        if not (all(dot(a, w) == 0 for a in eqs) and all(dot(g, w) > 0 for g in gts)):  # pragma: no cover - sanity
             raise AssertionError("simplex point fails the system it solves")
-        return x
-    # the optimal (λ, ν, μ); or, when Ex = b has no solution and the dual
-    # objective falls without end, the ray along the column that would enter
-    ray = next((j for j in range(real) if tab[-1][j] < 0), None)
+        return w
     y = [ZERO] * (real + dim)
     for i, c in enumerate(basis):
-        y[c] = tab[i][-1] if ray is None else -tab[i][ray]
-    if ray is not None:
-        y[ray] = ONE
-    e = len(eqs)
-    lam, nu, mu = [p - q for p, q in zip(y[:e], y[e:2 * e])], y[2 * e:real - 1], y[real - 1]
-    c = dot(lam, [b for _, b in eqs]) - dot(nu, [h for _, h in gts]) + mu
-    balanced = all(dot(lam, [a[k] for a, _ in eqs]) == dot(nu, [a[k] for a, _ in gts]) for k in range(dim))
-    if not (balanced and all(v >= 0 for v in nu) and mu >= 0 and c <= 0 < sum(nu) + mu - c):
+        y[c] = tab[i][-1]
+    lam, nu = [p - q for p, q in zip(y[:e], y[e:2 * e])], y[2 * e:real - 1]
+    balanced = all(dot(lam, [a[k] for a in eqs]) == dot(nu, [g[k] for g in gts]) for k in range(dim))
+    if not (balanced and all(v >= 0 for v in nu) and sum(nu) > 0):
         raise AssertionError("simplex certificate fails the system it refutes")
     return None
 

@@ -46,9 +46,11 @@ the two.  The library keeps only what the CLI and the benchmark reach
   ``bounded_point_in_complex`` gauges y;
 * the primal route of ``geom.argmin_witness``: a two-phase simplex with
   a shift column, a surplus and an artificial column per row
-  (``lp_solve``), which maximizes ε over the strict rows relaxed to
-  a·x >= b + ε (``strict_feasible``, on the rows of ``argmin_rows``),
-  against the library's transposed LP;
+  (``lp_solve``, its objective rows installed by ``_set_objective``),
+  which maximizes ε over the strict rows relaxed to a·x >= b + ε
+  (``strict_feasible``, on the rows of ``argmin_rows``: (vector, height)
+  pairs), against the library's homogeneous LP, which answers heights
+  through a lift;
 * cells of D(A) by that primal route (``cell_exists``) and the equality
   of two subdivisions against ``arrangement.facets_of_D``;
 * methods that no library code calls, as functions on the object they
@@ -69,7 +71,7 @@ import math
 from fractions import Fraction
 
 from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, common_denom, quotient, require_column_supports, scalar, scalar_str
-from tropstiefel.geom import ONE, ZERO, DifferenceBounds, _pivot, _run_simplex, _set_objective
+from tropstiefel.geom import ONE, ZERO, DifferenceBounds, _pivot, _run_simplex
 from tropstiefel.bipartite import BipartiteGraph, assignment, components, hall_surplus_check, optimal_matchings
 from tropstiefel.plucker import PluckerVector, _subsets
 from tropstiefel.arrangement import covector_edges, enumerate_covectors, facets_of_D
@@ -554,6 +556,20 @@ def argmin_rows(groups):
         eqs += [(rel(v), h0 - h) for v, h in tied]
         gts += [(rel(v), h0 - h) for v, h in others]
     return eqs, gts
+
+
+def _set_objective(tab, basis, c):
+    """Install the reduced-cost row for maximizing c·x given the basis."""
+    ncols = len(tab[0])
+    obj = [(-c[j] if j < len(c) else ZERO) for j in range(ncols)]
+    m = len(tab) - 1
+    for i in range(m):
+        cb = c[basis[i]] if basis[i] < len(c) else ZERO
+        if cb:
+            row = tab[i]
+            for j in range(ncols):
+                obj[j] += cb * row[j]
+    tab[-1] = obj
 
 
 def lp_solve(dim, eqs, ges, objective):

@@ -259,8 +259,8 @@ def coherence_sample(rng, count):
 
 def compare_coherence_routes(monkeypatch, multifields):
     """Run ``is_coherent`` on each multifield and ask the primal route of
-    ``reference.strict_feasible`` the same system; returns the Counter of
-    (transposed answer, primal answer)."""
+    ``reference.strict_feasible`` the same system, at height 0 for every
+    vector; returns the Counter of (transposed answer, primal answer)."""
     calls = []
 
     def spy(dim, groups):
@@ -272,7 +272,7 @@ def compare_coherence_routes(monkeypatch, multifields):
     for mf in multifields:
         witness = is_coherent(mf)
         dim, groups, point = calls.pop()
-        eqs, gts = argmin_rows(groups)
+        eqs, gts = argmin_rows([([(v, 0) for v in chosen], [(v, 0) for v in others]) for chosen, others in groups])
         primal = strict_feasible(dim, eqs=eqs, gts=gts)
         assert (point is None) == (witness is None)
         seen[point is not None, primal is not None] += 1

@@ -6,6 +6,7 @@ from fractions import Fraction
 import polyhedra
 from polyhedra import Polyhedron, matrix_rank, satisfied_by, solve_affine
 from reference import argmin_rows, lp_solve, minimal_form, polytrope_contains, polytrope_dim, restrict, strict_feasible
+from tropstiefel import geom
 from tropstiefel.geom import DifferenceBounds, argmin_witness
 
 F = Fraction
@@ -60,30 +61,52 @@ def test_strict_feasible_non_difference():
     assert x[0] + x[1] > 1 and x[0] + 2 * x[1] < 0
 
 
+def lifted_argmin_witness(dim, groups):
+    """``argmin_witness`` on groups of (vector, height) pairs: a point x at
+    which each chosen pair attains the minimum of height + vector·x and each
+    other pair exceeds it, or None.  Each pair (v, h) is lifted to the
+    vector (v, h), and one more group ([0], [e_t]) forces the last
+    coordinate t > 0, so a lifted witness w gives x = w/t."""
+    lift = lambda pairs: [tuple(v) + (h,) for v, h in pairs]
+    axis = (0,) * dim + (1,)
+    w = argmin_witness(dim + 1, [(lift(chosen), lift(others)) for chosen, others in groups] + [([(0,) * (dim + 1)], [axis])])
+    return None if w is None else tuple(c / w[-1] for c in w[:-1])
+
+
 def test_argmin_witness_collinear():
     # of three collinear points, the middle one alone is never the argmin of
     # a linear function: its rows w1 + w2 < 0 < w1 + w2 are not differences
-    line = [((0, 0), 0), ((1, 1), 0), ((2, 2), 0)]
+    line = [(0, 0), (1, 1), (2, 2)]
     assert argmin_witness(2, [([line[1]], [line[0], line[2]])]) is None
     # with the last point lifted to height 1, the first two tie below it
-    lifted = line[:2] + [((2, 2), 1)]
-    w = argmin_witness(2, [(lifted[:2], lifted[2:])])
+    lifted = [(v, 0) for v in line[:2]] + [(line[2], 1)]
+    w = lifted_argmin_witness(2, [(lifted[:2], lifted[2:])])
     value = lambda v, h: h + sum(c * x for c, x in zip(v, w))
     assert value(*lifted[0]) == value(*lifted[1]) < value(*lifted[2])
 
 
 def test_argmin_witness_inconsistent_ties():
     # the same two points tie at heights 0 and 0, and at 0 and 1: w = 0 and
-    # w = 1, so the transposed LP has no optimum, and a ray of it is the "no"
+    # w = 1, so no lifted w has t > 0, and Gordan's certificate is the "no"
     tie = lambda h: ([((0,), 0), ((1,), h)], [((2,), 5)])
-    assert argmin_witness(1, [tie(0)]) == (0,)
-    assert argmin_witness(1, [tie(0), tie(1)]) is None
+    assert lifted_argmin_witness(1, [tie(0)]) == (0,)
+    assert lifted_argmin_witness(1, [tie(0), tie(1)]) is None
 
 
-def test_argmin_witness_against_the_primal_route():
+def test_argmin_witness_against_the_primal_route(monkeypatch):
     """On seeded groups of points in 1–3 dimensions at rational heights,
-    the transposed LP answers as the reference's primal simplex, its point
-    meets the system, and some systems have ties with no common solution."""
+    the lifted homogeneous system answers as the reference's primal simplex
+    on the pairs themselves, its point meets the system, some systems have
+    ties with no common solution, and every simplex run of
+    ``argmin_witness`` ends at an optimum."""
+    run, statuses = geom._run_simplex, Counter()
+
+    def spy(tab, basis, nvars):
+        status = run(tab, basis, nvars)
+        statuses[status] += 1
+        return status
+
+    monkeypatch.setattr(geom, "_run_simplex", spy)
     rng = random.Random(7)
     seen = Counter()
     for _ in range(300):
@@ -94,13 +117,14 @@ def test_argmin_witness_against_the_primal_route():
                      for _ in range(rng.randint(1, 4))]
             k = rng.randint(1, len(pairs))
             groups.append((pairs[:k], pairs[k:]))
-        w = argmin_witness(dim, groups)
+        w = lifted_argmin_witness(dim, groups)
         eqs, gts = argmin_rows(groups)
         assert (w is None) == (strict_feasible(dim, eqs=eqs, gts=gts) is None)
         if w is not None:
             assert satisfied_by(w, eqs=eqs, gts=gts)
         seen[w is None, strict_feasible(dim, eqs=eqs) is None] += 1
     assert seen[False, False] and seen[True, False] and seen[True, True]
+    assert set(statuses) == {"optimal"} and sum(statuses.values()) == 300
 
 
 def test_difference_bounds_strict_chain():
