@@ -9,7 +9,7 @@ matching engine (``optimal_matchings``), on int weights with None at ∞ (a
 matrix's ``ints``, or the 0/None rows of an edge set), answers which column
 sets can be matched and how well: the Stiefel map, multifields, coherence
 and transversal matroids; it refuses up front a table of more than
-``MATCHING_BUDGET`` column sets.  Coherence is one ``geom.argmin_witness``
+``MATCHING_BUDGET`` column sets.  Coherence is one ``simplex.argmin_witness``
 question, Gordan's alternative on the supported matchings' incidence
 vectors, whose "no" comes with a checked certificate, refused up front
 past ``COHERENCE_BUDGET`` supported matchings.
@@ -27,7 +27,6 @@ import itertools
 import math
 
 from .core import DomainError, TropMatrix, subset_from_key
-from .geom import argmin_witness
 
 
 class BipartiteGraph:
@@ -57,12 +56,6 @@ class BipartiteGraph:
             isinstance(other, BipartiteGraph)
             and (self.d, self.n, self.edges) == (other.d, other.n, other.edges)
         )
-
-    def __hash__(self):
-        return hash((self.d, self.n, self.edges))
-
-    def __repr__(self):
-        return "BipartiteGraph(%d, %d, %s)" % (self.d, self.n, sorted(self.edges))
 
 
 class MatchingMultifield:
@@ -104,9 +97,6 @@ class MatchingMultifield:
             and (self.d, self.n) == (other.d, other.n)
             and self.choices == other.choices
         )
-
-    def __repr__(self):
-        return "MatchingMultifield(d=%d, n=%d)" % (self.d, self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +242,8 @@ def is_coherent(multifield: MatchingMultifield):
     ``COHERENCE_BUDGET``; a list cut at one past it is alone over it.  A
     None has passed the check of ``argmin_witness``'s Gordan certificate.
     """
+    # imported here, so that only coherent compiles the simplex
+    from .simplex import argmin_witness
     support = sorted(multifield.support())
     index = {e: k for k, e in enumerate(support)}
     rows = _zero_inf_rows(multifield.d, multifield.n, index)

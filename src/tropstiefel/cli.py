@@ -3,18 +3,24 @@
 Every command reads JSON (from --input FILE or standard input), dispatches to
 the library, and writes deterministic JSON (or best-effort SVG) to --output
 or standard output.  Exit codes: 0 success, 1 domain error, 2 usage error.
+
+The command line is read against one table, ``OPTIONS``: each command's
+flags with their type, choices and default, and ``POSITIONALS``, the
+positionals of ``gen``.  A flag is given in full, as ``--flag value`` or
+``--flag=value``, anywhere after the command, and a repeated flag keeps its
+last value; after ``--`` every token is a positional.  ``-h`` or ``--help``
+prints the table.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from fractions import Fraction
 
 # Only ``core``, which every command reads and writes with, is imported
-# here; each handler imports the other library names it calls, so a cold
-# process compiles only the modules its command runs.
+# here; each handler imports the other library names it calls, and the
+# SVG paths import ``svg``, so a cold process compiles only the modules its
+# command runs.
 from .core import DomainError, TropMatrix, dumps, matrix_from_json, matrix_to_json, vector_from_json
 
 
@@ -91,7 +97,8 @@ def cmd_covectors(args):
     from .arrangement import complex_to_json, enumerate_covectors
     A = matrix_from_json(_read_input(args))
     if args.format == "svg":
-        return _svg_arrangement(A, args)
+        from .svg import _svg_arrangement
+        return _svg_arrangement(A, **_budget_kwargs(args))
     return complex_to_json(enumerate_covectors(A, **_budget_kwargs(args)))
 
 
@@ -120,6 +127,7 @@ def cmd_bounded(args):
     from .linspace import in_bounded_part
     obj = _read_input(args)
     if args.format == "svg":
+        from .svg import _svg_tree
         A = matrix_from_json(obj["matrix"] if isinstance(obj, dict) and "matrix" in obj else obj)
         return _svg_tree(A)  # the default cell budget: bounded has no --budget
     A, y = _matrix_and_vector(obj)
@@ -163,107 +171,11 @@ def cmd_gen(args):
 
 
 def cmd_render(args):
+    from .svg import _svg_arrangement, _svg_tree
     A = matrix_from_json(_read_input(args))
     if args.kind == "tree":
         return _svg_tree(A, **_budget_kwargs(args))
-    return _svg_arrangement(A, args)
-
-
-# ---------------------------------------------------------------------------
-# Best-effort SVG (exact integer pixel arithmetic only)
-# ---------------------------------------------------------------------------
-
-def _px(value, lo, span, size, margin):
-    """Map an exact rational into integer pixel space."""
-    if span == 0:
-        return margin + size // 2
-    t = (Fraction(value) - lo) / span  # in [0, 1]
-    return margin + int(t * size)
-
-
-def _svg_document(width, height, body):
-    head = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
-    )
-    return head + "".join(body) + "</svg>"
-
-
-def _svg_arrangement(A, args):
-    from .arrangement import cell_point, enumerate_covectors, skeleton
-    if A.d > 3:
-        raise DomainError("BAD_FORMAT", "arrangement rendering requires d <= 3")
-    tc = enumerate_covectors(A, **_budget_kwargs(args))
-    size, margin = 400, 40
-    # gauge-fixed coordinates: use (x_2, x_3) (missing coordinates are 0)
-    pts = {}
-    for cell in tc:
-        x = cell_point(A, cell.covector)
-        u = x[1] if A.d >= 2 else 0
-        v = x[2] if A.d >= 3 else 0
-        pts[cell.covector] = (u, v)
-    us = [u for u, _ in pts.values()]
-    vs = [v for _, v in pts.values()]
-    ulo, uspan = min(us), max(us) - min(us)
-    vlo, vspan = min(vs), max(vs) - min(vs)
-    body = []
-    for cell, ends in skeleton(tc)[1]:
-        mid = pts[cell.covector]
-        ends = [pts[v.covector] for v in ends]
-        if len(ends) == 2:
-            (u1, v1), (u2, v2) = ends
-        elif len(ends) == 1:
-            (u1, v1) = ends[0]
-            # extend the ray through the relative-interior witness
-            u2 = mid[0] + (mid[0] - u1)
-            v2 = mid[1] + (mid[1] - v1)
-        else:
-            continue
-        body.append(
-            '<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>'
-            % (
-                _px(u1, ulo, uspan, size, margin),
-                _px(v1, vlo, vspan, size, margin),
-                _px(u2, ulo, uspan, size, margin),
-                _px(v2, vlo, vspan, size, margin),
-            )
-        )
-    for cell in tc:
-        u, v = pts[cell.covector]
-        x = _px(u, ulo, uspan, size, margin)
-        y = _px(v, vlo, vspan, size, margin)
-        if cell.dim == 0:
-            body.append('<circle cx="%d" cy="%d" r="4" fill="black"/>' % (x, y))
-        label = "".join(
-            "{" + ",".join(str(i) for i in I) + "}" for I in cell.covector
-        )
-        body.append(
-            '<text x="%d" y="%d" font-size="9">%s</text>' % (x + 6, y - 6, label)
-        )
-    return _svg_document(size + 2 * margin, size + 2 * margin, body)
-
-
-def _svg_tree(A, **budget):
-    from .linspace import bounded_skeleton
-    if A.d != 2:
-        raise DomainError("BAD_FORMAT", "tree rendering requires d = 2")
-    verts, segs = bounded_skeleton(A, **budget)
-    order = {v: idx for idx, v in enumerate(verts)}
-    step, y0, margin = 90, 60, 40
-    body = []
-    for _, ends in segs:
-        if len(ends) == 2:
-            x1 = margin + step * order[ends[0]]
-            x2 = margin + step * order[ends[1]]
-            body.append(
-                '<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>'
-                % (x1, y0, x2, y0)
-            )
-    for k in range(len(verts)):
-        x = margin + step * k
-        body.append('<circle cx="%d" cy="%d" r="4" fill="black"/>' % (x, y0))
-    width = 2 * margin + step * max(len(verts) - 1, 0)
-    return _svg_document(max(width, 2 * margin), 2 * y0, body)
+    return _svg_arrangement(A, **_budget_kwargs(args))
 
 
 # ---------------------------------------------------------------------------
@@ -287,33 +199,104 @@ HANDLERS = {
 }
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="tropstiefel",
-        description="Exact tropical Stiefel map toolkit",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in HANDLERS:
-        p = sub.add_parser(name)
-        if name != "gen":
-            p.add_argument("--input", default="-", help="input JSON file or - for stdin")
-        p.add_argument("--output", default=None)
-        if name in ("covectors", "render", "gen"):
-            p.add_argument("--budget", type=int, default=None)
-        if name in ("covectors", "bounded"):
-            p.add_argument("--format", choices=("json", "svg"), default="json")
-        if name == "gen":
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("d", type=int)
-            p.add_argument("n", type=int)
-            p.add_argument(
-                "--mode", choices=("dense", "support-set", "pointed"), default="dense"
-            )
-            p.add_argument("--min", type=int, default=0)
-            p.add_argument("--max", type=int, default=9)
-        if name == "render":
-            p.add_argument("--kind", choices=("arrangement", "tree"), default="arrangement")
-    return parser
+# Each command's flags as {flag: (type, choices, default)}; every value is
+# one token of argv, converted by its type and checked against its choices.
+_IO = {"--input": (str, None, "-"), "--output": (str, None, None)}
+_BUDGET = {"--budget": (int, None, None)}
+_FORMAT = {"--format": (str, ("json", "svg"), "json")}
+OPTIONS = {
+    "stiefel": _IO,
+    "plucker-check": _IO,
+    "multifield": _IO,
+    "coherent": _IO,
+    "support-set": _IO,
+    "covectors": {**_IO, **_BUDGET, **_FORMAT},
+    "facets": _IO,
+    "member": _IO,
+    "decompose": _IO,
+    "bounded": {**_IO, **_FORMAT},
+    "recover": _IO,
+    "gen": {
+        "--output": (str, None, None),
+        **_BUDGET,
+        "--seed": (int, None, 0),
+        "--mode": (str, ("dense", "support-set", "pointed"), "dense"),
+        "--min": (int, None, 0),
+        "--max": (int, None, 9),
+    },
+    "render": {**_IO, **_BUDGET, "--kind": (str, ("arrangement", "tree"), "arrangement")},
+}
+POSITIONALS = {"gen": ("d", "n")}  # ints, in this order
+HELP = ("-h", "--help")
+
+
+class Args:
+    """A parsed command line: ``command`` and one attribute per flag (its
+    name without the dashes) and positional of that command."""
+
+    def __init__(self, values):
+        self.__dict__.update(values)
+
+
+def _value(command, name, kind, choices, text):
+    try:
+        value = kind(text)
+    except ValueError:  # int() also refuses past the int/str digit limit
+        raise UsageError(f"{command} {name}: invalid {kind.__name__} value {text!r}")
+    if choices and value not in choices:
+        raise UsageError(f"{command} {name}: {text!r} is not one of {', '.join(choices)}")
+    return value
+
+
+def parse_args(argv):
+    """The ``Args`` of ``argv``, a command and its flags and positionals,
+    or None when it asks for help.  UsageError on an unknown command or
+    flag, a flag with no value, a value its type or choices refuse, or the
+    wrong number of positionals."""
+    if argv and argv[0] in HELP:
+        return None
+    if not argv or argv[0] not in OPTIONS:
+        raise UsageError(f"expected a command, one of {', '.join(OPTIONS)}; got {argv[0] if argv else 'none'}")
+    command, tokens = argv[0], iter(argv[1:])
+    options, names = OPTIONS[command], POSITIONALS.get(command, ())
+    values = {flag[2:]: default for flag, (_, _, default) in options.items()}
+    positionals = []
+    for token in tokens:
+        if token == "--":  # the rest are positionals
+            positionals += tokens
+            break
+        if token in HELP:
+            return None
+        if not token.startswith("--"):  # a positional, or a negative number
+            positionals.append(token)
+            continue
+        flag, eq, text = token.partition("=")
+        if flag not in options:
+            raise UsageError(f"{command}: unknown flag {flag}")
+        if not eq:
+            text = next(tokens, None)
+            if text is None or text.startswith("--"):
+                raise UsageError(f"{command}: {flag} expects a value")
+        kind, choices, _ = options[flag]
+        values[flag[2:]] = _value(command, flag, kind, choices, text)
+    if len(positionals) != len(names):
+        raise UsageError(f"{command}: expected {len(names)} positional arguments, got {len(positionals)}")
+    values.update((name, _value(command, name, int, None, text)) for name, text in zip(names, positionals))
+    return Args({"command": command, **values})
+
+
+def usage():
+    """The listing ``--help`` prints: every command with its positionals and
+    flags, each flag with its choices or type and its default."""
+    lines = ["usage: tropstiefel COMMAND [--flag VALUE | --flag=VALUE] ...", "", "commands:"]
+    for command, options in OPTIONS.items():
+        words = [command, *POSITIONALS.get(command, ())]
+        for flag, (kind, choices, default) in options.items():
+            shown = "|".join(choices) if choices else kind.__name__.upper()
+            words.append(f"[{flag} {shown}]" if default is None else f"[{flag} {shown} (default {default})]")
+        lines.append("  " + " ".join(words))
+    lines += ["", "Flags are given in full.  -h, --help prints this listing."]
+    return "\n".join(lines) + "\n"
 
 
 def _emit(args, payload):
@@ -330,12 +313,11 @@ def _emit(args, payload):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
+        if args is None:
+            sys.stdout.write(usage())
+            return 0
         try:
             payload, code = HANDLERS[args.command](args), 0
         except DomainError as exc:

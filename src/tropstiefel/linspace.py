@@ -61,9 +61,6 @@ class DecompositionCertificate:
         self.J = frozenset(J)
         self.slack = slack
 
-    def __repr__(self):
-        return "DecompositionCertificate(J=%s, x=%r)" % (sorted(self.J), self.x)
-
 
 def _greatest_dual(A: TropMatrix, y: TropVector):
     """(unit, u, v, tight): ``bipartite.assignment`` on the costs

@@ -1,0 +1,105 @@
+"""Best-effort SVG of the tropical hyperplane arrangement and of the
+bounded tree, in exact integer pixel arithmetic only.
+
+Only the three SVG paths of the command line import this module:
+``covectors --format svg``, ``render`` and ``bounded --format svg``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .core import DomainError
+
+
+def _px(value, lo, span, size, margin):
+    """Map an exact rational into integer pixel space."""
+    if span == 0:
+        return margin + size // 2
+    t = (Fraction(value) - lo) / span  # in [0, 1]
+    return margin + int(t * size)
+
+
+def _svg_document(width, height, body):
+    head = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">'
+    )
+    return head + "".join(body) + "</svg>"
+
+
+def _svg_arrangement(A, **budget):
+    from .arrangement import cell_point, enumerate_covectors, skeleton
+    if A.d > 3:
+        raise DomainError("BAD_FORMAT", "arrangement rendering requires d <= 3")
+    tc = enumerate_covectors(A, **budget)
+    size, margin = 400, 40
+    # gauge-fixed coordinates: use (x_2, x_3) (missing coordinates are 0)
+    pts = {}
+    for cell in tc:
+        x = cell_point(A, cell.covector)
+        u = x[1] if A.d >= 2 else 0
+        v = x[2] if A.d >= 3 else 0
+        pts[cell.covector] = (u, v)
+    us = [u for u, _ in pts.values()]
+    vs = [v for _, v in pts.values()]
+    ulo, uspan = min(us), max(us) - min(us)
+    vlo, vspan = min(vs), max(vs) - min(vs)
+    body = []
+    for cell, ends in skeleton(tc)[1]:
+        mid = pts[cell.covector]
+        ends = [pts[v.covector] for v in ends]
+        if len(ends) == 2:
+            (u1, v1), (u2, v2) = ends
+        elif len(ends) == 1:
+            (u1, v1) = ends[0]
+            # extend the ray through the relative-interior witness
+            u2 = mid[0] + (mid[0] - u1)
+            v2 = mid[1] + (mid[1] - v1)
+        else:
+            continue
+        body.append(
+            '<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>'
+            % (
+                _px(u1, ulo, uspan, size, margin),
+                _px(v1, vlo, vspan, size, margin),
+                _px(u2, ulo, uspan, size, margin),
+                _px(v2, vlo, vspan, size, margin),
+            )
+        )
+    for cell in tc:
+        u, v = pts[cell.covector]
+        x = _px(u, ulo, uspan, size, margin)
+        y = _px(v, vlo, vspan, size, margin)
+        if cell.dim == 0:
+            body.append('<circle cx="%d" cy="%d" r="4" fill="black"/>' % (x, y))
+        label = "".join(
+            "{" + ",".join(str(i) for i in I) + "}" for I in cell.covector
+        )
+        body.append(
+            '<text x="%d" y="%d" font-size="9">%s</text>' % (x + 6, y - 6, label)
+        )
+    return _svg_document(size + 2 * margin, size + 2 * margin, body)
+
+
+def _svg_tree(A, **budget):
+    from .linspace import bounded_skeleton
+    if A.d != 2:
+        raise DomainError("BAD_FORMAT", "tree rendering requires d = 2")
+    verts, segs = bounded_skeleton(A, **budget)
+    order = {v: idx for idx, v in enumerate(verts)}
+    step, y0, margin = 90, 60, 40
+    body = []
+    for _, ends in segs:
+        if len(ends) == 2:
+            x1 = margin + step * order[ends[0]]
+            x2 = margin + step * order[ends[1]]
+            body.append(
+                '<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>'
+                % (x1, y0, x2, y0)
+            )
+    for k in range(len(verts)):
+        x = margin + step * k
+        body.append('<circle cx="%d" cy="%d" r="4" fill="black"/>' % (x, y0))
+    width = 2 * margin + step * max(len(verts) - 1, 0)
+    return _svg_document(max(width, 2 * margin), 2 * y0, body)

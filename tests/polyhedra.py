@@ -16,7 +16,8 @@ import math
 from fractions import Fraction
 
 import reference
-from tropstiefel.geom import DifferenceBounds, _pivot
+from tropstiefel.geom import DifferenceBounds
+from tropstiefel.simplex import _pivot
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

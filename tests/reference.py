@@ -44,7 +44,7 @@ the two.  The library keeps only what the CLI and the benchmark reach
   other views of ``bipartite.optimal_matchings``;
 * the residual of y (``residuation``), by which
   ``bounded_point_in_complex`` gauges y;
-* the primal route of ``geom.argmin_witness``: a two-phase simplex with
+* the primal route of ``simplex.argmin_witness``: a two-phase simplex with
   a shift column, a surplus and an artificial column per row
   (``lp_solve``, its objective rows installed by ``_set_objective``),
   which maximizes ε over the strict rows relaxed to a·x >= b + ε
@@ -71,7 +71,8 @@ import math
 from fractions import Fraction
 
 from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, common_denom, quotient, require_column_supports, scalar, scalar_str
-from tropstiefel.geom import ONE, ZERO, DifferenceBounds, _pivot, _run_simplex
+from tropstiefel.geom import DifferenceBounds
+from tropstiefel.simplex import ONE, ZERO, _pivot, _run_simplex
 from tropstiefel.bipartite import BipartiteGraph, assignment, components, hall_surplus_check, optimal_matchings
 from tropstiefel.plucker import PluckerVector, _subsets
 from tropstiefel.arrangement import covector_edges, enumerate_covectors, facets_of_D
@@ -542,11 +543,11 @@ def cell_exists(p: PluckerVector, bases) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The primal route of ``geom.argmin_witness``: a two-phase simplex
+# The primal route of ``simplex.argmin_witness``: a two-phase simplex
 # ---------------------------------------------------------------------------
 
 def argmin_rows(groups):
-    """The system of ``geom.argmin_witness`` on ``groups``, as the rows
+    """The system of ``simplex.argmin_witness`` on ``groups``, as the rows
     (eqs, gts) of ``strict_feasible``: each pair taken against its group's
     first chosen pair, an equality per further chosen pair and a strict
     inequality per other."""

@@ -32,8 +32,7 @@ from reference import (
     uniform_matroid,
     vec_mat_mul,
 )
-import tropstiefel.bipartite
-from tropstiefel import geom
+from tropstiefel import simplex
 from tropstiefel.bipartite import (
     COHERENCE_BUDGET,
     MATCHING_BUDGET,
@@ -221,7 +220,7 @@ def test_a_wrong_certificate_raises(monkeypatch):
     """A "no" comes only with a certificate that passes its check: with one
     basic ν entry of the final tableau raised by 1, ``is_coherent`` raises
     instead of answering None."""
-    run = geom._run_simplex
+    run = simplex._run_simplex
 
     def tampered(tab, basis, nvars):
         status = run(tab, basis, nvars)
@@ -230,7 +229,7 @@ def test_a_wrong_certificate_raises(monkeypatch):
         tab[i][-1] += 1
         return status
 
-    monkeypatch.setattr(geom, "_run_simplex", tampered)
+    monkeypatch.setattr(simplex, "_run_simplex", tampered)
     with pytest.raises(AssertionError, match="certificate"):
         is_coherent(CYCLIC)
 
@@ -261,13 +260,13 @@ def compare_coherence_routes(monkeypatch, multifields):
     """Run ``is_coherent`` on each multifield and ask the primal route of
     ``reference.strict_feasible`` the same system, at height 0 for every
     vector; returns the Counter of (transposed answer, primal answer)."""
-    calls = []
+    calls, original = [], simplex.argmin_witness
 
     def spy(dim, groups):
-        calls.append((dim, groups, geom.argmin_witness(dim, groups)))
+        calls.append((dim, groups, original(dim, groups)))
         return calls[-1][2]
 
-    monkeypatch.setattr(tropstiefel.bipartite, "argmin_witness", spy)
+    monkeypatch.setattr(simplex, "argmin_witness", spy)
     seen = Counter()
     for mf in multifields:
         witness = is_coherent(mf)
@@ -301,7 +300,7 @@ def test_coherence_budget(monkeypatch):
     mf = matching_multifield(TropMatrix([[0, 0, 0, 0], [0, 0, 1, 1]]))
     monkeypatch.setattr("tropstiefel.bipartite.COHERENCE_BUDGET", 12)
     assert is_coherent(mf) is not None
-    monkeypatch.setattr("tropstiefel.bipartite.argmin_witness", no_lp)
+    monkeypatch.setattr("tropstiefel.simplex.argmin_witness", no_lp)
     monkeypatch.setattr("tropstiefel.bipartite.COHERENCE_BUDGET", 11)
     with pytest.raises(DomainError) as exc:
         is_coherent(mf)

@@ -404,15 +404,19 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     """Without kept bytecode a cold process compiles every module it
     imports, so the CLI imports the library per command: in a fresh
     interpreter each, ``import tropstiefel.cli`` loads only the package,
-    ``cli`` and ``core``; covectors and render (arrangement) load no
-    bipartite, plucker or linspace; facets loads no plucker or linspace."""
+    ``cli`` and ``core``, and no ``argparse``; covectors and render
+    (arrangement) load no bipartite, plucker or linspace; facets loads no
+    plucker or linspace; covectors and facets load neither ``svg`` nor
+    ``simplex``, render loads ``svg`` and not ``simplex``, and coherent
+    loads ``simplex``."""
     src = str(Path(tropstiefel.cli.__file__).resolve().parents[1])
     script = (
         "import sys\nimport tropstiefel.cli\n"
         "code = tropstiefel.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-        "print(code, *sorted(m for m in sys.modules if m.startswith('tropstiefel')), file=sys.stderr)"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('tropstiefel') or m == 'argparse'), file=sys.stderr)"
     )
     path = write_input(tmp_path, matrix_to_json(FIG))
+    field = write_input(tmp_path, multifield_to_json(matching_multifield(FIG)), "field.json")
 
     def loaded(*argv):
         proc = subprocess.run(
@@ -423,11 +427,62 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         assert code == "0", (argv, proc.stderr)
         return set(modules)
 
+    svg, lp = "tropstiefel.svg", "tropstiefel.simplex"
     assert loaded() == {"tropstiefel", "tropstiefel.cli", "tropstiefel.core"}
     for argv in (["covectors"], ["covectors", "--format", "svg"], ["render"]):
         assert not loaded(*argv, "--input", path) & {"tropstiefel.bipartite", "tropstiefel.plucker", "tropstiefel.linspace"}, argv
     facets = loaded("facets", "--input", path)
     assert "tropstiefel.bipartite" in facets and not facets & {"tropstiefel.plucker", "tropstiefel.linspace"}
+    assert not (loaded("covectors", "--input", path) | facets) & {svg, lp}
+    render = loaded("render", "--input", path)
+    assert svg in render and lp not in render
+    assert lp in loaded("coherent", "--input", field)
+
+
+def test_parser_refuses_with_a_usage_error(capsys):
+    """Each command line the option table refuses exits 2 with ``usage
+    error: `` on stderr and nothing on stdout, before any input is read."""
+    cases = [
+        ["bogus"], [], ["--bogus"],
+        ["covectors", "--bogus", "1"], ["covectors", "--inp", "-"], ["stiefel", "--seed", "3"], ["gen", "2", "3", "--input", "-"],
+        ["covectors", "--input"], ["gen", "2", "3", "--min"], ["covectors", "--output", "--budget", "3"],
+        ["covectors", "--format", "png"], ["render", "--kind", "svg"], ["gen", "2", "3", "--mode", "sparse"],
+        ["covectors", "--budget", "x"], ["covectors", "--budget=1.5"], ["gen", "2", "3", "--seed", ""],
+        ["gen", "3"], ["gen", "3", "5", "7"], ["gen", "x", "5"], ["gen"], ["stiefel", "extra"], ["gen", "2", "--", "3", "--seed", "1"],
+    ]
+    for argv in cases:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.err.startswith("usage error: "), (argv, captured.err)
+        assert captured.out == "", argv
+
+
+def test_parser_reads_values_as_argparse_did(capsys):
+    """``--flag=value``, negative ints as values and positionals, options
+    before and after the positionals, the last of a repeated flag, and
+    positionals after ``--``."""
+    gen = lambda *argv: run(capsys, ["gen", *argv])
+    code, out = gen("2", "3", "--min", "-5", "--max", "-1")
+    assert code == 0 and all(-5 <= int(x) <= -1 for row in json.loads(out)["entries"] for x in row)
+    assert gen("2", "3", "--seed", "4", "--budget=7") == gen("--seed=4", "2", "--budget", "7", "3") == gen("--seed", "1", "2", "3", "--seed=4")
+    assert gen("2", "3", "--seed", "4") != gen("2", "3", "--seed", "5")
+    assert gen("--seed", "4", "--", "2", "3") == gen("2", "3", "--seed", "4")
+    assert gen("-1", "3") == (1, json.dumps({"error": "BAD_SHAPE"}) + "\n")
+    args = tropstiefel.cli.parse_args(["covectors", "--budget=7", "--format", "svg", "--format=json"])
+    assert (args.command, args.input, args.output, args.budget, args.format) == ("covectors", "-", None, 7, "json")
+    args = tropstiefel.cli.parse_args(["gen", "3", "5"])
+    assert (args.d, args.n, args.seed, args.mode, args.min, args.max, args.budget) == (3, 5, 0, "dense", 0, 9, None)
+
+
+def test_help_lists_every_command(capsys):
+    for argv in (["--help"], ["-h"], ["covectors", "--help"], ["gen", "2", "-h"]):
+        assert main(argv) == 0, argv
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        listed = [line.split()[0] for line in captured.out.splitlines() if line.startswith("  ")]
+        assert listed == list(tropstiefel.cli.HANDLERS), argv
+    assert list(tropstiefel.cli.OPTIONS) == list(tropstiefel.cli.HANDLERS)
 
 
 def test_an_edge_list_names_each_row_once(tmp_path, capsys):

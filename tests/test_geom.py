@@ -6,8 +6,9 @@ from fractions import Fraction
 import polyhedra
 from polyhedra import Polyhedron, matrix_rank, satisfied_by, solve_affine
 from reference import argmin_rows, lp_solve, minimal_form, polytrope_contains, polytrope_dim, restrict, strict_feasible
-from tropstiefel import geom
-from tropstiefel.geom import DifferenceBounds, argmin_witness
+from tropstiefel import simplex
+from tropstiefel.geom import DifferenceBounds
+from tropstiefel.simplex import argmin_witness
 
 F = Fraction
 
@@ -99,14 +100,14 @@ def test_argmin_witness_against_the_primal_route(monkeypatch):
     on the pairs themselves, its point meets the system, some systems have
     ties with no common solution, and every simplex run of
     ``argmin_witness`` ends at an optimum."""
-    run, statuses = geom._run_simplex, Counter()
+    run, statuses = simplex._run_simplex, Counter()
 
     def spy(tab, basis, nvars):
         status = run(tab, basis, nvars)
         statuses[status] += 1
         return status
 
-    monkeypatch.setattr(geom, "_run_simplex", spy)
+    monkeypatch.setattr(simplex, "_run_simplex", spy)
     rng = random.Random(7)
     seen = Counter()
     for _ in range(300):

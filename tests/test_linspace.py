@@ -363,7 +363,7 @@ def test_decompose_answers_past_the_cell_budget():
 def test_caterpillar_and_tree_build_tc_once(monkeypatch):
     import reference
     import tropstiefel.linspace as linspace
-    from tropstiefel.cli import _svg_tree
+    from tropstiefel.svg import _svg_tree
 
     calls, cones = [], []
     real, real_cone = linspace.enumerate_covectors, reference.decomposition_cone
