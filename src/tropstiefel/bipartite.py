@@ -14,10 +14,10 @@ question, Gordan's alternative on the supported matchings' incidence
 vectors, whose "no" comes with a checked certificate, refused up front
 past ``COHERENCE_BUDGET`` supported matchings.
 One Hungarian solve (``assignment``) gives a min-cost assignment of every
-row and the greatest optimal dual; d of them answer the Hall-type surplus
-condition behind the support-set test, the dragon condition and the
-rejection sampler ``random_support_set``.  One union-find gives every
-component count.
+row and the greatest optimal dual; d of them (one at surplus 0) answer
+the Hall-type surplus condition behind the support-set test, the dragon
+condition and the rejection sampler ``random_support_set``.  One
+union-find gives every component count.
 """
 
 from __future__ import annotations
@@ -285,12 +285,13 @@ def _hall_condition(G: BipartiteGraph, k):
     i, some matching of the other rows leaves k + 1 columns of J_i free.
     One ``assignment`` per row, at cost 1 on J_i and 0 on the other edges,
     finds the fewest columns of J_i such a matching takes: d calls,
-    O(d³n).  A k < 0 (only when d > n) first joins −k new columns to every
-    row."""
+    O(d³n).  At k = 0 the test of each row holds exactly when some matching
+    covers every row, so one row's test answers for all: one call.  A
+    k < 0 (only when d > n) first joins −k new columns to every row."""
     pad = frozenset(range(G.n + 1, G.n + 1 - k))
     k, J = max(k, 0), [G.J(i) | pad for i in range(1, G.d + 1)]
     cols = range(1, G.n + len(pad) + 1)
-    for i, Ji in enumerate(J):
+    for i, Ji in enumerate(J if k else J[:1]):
         if len(Ji) < k + 1:
             return False
         if G.d > 1:  # else no other rows, and they take no column of J_i

@@ -4,12 +4,12 @@ Every command reads JSON (from --input FILE or standard input), dispatches to
 the library, and writes deterministic JSON (or best-effort SVG) to --output
 or standard output.  Exit codes: 0 success, 1 domain error, 2 usage error.
 
-The command line is read against one table, ``OPTIONS``: each command's
-flags with their type, choices and default, and ``POSITIONALS``, the
-positionals of ``gen``.  A flag is given in full, as ``--flag value`` or
-``--flag=value``, anywhere after the command, and a repeated flag keeps its
-last value; after ``--`` every token is a positional.  ``-h`` or ``--help``
-prints the table.
+The command line is read against one table, ``COMMANDS``: each command's
+handler and its flags with their type, choices and default, beside
+``POSITIONALS``, the positionals of ``gen``.  A flag is given in full, as
+``--flag value`` or ``--flag=value``, anywhere after the command, and a
+repeated flag keeps its last value; after ``--`` every token is a
+positional.  ``-h`` or ``--help`` prints the table.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .core import DomainError, TropMatrix, dumps, matrix_from_json, matrix_to_js
 
 
 def _read_input(args):
-    path = getattr(args, "input", "-") or "-"
+    path = args.input or "-"
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -182,49 +182,33 @@ def cmd_render(args):
 # Parser and entry point
 # ---------------------------------------------------------------------------
 
-HANDLERS = {
-    "stiefel": cmd_stiefel,
-    "plucker-check": cmd_plucker_check,
-    "multifield": cmd_multifield,
-    "coherent": cmd_coherent,
-    "support-set": cmd_support_set,
-    "covectors": cmd_covectors,
-    "facets": cmd_facets,
-    "member": cmd_member,
-    "decompose": cmd_decompose,
-    "bounded": cmd_bounded,
-    "recover": cmd_recover,
-    "gen": cmd_gen,
-    "render": cmd_render,
-}
-
-
-# Each command's flags as {flag: (type, choices, default)}; every value is
-# one token of argv, converted by its type and checked against its choices.
+# Each command's handler and its flags as {flag: (type, choices, default)};
+# every value is one token of argv, converted by its type and checked
+# against its choices.
 _IO = {"--input": (str, None, "-"), "--output": (str, None, None)}
 _BUDGET = {"--budget": (int, None, None)}
 _FORMAT = {"--format": (str, ("json", "svg"), "json")}
-OPTIONS = {
-    "stiefel": _IO,
-    "plucker-check": _IO,
-    "multifield": _IO,
-    "coherent": _IO,
-    "support-set": _IO,
-    "covectors": {**_IO, **_BUDGET, **_FORMAT},
-    "facets": _IO,
-    "member": _IO,
-    "decompose": _IO,
-    "bounded": {**_IO, **_FORMAT},
-    "recover": _IO,
-    "gen": {
+COMMANDS = {
+    "stiefel": (cmd_stiefel, _IO),
+    "plucker-check": (cmd_plucker_check, _IO),
+    "multifield": (cmd_multifield, _IO),
+    "coherent": (cmd_coherent, _IO),
+    "support-set": (cmd_support_set, _IO),
+    "covectors": (cmd_covectors, {**_IO, **_BUDGET, **_FORMAT}),
+    "facets": (cmd_facets, _IO),
+    "member": (cmd_member, _IO),
+    "decompose": (cmd_decompose, _IO),
+    "bounded": (cmd_bounded, {**_IO, **_FORMAT}),
+    "recover": (cmd_recover, _IO),
+    "gen": (cmd_gen, {
         "--output": (str, None, None),
         **_BUDGET,
         "--seed": (int, None, 0),
         "--mode": (str, ("dense", "support-set", "pointed"), "dense"),
         "--min": (int, None, 0),
         "--max": (int, None, 9),
-    },
-    "render": {**_IO, **_BUDGET, "--kind": (str, ("arrangement", "tree"), "arrangement")},
+    }),
+    "render": (cmd_render, {**_IO, **_BUDGET, "--kind": (str, ("arrangement", "tree"), "arrangement")}),
 }
 POSITIONALS = {"gen": ("d", "n")}  # ints, in this order
 HELP = ("-h", "--help")
@@ -255,10 +239,10 @@ def parse_args(argv):
     wrong number of positionals."""
     if argv and argv[0] in HELP:
         return None
-    if not argv or argv[0] not in OPTIONS:
-        raise UsageError(f"expected a command, one of {', '.join(OPTIONS)}; got {argv[0] if argv else 'none'}")
+    if not argv or argv[0] not in COMMANDS:
+        raise UsageError(f"expected a command, one of {', '.join(COMMANDS)}; got {argv[0] if argv else 'none'}")
     command, tokens = argv[0], iter(argv[1:])
-    options, names = OPTIONS[command], POSITIONALS.get(command, ())
+    options, names = COMMANDS[command][1], POSITIONALS.get(command, ())
     values = {flag[2:]: default for flag, (_, _, default) in options.items()}
     positionals = []
     for token in tokens:
@@ -289,7 +273,7 @@ def usage():
     """The listing ``--help`` prints: every command with its positionals and
     flags, each flag with its choices or type and its default."""
     lines = ["usage: tropstiefel COMMAND [--flag VALUE | --flag=VALUE] ...", "", "commands:"]
-    for command, options in OPTIONS.items():
+    for command, (_, options) in COMMANDS.items():
         words = [command, *POSITIONALS.get(command, ())]
         for flag, (kind, choices, default) in options.items():
             shown = "|".join(choices) if choices else kind.__name__.upper()
@@ -301,10 +285,9 @@ def usage():
 
 def _emit(args, payload):
     text = payload if isinstance(payload, str) else dumps(payload)
-    out = getattr(args, "output", None)
-    if out:
+    if args.output:
         try:
-            with open(out, "w", encoding="utf-8") as fh:
+            with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
             raise UsageError(f"cannot write output: {exc}")
@@ -319,7 +302,7 @@ def main(argv=None) -> int:
             sys.stdout.write(usage())
             return 0
         try:
-            payload, code = HANDLERS[args.command](args), 0
+            payload, code = COMMANDS[args.command][0](args), 0
         except DomainError as exc:
             payload, code = {"error": exc.code}, 1
         _emit(args, payload)

@@ -28,12 +28,12 @@ class DifferenceBounds:
     A simple cycle has at most ``size`` edges, so for integer sum C and s
     strict edges K·C − s < 0 exactly when C < 0, or C = 0 and s > 0: exactly
     when the strict system has a contradiction.  So this ε always works, as
-    does any larger K (a copy keeps its matrix's K and unit),
-    and the shortest-path potentials of the stored integers are an exact
-    witness.  ``bound[u][v]`` is the tightest implied bound (None when there
-    is none); adding a bound keeps the matrix closed in O(size²), and
-    ``admits`` tells by one lookup whether ``add`` would accept a weak
-    bound.  In the library this class alone reads the stored encoding.
+    does any larger K, and the shortest-path potentials of the stored
+    integers are an exact witness.  ``bound[u][v]`` is the tightest implied
+    bound (None when there is none); adding a bound keeps the matrix closed
+    in O(size²), and ``admits`` tells by one lookup whether ``add`` would
+    accept a weak bound.  In the library this class alone reads the stored
+    encoding.
     """
 
     __slots__ = ("size", "scale", "unit", "bound")
@@ -44,13 +44,8 @@ class DifferenceBounds:
         self.unit = unit
         self.bound = bound or [[0 if u == v else None for v in range(size)] for u in range(size)]
 
-    def _with(self, bound):
-        out = DifferenceBounds(len(bound), self.unit, bound)
-        out.scale = self.scale
-        return out
-
     def copy(self):
-        return self._with([row[:] for row in self.bound])
+        return DifferenceBounds(self.size, self.unit, [row[:] for row in self.bound])
 
     def admits(self, u, v, c):
         """Would ``add(u, v, c)`` accept x_v − x_u ≤ c?  One lookup: only

@@ -848,7 +848,9 @@ def restrict(self, nodes):
     projection onto them.  It keeps this matrix's scale, which stays
     exact for the shorter cycles of fewer nodes.  Only the tests and
     their references (``tests/reference.py``) call it."""
-    return self._with([[self.bound[u][v] for v in nodes] for u in nodes])
+    out = DifferenceBounds(len(nodes), self.unit, [[self.bound[u][v] for v in nodes] for u in nodes])
+    out.scale = self.scale
+    return out
 
 
 def polytrope_contains(self, z):

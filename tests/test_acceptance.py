@@ -824,6 +824,20 @@ def test_support_set_with_more_rows_than_n_plus_one_answers_in_bounded_time(tmp_
             assert json.loads(capsys.readouterr().out) == {"h1": 0, "is_support_set": False}
 
 
+def test_support_set_on_a_square_permutation_graph_answers_in_bounded_time(tmp_path, capsys):
+    """A square graph has n − d = 0, where the surplus Hall condition is
+    Hall's own: a matching covers every row, one assignment problem.  On a
+    600×600 permutation graph, asking it once per row took 24 s."""
+    rng = random.Random(8)
+    perm = list(range(1, 601))
+    rng.shuffle(perm)
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"d": 600, "n": 600, "edges": [[i, j] for i, j in enumerate(perm, 1)]}))
+    with Budget(2):
+        assert main(["support-set", "--input", str(graph)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"h1": 0, "is_support_set": True}
+
+
 def test_covectors_and_facets_refuse_a_dense_12x13_in_bounded_time(tmp_path, capsys):
     """A dense 12×13 (``random.Random(7)``, entries −50..50) has more than
     5000 cells of TC(A), and each column has 4095 row sets; the search
