@@ -1,7 +1,7 @@
 """Tropical hyperplane arrangements of a matrix A.
 
-The full covector complex TC(A), the 0- and 1-cells of a list of cells
-with the ends of each 1-cell (``skeleton``), and the facets of the matroid
+The full covector complex TC(A), the 0- and 1-cells of a part of it with
+the ends of each 1-cell (``skeleton``), and the facets of the matroid
 subdivision D(A), the containment-maximal transversal matroids of the cells
 (``facets_of_D``).
 
@@ -33,8 +33,8 @@ child I_j, imposed on a copy by ``_attain``.  Every child is a cell prefix:
   attains there.
 
 A covector is its type (I_1, ..., I_n), a tuple of sorted 1-based row
-tuples, and a cell is its covector and its dimension.  ``covector_edges``
-gives the edges (i, j), i ∈ I_j, by which cells are sorted and compared.
+tuples, and TC(A) is a dict from covector to dimension.  ``covector_edges``
+gives the edges (i, j), i ∈ I_j, by which covectors are sorted and compared.
 The search keeps no point: ``cell_point`` rebuilds a cell's closed matrix,
 ``_attain`` one column at a time, and reads a relative-interior point,
 gauge-fixed by x_1 = 0, off its potentials.
@@ -67,20 +67,6 @@ def _attain(dbm, a, j, I):
         dbm.add(k, i0, c - a0, k not in I)
 
 
-class Cell:
-    """One face of TC(A): its covector (I_1, ..., I_n) and its dimension in
-    the gauge x_1 = 0."""
-
-    __slots__ = ("covector", "dim")
-
-    def __init__(self, covector, dim):
-        self.covector = covector
-        self.dim = dim
-
-    def __repr__(self):
-        return "Cell(dim=%d, %s)" % (self.dim, self.covector)
-
-
 def covector_edges(covector) -> frozenset:
     """The 1-based edges (i, j), i ∈ I_j, of a covector (I_1, ..., I_n)."""
     return frozenset((i, j) for j, I in enumerate(covector, 1) for i in I)
@@ -101,19 +87,19 @@ def _column_rows(A: TropMatrix, budget):
     return cols
 
 
-def enumerate_covectors(A: TropMatrix, budget=CELL_BUDGET) -> list:
-    """TC(A), exactly: every covector with its dimension, sorted by
-    covector edges; DomainError BUDGET_EXCEEDED beyond ``budget`` cells, up
-    front by ``_column_rows``."""
+def enumerate_covectors(A: TropMatrix, budget=CELL_BUDGET) -> dict:
+    """TC(A), exactly: each covector mapped to its dimension, in the order of
+    sorted covector edges; DomainError BUDGET_EXCEEDED beyond ``budget``
+    cells, up front by ``_column_rows``."""
     d, n = A.d, A.n
     cols = _column_rows(A, budget)
     a = A.ints
-    cells = []
+    cells = {}
 
     # label[i] is a row of row i's component; a union of classes merges theirs
     def search(j, dbm, chosen, label):
         if j == n:
-            cells.append(Cell(chosen, len(set(label)) - 1))
+            cells[chosen] = len(set(label)) - 1
             if len(cells) > budget:
                 raise DomainError("BUDGET_EXCEEDED", f"more than {budget} cells")
             return
@@ -129,7 +115,7 @@ def enumerate_covectors(A: TropMatrix, budget=CELL_BUDGET) -> list:
                 search(j + 1, child, chosen + (tuple(i + 1 for i in I),), label if r == 1 else [I[0] if L in picked else L for L in label])
 
     search(0, DifferenceBounds(d, A.denom), (), list(range(d)))
-    return sorted(cells, key=lambda c: sorted(covector_edges(c.covector)))
+    return {tau: cells[tau] for tau in sorted(cells, key=lambda tau: sorted(covector_edges(tau)))}
 
 
 def cell_point(A: TropMatrix, covector):
@@ -143,11 +129,11 @@ def cell_point(A: TropMatrix, covector):
 
 
 def skeleton(cells):
-    """The 0-cells of a list of cells, and each 1-cell paired with the 0-cells
-    whose covector strictly contains its own: the ends of a segment or ray."""
-    edges = {c.covector: covector_edges(c.covector) for c in cells if c.dim <= 1}
-    vertices = [c for c in cells if c.dim == 0]
-    return vertices, [(c, [v for v in vertices if edges[v.covector] > edges[c.covector]]) for c in cells if c.dim == 1]
+    """The 0-cells of a dict {covector: dim}, and each 1-cell paired with the
+    0-cells whose covector strictly contains its own: the ends of a segment or ray."""
+    edges = {tau: covector_edges(tau) for tau, dim in cells.items() if dim <= 1}
+    vertices = [tau for tau, dim in cells.items() if dim == 0]
+    return vertices, [(tau, [v for v in vertices if edges[v] > edges[tau]]) for tau, dim in cells.items() if dim == 1]
 
 
 def facets_of_D(A: TropMatrix) -> frozenset:
@@ -161,8 +147,8 @@ def facets_of_D(A: TropMatrix) -> frozenset:
     # imported here, so that covectors and render never compile bipartite
     from .bipartite import BipartiteGraph, transversal_matroid
     matroids = set()
-    for c in enumerate_covectors(A):
-        M = transversal_matroid(BipartiteGraph(A.d, A.n, covector_edges(c.covector)))
+    for tau in enumerate_covectors(A):
+        M = transversal_matroid(BipartiteGraph(A.d, A.n, covector_edges(tau)))
         if M:
             matroids.add(M)
     if not matroids:
@@ -175,7 +161,7 @@ def facets_of_D(A: TropMatrix) -> frozenset:
 # ---------------------------------------------------------------------------
 
 def complex_to_json(cells):
-    return [{"covector": c.covector, "dim": c.dim} for c in cells]
+    return [{"covector": tau, "dim": dim} for tau, dim in cells.items()]
 
 
 def facets_to_json(facets) -> list:

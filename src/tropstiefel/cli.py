@@ -96,9 +96,6 @@ def cmd_support_set(args):
 def cmd_covectors(args):
     from .arrangement import complex_to_json, enumerate_covectors
     A = matrix_from_json(_read_input(args))
-    if args.format == "svg":
-        from .svg import _svg_arrangement
-        return _svg_arrangement(A, **_budget_kwargs(args))
     return complex_to_json(enumerate_covectors(A, **_budget_kwargs(args)))
 
 
@@ -187,18 +184,17 @@ def cmd_render(args):
 # against its choices.
 _IO = {"--input": (str, None, "-"), "--output": (str, None, None)}
 _BUDGET = {"--budget": (int, None, None)}
-_FORMAT = {"--format": (str, ("json", "svg"), "json")}
 COMMANDS = {
     "stiefel": (cmd_stiefel, _IO),
     "plucker-check": (cmd_plucker_check, _IO),
     "multifield": (cmd_multifield, _IO),
     "coherent": (cmd_coherent, _IO),
     "support-set": (cmd_support_set, _IO),
-    "covectors": (cmd_covectors, {**_IO, **_BUDGET, **_FORMAT}),
+    "covectors": (cmd_covectors, {**_IO, **_BUDGET}),
     "facets": (cmd_facets, _IO),
     "member": (cmd_member, _IO),
     "decompose": (cmd_decompose, _IO),
-    "bounded": (cmd_bounded, {**_IO, **_FORMAT}),
+    "bounded": (cmd_bounded, {**_IO, "--format": (str, ("json", "svg"), "json")}),
     "recover": (cmd_recover, _IO),
     "gen": (cmd_gen, {
         "--output": (str, None, None),

@@ -10,8 +10,8 @@ row and J meeting the column-wise dragon condition.  The bounded part of
 L(A), for a uniform underlying matroid (``_require_uniform``), is the image
 x ⊙ A of the cells of K(A), the covectors meeting the dragon condition
 (``in_K``): ``in_bounded_part`` asks ``decompose`` for a certificate with
-J = ∅ and its covector in K(A), and ``bounded_skeleton`` keeps the cells of
-TC(A) in K(A) and their dimensions, with no image built.  Membership by
+J = ∅ and its covector in K(A), and ``bounded_skeleton`` keeps the covectors
+of TC(A) in K(A) with their dimensions, with no image built.  Membership by
 circuit minima (``plucker.contains``, imported here, on the circuits kept on
 p) and by the selected matroid M_y of ``select_matroid``
 (``contains_via_matroid``) stays for the benchmark.
@@ -170,7 +170,7 @@ def bounded_skeleton(A: TropMatrix, budget=CELL_BUDGET):
     the cells of TC(A) in K(A), after ``_require_uniform``.
     ``enumerate_covectors`` refuses past ``budget`` cells of TC(A)."""
     _require_uniform(A)
-    return skeleton([cell for cell in enumerate_covectors(A, budget) if in_K(A, cell.covector)])
+    return skeleton({tau: dim for tau, dim in enumerate_covectors(A, budget).items() if in_K(A, tau)})
 
 
 def certificate_to_json(cert: DecompositionCertificate):

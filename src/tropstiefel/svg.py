@@ -1,8 +1,8 @@
 """Best-effort SVG of the tropical hyperplane arrangement and of the
 bounded tree, in exact integer pixel arithmetic only.
 
-Only the three SVG paths of the command line import this module:
-``covectors --format svg``, ``render`` and ``bounded --format svg``.
+Only the two SVG paths of the command line import this module:
+``render`` and ``bounded --format svg``.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ def _px(value, lo, span, size, margin):
     """Map an exact rational into integer pixel space."""
     if span == 0:
         return margin + size // 2
-    t = (Fraction(value) - lo) / span  # in [0, 1]
-    return margin + int(t * size)
+    t = (Fraction(value) - lo) / span  # in [0, 1] except at a ray's far end
+    return margin + int(t * size)  # truncated toward zero, also where t < 0
 
 
 def _svg_document(width, height, body):
@@ -36,19 +36,19 @@ def _svg_arrangement(A, **budget):
     size, margin = 400, 40
     # gauge-fixed coordinates: use (x_2, x_3) (missing coordinates are 0)
     pts = {}
-    for cell in tc:
-        x = cell_point(A, cell.covector)
+    for tau in tc:
+        x = cell_point(A, tau)
         u = x[1] if A.d >= 2 else 0
         v = x[2] if A.d >= 3 else 0
-        pts[cell.covector] = (u, v)
+        pts[tau] = (u, v)
     us = [u for u, _ in pts.values()]
     vs = [v for _, v in pts.values()]
     ulo, uspan = min(us), max(us) - min(us)
     vlo, vspan = min(vs), max(vs) - min(vs)
     body = []
-    for cell, ends in skeleton(tc)[1]:
-        mid = pts[cell.covector]
-        ends = [pts[v.covector] for v in ends]
+    for tau, ends in skeleton(tc)[1]:
+        mid = pts[tau]
+        ends = [pts[v] for v in ends]
         if len(ends) == 2:
             (u1, v1), (u2, v2) = ends
         elif len(ends) == 1:
@@ -67,14 +67,14 @@ def _svg_arrangement(A, **budget):
                 _px(v2, vlo, vspan, size, margin),
             )
         )
-    for cell in tc:
-        u, v = pts[cell.covector]
+    for tau, dim in tc.items():
+        u, v = pts[tau]
         x = _px(u, ulo, uspan, size, margin)
         y = _px(v, vlo, vspan, size, margin)
-        if cell.dim == 0:
+        if dim == 0:
             body.append('<circle cx="%d" cy="%d" r="4" fill="black"/>' % (x, y))
         label = "".join(
-            "{" + ",".join(str(i) for i in I) + "}" for I in cell.covector
+            "{" + ",".join(str(i) for i in I) + "}" for I in tau
         )
         body.append(
             '<text x="%d" y="%d" font-size="9">%s</text>' % (x + 6, y - 6, label)

@@ -699,8 +699,7 @@ def bounded_complex(A: TropMatrix):
     _require_uniform(A)
     a = A.ints
     out = []
-    for cell in enumerate_covectors(A):
-        F = cell.covector
+    for F in enumerate_covectors(A):
         if not in_K(A, F):
             continue
         j1 = min(j for j, I in enumerate(F, 1) if 1 in I)

@@ -113,19 +113,18 @@ def test_enumerate_covectors_two_row():
         ((2,), (2,), (1, 2), (1, 2)): 0,
         ((2,), (2,), (1,), (1,)): 1,
     }
-    assert {c.covector: c.dim for c in tc} == expected
+    assert tc == expected
 
 
 def test_enumerate_covectors_single_row():
     tc = enumerate_covectors(TropMatrix([[0, 0, 0]]))
-    assert len(tc) == 1
-    assert tc[0].covector == ((1,), (1,), (1,))
+    assert tc == {((1,), (1,), (1,)): 0}  # one row: the point x_1 = 0
 
 
 def test_example_t_dependence():
     half = Fraction(1, 2)
-    tc_pos = {c.covector for c in enumerate_covectors(A_of_t(half))}
-    tc_neg = {c.covector for c in enumerate_covectors(A_of_t(-half))}
+    tc_pos = enumerate_covectors(A_of_t(half))
+    tc_neg = enumerate_covectors(A_of_t(-half))
     pos_only = ((2,), (3,), (1,), (1,), (2,), (3,))
     neg_only = ((3,), (1,), (2,), (1,), (2,), (3,))
     assert pos_only in tc_pos and pos_only not in tc_neg
@@ -136,7 +135,7 @@ def test_covering_and_disjointness():
     rng = random.Random(41)
     for A in (FIG, STAIR, TWO_ROW):
         tc = enumerate_covectors(A)
-        hits = {c.covector: 0 for c in tc}
+        hits = dict.fromkeys(tc, 0)
         for _ in range(200):
             x = TropVector(
                 [0] + [Fraction(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(A.d - 1)]
@@ -145,8 +144,8 @@ def test_covering_and_disjointness():
             assert c in hits
             hits[c] += 1
         # every witness lies in its own cell and in no other
-        for cell in tc:
-            assert covector_of_point(A, TropVector(cell_point(A, cell.covector))) == cell.covector
+        for tau in tc:
+            assert covector_of_point(A, TropVector(cell_point(A, tau))) == tau
 
 
 def test_order_reversal():
@@ -154,11 +153,11 @@ def test_order_reversal():
         tc = enumerate_covectors(A)
         for c1 in tc:
             for c2 in tc:
-                if covector_edges(c1.covector) > covector_edges(c2.covector):
+                if covector_edges(c1) > covector_edges(c2):
                     # bigger covector = smaller face, contained in the closure
-                    x = TropVector(cell_point(A, c1.covector))
-                    assert covector_edges(covector_of_point(A, x)) >= covector_edges(c2.covector)
-                    assert c1.dim < c2.dim
+                    x = TropVector(cell_point(A, c1))
+                    assert covector_edges(covector_of_point(A, x)) >= covector_edges(c2)
+                    assert tc[c1] < tc[c2]
 
 
 def random_matrices(seed, count):
@@ -187,12 +186,12 @@ def random_matrices(seed, count):
 def test_cell_witnesses_and_euler_characteristic():
     for A in random_matrices(11, 60):
         tc = enumerate_covectors(A)
-        for cell in tc:
-            x = cell_point(A, cell.covector)
+        for tau in tc:
+            x = cell_point(A, tau)
             assert x[0] == 0
-            assert covector_of_point(A, TropVector(x)) == cell.covector
+            assert covector_of_point(A, TropVector(x)) == tau
         # the relatively open cells partition R^(d-1)
-        assert sum((-1) ** cell.dim for cell in tc) == (-1) ** (A.d - 1)
+        assert sum((-1) ** dim for dim in tc.values()) == (-1) ** (A.d - 1)
 
 
 def _cell_constraints(A: TropMatrix, tau):
@@ -228,10 +227,10 @@ def _cell_constraints(A: TropMatrix, tau):
 def test_cell_dimension_matches_closed_cell_polyhedron():
     for A in random_matrices(12, 15):
         gauge = ((1,) + (0,) * (A.d - 1), 0)
-        for cell in enumerate_covectors(A):
-            eqs, others = _cell_constraints(A, covector_edges(cell.covector))
+        for tau, dim in enumerate_covectors(A).items():
+            eqs, others = _cell_constraints(A, covector_edges(tau))
             P = Polyhedron(A.d, eqs=[gauge] + eqs, ineqs=[(c, b) for c, b, _ in others])
-            assert cell.dim == P.affine_dimension()
+            assert dim == P.affine_dimension()
 
 
 def multifield_of_cells(d, cells):
@@ -240,8 +239,8 @@ def multifield_of_cells(d, cells):
     over the rows' neighbourhoods {j : i ∈ I_j}.  A J that no cell matches
     is missing."""
     seen = {}
-    for cell in cells:
-        neighbourhoods = [[j for j, I in enumerate(cell.covector, 1) if i in I] for i in range(1, d + 1)]
+    for tau in cells:
+        neighbourhoods = [[j for j, I in enumerate(tau, 1) if i in I] for i in range(1, d + 1)]
         for cols in itertools.product(*neighbourhoods):
             if len(set(cols)) == d:
                 seen.setdefault(frozenset(cols), set()).add(cols)
@@ -289,7 +288,7 @@ def test_multifield_from_covectors():
         entries = [list(row) for row in A.entries]
         entries[i - 1][j - 1] += rng.choice((1, -1)) * Fraction(1, 4)
         B = TropMatrix(entries)
-        if [(c.covector, c.dim) for c in enumerate_covectors(B)] == [(c.covector, c.dim) for c in cells]:
+        if enumerate_covectors(B) == cells:
             assert multifield_or_refusal(B) == mf
             seen["same type"] += 1
     assert seen[False] >= 2000 and seen[True] and seen["same type"] >= 200
@@ -304,8 +303,8 @@ def test_transpose_duality():
         tct = enumerate_covectors(transpose(A))
         def two_sided(complex_, dd, nn):
             out = set()
-            for c in complex_:
-                edges = covector_edges(c.covector)
+            for tau in complex_:
+                edges = covector_edges(tau)
                 if {i for i, _ in edges} == set(range(1, dd + 1)) and {j for _, j in edges} == set(range(1, nn + 1)):
                     out.add(edges)
             return out
@@ -317,11 +316,11 @@ def test_transpose_duality():
 
 
 def test_in_B_and_in_K():
-    tc = {c.covector for c in enumerate_covectors(STAIR)}
+    tc = enumerate_covectors(STAIR)
     vertex = ((1,), (1, 2), (2, 3), (3,))
     assert vertex in tc
     assert in_B(STAIR, vertex) and in_K(STAIR, vertex)
-    tc2 = {c.covector for c in enumerate_covectors(TWO_ROW)}
+    tc2 = enumerate_covectors(TWO_ROW)
     ray = ((1,), (1,), (1,), (1,))
     middle = ((2,), (2,), (1,), (1,))
     assert ray in tc2 and middle in tc2
@@ -483,7 +482,7 @@ def test_search_over_tie_classes_matches_the_row_subset_search(monkeypatch):
         side = "library"
         cells = enumerate_covectors(A)
         assert attains <= A.n * len(cells), (A, attains, len(cells))
-        library = [(c.covector, c.dim, cell_point(A, c.covector)) for c in cells]
+        library = [(tau, dim, cell_point(A, tau)) for tau, dim in cells.items()]
         side = "reference"
         assert library == covectors_by_row_subsets(A), A
     assert refused["library"] == 0 and refused["reference"] > 0, refused

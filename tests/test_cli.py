@@ -70,6 +70,10 @@ def test_plucker_check_roundtrip(tmp_path, capsys):
     code, out = run(capsys, ["plucker-check", "--input", path])
     assert code == 0
     assert json.loads(out) == {"is_plucker": True}
+    # rank 0: the one coordinate, on the empty set, has no relation to meet
+    for doc in ({"d": 0, "n": 2, "values": {"": "0"}}, {"d": 0, "n": 0, "values": {"": "3"}}):
+        code, out = run(capsys, ["plucker-check", "--input", write_input(tmp_path, doc, "rank0.json")])
+        assert (code, json.loads(out)) == (0, {"is_plucker": True}), doc
 
 
 def test_multifield_and_coherent(tmp_path, capsys):
@@ -269,7 +273,6 @@ def test_domain_error_exit_code(tmp_path, capsys):
         (["render"], matrix([[0] * 4] * 4), "BAD_FORMAT"),
         (["render", "--kind", "tree"], matrix([[0] * 4] * 3), "BAD_FORMAT"),
         # d > 3 is refused before TC(A), past the cell budget here, is built
-        (["covectors", "--format", "svg"], matrix(dense_5x8), "BAD_FORMAT"),
         (["render"], matrix(dense_5x8), "BAD_FORMAT"),
         # d > n: no column d-set, so no matching
         (["multifield"], matrix([[0, 1], [2, 0], [1, 1]]), "NO_MATCHING_IN_SUPPORT"),
@@ -429,7 +432,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
 
     svg, lp = "tropstiefel.svg", "tropstiefel.simplex"
     assert loaded() == {"tropstiefel", "tropstiefel.cli", "tropstiefel.core"}
-    for argv in (["covectors"], ["covectors", "--format", "svg"], ["render"]):
+    for argv in (["covectors"], ["render"]):
         assert not loaded(*argv, "--input", path) & {"tropstiefel.bipartite", "tropstiefel.plucker", "tropstiefel.linspace"}, argv
     facets = loaded("facets", "--input", path)
     assert "tropstiefel.bipartite" in facets and not facets & {"tropstiefel.plucker", "tropstiefel.linspace"}
@@ -446,7 +449,8 @@ def test_parser_refuses_with_a_usage_error(capsys):
         ["bogus"], [], ["--bogus"],
         ["covectors", "--bogus", "1"], ["covectors", "--inp", "-"], ["stiefel", "--seed", "3"], ["gen", "2", "3", "--input", "-"],
         ["covectors", "--input"], ["gen", "2", "3", "--min"], ["covectors", "--output", "--budget", "3"],
-        ["covectors", "--format", "png"], ["render", "--kind", "svg"], ["gen", "2", "3", "--mode", "sparse"],
+        ["bounded", "--format", "png"], ["render", "--kind", "svg"], ["gen", "2", "3", "--mode", "sparse"],
+        ["covectors", "--format", "svg"],
         ["covectors", "--budget", "x"], ["covectors", "--budget=1.5"], ["gen", "2", "3", "--seed", ""],
         ["gen", "3"], ["gen", "3", "5", "7"], ["gen", "x", "5"], ["gen"], ["stiefel", "extra"], ["gen", "2", "--", "3", "--seed", "1"],
     ]
@@ -469,8 +473,8 @@ def test_parser_reads_values_as_argparse_did(capsys):
     assert gen("2", "3", "--seed", "4") != gen("2", "3", "--seed", "5")
     assert gen("--seed", "4", "--", "2", "3") == gen("2", "3", "--seed", "4")
     assert gen("-1", "3") == (1, json.dumps({"error": "BAD_SHAPE"}) + "\n")
-    args = tropstiefel.cli.parse_args(["covectors", "--budget=7", "--format", "svg", "--format=json"])
-    assert (args.command, args.input, args.output, args.budget, args.format) == ("covectors", "-", None, 7, "json")
+    args = tropstiefel.cli.parse_args(["render", "--budget=7", "--kind", "tree", "--kind=arrangement"])
+    assert (args.command, args.input, args.output, args.budget, args.kind) == ("render", "-", None, 7, "arrangement")
     args = tropstiefel.cli.parse_args(["gen", "3", "5"])
     assert (args.d, args.n, args.seed, args.mode, args.min, args.max, args.budget) == (3, 5, 0, "dense", 0, 9, None)
 
@@ -654,7 +658,7 @@ def test_coherent_golden_stdout(tmp_path, capsys):
 
 
 def test_cell_outputs_golden_stdout(tmp_path, capsys):
-    # covectors (JSON and SVG), render, decompose and the bounded tree, each
+    # covectors, render, decompose and the bounded tree, each
     # on a matrix with ∞ and fractions; the cells' matrices must not depend
     # on how they are built
     A = {"entries": [[0, "1/2", "inf", 2], ["inf", 0, "3/2", 1], [1, "inf", 0, "-1/2"]]}
@@ -683,9 +687,8 @@ def test_cell_outputs_golden_stdout(tmp_path, capsys):
         code, out = run(capsys, ["decompose", "--input", path])
         assert code == 0 and out == expected + "\n"
     # the arrangement SVG places each cell at its point
-    for argv in (["render"], ["covectors", "--format", "svg"]):
-        code, out = run(capsys, argv + ["--input", write_input(tmp_path, A)])
-        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == "d5fa7977ee75ed59c224e02df263009929af461636caf454e9b0daacfd6ba833"
+    code, out = run(capsys, ["render", "--input", write_input(tmp_path, A)])
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == "d5fa7977ee75ed59c224e02df263009929af461636caf454e9b0daacfd6ba833"
     B = {"entries": [[0, 1, "1/2", 3, 0], [2, 0, 1, "-1", "inf"]]}
     code, out = run(capsys, ["bounded", "--format", "svg", "--input", write_input(tmp_path, B)])
     assert code == 0 and out == (
@@ -856,8 +859,7 @@ def test_fuzzed_json_documents_exit_cleanly(capsys, monkeypatch):
     on_support = TropMatrix([[0, 0, 0, "inf"], ["inf", 0, 1, 0]])
     point = {"matrix": M, "vector": {"entries": ["0", "1", "1", "0"]}}
     documents = [
-        (["stiefel"], M), (["multifield"], M), (["covectors"], M), (["covectors", "--format", "svg"], M),
-        (["facets"], M), (["render"], M), (["render", "--kind", "tree"], M), (["bounded", "--format", "svg"], M),
+        (["stiefel"], M), (["multifield"], M), (["covectors"], M), (["facets"], M), (["render"], M), (["render", "--kind", "tree"], M), (["bounded", "--format", "svg"], M),
         (["member"], point), (["decompose"], point), (["bounded"], point),
         (["plucker-check"], plucker_to_json(stiefel_map(TWO_ROW))),
         (["coherent"], multifield_to_json(matching_multifield(TWO_ROW))),

@@ -273,7 +273,7 @@ def test_library_scalars_keep_the_invariant():
             values.extend(("TropVector", v) for v in Y.entries)
             route("decompose", lambda: decompose(A, Y), lambda cert: cert.x.entries + cert.slack.entries)
         route("stiefel_map", lambda: stiefel_map(A), lambda p: p.values.values())
-        route("enumerate_covectors", lambda: enumerate_covectors(A), lambda cells: [v for cell in cells for v in cell_point(A, cell.covector)])
+        route("enumerate_covectors", lambda: enumerate_covectors(A), lambda cells: [v for tau in cells for v in cell_point(A, tau)])
         # A kept on the staircase support set, where π is finite unless A has ∞ there
         G = BipartiteGraph(d, n, [(i, j) for i in range(1, d + 1) for j in range(i, i + n - d + 1)])
         stair = TropMatrix([[v if (i + 1, j + 1) in G.edges else INF for j, v in enumerate(row)] for i, row in enumerate(A.entries)])
