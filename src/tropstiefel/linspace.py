@@ -4,9 +4,9 @@ Each p_J of π(A) is an optimal-assignment value, so one
 ``bipartite.assignment`` on the costs a_ij − y_j, in ints at the common
 denominator of A and y, answers membership of y in L(A) from its greatest
 optimal dual: ``in_L``, with ∞ coordinates, and ``decompose``, which reads
-a certificate (F, J, x) off that dual, with no search: L(A) is the union of
-the cells (F ⊙ A) + R_{>=0}{e_j : j ∈ J} with F a covector covering every
-row and J meeting the column-wise dragon condition.  The bounded part of
+the certificate (F, x, J, slack) off that dual, with no search: L(A) is the
+union of the cells (F ⊙ A) + R_{>=0}{e_j : j ∈ J} with F a covector covering
+every row and J meeting the column-wise dragon condition.  The bounded part of
 L(A), for a uniform underlying matroid (``_require_uniform``), is the image
 x ⊙ A of the cells of K(A), the covectors meeting the dragon condition
 (``in_K``): ``in_bounded_part`` asks ``decompose`` for a certificate with
@@ -48,18 +48,6 @@ def contains_via_matroid(p: PluckerVector, y: TropVector) -> bool:
     """Membership via the selected matroid: M_y must be loopless, its
     bases covering [n]."""
     return len(frozenset().union(*select_matroid(p, y))) == p.n
-
-
-class DecompositionCertificate:
-    """A witness y ∈ (F ⊙ A) + R_{>=0}{e_j : j ∈ J} with positive J-slack."""
-
-    __slots__ = ("covector", "x", "J", "slack")
-
-    def __init__(self, covector, x: TropVector, J, slack: TropVector):
-        self.covector = covector
-        self.x = x
-        self.J = frozenset(J)
-        self.slack = slack
 
 
 def _greatest_dual(A: TropMatrix, y: TropVector):
@@ -119,14 +107,18 @@ def in_bounded_part(A: TropMatrix, y: TropVector) -> bool:
     uniform), then BAD_POINT for a y not finite of length n."""
     _require_uniform(A)
     cert = decompose(A, y)
-    return cert is not None and not cert.J and in_K(A, cert.covector)
+    if cert is None:
+        return False
+    covector, _, J, _ = cert
+    return not J and in_K(A, covector)
 
 
 def decompose(A: TropMatrix, y: TropVector):
-    """The certificate of the greatest optimal dual for y ∈ L(A), or None
-    when y is not in the linear space: F a covector of TC(A) covering every
-    row, J meeting the column-wise dragon condition, and
-    y ∈ (F ⊙ A) + R_{>=0}{e_j : j ∈ J} with zero slack off J.
+    """The certificate (F, x, J, slack) of the greatest optimal dual for
+    y ∈ L(A), or None when y is not in the linear space: F a covector of
+    TC(A) covering every row, as sorted 1-based row tuples, J a frozenset
+    meeting the column-wise dragon condition, and y = x ⊙ A + slack with the
+    slack positive exactly on J; x and slack are tuples of exact scalars.
 
     Each p_J is an optimal-assignment value, so one ``assignment`` on the
     costs a_ij − y_j answers: with (u, v) its greatest optimal dual, take
@@ -154,9 +146,9 @@ def decompose(A: TropMatrix, y: TropVector):
         F[j].append(i + 1)
     if not all(F):
         return None  # a loop of M_y: no optimal assignment uses some column
-    x = TropVector([quotient(-w, unit) for w in u])
-    slack = TropVector([quotient(-w, unit) for w in v])
-    return DecompositionCertificate(tuple(map(tuple, F)), x, [j + 1 for j, w in enumerate(v) if w < 0], slack)
+    x = tuple([quotient(-w, unit) for w in u])
+    slack = tuple([quotient(-w, unit) for w in v])
+    return tuple(map(tuple, F)), x, frozenset(j + 1 for j, w in enumerate(v) if w < 0), slack
 
 
 def in_K(A: TropMatrix, covector) -> bool:
@@ -173,10 +165,6 @@ def bounded_skeleton(A: TropMatrix, budget=CELL_BUDGET):
     return skeleton({tau: dim for tau, dim in enumerate_covectors(A, budget).items() if in_K(A, tau)})
 
 
-def certificate_to_json(cert: DecompositionCertificate):
-    return {
-        "covector": cert.covector,
-        "x": [scalar_str(v) for v in cert.x.entries],
-        "J": sorted(cert.J),
-        "slack": [scalar_str(v) for v in cert.slack.entries],
-    }
+def certificate_to_json(cert):
+    covector, x, J, slack = cert
+    return {"covector": covector, "x": list(map(scalar_str, x)), "J": sorted(J), "slack": list(map(scalar_str, slack))}

@@ -48,14 +48,16 @@ def _pivot(tab, basis, r, c):
 
 
 def _run_simplex(tab, basis, nvars):
-    """Iterate to optimality.  Returns 'optimal' or 'unbounded'."""
+    """Pivot to optimality.  The objective must be bounded, as Σν <= 1
+    bounds that of ``argmin_witness``, so an entering column always has a
+    positive entry to pivot on."""
     m = len(tab) - 1
     rhs = len(tab[0]) - 1
     while True:
         obj = tab[-1]
         col = next((j for j in range(nvars) if obj[j] < 0), None)
         if col is None:
-            return "optimal"
+            return
         best = None
         for i in range(m):
             a = tab[i][col]
@@ -63,8 +65,6 @@ def _run_simplex(tab, basis, nvars):
                 ratio = tab[i][rhs] / a
                 if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
                     best = (ratio, i)
-        if best is None:
-            return "unbounded"
         _pivot(tab, basis, best[1], col)
 
 
@@ -99,7 +99,7 @@ def argmin_witness(dim, groups):
         c = next((j for j in range(real) if tab[k][j]), None)
         if c is not None:  # else no row mentions w_k, and its artificial stays at 0
             _pivot(tab, basis, k, c)
-    _run_simplex(tab, basis, real)  # "optimal": Σν <= 1 bounds the objective
+    _run_simplex(tab, basis, real)
     dot = lambda a, y: sum(c * v for c, v in zip(a, y))
     if not tab[-1][-1]:  # the optimum Σν is 0: only ν = 0 balances
         w = tuple(-y for y in tab[-1][real:-1])

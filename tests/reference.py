@@ -72,7 +72,7 @@ from fractions import Fraction
 
 from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, common_denom, quotient, require_column_supports, scalar, scalar_str
 from tropstiefel.geom import DifferenceBounds
-from tropstiefel.simplex import ONE, ZERO, _pivot, _run_simplex
+from tropstiefel.simplex import ONE, ZERO, _pivot
 from tropstiefel.bipartite import BipartiteGraph, assignment, components, hall_surplus_check, optimal_matchings
 from tropstiefel.plucker import PluckerVector, _subsets
 from tropstiefel.arrangement import covector_edges, enumerate_covectors, facets_of_D
@@ -573,6 +573,21 @@ def _set_objective(tab, basis, c):
     tab[-1] = obj
 
 
+def _run_primal(tab, basis, nvars):
+    """Pivot by Bland's rule to 'optimal', or to 'unbounded' at an entering
+    column with no positive entry: the loop of ``simplex._run_simplex``,
+    kept apart so that this route runs none of the library's own loop."""
+    m, rhs = len(tab) - 1, len(tab[0]) - 1
+    while True:
+        col = next((j for j in range(nvars) if tab[-1][j] < 0), None)
+        if col is None:
+            return "optimal"
+        rows = [i for i in range(m) if tab[i][col] > 0]
+        if not rows:
+            return "unbounded"
+        _pivot(tab, basis, min(rows, key=lambda i: (tab[i][rhs] / tab[i][col], basis[i])), col)
+
+
 def lp_solve(dim, eqs, ges, objective):
     """Maximize objective·x subject to eqs and ges over free variables.
 
@@ -605,7 +620,7 @@ def lp_solve(dim, eqs, ges, objective):
     tab.append([ZERO] * (nreal + m + 1))
     c1 = [ZERO] * nreal + [-ONE] * m
     _set_objective(tab, basis, c1)
-    _run_simplex(tab, basis, nreal + m)
+    _run_primal(tab, basis, nreal + m)
     if tab[-1][-1] < 0:
         return "infeasible", None, None
 
@@ -625,7 +640,7 @@ def lp_solve(dim, eqs, ges, objective):
 
     c2 = lift(objective) + [ZERO] * len(ges)
     _set_objective(tab, basis, c2)
-    status = _run_simplex(tab, basis, nreal)
+    status = _run_primal(tab, basis, nreal)
     if status == "unbounded":
         return "unbounded", None, None
     vals = [ZERO] * nreal

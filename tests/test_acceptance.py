@@ -136,8 +136,8 @@ def test_standard_plane_golden():
         assert poly.affine_dimension() == 0 == polytrope_dim(image)
         assert norm(poly.vertices()[0]) == (0, 0, 0, 0) == norm(image.point()[1:])
 
-        cert = decompose(STAIR, TropVector([0, 1, 1, 0]))
-        assert cert is not None and cert.J == frozenset({2, 3})
+        _, _, J, _ = decompose(STAIR, TropVector([0, 1, 1, 0]))
+        assert J == frozenset({2, 3})
         assert decompose(STAIR, TropVector([-1, 0, 0, 0])) is None
 
 
@@ -395,7 +395,8 @@ def test_membership_equivalence_ranks_4_and_5():
                 f = in_L(A, y)
                 assert a == b == c == e == f, (A.entries, y.entries, a, b, c, e, f)
                 if cert is not None:
-                    assert polytrope_contains(decomposition_cone(A, covector_edges(cert.covector), cert.J), y.entries)
+                    covector, _, J, _ = cert
+                    assert polytrope_contains(decomposition_cone(A, covector_edges(covector), J), y.entries)
                 members += c
                 queries += 1
         assert 0 < members < queries
@@ -628,11 +629,11 @@ def test_decompose_dense_image_point_ends():
         A = TropMatrix([[rng.randint(-50, 50) for _ in range(9)] for _ in range(6)])
         y = vec_mat_mul(TropVector([rng.randint(-20, 20) for _ in range(6)]), A)
         try:
-            cert = decompose(A, y)
+            covector, _, J, _ = decompose(A, y)
         except DomainError as exc:
             assert exc.code == "BUDGET_EXCEEDED"
         else:
-            assert cert is not None and polytrope_contains(decomposition_cone(A, covector_edges(cert.covector), cert.J), y.entries)
+            assert polytrope_contains(decomposition_cone(A, covector_edges(covector), J), y.entries)
 
 
 # -- 14 ---------------------------------------------------------------------
@@ -670,8 +671,8 @@ def test_decompose_answers_dense_and_diagonal_image_points(tmp_path, capsys):
             rng = random.Random(seed)
             A = TropMatrix([[rng.randint(-50, 50) for _ in range(10)] for _ in range(d)])
             y = vec_mat_mul(TropVector([rng.randint(-20, 20) for _ in range(d)]), A)
-            cert = decompose(A, y)
-            assert cert is not None and polytrope_contains(decomposition_cone(A, covector_edges(cert.covector), cert.J), y.entries)
+            covector, _, J, _ = decompose(A, y)
+            assert polytrope_contains(decomposition_cone(A, covector_edges(covector), J), y.entries)
         path = tmp_path / "in.json"
         path.write_text(json.dumps({"matrix": matrix_to_json(A), "vector": vector_to_json(y)}))
         assert main(["decompose", "--input", str(path)]) == 0
@@ -681,10 +682,10 @@ def test_decompose_answers_dense_and_diagonal_image_points(tmp_path, capsys):
         diagonal = [rng.randint(-5, 5) for _ in range(17)]
         A = TropMatrix([[diagonal[i] if i == j else INF for j in range(17)] for i in range(17)])
         y = vec_mat_mul(TropVector([rng.randint(-3, 3) for _ in range(17)]), A)
-        cert = decompose(A, y)
-        assert cert is not None and cert.J == frozenset()
-        assert covector_of_point(A, cert.x) == cert.covector and colwise_dragon_condition(covector_graph(A, cert.covector), cert.J)
-        assert vec_mat_mul(cert.x, A) == y and cert.slack.entries == (0,) * 17
+        covector, x, J, slack = decompose(A, y)
+        assert J == frozenset()
+        assert covector_of_point(A, TropVector(x)) == covector and colwise_dragon_condition(covector_graph(A, covector), J)
+        assert vec_mat_mul(TropVector(x), A) == y and slack == (0,) * 17
 
 
 # -- 16 ---------------------------------------------------------------------

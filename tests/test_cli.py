@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -263,6 +264,9 @@ def test_domain_error_exit_code(tmp_path, capsys):
         (["coherent"], field({"1,2": [[[1, 1]]]}), "BAD_MULTIFIELD_JSON"),
         (["coherent"], field({"1,2": [[[1, 1], [2, 3]]]}), "BAD_CHOICE"),
         (["coherent"], field({"1,2": []}), "EMPTY_CHOICE"),
+        # rank 0: the one empty matching has no 0-row witness matrix
+        (["coherent"], {"d": 0, "n": 2, "choices": {"": [[]]}}, "BAD_SHAPE"),
+        (["coherent"], {"d": 0, "n": 0, "choices": {"": [[]]}}, "BAD_SHAPE"),
         # (12, 13) keeps about 1.6% of its draws, and seed 0's first fails
         (["gen", "12", "13", "--mode", "support-set", "--budget", "1"], None, "BUDGET_EXCEEDED"),
         # refused before drawing: d·n = 10^9 entries, and d³n for one Hall check
@@ -618,6 +622,26 @@ def test_render_tree_is_bounded_by_budget(tmp_path, capsys):
         code, out = run(capsys, ["render", "--kind", kind, "--budget", str(cells), "--input", path])
         assert code == 0 and out.startswith("<svg")
     assert run(capsys, ["bounded", "--format", "svg", "--input", path]) == (0, out)
+
+
+def test_bounded_svg_is_the_render_tree(capsys, monkeypatch):
+    """``bounded --format svg``, on A or on a document {"matrix": A,
+    "vector": y}, gives the exit code and stdout of ``render --kind tree`` on
+    A: on 300 seeded matrices, d 1–3 and n <= 6, about 15% ∞, entries k or
+    k/2, refusals included."""
+    rng = random.Random(51)
+    seen = Counter()
+    for _ in range(300):
+        d = rng.randint(1, 3)
+        n = rng.randint(1, 6)
+        A = {"entries": [["inf" if rng.random() < 0.15 else f"{rng.randint(-6, 6)}/{rng.choice([1, 2])}" for _ in range(n)] for _ in range(d)]}
+        point = {"matrix": A, "vector": {"entries": [str(rng.randint(-6, 6)) for _ in range(n)]}}
+        tree = run(capsys, ["render", "--kind", "tree"], stdin=json.dumps(A), monkeypatch=monkeypatch)
+        for obj in (A, point):
+            assert run(capsys, ["bounded", "--format", "svg"], stdin=json.dumps(obj), monkeypatch=monkeypatch) == tree, obj
+        seen["svg" if tree[0] == 0 else json.loads(tree[1])["error"]] += 1
+    # drawings and each refusal, of d != 2 and of the support, occur often
+    assert seen["svg"] >= 50 and min(seen[code] for code in ("BAD_FORMAT", "NO_MATCHING_IN_SUPPORT", "NOT_UNIFORM")) >= 10, seen
 
 
 def test_matching_engine_budget_on_dense_14x40(tmp_path):

@@ -46,7 +46,6 @@ from tropstiefel.linspace import (
     certificate_to_json,
     contains,
     contains_via_matroid,
-    DecompositionCertificate,
     decompose,
     in_bounded_part,
     in_K,
@@ -88,27 +87,29 @@ def test_contains_via_matroid_examples():
 def test_decompose_image_point():
     cert = decompose(STAIR, TropVector([1, 0, 0, 0]))
     assert cert is not None
-    assert cert.J == frozenset()
-    assert cert.x.entries == (1, 0, 0)
-    assert cert.slack.entries == (0, 0, 0, 0)
+    _, x, J, slack = cert
+    assert J == frozenset()
+    assert x == (1, 0, 0)
+    assert slack == (0, 0, 0, 0)
 
 
 def test_decompose_with_slack():
     y = TropVector([0, 1, 1, 0])
     cert = decompose(STAIR, y)
     assert cert is not None
-    assert cert.covector == ((1,), (1, 2), (2, 3), (3,))
-    assert cert.x.entries == (0, 0, 0)
-    assert cert.J == frozenset({2, 3})
-    assert cert.slack.entries == (0, 1, 1, 0)
+    covector, x, J, slack = cert
+    assert covector == ((1,), (1, 2), (2, 3), (3,))
+    assert x == (0, 0, 0)
+    assert J == frozenset({2, 3})
+    assert slack == (0, 1, 1, 0)
     # certificate invariants
-    assert colwise_dragon_condition(covector_graph(STAIR, cert.covector), cert.J)
-    image = vec_mat_mul(cert.x, STAIR)
+    assert colwise_dragon_condition(covector_graph(STAIR, covector), J)
+    image = vec_mat_mul(TropVector(x), STAIR)
     assert all(
-        image.entry(j) + cert.slack.entry(j) == y.entry(j) for j in range(1, 5)
+        image.entry(j) + slack[j - 1] == y.entry(j) for j in range(1, 5)
     )
-    assert all(cert.slack.entry(j) > 0 for j in cert.J)
-    assert all(cert.slack.entry(j) == 0 for j in range(1, 5) if j not in cert.J)
+    assert all(slack[j - 1] > 0 for j in J)
+    assert all(slack[j - 1] == 0 for j in range(1, 5) if j not in J)
 
 
 def test_decompose_not_in_L():
@@ -125,9 +126,10 @@ def test_decompose_matches_contains():
         cert = decompose(A, y)
         assert (cert is not None) == contains(stiefel_map(A), y)
         if cert is not None:
-            image = vec_mat_mul(cert.x, A)
+            _, x, _, slack = cert
+            image = vec_mat_mul(TropVector(x), A)
             assert all(
-                image.entry(j) + cert.slack.entry(j) == y.entry(j)
+                image.entry(j) + slack[j - 1] == y.entry(j)
                 for j in range(1, n + 1)
             )
 
@@ -160,11 +162,12 @@ def test_decompose_certificates_against_cones_and_circuits():
                 assert not contains(p, y)
                 continue
             found += 1
-            cone = decomposition_cone(A, covector_edges(cert.covector), cert.J)
+            covector, x, J, slack = cert
+            cone = decomposition_cone(A, covector_edges(covector), J)
             assert Polyhedron(n, *minimal_form(cone)).contains(y.entries) and polytrope_contains(cone, y.entries)
-            image = vec_mat_mul(cert.x, A)
-            assert all(image.entry(j) + cert.slack.entry(j) == y.entry(j) for j in range(1, n + 1))
-            assert covector_edges(covector_of_point(A, cert.x)) >= covector_edges(cert.covector)
+            image = vec_mat_mul(TropVector(x), A)
+            assert all(image.entry(j) + slack[j - 1] == y.entry(j) for j in range(1, n + 1))
+            assert covector_edges(covector_of_point(A, TropVector(x))) >= covector_edges(covector)
     assert found > 40 and missed > 20
 
 
@@ -204,9 +207,9 @@ def decompose_all_cells(A, y):
     covering = [F for F in tc if in_B(A, F)]  # asked once per cell, not once per J
     graphs = {F: covector_graph(A, F) for F in covering}  # built once per cell, not once per J
     for F, J, dbm in all_cells_systems(A, y, covering, lambda F, J: colwise_dragon_condition(graphs[F], J)):
-        x = TropVector(dbm.point()[1:])
-        image = vec_mat_mul(x, A)
-        return DecompositionCertificate(F, x, J, TropVector([y.entry(j) - image.entry(j) for j in range(1, A.n + 1)]))
+        x = dbm.point()[1:]
+        image = vec_mat_mul(TropVector(x), A)
+        return F, x, frozenset(J), tuple(y.entry(j) - image.entry(j) for j in range(1, A.n + 1))
     return None
 
 
@@ -225,12 +228,13 @@ def check_certificate(A, y, cert):
     column-wise dragon condition, and x ⊙ A + slack = y with the slack
     positive exactly on J."""
     n = A.n
-    assert polytrope_contains(decomposition_cone(A, covector_edges(cert.covector), cert.J), y.entries)
-    assert covector_of_point(A, cert.x) == cert.covector and in_B(A, cert.covector)
-    assert colwise_dragon_condition(covector_graph(A, cert.covector), cert.J)
-    image = vec_mat_mul(cert.x, A)
-    assert all(image.entry(j) + cert.slack.entry(j) == y.entry(j) for j in range(1, n + 1))
-    assert all((cert.slack.entry(j) > 0) == (j in cert.J) for j in range(1, n + 1))
+    covector, x, J, slack = cert
+    assert polytrope_contains(decomposition_cone(A, covector_edges(covector), J), y.entries)
+    assert covector_of_point(A, TropVector(x)) == covector and in_B(A, covector)
+    assert colwise_dragon_condition(covector_graph(A, covector), J)
+    image = vec_mat_mul(TropVector(x), A)
+    assert all(image.entry(j) + slack[j - 1] == y.entry(j) for j in range(1, n + 1))
+    assert all((slack[j - 1] > 0) == (j in J) for j in range(1, n + 1))
 
 
 def test_decompose_against_the_all_cells_route():
@@ -340,8 +344,8 @@ def test_decompose_answers_a_wide_column_without_the_column_rule(monkeypatch):
         raise AssertionError("stated the column rule of a cell")
 
     monkeypatch.setattr(arrangement, "_attain", no_search)
-    cert = decompose(TropMatrix([[0] * 13] * 13), TropVector([0] * 13))
-    assert cert.J == frozenset() and cert.x.entries == (0,) * 13 and cert.slack.entries == (0,) * 13
+    _, x, J, slack = decompose(TropMatrix([[0] * 13] * 13), TropVector([0] * 13))
+    assert J == frozenset() and x == (0,) * 13 and slack == (0,) * 13
 
 
 def test_decompose_answers_past_the_cell_budget():
@@ -354,8 +358,8 @@ def test_decompose_answers_past_the_cell_budget():
         enumerate_covectors(A)
     assert exc.value.code == "BUDGET_EXCEEDED"
     y = vec_mat_mul(TropVector([rng.randint(-20, 20) for _ in range(5)]), A)
-    cert = decompose(A, y)
-    assert cert is not None and polytrope_contains(decomposition_cone(A, covector_edges(cert.covector), cert.J), y.entries)
+    covector, _, J, _ = decompose(A, y)
+    assert polytrope_contains(decomposition_cone(A, covector_edges(covector), J), y.entries)
     assert contains(stiefel_map(A), y)
 
 
@@ -450,7 +454,8 @@ def test_routes_agree_at_the_common_denominator():
             assert len(answers) == 1, (A.entries, y)
             seen[cert is not None] += 1
             if cert is not None:
-                assert [a + s for a, s in zip(vec_mat_mul(cert.x, A).entries, cert.slack.entries)] == list(Y.entries)
+                _, x, _, slack = cert
+                assert [a + s for a, s in zip(vec_mat_mul(TropVector(x), A).entries, slack)] == list(Y.entries)
         Y = TropVector([INF if rng.random() < 0.4 else v for v in rng.choice((image, halves))])
         if len(vector_support(Y)) < n:
             got = in_L(A, Y)

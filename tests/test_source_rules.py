@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import json
 import pathlib
+import subprocess
+import sys
 
 SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "tropstiefel"
 
@@ -209,6 +212,19 @@ def test_benchmark_imports_resolve():
         except ModuleNotFoundError:
             missing.append(f"{where}: from {module} import {name}")
     assert not missing, f"benchmark imports that no longer resolve: {missing}"
+
+
+def test_benchmark_smoke_runs_pass():
+    """``bench/run.py --smoke`` passes its own checks on every workload that
+    ``BENCHMARK.json`` lists: a change to what the library returns to the
+    benchmark, and not only to the names it imports, fails here."""
+    root = SOURCE.parents[1]
+    for workload in json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]:
+        argv = [sys.executable, "bench/run.py", "--workload", workload["name"], "--seed", "1", "--seconds", "1", "--smoke"]
+        proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (workload["name"], proc.stderr)
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["correct"] is True and result["failed"] == 0, (workload["name"], proc.stdout)
 
 
 def test_every_error_code_is_named_by_a_test():
