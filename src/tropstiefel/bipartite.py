@@ -23,10 +23,9 @@ union-find gives every component count.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
-from .core import DomainError, TropMatrix, subset_from_key
+from .core import DomainError, TropMatrix, subset_from_key, subset_key, subsets
 
 
 class BipartiteGraph:
@@ -68,17 +67,16 @@ class MatchingMultifield:
         self.d = d
         self.n = n
         self.choices = {}
-        for J in itertools.combinations(range(1, n + 1), d):
-            key = frozenset(J)
-            ms = frozenset(choices.get(key, ()))
+        for J in subsets(n, d):
+            ms = frozenset(choices.get(J, ()))
             if not ms:
                 raise DomainError("EMPTY_CHOICE", f"no matching chosen on {sorted(J)}")
             for m in ms:
-                if frozenset(m) != key:
+                if frozenset(m) != J:
                     raise DomainError(
                         "BAD_CHOICE", f"matching {m} does not cover {sorted(J)}"
                     )
-            self.choices[key] = ms
+            self.choices[J] = ms
 
     def __getitem__(self, J):
         return self.choices[frozenset(J)]
@@ -166,8 +164,7 @@ def matching_multifield(A: TropMatrix) -> MatchingMultifield:
         raise DomainError("NO_MATCHING_IN_SUPPORT", "support contains no matching")
     best, argmins = optimal_matchings(A.ints, range(1, A.n + 1))
     choices = {}
-    for J in itertools.combinations(range(1, A.n + 1), A.d):
-        J = frozenset(J)
+    for J in subsets(A.n, A.d):
         if J not in best:
             raise DomainError("NO_MATCHING_ON_SUBSET", f"support admits no matching on {sorted(J)}")
         choices[J] = frozenset(argmins(J))
@@ -241,7 +238,10 @@ def is_coherent(multifield: MatchingMultifield):
     BUDGET_EXCEEDED, before the LP, when they are more than
     ``COHERENCE_BUDGET``; a list cut at one past it is alone over it.  A
     None has passed the check of ``argmin_witness``'s Gordan certificate.
+    Rank 0 is refused first, BAD_SHAPE: no witness matrix has 0 rows.
     """
+    if multifield.d == 0:
+        raise DomainError("BAD_SHAPE", "rank 0: no witness matrix has 0 rows")
     # imported here, so that only coherent compiles the simplex
     from .simplex import argmin_witness
     support = sorted(multifield.support())
@@ -362,10 +362,10 @@ def transversal_matroid(G: BipartiteGraph) -> frozenset:
 # ---------------------------------------------------------------------------
 
 def support_face_dimension(G: BipartiteGraph) -> int:
-    """First Betti number h_1 = E − V + C over the non-isolated vertices."""
-    index = {v: k for k, v in enumerate({("L", i) for i, _ in G.edges} | {("R", j) for _, j in G.edges})}
-    edges = [(index["L", i], index["R", j]) for i, j in G.edges]
-    return len(edges) - len(index) + components(len(index), edges)
+    """First Betti number h_1 = E − V + C over all d + n vertices, rows
+    first; an isolated vertex adds one to V and one to C."""
+    V = G.d + G.n
+    return len(G.edges) - V + components(V, [(i - 1, G.d + j - 1) for i, j in G.edges])
 
 
 def components(k, groups):
@@ -408,10 +408,7 @@ def _index_pairs(pairs, code):
 
 
 def multifield_to_json(mf: MatchingMultifield):
-    out = {}
-    for J, ms in mf.choices.items():
-        key = ",".join(str(j) for j in sorted(J))
-        out[key] = sorted([[i, j] for i, j in enumerate(m, 1)] for m in ms)
+    out = {subset_key(J): sorted([[i, j] for i, j in enumerate(m, 1)] for m in ms) for J, ms in mf.choices.items()}
     return {"d": mf.d, "n": mf.n, "choices": out}
 
 

@@ -18,11 +18,14 @@ finite terms.
 Row and column indices are 1-based throughout the public API, matching the
 usual conventions for [d] x [n] bipartite objects.  Vector entries are
 addressed 1-based via ``entry``; the underlying tuples are 0-based.  The
-JSON codec reads and writes matrices, and reads vectors.
+d-subsets of [n] are listed by ``subsets`` and keyed in JSON by
+``subset_key``, read back by ``subset_from_key``.  The JSON codec reads and
+writes matrices, and reads vectors.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -107,6 +110,12 @@ def trop_vanishes(values) -> bool:
     out."""
     values = list(values)
     return not values or values.count(min(values)) >= 2
+
+
+def subsets(n, d):
+    """An iterator over the d-subsets of [n] as frozensets, in
+    lexicographic order."""
+    return map(frozenset, itertools.combinations(range(1, n + 1), d))
 
 
 class TropVector:
@@ -222,6 +231,12 @@ def vector_from_json(obj) -> TropVector:
     if None in obj["entries"]:
         raise DomainError("BAD_SCALAR", 'null is not a scalar; ∞ is "inf"')
     return TropVector(obj["entries"])
+
+
+def subset_key(J) -> str:
+    """The JSON key "j1,...,jd" of a subset J: its indices in increasing
+    order, joined by commas ("" for the empty set)."""
+    return ",".join(map(str, sorted(J)))
 
 
 def subset_from_key(key, d, n, code):

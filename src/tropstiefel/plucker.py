@@ -1,4 +1,5 @@
-"""Tropical Plücker vectors.
+"""Tropical Plücker vectors: maps on the d-subsets of [n], listed by
+``core.subsets`` and keyed in JSON by ``core.subset_key``.
 
 The Stiefel map (tropical maximal minors, from the matching engine), the
 circuits of p, listed on first use and kept on p, behind membership in
@@ -10,15 +11,10 @@ underlying matroid: no ∞ coordinate.
 
 from __future__ import annotations
 
-import itertools
 import math
 
-from .core import DomainError, TropMatrix, TropVector, common_denom, integer_form, quotient, scalar, scalar_str, subset_from_key, trop_vanishes
+from .core import DomainError, TropMatrix, TropVector, common_denom, integer_form, quotient, scalar, scalar_str, subset_from_key, subset_key, subsets, trop_vanishes
 from .bipartite import BipartiteGraph, is_support_set, optimal_matchings
-
-
-def _subsets(n, d):
-    return itertools.combinations(range(1, n + 1), d)
 
 
 class PluckerVector:
@@ -30,11 +26,10 @@ class PluckerVector:
         self.n = n
         self.d = d
         vals = {}
-        for J in _subsets(n, d):
-            key = frozenset(J)
-            if key not in values:
-                raise DomainError("MISSING_COORDINATE", f"no value for {list(J)}")
-            vals[key] = scalar(values[key])
+        for J in subsets(n, d):
+            if J not in values:
+                raise DomainError("MISSING_COORDINATE", f"no value for {sorted(J)}")
+            vals[J] = scalar(values[J])
         self.values = vals
         if all(v is None for v in vals.values()):
             raise DomainError("ALL_INF", "Plücker vectors may not be identically ∞")
@@ -60,7 +55,7 @@ def stiefel_map(A: TropMatrix) -> PluckerVector:
     """π(A): the optimal-assignment value on every column d-subset, from
     the matching engine on A's ints, ∞ where no matching exists."""
     best = optimal_matchings(A.ints, range(1, A.n + 1))[0]
-    values = {J: None if (w := best.get(J)) is None else quotient(w, A.denom) for J in map(frozenset, _subsets(A.n, A.d))}
+    values = {J: None if (w := best.get(J)) is None else quotient(w, A.denom) for J in subsets(A.n, A.d)}
     if all(v is None for v in values.values()):
         raise DomainError("NO_MATCHING_IN_SUPPORT", "support contains no matching")
     return PluckerVector(A.n, A.d, values)
@@ -75,7 +70,7 @@ def _circuits(p: PluckerVector):
         ints = p.ints
         p.circuits = tuple(
             tuple((j - 1, c) for j in T if (c := ints[T - {j}]) is not None)
-            for T in map(frozenset, _subsets(p.n, p.d + 1))
+            for T in subsets(p.n, p.d + 1)
         )
     return p.circuits
 
@@ -119,7 +114,7 @@ def check_plucker(p: PluckerVector) -> bool:
     circuits, ints, ground = _circuits(p), p.ints, range(1, p.n + 1)
     return all(
         _in_span(circuits, [None if j in S else ints[S | {j}] for j in ground], 1)
-        for S in map(frozenset, _subsets(p.n, p.d - 1))
+        for S in subsets(p.n, p.d - 1)
     )
 
 
@@ -154,11 +149,7 @@ def recover_matrix(p: PluckerVector, support: BipartiteGraph) -> TropMatrix:
 # ---------------------------------------------------------------------------
 
 def plucker_to_json(p: PluckerVector):
-    values = {
-        ",".join(str(j) for j in sorted(J)): scalar_str(v)
-        for J, v in p.values.items()
-    }
-    return {"d": p.d, "n": p.n, "values": values}
+    return {"d": p.d, "n": p.n, "values": {subset_key(J): scalar_str(v) for J, v in p.values.items()}}
 
 
 def plucker_from_json(obj) -> PluckerVector:

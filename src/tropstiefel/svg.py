@@ -12,14 +12,6 @@ from fractions import Fraction
 from .core import DomainError
 
 
-def _px(value, lo, span, size, margin):
-    """Map an exact rational into integer pixel space."""
-    if span == 0:
-        return margin + size // 2
-    t = (Fraction(value) - lo) / span  # in [0, 1] except at a ray's far end
-    return margin + int(t * size)  # truncated toward zero, also where t < 0
-
-
 def _svg_document(width, height, body):
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -41,36 +33,30 @@ def _svg_arrangement(A, **budget):
         u = x[1] if A.d >= 2 else 0
         v = x[2] if A.d >= 3 else 0
         pts[tau] = (u, v)
-    us = [u for u, _ in pts.values()]
-    vs = [v for _, v in pts.values()]
-    ulo, uspan = min(us), max(us) - min(us)
-    vlo, vspan = min(vs), max(vs) - min(vs)
+    bounds = [(min(axis), max(axis) - min(axis)) for axis in zip(*pts.values())]
+
+    def _px(point):
+        """The integer pixel pair of an exact point (u, v): each coordinate's
+        share of its axis span, in [0, 1] except at a ray's far end, where
+        int() truncates it toward zero."""
+        return tuple(
+            margin + size // 2 if span == 0 else margin + int((Fraction(value) - lo) / span * size)
+            for value, (lo, span) in zip(point, bounds)
+        )
+
     body = []
     for tau, ends in skeleton(tc)[1]:
-        mid = pts[tau]
-        ends = [pts[v] for v in ends]
         if len(ends) == 2:
-            (u1, v1), (u2, v2) = ends
+            a, b = (pts[v] for v in ends)
         elif len(ends) == 1:
-            (u1, v1) = ends[0]
             # extend the ray through the relative-interior witness
-            u2 = mid[0] + (mid[0] - u1)
-            v2 = mid[1] + (mid[1] - v1)
+            a, mid = pts[ends[0]], pts[tau]
+            b = (2 * mid[0] - a[0], 2 * mid[1] - a[1])
         else:
             continue
-        body.append(
-            '<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>'
-            % (
-                _px(u1, ulo, uspan, size, margin),
-                _px(v1, vlo, vspan, size, margin),
-                _px(u2, ulo, uspan, size, margin),
-                _px(v2, vlo, vspan, size, margin),
-            )
-        )
+        body.append('<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>' % (*_px(a), *_px(b)))
     for tau, dim in tc.items():
-        u, v = pts[tau]
-        x = _px(u, ulo, uspan, size, margin)
-        y = _px(v, vlo, vspan, size, margin)
+        x, y = _px(pts[tau])
         if dim == 0:
             body.append('<circle cx="%d" cy="%d" r="4" fill="black"/>' % (x, y))
         label = "".join(

@@ -74,7 +74,8 @@ from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, common_de
 from tropstiefel.geom import DifferenceBounds
 from tropstiefel.simplex import ONE, ZERO, _pivot
 from tropstiefel.bipartite import BipartiteGraph, assignment, components, hall_surplus_check, optimal_matchings
-from tropstiefel.plucker import PluckerVector, _subsets
+from tropstiefel.core import subsets
+from tropstiefel.plucker import PluckerVector
 from tropstiefel.arrangement import covector_edges, enumerate_covectors, facets_of_D
 from tropstiefel.linspace import _require_uniform, bounded_skeleton, in_K, select_matroid
 
@@ -341,7 +342,7 @@ def cocircuit(p: PluckerVector, S) -> TropVector:
 def dual(p: PluckerVector) -> PluckerVector:
     """p*_S = p_{[n]∖S}, a vector of rank n − d."""
     ground = frozenset(range(1, p.n + 1))
-    values = {frozenset(S): p[ground - frozenset(S)] for S in _subsets(p.n, p.n - p.d)}
+    values = {S: p[ground - S] for S in subsets(p.n, p.n - p.d)}
     return PluckerVector(p.n, p.n - p.d, values)
 
 
@@ -358,8 +359,7 @@ def stable_union(p: PluckerVector, q: PluckerVector) -> PluckerVector:
     n = p.n
     rank = p.d + q.d
     values = {}
-    for T in _subsets(n, rank):
-        Tset = frozenset(T)
+    for Tset in subsets(n, rank):
         terms = []
         for R in itertools.combinations(sorted(Tset), p.d):
             Rset = frozenset(R)

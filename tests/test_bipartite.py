@@ -623,6 +623,16 @@ def test_support_face_dimension():
     assert support_face_dimension(pointed) == 1
     tree = BipartiteGraph(2, 3, [(1, 1), (1, 2), (2, 2), (2, 3)])
     assert support_face_dimension(tree) == 0
+    # isolated vertices count once in V and once in C: the graphs on which
+    # all vertices and the non-isolated ones could give different values
+    assert support_face_dimension(BipartiteGraph(2, 3, [])) == 0
+    assert support_face_dimension(BipartiteGraph(0, 0, [])) == 0
+    assert support_face_dimension(BipartiteGraph(0, 3, [])) == 0
+    assert support_face_dimension(BipartiteGraph(2, 0, [])) == 0
+    square = BipartiteGraph(4, 5, [(1, 1), (1, 2), (2, 1), (2, 2)])  # rows 3, 4 and columns 3–5 isolated
+    assert support_face_dimension(square) == 1
+    inner = BipartiteGraph(4, 5, [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4), (4, 3)])  # row 1, columns 1 and 5 isolated
+    assert support_face_dimension(inner) == 2
 
 
 def test_support_sets_give_uniform_matroid_and_multifields():

@@ -309,6 +309,21 @@ def test_domain_error_exit_code(tmp_path, capsys):
         assert json.loads(out) == {"error": error}, argv
 
 
+def test_rank_0_coherent_refuses_before_any_work(tmp_path, capsys, monkeypatch):
+    """A rank-0 multifield has no witness matrix, so ``is_coherent``
+    refuses it with BAD_SHAPE before the matching engine, the budget count
+    or the simplex runs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("rank 0 reached the coherence work")
+
+    monkeypatch.setattr("tropstiefel.simplex.argmin_witness", refuse)
+    monkeypatch.setattr("tropstiefel.bipartite.optimal_matchings", refuse)
+    for n in (2, 0):
+        path = write_input(tmp_path, {"d": 0, "n": n, "choices": {"": [[]]}})
+        code, out = run(capsys, ["coherent", "--input", path])
+        assert (code, json.loads(out)) == (1, {"error": "BAD_SHAPE"}), n
+
+
 def test_usage_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("this is not json")

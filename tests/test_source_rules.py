@@ -121,6 +121,20 @@ def test_lcm_only_in_core():
     assert not found, f"lcm outside core: {found}"
 
 
+def test_subsets_listed_only_in_core():
+    """The d-subsets of [n] have one home, ``core.subsets``: no other
+    module calls ``combinations`` on a ``range(...)``."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name != "core.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Call) and "combinations" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+        and node.args and isinstance(node.args[0], ast.Call) and getattr(node.args[0].func, "id", None) == "range"
+    ]
+    assert not found, f"d-subsets listed outside core: {found}"
+
+
 def test_inf_read_only_in_core():
     """∞ is ``None`` in every form.  ``core`` binds ``INF = None`` for the
     places that parse and print a scalar; every other module writes and

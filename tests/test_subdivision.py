@@ -6,8 +6,8 @@ import pytest
 
 from polyhedra import Polyhedron
 from reference import cell_exists, is_interior_cell, subdivisions_equal, transversal_polytope_ineqs, uniform_matroid
-from tropstiefel.arrangement import facets_of_D, facets_to_json
-from tropstiefel.bipartite import BipartiteGraph, transversal_matroid
+from tropstiefel.arrangement import covector_edges, enumerate_covectors, facets_of_D, facets_to_json
+from tropstiefel.bipartite import BipartiteGraph, components, transversal_matroid
 from tropstiefel.core import DomainError, INF, TropMatrix, TropVector
 from tropstiefel.linspace import select_matroid
 from tropstiefel.plucker import stiefel_map
@@ -140,3 +140,56 @@ def test_cell_exists_rejects_bases_outside_the_d_subsets():
         with pytest.raises(DomainError) as exc:
             cell_exists(p, bases)
         assert exc.value.code == "BAD_BASIS"
+
+
+def least_cell_matrices(seed, count):
+    """Matrices up to 4 × 7 with entries k or k/2 and ∞ at 0, 10 or 25%,
+    every column finite somewhere.  A quarter have block supports: the rows
+    and the columns split in two, ∞ between the parts, so that the rows
+    fall apart and TC(A) has no 0-cell."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        block = rng.random() < 0.25
+        d = rng.randint(2 if block else 1, 4)
+        n = rng.randint(2 if block else 1, 7)
+        p_inf = rng.choice([0, 0.1, 0.25])
+        row_part = [rng.random() < 0.5 for _ in range(d)] if block else [False] * d
+        col_part = [rng.random() < 0.5 for _ in range(n)] if block else [False] * n
+        entries = [
+            [
+                "inf" if row_part[i] != col_part[j] or rng.random() < p_inf
+                else Fraction(rng.randint(-9, 9), rng.choice([1, 2]))
+                for j in range(n)
+            ]
+            for i in range(d)
+        ]
+        A = TropMatrix(entries)
+        if all(A.col_support(j) for j in range(1, n + 1)):
+            out.append(A)
+    return out
+
+
+def test_least_dimensional_cells_carry_the_facets():
+    """The cells of TC(A) share one lineality space: each component of the
+    rows, two rows linked when they share a finite column, shifts on its
+    own.  So (a) the least cell dimension is that number of components less
+    one; (b) every covector's edges lie inside those of some covector of
+    least dimension; (c) the facets of D(A) are the containment-maximal
+    transversal matroids of the least-dimensional cells, which
+    ``facets_of_D`` could read alone."""
+    above_zero = 0
+    for A in least_cell_matrices(52, 300):
+        tc = enumerate_covectors(A)
+        least = min(tc.values())
+        assert least == components(A.d, [sorted(i - 1 for i in A.col_support(j)) for j in range(1, A.n + 1)]) - 1, A
+        above_zero += least > 0
+        low = [covector_edges(tau) for tau, dim in tc.items() if dim == least]
+        assert all(any(covector_edges(tau) <= E for E in low) for tau in tc), A
+        matroids = {M for E in low if (M := transversal_matroid(BipartiteGraph(A.d, A.n, E)))}
+        maximal = frozenset(M for M in matroids if not any(M < N for N in matroids))
+        try:
+            assert facets_of_D(A) == maximal, A
+        except DomainError as e:
+            assert e.code == "NO_MATCHING_IN_SUPPORT" and not maximal, A
+    assert above_zero >= 40, above_zero
