@@ -362,10 +362,10 @@ def transversal_matroid(G: BipartiteGraph) -> frozenset:
 # ---------------------------------------------------------------------------
 
 def support_face_dimension(G: BipartiteGraph) -> int:
-    """First Betti number h_1 = E − V + C over all d + n vertices, rows
-    first; an isolated vertex adds one to V and one to C."""
-    V = G.d + G.n
-    return len(G.edges) - V + components(V, [(i - 1, G.d + j - 1) for i, j in G.edges])
+    """First Betti number h_1 = E − V + C over the non-isolated vertices."""
+    index = {v: k for k, v in enumerate({("L", i) for i, _ in G.edges} | {("R", j) for _, j in G.edges})}
+    edges = [(index["L", i], index["R", j]) for i, j in G.edges]
+    return len(edges) - len(index) + components(len(index), edges)
 
 
 def components(k, groups):
@@ -408,7 +408,9 @@ def _index_pairs(pairs, code):
 
 
 def multifield_to_json(mf: MatchingMultifield):
-    out = {subset_key(J): sorted([[i, j] for i, j in enumerate(m, 1)] for m in ms) for J, ms in mf.choices.items()}
+    out = {}
+    for J, ms in mf.choices.items():
+        out[subset_key(J)] = sorted([[i, j] for i, j in enumerate(m, 1)] for m in ms)
     return {"d": mf.d, "n": mf.n, "choices": out}
 
 

@@ -149,7 +149,8 @@ def recover_matrix(p: PluckerVector, support: BipartiteGraph) -> TropMatrix:
 # ---------------------------------------------------------------------------
 
 def plucker_to_json(p: PluckerVector):
-    return {"d": p.d, "n": p.n, "values": {subset_key(J): scalar_str(v) for J, v in p.values.items()}}
+    values = {subset_key(J): scalar_str(v) for J, v in p.values.items()}
+    return {"d": p.d, "n": p.n, "values": values}
 
 
 def plucker_from_json(obj) -> PluckerVector:

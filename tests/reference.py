@@ -70,11 +70,10 @@ import itertools
 import math
 from fractions import Fraction
 
-from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, common_denom, quotient, require_column_supports, scalar, scalar_str
+from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, common_denom, quotient, require_column_supports, scalar, scalar_str, subsets
 from tropstiefel.geom import DifferenceBounds
 from tropstiefel.simplex import ONE, ZERO, _pivot
 from tropstiefel.bipartite import BipartiteGraph, assignment, components, hall_surplus_check, optimal_matchings
-from tropstiefel.core import subsets
 from tropstiefel.plucker import PluckerVector
 from tropstiefel.arrangement import covector_edges, enumerate_covectors, facets_of_D
 from tropstiefel.linspace import _require_uniform, bounded_skeleton, in_K, select_matroid

@@ -825,6 +825,18 @@ def test_support_set_with_more_rows_than_n_plus_one_answers_in_bounded_time(tmp_
             assert json.loads(capsys.readouterr().out) == {"h1": 0, "is_support_set": False}
 
 
+def test_support_set_on_huge_edgeless_graphs_answers_in_bounded_time(tmp_path, capsys):
+    """h1 counts E − V + C over the edges' endpoints alone, so its cost
+    follows E, not d + n: counting over all d + n vertices would build a
+    10^9-entry union-find for {d: 0, n: 10^9}."""
+    with Budget(2):
+        for d, n, answer in ((0, 10 ** 9, True), (10 ** 8, 0, False)):
+            graph = tmp_path / f"graph{d}x{n}.json"
+            graph.write_text(json.dumps({"d": d, "n": n, "edges": []}))
+            assert main(["support-set", "--input", str(graph)]) == 0
+            assert json.loads(capsys.readouterr().out) == {"h1": 0, "is_support_set": answer}
+
+
 def test_support_set_on_a_square_permutation_graph_answers_in_bounded_time(tmp_path, capsys):
     """A square graph has n − d = 0, where the surplus Hall condition is
     Hall's own: a matching covers every row, one assignment problem.  On a
