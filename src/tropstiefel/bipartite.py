@@ -3,9 +3,11 @@
 Graphs, optimal matchings under min-plus weights in ints, matching
 multifields and their coherence, support-set predicates and sampling,
 transversal matroids, and the first-Betti-number dimension formula.  A
-matching is the tuple (j_1, ..., j_d) of its columns in row order, and a
-transversal matroid the frozenset of its bases.  One
-matching engine (``optimal_matchings``), on int weights with None at ∞ (a
+matching is the tuple (j_1, ..., j_d) of its columns in row order, a
+matching multifield the dict from each d-subset of [n] (a frozenset, in
+``core.subsets`` order) to the frozenset of its chosen matchings, and a
+transversal matroid the frozenset of its bases.  One matching engine
+(``optimal_matchings``), on int weights with None at ∞ (a
 matrix's ``ints``, or the 0/None rows of an edge set), answers which column
 sets can be matched and how well: the Stiefel map, multifields, coherence
 and transversal matroids; it refuses up front a table of more than
@@ -54,46 +56,6 @@ class BipartiteGraph:
         return (
             isinstance(other, BipartiteGraph)
             and (self.d, self.n, self.edges) == (other.d, other.n, other.edges)
-        )
-
-
-class MatchingMultifield:
-    """A choice of a nonempty set of matchings for each column d-subset,
-    each matching the tuple (j_1, ..., j_d) of its columns in row order."""
-
-    __slots__ = ("d", "n", "choices")
-
-    def __init__(self, d, n, choices):
-        self.d = d
-        self.n = n
-        self.choices = {}
-        for J in subsets(n, d):
-            ms = frozenset(choices.get(J, ()))
-            if not ms:
-                raise DomainError("EMPTY_CHOICE", f"no matching chosen on {sorted(J)}")
-            for m in ms:
-                if frozenset(m) != J:
-                    raise DomainError(
-                        "BAD_CHOICE", f"matching {m} does not cover {sorted(J)}"
-                    )
-            self.choices[J] = ms
-
-    def __getitem__(self, J):
-        return self.choices[frozenset(J)]
-
-    def support(self):
-        """Union of the edges of all chosen matchings."""
-        out = set()
-        for ms in self.choices.values():
-            for m in ms:
-                out.update(enumerate(m, 1))
-        return frozenset(out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MatchingMultifield)
-            and (self.d, self.n) == (other.d, other.n)
-            and self.choices == other.choices
         )
 
 
@@ -157,9 +119,9 @@ def _zero_inf_rows(d, n, edges):
     return [[0 if (i, j) in edges else None for j in range(1, n + 1)] for i in range(1, d + 1)]
 
 
-def matching_multifield(A: TropMatrix) -> MatchingMultifield:
-    """Λ(A): the optimal matchings on every column d-subset;
-    NO_MATCHING_IN_SUPPORT when d > n, which leaves no d-subset."""
+def matching_multifield(A: TropMatrix) -> dict:
+    """Λ(A): the optimal matchings on every column d-subset, in ``subsets``
+    order; NO_MATCHING_IN_SUPPORT when d > n, which leaves no d-subset."""
     if A.d > A.n:
         raise DomainError("NO_MATCHING_IN_SUPPORT", "support contains no matching")
     best, argmins = optimal_matchings(A.ints, range(1, A.n + 1))
@@ -168,7 +130,7 @@ def matching_multifield(A: TropMatrix) -> MatchingMultifield:
         if J not in best:
             raise DomainError("NO_MATCHING_ON_SUBSET", f"support admits no matching on {sorted(J)}")
         choices[J] = frozenset(argmins(J))
-    return MatchingMultifield(A.d, A.n, choices)
+    return choices
 
 
 def assignment(cost):
@@ -227,11 +189,14 @@ def assignment(cost):
 COHERENCE_BUDGET = 2 * 10 ** 3  # supported matchings the coherence LP may hold: a tableau column each, two for a tie
 
 
-def is_coherent(multifield: MatchingMultifield):
+def is_coherent(multifield):
     """A witness matrix A with matching_multifield(A) = Λ, or None.
 
-    One unknown weight per support edge and one ``argmin_witness`` group
-    per J: the chosen matchings on J are exactly the lightest of the
+    Λ is a multifield as ``matching_multifield`` and ``multifield_from_json``
+    give it, whose d and n are read off its keys: d = |J|, and n is the
+    largest column of any key, since every d-subset of [n] is one.  One
+    unknown weight per edge of a chosen matching and one ``argmin_witness``
+    group per J: the chosen matchings on J are exactly the lightest of the
     supported matchings on J, each the incidence vector of its edges over
     the support.  The supported matchings on J are the optimal ones of the
     support's 0/∞ matrix, on which each of them weighs 0.  DomainError
@@ -240,28 +205,29 @@ def is_coherent(multifield: MatchingMultifield):
     None has passed the check of ``argmin_witness``'s Gordan certificate.
     Rank 0 is refused first, BAD_SHAPE: no witness matrix has 0 rows.
     """
-    if multifield.d == 0:
+    d = len(next(iter(multifield)))
+    if d == 0:
         raise DomainError("BAD_SHAPE", "rank 0: no witness matrix has 0 rows")
     # imported here, so that only coherent compiles the simplex
     from .simplex import argmin_witness
-    support = sorted(multifield.support())
+    n = max(map(max, multifield))
+    support = sorted({e for ms in multifield.values() for m in ms for e in enumerate(m, 1)})
     index = {e: k for k, e in enumerate(support)}
-    rows = _zero_inf_rows(multifield.d, multifield.n, index)
-    supported = optimal_matchings(rows, range(1, multifield.n + 1), limit=COHERENCE_BUDGET + 1)[1]
-    total = sum(len(supported(J)) for J in multifield.choices)
+    rows = _zero_inf_rows(d, n, index)
+    supported = optimal_matchings(rows, range(1, n + 1), limit=COHERENCE_BUDGET + 1)[1]
+    total = sum(len(supported(J)) for J in multifield)
     if total > COHERENCE_BUDGET:
         raise DomainError("BUDGET_EXCEEDED", f"at least {total} supported matchings, budget {COHERENCE_BUDGET}")
     incidence = lambda m: tuple(int(m[i - 1] == j) for i, j in support)
     groups = []
-    for J in sorted(multifield.choices, key=lambda s: tuple(sorted(s))):
-        chosen = sorted(multifield[J])
-        others = [m for m in sorted(supported(J)) if m not in multifield[J]]
-        groups.append(([incidence(m) for m in chosen], [incidence(m) for m in others]))
+    for J, ms in multifield.items():
+        others = [m for m in sorted(supported(J)) if m not in ms]
+        groups.append(([incidence(m) for m in sorted(ms)], [incidence(m) for m in others]))
     witness = argmin_witness(len(support), groups)
     if witness is None:
         return None
 
-    entries = [[None] * multifield.n for _ in range(multifield.d)]
+    entries = [[None] * n for _ in range(d)]
     for (i, j), k in index.items():
         entries[i - 1][j - 1] = witness[k]
     # gauge: subtract row minima for a reproducible witness
@@ -407,14 +373,16 @@ def _index_pairs(pairs, code):
     return pairs
 
 
-def multifield_to_json(mf: MatchingMultifield):
-    out = {}
-    for J, ms in mf.choices.items():
-        out[subset_key(J)] = sorted([[i, j] for i, j in enumerate(m, 1)] for m in ms)
-    return {"d": mf.d, "n": mf.n, "choices": out}
+def multifield_to_json(mf):
+    """d and n are read off the keys, as in ``is_coherent`` (n = 0 at rank 0)."""
+    out = {subset_key(J): sorted([[i, j] for i, j in enumerate(m, 1)] for m in ms) for J, ms in mf.items()}
+    return {"d": len(next(iter(mf))), "n": max((j for J in mf for j in J), default=0), "choices": out}
 
 
-def multifield_from_json(obj) -> MatchingMultifield:
+def multifield_from_json(obj) -> dict:
+    """The one check of a multifield from outside: every key and edge list
+    parses, then, J by J in ``subsets`` order, J has a matching
+    (EMPTY_CHOICE) and each covers J (BAD_CHOICE)."""
     if not isinstance(obj, dict) or not {"d", "n", "choices"} <= set(obj):
         raise DomainError("BAD_MULTIFIELD_JSON", "expected {'d','n','choices'}")
     d, n = obj["d"], obj["n"]
@@ -438,4 +406,11 @@ def multifield_from_json(obj) -> MatchingMultifield:
         raise DomainError("BAD_MULTIFIELD_JSON", "choices must map 'j1,...,jd' to lists of edge lists") from None
     if len(choices) != len(obj["choices"]):
         raise DomainError("BAD_MULTIFIELD_JSON", "two keys name one subset")
-    return MatchingMultifield(d, n, choices)
+    mf = {}
+    for J in subsets(n, d):  # a missing J ends the walk within len(choices) + 1 subsets
+        mf[J] = choices.get(J)
+        if not mf[J]:
+            raise DomainError("EMPTY_CHOICE", f"no matching chosen on {sorted(J)}")
+        if any(frozenset(m) != J for m in mf[J]):
+            raise DomainError("BAD_CHOICE", f"a matching does not cover {sorted(J)}")
+    return mf

@@ -33,28 +33,26 @@ def _svg_arrangement(A, **budget):
         u = x[1] if A.d >= 2 else 0
         v = x[2] if A.d >= 3 else 0
         pts[tau] = (u, v)
-    bounds = [(min(axis), max(axis) - min(axis)) for axis in zip(*pts.values())]
+    segments = []
+    for tau, ends in skeleton(tc)[1]:
+        if len(ends) == 2:
+            segments.append(tuple(pts[v] for v in ends))
+        elif len(ends) == 1:
+            # extend the ray through the relative-interior witness
+            a, mid = pts[ends[0]], pts[tau]
+            segments.append((a, (2 * mid[0] - a[0], 2 * mid[1] - a[1])))
+    # the pixel bounds span every drawn point, the rays' far ends included
+    bounds = [(min(axis), max(axis) - min(axis)) for axis in zip(*pts.values(), *(b for _, b in segments))]
 
     def _px(point):
         """The integer pixel pair of an exact point (u, v): each coordinate's
-        share of its axis span, in [0, 1] except at a ray's far end, where
-        int() truncates it toward zero."""
+        share of its axis span, in [0, 1]."""
         return tuple(
             margin + size // 2 if span == 0 else margin + int((Fraction(value) - lo) / span * size)
             for value, (lo, span) in zip(point, bounds)
         )
 
-    body = []
-    for tau, ends in skeleton(tc)[1]:
-        if len(ends) == 2:
-            a, b = (pts[v] for v in ends)
-        elif len(ends) == 1:
-            # extend the ray through the relative-interior witness
-            a, mid = pts[ends[0]], pts[tau]
-            b = (2 * mid[0] - a[0], 2 * mid[1] - a[1])
-        else:
-            continue
-        body.append('<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>' % (*_px(a), *_px(b)))
+    body = ['<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>' % (*_px(a), *_px(b)) for a, b in segments]
     for tau, dim in tc.items():
         x, y = _px(pts[tau])
         if dim == 0:

@@ -154,7 +154,7 @@ def test_parametric_family_golden():
         assert neg_only in tc_neg and neg_only not in tc_pos
 
         mfs = [matching_multifield(A_of_t(t)) for t in (-half, 0, half)]
-        assert mfs[0].choices == mfs[1].choices == mfs[2].choices
+        assert mfs[0] == mfs[1] == mfs[2]
 
         A0 = A_of_t(0)
         minor = TropMatrix([row[:3] for row in A0.entries[:3]])
@@ -512,7 +512,7 @@ def test_subdivision_multifield_bijection():
                 )
             else:
                 B = fill(G, d, n)
-            same_mf = matching_multifield(A).choices == matching_multifield(B).choices
+            same_mf = matching_multifield(A) == matching_multifield(B)
             assert subdivisions_equal(A, B) == same_mf, (A.entries, B.entries)
 
 

@@ -249,7 +249,7 @@ def multifield_of_cells(d, cells):
 
 def multifield_or_refusal(A):
     try:
-        return matching_multifield(A).choices
+        return matching_multifield(A)
     except DomainError as exc:
         assert exc.code == "NO_MATCHING_ON_SUBSET"
         return exc.code

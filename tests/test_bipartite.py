@@ -37,7 +37,6 @@ from tropstiefel.bipartite import (
     COHERENCE_BUDGET,
     MATCHING_BUDGET,
     BipartiteGraph,
-    MatchingMultifield,
     assignment,
     dragon_condition,
     graph_from_json,
@@ -52,7 +51,7 @@ from tropstiefel.bipartite import (
     support_face_dimension,
     transversal_matroid,
 )
-from tropstiefel.core import INF, DomainError, TropMatrix, TropVector
+from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, subsets
 from tropstiefel.linspace import decompose, select_matroid
 from tropstiefel.plucker import contains, stiefel_map
 
@@ -95,7 +94,7 @@ def test_matching_multifield_zero_matrix():
     Z = TropMatrix([[0, 0, 0], [0, 0, 0]])
     mf = matching_multifield(Z)
     for J in itertools.combinations(range(1, 4), 2):
-        assert len(mf[J]) == 2  # both matchings on each pair
+        assert len(mf[frozenset(J)]) == 2  # both matchings on each pair
 
 
 def test_matching_multifield_t_independence():
@@ -106,7 +105,7 @@ def test_matching_multifield_t_independence():
 
 def test_matching_multifield_figure_example():
     mf = matching_multifield(FIG)
-    assert mf[{1, 2, 3}] == frozenset([(1, 2, 3)])
+    assert mf[frozenset({1, 2, 3})] == frozenset([(1, 2, 3)])
 
 
 def test_matching_engine_against_references():
@@ -149,7 +148,7 @@ def _check_engine(A):
         with pytest.raises(DomainError):
             matching_multifield(A)
     else:
-        assert matching_multifield(A).choices == argmins
+        assert matching_multifield(A) == argmins
 
 
 def test_is_coherent_roundtrip():
@@ -172,11 +171,11 @@ def test_is_coherent_roundtrip():
         assert matching_multifield(witness) == mf
         # one matching dropped from a choice with several: incoherent, or a
         # witness that reproduces the smaller multifield
-        tied = [J for J in sorted(mf.choices, key=sorted) if len(mf[J]) > 1]
+        tied = [J for J in sorted(mf, key=sorted) if len(mf[J]) > 1]
         if tied:
-            choices = dict(mf.choices)
+            choices = dict(mf)
             choices[tied[0]] = frozenset(sorted(mf[tied[0]])[1:])
-            variant = MatchingMultifield(mf.d, mf.n, choices)
+            variant = choices
             witness = is_coherent(variant)
             assert witness is None or matching_multifield(witness) == variant
             dropped += 1
@@ -202,14 +201,14 @@ def test_is_coherent_zero_matrix():
 
 
 # cyclic strict preferences on {1,2}, {2,3}, {1,3} sum to 0 < 0
-CYCLIC = MatchingMultifield(2, 4, {
+CYCLIC = {
     frozenset({1, 2}): {(1, 2)},
     frozenset({2, 3}): {(2, 3)},
     frozenset({1, 3}): {(3, 1)},
     frozenset({1, 4}): {(1, 4)},
     frozenset({2, 4}): {(2, 4)},
     frozenset({3, 4}): {(3, 4)},
-})
+}
 
 
 def test_incoherent_cyclic_matching_field():
@@ -247,11 +246,11 @@ def coherence_sample(rng, count):
         except DomainError:
             continue
         out.append(mf)
-        tied = [J for J in sorted(mf.choices, key=sorted) if len(mf[J]) > 1]
+        tied = [J for J in sorted(mf, key=sorted) if len(mf[J]) > 1]
         if tied:
             ms = sorted(mf[tied[0]])
             del ms[rng.randrange(len(ms))]
-            out.append(MatchingMultifield(mf.d, mf.n, {**mf.choices, tied[0]: frozenset(ms)}))
+            out.append({**mf, tied[0]: frozenset(ms)})
     return out[:count]
 
 
@@ -669,6 +668,23 @@ def test_json_roundtrips():
     assert graph_from_json(graph_to_json(G)) == G
     mf = matching_multifield(STAIR)
     assert multifield_from_json(multifield_to_json(mf)) == mf
+    # seeded multifields with ties and ∞, their JSON keys shuffled: the
+    # reader gives the same dict, keyed in ``subsets`` order
+    rng, seen = random.Random(54), 0
+    while seen < 200:
+        d = rng.randint(1, 3)
+        n = rng.randint(d, 6)
+        A = TropMatrix([[rng.choice([INF, 0, 0, 1, 2, Fraction(1, 2)]) for _ in range(n)] for _ in range(d)])
+        try:
+            mf = matching_multifield(A)
+        except DomainError:
+            continue
+        doc = multifield_to_json(mf)
+        keys = list(doc["choices"])
+        rng.shuffle(keys)
+        back = multifield_from_json({**doc, "choices": {key: doc["choices"][key] for key in keys}})
+        assert back == mf and list(back) == list(mf) == list(subsets(n, d)), A.entries
+        seen += 1
 
 
 def test_hall_scans_budget():

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -16,7 +17,6 @@ from tropstiefel.cli import main
 from tropstiefel.core import TropMatrix, matrix_from_json, matrix_to_json
 from tropstiefel.bipartite import (
     BipartiteGraph,
-    MatchingMultifield,
     is_support_set,
     matching_multifield,
     multifield_to_json,
@@ -92,7 +92,7 @@ def test_multifield_and_coherent(tmp_path, capsys):
     # cyclic strict preferences on {1,2}, {2,3}, {1,3}: no height induces them
     cyclic = {frozenset(J): {cols} for J, cols in
               (((1, 2), (1, 2)), ((2, 3), (2, 3)), ((1, 3), (3, 1)), ((1, 4), (1, 4)), ((2, 4), (2, 4)), ((3, 4), (3, 4)))}
-    path3 = write_input(tmp_path, multifield_to_json(MatchingMultifield(2, 4, cyclic)), "cyclic.json")
+    path3 = write_input(tmp_path, multifield_to_json(cyclic), "cyclic.json")
     code, out = run(capsys, ["coherent", "--input", path3])
     assert code == 0 and json.loads(out) == {"coherent": False}
 
@@ -264,6 +264,13 @@ def test_domain_error_exit_code(tmp_path, capsys):
         (["coherent"], field({"1,2": [[[1, 1]]]}), "BAD_MULTIFIELD_JSON"),
         (["coherent"], field({"1,2": [[[1, 1], [2, 3]]]}), "BAD_CHOICE"),
         (["coherent"], field({"1,2": []}), "EMPTY_CHOICE"),
+        # two faults each: subsets are checked in lexicographic order, EMPTY_CHOICE
+        # before BAD_CHOICE on each, and both only after every key and edge list parses
+        (["coherent"], {"d": 1, "n": 2, "choices": {"2": [[[1, 1]]]}}, "EMPTY_CHOICE"),
+        (["coherent"], {"d": 2, "n": 3, "choices": {"1,3": [[[1, 1], [2, 2]]], "1,2": []}}, "EMPTY_CHOICE"),
+        (["coherent"], {"d": 2, "n": 3, "choices": {"2,3": [[[1, 2], [2, 3]]], "1,2": [[[1, 1], [2, 3]]], "1,3": []}}, "BAD_CHOICE"),
+        (["coherent"], {"d": 2, "n": 3, "choices": {"1,2": [[[1, 1], [2, 1]]], "9,9": []}}, "BAD_MATCHING"),
+        (["coherent"], {"d": 1, "n": 2, "choices": {"1": [[[1, 1]]], "01": [[[1, 1]]]}}, "BAD_MULTIFIELD_JSON"),
         # rank 0: the one empty matching has no 0-row witness matrix
         (["coherent"], {"d": 0, "n": 2, "choices": {"": [[]]}}, "BAD_SHAPE"),
         (["coherent"], {"d": 0, "n": 0, "choices": {"": [[]]}}, "BAD_SHAPE"),
@@ -368,6 +375,25 @@ def test_render_svg(tmp_path, capsys):
     code, out = run(capsys, ["render", "--input", path3])
     assert code == 0
     assert out.count("<text") == 1 and "<line" not in out and "<circle" not in out
+
+
+def test_render_draws_inside_the_canvas(capsys, monkeypatch):
+    """Every line end and vertex that ``render`` draws lies in its 480×480
+    view box: the pixel bounds span the far ends of the rays as well as
+    the cells' points.  200 seeded matrices, d 2–3, n from d to 6, entries
+    −9..9."""
+    rng = random.Random(5)
+    drawn = 0
+    for _ in range(200):
+        d = rng.randint(2, 3)
+        n = rng.randint(d, 6)
+        A = {"entries": [[rng.randint(-9, 9) for _ in range(n)] for _ in range(d)]}
+        code, out = run(capsys, ["render"], stdin=json.dumps(A), monkeypatch=monkeypatch)
+        assert code == 0
+        for value in re.findall(r' (?:x1|y1|x2|y2|cx|cy)="(-?\d+)"', out):
+            assert 0 <= int(value) <= 480, A
+            drawn += 1
+    assert drawn > 10000
 
 
 def test_determinism_of_covectors_output(tmp_path, capsys):
@@ -680,7 +706,7 @@ def test_coherent_golden_stdout(tmp_path, capsys):
     # a 3x5 with ∞, and the 3x5 with one of its two matchings on {2, 3, 4}
     # dropped.
     with_inf = matching_multifield(TropMatrix([[0, 1, "inf", 2, 0], ["1/2", 0, 0, "inf", 1], [2, "inf", 0, 1, 0]]))
-    dropped = MatchingMultifield(3, 5, {**with_inf.choices, frozenset({2, 3, 4}): {(4, 2, 3)}})
+    dropped = {**with_inf, frozenset({2, 3, 4}): {(4, 2, 3)}}
     golden = [
         (matching_multifield(TWO_ROW),
          '{"coherent": true, "witness": {"d": 2, "entries": [["1", "1", "0", "0"], ["0", "0", "0", "0"]], "n": 4}}'),
@@ -727,7 +753,7 @@ def test_cell_outputs_golden_stdout(tmp_path, capsys):
         assert code == 0 and out == expected + "\n"
     # the arrangement SVG places each cell at its point
     code, out = run(capsys, ["render", "--input", write_input(tmp_path, A)])
-    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == "d5fa7977ee75ed59c224e02df263009929af461636caf454e9b0daacfd6ba833"
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == "64b797c79a6df6087a972378f80218bf3fc70bfc3100fb2345b56008d7d4af96"
     B = {"entries": [[0, 1, "1/2", 3, 0], [2, 0, 1, "-1", "inf"]]}
     code, out = run(capsys, ["bounded", "--format", "svg", "--input", write_input(tmp_path, B)])
     assert code == 0 and out == (
@@ -738,7 +764,7 @@ def test_cell_outputs_golden_stdout(tmp_path, capsys):
     )
 
 
-SEEDED_DIGEST = "4711748bb0965255f8d54f876be4d5411260ca731d453822f2c416efa33ad3d3"
+SEEDED_DIGEST = "22258e5c4a297504965222fb65fa3c4836f5623bfcde9ea299fe1803ee2780c0"
 
 
 def test_seeded_output_digest(capsys, monkeypatch):

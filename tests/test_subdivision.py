@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from polyhedra import Polyhedron
 from reference import cell_exists, is_interior_cell, subdivisions_equal, transversal_polytope_ineqs, uniform_matroid
 from tropstiefel.arrangement import covector_edges, enumerate_covectors, facets_of_D, facets_to_json
-from tropstiefel.bipartite import BipartiteGraph, components, transversal_matroid
+from tropstiefel.bipartite import BipartiteGraph, components, is_coherent, matching_multifield, transversal_matroid
 from tropstiefel.core import DomainError, INF, TropMatrix, TropVector
 from tropstiefel.linspace import select_matroid
 from tropstiefel.plucker import stiefel_map
@@ -193,3 +194,33 @@ def test_least_dimensional_cells_carry_the_facets():
         except DomainError as e:
             assert e.code == "NO_MATCHING_IN_SUPPORT" and not maximal, A
     assert above_zero >= 40, above_zero
+
+
+def test_facets_of_D_are_read_off_the_multifield():
+    """D(A) is a function of Λ(A): ``facets_of_D`` of the witness that
+    ``is_coherent`` builds from Λ(A) equals ``facets_of_D(A)``, or both
+    refuse with one code.  500 seeded matrices, d 1–3, n from d to 6,
+    entries k or k/2 for k in −3..3 (so ties are common), ∞ at 0, 10 or
+    25%; a matrix with a d-subset that its support cannot match has no
+    Λ(A) and is counted apart."""
+    def facets_or_code(A):
+        try:
+            return facets_of_D(A)
+        except DomainError as exc:
+            return exc.code
+
+    rng = random.Random(53)
+    seen = Counter()
+    for _ in range(500):
+        d = rng.randint(1, 3)
+        n, p_inf = rng.randint(d, 6), rng.choice((0, 0.1, 0.25))
+        A = TropMatrix([[INF if rng.random() < p_inf else Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n)] for _ in range(d)])
+        try:
+            mf = matching_multifield(A)
+        except DomainError as exc:
+            assert exc.code == "NO_MATCHING_ON_SUBSET"
+            seen["no multifield"] += 1
+            continue
+        assert facets_or_code(is_coherent(mf)) == facets_or_code(A), A.entries
+        seen["agreed"] += 1
+    assert seen["agreed"] >= 350 and seen["no multifield"], seen
