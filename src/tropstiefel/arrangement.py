@@ -91,10 +91,8 @@ def enumerate_covectors(A: TropMatrix, budget=CELL_BUDGET) -> dict:
     """TC(A), exactly: each covector mapped to its dimension, in the order of
     sorted covector edges; DomainError BUDGET_EXCEEDED beyond ``budget``
     cells, up front by ``_column_rows``."""
-    d, n = A.d, A.n
+    d, n, a, cells = A.d, A.n, A.ints, {}
     cols = _column_rows(A, budget)
-    a = A.ints
-    cells = {}
 
     # label[i] is a row of row i's component; a union of classes merges theirs
     def search(j, dbm, chosen, label):
@@ -145,15 +143,15 @@ def facets_of_D(A: TropMatrix) -> frozenset:
     intersected with the hypersimplex.
     """
     # imported here, so that covectors and render never compile bipartite
-    from .bipartite import BipartiteGraph, transversal_matroid
-    matroids = set()
-    for tau in enumerate_covectors(A):
-        M = transversal_matroid(BipartiteGraph(A.d, A.n, covector_edges(tau)))
-        if M:
-            matroids.add(M)
+    from .bipartite import BipartiteGraph, basis_keys, transversal_matroid
+    matroids = {}  # each matroid's basis keys, compared as ints, to the edges of its first covector
+    for edges in map(covector_edges, enumerate_covectors(A)):
+        if M := frozenset(basis_keys(A.d, A.n, edges)):
+            matroids.setdefault(M, edges)
     if not matroids:
         raise DomainError("NO_MATCHING_IN_SUPPORT", "support contains no matching")
-    return frozenset(M for M in matroids if not any(M < N for N in matroids))
+    kept = (edges for M, edges in matroids.items() if not any(M < N for N in matroids))
+    return frozenset(transversal_matroid(BipartiteGraph(A.d, A.n, edges)) for edges in kept)
 
 
 # ---------------------------------------------------------------------------

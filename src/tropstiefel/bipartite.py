@@ -7,14 +7,14 @@ matching is the tuple (j_1, ..., j_d) of its columns in row order, a
 matching multifield the dict from each d-subset of [n] (a frozenset, in
 ``core.subsets`` order) to the frozenset of its chosen matchings, and a
 transversal matroid the frozenset of its bases.  One matching engine
-(``optimal_matchings``), on int weights with None at ∞ (a
-matrix's ``ints``, or the 0/None rows of an edge set), answers which column
-sets can be matched and how well: the Stiefel map, multifields, coherence
-and transversal matroids; it refuses up front a table of more than
-``MATCHING_BUDGET`` column sets.  Coherence is one ``simplex.argmin_witness``
-question, Gordan's alternative on the supported matchings' incidence
-vectors, whose "no" comes with a checked certificate, refused up front
-past ``COHERENCE_BUDGET`` supported matchings.
+(``optimal_matchings``), on int weights with None at ∞ (a matrix's ``ints``,
+or the 0/None rows of an edge set), answers which column sets can be matched
+and how well, in one table keyed by column bitmasks (``column_key``): the
+Stiefel map, multifields, coherence and transversal matroids; it refuses up
+front a table of more than ``MATCHING_BUDGET`` column sets.  Coherence is
+one ``simplex.argmin_witness`` question, Gordan's alternative on the
+supported matchings' incidence vectors, whose "no" comes with a checked
+certificate, refused up front past ``COHERENCE_BUDGET`` supported matchings.
 One Hungarian solve (``assignment``) gives a min-cost assignment of every
 row and the greatest optimal dual; d of them (one at surplus 0) answer
 the Hall-type surplus condition behind the support-set test, the dragon
@@ -53,10 +53,7 @@ class BipartiteGraph:
         return frozenset(j for a, j in self.edges if a == i)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, BipartiteGraph)
-            and (self.d, self.n, self.edges) == (other.d, other.n, other.edges)
-        )
+        return isinstance(other, BipartiteGraph) and (self.d, self.n, self.edges) == (other.d, other.n, other.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -66,57 +63,71 @@ class BipartiteGraph:
 MATCHING_BUDGET = 10 ** 5  # column sets the matching engine may hold
 
 
+def column_key(J):
+    """The matching engine's table key of a column set J: bit j for column j."""
+    key = 0
+    for j in J:
+        key |= 1 << j
+    return key
+
+
 def optimal_matchings(rows, cols, limit=None):
     """The matching engine on the d = len(rows) rows of an int weight
-    matrix, None at ∞.
-
-    Returns (best, argmins).  ``best[S]`` is the least weight of a matching
-    of rows 1..|S| onto each frozenset S ⊆ ``cols`` with |S| ≤ d that the
-    finite entries can match, built one row at a time and shared by every
-    d-set: Σ_{k<d} C(n, k)·(n − k) steps, n = |cols|.  ``argmins(S)`` lists
-    the optimal matchings onto a key S of ``best`` as column tuples in row
-    order, at most ``limit`` of them, by backtracking memoised per S.
+    matrix, None at ∞.  Returns (best, argmins): ``best[column_key(S)]`` is
+    the least weight of a matching of rows 1..|S| onto each S ⊆ ``cols``,
+    |S| ≤ d, that the finite entries can match, built one row at a time
+    over bitmasks (bit j for column j) and shared by every d-set:
+    Σ_{k<d} C(n, k)·(n − k) steps, n = |cols|.  ``argmins(key)`` lists the
+    optimal matchings onto a key of ``best`` as column tuples in row order,
+    at most ``limit`` of them, by backtracking memoised per key (``S ^ bit``).
     DomainError BUDGET_EXCEEDED, before any work, when the Σ_{k≤d} C(n, k)
     column sets of the table exceed ``MATCHING_BUDGET``."""
     states = sum(math.comb(len(cols), k) for k in range(len(rows) + 1))
     if states > MATCHING_BUDGET:
-        raise DomainError(
-            "BUDGET_EXCEEDED",
-            f"{len(rows)} rows on {len(cols)} columns give {states} column sets, budget {MATCHING_BUDGET}",
-        )
-    best = {frozenset(): 0}
-    layer = best.copy()
+        raise DomainError("BUDGET_EXCEEDED", f"{len(rows)} rows on {len(cols)} columns give {states} column sets, budget {MATCHING_BUDGET}")
+    best, layer = {0: 0}, {0: 0}
     for row in rows:
-        grown = {}
+        grown, steps = {}, [(1 << j, a) for j in cols if (a := row[j - 1]) is not None]
         for S, w in layer.items():
-            for j in cols:
-                a = row[j - 1]
-                if a is not None and j not in S:
-                    T, v = S | {j}, w + a
+            for bit, a in steps:
+                if not S & bit:
+                    T, v = S | bit, w + a
                     if T not in grown or v < grown[T]:
                         grown[T] = v
         best.update(grown)
         layer = grown
-    return best, functools.partial(_argmins, rows, best, {frozenset(): [()]}, limit)
+    return best, functools.partial(_argmins, rows, best, {0: [()]}, limit)
 
 
 def _argmins(rows, best, memo, limit, S):
     """``argmins(S)`` of the engine; not a recursive closure, so the table
     is freed with its last view rather than by the cycle collector."""
     if S not in memo:
-        row, out = rows[len(S) - 1], []
-        for j in S:
-            a, T = row[j - 1], S - {j}
+        row, out = rows[S.bit_count() - 1], []
+        for j in _columns(S):
+            a, T = row[j - 1], S ^ 1 << j
             if a is not None and T in best and best[T] + a == best[S]:
                 out += [m + (j,) for m in _argmins(rows, best, memo, limit, T)]
         memo[S] = out[:limit]
     return memo[S]
 
 
+def _columns(S):
+    """The columns of a table key S, as a list in increasing order."""
+    out = []
+    while S:
+        out.append((S & -S).bit_length() - 1)
+        S &= S - 1
+    return out
+
+
 def _zero_inf_rows(d, n, edges):
     """The 0/∞ matrix of an edge set as int rows, None at ∞: every
     supported matching weighs 0."""
-    return [[0 if (i, j) in edges else None for j in range(1, n + 1)] for i in range(1, d + 1)]
+    rows = [[None] * n for _ in range(d)]
+    for i, j in edges:
+        rows[i - 1][j - 1] = 0
+    return rows
 
 
 def matching_multifield(A: TropMatrix) -> dict:
@@ -127,9 +138,9 @@ def matching_multifield(A: TropMatrix) -> dict:
     best, argmins = optimal_matchings(A.ints, range(1, A.n + 1))
     choices = {}
     for J in subsets(A.n, A.d):
-        if J not in best:
+        if (S := column_key(J)) not in best:
             raise DomainError("NO_MATCHING_ON_SUBSET", f"support admits no matching on {sorted(J)}")
-        choices[J] = frozenset(argmins(J))
+        choices[J] = frozenset(argmins(S))
     return choices
 
 
@@ -215,13 +226,13 @@ def is_coherent(multifield):
     index = {e: k for k, e in enumerate(support)}
     rows = _zero_inf_rows(d, n, index)
     supported = optimal_matchings(rows, range(1, n + 1), limit=COHERENCE_BUDGET + 1)[1]
-    total = sum(len(supported(J)) for J in multifield)
+    total = sum(len(supported(column_key(J))) for J in multifield)
     if total > COHERENCE_BUDGET:
         raise DomainError("BUDGET_EXCEEDED", f"at least {total} supported matchings, budget {COHERENCE_BUDGET}")
     incidence = lambda m: tuple(int(m[i - 1] == j) for i, j in support)
     groups = []
     for J, ms in multifield.items():
-        others = [m for m in sorted(supported(J)) if m not in ms]
+        others = [m for m in sorted(supported(column_key(J))) if m not in ms]
         groups.append(([incidence(m) for m in sorted(ms)], [incidence(m) for m in others]))
     witness = argmin_witness(len(support), groups)
     if witness is None:
@@ -315,12 +326,18 @@ def random_support_set(rng, d, n, budget=SUPPORT_SET_DRAWS):
 # Transversal matroids
 # ---------------------------------------------------------------------------
 
+def basis_keys(d, n, edges) -> list:
+    """The ``column_key`` of each basis of the transversal matroid of an edge
+    set on [d] ⊔ [n]: of each d-set the matching engine reaches on its 0/∞
+    matrix."""
+    best = optimal_matchings(_zero_inf_rows(d, n, edges), range(1, n + 1))[0]
+    return [S for S in best if S.bit_count() == d]
+
+
 def transversal_matroid(G: BipartiteGraph) -> frozenset:
     """The frozenset of bases, the column d-subsets fully matchable to [d]
-    inside G: the d-sets that the matching engine reaches on G's 0/∞
-    matrix."""
-    best = optimal_matchings(_zero_inf_rows(G.d, G.n, G.edges), range(1, G.n + 1))[0]
-    return frozenset(S for S in best if len(S) == G.d)
+    inside G: ``basis_keys`` as column sets."""
+    return frozenset(map(frozenset, map(_columns, basis_keys(G.d, G.n, G.edges))))
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +383,7 @@ def graph_from_json(obj) -> BipartiteGraph:
 def _index_pairs(pairs, code):
     """``pairs`` if it is a JSON list of [i, j] pairs of integers (not
     booleans); DomainError ``code`` for any other shape."""
-    if not isinstance(pairs, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p) for p in pairs
-    ):
+    if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p) for p in pairs):
         raise DomainError(code, "expected a list of [i, j] integer pairs")
     return pairs
 

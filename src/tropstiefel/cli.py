@@ -77,20 +77,14 @@ def cmd_multifield(args):
 
 def cmd_coherent(args):
     from .bipartite import is_coherent, multifield_from_json
-    mf = multifield_from_json(_read_input(args))
-    witness = is_coherent(mf)
-    if witness is None:
-        return {"coherent": False}
-    return {"coherent": True, "witness": matrix_to_json(witness)}
+    witness = is_coherent(multifield_from_json(_read_input(args)))
+    return {"coherent": False} if witness is None else {"coherent": True, "witness": matrix_to_json(witness)}
 
 
 def cmd_support_set(args):
     from .bipartite import graph_from_json, is_support_set, support_face_dimension
     G = graph_from_json(_read_input(args))
-    return {
-        "is_support_set": is_support_set(G),
-        "h1": support_face_dimension(G),
-    }
+    return {"is_support_set": is_support_set(G), "h1": support_face_dimension(G)}
 
 
 def cmd_covectors(args):
@@ -113,11 +107,8 @@ def cmd_member(args):
 
 def cmd_decompose(args):
     from .linspace import certificate_to_json, decompose
-    A, y = _matrix_and_vector(_read_input(args))
-    cert = decompose(A, y)
-    if cert is None:
-        return {"in_L": False}
-    return {"in_L": True, "certificate": certificate_to_json(cert)}
+    cert = decompose(*_matrix_and_vector(_read_input(args)))
+    return {"in_L": False} if cert is None else {"in_L": True, "certificate": certificate_to_json(cert)}
 
 
 def cmd_bounded(args):
@@ -170,9 +161,7 @@ def cmd_gen(args):
 def cmd_render(args):
     from .svg import _svg_arrangement, _svg_tree
     A = matrix_from_json(_read_input(args))
-    if args.kind == "tree":
-        return _svg_tree(A, **_budget_kwargs(args))
-    return _svg_arrangement(A, **_budget_kwargs(args))
+    return (_svg_tree if args.kind == "tree" else _svg_arrangement)(A, **_budget_kwargs(args))
 
 
 # ---------------------------------------------------------------------------

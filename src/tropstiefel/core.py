@@ -29,7 +29,8 @@ import itertools
 import json
 import math
 import sys
-from fractions import Fraction
+
+Fraction = None  # fractions.Fraction, once ``fraction`` has bound it
 
 
 class DomainError(Exception):
@@ -43,26 +44,41 @@ class DomainError(Exception):
 INF = None
 
 
+def fraction():
+    """`fractions.Fraction`, imported on the first call: ``fractions``
+    imports ``decimal``, a few ms of a cold command whose values are whole."""
+    global Fraction
+    if Fraction is None:
+        from fractions import Fraction
+    return Fraction
+
+
 def scalar(x):
     """Coerce ``x`` (int, Fraction, 'p/q' string, 'inf', None) to a scalar:
-    None at ∞, an int when the value is whole, else a reduced Fraction."""
+    None at ∞, an int when the value is whole, else a reduced Fraction.  A
+    string is read by ``int`` first, and by ``Fraction`` when ``int``
+    refuses it; on every string ``int`` takes, ``Fraction`` gives the same
+    value."""
     if x is INF or type(x) is int:
         return x
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
-    if isinstance(x, bool):
-        raise DomainError("BAD_SCALAR", "booleans are not scalars")
-    if isinstance(x, int):
-        return int(x)
     if isinstance(x, str) and "e" not in x.lower():  # an exponent asks Fraction for 10^k
         if x.strip().lower() == "inf":
             return INF
         try:
-            return scalar(Fraction(x))
-        except (ValueError, ZeroDivisionError):
-            raise DomainError("BAD_SCALAR", f"cannot interpret {x!r} as a scalar") from None
+            return int(x)
+        except ValueError:  # not whole, or no number at all: Fraction decides
+            try:
+                x = fraction()(x)
+            except (ValueError, ZeroDivisionError):
+                raise DomainError("BAD_SCALAR", f"cannot interpret {x!r} as a scalar") from None
+    if isinstance(x, bool):
+        raise DomainError("BAD_SCALAR", "booleans are not scalars")
+    if isinstance(x, int):
+        return int(x)
     if isinstance(x, float):
         raise DomainError("BAD_SCALAR", "floating point is not allowed")
+    if isinstance(x, fraction()):
+        return x.numerator if x.denominator == 1 else x
     raise DomainError("BAD_SCALAR", f"cannot interpret {x!r} as a scalar")
 
 
@@ -70,7 +86,7 @@ def quotient(num, den):
     """The scalar num / den of ints, den > 0: an int when den divides num,
     else a reduced Fraction."""
     q, r = divmod(num, den)
-    return Fraction(num, den) if r else q
+    return fraction()(num, den) if r else q
 
 
 def integer_form(values):
@@ -174,12 +190,7 @@ class TropMatrix:
 
     def support(self):
         """All (i,j), 1-based, with finite entry."""
-        return frozenset(
-            (i + 1, j + 1)
-            for i, row in enumerate(self.ints)
-            for j, v in enumerate(row)
-            if v is not None
-        )
+        return frozenset((i + 1, j + 1) for i, row in enumerate(self.ints) for j, v in enumerate(row) if v is not None)
 
     def col_support(self, j):
         """I_j: rows with finite entry in column j."""

@@ -39,9 +39,7 @@ class DifferenceBounds:
     __slots__ = ("size", "scale", "unit", "bound")
 
     def __init__(self, size, unit=1, bound=None):
-        self.size = size
-        self.scale = size + 1
-        self.unit = unit
+        self.size, self.scale, self.unit = size, size + 1, unit
         self.bound = bound or [[0 if u == v else None for v in range(size)] for u in range(size)]
 
     def copy(self):

@@ -31,11 +31,14 @@ def select_matroid(p: PluckerVector, y: TropVector) -> frozenset:
     if len(y) != p.n or not y.is_finite():
         raise DomainError("BAD_POINT", "y must be finite of length n")
     _, fp, fy = common_denom(p.denom, y.denom)
-    best, bases, z = None, [], ((0,) + y.ints).__getitem__
+    best, bases, z = None, [], (0,) + y.ints
     for J, v in p.ints.items():
         if v is None:
             continue
-        val = v * fp - fy * sum(map(z, J))
+        total = 0
+        for j in J:
+            total += z[j]
+        val = v * fp - fy * total
         if best is None or val < best:
             best = val
             bases = [J]
@@ -139,15 +142,18 @@ def decompose(A: TropMatrix, y: TropVector):
     """
     if len(y) != A.n or not y.is_finite():
         raise DomainError("BAD_POINT", "y must be finite of length n")
-    require_column_supports(A)
-    unit, u, v, tight = _greatest_dual(A, y)
+    try:
+        unit, u, v, tight = _greatest_dual(A, y)
+    except DomainError:  # NO_MATCHING_IN_SUPPORT, after an empty column
+        require_column_supports(A)
+        raise
     F = [[] for _ in range(A.n)]
     for i, j in tight:  # row by row, so each I_j is sorted
         F[j].append(i + 1)
-    if not all(F):
-        return None  # a loop of M_y: no optimal assignment uses some column
-    x = tuple([quotient(-w, unit) for w in u])
-    slack = tuple([quotient(-w, unit) for w in v])
+    if not all(F):  # a loop of M_y (no optimal assignment uses some column), or an empty column
+        require_column_supports(A)
+        return None
+    x, slack = (tuple([-w for w in s] if unit == 1 else [quotient(-w, unit) for w in s]) for s in (u, v))
     return tuple(map(tuple, F)), x, frozenset(j + 1 for j, w in enumerate(v) if w < 0), slack
 
 

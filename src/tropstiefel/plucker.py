@@ -1,8 +1,9 @@
 """Tropical Plücker vectors: maps on the d-subsets of [n], listed by
 ``core.subsets`` and keyed in JSON by ``core.subset_key``.
 
-The Stiefel map (tropical maximal minors, from the matching engine), the
-circuits of p, listed on first use and kept on p, behind membership in
+The Stiefel map (tropical maximal minors, from the matching engine, whose
+ints p takes reduced by their gcd with A's denominator), the circuits of
+p, listed on first use and kept on p, behind membership in
 L(p) and the Plücker check (every cocircuit lies in L(p)), both refused up
 front past ``PLUCKER_BUDGET`` relation terms, and matrix recovery from a
 support set, whose rows ``recover_matrix`` reads off p; it needs a uniform
@@ -14,17 +15,17 @@ from __future__ import annotations
 import math
 
 from .core import DomainError, TropMatrix, TropVector, common_denom, integer_form, quotient, scalar, scalar_str, subset_from_key, subset_key, subsets, trop_vanishes
-from .bipartite import BipartiteGraph, is_support_set, optimal_matchings
+from .bipartite import BipartiteGraph, column_key, is_support_set, optimal_matchings
 
 
 class PluckerVector:
-    """A map from d-subsets of [n] to scalars, not identically infinite."""
+    """A map from d-subsets of [n] to scalars, not identically infinite,
+    checked by the constructor; ``stiefel_map`` builds its own unchecked."""
 
     __slots__ = ("n", "d", "values", "denom", "ints", "circuits")
 
     def __init__(self, n, d, values):
-        self.n = n
-        self.d = d
+        self.n, self.d, self.circuits = n, d, None
         vals = {}
         for J in subsets(n, d):
             if J not in values:
@@ -35,17 +36,12 @@ class PluckerVector:
             raise DomainError("ALL_INF", "Plücker vectors may not be identically ∞")
         self.denom, ints = integer_form(vals.values())
         self.ints = dict(zip(vals, ints))
-        self.circuits = None
 
     def __getitem__(self, J):
         return self.values[frozenset(J)]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PluckerVector)
-            and (self.n, self.d) == (other.n, other.d)
-            and self.values == other.values
-        )
+        return isinstance(other, PluckerVector) and (self.n, self.d, self.values) == (other.n, other.d, other.values)
 
     def __repr__(self):
         return "PluckerVector(n=%d, d=%d)" % (self.n, self.d)
@@ -53,12 +49,19 @@ class PluckerVector:
 
 def stiefel_map(A: TropMatrix) -> PluckerVector:
     """π(A): the optimal-assignment value on every column d-subset, from
-    the matching engine on A's ints, ∞ where no matching exists."""
+    the matching engine on A's ints, ∞ where no matching exists.  p takes
+    its integer form unchecked: p_J = w_J / A.denom for the engine's w_J,
+    so with g = gcd(A.denom, every finite w_J), p.denom = A.denom / g, the
+    LCM of p's own denominators, and p.ints are the w_J / g."""
     best = optimal_matchings(A.ints, range(1, A.n + 1))[0]
-    values = {J: None if (w := best.get(J)) is None else quotient(w, A.denom) for J in subsets(A.n, A.d)}
-    if all(v is None for v in values.values()):
+    ints = {J: best.get(column_key(J)) for J in subsets(A.n, A.d)}
+    if not (finite := [w for w in ints.values() if w is not None]):
         raise DomainError("NO_MATCHING_IN_SUPPORT", "support contains no matching")
-    return PluckerVector(A.n, A.d, values)
+    p, g = PluckerVector.__new__(PluckerVector), math.gcd(A.denom, *finite)
+    p.n, p.d, p.denom, p.circuits = A.n, A.d, A.denom // g, None
+    p.ints = ints if g == 1 else {J: None if w is None else w // g for J, w in ints.items()}
+    p.values = p.ints if p.denom == 1 else {J: None if w is None else quotient(w, p.denom) for J, w in p.ints.items()}
+    return p
 
 
 def _circuits(p: PluckerVector):
@@ -79,7 +82,10 @@ def _in_span(circuits, y, f):
     """Every circuit minimum of 0-based int coordinates y, None at ∞, is ∞
     or attained at least twice, with the circuits' terms times f in y's
     unit."""
-    return all(trop_vanishes([v * f + y[k] for k, v in C if y[k] is not None]) for C in circuits)
+    for C in circuits:
+        if not trop_vanishes([v * f + y[k] for k, v in C if y[k] is not None]):
+            return False
+    return True
 
 
 PLUCKER_BUDGET = 10 ** 7  # relation terms the Plücker check or one membership test may test
@@ -112,10 +118,7 @@ def check_plucker(p: PluckerVector) -> bool:
     if terms > PLUCKER_BUDGET:
         raise DomainError("BUDGET_EXCEEDED", f"rank {p.d} on [{p.n}] gives {terms} relation terms, budget {PLUCKER_BUDGET}")
     circuits, ints, ground = _circuits(p), p.ints, range(1, p.n + 1)
-    return all(
-        _in_span(circuits, [None if j in S else ints[S | {j}] for j in ground], 1)
-        for S in subsets(p.n, p.d - 1)
-    )
+    return all(_in_span(circuits, [None if j in S else ints[S | {j}] for j in ground], 1) for S in subsets(p.n, p.d - 1))
 
 
 def recover_matrix(p: PluckerVector, support: BipartiteGraph) -> TropMatrix:

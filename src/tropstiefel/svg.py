@@ -13,10 +13,7 @@ from .core import DomainError
 
 
 def _svg_document(width, height, body):
-    head = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
-    )
+    head = f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" viewBox="0 0 {width} {height}">'
     return head + "".join(body) + "</svg>"
 
 
@@ -27,12 +24,7 @@ def _svg_arrangement(A, **budget):
     tc = enumerate_covectors(A, **budget)
     size, margin = 400, 40
     # gauge-fixed coordinates: use (x_2, x_3) (missing coordinates are 0)
-    pts = {}
-    for tau in tc:
-        x = cell_point(A, tau)
-        u = x[1] if A.d >= 2 else 0
-        v = x[2] if A.d >= 3 else 0
-        pts[tau] = (u, v)
+    pts = {tau: (cell_point(A, tau) + (0, 0))[1:3] for tau in tc}
     segments = []
     for tau, ends in skeleton(tc)[1]:
         if len(ends) == 2:
@@ -47,22 +39,16 @@ def _svg_arrangement(A, **budget):
     def _px(point):
         """The integer pixel pair of an exact point (u, v): each coordinate's
         share of its axis span, in [0, 1]."""
-        return tuple(
-            margin + size // 2 if span == 0 else margin + int((Fraction(value) - lo) / span * size)
-            for value, (lo, span) in zip(point, bounds)
-        )
+        return tuple(margin + size // 2 if span == 0 else margin + int((Fraction(value) - lo) / span * size)
+                     for value, (lo, span) in zip(point, bounds))
 
     body = ['<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>' % (*_px(a), *_px(b)) for a, b in segments]
     for tau, dim in tc.items():
         x, y = _px(pts[tau])
         if dim == 0:
             body.append('<circle cx="%d" cy="%d" r="4" fill="black"/>' % (x, y))
-        label = "".join(
-            "{" + ",".join(str(i) for i in I) + "}" for I in tau
-        )
-        body.append(
-            '<text x="%d" y="%d" font-size="9">%s</text>' % (x + 6, y - 6, label)
-        )
+        label = "".join("{" + ",".join(str(i) for i in I) + "}" for I in tau)
+        body.append('<text x="%d" y="%d" font-size="9">%s</text>' % (x + 6, y - 6, label))
     return _svg_document(size + 2 * margin, size + 2 * margin, body)
 
 
@@ -76,14 +62,8 @@ def _svg_tree(A, **budget):
     body = []
     for _, ends in segs:
         if len(ends) == 2:
-            x1 = margin + step * order[ends[0]]
-            x2 = margin + step * order[ends[1]]
-            body.append(
-                '<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>'
-                % (x1, y0, x2, y0)
-            )
-    for k in range(len(verts)):
-        x = margin + step * k
-        body.append('<circle cx="%d" cy="%d" r="4" fill="black"/>' % (x, y0))
+            x1, x2 = (margin + step * order[v] for v in ends)
+            body.append('<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>' % (x1, y0, x2, y0))
+    body += ['<circle cx="%d" cy="%d" r="4" fill="black"/>' % (margin + step * k, y0) for k in range(len(verts))]
     width = 2 * margin + step * max(len(verts) - 1, 0)
     return _svg_document(max(width, 2 * margin), 2 * y0, body)

@@ -73,7 +73,7 @@ from fractions import Fraction
 from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, common_denom, quotient, require_column_supports, scalar, scalar_str, subsets
 from tropstiefel.geom import DifferenceBounds
 from tropstiefel.simplex import ONE, ZERO, _pivot
-from tropstiefel.bipartite import BipartiteGraph, assignment, components, hall_surplus_check, optimal_matchings
+from tropstiefel.bipartite import BipartiteGraph, assignment, column_key, components, hall_surplus_check, optimal_matchings
 from tropstiefel.plucker import PluckerVector
 from tropstiefel.arrangement import covector_edges, enumerate_covectors, facets_of_D
 from tropstiefel.linspace import _require_uniform, bounded_skeleton, in_K, select_matroid
@@ -161,9 +161,9 @@ def min_matchings(A: TropMatrix, J):
     if len(J) != A.d or not J <= frozenset(range(1, A.n + 1)):
         raise DomainError("BAD_SUBSET", "J must be a d-subset of [n]")
     best, argmins = optimal_matchings(A.ints, sorted(J))
-    if J not in best:
+    if (S := column_key(J)) not in best:
         return INF, frozenset()
-    return quotient(best[J], A.denom), frozenset(argmins(J))
+    return quotient(best[S], A.denom), frozenset(argmins(S))
 
 
 def optimal_columns(cost):
@@ -487,7 +487,7 @@ def is_trop_singular(B: TropMatrix) -> bool:
     the matching engine finds no optimal matching or a second one."""
     if B.d != B.n:
         raise DomainError("BAD_SHAPE", "tropical singularity requires a square matrix")
-    full = frozenset(range(1, B.n + 1))
+    full = column_key(range(1, B.n + 1))
     best, argmins = optimal_matchings(B.ints, range(1, B.n + 1), limit=2)
     return full not in best or len(argmins(full)) == 2
 

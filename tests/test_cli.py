@@ -456,12 +456,13 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     (arrangement) load no bipartite, plucker or linspace; facets loads no
     plucker or linspace; covectors and facets load neither ``svg`` nor
     ``simplex``, render loads ``svg`` and not ``simplex``, and coherent
-    loads ``simplex``."""
+    loads ``simplex``.  Covectors and facets on an integer matrix load no
+    ``fractions``, which imports ``decimal``."""
     src = str(Path(tropstiefel.cli.__file__).resolve().parents[1])
     script = (
         "import sys\nimport tropstiefel.cli\n"
         "code = tropstiefel.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-        "print(code, *sorted(m for m in sys.modules if m.startswith('tropstiefel') or m == 'argparse'), file=sys.stderr)"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('tropstiefel') or m in ('argparse', 'fractions')), file=sys.stderr)"
     )
     path = write_input(tmp_path, matrix_to_json(FIG))
     field = write_input(tmp_path, multifield_to_json(matching_multifield(FIG)), "field.json")
@@ -477,6 +478,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
 
     svg, lp = "tropstiefel.svg", "tropstiefel.simplex"
     assert loaded() == {"tropstiefel", "tropstiefel.cli", "tropstiefel.core"}
+    assert "fractions" not in loaded("covectors", "--input", path) | loaded("facets", "--input", path)
     for argv in (["covectors"], ["render"]):
         assert not loaded(*argv, "--input", path) & {"tropstiefel.bipartite", "tropstiefel.plucker", "tropstiefel.linspace"}, argv
     facets = loaded("facets", "--input", path)

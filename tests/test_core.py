@@ -68,6 +68,41 @@ def test_whole_scalars_are_ints():
     assert hash(scalar("6/2")) == hash(Fraction(3)) and scalar(3) < Fraction(7, 2) < scalar(4)
 
 
+def test_whole_strings_read_by_int_as_by_fraction():
+    """``scalar`` reads a string by ``int`` first and by ``Fraction`` only
+    when ``int`` refuses it.  On each string below, that accepts the same
+    strings, with the same value, as ``Fraction`` alone, and an exponent
+    form stays refused by both: signs, outer whitespace, ``_`` separators,
+    non-ASCII digits, leading zeros, "1/2", "3.", ".5" and strings past the
+    int/str digit limit."""
+    limit = sys.get_int_max_str_digits()
+    cases = [
+        "0", "-0", "+7", "-12", " 12 ", "\t-3\n", "\u00a05\u2003", "+ 5", "--5", "+-5",
+        "1_000", "-1_0", "1__0", "_1", "1_", "1_000/2", "1/2_0",
+        "\u0663", "\u06f1\u06f2", "-\u0967\u0966", "\u0663/\u0664", "\uff11",
+        "007", "-007", "00", "0/3", "08/4",
+        "1/2", " 3/6 ", "-4/2", "1/0", "1 / 2", "/2", "1/", "1/-2",
+        "3.", ".5", "-.5", "3.0", "0.25", "1_0.5", ".", "-",
+        "1" * limit, "-" + "1" * limit, "1" * (limit + 1), "1" * (limit + 1) + "/1", "1/" + "1" * (limit + 1),
+        "1e3", "1E3", "2.5e-1", "-1e0", "1e", "inf1",
+        "", " ", "x", "1 2", "0x10", "0b1", "0o7", "1j", "nan",
+    ]
+    for text in cases:
+        try:
+            value = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            value = None
+        if "e" in text.lower():
+            value = None  # an exponent asks Fraction for 10^k, so it is refused
+        try:
+            got = scalar(text)
+        except DomainError as exc:
+            assert exc.code == "BAD_SCALAR" and value is None, text[:20]
+            continue
+        assert value is not None and got == value, text[:20]
+        assert type(got) is (int if value.denominator == 1 else Fraction), text[:20]
+
+
 def test_int_subclasses_are_plain_ints():
     class Count(int):
         pass

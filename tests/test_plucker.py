@@ -72,6 +72,43 @@ def test_stiefel_map_requires_matching():
         stiefel_map(TropMatrix([[0, "inf"], [0, "inf"]]))
 
 
+def test_stiefel_map_hands_over_the_reduced_integer_form():
+    """``stiefel_map`` builds p from the engine's ints without the checking
+    constructor.  On 2000 seeded matrices, d 1-4 and n <= 7, ∞ at 0, 10 or
+    25%, entries k or k/2, p equals the ``PluckerVector`` that constructor
+    builds from the same values: the same values in ``subsets`` order, the
+    same ``denom`` and ``ints``, each value an int or a Fraction with
+    denominator > 1.  A third of the matrices are whole but for one large
+    half entry, which an optimal matching avoids where it can: p is then
+    often whole, with denom 1 rather than A's 2."""
+    rng = random.Random(5401)
+    checked = whole_of_half = 0
+    while checked < 2000:
+        d = rng.randint(1, 4)
+        n = rng.randint(d, 7)
+        p_inf = rng.choice([0, 0.1, 0.25])
+        one_half = rng.random() < 1 / 3
+        rows = [
+            [INF if rng.random() < p_inf else Fraction(rng.randint(-8, 8), 1 if one_half else rng.choice([1, 2])) for _ in range(n)]
+            for _ in range(d)
+        ]
+        if one_half:
+            rows[rng.randrange(d)][rng.randrange(n)] = Fraction(rng.randint(40, 60) + 1, 2)
+        A = TropMatrix(rows)
+        try:
+            p = stiefel_map(A)
+        except DomainError as exc:
+            assert exc.code == "NO_MATCHING_IN_SUPPORT"
+            continue
+        q = PluckerVector(A.n, A.d, p.values)
+        assert list(p.values.items()) == list(q.values.items()), rows
+        assert (p.n, p.d, p.denom, p.ints, p.circuits) == (q.n, q.d, q.denom, q.ints, None), rows
+        assert all(v is None or type(v) is int or (type(v) is Fraction and v.denominator > 1) for v in p.values.values())
+        checked += 1
+        whole_of_half += A.denom == 2 and p.denom == 1
+    assert whole_of_half >= 200, whole_of_half
+
+
 def test_check_plucker():
     assert check_plucker(zero_plucker(2, 4))
     bad = PluckerVector(
