@@ -143,7 +143,7 @@ def facets_of_D(A: TropMatrix) -> frozenset:
     intersected with the hypersimplex.
     """
     # imported here, so that covectors and render never compile bipartite
-    from .bipartite import BipartiteGraph, basis_keys, transversal_matroid
+    from .bipartite import basis_keys, transversal_matroid
     matroids = {}  # each matroid's basis keys, compared as ints, to the edges of its first covector
     for edges in map(covector_edges, enumerate_covectors(A)):
         if M := frozenset(basis_keys(A.d, A.n, edges)):
@@ -151,7 +151,7 @@ def facets_of_D(A: TropMatrix) -> frozenset:
     if not matroids:
         raise DomainError("NO_MATCHING_IN_SUPPORT", "support contains no matching")
     kept = (edges for M, edges in matroids.items() if not any(M < N for N in matroids))
-    return frozenset(transversal_matroid(BipartiteGraph(A.d, A.n, edges)) for edges in kept)
+    return frozenset(transversal_matroid(A.d, A.n, edges) for edges in kept)
 
 
 # ---------------------------------------------------------------------------

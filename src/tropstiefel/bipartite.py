@@ -3,8 +3,11 @@
 Graphs, optimal matchings under min-plus weights in ints, matching
 multifields and their coherence, support-set predicates and sampling,
 transversal matroids, and the first-Betti-number dimension formula.  A
-matching is the tuple (j_1, ..., j_d) of its columns in row order, a
-matching multifield the dict from each d-subset of [n] (a frozenset, in
+graph is its edge set: the graph functions take (d, n, edges), distinct
+1-based (i, j) in [d] × [n], and trust them; ``graph_from_json``, where a
+graph enters from outside, alone checks them (BAD_EDGE).  A matching is
+the tuple (j_1, ..., j_d) of its columns in row order, a matching
+multifield the dict from each d-subset of [n] (a frozenset, in
 ``core.subsets`` order) to the frozenset of its chosen matchings, and a
 transversal matroid the frozenset of its bases.  One matching engine
 (``optimal_matchings``), on int weights with None at ∞ (a matrix's ``ints``,
@@ -28,32 +31,6 @@ import functools
 import math
 
 from .core import DomainError, TropMatrix, subset_from_key, subset_key, subsets
-
-
-class BipartiteGraph:
-    """A bipartite graph with left vertices [d] and right vertices [n]."""
-
-    __slots__ = ("d", "n", "edges")
-
-    def __init__(self, d, n, edges):
-        edges = frozenset((int(i), int(j)) for i, j in edges)
-        for i, j in edges:
-            if not (1 <= i <= d and 1 <= j <= n):
-                raise DomainError("BAD_EDGE", f"edge ({i},{j}) outside [{d}]x[{n}]")
-        self.d = d
-        self.n = n
-        self.edges = edges
-
-    @classmethod
-    def from_support(cls, A: TropMatrix):
-        return cls(A.d, A.n, A.support())
-
-    def J(self, i):
-        """Right neighbors of left vertex i."""
-        return frozenset(j for a, j in self.edges if a == i)
-
-    def __eq__(self, other):
-        return isinstance(other, BipartiteGraph) and (self.d, self.n, self.edges) == (other.d, other.n, other.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +232,16 @@ def is_coherent(multifield):
 # Hall-type surplus conditions: support sets and the dragon condition
 # ---------------------------------------------------------------------------
 
-def _hall_condition(G: BipartiteGraph, k):
+def neighbourhoods(d, edges):
+    """The right neighbourhoods J_1, ..., J_d of an edge set on [d] ⊔ [n],
+    a list of sets, J_i at i − 1: one pass over the edges, O(E + d)."""
+    J = [set() for _ in range(d)]
+    for i, j in edges:
+        J[i - 1].add(j)
+    return J
+
+
+def _hall_condition(d, n, edges, k):
     """|J_I| >= |I| + k for every nonempty I ⊆ [d], by Hall's theorem.
     Give row i k + 1 copies: Hall's condition on the row sets holding them
     is this one on the sets I ∋ i, so it holds exactly when, for each row
@@ -265,13 +251,13 @@ def _hall_condition(G: BipartiteGraph, k):
     O(d³n).  At k = 0 the test of each row holds exactly when some matching
     covers every row, so one row's test answers for all: one call.  A
     k < 0 (only when d > n) first joins −k new columns to every row."""
-    pad = frozenset(range(G.n + 1, G.n + 1 - k))
-    k, J = max(k, 0), [G.J(i) | pad for i in range(1, G.d + 1)]
-    cols = range(1, G.n + len(pad) + 1)
+    pad = frozenset(range(n + 1, n + 1 - k))
+    k, J = max(k, 0), [Ji | pad for Ji in neighbourhoods(d, edges)]
+    cols = range(1, n + len(pad) + 1)
     for i, Ji in enumerate(J if k else J[:1]):
         if len(Ji) < k + 1:
             return False
-        if G.d > 1:  # else no other rows, and they take no column of J_i
+        if d > 1:  # else no other rows, and they take no column of J_i
             try:
                 u, v, _ = assignment([[int(j in Ji) if j in Jr else None for j in cols] for Jr in J[:i] + J[i + 1:]])
             except DomainError:  # NO_MATCHING_IN_SUPPORT: Hall fails on the other rows
@@ -281,44 +267,48 @@ def _hall_condition(G: BipartiteGraph, k):
     return True
 
 
-def hall_surplus_check(G: BipartiteGraph) -> bool:
+def hall_surplus_check(d, n, edges) -> bool:
     """|J_I| >= n - d + |I| for every nonempty I ⊆ [d]."""
-    return _hall_condition(G, G.n - G.d)
+    return _hall_condition(d, n, edges, n - d)
 
 
-def dragon_condition(G: BipartiteGraph) -> bool:
+def dragon_condition(d, n, edges) -> bool:
     """The dragon marriage condition: |J_I| >= |I| + 1 for every nonempty
     I ⊆ [d] (row-wise)."""
-    return _hall_condition(G, 1)
+    return _hall_condition(d, n, edges, 1)
 
 
-def is_support_set(G: BipartiteGraph) -> bool:
+def is_support_set(d, n, edges) -> bool:
     """|J_i| = n - d + 1 for every row, then the surplus Hall condition.
-    The degrees come first: they refuse d > n + 1, whose surplus test
-    would pad every row with d − n columns."""
-    return all(len(G.J(i)) == G.n - G.d + 1 for i in range(1, G.d + 1)) and hall_surplus_check(G)
+    The degrees come first, counted in one pass and read up to the first
+    wrong row: they refuse d > n + 1, whose surplus test would pad every
+    row with d − n columns."""
+    degree = {}
+    for i, _ in edges:
+        degree[i] = degree.get(i, 0) + 1
+    return all(degree.get(i, 0) == n - d + 1 for i in range(1, d + 1)) and hall_surplus_check(d, n, edges)
 
 
 SUPPORT_SET_DRAWS = 10 ** 4  # draws random_support_set may make
 
 
 def random_support_set(rng, d, n, budget=SUPPORT_SET_DRAWS):
-    """A support set on [d] ⊔ [n], 1 <= d <= n, uniform among them, by
-    rejection: each draw gives every row n − d + 1 columns uniformly and is
-    kept when it meets the surplus Hall condition.  A support set is one
-    tuple of row choices, so a kept draw is uniform over support sets.  A
-    draw whose rows miss a column fails the condition at I = [d], and is
-    dropped before the d assignment problems.  At d = n a draw is one
-    uniform permutation, a perfect matching: a support set.  DomainError
-    BUDGET_EXCEEDED when ``budget`` draws keep none."""
+    """The edges of a support set on [d] ⊔ [n], 1 <= d <= n, uniform among
+    them, by rejection: each draw gives every row n − d + 1 columns
+    uniformly and is kept when it meets the surplus Hall condition.  A
+    support set is one tuple of row choices, so a kept draw is uniform over
+    support sets.  A draw whose rows miss a column fails the condition at
+    I = [d], and is dropped before the d assignment problems.  At d = n a
+    draw is one uniform permutation, a perfect matching: a support set.
+    DomainError BUDGET_EXCEEDED when ``budget`` draws keep none."""
     for _ in range(budget):
         if d == n:
-            return BipartiteGraph(d, n, enumerate(rng.sample(range(1, n + 1), n), 1))
+            return frozenset(enumerate(rng.sample(range(1, n + 1), n), 1))
         rows = [rng.sample(range(1, n + 1), n - d + 1) for _ in range(d)]
         if len(set().union(*rows)) == n:
-            G = BipartiteGraph(d, n, [(i, j) for i, cols in enumerate(rows, 1) for j in cols])
-            if hall_surplus_check(G):
-                return G
+            edges = frozenset((i, j) for i, cols in enumerate(rows, 1) for j in cols)
+            if hall_surplus_check(d, n, edges):
+                return edges
     raise DomainError("BUDGET_EXCEEDED", f"{budget} draws on [{d}] ⊔ [{n}] found no support set, budget {budget}")
 
 
@@ -334,21 +324,21 @@ def basis_keys(d, n, edges) -> list:
     return [S for S in best if S.bit_count() == d]
 
 
-def transversal_matroid(G: BipartiteGraph) -> frozenset:
+def transversal_matroid(d, n, edges) -> frozenset:
     """The frozenset of bases, the column d-subsets fully matchable to [d]
-    inside G: ``basis_keys`` as column sets."""
-    return frozenset(map(frozenset, map(_columns, basis_keys(G.d, G.n, G.edges))))
+    inside an edge set on [d] ⊔ [n]: ``basis_keys`` as column sets."""
+    return frozenset(map(frozenset, map(_columns, basis_keys(d, n, edges))))
 
 
 # ---------------------------------------------------------------------------
 # The Betti-number dimension formula
 # ---------------------------------------------------------------------------
 
-def support_face_dimension(G: BipartiteGraph) -> int:
+def support_face_dimension(edges) -> int:
     """First Betti number h_1 = E − V + C over the non-isolated vertices."""
-    index = {v: k for k, v in enumerate({("L", i) for i, _ in G.edges} | {("R", j) for _, j in G.edges})}
-    edges = [(index["L", i], index["R", j]) for i, j in G.edges]
-    return len(edges) - len(index) + components(len(index), edges)
+    index = {v: k for k, v in enumerate({("L", i) for i, _ in edges} | {("R", j) for _, j in edges})}
+    pairs = [(index["L", i], index["R", j]) for i, j in edges]
+    return len(pairs) - len(index) + components(len(index), pairs)
 
 
 def components(k, groups):
@@ -371,13 +361,20 @@ def components(k, groups):
 # JSON interchange
 # ---------------------------------------------------------------------------
 
-def graph_from_json(obj) -> BipartiteGraph:
+def graph_from_json(obj):
+    """The one check of a graph from outside: its shape (BAD_GRAPH_JSON),
+    then every edge in [d] × [n] (BAD_EDGE).  Returns (d, n, edges), the
+    edges a frozenset of 1-based (i, j)."""
     if not isinstance(obj, dict) or not {"d", "n", "edges"} <= set(obj):
         raise DomainError("BAD_GRAPH_JSON", "expected {'d','n','edges'}")
     d, n = obj["d"], obj["n"]
     if not (type(d) is int and type(n) is int and d >= 0 and n >= 0):
         raise DomainError("BAD_GRAPH_JSON", "d and n must be nonnegative integers")
-    return BipartiteGraph(d, n, _index_pairs(obj["edges"], "BAD_GRAPH_JSON"))
+    edges = frozenset(map(tuple, _index_pairs(obj["edges"], "BAD_GRAPH_JSON")))
+    for i, j in edges:
+        if not (1 <= i <= d and 1 <= j <= n):
+            raise DomainError("BAD_EDGE", f"edge ({i},{j}) outside [{d}]x[{n}]")
+    return d, n, edges
 
 
 def _index_pairs(pairs, code):

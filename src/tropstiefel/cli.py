@@ -83,8 +83,8 @@ def cmd_coherent(args):
 
 def cmd_support_set(args):
     from .bipartite import graph_from_json, is_support_set, support_face_dimension
-    G = graph_from_json(_read_input(args))
-    return {"is_support_set": is_support_set(G), "h1": support_face_dimension(G)}
+    d, n, edges = graph_from_json(_read_input(args))
+    return {"is_support_set": is_support_set(d, n, edges), "h1": support_face_dimension(edges)}
 
 
 def cmd_covectors(args):
@@ -129,8 +129,8 @@ def cmd_recover(args):
     if not isinstance(obj, dict) or "plucker" not in obj or "support" not in obj:
         raise UsageError("expected {'plucker': ..., 'support': ...}")
     p = plucker_from_json(obj["plucker"])
-    G = graph_from_json(obj["support"])
-    return matrix_to_json(recover_matrix(p, G))
+    d, n, edges = graph_from_json(obj["support"])
+    return matrix_to_json(recover_matrix(p, d, n, edges))
 
 
 GEN_BUDGET = 10 ** 6  # d·n entries gen may draw, or d³n, the work of one support-set draw
@@ -150,7 +150,7 @@ def cmd_gen(args):
     if size > GEN_BUDGET:
         raise DomainError("BUDGET_EXCEEDED", f"gen --mode {args.mode} on {d}x{n} has size {size}, budget {GEN_BUDGET}")
     if args.mode == "support-set":
-        edges = random_support_set(rng, d, n, **_budget_kwargs(args)).edges
+        edges = random_support_set(rng, d, n, **_budget_kwargs(args))
         finite = lambda i, j: (i, j) in edges
     else:  # dense, or pointed: an identity block on columns [d], dense on the rest
         finite = lambda i, j: args.mode == "dense" or j == i or j > d

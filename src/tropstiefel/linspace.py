@@ -6,10 +6,11 @@ denominator of A and y, answers membership of y in L(A) from its greatest
 optimal dual: ``in_L``, with ∞ coordinates, and ``decompose``, which reads
 the certificate (F, x, J, slack) off that dual, with no search: L(A) is the
 union of the cells (F ⊙ A) + R_{>=0}{e_j : j ∈ J} with F a covector covering
-every row and J meeting the column-wise dragon condition.  The bounded part of
-L(A), for a uniform underlying matroid (``_require_uniform``), is the image
-x ⊙ A of the cells of K(A), the covectors meeting the dragon condition
-(``in_K``): ``in_bounded_part`` asks ``decompose`` for a certificate with
+every row and J meeting the column-wise dragon condition.  The bounded part
+of L(A), for a uniform underlying matroid (``_require_uniform``), is the
+image x ⊙ A of the cells of K(A), the covectors whose graph (d, n, edges)
+meets the dragon condition (``in_K``; only ``bipartite.graph_from_json``
+checks edges): ``in_bounded_part`` asks ``decompose`` for a certificate with
 J = ∅ and its covector in K(A), and ``bounded_skeleton`` keeps the covectors
 of TC(A) in K(A) with their dimensions, with no image built.  Membership by
 circuit minima (``plucker.contains``, imported here, on the circuits kept on
@@ -20,7 +21,7 @@ p) and by the selected matroid M_y of ``select_matroid``
 from __future__ import annotations
 
 from .core import DomainError, TropMatrix, TropVector, common_denom, quotient, require_column_supports, scalar_str
-from .bipartite import BipartiteGraph, assignment, dragon_condition, hall_surplus_check
+from .bipartite import assignment, dragon_condition, hall_surplus_check
 from .plucker import PluckerVector, contains
 from .arrangement import CELL_BUDGET, covector_edges, enumerate_covectors, skeleton
 
@@ -93,7 +94,7 @@ def _require_uniform(A: TropMatrix):
     d > n), then NOT_UNIFORM unless the underlying matroid is uniform: every
     column d-set matchable in the support of A, as when A is finite, or by
     Hall |J_I| >= n − d + |I| for every nonempty row set I (``hall_surplus_check``)."""
-    if A.d > A.n or (any(None in row for row in A.ints) and not hall_surplus_check(BipartiteGraph.from_support(A))):
+    if A.d > A.n or (any(None in row for row in A.ints) and not hall_surplus_check(A.d, A.n, A.support())):
         assignment(A.ints)  # NO_MATCHING_IN_SUPPORT comes first
         raise DomainError("NOT_UNIFORM", "underlying matroid must be uniform")
 
@@ -159,7 +160,7 @@ def decompose(A: TropMatrix, y: TropVector):
 
 def in_K(A: TropMatrix, covector) -> bool:
     """The dragon marriage condition |J_I| >= |I| + 1 for nonempty I ⊆ [d]."""
-    return dragon_condition(BipartiteGraph(A.d, A.n, covector_edges(covector)))
+    return dragon_condition(A.d, A.n, covector_edges(covector))
 
 
 def bounded_skeleton(A: TropMatrix, budget=CELL_BUDGET):

@@ -6,8 +6,9 @@ ints p takes reduced by their gcd with A's denominator), the circuits of
 p, listed on first use and kept on p, behind membership in
 L(p) and the Plücker check (every cocircuit lies in L(p)), both refused up
 front past ``PLUCKER_BUDGET`` relation terms, and matrix recovery from a
-support set, whose rows ``recover_matrix`` reads off p; it needs a uniform
-underlying matroid: no ∞ coordinate.
+support set, given as its (d, n, edges) and checked as one, whose rows
+``recover_matrix`` reads off p; it needs a uniform underlying matroid: no
+∞ coordinate.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .core import DomainError, TropMatrix, TropVector, common_denom, integer_form, quotient, scalar, scalar_str, subset_from_key, subset_key, subsets, trop_vanishes
-from .bipartite import BipartiteGraph, column_key, is_support_set, optimal_matchings
+from .bipartite import column_key, is_support_set, neighbourhoods, optimal_matchings
 
 
 class PluckerVector:
@@ -121,8 +122,9 @@ def check_plucker(p: PluckerVector) -> bool:
     return all(_in_span(circuits, [None if j in S else ints[S | {j}] for j in ground], 1) for S in subsets(p.n, p.d - 1))
 
 
-def recover_matrix(p: PluckerVector, support: BipartiteGraph) -> TropMatrix:
-    """Rebuild a matrix from π(A) and a support set, its rows read off p.
+def recover_matrix(p: PluckerVector, d, n, edges) -> TropMatrix:
+    """Rebuild a matrix from π(A) and a support set (d, n, edges), its rows
+    read off p; the edges are trusted, as ``graph_from_json`` checked them.
 
     Row i is p_{([n]∖J_i) ∪ j} at j ∈ J_i and ∞ off J_i, the cocircuit of
     the (d−1)-set [n] ∖ J_i; when p = stiefel_map(A) for A supported on the
@@ -132,14 +134,14 @@ def recover_matrix(p: PluckerVector, support: BipartiteGraph) -> TropMatrix:
     then NOT_STIEFEL_ON_SUPPORT when the result's image is not p up to one
     constant, so that no matrix supported on the support set maps to p.
     """
-    if (support.d, support.n) != (p.d, p.n) or not is_support_set(support):
-        raise DomainError("NOT_SUPPORT_SET", "second argument must be a support set")
+    if (d, n) != (p.d, p.n) or not is_support_set(d, n, edges):
+        raise DomainError("NOT_SUPPORT_SET", "the support must be a support set on p's [d] ⊔ [n]")
     if None in p.ints.values():
         raise DomainError("NOT_UNIFORM", "underlying matroid must be uniform")
-    ground = frozenset(range(1, p.n + 1))
+    ground = frozenset(range(1, n + 1))
     B = TropMatrix([
-        [p[(ground - Ji) | {j}] if j in Ji else None for j in range(1, p.n + 1)]
-        for Ji in map(support.J, range(1, p.d + 1))
+        [p[(ground - Ji) | {j}] if j in Ji else None for j in range(1, n + 1)]
+        for Ji in neighbourhoods(d, edges)
     ])
     q = stiefel_map(B)  # finite: a support set matches every column d-set
     if len({q.values[J] - v for J, v in p.values.items()}) != 1:

@@ -7,8 +7,6 @@ Only the two SVG paths of the command line import this module:
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .core import DomainError
 
 
@@ -38,8 +36,8 @@ def _svg_arrangement(A, **budget):
 
     def _px(point):
         """The integer pixel pair of an exact point (u, v): each coordinate's
-        share of its axis span, in [0, 1]."""
-        return tuple(margin + size // 2 if span == 0 else margin + int((Fraction(value) - lo) / span * size)
+        share of its axis span, in [0, 1], times ``size``, floored exactly."""
+        return tuple(margin + size // 2 if span == 0 else margin + (value - lo) * size // span
                      for value, (lo, span) in zip(point, bounds))
 
     body = ['<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>' % (*_px(a), *_px(b)) for a, b in segments]

@@ -73,7 +73,7 @@ from fractions import Fraction
 from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, common_denom, quotient, require_column_supports, scalar, scalar_str, subsets
 from tropstiefel.geom import DifferenceBounds
 from tropstiefel.simplex import ONE, ZERO, _pivot
-from tropstiefel.bipartite import BipartiteGraph, assignment, column_key, components, hall_surplus_check, optimal_matchings
+from tropstiefel.bipartite import assignment, column_key, components, hall_surplus_check, optimal_matchings
 from tropstiefel.plucker import PluckerVector
 from tropstiefel.arrangement import covector_edges, enumerate_covectors, facets_of_D
 from tropstiefel.linspace import _require_uniform, bounded_skeleton, in_K, select_matroid
@@ -207,9 +207,14 @@ def greatest_dual(cost, match):
     return [row[m] - v[m] for row, m in zip(cost, match)], v
 
 
-def J_of(G: BipartiteGraph, I):
-    """Joint right neighborhood of a set of left vertices."""
-    return frozenset(j for a, j in G.edges if a in I)
+def support_graph(A: TropMatrix):
+    """The support of A as a graph (d, n, edges)."""
+    return A.d, A.n, A.support()
+
+
+def J_of(G, I):
+    """Joint right neighborhood of a set of left vertices of G = (d, n, edges)."""
+    return frozenset(j for a, j in G[2] if a in I)
 
 
 HALL_BUDGET = 10 ** 5  # nonempty vertex subsets a Hall-type scan may visit
@@ -234,19 +239,19 @@ def _hall_surplus(ground, neighbours, k):
     return True
 
 
-def colwise_dragon_condition(G: BipartiteGraph, J) -> bool:
+def colwise_dragon_condition(G, J) -> bool:
     """|I_{J'}| >= |J'| + 1 for every nonempty J' ⊆ J (column-wise), under
     ``HALL_BUDGET``."""
     return _hall_surplus(sorted(set(J)), lambda S: I_of(G, S), 1)
 
 
-def _max_matching_size(G: BipartiteGraph, cols):
+def _max_matching_size(G, cols):
     """Maximum matching between [d] and ``cols`` inside G (augmenting paths)."""
     cols = frozenset(cols)
     owner = {}
 
     def augment(i, seen):
-        for j in sorted(G.J(i) & cols):
+        for j in sorted(J_of(G, {i}) & cols):
             if j in seen:
                 continue
             seen.add(j)
@@ -255,15 +260,15 @@ def _max_matching_size(G: BipartiteGraph, cols):
                 return True
         return False
 
-    return sum(1 for i in range(1, G.d + 1) if augment(i, set()))
+    return sum(1 for i in range(1, G[0] + 1) if augment(i, set()))
 
 
-def transversal_rank(G: BipartiteGraph, S) -> int:
+def transversal_rank(G, S) -> int:
     """min over I ⊆ [d] of |S ∩ J_I| + d − |I| (the deficiency formula)."""
-    S = frozenset(S)
-    best = G.d  # I = ∅
-    for I in _nonempty_subsets(range(1, G.d + 1)):
-        v = len(S & J_of(G, I)) + G.d - len(I)
+    S, d = frozenset(S), G[0]
+    best = d  # I = ∅
+    for I in _nonempty_subsets(range(1, d + 1)):
+        v = len(S & J_of(G, I)) + d - len(I)
         if v < best:
             best = v
     return best
@@ -276,46 +281,47 @@ def enumerate_support_sets(d, n, budget=10 ** 6):
         raise DomainError("BUDGET_EXCEEDED", "support-set enumeration too large")
     out = []
     for rows in itertools.product(row_choices, repeat=d):
-        edges = [(i + 1, j) for i, cols in enumerate(rows) for j in cols]
-        G = BipartiteGraph(d, n, edges)
-        if hall_surplus_check(G):
-            out.append(G)
+        edges = frozenset((i + 1, j) for i, cols in enumerate(rows) for j in cols)
+        if hall_surplus_check(d, n, edges):
+            out.append((d, n, edges))
     return out
 
 
 TREE_BUDGET = 10 ** 5  # edge subsets the spanning-tree search may visit
 
 
-def spanning_tree_no_left_leaves(G: BipartiteGraph) -> BipartiteGraph:
+def spanning_tree_no_left_leaves(G):
     """A spanning tree of G whose left vertices all have degree >= 2.
 
     Exists whenever d < n, G is connected and every edge lies in a matching;
     found here by bounded exhaustive search over edge subsets.
     """
-    if not G.d < G.n:
+    d, n, E = G
+    if not d < n:
         raise DomainError("BAD_SHAPE", "requires d < n")
     if not graph_is_connected(G):
         raise DomainError("NOT_CONNECTED", "graph must be connected")
-    for i, j in sorted(G.edges):
+    for i, j in sorted(E):
         # the other rows match into the other columns
-        rest = BipartiteGraph(G.d, G.n, [(a, b) for a, b in G.edges if a != i and b != j])
-        if _max_matching_size(rest, range(1, G.n + 1)) < G.d - 1:
+        rest = (d, n, [(a, b) for a, b in E if a != i and b != j])
+        if _max_matching_size(rest, range(1, n + 1)) < d - 1:
             raise DomainError("EDGE_NOT_MATCHABLE", f"edge {(i, j)} lies in no matching")
-    edges = sorted(G.edges)
-    need = G.d + G.n - 1
+    edges = sorted(E)
+    need = d + n - 1
     if math.comb(len(edges), need) > TREE_BUDGET:
         raise DomainError("BUDGET_EXCEEDED", "spanning-tree search too large")
     for subset in itertools.combinations(edges, need):
-        T = BipartiteGraph(G.d, G.n, subset)
+        T = (d, n, frozenset(subset))
         if not graph_is_connected(T):
             continue
-        if all(len(T.J(i)) >= 2 for i in range(1, G.d + 1)):
+        if all(len(J_of(T, {i})) >= 2 for i in range(1, d + 1)):
             return T
     raise DomainError("NO_SUCH_TREE", "no spanning tree without left leaves")
 
 
-def graph_to_json(G: BipartiteGraph):
-    return {"d": G.d, "n": G.n, "edges": [list(e) for e in sorted(G.edges)]}
+def graph_to_json(G):
+    d, n, edges = G
+    return {"d": d, "n": n, "edges": [list(e) for e in sorted(edges)]}
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +400,9 @@ def covector_of_point(A: TropMatrix, x: TropVector):
     return tuple(covector)
 
 
-def covector_graph(A: TropMatrix, covector) -> BipartiteGraph:
-    """The covector (I_1, ..., I_n) as a bipartite graph on [d] ⊔ [n]."""
-    return BipartiteGraph(A.d, A.n, covector_edges(covector))
+def covector_graph(A: TropMatrix, covector):
+    """The covector (I_1, ..., I_n) as a bipartite graph (d, n, edges)."""
+    return (A.d, A.n, covector_edges(covector))
 
 
 def in_B(A: TropMatrix, covector) -> bool:
@@ -404,11 +410,11 @@ def in_B(A: TropMatrix, covector) -> bool:
     return set().union(*covector) == set(range(1, A.d + 1))
 
 
-def transpose_covector(A: TropMatrix, y: TropVector) -> BipartiteGraph:
+def transpose_covector(A: TropMatrix, y: TropVector):
     """Per row, the columns attaining min_j (a_ij + y_j): tc(y) in the
     arrangement of Aᵀ, its edges flipped."""
     require_row_supports(A)
-    return BipartiteGraph(A.d, A.n, [(i, j) for j, i in covector_edges(covector_of_point(transpose(A), y))])
+    return (A.d, A.n, frozenset((i, j) for j, i in covector_edges(covector_of_point(transpose(A), y))))
 
 
 def _closed_cell(dbm: DifferenceBounds, a, tau, base):
@@ -496,11 +502,11 @@ def is_trop_singular(B: TropMatrix) -> bool:
 # Subdivisions: matroid polytopes, subdivision equality, cell existence
 # ---------------------------------------------------------------------------
 
-def transversal_polytope_ineqs(G: BipartiteGraph):
+def transversal_polytope_ineqs(G):
     """H-representation of the transversal matroid polytope of G as rows
     (eqs, ineqs), a·x = b and a·x >= b: Σ x_j = d, 0 <= x_j <= 1, and
     Σ_{j∈J_I} x_j >= |I| for every I."""
-    n, d = G.n, G.d
+    d, n, _ = G
     eqs = [((ONE,) * n, Fraction(d))]
     ineqs = []
     for j in range(n):
@@ -812,20 +818,22 @@ def transpose(self) -> "TropMatrix":
     return TropMatrix(tuple(zip(*self.entries)))
 
 
-def I_of(self, Js):
-    return frozenset(a for a, j in self.edges if j in Js)
+def I_of(G, Js):
+    return frozenset(a for a, j in G[2] if j in Js)
 
 
-def graph_is_connected(self):
+def graph_is_connected(G):
     """Connected over all d + n vertices (isolated vertices disconnect)."""
-    return components(self.d + self.n, [(i - 1, self.d + j - 1) for i, j in self.edges]) <= 1
+    d, n, edges = G
+    return components(d + n, [(i - 1, d + j - 1) for i, j in edges]) <= 1
 
 
-def is_tree(self):
-    nonisolated = {("L", i) for i, _ in self.edges} | {("R", j) for _, j in self.edges}
-    return graph_is_connected(self) and len(self.edges) == self.d + self.n - 1 and len(
+def is_tree(G):
+    d, n, edges = G
+    nonisolated = {("L", i) for i, _ in edges} | {("R", j) for _, j in edges}
+    return graph_is_connected(G) and len(edges) == d + n - 1 and len(
         nonisolated
-    ) == self.d + self.n
+    ) == d + n
 
 
 def loops(M, n):

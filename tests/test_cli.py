@@ -12,11 +12,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import tropstiefel.cli
-from reference import cocircuit, graph_to_json, plucker_proj_eq
+from reference import J_of, cocircuit, graph_to_json, plucker_proj_eq, support_graph
 from tropstiefel.cli import main
 from tropstiefel.core import TropMatrix, matrix_from_json, matrix_to_json
 from tropstiefel.bipartite import (
-    BipartiteGraph,
     is_support_set,
     matching_multifield,
     multifield_to_json,
@@ -98,7 +97,7 @@ def test_multifield_and_coherent(tmp_path, capsys):
 
 
 def test_support_set_command(tmp_path, capsys):
-    G = BipartiteGraph.from_support(FIG)
+    G = support_graph(FIG)
     path = write_input(tmp_path, graph_to_json(G))
     code, out = run(capsys, ["support-set", "--input", path])
     assert code == 0
@@ -145,7 +144,7 @@ def test_member_decompose_bounded(tmp_path, capsys):
 def test_recover_command(tmp_path, capsys):
     payload = {
         "plucker": plucker_to_json(stiefel_map(FIG)),
-        "support": graph_to_json(BipartiteGraph.from_support(FIG)),
+        "support": graph_to_json(support_graph(FIG)),
     }
     path = write_input(tmp_path, payload)
     code, out = run(capsys, ["recover", "--input", path])
@@ -167,8 +166,8 @@ def test_recover_prints_only_a_matrix_that_maps_to_p(capsys, monkeypatch):
         d = rng.randint(2, 3)
         n = rng.randint(d, 6)
         A = TropMatrix([[rng.randint(-20, 20) for _ in range(n)] for _ in range(d)])
-        G = random_support_set(rng, d, n)
-        on_G = TropMatrix([[v if (i, j) in G.edges else "inf" for j, v in enumerate(row, 1)] for i, row in enumerate(A.entries, 1)])
+        G = (d, n, random_support_set(rng, d, n))
+        on_G = TropMatrix([[v if (i, j) in G[2] else "inf" for j, v in enumerate(row, 1)] for i, row in enumerate(A.entries, 1)])
         for M in (A, on_G):
             p = stiefel_map(M)
             code, out = run(capsys, ["recover"], stdin=json.dumps({"plucker": plucker_to_json(p), "support": graph_to_json(G)}), monkeypatch=monkeypatch)
@@ -176,7 +175,7 @@ def test_recover_prints_only_a_matrix_that_maps_to_p(capsys, monkeypatch):
                 assert plucker_proj_eq(stiefel_map(matrix_from_json(json.loads(out))), p)
                 continue
             assert M is A and (code, json.loads(out)) == (1, {"error": "NOT_STIEFEL_ON_SUPPORT"})
-            rows = [cocircuit(p, set(range(1, n + 1)) - G.J(i)).entries for i in range(1, d + 1)]
+            rows = [cocircuit(p, set(range(1, n + 1)) - J_of(G, {i})).entries for i in range(1, d + 1)]
             assert not plucker_proj_eq(stiefel_map(TropMatrix(rows)), p)
             refused += 1
     assert 0 < refused < 200, refused
@@ -186,7 +185,7 @@ def test_gen_modes(capsys):
     code, out = run(capsys, ["gen", "2", "3", "--seed", "1", "--mode", "support-set"])
     assert code == 0
     A = matrix_from_json(json.loads(out))
-    assert is_support_set(BipartiteGraph.from_support(A))
+    assert is_support_set(*support_graph(A))
 
     code, out = run(capsys, ["gen", "3", "5", "--seed", "7", "--mode", "pointed"])
     assert code == 0
@@ -314,6 +313,39 @@ def test_domain_error_exit_code(tmp_path, capsys):
         code, out = run(capsys, argv)
         assert code == 1, argv
         assert json.loads(out) == {"error": error}, argv
+
+
+def test_graph_errors_come_shape_first_then_edges(tmp_path, capsys):
+    """``graph_from_json`` is the one check of a graph: every shape fault
+    (BAD_GRAPH_JSON) comes before any edge outside [d] × [n] (BAD_EDGE),
+    and recover reports its Plücker vector's faults before either."""
+    outside = [[0, 1]]  # row 0: BAD_EDGE once the document's shape holds
+    cases = [
+        ([[1, 1]], "BAD_GRAPH_JSON"),
+        ({"d": 2, "n": 3}, "BAD_GRAPH_JSON"),
+        ({"d": "2", "n": 3, "edges": outside}, "BAD_GRAPH_JSON"),
+        ({"d": 2, "n": -1, "edges": outside}, "BAD_GRAPH_JSON"),
+        ({"d": True, "n": 3, "edges": outside}, "BAD_GRAPH_JSON"),
+        ({"d": 2, "n": 3, "edges": outside + [[1, True]]}, "BAD_GRAPH_JSON"),
+        ({"d": 2, "n": 3, "edges": outside + [[1, 2, 3]]}, "BAD_GRAPH_JSON"),
+        ({"d": 2, "n": 3, "edges": [[1, 1], [0, 1]]}, "BAD_EDGE"),
+        ({"d": 2, "n": 3, "edges": [[1, 1], [2, 4]]}, "BAD_EDGE"),
+        ({"d": 0, "n": 3, "edges": [[1, 1]]}, "BAD_EDGE"),
+        ({"d": 2, "n": 3, "edges": [[1, 1], [2, 2], [1, 3], [2, 3]]}, None),
+    ]
+    for graph, error in cases:
+        code, out = run(capsys, ["support-set", "--input", write_input(tmp_path, graph)])
+        assert (code, json.loads(out).get("error")) == (1 if error else 0, error), graph
+    two_row = plucker_to_json(stiefel_map(TWO_ROW))
+    bad_support = {"d": 2, "n": 4, "edges": [[3, 1]]}
+    for plucker, error in (
+        ({"d": 2, "n": 4, "values": 5}, "BAD_PLUCKER_JSON"),
+        ({**two_row, "values": {"1,2": "0"}}, "MISSING_COORDINATE"),
+        ({"d": 1, "n": 2, "values": {"1": "inf", "2": "inf"}}, "ALL_INF"),
+        (two_row, "BAD_EDGE"),
+    ):
+        code, out = run(capsys, ["recover", "--input", write_input(tmp_path, {"plucker": plucker, "support": bad_support})])
+        assert (code, json.loads(out)) == (1, {"error": error}), plucker
 
 
 def test_rank_0_coherent_refuses_before_any_work(tmp_path, capsys, monkeypatch):
@@ -456,8 +488,9 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     (arrangement) load no bipartite, plucker or linspace; facets loads no
     plucker or linspace; covectors and facets load neither ``svg`` nor
     ``simplex``, render loads ``svg`` and not ``simplex``, and coherent
-    loads ``simplex``.  Covectors and facets on an integer matrix load no
-    ``fractions``, which imports ``decimal``."""
+    loads ``simplex``.  Covectors, facets, ``bounded --format svg`` and
+    ``render --kind tree`` on an integer matrix load no ``fractions``, which
+    imports ``decimal``: the SVG pixels are integer arithmetic."""
     src = str(Path(tropstiefel.cli.__file__).resolve().parents[1])
     script = (
         "import sys\nimport tropstiefel.cli\n"
@@ -466,6 +499,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     )
     path = write_input(tmp_path, matrix_to_json(FIG))
     field = write_input(tmp_path, multifield_to_json(matching_multifield(FIG)), "field.json")
+    two_row = write_input(tmp_path, matrix_to_json(TWO_ROW), "two_row.json")
 
     def loaded(*argv):
         proc = subprocess.run(
@@ -479,6 +513,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     svg, lp = "tropstiefel.svg", "tropstiefel.simplex"
     assert loaded() == {"tropstiefel", "tropstiefel.cli", "tropstiefel.core"}
     assert "fractions" not in loaded("covectors", "--input", path) | loaded("facets", "--input", path)
+    assert "fractions" not in loaded("bounded", "--format", "svg", "--input", two_row) | loaded("render", "--kind", "tree", "--input", two_row)
     for argv in (["covectors"], ["render"]):
         assert not loaded(*argv, "--input", path) & {"tropstiefel.bipartite", "tropstiefel.plucker", "tropstiefel.linspace"}, argv
     facets = loaded("facets", "--input", path)
@@ -840,8 +875,8 @@ def test_seeded_matching_digest(capsys, monkeypatch):
                 (i, j), *rest = mf["choices"][J][0]
                 repeated = [[i, j], [rest[0][0], j], *rest[1:]]
                 record(["coherent"], {**mf, "choices": {**mf["choices"], J: [repeated]}})
-        G = random_support_set(rng, d, n)
-        B = TropMatrix([[scalar() if (i, j) in G.edges else "inf" for j in range(1, n + 1)] for i in range(1, d + 1)])
+        G = (d, n, random_support_set(rng, d, n))
+        B = TropMatrix([[scalar() if (i, j) in G[2] else "inf" for j in range(1, n + 1)] for i in range(1, d + 1)])
         record(["recover"], {"plucker": plucker_to_json(stiefel_map(B)), "support": graph_to_json(G)})
     assert digest.hexdigest() == MATCHING_DIGEST
 
@@ -930,9 +965,9 @@ def test_fuzzed_json_documents_exit_cleanly(capsys, monkeypatch):
         (["member"], point), (["decompose"], point), (["bounded"], point),
         (["plucker-check"], plucker_to_json(stiefel_map(TWO_ROW))),
         (["coherent"], multifield_to_json(matching_multifield(TWO_ROW))),
-        (["support-set"], graph_to_json(BipartiteGraph.from_support(TWO_ROW))),
+        (["support-set"], graph_to_json(support_graph(TWO_ROW))),
         (["recover"], {"plucker": plucker_to_json(stiefel_map(on_support)),
-                       "support": graph_to_json(BipartiteGraph.from_support(on_support))}),
+                       "support": graph_to_json(support_graph(on_support))}),
     ]
 
     def paths(obj, prefix=()):

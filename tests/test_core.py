@@ -26,7 +26,7 @@ from tropstiefel.core import (
     vector_from_json,
 )
 from tropstiefel.arrangement import cell_point, enumerate_covectors
-from tropstiefel.bipartite import BipartiteGraph, is_coherent, matching_multifield
+from tropstiefel.bipartite import is_coherent, matching_multifield
 from tropstiefel.linspace import decompose
 from tropstiefel.plucker import PluckerVector, recover_matrix, stiefel_map
 
@@ -310,9 +310,9 @@ def test_library_scalars_keep_the_invariant():
         route("stiefel_map", lambda: stiefel_map(A), lambda p: p.values.values())
         route("enumerate_covectors", lambda: enumerate_covectors(A), lambda cells: [v for tau in cells for v in cell_point(A, tau)])
         # A kept on the staircase support set, where π is finite unless A has ∞ there
-        G = BipartiteGraph(d, n, [(i, j) for i in range(1, d + 1) for j in range(i, i + n - d + 1)])
-        stair = TropMatrix([[v if (i + 1, j + 1) in G.edges else INF for j, v in enumerate(row)] for i, row in enumerate(A.entries)])
-        route("recover_matrix", lambda: recover_matrix(stiefel_map(stair), G), lambda B: [v for row in B.entries for v in row])
+        G = (d, n, [(i, j) for i in range(1, d + 1) for j in range(i, i + n - d + 1)])
+        stair = TropMatrix([[v if (i + 1, j + 1) in G[2] else INF for j, v in enumerate(row)] for i, row in enumerate(A.entries)])
+        route("recover_matrix", lambda: recover_matrix(stiefel_map(stair), *G), lambda B: [v for row in B.entries for v in row])
         if d * n <= 8:
             route("is_coherent", lambda: is_coherent(matching_multifield(A)), lambda B: [v for row in B.entries for v in row])
     bad = [(name, v) for name, v in values if not _canonical(v)]

@@ -27,12 +27,13 @@ from reference import (
     minimal_form,
     polytrope_contains,
     polytrope_dim,
+    support_graph,
     uniform_matroid,
     vec_mat_mul,
     vector_support,
 )
 from tropstiefel.arrangement import cell_point, covector_edges, enumerate_covectors
-from tropstiefel.bipartite import BipartiteGraph, hall_surplus_check, transversal_matroid
+from tropstiefel.bipartite import hall_surplus_check, transversal_matroid
 from tropstiefel.core import (
     DomainError,
     INF,
@@ -202,7 +203,7 @@ def decompose_all_cells(A, y):
     if len(y) != A.n or not y.is_finite():
         raise DomainError("BAD_POINT", "y must be finite of length n")
     tc = enumerate_covectors(A)
-    if _max_matching_size(BipartiteGraph.from_support(A), range(1, A.n + 1)) < A.d:
+    if _max_matching_size(support_graph(A), range(1, A.n + 1)) < A.d:
         raise DomainError("NO_MATCHING_IN_SUPPORT", "support contains no matching")
     covering = [F for F in tc if in_B(A, F)]  # asked once per cell, not once per J
     graphs = {F: covector_graph(A, F) for F in covering}  # built once per cell, not once per J
@@ -553,7 +554,7 @@ def test_bounded_complex_stair():
 
 def test_bounded_complex_matches_interior_census():
     cells = bounded_complex(FIG)
-    matroids = [transversal_matroid(covector_graph(FIG, cov)) for cov, _ in cells]
+    matroids = [transversal_matroid(*covector_graph(FIG, cov)) for cov, _ in cells]
     # distinct interior transversal matroids, one per bounded cell
     assert len(set(matroids)) == len(matroids)
     assert all(is_interior_cell(M, FIG.n) for M in matroids)
@@ -585,9 +586,9 @@ def test_image_cells_against_their_cells():
             cells = bounded_complex(A)
         except DomainError as exc:
             # no matching covers every row, else a column d-set has none
-            G = BipartiteGraph.from_support(A)
+            G = support_graph(A)
             assert exc.code == ("NO_MATCHING_IN_SUPPORT" if _max_matching_size(G, range(1, n + 1)) < d else "NOT_UNIFORM")
-            assert transversal_matroid(G) != uniform_matroid(d, n)
+            assert transversal_matroid(*G) != uniform_matroid(d, n)
             continue
         tc = enumerate_covectors(A)
         for covector, image in cells:
@@ -614,7 +615,7 @@ def test_bounded_point_in_complex():
         d = rng.randint(2, 4)
         n = rng.randint(d + 1, 6)
         A = TropMatrix([[INF if rng.random() < 0.1 else Fraction(rng.randint(-12, 12), 2) for _ in range(n)] for _ in range(d)])
-        if not hall_surplus_check(BipartiteGraph.from_support(A)):
+        if not hall_surplus_check(*support_graph(A)):
             continue  # not uniform
         for tau in enumerate_covectors(A):
             if in_K(A, tau):
@@ -722,7 +723,7 @@ def test_polytrope_against_the_reference_polyhedron(case):
     assert polytrope_contains(cone, y) and P.contains(cone.point()[1:])
     for z in nearby(y):
         assert polytrope_contains(cone, z) == P.contains(z)
-    if not in_K(A, tau) or transversal_matroid(BipartiteGraph.from_support(A)) != uniform_matroid(A.d, n):
+    if not in_K(A, tau) or transversal_matroid(*support_graph(A)) != uniform_matroid(A.d, n):
         return
     image = dict(bounded_complex(A))[tau]
     j1 = min(j for j, I in enumerate(tau, 1) if 1 in I)

@@ -268,7 +268,6 @@ def test_every_error_code_is_named_by_a_test():
 # ``/`` between two ints gives a float, so a new quotient goes through
 # ``core.quotient`` instead.
 TRUE_DIVISIONS = {
-    ("svg.py", "_px", "(Fraction(value) - lo) / span"),
     ("simplex.py", "_pivot", "ONE / tab[r][c]"),
     ("simplex.py", "_run_simplex", "tab[i][rhs] / a"),
 }

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from polyhedra import Polyhedron
-from reference import cell_exists, is_interior_cell, subdivisions_equal, transversal_polytope_ineqs, uniform_matroid
+from reference import cell_exists, is_interior_cell, subdivisions_equal, support_graph, transversal_polytope_ineqs, uniform_matroid
 from tropstiefel.arrangement import covector_edges, enumerate_covectors, facets_of_D, facets_to_json
-from tropstiefel.bipartite import BipartiteGraph, components, is_coherent, matching_multifield, transversal_matroid
+from tropstiefel.bipartite import components, is_coherent, matching_multifield, transversal_matroid
 from tropstiefel.core import DomainError, INF, TropMatrix, TropVector
 from tropstiefel.linspace import select_matroid
 from tropstiefel.plucker import stiefel_map
@@ -71,15 +71,15 @@ def test_facets_examples():
 
 
 def test_transversal_polytope_empty_when_hall_fails():
-    G = BipartiteGraph(2, 3, [(1, 1), (2, 1)])
+    G = (2, 3, [(1, 1), (2, 1)])
     P = Polyhedron(3, *transversal_polytope_ineqs(G))
     assert P.is_empty()
 
 
 def test_transversal_polytope_01_points():
-    G = BipartiteGraph(2, 4, [(1, 1), (1, 2)] + [(2, j) for j in range(1, 5)])
+    G = (2, 4, [(1, 1), (1, 2)] + [(2, j) for j in range(1, 5)])
     P = Polyhedron(4, *transversal_polytope_ineqs(G))
-    M = transversal_matroid(G)
+    M = transversal_matroid(*G)
     pts = {
         J
         for J in itertools.combinations(range(1, 5), 2)
@@ -89,7 +89,7 @@ def test_transversal_polytope_01_points():
 
 
 def test_transversal_polytope_hypersimplex():
-    P = Polyhedron(5, *transversal_polytope_ineqs(BipartiteGraph.from_support(FIG)))
+    P = Polyhedron(5, *transversal_polytope_ineqs(support_graph(FIG)))
     verts = P.vertices()
     expected = sorted(
         tuple(Fraction(1) if j in J else Fraction(0) for j in range(1, 6))
@@ -187,7 +187,7 @@ def test_least_dimensional_cells_carry_the_facets():
         above_zero += least > 0
         low = [covector_edges(tau) for tau, dim in tc.items() if dim == least]
         assert all(any(covector_edges(tau) <= E for E in low) for tau in tc), A
-        matroids = {M for E in low if (M := transversal_matroid(BipartiteGraph(A.d, A.n, E)))}
+        matroids = {M for E in low if (M := transversal_matroid(A.d, A.n, E))}
         maximal = frozenset(M for M in matroids if not any(M < N for N in matroids))
         try:
             assert facets_of_D(A) == maximal, A
