@@ -80,7 +80,7 @@ def _column_rows(A: TropMatrix, budget):
     one column alone forces more than ``budget`` cells of TC(A), which
     refines that column's 2^|supp j| − 1 faces."""
     require_column_supports(A)
-    cols = [sorted(i - 1 for i in A.col_support(j)) for j in range(1, A.n + 1)]
+    cols = [[i for i, v in enumerate(col) if v is not None] for col in zip(*A.ints)]
     widest = max(len(rows) for rows in cols)
     if 2 ** widest - 1 > budget:
         raise DomainError("BUDGET_EXCEEDED", f"a column with {widest} finite entries gives {2 ** widest - 1} cells, budget {budget}")

@@ -7,18 +7,18 @@ denominator > 1, so integer inputs never enter `Fraction` arithmetic;
 forms itself.  Everything is immutable and exact -- no floats anywhere: ``/``
 between two ints would give one, so the library divides only through
 ``quotient`` or with a `Fraction` on the left, and ``scalar_str`` refuses a
-float.  ``TropVector``, ``TropMatrix`` and ``plucker.PluckerVector`` take
-their integer form on construction (``integer_form``): ``denom``, the LCM of
-the finite entries' denominators, and ``ints``, the entries times it.  Every
-engine reads ``ints``.  ∞ is ``None`` in every form; ``INF`` names it
+float.  ``TropVector``, ``TropMatrix`` and ``plucker.PluckerVector`` keep
+only their integer form, taken on construction (``integer_form``):
+``denom``, the LCM of the finite entries' denominators, and ``ints``, the
+entries times it.  Every engine reads ``ints``; ``scalars`` gives the values
+back where they are printed.  ∞ is ``None`` in every form; ``INF`` names it
 where a value is parsed or printed, and it has no arithmetic and no order.
 ``trop_vanishes`` is the one test of "the minimum is attained twice" on the
 finite terms.
 
 Row and column indices are 1-based throughout the public API, matching the
-usual conventions for [d] x [n] bipartite objects.  Vector entries are
-addressed 1-based via ``entry``; the underlying tuples are 0-based.  The
-d-subsets of [n] are listed by ``subsets`` and keyed in JSON by
+usual conventions for [d] x [n] bipartite objects; the ``ints`` tuples are
+0-based.  The d-subsets of [n] are listed by ``subsets`` and keyed in JSON by
 ``subset_key``, read back by ``subset_from_key``.  The JSON codec reads and
 writes matrices, and reads vectors.
 """
@@ -98,6 +98,12 @@ def integer_form(values):
     return denom, tuple([None if v is None else v.numerator * (denom // v.denominator) for v in values])
 
 
+def scalars(denom, ints):
+    """The scalars of an integer form: ``quotient(w, denom)`` at each
+    finite w, and None at ∞."""
+    return [None if w is None else quotient(w, denom) for w in ints]
+
+
 def common_denom(p, q):
     """(m, m/p, m/q) for the LCM m of denominators p and q."""
     m = p if p == q else math.lcm(p, q)
@@ -135,69 +141,57 @@ def subsets(n, d):
 
 
 class TropVector:
-    """An exact vector over the min-plus semiring."""
+    """An exact vector over the min-plus semiring, kept as its integer form."""
 
-    __slots__ = ("entries", "denom", "ints")
+    __slots__ = ("denom", "ints")
 
     def __init__(self, entries):
-        self.entries = tuple(scalar(e) for e in entries)
-        if not self.entries:
+        values = [scalar(e) for e in entries]
+        if not values:
             raise DomainError("EMPTY_VECTOR", "vectors must have length >= 1")
-        self.denom, self.ints = integer_form(self.entries)
+        self.denom, self.ints = integer_form(values)
 
     def __len__(self):
-        return len(self.entries)
-
-    def entry(self, j):
-        """1-based coordinate access."""
-        return self.entries[j - 1]
+        return len(self.ints)
 
     def is_finite(self):
         return None not in self.ints
 
     def __eq__(self, other):
-        return isinstance(other, TropVector) and self.entries == other.entries
+        return isinstance(other, TropVector) and (self.denom, self.ints) == (other.denom, other.ints)
 
     def __repr__(self):
-        return "TropVector(%s)" % (", ".join(scalar_str(v) for v in self.entries))
+        return "TropVector(%s)" % ", ".join(map(scalar_str, scalars(self.denom, self.ints)))
 
 
 class TropMatrix:
-    """An exact d x n matrix over the min-plus semiring.
+    """An exact d x n matrix over the min-plus semiring, kept as its
+    integer form, one tuple of ``ints`` per row.
 
     This raw constructor accepts arbitrary entries (including all-∞ rows or
     columns); operations that require nonempty row/column supports validate
     at the call site.
     """
 
-    __slots__ = ("d", "n", "entries", "denom", "ints")
+    __slots__ = ("d", "n", "denom", "ints")
 
     def __init__(self, entries):
-        rows = tuple(tuple(scalar(e) for e in row) for row in entries)
+        rows = [[scalar(e) for e in row] for row in entries]
         if not rows or not rows[0]:
             raise DomainError("BAD_SHAPE", "matrices must be at least 1x1")
         if any(len(r) != len(rows[0]) for r in rows):
             raise DomainError("BAD_SHAPE", "ragged rows")
-        self.entries = rows
         self.d = len(rows)
         self.n = len(rows[0])
         self.denom, ints = integer_form([v for row in rows for v in row])
         self.ints = tuple(ints[k:k + self.n] for k in range(0, len(ints), self.n))
 
-    def entry(self, i, j):
-        """1-based entry access."""
-        return self.entries[i - 1][j - 1]
-
     def support(self):
         """All (i,j), 1-based, with finite entry."""
         return frozenset((i + 1, j + 1) for i, row in enumerate(self.ints) for j, v in enumerate(row) if v is not None)
 
-    def col_support(self, j):
-        """I_j: rows with finite entry in column j."""
-        return frozenset(i for i in range(1, self.d + 1) if self.entry(i, j) is not None)
-
     def __eq__(self, other):
-        return isinstance(other, TropMatrix) and self.entries == other.entries
+        return isinstance(other, TropMatrix) and (self.denom, self.ints) == (other.denom, other.ints)
 
     def __repr__(self):
         return "TropMatrix(%d x %d)" % (self.d, self.n)
@@ -218,7 +212,7 @@ def matrix_to_json(A: TropMatrix) -> dict:
     return {
         "d": A.d,
         "n": A.n,
-        "entries": [[scalar_str(v) for v in row] for row in A.entries],
+        "entries": [[scalar_str(v) for v in scalars(A.denom, row)] for row in A.ints],
     }
 
 

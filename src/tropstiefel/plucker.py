@@ -1,5 +1,6 @@
 """Tropical Plücker vectors: maps on the d-subsets of [n], listed by
-``core.subsets`` and keyed in JSON by ``core.subset_key``.
+``core.subsets``, kept as their integer form and keyed in JSON by
+``core.subset_key``.
 
 The Stiefel map (tropical maximal minors, from the matching engine, whose
 ints p takes reduced by their gcd with A's denominator), the circuits of
@@ -15,15 +16,16 @@ from __future__ import annotations
 
 import math
 
-from .core import DomainError, TropMatrix, TropVector, common_denom, integer_form, quotient, scalar, scalar_str, subset_from_key, subset_key, subsets, trop_vanishes
+from .core import DomainError, TropMatrix, TropVector, common_denom, integer_form, scalar, scalar_str, scalars, subset_from_key, subset_key, subsets, trop_vanishes
 from .bipartite import column_key, is_support_set, neighbourhoods, optimal_matchings
 
 
 class PluckerVector:
     """A map from d-subsets of [n] to scalars, not identically infinite,
-    checked by the constructor; ``stiefel_map`` builds its own unchecked."""
+    kept as ``denom`` and the dict ``ints``; checked by the constructor,
+    while ``stiefel_map`` builds its own unchecked."""
 
-    __slots__ = ("n", "d", "values", "denom", "ints", "circuits")
+    __slots__ = ("n", "d", "denom", "ints", "circuits")
 
     def __init__(self, n, d, values):
         self.n, self.d, self.circuits = n, d, None
@@ -32,17 +34,13 @@ class PluckerVector:
             if J not in values:
                 raise DomainError("MISSING_COORDINATE", f"no value for {sorted(J)}")
             vals[J] = scalar(values[J])
-        self.values = vals
         if all(v is None for v in vals.values()):
             raise DomainError("ALL_INF", "Plücker vectors may not be identically ∞")
         self.denom, ints = integer_form(vals.values())
         self.ints = dict(zip(vals, ints))
 
-    def __getitem__(self, J):
-        return self.values[frozenset(J)]
-
     def __eq__(self, other):
-        return isinstance(other, PluckerVector) and (self.n, self.d, self.values) == (other.n, other.d, other.values)
+        return isinstance(other, PluckerVector) and (self.n, self.d, self.denom, self.ints) == (other.n, other.d, other.denom, other.ints)
 
     def __repr__(self):
         return "PluckerVector(n=%d, d=%d)" % (self.n, self.d)
@@ -61,7 +59,6 @@ def stiefel_map(A: TropMatrix) -> PluckerVector:
     p, g = PluckerVector.__new__(PluckerVector), math.gcd(A.denom, *finite)
     p.n, p.d, p.denom, p.circuits = A.n, A.d, A.denom // g, None
     p.ints = ints if g == 1 else {J: None if w is None else w // g for J, w in ints.items()}
-    p.values = p.ints if p.denom == 1 else {J: None if w is None else quotient(w, p.denom) for J, w in p.ints.items()}
     return p
 
 
@@ -139,12 +136,14 @@ def recover_matrix(p: PluckerVector, d, n, edges) -> TropMatrix:
     if None in p.ints.values():
         raise DomainError("NOT_UNIFORM", "underlying matroid must be uniform")
     ground = frozenset(range(1, n + 1))
+    values = dict(zip(p.ints, scalars(p.denom, p.ints.values())))
     B = TropMatrix([
-        [p[(ground - Ji) | {j}] if j in Ji else None for j in range(1, n + 1)]
+        [values[(ground - Ji) | {j}] if j in Ji else None for j in range(1, n + 1)]
         for Ji in neighbourhoods(d, edges)
     ])
     q = stiefel_map(B)  # finite: a support set matches every column d-set
-    if len({q.values[J] - v for J, v in p.values.items()}) != 1:
+    _, fq, fp = common_denom(q.denom, p.denom)
+    if len({q.ints[J] * fq - w * fp for J, w in p.ints.items()}) != 1:
         raise DomainError("NOT_STIEFEL_ON_SUPPORT", "no matrix on this support set maps to p")
     return B
 
@@ -154,7 +153,7 @@ def recover_matrix(p: PluckerVector, d, n, edges) -> TropMatrix:
 # ---------------------------------------------------------------------------
 
 def plucker_to_json(p: PluckerVector):
-    values = {subset_key(J): scalar_str(v) for J, v in p.values.items()}
+    values = {subset_key(J): scalar_str(v) for J, v in zip(p.ints, scalars(p.denom, p.ints.values()))}
     return {"d": p.d, "n": p.n, "values": values}
 
 

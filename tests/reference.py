@@ -70,7 +70,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, common_denom, quotient, require_column_supports, scalar, scalar_str, subsets
+from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, common_denom, quotient, require_column_supports, scalar, scalar_str, scalars, subsets
 from tropstiefel.geom import DifferenceBounds
 from tropstiefel.simplex import ONE, ZERO, _pivot
 from tropstiefel.bipartite import assignment, column_key, components, hall_surplus_check, optimal_matchings
@@ -83,6 +83,20 @@ from tropstiefel.linspace import _require_uniform, bounded_skeleton, in_K, selec
 # Vectors: ⊕ and x ⊙ A, the residual, the row-support check and the vector
 # codec
 # ---------------------------------------------------------------------------
+
+def entries(X):
+    """The scalars of a TropVector, or of a TropMatrix row by row, as
+    tuples: ``core.scalars`` of the integer form, None at ∞."""
+    if isinstance(X, TropMatrix):
+        return tuple(tuple(scalars(X.denom, row)) for row in X.ints)
+    return tuple(scalars(X.denom, X.ints))
+
+
+def values(p: PluckerVector) -> dict:
+    """p's coordinates as scalars, keyed by d-subset in ``core.subsets``
+    order: ``core.scalars`` of the integer form, None at ∞."""
+    return dict(zip(p.ints, scalars(p.denom, p.ints.values())))
+
 
 def common_ints(A: TropMatrix, y: TropVector):
     """(unit, a, z): the integer forms of A and of a finite y brought to
@@ -102,16 +116,16 @@ def vec_mat_mul(x: TropVector, A: TropMatrix) -> TropVector:
         raise DomainError("LENGTH_MISMATCH", "vector length must equal row count")
     out = []
     for j in range(A.n):
-        terms = zip(x.entries, (row[j] for row in A.entries))
+        terms = zip(entries(x), (row[j] for row in entries(A)))
         out.append(trop_sum(a + b for a, b in terms if a is not INF and b is not INF))
     return TropVector(out)
 
 
 def proj_normalize(x: TropVector) -> TropVector:
     """Subtract the value at the first finite coordinate (canonical form)."""
-    for v in x.entries:
+    for v in entries(x):
         if v is not INF:
-            return TropVector(tuple(w - v if w is not INF else INF for w in x.entries))
+            return TropVector(tuple(w - v if w is not INF else INF for w in entries(x)))
     raise DomainError("ALL_INF", "cannot normalize the all-infinity vector")
 
 
@@ -132,14 +146,14 @@ def residuation(y: TropVector, A: TropMatrix) -> TropVector:
     if not y.is_finite():
         raise DomainError("INF_ENTRY", "residuation requires a finite vector")
     require_row_supports(A)
-    out = []
+    out, y, a = [], entries(y), entries(A)
     for i in range(1, A.d + 1):
-        out.append(max(y.entry(j) - A.entry(i, j) for j in row_support(A, i)))
+        out.append(max(y[j - 1] - a[i - 1][j - 1] for j in row_support(A, i)))
     return TropVector(out)
 
 
 def vector_to_json(x: TropVector) -> dict:
-    return {"entries": [scalar_str(v) for v in x.entries]}
+    return {"entries": [scalar_str(v) for v in entries(x)]}
 
 
 # ---------------------------------------------------------------------------
@@ -338,17 +352,18 @@ def cocircuit(p: PluckerVector, S) -> TropVector:
     S = frozenset(S)
     if len(S) != p.d - 1 or not S <= frozenset(range(1, p.n + 1)):
         raise DomainError("BAD_SUBSET", "S must be a (d-1)-subset of [n]")
-    entries = [INF if j in S else p[S | {j}] for j in range(1, p.n + 1)]
-    if all(v is INF for v in entries):
+    pv = values(p)
+    c = [INF if j in S else pv[S | {j}] for j in range(1, p.n + 1)]
+    if all(v is INF for v in c):
         raise DomainError("ALL_INF", "every extension of S is infinite")
-    return TropVector(entries)
+    return TropVector(c)
 
 
 def dual(p: PluckerVector) -> PluckerVector:
     """p*_S = p_{[n]∖S}, a vector of rank n − d."""
     ground = frozenset(range(1, p.n + 1))
-    values = {S: p[ground - S] for S in subsets(p.n, p.n - p.d)}
-    return PluckerVector(p.n, p.n - p.d, values)
+    pv = values(p)
+    return PluckerVector(p.n, p.n - p.d, {S: pv[ground - S] for S in subsets(p.n, p.n - p.d)})
 
 
 def stable_intersection(p: PluckerVector, q: PluckerVector) -> PluckerVector:
@@ -363,20 +378,20 @@ def stable_union(p: PluckerVector, q: PluckerVector) -> PluckerVector:
         raise DomainError("RANK_CONDITION", "requires d + e <= n on a common [n]")
     n = p.n
     rank = p.d + q.d
-    values = {}
+    pv, qv, r = values(p), values(q), {}
     for Tset in subsets(n, rank):
         terms = []
         for R in itertools.combinations(sorted(Tset), p.d):
             Rset = frozenset(R)
-            if p[Rset] is not INF and q[Tset - Rset] is not INF:
-                terms.append(p[Rset] + q[Tset - Rset])
-        values[Tset] = trop_sum(terms)
-    return PluckerVector(n, rank, values)
+            if pv[Rset] is not INF and qv[Tset - Rset] is not INF:
+                terms.append(pv[Rset] + qv[Tset - Rset])
+        r[Tset] = trop_sum(terms)
+    return PluckerVector(n, rank, r)
 
 
 def row_vector(x: TropVector) -> PluckerVector:
     """A point of the torus as a rank-1 Plücker vector."""
-    return PluckerVector(len(x), 1, {frozenset({j}): x.entry(j) for j in range(1, len(x) + 1)})
+    return PluckerVector(len(x), 1, {frozenset({j}): v for j, v in enumerate(entries(x), 1)})
 
 
 def rank_zero(n) -> PluckerVector:
@@ -393,10 +408,10 @@ def covector_of_point(A: TropMatrix, x: TropVector):
     require_column_supports(A)
     if len(x) != A.d or not x.is_finite():
         raise DomainError("BAD_POINT", "the point must be finite, one coordinate per row")
-    covector = []
-    for j in range(1, A.n + 1):
-        best = trop_sum(x.entry(i) + A.entry(i, j) for i in range(1, A.d + 1) if A.entry(i, j) is not INF)
-        covector.append(tuple(i for i in range(1, A.d + 1) if A.entry(i, j) is not INF and x.entry(i) + A.entry(i, j) == best))
+    covector, x, a = [], entries(x), entries(A)
+    for j in range(A.n):
+        best = trop_sum(x[i] + a[i][j] for i in range(A.d) if a[i][j] is not INF)
+        covector.append(tuple(i + 1 for i in range(A.d) if a[i][j] is not INF and x[i] + a[i][j] == best))
     return tuple(covector)
 
 
@@ -470,7 +485,7 @@ def covectors_by_row_subsets(A: TropMatrix):
     ``DifferenceBounds.point``)."""
     require_column_supports(A)
     d, n, a = A.d, A.n, A.ints
-    cols = [sorted(i - 1 for i in A.col_support(j)) for j in range(1, n + 1)]
+    cols = [[i for i, v in enumerate(col) if v is not None] for col in zip(*a)]
     cells = []
 
     def search(j, dbm, chosen):
@@ -539,10 +554,11 @@ def cell_exists(p: PluckerVector, bases) -> bool:
     for b in bases:
         if len(b) != p.d or not b <= frozenset(range(1, p.n + 1)):
             raise DomainError("BAD_BASIS", f"{sorted(b)} is not a {p.d}-subset of [{p.n}]")
-    if not bases or any(p[b] is INF for b in bases):
+    pv = values(p)
+    if not bases or any(pv[b] is INF for b in bases):
         return False
-    pair = lambda J: (tuple(-1 if j in J else 0 for j in range(1, p.n + 1)), p[J])
-    others = [pair(J) for J, v in p.values.items() if v is not INF and J not in bases]
+    pair = lambda J: (tuple(-1 if j in J else 0 for j in range(1, p.n + 1)), pv[J])
+    others = [pair(J) for J, v in pv.items() if v is not INF and J not in bases]
     eqs, gts = argmin_rows([([pair(b) for b in bases], others)])
     return strict_feasible(p.n, eqs=eqs, gts=gts) is not None
 
@@ -735,8 +751,8 @@ def bounded_complex(A: TropMatrix):
 def bounded_point_in_complex(A: TropMatrix, y: TropVector) -> bool:
     """Does y, suitably gauge-shifted, land in some bounded image cell?"""
     x = residuation(y, A)
-    shifted = shift(y, -x.entry(1))
-    return any(polytrope_contains(image, shifted.entries) for _, image in bounded_complex(A))
+    shifted = shift(y, -entries(x)[0])
+    return any(polytrope_contains(image, entries(shifted)) for _, image in bounded_complex(A))
 
 
 def is_interior_cell(M, n) -> bool:
@@ -750,7 +766,7 @@ def is_interior_cell(M, n) -> bool:
 def bounded_membership(p: PluckerVector, y: TropVector) -> bool:
     """Is y in the bounded part of L(p), that is, in L(p) with a coloop-free
     selected matroid?  Needs a uniform underlying matroid: no ∞ coordinate."""
-    if any(v is INF for v in p.values.values()):
+    if None in p.ints.values():
         raise DomainError("NOT_UNIFORM", "underlying matroid must be uniform")
     return is_interior_cell(select_matroid(p, y), p.n)
 
@@ -781,7 +797,7 @@ def caterpillar_check(A: TropMatrix) -> bool:
 
 def shift(self, c):
     c = scalar(c)
-    return TropVector(tuple(v + c for v in self.entries))
+    return TropVector(tuple(v + c for v in entries(self)))
 
 
 def vector_support(self):
@@ -794,7 +810,7 @@ def proj_eq(x: TropVector, y: TropVector) -> bool:
     if len(x) != len(y) or vector_support(x) != vector_support(y):
         return False
     diff = None
-    for a, b in zip(x.entries, y.entries):
+    for a, b in zip(entries(x), entries(y)):
         if a is INF:
             continue
         d = a - b
@@ -807,15 +823,20 @@ def proj_eq(x: TropVector, y: TropVector) -> bool:
 
 def row_support(self, i):
     """J_i: columns with finite entry in row i."""
-    return frozenset(j + 1 for j, v in enumerate(self.entries[i - 1]) if v is not INF)
+    return frozenset(j + 1 for j, v in enumerate(self.ints[i - 1]) if v is not None)
+
+
+def col_support(self, j):
+    """I_j: rows with finite entry in column j."""
+    return frozenset(i + 1 for i, row in enumerate(self.ints) if row[j - 1] is not None)
 
 
 def matrix_row(self, i) -> TropVector:
-    return TropVector(self.entries[i - 1])
+    return TropVector(entries(self)[i - 1])
 
 
 def transpose(self) -> "TropMatrix":
-    return TropMatrix(tuple(zip(*self.entries)))
+    return TropMatrix(tuple(zip(*entries(self))))
 
 
 def I_of(G, Js):
@@ -860,7 +881,7 @@ def matroid_is_connected(M, n):
 def plucker_proj_eq(self, other) -> bool:
     """``core.proj_eq`` on the coordinates of both, in one order."""
     return (self.n, self.d) == (other.n, other.d) and proj_eq(
-        TropVector(self.values.values()), TropVector(other.values[J] for J in self.values)
+        TropVector(values(self).values()), TropVector(values(other)[J] for J in self.ints)
     )
 
 

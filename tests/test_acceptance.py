@@ -17,12 +17,14 @@ from reference import (
     bounded_membership,
     caterpillar_check,
     cell_exists,
+    col_support,
     coloops,
     colwise_dragon_condition,
     common_ints,
     covector_graph,
     covector_of_point,
     decomposition_cone,
+    entries,
     enumerate_support_sets,
     is_trop_singular,
     is_tree,
@@ -41,6 +43,7 @@ from reference import (
     subdivisions_equal,
     support_graph,
     transversal_polytope_ineqs,
+    values,
     vec_mat_mul,
     vector_support,
     vector_to_json,
@@ -95,7 +98,7 @@ def random_matrix(rng, d, n, lo=-2, hi=3, inf_prob=0):
             for _ in range(d)
         ]
         A = TropMatrix(entries)
-        if any(not A.col_support(j) for j in range(1, n + 1)):
+        if any(not col_support(A, j) for j in range(1, n + 1)):
             continue
         try:
             stiefel_map(A)
@@ -128,7 +131,7 @@ def test_standard_plane_golden():
     with Budget(1):
         p = stiefel_map(STAIR)
         assert p.d == 3 and p.n == 4
-        assert all(v == 0 for v in p.values.values())
+        assert all(v == 0 for v in values(p).values())
 
         cells = bounded_complex(STAIR)
         assert len(cells) == 1
@@ -158,7 +161,7 @@ def test_parametric_family_golden():
         assert mfs[0] == mfs[1] == mfs[2]
 
         A0 = A_of_t(0)
-        minor = TropMatrix([row[:3] for row in A0.entries[:3]])
+        minor = TropMatrix([row[:3] for row in entries(A0)[:3]])
         assert is_trop_singular(minor)
 
 
@@ -308,7 +311,7 @@ def test_membership_triple_equivalence():
                 c = decompose(A, y) is not None
                 e = contains_via_assignment(A, y)
                 f = in_L(A, y)
-                assert a == b == c == e == f, (A.entries, y.entries, a, b, c, e, f)
+                assert a == b == c == e == f, (entries(A), entries(y), a, b, c, e, f)
                 total += 1
 
 
@@ -317,13 +320,14 @@ def members_by_matchings(A, y):
     support: every finite coordinate's column lies in some matching that
     takes as many ∞ columns of y as any matching does and, among those,
     least Σ (a_ij − y_j) over its finite columns.  Small d and n only."""
-    finite = {j for j, w in enumerate(y.entries) if w is not INF}
+    a, y = entries(A), entries(y)
+    finite = {j for j, w in enumerate(y) if w is not INF}
     best, used = None, set()
     for cols in itertools.permutations(range(A.n), A.d):
-        if any(A.entries[i][j] is INF for i, j in enumerate(cols)):
+        if any(a[i][j] is INF for i, j in enumerate(cols)):
             continue
         key = (-sum(j not in finite for j in cols),
-               sum(A.entries[i][j] for i, j in enumerate(cols)) - sum(y.entries[j] for j in cols if j in finite))
+               sum(a[i][j] for i, j in enumerate(cols)) - sum(y[j] for j in cols if j in finite))
         if best is None or key < best:
             best, used = key, set(cols)
         elif key == best:
@@ -339,12 +343,12 @@ def test_kept_circuits_answer_every_denominator():
     the assignment route on finite y and with brute force over matchings
     on every y; the list is built once and kept."""
     rng = random.Random(3117)
-    entries = [0, 1, -2, "1/2", "-3/2", "1/3", "-2/3", "5/3", "inf"]
+    pool = [0, 1, -2, "1/2", "-3/2", "1/3", "-2/3", "5/3", "inf"]
     seen, scaled, with_inf = Counter(), 0, 0
     for _ in range(60):
         d = rng.randint(2, 3)
         n = rng.randint(d + 1, 5)
-        A = TropMatrix([[rng.choice(entries) for _ in range(n)] for _ in range(d)])
+        A = TropMatrix([[rng.choice(pool) for _ in range(n)] for _ in range(d)])
         try:
             require_column_supports(A)
             p = stiefel_map(A)
@@ -354,7 +358,7 @@ def test_kept_circuits_answer_every_denominator():
         for k in range(12):
             q = (1, 2, 3, 4)[k % 4]
             if k % 3 == 0:
-                y = vec_mat_mul(TropVector([Fraction(rng.randint(-6, 6), q) for _ in range(d)]), A).entries
+                y = entries(vec_mat_mul(TropVector([Fraction(rng.randint(-6, 6), q) for _ in range(d)]), A))
             else:
                 y = [Fraction(rng.randint(-12, 12), q) for _ in range(n)]
             if k % 2:
@@ -363,9 +367,9 @@ def test_kept_circuits_answer_every_denominator():
             if not vector_support(Y):
                 continue
             got = contains(p, Y)
-            assert got == in_L(A, Y) == members_by_matchings(A, Y), (A.entries, Y.entries)
+            assert got == in_L(A, Y) == members_by_matchings(A, Y), (entries(A), entries(Y))
             if Y.is_finite():
-                assert got == contains_via_assignment(A, Y), (A.entries, Y.entries)
+                assert got == contains_via_assignment(A, Y), (entries(A), entries(Y))
             kept = kept or p.circuits
             assert kept is not None and p.circuits is kept
             seen[got] += 1
@@ -394,10 +398,10 @@ def test_membership_equivalence_ranks_4_and_5():
                 cert = decompose(A, y)
                 a, b, c, e = contains(p, y), contains_via_matroid(p, y), cert is not None, contains_via_assignment(A, y)
                 f = in_L(A, y)
-                assert a == b == c == e == f, (A.entries, y.entries, a, b, c, e, f)
+                assert a == b == c == e == f, (entries(A), entries(y), a, b, c, e, f)
                 if cert is not None:
                     covector, _, J, _ = cert
-                    assert polytrope_contains(decomposition_cone(A, covector_edges(covector), J), y.entries)
+                    assert polytrope_contains(decomposition_cone(A, covector_edges(covector), J), entries(y))
                 members += c
                 queries += 1
         assert 0 < members < queries
@@ -438,11 +442,12 @@ def test_matrix_recovery():
             )
             B = recover_matrix(stiefel_map(A), *G)
             assert B.support() == A.support()
+            a, b = entries(A), entries(B)
             for i in range(1, d + 1):
                 diffs = {
-                    A.entry(i, j) - B.entry(i, j) for j in sorted(J_of(G, {i}))
+                    a[i - 1][j - 1] - b[i - 1][j - 1] for j in sorted(J_of(G, {i}))
                 }
-                assert len(diffs) == 1, (A.entries, B.entries, i)
+                assert len(diffs) == 1, (entries(A), entries(B), i)
 
 
 # -- 8 ----------------------------------------------------------------------
@@ -460,7 +465,7 @@ def test_facet_cross_validation():
             for k in range(2000):
                 if k % 4 == 0:
                     y = TropVector([rng.randint(-4, 4) for _ in range(n)])
-                    key = ("y",) + tuple(v - y.entry(1) for v in y.entries)
+                    key = ("y",) + tuple(v - entries(y)[0] for v in entries(y))
                 else:
                     x = [rng.randint(-4, 4) for _ in range(d)]
                     key = ("x",) + tuple(v - x[0] for v in x)
@@ -471,7 +476,7 @@ def test_facet_cross_validation():
                     cache[key] = select_matroid(p, y)
                 seen.add(cache[key])
             maximal = {M for M in seen if not any(M < N for N in seen)}
-            assert maximal == set(facets_of_D(A)), A.entries
+            assert maximal == set(facets_of_D(A)), entries(A)
 
 
 # -- 9 ----------------------------------------------------------------------
@@ -503,18 +508,18 @@ def test_subdivision_multifield_bijection():
                 B = TropMatrix(
                     [
                         [
-                            A.entry(i, j) + r[i - 1] + c[j - 1]
-                            if A.entry(i, j) is not INF
+                            v + r[i - 1] + c[j - 1]
+                            if v is not INF
                             else "inf"
-                            for j in range(1, n + 1)
+                            for j, v in enumerate(row, 1)
                         ]
-                        for i in range(1, d + 1)
+                        for i, row in enumerate(entries(A), 1)
                     ]
                 )
             else:
                 B = fill(G, d, n)
             same_mf = matching_multifield(A) == matching_multifield(B)
-            assert subdivisions_equal(A, B) == same_mf, (A.entries, B.entries)
+            assert subdivisions_equal(A, B) == same_mf, (entries(A), entries(B))
 
 
 # -- 10 ---------------------------------------------------------------------
@@ -634,7 +639,7 @@ def test_decompose_dense_image_point_ends():
         except DomainError as exc:
             assert exc.code == "BUDGET_EXCEEDED"
         else:
-            assert polytrope_contains(decomposition_cone(A, covector_edges(covector), J), y.entries)
+            assert polytrope_contains(decomposition_cone(A, covector_edges(covector), J), entries(y))
 
 
 # -- 14 ---------------------------------------------------------------------
@@ -673,7 +678,7 @@ def test_decompose_answers_dense_and_diagonal_image_points(tmp_path, capsys):
             A = TropMatrix([[rng.randint(-50, 50) for _ in range(10)] for _ in range(d)])
             y = vec_mat_mul(TropVector([rng.randint(-20, 20) for _ in range(d)]), A)
             covector, _, J, _ = decompose(A, y)
-            assert polytrope_contains(decomposition_cone(A, covector_edges(covector), J), y.entries)
+            assert polytrope_contains(decomposition_cone(A, covector_edges(covector), J), entries(y))
         path = tmp_path / "in.json"
         path.write_text(json.dumps({"matrix": matrix_to_json(A), "vector": vector_to_json(y)}))
         assert main(["decompose", "--input", str(path)]) == 0
@@ -703,7 +708,7 @@ def seeded_query(rng, A):
     """A y for A: half the time an image point x ⊙ A with slack on about
     30% of its finite coordinates, else random halves."""
     if rng.random() < 0.5:
-        image = vec_mat_mul(TropVector([rng.randint(-3, 3) for _ in range(A.d)]), A).entries
+        image = entries(vec_mat_mul(TropVector([rng.randint(-3, 3) for _ in range(A.d)]), A))
         return [v + Fraction(rng.randint(1, 4), 2) if v is not INF and rng.random() < 0.3 else v for v in image]
     return [Fraction(rng.randint(-8, 8), rng.randint(1, 2)) for _ in range(A.n)]
 
@@ -728,9 +733,9 @@ def test_in_L_against_circuits():
                 y = y[:-1] or [0, 0]
             y = TropVector(y)
             got = answer(lambda: in_L(A, y))
-            assert got == answer(lambda: contains(stiefel_map(A), y)), (A.entries, y.entries)
+            assert got == answer(lambda: contains(stiefel_map(A), y)), (entries(A), entries(y))
             seen[got] += 1
-            with_inf[got] += INF in y.entries
+            with_inf[got] += INF in entries(y)
         assert with_inf[True] >= 100 and with_inf[False] >= 100
         assert seen["LENGTH_MISMATCH"] and seen["NO_MATCHING_IN_SUPPORT"]
 
@@ -750,7 +755,7 @@ def test_in_bounded_part_against_selected_matroids():
             if rng.random() < 0.75:
                 n = rng.randint(d, min(8, d + 3))
                 A = TropMatrix([[rng.randint(-6, 6) for _ in range(n)] for _ in range(d)])
-                y = vec_mat_mul(TropVector([rng.randint(-3, 3) for _ in range(d)]), A).entries
+                y = entries(vec_mat_mul(TropVector([rng.randint(-3, 3) for _ in range(d)]), A))
                 y = [v + Fraction(rng.randint(1, 4), 2) if rng.random() < 0.15 else v for v in y]
             else:
                 n = rng.randint(max(1, d - 1), 8)
@@ -763,7 +768,7 @@ def test_in_bounded_part_against_selected_matroids():
                     y = y[:-1] or [0, 0]
             y = TropVector(y)
             got = answer(lambda: in_bounded_part(A, y))
-            assert got == answer(lambda: bounded_membership(stiefel_map(A), y)), (A.entries, y.entries)
+            assert got == answer(lambda: bounded_membership(stiefel_map(A), y)), (entries(A), entries(y))
             seen[got] += 1
         assert seen[True] >= 300 and seen[False] >= 300
         assert all(seen[code] for code in ("NO_MATCHING_IN_SUPPORT", "NOT_UNIFORM", "BAD_POINT"))

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from polyhedra import Polyhedron
 from reference import (
     attain_or_refuse,
+    col_support,
     covector_of_point,
     covectors_by_row_subsets,
+    entries,
     in_B,
     is_trop_singular,
     row_support,
@@ -60,10 +62,10 @@ def test_covector_of_point_examples():
 
 def row_argmins(A, y):
     """The reference route: per row, the columns attaining min_j (a_ij + y_j)."""
-    edges = []
-    for i in range(1, A.d + 1):
-        best = trop_sum(A.entry(i, j) + y.entry(j) for j in range(1, A.n + 1) if A.entry(i, j) is not INF)
-        edges += [(i, j) for j in range(1, A.n + 1) if A.entry(i, j) is not INF and A.entry(i, j) + y.entry(j) == best]
+    edges, a, y = [], entries(A), entries(y)
+    for i, row in enumerate(a, 1):
+        best = trop_sum(v + y[j] for j, v in enumerate(row) if v is not INF)
+        edges += [(i, j + 1) for j, v in enumerate(row) if v is not INF and v + y[j] == best]
     return (A.d, A.n, frozenset(edges))
 
 
@@ -178,7 +180,7 @@ def random_matrices(seed, count):
                 for _ in range(d)
             ]
         )
-        if all(A.col_support(j) for j in range(1, n + 1)):
+        if all(col_support(A, j) for j in range(1, n + 1)):
             out.append(A)
     return out
 
@@ -197,7 +199,7 @@ def test_cell_witnesses_and_euler_characteristic():
 def _cell_constraints(A: TropMatrix, tau):
     """Equalities tying the tau rows of each column, and the weak 'other
     rows lose' inequalities (as (coeffs, rhs, edge) triples)."""
-    d = A.d
+    d, a = A.d, entries(A)
     eqs = []
     others = []
     by_col = {}
@@ -208,19 +210,19 @@ def _cell_constraints(A: TropMatrix, tau):
         if not rows_in:
             raise DomainError("BAD_COVECTOR", f"column {j} uncovered")
         i0 = rows_in[0]
-        a0 = A.entry(i0, j)
+        a0 = a[i0 - 1][j - 1]
         for i in rows_in[1:]:
             co = [Fraction(0)] * d
             co[i0 - 1] += 1
             co[i - 1] -= 1
-            eqs.append((tuple(co), A.entry(i, j) - a0))
-        for i in sorted(A.col_support(j)):
+            eqs.append((tuple(co), a[i - 1][j - 1] - a0))
+        for i in sorted(col_support(A, j)):
             if i in rows_in:
                 continue
             co = [Fraction(0)] * d
             co[i - 1] += 1
             co[i0 - 1] -= 1
-            others.append((tuple(co), a0 - A.entry(i, j), (i, j)))
+            others.append((tuple(co), a0 - a[i - 1][j - 1], (i, j)))
     return eqs, others
 
 
@@ -285,9 +287,9 @@ def test_multifield_from_covectors():
         if rng.random() < 0.75:
             continue
         i, j = rng.choice(sorted(A.support()))
-        entries = [list(row) for row in A.entries]
-        entries[i - 1][j - 1] += rng.choice((1, -1)) * Fraction(1, 4)
-        B = TropMatrix(entries)
+        rows = [list(row) for row in entries(A)]
+        rows[i - 1][j - 1] += rng.choice((1, -1)) * Fraction(1, 4)
+        B = TropMatrix(rows)
         if enumerate_covectors(B) == cells:
             assert multifield_or_refusal(B) == mf
             seen["same type"] += 1
@@ -332,7 +334,7 @@ def test_is_trop_singular():
     assert is_trop_singular(TropMatrix([[0, 0], [0, 0]]))
     assert not is_trop_singular(TropMatrix([[0, 1], [1, 0]]))
     A0 = A_of_t(0)
-    minor = TropMatrix([row[:3] for row in A0.entries[:3]])
+    minor = TropMatrix([row[:3] for row in entries(A0)[:3]])
     assert is_trop_singular(minor)
     assert is_trop_singular(TropMatrix([["inf", "inf"], [0, 0]]))
     with pytest.raises(DomainError):
@@ -348,8 +350,8 @@ def test_is_trop_singular():
     for _ in range(400):
         d = rng.randint(1, 5)
         rows = [[rng.choice(values) for _ in range(d)] for _ in range(d)]
-        entries = [[rows[i][j] for i, j in enumerate(perm)] for perm in itertools.permutations(range(d))]
-        finite = [sum(es, Fraction(0)) for es in entries if INF not in es]
+        diagonals = [[rows[i][j] for i, j in enumerate(perm)] for perm in itertools.permutations(range(d))]
+        finite = [sum(es, Fraction(0)) for es in diagonals if INF not in es]
         expected = not finite or finite.count(min(finite)) >= 2
         assert is_trop_singular(TropMatrix(rows)) == expected
 
@@ -448,7 +450,7 @@ def tied_matrices(seed, count):
             else:
                 rows.append(["inf" if rng.random() < p_inf else entry() for _ in range(n)])
         A = TropMatrix(rows)
-        if all(A.col_support(j) for j in range(1, n + 1)):
+        if all(col_support(A, j) for j in range(1, n + 1)):
             out.append(A)
     return out
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import tropstiefel.cli
-from reference import J_of, cocircuit, graph_to_json, plucker_proj_eq, support_graph
+from reference import J_of, cocircuit, entries, graph_to_json, plucker_proj_eq, support_graph, values
 from tropstiefel.cli import main
 from tropstiefel.core import TropMatrix, matrix_from_json, matrix_to_json
 from tropstiefel.bipartite import (
@@ -155,30 +155,59 @@ def test_recover_command(tmp_path, capsys):
 
 def test_recover_prints_only_a_matrix_that_maps_to_p(capsys, monkeypatch):
     """recover prints a matrix only when its Stiefel image is p up to one
-    constant; otherwise it refuses with NOT_STIEFEL_ON_SUPPORT.  On 200
-    seeded dense A, d in 2..3 and n <= 6, each with a random support set G:
-    every printed matrix maps to π(A); every refusal is of a p whose rows
-    read off G, the cocircuits of [n] ∖ J_i, do not map to it; and π of A
-    cut down to G is always recovered."""
+    constant; otherwise it refuses with NOT_STIEFEL_ON_SUPPORT.  On 400
+    seeded dense A, d in 2..3 and n <= 6, each with a random support set G
+    (200 with whole entries, 100 with halves and thirds, and 100 with one
+    offset per row, whose π has one denominator and the image of the
+    recovered matrix often another): every printed matrix maps to π(A);
+    every refusal is of a p whose rows read off G, the cocircuits of
+    [n] ∖ J_i, do not map to it; and π of A cut down to G is always
+    recovered.  Near-misses move one of the first two coordinates of that π
+    by 1/2: one that recover does not read is refused, since the rows, and
+    so their image, are those of π; one that it reads may be either."""
     rng = random.Random(36)
-    refused = 0
-    for _ in range(200):
+    refused, near = Counter(), Counter()
+    for k in range(400):
+        whole = k < 200
         d = rng.randint(2, 3)
         n = rng.randint(d, 6)
-        A = TropMatrix([[rng.randint(-20, 20) for _ in range(n)] for _ in range(d)])
+        if whole:
+            A = TropMatrix([[rng.randint(-20, 20) for _ in range(n)] for _ in range(d)])
+        elif k % 2:
+            A = TropMatrix([[Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3))) for _ in range(n)] for _ in range(d)])
+        else:  # each row an int plus its own offset: π's coordinates share theirs, which d of them may not
+            offsets = [rng.choice((0, Fraction(1, 2), Fraction(1, 3), Fraction(2, 3))) for _ in range(d)]
+            A = TropMatrix([[rng.randint(-20, 20) + c for _ in range(n)] for c in offsets])
         G = (d, n, random_support_set(rng, d, n))
-        on_G = TropMatrix([[v if (i, j) in G[2] else "inf" for j, v in enumerate(row, 1)] for i, row in enumerate(A.entries, 1)])
+        on_G = TropMatrix([[v if (i, j) in G[2] else "inf" for j, v in enumerate(row, 1)] for i, row in enumerate(entries(A), 1)])
         for M in (A, on_G):
             p = stiefel_map(M)
             code, out = run(capsys, ["recover"], stdin=json.dumps({"plucker": plucker_to_json(p), "support": graph_to_json(G)}), monkeypatch=monkeypatch)
             if code == 0:
-                assert plucker_proj_eq(stiefel_map(matrix_from_json(json.loads(out))), p)
+                q = stiefel_map(matrix_from_json(json.loads(out)))
+                assert plucker_proj_eq(q, p)
+                near["other denom"] += q.denom != p.denom
                 continue
             assert M is A and (code, json.loads(out)) == (1, {"error": "NOT_STIEFEL_ON_SUPPORT"})
-            rows = [cocircuit(p, set(range(1, n + 1)) - J_of(G, {i})).entries for i in range(1, d + 1)]
+            rows = [entries(cocircuit(p, set(range(1, n + 1)) - J_of(G, {i}))) for i in range(1, d + 1)]
             assert not plucker_proj_eq(stiefel_map(TropMatrix(rows)), p)
-            refused += 1
-    assert 0 < refused < 200, refused
+            refused[whole] += 1
+        near["fractional p"] += p.denom > 1
+        if n == d:
+            continue  # one coordinate: moving it moves p by a constant
+        ground = frozenset(range(1, n + 1))
+        read = {(ground - J_of(G, {i})) | {j} for i in range(1, d + 1) for j in J_of(G, {i})}
+        pv = values(p)
+        for J in list(pv)[:2]:
+            moved = PluckerVector(n, d, {**pv, J: pv[J] + Fraction(1, 2)})
+            code, out = run(capsys, ["recover"], stdin=json.dumps({"plucker": plucker_to_json(moved), "support": graph_to_json(G)}), monkeypatch=monkeypatch)
+            if J in read and code == 0:
+                assert plucker_proj_eq(stiefel_map(matrix_from_json(json.loads(out))), moved)
+            else:
+                assert (code, json.loads(out)) == (1, {"error": "NOT_STIEFEL_ON_SUPPORT"})
+            near[J in read, code] += 1
+    assert 0 < refused[True] < 200 and 0 < refused[False] < 200, refused
+    assert near["fractional p"] > 100 and near["other denom"] > 20 and near[False, 1] > 20 and near[True, 0] > 20 and near[True, 1] > 20, near
 
 
 def test_gen_modes(capsys):
@@ -490,7 +519,9 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     ``simplex``, render loads ``svg`` and not ``simplex``, and coherent
     loads ``simplex``.  Covectors, facets, ``bounded --format svg`` and
     ``render --kind tree`` on an integer matrix load no ``fractions``, which
-    imports ``decimal``: the SVG pixels are integer arithmetic."""
+    imports ``decimal``: the SVG pixels are integer arithmetic.  Nor do
+    stiefel, plucker-check and gen on whole values, which print through
+    ``core.scalars`` and ``quotient``."""
     src = str(Path(tropstiefel.cli.__file__).resolve().parents[1])
     script = (
         "import sys\nimport tropstiefel.cli\n"
@@ -500,6 +531,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     path = write_input(tmp_path, matrix_to_json(FIG))
     field = write_input(tmp_path, multifield_to_json(matching_multifield(FIG)), "field.json")
     two_row = write_input(tmp_path, matrix_to_json(TWO_ROW), "two_row.json")
+    plucker = write_input(tmp_path, plucker_to_json(stiefel_map(FIG)), "plucker.json")
 
     def loaded(*argv):
         proc = subprocess.run(
@@ -514,6 +546,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert loaded() == {"tropstiefel", "tropstiefel.cli", "tropstiefel.core"}
     assert "fractions" not in loaded("covectors", "--input", path) | loaded("facets", "--input", path)
     assert "fractions" not in loaded("bounded", "--format", "svg", "--input", two_row) | loaded("render", "--kind", "tree", "--input", two_row)
+    assert "fractions" not in loaded("stiefel", "--input", path) | loaded("plucker-check", "--input", plucker) | loaded("gen", "3", "5", "--seed", "7")
     for argv in (["covectors"], ["render"]):
         assert not loaded(*argv, "--input", path) & {"tropstiefel.bipartite", "tropstiefel.plucker", "tropstiefel.linspace"}, argv
     facets = loaded("facets", "--input", path)

@@ -1,15 +1,17 @@
 import copy
 import itertools
 import math
+import pathlib
 import pickle
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from reference import proj_eq, proj_normalize, residuation, row_support, shift, vec_mat_mul, vector_support, vector_to_json
+from reference import col_support, entries, proj_eq, proj_normalize, residuation, row_support, shift, values, vec_mat_mul, vector_support, vector_to_json
 from tropstiefel.core import (
     INF,
     DomainError,
@@ -21,7 +23,9 @@ from tropstiefel.core import (
     quotient,
     scalar,
     scalar_str,
+    scalars,
     subset_from_key,
+    subsets,
     trop_vanishes,
     vector_from_json,
 )
@@ -113,20 +117,25 @@ def test_int_subclasses_are_plain_ints():
         scalar(True)
 
 
-def _check_integer_form(values, denom, ints):
-    """denom is the LCM of the finite values' denominators, and each int is
-    its value times denom exactly, None exactly at ∞."""
-    assert type(denom) is int and denom == math.lcm(*(Fraction(v).denominator for v in values if v is not INF))
-    assert len(ints) == len(values)
-    for v, c in zip(values, ints):
+def _check_integer_form(raw, denom, ints):
+    """The raw inputs, read here by ``Fraction`` with "inf" at ∞: denom is
+    the LCM of the finite values' denominators, each int is its value times
+    denom exactly, None exactly at ∞, and ``scalars`` gives each value
+    back, an int exactly when it is whole."""
+    read = [INF if v == "inf" else Fraction(v) for v in raw]
+    assert type(denom) is int and denom == math.lcm(*(v.denominator for v in read if v is not INF))
+    assert len(ints) == len(read)
+    for v, c, s in zip(read, ints, scalars(denom, ints)):
         assert (c is None) == (v is INF)
         assert c is None or (type(c) is int and c == v * denom)
+        assert s == v and (type(s) is int) == (v is not INF and v.denominator == 1)
 
 
 def test_integer_form_on_construction():
     """``TropMatrix``, ``TropVector`` and ``PluckerVector`` take their
     integer form on construction: 300 seeded inputs with ∞, halves, thirds,
-    "4/2" and copied rows, and ``common_denom`` on each matrix and vector."""
+    "4/2" and copied rows, against the raw inputs, and ``common_denom`` on
+    each matrix and vector."""
     rng = random.Random(2901)
     pool = ["inf", 0, 1, -2, 3, "4/2", Fraction(6, 3), "1/2", "-3/2", "1/3", "-2/3", "5/3", "-5/6"]
     denoms = Counter()
@@ -140,18 +149,41 @@ def test_integer_form_on_construction():
             rows.append(list(rng.choice(rows)) if rows and rng.random() < 0.3 else [draw() for _ in range(n)])
         A = TropMatrix(rows)
         assert len(A.ints) == d and all(len(row) == n for row in A.ints)
-        _check_integer_form([v for row in A.entries for v in row], A.denom, [c for row in A.ints for c in row])
-        Y = TropVector([draw() for _ in range(n)])
-        _check_integer_form(Y.entries, Y.denom, Y.ints)
-        values = {frozenset(J): draw() for J in itertools.combinations(range(1, n + 1), d)}
-        values[frozenset(range(1, d + 1))] = draw(1)  # not identically ∞
-        p = PluckerVector(n, d, values)
-        assert list(p.ints) == list(p.values)
-        _check_integer_form(list(p.values.values()), p.denom, list(p.ints.values()))
+        _check_integer_form([v for row in rows for v in row], A.denom, [c for row in A.ints for c in row])
+        y = [draw() for _ in range(n)]
+        Y = TropVector(y)
+        _check_integer_form(y, Y.denom, Y.ints)
+        coords = {frozenset(J): draw() for J in itertools.combinations(range(1, n + 1), d)}
+        coords[frozenset(range(1, d + 1))] = draw(1)  # not identically ∞
+        p = PluckerVector(n, d, coords)
+        assert list(p.ints) == list(subsets(n, d))
+        _check_integer_form([coords[J] for J in p.ints], p.denom, list(p.ints.values()))
         m, fa, fy = common_denom(A.denom, Y.denom)
         assert m == math.lcm(A.denom, Y.denom) == A.denom * fa == Y.denom * fy
         denoms.update((A.denom, Y.denom, p.denom))
     assert all(denoms[k] for k in (1, 2, 3, 6)), denoms
+
+
+def test_equality_and_repr_read_the_integer_form():
+    """Each class compares (denom, ints), the reduced integer form, which
+    is canonical: every spelling of one value is equal, and values with the
+    same ints over another denom are not.  A vector prints its scalars, a
+    matrix and a Plücker vector their shape."""
+    builds = (
+        (lambda a, b: TropVector([a, b]), lambda x: x.ints),
+        (lambda a, b: TropMatrix([[a, b]]), lambda x: x.ints[0]),
+        (lambda a, b: PluckerVector(2, 1, {frozenset({1}): a, frozenset({2}): b}), lambda x: tuple(x.ints.values())),
+    )
+    for build, flat in builds:
+        spellings = [build(two, inf) for two in ("4/2", 2, Fraction(6, 3)) for inf in ("inf", None)]
+        assert all(x == spellings[0] for x in spellings) and flat(spellings[0]) == (2, None)
+        half, whole = build("1/2", 1), build(1, 2)
+        assert flat(half) == flat(whole) == (1, 2) and (half.denom, whole.denom) == (2, 1)
+        assert half != whole and whole == build(1, "2/1") and half == build(Fraction(1, 2), 1)
+    assert repr(TropVector(["1/2", "inf", 3])) == "TropVector(1/2, inf, 3)"
+    assert repr(TropVector([0])) == "TropVector(0)"
+    assert repr(TropMatrix([["1/2", 1]])) == "TropMatrix(1 x 2)"
+    assert repr(PluckerVector(2, 1, {frozenset({1}): 0, frozenset({2}): "inf"})) == "PluckerVector(n=2, d=1)"
 
 
 def test_infinity_sentinel():
@@ -163,7 +195,7 @@ def test_infinity_sentinel():
     assert scalar_str(INF) == "inf"
     assert TropVector([1, None]) == TropVector([1, "inf"])
     assert copy.deepcopy(INF) is INF and pickle.loads(pickle.dumps(INF)) is INF
-    assert copy.deepcopy(TropVector([1, "inf"])).entries[1] is INF
+    assert entries(copy.deepcopy(TropVector([1, "inf"])))[1] is INF
     for op in (lambda: INF + 1, lambda: 1 + INF, lambda: INF < 0, lambda: 0 < INF, lambda: -INF):
         with pytest.raises(TypeError):
             op()
@@ -179,7 +211,7 @@ def test_supports():
         [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4)]
     )
     assert row_support(STAIR, 2) == frozenset([2, 3])
-    assert STAIR.col_support(3) == frozenset([2, 3])
+    assert col_support(STAIR, 3) == frozenset([2, 3])
     assert vector_support(TropVector([INF, 1, INF])) == frozenset([2])
 
 
@@ -219,7 +251,7 @@ def test_residuation_dominates():
         )
         y = TropVector([rng.randint(-3, 3) for _ in range(4)])
         z = vec_mat_mul(residuation(y, A), A)
-        assert all(a >= b for a, b in zip(z.entries, y.entries))
+        assert all(a >= b for a, b in zip(entries(z), entries(y)))
         # idempotence on the image
         w = vec_mat_mul(residuation(z, A), A)
         assert w == z
@@ -281,7 +313,7 @@ def test_library_scalars_keep_the_invariant():
     witness of ``is_coherent``."""
     rng = random.Random(26)
     pool = ["inf", 0, 1, -2, 3, "1/2", "-3/2", "7/2", "1/3", "-2/3", "5/3", "6/3", Fraction(4, 2)]
-    values, answered = [], Counter()
+    seen, answered = [], Counter()
 
     def route(name, call, read):
         try:
@@ -289,7 +321,7 @@ def test_library_scalars_keep_the_invariant():
         except DomainError:
             return None
         if out is not None:
-            values.extend((name, v) for v in read(out))
+            seen.extend((name, v) for v in read(out))
             answered[name] += 1
         return out
 
@@ -300,22 +332,34 @@ def test_library_scalars_keep_the_invariant():
         for _ in range(d):
             rows.append(list(rng.choice(rows)) if rows and rng.random() < 0.3 else [rng.choice(pool) for _ in range(n)])
         A = TropMatrix(rows)
-        values.extend(("TropMatrix", v) for row in A.entries for v in row)
+        a = entries(A)
+        seen.extend(("TropMatrix", v) for row in a for v in row)
         x = [rng.choice([0, 1, Fraction(1, 2), Fraction(-1, 3), Fraction(9, 3)]) for _ in range(d)]
-        image = [min((x[i] + A.entries[i][j] for i in range(d) if A.entries[i][j] is not INF), default=INF) for j in range(n)]
+        image = [min((x[i] + a[i][j] for i in range(d) if a[i][j] is not INF), default=INF) for j in range(n)]
         for y in (image, [rng.choice(pool[1:]) for _ in range(n)]):
             Y = TropVector(y)
-            values.extend(("TropVector", v) for v in Y.entries)
+            seen.extend(("TropVector", v) for v in entries(Y))
             route("decompose", lambda: decompose(A, Y), lambda cert: cert[1] + cert[3])
-        route("stiefel_map", lambda: stiefel_map(A), lambda p: p.values.values())
+        route("stiefel_map", lambda: stiefel_map(A), lambda p: values(p).values())
         route("enumerate_covectors", lambda: enumerate_covectors(A), lambda cells: [v for tau in cells for v in cell_point(A, tau)])
         # A kept on the staircase support set, where π is finite unless A has ∞ there
         G = (d, n, [(i, j) for i in range(1, d + 1) for j in range(i, i + n - d + 1)])
-        stair = TropMatrix([[v if (i + 1, j + 1) in G[2] else INF for j, v in enumerate(row)] for i, row in enumerate(A.entries)])
-        route("recover_matrix", lambda: recover_matrix(stiefel_map(stair), *G), lambda B: [v for row in B.entries for v in row])
+        stair = TropMatrix([[v if (i + 1, j + 1) in G[2] else INF for j, v in enumerate(row)] for i, row in enumerate(a)])
+        route("recover_matrix", lambda: recover_matrix(stiefel_map(stair), *G), lambda B: [v for row in entries(B) for v in row])
         if d * n <= 8:
-            route("is_coherent", lambda: is_coherent(matching_multifield(A)), lambda B: [v for row in B.entries for v in row])
-    bad = [(name, v) for name, v in values if not _canonical(v)]
+            route("is_coherent", lambda: is_coherent(matching_multifield(A)), lambda B: [v for row in entries(B) for v in row])
+    bad = [(name, v) for name, v in seen if not _canonical(v)]
     assert not bad, bad[:10]
-    assert {type(v) for _, v in values} == {int, Fraction, type(INF)}
+    assert {type(v) for _, v in seen} == {int, Fraction, type(INF)}
     assert min(answered.values()) >= 50 and len(answered) == 5, answered
+
+
+def test_readme_example_prints_what_its_comment_says(capsys):
+    """README's Python example runs as written, and each of its ``print``
+    lines prints what the ``#`` comment on that line says."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    expected = [line.split("# ", 1)[1] for line in blocks[0].splitlines() if line.startswith("print(")]
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert expected and capsys.readouterr().out.splitlines() == expected
