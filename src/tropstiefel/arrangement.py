@@ -87,32 +87,32 @@ def _column_rows(A: TropMatrix, budget):
     return cols
 
 
+def _search(a, cols, budget, cells, j, dbm, chosen, label):
+    """The search below the prefix ``chosen``, whose cells go into ``cells``;
+    not a recursive closure, so they are freed on return, not by the collector."""
+    if j == len(cols):
+        cells[chosen] = len(set(label)) - 1
+        if len(cells) > budget:
+            raise DomainError("BUDGET_EXCEEDED", f"more than {budget} cells")
+        return
+    classes = {}
+    for i in cols[j]:
+        if all(dbm.admits(k, i, a[k][j] - a[i][j]) for k in cols[j]):
+            classes.setdefault(label[i], []).append(i)
+    for r in range(1, len(classes) + 1):
+        for picked in itertools.combinations(classes, r):
+            I = sorted(i for L in picked for i in classes[L])
+            child = dbm.copy()
+            _attain(child, a, j, I)
+            _search(a, cols, budget, cells, j + 1, child, chosen + (tuple(i + 1 for i in I),), label if r == 1 else [I[0] if L in picked else L for L in label])
+
+
 def enumerate_covectors(A: TropMatrix, budget=CELL_BUDGET) -> dict:
     """TC(A), exactly: each covector mapped to its dimension, in the order of
     sorted covector edges; DomainError BUDGET_EXCEEDED beyond ``budget``
     cells, up front by ``_column_rows``."""
-    d, n, a, cells = A.d, A.n, A.ints, {}
-    cols = _column_rows(A, budget)
-
-    # label[i] is a row of row i's component; a union of classes merges theirs
-    def search(j, dbm, chosen, label):
-        if j == n:
-            cells[chosen] = len(set(label)) - 1
-            if len(cells) > budget:
-                raise DomainError("BUDGET_EXCEEDED", f"more than {budget} cells")
-            return
-        classes = {}
-        for i in cols[j]:
-            if all(dbm.admits(k, i, a[k][j] - a[i][j]) for k in cols[j]):
-                classes.setdefault(label[i], []).append(i)
-        for r in range(1, len(classes) + 1):
-            for picked in itertools.combinations(classes, r):
-                I = sorted(i for L in picked for i in classes[L])
-                child = dbm.copy()
-                _attain(child, a, j, I)
-                search(j + 1, child, chosen + (tuple(i + 1 for i in I),), label if r == 1 else [I[0] if L in picked else L for L in label])
-
-    search(0, DifferenceBounds(d, A.denom), (), list(range(d)))
+    cells = {}
+    _search(A.ints, _column_rows(A, budget), budget, cells, 0, DifferenceBounds(A.d, A.denom), (), list(range(A.d)))
     return {tau: cells[tau] for tau in sorted(cells, key=lambda tau: sorted(covector_edges(tau)))}
 
 

@@ -8,13 +8,13 @@ forms itself.  Everything is immutable and exact -- no floats anywhere: ``/``
 between two ints would give one, so the library divides only through
 ``quotient`` or with a `Fraction` on the left, and ``scalar_str`` refuses a
 float.  ``TropVector``, ``TropMatrix`` and ``plucker.PluckerVector`` keep
-only their integer form, taken on construction (``integer_form``):
-``denom``, the LCM of the finite entries' denominators, and ``ints``, the
-entries times it.  Every engine reads ``ints``; ``scalars`` gives the values
-back where they are printed.  ∞ is ``None`` in every form; ``INF`` names it
-where a value is parsed or printed, and it has no arithmetic and no order.
-``trop_vanishes`` is the one test of "the minimum is attained twice" on the
-finite terms.
+only their integer form, taken by ``integer_form`` in the first two
+constructors and in ``plucker_from_json``: ``denom``, the LCM of the finite
+entries' denominators, and ``ints``, the entries times it.  Every engine
+reads ``ints``; ``scalars`` gives the values back where they are printed.
+∞ is ``None`` in every form; ``INF`` names it where a value is parsed or
+printed, and it has no arithmetic and no order.  ``trop_vanishes`` is the
+one test of "the minimum is attained twice" on the finite terms.
 
 Row and column indices are 1-based throughout the public API, matching the
 usual conventions for [d] x [n] bipartite objects; the ``ints`` tuples are

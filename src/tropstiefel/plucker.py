@@ -1,6 +1,6 @@
 """Tropical Plücker vectors: maps on the d-subsets of [n], listed by
-``core.subsets``, kept as their integer form and keyed in JSON by
-``core.subset_key``.
+``core.subsets``, kept as their integer form, keyed in JSON by
+``core.subset_key`` and checked from outside by ``plucker_from_json`` alone.
 
 The Stiefel map (tropical maximal minors, from the matching engine, whose
 ints p takes reduced by their gcd with A's denominator), the circuits of
@@ -21,23 +21,14 @@ from .bipartite import column_key, is_support_set, neighbourhoods, optimal_match
 
 
 class PluckerVector:
-    """A map from d-subsets of [n] to scalars, not identically infinite,
-    kept as ``denom`` and the dict ``ints``; checked by the constructor,
-    while ``stiefel_map`` builds its own unchecked."""
+    """A map from the d-subsets of [n] to scalars, not identically ∞, as its
+    integer form ``denom`` and ``ints``, a dict in ``subsets`` order, None at
+    ∞.  It checks nothing: ``plucker_from_json`` checks a map from outside."""
 
     __slots__ = ("n", "d", "denom", "ints", "circuits")
 
-    def __init__(self, n, d, values):
-        self.n, self.d, self.circuits = n, d, None
-        vals = {}
-        for J in subsets(n, d):
-            if J not in values:
-                raise DomainError("MISSING_COORDINATE", f"no value for {sorted(J)}")
-            vals[J] = scalar(values[J])
-        if all(v is None for v in vals.values()):
-            raise DomainError("ALL_INF", "Plücker vectors may not be identically ∞")
-        self.denom, ints = integer_form(vals.values())
-        self.ints = dict(zip(vals, ints))
+    def __init__(self, n, d, denom, ints):
+        self.n, self.d, self.denom, self.ints, self.circuits = n, d, denom, ints, None
 
     def __eq__(self, other):
         return isinstance(other, PluckerVector) and (self.n, self.d, self.denom, self.ints) == (other.n, other.d, other.denom, other.ints)
@@ -48,18 +39,17 @@ class PluckerVector:
 
 def stiefel_map(A: TropMatrix) -> PluckerVector:
     """π(A): the optimal-assignment value on every column d-subset, from
-    the matching engine on A's ints, ∞ where no matching exists.  p takes
-    its integer form unchecked: p_J = w_J / A.denom for the engine's w_J,
-    so with g = gcd(A.denom, every finite w_J), p.denom = A.denom / g, the
+    the matching engine on A's ints, ∞ where no matching exists.  p is
+    handed its integer form: p_J = w_J / A.denom for the engine's w_J, so
+    with g = gcd(A.denom, every finite w_J), p.denom = A.denom / g, the
     LCM of p's own denominators, and p.ints are the w_J / g."""
     best = optimal_matchings(A.ints, range(1, A.n + 1))[0]
     ints = {J: best.get(column_key(J)) for J in subsets(A.n, A.d)}
     if not (finite := [w for w in ints.values() if w is not None]):
         raise DomainError("NO_MATCHING_IN_SUPPORT", "support contains no matching")
-    p, g = PluckerVector.__new__(PluckerVector), math.gcd(A.denom, *finite)
-    p.n, p.d, p.denom, p.circuits = A.n, A.d, A.denom // g, None
-    p.ints = ints if g == 1 else {J: None if w is None else w // g for J, w in ints.items()}
-    return p
+    if (g := math.gcd(A.denom, *finite)) > 1:
+        ints = {J: None if w is None else w // g for J, w in ints.items()}
+    return PluckerVector(A.n, A.d, A.denom // g, ints)
 
 
 def _circuits(p: PluckerVector):
@@ -158,6 +148,8 @@ def plucker_to_json(p: PluckerVector):
 
 
 def plucker_from_json(obj) -> PluckerVector:
+    """The one check of a map from outside: shape, keys, values, repeated
+    subsets, the first missing one in ``subsets`` order, then ALL_INF."""
     if not isinstance(obj, dict) or not {"d", "n", "values"} <= set(obj):
         raise DomainError("BAD_PLUCKER_JSON", "expected {'d','n','values'}")
     d, n = obj["d"], obj["n"]
@@ -171,4 +163,11 @@ def plucker_from_json(obj) -> PluckerVector:
         values[J] = scalar(v)
     if len(values) != len(obj["values"]):
         raise DomainError("BAD_PLUCKER_JSON", "two keys name one subset")
-    return PluckerVector(n, d, values)
+    try:
+        values = {J: values[J] for J in subsets(n, d)}
+    except KeyError as missing:
+        raise DomainError("MISSING_COORDINATE", f"no value for {sorted(missing.args[0])}") from None
+    if all(v is None for v in values.values()):
+        raise DomainError("ALL_INF", "Plücker vectors may not be identically ∞")
+    denom, ints = integer_form(values.values())
+    return PluckerVector(n, d, denom, dict(zip(values, ints)))

@@ -23,6 +23,8 @@ the two.  The library keeps only what the CLI and the benchmark reach
   the feasible ones (``covectors_by_row_subsets``, on the refusing
   ``attain_or_refuse``), against the library's search over unions of tie
   classes, which has no infeasible child;
+* the number of cells of TC(A) per dimension on input without ties
+  (``generic_f_vector``), a bound on every input, against the same search;
 * π(A) as the stable union of the rows (``stable_union``, ``row_vector``)
   against ``plucker.stiefel_map``, with duality and stable intersection;
 * the Hall-type surplus scan over all 2^d − 1 row sets (``_hall_surplus``,
@@ -70,11 +72,11 @@ import itertools
 import math
 from fractions import Fraction
 
-from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, common_denom, quotient, require_column_supports, scalar, scalar_str, scalars, subsets
+from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, common_denom, quotient, require_column_supports, scalar, scalar_str, scalars, subset_key, subsets
 from tropstiefel.geom import DifferenceBounds
 from tropstiefel.simplex import ONE, ZERO, _pivot
 from tropstiefel.bipartite import assignment, column_key, components, hall_surplus_check, optimal_matchings
-from tropstiefel.plucker import PluckerVector
+from tropstiefel.plucker import PluckerVector, plucker_from_json
 from tropstiefel.arrangement import covector_edges, enumerate_covectors, facets_of_D
 from tropstiefel.linspace import _require_uniform, bounded_skeleton, in_K, select_matroid
 
@@ -90,6 +92,13 @@ def entries(X):
     if isinstance(X, TropMatrix):
         return tuple(tuple(scalars(X.denom, row)) for row in X.ints)
     return tuple(scalars(X.denom, X.ints))
+
+
+def plucker_vector(n, d, coords) -> PluckerVector:
+    """The Plücker vector with these coordinates, a dict from d-subset to
+    scalar (∞ as None or "inf"), read by ``plucker.plucker_from_json``, so
+    that its checks (MISSING_COORDINATE, ALL_INF) reach every test."""
+    return plucker_from_json({"d": d, "n": n, "values": {subset_key(J): scalar_str(v) for J, v in coords.items()}})
 
 
 def values(p: PluckerVector) -> dict:
@@ -363,7 +372,7 @@ def dual(p: PluckerVector) -> PluckerVector:
     """p*_S = p_{[n]∖S}, a vector of rank n − d."""
     ground = frozenset(range(1, p.n + 1))
     pv = values(p)
-    return PluckerVector(p.n, p.n - p.d, {S: pv[ground - S] for S in subsets(p.n, p.n - p.d)})
+    return plucker_vector(p.n, p.n - p.d, {S: pv[ground - S] for S in subsets(p.n, p.n - p.d)})
 
 
 def stable_intersection(p: PluckerVector, q: PluckerVector) -> PluckerVector:
@@ -386,16 +395,16 @@ def stable_union(p: PluckerVector, q: PluckerVector) -> PluckerVector:
             if pv[Rset] is not INF and qv[Tset - Rset] is not INF:
                 terms.append(pv[Rset] + qv[Tset - Rset])
         r[Tset] = trop_sum(terms)
-    return PluckerVector(n, rank, r)
+    return plucker_vector(n, rank, r)
 
 
 def row_vector(x: TropVector) -> PluckerVector:
     """A point of the torus as a rank-1 Plücker vector."""
-    return PluckerVector(len(x), 1, {frozenset({j}): v for j, v in enumerate(entries(x), 1)})
+    return plucker_vector(len(x), 1, {frozenset({j}): v for j, v in enumerate(entries(x), 1)})
 
 
 def rank_zero(n) -> PluckerVector:
-    return PluckerVector(n, 0, {frozenset(): 0})
+    return plucker_vector(n, 0, {frozenset(): 0})
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +483,17 @@ def attain_or_refuse(dbm, a, j, I):
         elif not dbm.add(k, i0, c - a0, True):
             return False
     return True
+
+
+def generic_f_vector(d, n):
+    """[f_0, ..., f_{d−1}] with f_k = C(n+d−1, k)·C(n+d−2−k, d−1−k): the
+    number of k-dimensional cells of TC(A) for a d × n matrix A without
+    ties, and a bound on that number for every A.  This is a measured fact
+    here, not a cited theorem: only f_0 = C(n+d−2, d−1), the vertex count
+    of a generic arrangement, is from Develin–Sturmfels, *Tropical
+    convexity* (2004).  The equality held on every seeded tie-free input
+    tried, the bound on every input with ties, halves and ∞."""
+    return [math.comb(n + d - 1, k) * math.comb(n + d - 2 - k, d - 1 - k) for k in range(d)]
 
 
 def covectors_by_row_subsets(A: TropMatrix):

@@ -35,6 +35,7 @@ from reference import (
     minimal_form,
     optimal_columns,
     plucker_proj_eq,
+    plucker_vector,
     polytrope_contains,
     polytrope_dim,
     residuation,
@@ -68,7 +69,6 @@ from tropstiefel.linspace import (
     select_matroid,
 )
 from tropstiefel.plucker import (
-    PluckerVector,
     check_plucker,
     recover_matrix,
     stiefel_map,
@@ -558,7 +558,7 @@ def snowflake_plucker():
     for J in itertools.combinations(range(1, 7), 2):
         i, j = J
         values[frozenset(J)] = Fraction(-2 if cherry[i] == cherry[j] else -4)
-    return PluckerVector(6, 2, values)
+    return plucker_vector(6, 2, values)
 
 
 def test_caterpillar_and_snowflake():

@@ -11,17 +11,19 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import tropstiefel.cli
-from reference import J_of, cocircuit, entries, graph_to_json, plucker_proj_eq, support_graph, values
+from reference import J_of, cocircuit, entries, graph_to_json, plucker_proj_eq, plucker_vector, support_graph, values
 from tropstiefel.cli import main
-from tropstiefel.core import TropMatrix, matrix_from_json, matrix_to_json
+from tropstiefel.core import DomainError, TropMatrix, matrix_from_json, matrix_to_json
 from tropstiefel.bipartite import (
     is_support_set,
     matching_multifield,
     multifield_to_json,
     random_support_set,
 )
-from tropstiefel.plucker import PluckerVector, plucker_to_json, stiefel_map
+from tropstiefel.plucker import plucker_from_json, plucker_to_json, stiefel_map
 
 STAIR = TropMatrix([[0, 0, "inf", "inf"], ["inf", 0, 0, "inf"], ["inf", "inf", 0, 0]])
 FIG = TropMatrix([[0, 3, 0, "inf", "inf"], ["inf", 0, 0, 2, "inf"], ["inf", "inf", 0, 0, 0]])
@@ -199,7 +201,7 @@ def test_recover_prints_only_a_matrix_that_maps_to_p(capsys, monkeypatch):
         read = {(ground - J_of(G, {i})) | {j} for i in range(1, d + 1) for j in J_of(G, {i})}
         pv = values(p)
         for J in list(pv)[:2]:
-            moved = PluckerVector(n, d, {**pv, J: pv[J] + Fraction(1, 2)})
+            moved = plucker_vector(n, d, {**pv, J: pv[J] + Fraction(1, 2)})
             code, out = run(capsys, ["recover"], stdin=json.dumps({"plucker": plucker_to_json(moved), "support": graph_to_json(G)}), monkeypatch=monkeypatch)
             if J in read and code == 0:
                 assert plucker_proj_eq(stiefel_map(matrix_from_json(json.loads(out))), moved)
@@ -375,6 +377,39 @@ def test_graph_errors_come_shape_first_then_edges(tmp_path, capsys):
     ):
         code, out = run(capsys, ["recover", "--input", write_input(tmp_path, {"plucker": plucker, "support": bad_support})])
         assert (code, json.loads(out)) == (1, {"error": error}), plucker
+
+
+def test_plucker_errors_come_shape_then_keys_then_coordinates(tmp_path, capsys):
+    """``plucker_from_json`` is the one check of a Plücker vector: the
+    document's shape (BAD_PLUCKER_JSON), then entry by entry its key
+    (BAD_PLUCKER_JSON) before its value, null or unparsed (BAD_SCALAR),
+    then two keys naming one subset (BAD_PLUCKER_JSON), the first d-subset
+    in ``subsets`` order with no value (MISSING_COORDINATE), and last a map
+    that is ∞ everywhere (ALL_INF).  Each case below also holds every later
+    fault; ``plucker-check`` and ``recover`` refuse it with the earliest,
+    ``recover`` before its support's BAD_EDGE."""
+    later = {"2": "inf", "02": "inf"}  # on [3] at d = 1: {2} twice, {1} and {3} missing, no finite value
+    cases = [
+        ({"d": 4, "n": 3, "values": {**later, "4": None}}, "BAD_PLUCKER_JSON", "0 <= d <= n"),
+        ({"d": 1, "n": 3, "values": {**later, "4": None}}, "BAD_PLUCKER_JSON", "bad subset key '4'"),
+        ({"d": 1, "n": 3, "values": {**later, "3": None}}, "BAD_SCALAR", "null"),
+        ({"d": 1, "n": 3, "values": {**later, "3": "1/0"}}, "BAD_SCALAR", "'1/0'"),
+        ({"d": 1, "n": 3, "values": later}, "BAD_PLUCKER_JSON", "two keys"),
+        ({"d": 1, "n": 3, "values": {"3": "inf"}}, "MISSING_COORDINATE", "[1]"),
+        ({"d": 2, "n": 3, "values": {"2,3": "inf"}}, "MISSING_COORDINATE", "[1, 2]"),
+        ({"d": 1, "n": 3, "values": {"3": "inf", "1": "inf", "2": "inf"}}, "ALL_INF", "∞"),
+        ({"d": 1, "n": 3, "values": {"3": "inf", "1": "1/2", "2": "inf"}}, None, None),
+    ]
+    bad_support = {"d": 1, "n": 3, "edges": [[2, 1]]}
+    for plucker, error, message in cases:
+        if error:
+            with pytest.raises(DomainError) as exc:
+                plucker_from_json(plucker)
+            assert exc.value.code == error and message in str(exc.value), (plucker, exc.value)
+        code, out = run(capsys, ["plucker-check", "--input", write_input(tmp_path, plucker)])
+        assert (code, json.loads(out).get("error")) == (1 if error else 0, error), plucker
+        code, out = run(capsys, ["recover", "--input", write_input(tmp_path, {"plucker": plucker, "support": bad_support})])
+        assert (code, json.loads(out)) == (1, {"error": error or "BAD_EDGE"}), plucker
 
 
 def test_rank_0_coherent_refuses_before_any_work(tmp_path, capsys, monkeypatch):
@@ -977,7 +1012,7 @@ def test_coherence_and_plucker_budgets_refuse_up_front(tmp_path, capsys):
     # on [16] about 1.2·10^9 Plücker terms: both are refused before any LP
     # or circuit work
     dense = TropMatrix([[0] * 8 for _ in range(5)])
-    zero = PluckerVector(16, 8, {frozenset(J): 0 for J in itertools.combinations(range(1, 17), 8)})
+    zero = plucker_vector(16, 8, {frozenset(J): 0 for J in itertools.combinations(range(1, 17), 8)})
     for command, obj in (("coherent", multifield_to_json(matching_multifield(dense))), ("plucker-check", plucker_to_json(zero))):
         path = write_input(tmp_path, obj)
         start = time.monotonic()

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from reference import col_support, entries, proj_eq, proj_normalize, residuation, row_support, shift, values, vec_mat_mul, vector_support, vector_to_json
+from reference import col_support, entries, plucker_vector, proj_eq, proj_normalize, residuation, row_support, shift, values, vec_mat_mul, vector_support, vector_to_json
 from tropstiefel.core import (
     INF,
     DomainError,
@@ -32,7 +32,7 @@ from tropstiefel.core import (
 from tropstiefel.arrangement import cell_point, enumerate_covectors
 from tropstiefel.bipartite import is_coherent, matching_multifield
 from tropstiefel.linspace import decompose
-from tropstiefel.plucker import PluckerVector, recover_matrix, stiefel_map
+from tropstiefel.plucker import recover_matrix, stiefel_map
 
 # Rows (0,0,inf,inf), (inf,0,0,inf), (inf,inf,0,0): the running 3x4 example.
 STAIR = TropMatrix([[0, 0, "inf", "inf"], ["inf", 0, 0, "inf"], ["inf", "inf", 0, 0]])
@@ -132,10 +132,10 @@ def _check_integer_form(raw, denom, ints):
 
 
 def test_integer_form_on_construction():
-    """``TropMatrix``, ``TropVector`` and ``PluckerVector`` take their
-    integer form on construction: 300 seeded inputs with ∞, halves, thirds,
-    "4/2" and copied rows, against the raw inputs, and ``common_denom`` on
-    each matrix and vector."""
+    """``TropMatrix`` and ``TropVector`` take their integer form on
+    construction, and a ``PluckerVector`` in ``plucker_from_json``: 300
+    seeded inputs with ∞, halves, thirds, "4/2" and copied rows, against
+    the raw inputs, and ``common_denom`` on each matrix and vector."""
     rng = random.Random(2901)
     pool = ["inf", 0, 1, -2, 3, "4/2", Fraction(6, 3), "1/2", "-3/2", "1/3", "-2/3", "5/3", "-5/6"]
     denoms = Counter()
@@ -155,7 +155,7 @@ def test_integer_form_on_construction():
         _check_integer_form(y, Y.denom, Y.ints)
         coords = {frozenset(J): draw() for J in itertools.combinations(range(1, n + 1), d)}
         coords[frozenset(range(1, d + 1))] = draw(1)  # not identically ∞
-        p = PluckerVector(n, d, coords)
+        p = plucker_vector(n, d, coords)
         assert list(p.ints) == list(subsets(n, d))
         _check_integer_form([coords[J] for J in p.ints], p.denom, list(p.ints.values()))
         m, fa, fy = common_denom(A.denom, Y.denom)
@@ -172,7 +172,7 @@ def test_equality_and_repr_read_the_integer_form():
     builds = (
         (lambda a, b: TropVector([a, b]), lambda x: x.ints),
         (lambda a, b: TropMatrix([[a, b]]), lambda x: x.ints[0]),
-        (lambda a, b: PluckerVector(2, 1, {frozenset({1}): a, frozenset({2}): b}), lambda x: tuple(x.ints.values())),
+        (lambda a, b: plucker_vector(2, 1, {frozenset({1}): a, frozenset({2}): b}), lambda x: tuple(x.ints.values())),
     )
     for build, flat in builds:
         spellings = [build(two, inf) for two in ("4/2", 2, Fraction(6, 3)) for inf in ("inf", None)]
@@ -183,7 +183,7 @@ def test_equality_and_repr_read_the_integer_form():
     assert repr(TropVector(["1/2", "inf", 3])) == "TropVector(1/2, inf, 3)"
     assert repr(TropVector([0])) == "TropVector(0)"
     assert repr(TropMatrix([["1/2", 1]])) == "TropMatrix(1 x 2)"
-    assert repr(PluckerVector(2, 1, {frozenset({1}): 0, frozenset({2}): "inf"})) == "PluckerVector(n=2, d=1)"
+    assert repr(plucker_vector(2, 1, {frozenset({1}): 0, frozenset({2}): "inf"})) == "PluckerVector(n=2, d=1)"
 
 
 def test_infinity_sentinel():

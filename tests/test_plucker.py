@@ -14,6 +14,7 @@ from reference import (
     enumerate_support_sets,
     matrix_row,
     plucker_proj_eq,
+    plucker_vector,
     proj_eq,
     rank_zero,
     row_vector,
@@ -28,7 +29,6 @@ from reference import (
 from tropstiefel.core import INF, DomainError, TropMatrix, TropVector, trop_vanishes
 from tropstiefel.plucker import (
     PLUCKER_BUDGET,
-    PluckerVector,
     check_plucker,
     contains,
     plucker_from_json,
@@ -43,7 +43,7 @@ APRIME = TropMatrix([[0, "inf", 0, 0], ["inf", 0, 1, 1]])
 
 
 def zero_plucker(d, n):
-    return PluckerVector(
+    return plucker_vector(
         n, d, {frozenset(J): 0 for J in itertools.combinations(range(1, n + 1), d)}
     )
 
@@ -76,14 +76,15 @@ def test_stiefel_map_requires_matching():
 
 
 def test_stiefel_map_hands_over_the_reduced_integer_form():
-    """``stiefel_map`` builds p from the engine's ints without the checking
-    constructor.  On 2000 seeded matrices, d 1-4 and n <= 7, ∞ at 0, 10 or
-    25%, entries k or k/2, p equals the ``PluckerVector`` that constructor
-    builds from the same values: the same values in ``subsets`` order, the
-    same ``denom`` and ``ints``, each value an int or a Fraction with
-    denominator > 1.  A third of the matrices are whole but for one large
-    half entry, which an optimal matching avoids where it can: p is then
-    often whole, with denom 1 rather than A's 2."""
+    """``stiefel_map`` hands p the engine's ints, reduced, without a
+    check.  On 2000 seeded matrices, d 1-4 and n <= 7, ∞ at 0, 10 or 25%,
+    entries k or k/2, p equals ``plucker_from_json(plucker_to_json(p))``,
+    the vector the one outside check reads from p's printed values: the
+    same values in ``subsets`` order, the same ``denom`` and ``ints``, each
+    value an int or a Fraction with denominator > 1.  A third of the
+    matrices are whole but for one large half entry, which an optimal
+    matching avoids where it can: p is then often whole, with denom 1
+    rather than A's 2."""
     rng = random.Random(5401)
     checked = whole_of_half = 0
     while checked < 2000:
@@ -103,7 +104,7 @@ def test_stiefel_map_hands_over_the_reduced_integer_form():
         except DomainError as exc:
             assert exc.code == "NO_MATCHING_IN_SUPPORT"
             continue
-        q = PluckerVector(A.n, A.d, values(p))
+        q = plucker_from_json(plucker_to_json(p))
         assert list(values(p).items()) == list(values(q).items()), rows
         assert (p.n, p.d, p.denom, p.ints, p.circuits) == (q.n, q.d, q.denom, q.ints, None), rows
         assert all(v is None or type(v) is int or (type(v) is Fraction and v.denominator > 1) for v in values(p).values())
@@ -114,7 +115,7 @@ def test_stiefel_map_hands_over_the_reduced_integer_form():
 
 def test_check_plucker():
     assert check_plucker(zero_plucker(2, 4))
-    bad = PluckerVector(
+    bad = plucker_vector(
         4,
         2,
         {
@@ -129,7 +130,7 @@ def test_check_plucker():
     assert not check_plucker(bad)
     # rank 3 on [6] with support {123, 456}: every three-term relation
     # vanishes, but the support is not the basis set of a matroid
-    split = PluckerVector(6, 3, {
+    split = plucker_vector(6, 3, {
         frozenset(J): 0 if set(J) in ({1, 2, 3}, {4, 5, 6}) else INF
         for J in itertools.combinations(range(1, 7), 3)
     })
@@ -199,12 +200,12 @@ def test_kept_circuits_leave_check_plucker_unchanged():
             vals = [rng.choice([INF, 0, 1, Fraction(1, 2), Fraction(-2, 3)]) for _ in range(math.comb(n, d))]
             if all(v is INF for v in vals):
                 continue
-            p = PluckerVector(n, d, dict(zip(map(frozenset, itertools.combinations(range(1, n + 1), d)), vals)))
+            p = plucker_vector(n, d, dict(zip(map(frozenset, itertools.combinations(range(1, n + 1), d)), vals)))
         before = check_plucker(p)
         assert p.circuits is not None
         for q in (1, 3, 4):
             contains(p, TropVector([Fraction(rng.randint(-6, 6), q) for _ in range(n)]))
-        assert check_plucker(p) == before == check_plucker(PluckerVector(p.n, p.d, values(p)))
+        assert check_plucker(p) == before == check_plucker(plucker_vector(p.n, p.d, values(p)))
         answers.add(before)
     assert answers == {True, False}
 
@@ -250,7 +251,7 @@ def perturbed_images(draw):
     for J in draw(st.lists(st.sampled_from(sorted(coords, key=sorted)), max_size=2)):
         coords[J] = draw(VALUES)
     assume(any(v is not INF for v in coords.values()))
-    return PluckerVector(n, d, coords)
+    return plucker_vector(n, d, coords)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
@@ -267,7 +268,7 @@ def test_proj_eq_against_least_coordinate(p, c, data):
     for J in data.draw(st.lists(st.sampled_from(sorted(coords, key=sorted)), max_size=2)):
         coords[J] = data.draw(VALUES)
     assume(any(v is not INF for v in coords.values()))
-    q = PluckerVector(p.n, p.d, coords)
+    q = plucker_vector(p.n, p.d, coords)
     expected = least_coordinate_form(p) == least_coordinate_form(q)
     assert plucker_proj_eq(p, q) == plucker_proj_eq(q, p) == expected
 
@@ -277,8 +278,8 @@ def test_proj_eq_and_check_plucker_edge_cases():
     assert not plucker_proj_eq(rank_zero(3), rank_zero(4))
     assert not plucker_proj_eq(zero_plucker(1, 3), zero_plucker(2, 3))
     # supports of one size in different places
-    p = PluckerVector(3, 2, {frozenset({1, 2}): 0, frozenset({1, 3}): 0, frozenset({2, 3}): INF})
-    q = PluckerVector(3, 2, {frozenset({1, 2}): 0, frozenset({1, 3}): INF, frozenset({2, 3}): 0})
+    p = plucker_vector(3, 2, {frozenset({1, 2}): 0, frozenset({1, 3}): 0, frozenset({2, 3}): INF})
+    q = plucker_vector(3, 2, {frozenset({1, 2}): 0, frozenset({1, 3}): INF, frozenset({2, 3}): 0})
     assert not plucker_proj_eq(p, q) and not plucker_proj_eq(q, p)
 
 
@@ -339,7 +340,7 @@ def direct_stable_intersection(p, q):
             if pv[R] is not INF and qv[S] is not INF:
                 terms.append(pv[R] + qv[S])
         coords[Tset] = trop_sum(terms)
-    return PluckerVector(n, rank, coords)
+    return plucker_vector(n, rank, coords)
 
 
 def test_stable_intersection_is_dual_of_stable_union():
@@ -354,7 +355,7 @@ def test_stable_intersection_is_dual_of_stable_union():
             coords = {frozenset(J): rng.choice([INF, INF, 0, 1, Fraction(1, 2)])
                       for J in itertools.combinations(range(1, n + 1), d)}
             coords[min(coords, key=sorted)] = 0
-            ps.append(PluckerVector(n, d, coords))
+            ps.append(plucker_vector(n, d, coords))
         outcomes = []
         for intersect in (stable_intersection, direct_stable_intersection):
             try:
@@ -397,7 +398,7 @@ def test_stable_union_rank_zero_identity():
 def test_underlying_matroid():
     assert underlying_matroid(zero_plucker(2, 4)) == uniform_matroid(2, 4)
     assert underlying_matroid(stiefel_map(APRIME)) == uniform_matroid(2, 4)
-    single = PluckerVector(
+    single = plucker_vector(
         3, 2, {frozenset({1, 2}): 0, frozenset({1, 3}): INF, frozenset({2, 3}): INF}
     )
     assert underlying_matroid(single) == frozenset([frozenset({1, 2})])
@@ -409,7 +410,7 @@ def test_cocircuit():
     p = stiefel_map(APRIME)
     assert cocircuit(p, {2}) == TropVector([0, INF, 0, 0])
     assert cocircuit(p, {1}) == TropVector([INF, 0, 1, 1])
-    single = PluckerVector(3, 2, {frozenset({1, 2}): INF, frozenset({1, 3}): INF, frozenset({2, 3}): 0})
+    single = plucker_vector(3, 2, {frozenset({1, 2}): INF, frozenset({1, 3}): INF, frozenset({2, 3}): 0})
     with pytest.raises(DomainError) as exc:
         cocircuit(single, {1})
     assert exc.value.code == "ALL_INF"
@@ -417,7 +418,7 @@ def test_cocircuit():
 
 def test_cocircuit_projective_invariance():
     p = stiefel_map(APRIME)
-    shifted = PluckerVector(
+    shifted = plucker_vector(
         4, 2, {J: v + Fraction(3) for J, v in values(p).items()}
     )
     for S in itertools.combinations(range(1, 5), 1):

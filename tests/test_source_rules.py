@@ -46,6 +46,36 @@ def test_no_assert_in_library_code():
     assert not found, f"assert statements in library code: {found}"
 
 
+def test_every_object_is_built_by_its_constructor():
+    """No ``.__new__(`` call in ``src/``: an object built past its
+    constructor is a second way in that the constructor's callers and
+    tests never see."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "__new__"
+    ]
+    assert not found, f"objects built past their constructor: {found}"
+
+
+def test_no_recursive_closure_in_library_code():
+    """No function nested in another reads its own name: a recursive
+    closure is a reference cycle, which keeps what it reads alive after the
+    call until the cycle collector runs.  Recurse in a module-level
+    function that takes what it reads as arguments."""
+    found = [
+        f"{path.name}:{inner.lineno} {inner.name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for outer in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(outer)
+        if inner is not outer and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(sub, ast.Name) and sub.id == inner.name for sub in ast.walk(inner))
+    ]
+    assert not found, f"recursive closures in library code: {found}"
+
+
 # The only modules outside the package that ``src/`` may import.  Every op
 # of the ``geometry`` benchmark, and every ``setup_s`` sample, is a cold
 # ``import tropstiefel.cli``; with PYTHONDONTWRITEBYTECODE=1 set, that
